@@ -21,6 +21,8 @@ import numpy as np
 
 SQ3 = math.sqrt(3.0)
 DEFAULT_FOCAL_GUARD = 0.05
+# random_leaf_points gives up after this many sphere draws per point wanted
+LEAF_DRAWS_PER_POINT = 1000
 
 
 class FocalProximityError(ValueError):
@@ -321,14 +323,23 @@ def random_leaf_points(m: FoliationModel, t: float, count: int,
                        seed: int = 0, delta: float = DEFAULT_FOCAL_GUARD):
     """Deterministic sample of `count` unit points on the leaf M_t.
 
-    Draws random normal planes (via random sphere points with interior leaf
-    parameter) and walks their normal geodesics to parameter t.
+    Draws random normal planes (via random sphere points with leaf
+    parameter more than delta from both focal values) and walks their normal
+    geodesics to parameter t.  Raises FocalProximityError when delta leaves
+    no such parameter (delta >= pi/(2d)) or when LEAF_DRAWS_PER_POINT * count
+    draws do not yield count points.
     """
     if not (0.0 < t < math.pi / m.d):
         raise ValueError("t must be an interior leaf parameter")
+    if delta >= math.pi / (2 * m.d):
+        raise FocalProximityError(
+            f"delta={delta} leaves no leaf parameter away from both focal "
+            f"values: it must be below pi/(2d) = {math.pi / (2 * m.d):.4f}")
     rng = np.random.default_rng(seed)
     pts = []
-    while len(pts) < count:
+    for _ in range(LEAF_DRAWS_PER_POINT * count):
+        if len(pts) == count:
+            break
         y = rng.standard_normal(m.n)
         y /= np.linalg.norm(y)
         ty = t_coord(m, y).t
@@ -336,4 +347,9 @@ def random_leaf_points(m: FoliationModel, t: float, count: int,
             continue
         basis = normal_plane_basis(m, y, delta)
         pts.append(math.cos(t) * basis.v1 + math.sin(t) * basis.v2)
+    if len(pts) < count:
+        raise FocalProximityError(
+            f"found {len(pts)} of {count} leaf points in "
+            f"{LEAF_DRAWS_PER_POINT * count} draws: delta={delta} leaves too "
+            f"little room between the focal values")
     return np.array(pts)

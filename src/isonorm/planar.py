@@ -17,6 +17,10 @@ from .profile import (Profile, convexity_gap, dihedral_fold, is_minkowski,
                       profile_from_json_dict, register_profile_kind,
                       sampled_profile)
 
+# the exact dual's Legendre-angle solve (see DualProfile)
+NEWTON_TOL = 1e-14
+NEWTON_MAX_STEPS = 100
+
 
 @dataclass(frozen=True)
 class PlanarNorm:
@@ -88,6 +92,16 @@ def _legendre_numden(p: Profile, t):
     return num, den
 
 
+def _pow(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n element by element with the C library's pow, as Python floats do.
+
+    numpy's vectorised pow can differ from it in the last bit.  The exact
+    dual has always used the library's pow, and the reports that print its
+    residuals keep their bytes only if it still does.
+    """
+    return (x.astype(object) ** n).astype(float)
+
+
 def _unwrap_to(t, raw):
     """Shift raw angles by multiples of 2*pi to land within pi of t.
 
@@ -95,7 +109,7 @@ def _unwrap_to(t, raw):
     from x (their inner product is 2E > 0), so this fixes the branch,
     keeps continuity, and preserves the dihedral equivariance.
     """
-    return raw + 2.0 * math.pi * np.round((t - raw) / (2.0 * math.pi))
+    return raw + 2.0 * math.pi * np.rint((t - raw) / (2.0 * math.pi))
 
 
 def theta_legendre(nm: PlanarNorm, t):
@@ -106,8 +120,6 @@ def theta_legendre(nm: PlanarNorm, t):
 
 def theta_legendre_deriv(nm: PlanarNorm, t):
     """d theta_legendre / dt = gap / (num^2 + den^2)."""
-    from .profile import convexity_gap
-
     num, den = _legendre_numden(nm.profile, t)
     return convexity_gap(nm.profile, t) / (num * num + den * den)
 
@@ -121,8 +133,6 @@ def theta_scaled(nm: PlanarNorm, t, a: float, b: float):
 
 
 def theta_scaled_deriv(nm: PlanarNorm, t, a: float, b: float):
-    from .profile import convexity_gap
-
     num, den = _legendre_numden(nm.profile, t)
     gap = convexity_gap(nm.profile, t)
     return a * b * gap / (a * a * den * den + b * b * num * num)
@@ -135,8 +145,6 @@ def legendre_ode_rhs(p: Profile, t, theta):
 
     Also the second root of the reduction quadratic (the "Legendre branch").
     """
-    from .profile import convexity_gap
-
     num, den = _legendre_numden(p, t)
     gap = convexity_gap(p, t)
     return gap * np.cos(theta) * np.sin(theta) / (num * den)
@@ -189,12 +197,21 @@ def sample_indicatrix(nm: PlanarNorm, n: int):
 class DualProfile:
     """Exact dual profile h with h(theta_legendre(t)) = f/(4f^2 + f'^2).
 
-    Evaluation inverts the Legendre angle map by Newton iteration and
-    applies the chain rule analytically, so no spectral truncation enters:
-    the fitted `dual_profile` is the portable representation, this one is
-    the machine-precision evaluator used where second derivatives of h
-    feed residual checks.  Derivatives are supported up to order 2 (order 3
-    would need the fourth derivative of the base profile).
+    Evaluation folds the angles into [0, pi/d] and inverts the Legendre
+    angle map there for the whole array at once: Newton's method inside a
+    bracket that each step tightens, with bisection in place of any step
+    that would leave it.  theta_legendre' = gap/(N^2 + D^2) > 0 for a valid
+    base and theta_legendre fixes 0 and pi/d, so the bracket always holds
+    the root.  A point stops once its Newton step is below NEWTON_TOL, or
+    once the step only returns to a bracket end (the residual is down to
+    rounding); a point still moving after NEWTON_MAX_STEPS raises
+    ValueError rather than return a wrong number.  The chain rule is
+    then applied analytically, so no spectral truncation enters: the fitted
+    `dual_profile` is the portable representation, this one is the
+    machine-precision evaluator used where second derivatives of h feed
+    residual checks.  Derivatives are supported up to order 2 (order 3
+    would need the fourth derivative of the base profile).  The base must
+    not be an invalid Minkowski profile (`is_minkowski`).
     """
 
     base: Profile
@@ -203,6 +220,11 @@ class DualProfile:
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
+        report = is_minkowski(self.base)
+        if report.status == "invalid":
+            raise ValueError(
+                f"dual of an invalid profile (min_f={report.min_f:.3g}, "
+                f"min_gap={report.min_gap:.3g})")
 
     @property
     def d(self) -> int:
@@ -216,55 +238,76 @@ class DualProfile:
     def fit_residual(self) -> float:
         return 0.0
 
-    def _invert_theta(self, theta: float) -> float:
-        """Solve theta_legendre(t) = theta on [0, pi/d]."""
-        t = theta
-        for _ in range(60):
-            N, D = _legendre_numden(self.base, t)
-            cur = _unwrap_to(t, np.arctan2(N, D))
-            gap = convexity_gap(self.base, t)
-            step = (cur - theta) * (N * N + D * D) / gap
-            t -= step
-            if abs(step) < 1e-14:
-                break
-        return float(t)
+    def _jet(self, t, k: int):
+        # One point per row: matmul then sums each point's series with its
+        # own dot product, so the values carry the bits of scalar
+        # evaluation whatever the array length.
+        return [v[:, 0] for v in self.base.jet(t[:, None], k)]
+
+    def _invert_theta(self, theta: np.ndarray) -> np.ndarray:
+        """Solve theta_legendre(t) = theta for theta in [0, pi/d]."""
+        t = theta.copy()
+        lo = np.zeros_like(theta)
+        hi = np.full_like(theta, math.pi / self.d)
+        active = np.ones(theta.shape, dtype=bool)
+        for _ in range(NEWTON_MAX_STEPS):
+            f0, f1, f2 = self._jet(t, 2)
+            sin, cos = np.sin(t), np.cos(t)
+            N = 2.0 * f0 * sin + f1 * cos
+            D = 2.0 * f0 * cos - f1 * sin
+            resid = _unwrap_to(t, np.arctan2(N, D)) - theta
+            gap = 2.0 * f0 * f2 - f1 * f1 + 4.0 * f0 * f0
+            step = resid * (N * N + D * D) / gap
+            newton = t - step
+            lo = np.where(resid < 0, t, lo)
+            hi = np.where(resid > 0, t, hi)
+            tiny = np.abs(step) < NEWTON_TOL
+            # a NaN or infinite step fails both tests: bisection
+            nxt = np.where(tiny | ((lo <= newton) & (newton <= hi)), newton,
+                           0.5 * (lo + hi))
+            # a step back onto a bracket end means the residual no longer
+            # tells the points apart: where theta_legendre' is small, its
+            # last bit of rounding moves t by more than NEWTON_TOL
+            done = tiny | (nxt == lo) | (nxt == hi)
+            t = np.where(active, nxt, t)
+            active &= ~done
+            if not active.any():
+                return t
+        raise ValueError(
+            f"exact dual: Legendre angle inversion did not converge in "
+            f"{NEWTON_MAX_STEPS} steps at theta={float(theta[active][0]):.17g}")
 
     def evaluate(self, t, order: int = 0):
         if order not in (0, 1, 2):
             raise ValueError("dual profiles support derivative orders 0..2")
-        scalar = np.asarray(t).ndim == 0
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        for i, theta in enumerate(t_arr):
-            tau, sign = dihedral_fold(float(theta), self.d)
-            s = self._invert_theta(tau)
-            out[i] = self._eval_at(s, order) * sign ** order
-        return float(out[0]) if scalar else out
+        t = np.asarray(t, dtype=float)
+        tau, sign = dihedral_fold(t.reshape(-1), self.d)
+        out = self._eval_at(self._invert_theta(tau), order) * sign ** order
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
-    def _eval_at(self, t: float, order: int) -> float:
-        f = self.base
-        f0, f1, f2 = (f.evaluate(t, k) for k in range(3))
+    def _eval_at(self, t: np.ndarray, order: int) -> np.ndarray:
+        f0, f1, f2, f3 = self._jet(t, 3)
         G = 4 * f0 * f0 + f1 * f1
         if order == 0:
             return self.scale * f0 / G
-        f3 = f.evaluate(t, 3)
         Gp = 2 * f1 * (4 * f0 + f2)
-        qp = f1 / G - f0 * Gp / G ** 2
+        qp = f1 / G - f0 * Gp / _pow(G, 2)
         gap = 2 * f0 * f2 - f1 * f1 + 4 * f0 * f0
-        N = 2 * f0 * math.sin(t) + f1 * math.cos(t)
-        D = 2 * f0 * math.cos(t) - f1 * math.sin(t)
+        sin, cos = np.sin(t), np.cos(t)
+        N = 2 * f0 * sin + f1 * cos
+        D = 2 * f0 * cos - f1 * sin
         tp = gap / (N * N + D * D)
         if order == 1:
             return self.scale * qp / tp
         Gpp = 8 * (f1 * f1 + f0 * f2) + 2 * (f2 * f2 + f1 * f3)
-        qpp = f2 / G - 2 * f1 * Gp / G ** 2 - f0 * Gpp / G ** 2 \
-            + 2 * f0 * Gp ** 2 / G ** 3
+        qpp = f2 / G - 2 * f1 * Gp / _pow(G, 2) - f0 * Gpp / _pow(G, 2) \
+            + 2 * f0 * _pow(Gp, 2) / _pow(G, 3)
         gap_p = 2 * f0 * (f3 + 4 * f1)
-        Np = f1 * math.sin(t) + (2 * f0 + f2) * math.cos(t)
-        Dp = f1 * math.cos(t) - (2 * f0 + f2) * math.sin(t)
+        Np = f1 * sin + (2 * f0 + f2) * cos
+        Dp = f1 * cos - (2 * f0 + f2) * sin
         tpp = gap_p / (N * N + D * D) \
-            - gap * 2 * (N * Np + D * Dp) / (N * N + D * D) ** 2
-        return self.scale * (qpp * tp - qp * tpp) / tp ** 3
+            - gap * 2 * (N * Np + D * Dp) / _pow(N * N + D * D, 2)
+        return self.scale * (qpp * tp - qp * tpp) / _pow(tp, 3)
 
     def scaled(self, factor: float) -> "DualProfile":
         return DualProfile(base=self.base, scale=self.scale * factor)

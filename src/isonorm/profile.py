@@ -44,21 +44,38 @@ class Profile:
         if not self.cos_coeffs:
             raise ValueError("profile needs at least one coefficient")
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
+        coeffs = np.asarray(self.cos_coeffs)
+        freq = np.arange(len(coeffs)) * self.d
+        # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps the c0 term
+        object.__setattr__(self, "_freq", freq)
+        object.__setattr__(self, "_weights", tuple(
+            coeffs * freq.astype(float) ** m for m in range(MAX_DERIV_ORDER + 1)))
 
     def evaluate(self, t, order: int = 0):
         """d^order f / dt^order at t (scalar or array), order 0..3."""
         if order not in range(MAX_DERIV_ORDER + 1):
             raise ValueError(f"order must be in 0..{MAX_DERIV_ORDER}, got {order}")
+        return self._series(t, (order,))[0]
+
+    def jet(self, t, k: int):
+        """(f, f', ..., f^(k)) at t (scalar or array), k in 0..3.
+
+        Each entry has the bits `evaluate(t, order)` gives for the same t.
+        """
+        if k not in range(MAX_DERIV_ORDER + 1):
+            raise ValueError(f"k must be in 0..{MAX_DERIV_ORDER}, got {k}")
+        return self._series(t, range(k + 1))
+
+    def _series(self, t, orders) -> tuple:
         t = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError("non-finite angle")
-        coeffs = np.asarray(self.cos_coeffs)
-        freq = np.arange(len(coeffs)) * self.d
-        # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps the c0 term
-        weights = coeffs * freq.astype(float) ** order
-        phase = np.multiply.outer(t, freq) + 0.5 * math.pi * order
-        out = np.cos(phase) @ weights
-        return float(out) if out.ndim == 0 else out
+        wt = np.multiply.outer(t, self._freq)
+        out = []
+        for m in orders:
+            s = np.cos(wt + 0.5 * math.pi * m) @ self._weights[m]
+            out.append(float(s) if s.ndim == 0 else s)
+        return tuple(out)
 
     def scaled(self, factor: float) -> "Profile":
         """The profile factor*f (coefficient-wise, exact)."""
@@ -197,15 +214,20 @@ def from_phi(phi, b: float = 1.0, mode: str = "alpha-beta",
     return sampled_profile(d, ts, 0.5 * raw * raw)
 
 
-def dihedral_fold(t: float, d: int) -> tuple[float, float]:
-    """Map t to (tau, sign) with tau in [0, pi/d] and, for any profile of
-    order d, f(t) = f(tau) and f'(t) = sign * f'(tau)."""
+def dihedral_fold(t, d: int):
+    """Map t (scalar or array) to (tau, sign) with tau in [0, pi/d] and, for
+    any profile of order d, f(t) = f(tau) and f'(t) = sign * f'(tau)."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("non-finite angle")
     period = 2.0 * math.pi / d
-    tau = math.fabs(t) % period
-    sign = 1.0 if t >= 0 else -1.0
-    if tau > period / 2.0:
-        tau = period - tau
-        sign = -sign
+    tau = np.abs(t) % period
+    sign = np.where(t >= 0, 1.0, -1.0)
+    upper = tau > period / 2.0
+    tau = np.where(upper, period - tau, tau)
+    sign = np.where(upper, -sign, sign)
+    if t.ndim == 0:
+        return float(tau), float(sign)
     return tau, sign
 
 
@@ -241,20 +263,19 @@ class SectorProfile:
     def fit_residual(self) -> float:
         return max(p.fit_residual for p in self.pieces)
 
-    def _fold(self, t: float) -> tuple[float, float]:
-        return dihedral_fold(t, self.d)
-
     def evaluate(self, t, order: int = 0):
-        scalar = np.asarray(t).ndim == 0
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t_arr)
-        for i, ti in enumerate(t_arr):
-            tau, sign = self._fold(float(ti))
-            # side="right" so that a break angle belongs to the piece on its
-            # right, matching the convention of piecewise theta maps
-            idx = int(np.searchsorted(self.breaks, tau, side="right"))
-            out[i] = self.pieces[idx].evaluate(tau, order) * sign ** order
-        return float(out[0]) if scalar else out
+        t = np.asarray(t, dtype=float)
+        tau, sign = dihedral_fold(t.reshape(-1), self.d)
+        # side="right" so that a break angle belongs to the piece on its
+        # right, matching the convention of piecewise theta maps
+        idx = np.searchsorted(self.breaks, tau, side="right")
+        out = np.empty_like(tau)
+        for i, piece in enumerate(self.pieces):
+            mask = idx == i
+            if mask.any():
+                out[mask] = piece.evaluate(tau[mask], order)
+        out *= sign ** order
+        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "kind": "sector", "breaks": list(self.breaks),

@@ -137,6 +137,16 @@ def test_tensor_ok(capsys, profiles):
     assert rep["results"]["g_rr"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_tensor_focal_guard_too_wide_exits_1(capsys, profiles):
+    # delta >= pi/(2d) leaves no leaf to sample from; this used to hang
+    code = main(["tensor", "--profile", profiles["wobble3"], "--model",
+                 "cartan3", "--delta", "0.6", "--t", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "delta=0.6" in captured.err
+
+
 # --------------------------------------------------------------- curvature
 
 def test_curvature_flat_round(capsys, profiles):

@@ -157,6 +157,17 @@ def test_random_leaf_points_interior_only():
         random_leaf_points(cartan3(), 2.0, 1)
 
 
+@pytest.mark.parametrize("m", MODELS, ids=lambda m: m.describe())
+def test_random_leaf_points_rejects_wide_guard(m):
+    half = math.pi / (2 * m.d)
+    # no leaf parameter is more than pi/(2d) from both focal values
+    with pytest.raises(FocalProximityError, match="pi/\\(2d\\)"):
+        random_leaf_points(m, half, 1, delta=half)
+    # an admissible band too thin to hit: the draws give out, not hang
+    with pytest.raises(FocalProximityError, match="draws"):
+        random_leaf_points(m, half, 1, delta=half - 1e-9)
+
+
 def test_focal_proximity_guard():
     m = cartan3()
     x = np.zeros(5); x[0] = 1.0  # the t=0 focal leaf itself

@@ -13,7 +13,9 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             legendre_map, legendre_ode_rhs, sample_indicatrix,
                             theta_legendre, theta_legendre_deriv,
                             theta_scaled, value)
-from isonorm.profile import Profile, is_minkowski, profile_from_json_dict
+from isonorm.isometry import IsometryTriple, legendre_map_tag, ode_residuals
+from isonorm.profile import (Profile, dihedral_fold, is_minkowski,
+                             profile_from_json_dict)
 
 ELLIPSE = PlanarNorm(Profile(2, (1.0, 0.2)))
 ROUND = PlanarNorm(Profile(1, (0.5,)))
@@ -175,6 +177,67 @@ def test_exact_dual_round_trip_json():
 def test_exact_dual_derivative_cap():
     with pytest.raises(ValueError):
         DualProfile(Profile(2, (1.0, 0.2))).evaluate(0.3, 3)
+
+
+def test_exact_dual_rejects_invalid_base():
+    # gap < 0 somewhere: the angle map is not monotone, so it has no inverse
+    with pytest.raises(ValueError, match="invalid"):
+        DualProfile(Profile(2, (1.0, 1.1)))
+
+
+# validity bound on |b| for c0 (1 + b cos(d t))
+B_BOUND = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0}
+
+
+def _bisection_dual(p: Profile, thetas):
+    """h at the angles thetas in [0, pi/d] by bisection on theta_legendre,
+    which is increasing there."""
+    nm = PlanarNorm(p, validate=False)
+    lo = np.zeros_like(thetas)
+    hi = np.full_like(thetas, math.pi / p.d)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = theta_legendre(nm, mid) < thetas
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    t = 0.5 * (lo + hi)
+    f0, f1 = p.evaluate(t, 0), p.evaluate(t, 1)
+    return f0 / (4 * f0 * f0 + f1 * f1)
+
+
+def _check_exact_dual(p: Profile):
+    d = p.d
+    exact = DualProfile(p)
+    ts = np.linspace(-1.0, math.pi / d + 1.0, 97)
+    got = exact.evaluate(ts)
+    want = _bisection_dual(p, dihedral_fold(ts, d)[0])
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    # a scalar is solved as a one-point array: the same bits
+    assert exact.evaluate(float(ts[40]), 2) == exact.evaluate(ts, 2)[40]
+    tr = IsometryTriple(f=p, h=exact, theta=legendre_map_tag())
+    for t in np.linspace(0.05, math.pi / d - 0.05, 7):
+        assert np.max(np.abs(ode_residuals(tr, float(t)))) <= 1e-11
+
+
+@given(st.sampled_from((1, 2, 3)), st.floats(-0.95, 0.95),
+       st.floats(0.5, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_exact_dual_over_the_valid_range(d, share, c0):
+    _check_exact_dual(Profile(d, (c0, c0 * share * B_BOUND[d])))
+
+
+def test_exact_dual_strong_anisotropy():
+    # Newton from t = theta without a bracket leaves [0, pi/d] and diverges
+    _check_exact_dual(Profile(2, (1.0, 0.7)))
+
+
+def test_exact_dual_stops_at_the_rounding_floor():
+    # theta_legendre' is 0.026 near the root, so one rounding unit of the
+    # residual moves t by 1.7e-14: Newton steps never drop below 1e-14
+    p = Profile(2, (1.0, -0.95))
+    theta = 1.5705399079967557
+    want = _bisection_dual(p, np.array([theta]))[0]
+    assert DualProfile(p).evaluate(theta) == pytest.approx(want, rel=1e-12)
 
 
 # ------------------------------------------------------------- indicatrix

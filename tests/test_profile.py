@@ -23,6 +23,19 @@ def test_eval_at_zero():
     assert ELLIPSE.evaluate(0.0, 1) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("t", [0.7, np.linspace(-1.0, 4.0, 33)],
+                         ids=["scalar", "array"])
+def test_jet_has_the_bits_of_evaluate(t):
+    p = Profile(3, (0.5, 0.02, -0.004, 0.001))
+    for k in range(4):
+        jet = p.jet(t, k)
+        assert len(jet) == k + 1
+        for order, value in enumerate(jet):
+            assert np.array_equal(value, p.evaluate(t, order))
+    with pytest.raises(ValueError):
+        p.jet(t, 4)
+
+
 def test_second_derivative_node():
     # f'' = -0.8 cos 2t vanishes at pi/4
     assert ELLIPSE.evaluate(math.pi / 4, 2) == pytest.approx(0.0, abs=1e-14)
@@ -159,6 +172,15 @@ def test_dihedral_fold_reproduces_profile(t):
                                                       abs=1e-12)
 
 
+def test_dihedral_fold_array_matches_scalar():
+    ts = np.linspace(-7.0, 7.0, 101)
+    tau, sign = dihedral_fold(ts, 3)
+    for t, ta, sa in zip(ts, tau, sign):
+        assert (ta, sa) == dihedral_fold(float(t), 3)
+    with pytest.raises(ValueError):
+        dihedral_fold(np.array([0.1, math.nan]), 3)
+
+
 # ---------------------------------------------------------------- sampled
 
 def test_sampled_profile_recovers_series():
@@ -213,6 +235,26 @@ def test_sector_profile_eval_and_fold():
     # dihedral image of an angle beyond the sector folds back in
     assert sp.evaluate(math.pi / 2 + 0.3, 0) == pytest.approx(
         sp.evaluate(math.pi / 2 - 0.3, 0))
+
+
+def test_sector_profile_array_matches_pointwise():
+    lo = Profile(2, (0.5, 1e-3, 2e-4))
+    hi = Profile(2, (0.5, -1e-3))
+    sp = SectorProfile(d=2, breaks=(0.7,), pieces=(lo, hi))
+    ts = np.concatenate([np.linspace(-4.0, 4.0, 61), [0.7, math.pi - 0.7]])
+    for order in range(4):
+        got = sp.evaluate(ts, order)
+        assert got.shape == ts.shape
+        # reference: fold each point, pick its piece, evaluate it alone
+        want = []
+        for t in ts:
+            tau, sign = dihedral_fold(float(t), 2)
+            piece = lo if tau < 0.7 else hi
+            want.append(piece.evaluate(tau, order) * sign ** order)
+        # a piece sums its series in another order for an array than for
+        # one point, so the two may differ by rounding
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
+        assert sp.evaluate(float(ts[5]), order) == want[5]
 
 
 def test_sector_profile_json_round_trip():
