@@ -292,8 +292,7 @@ def _default_anchor(f: Profile, theta: ThetaMap, t0: float) -> float:
     # pick the anchor that reproduces the canonical triple for the two
     # closed-form kinds; otherwise pin h = f at the mapped anchor angle
     if theta.kind in ("legendre", "scaled-legendre"):
-        f0 = f.evaluate(t0, 0)
-        f1 = f.evaluate(t0, 1)
+        f0, f1 = f.jet(t0, 1)
         h0 = f0 / (4.0 * f0 * f0 + f1 * f1)
         if theta.kind == "scaled-legendre":
             h0 /= theta.params[0] * theta.params[1]

@@ -194,13 +194,6 @@ def normal_geodesic(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     return gamma
 
 
-def fold_angle(s: float, d: int) -> float:
-    """Fold s into [0, pi/d] by the dihedral action (t of a normal geodesic)."""
-    period = 2.0 * math.pi / d
-    tau = math.fabs(s) % period
-    return period - tau if tau > period / 2.0 else tau
-
-
 def multiplicities(m: FoliationModel) -> tuple[tuple[int, int], ...]:
     """Pairs (k, m_k) with m_k > 0: multiplicity of eigenvalue cot(t + k pi/d)."""
     if m.d == 1:

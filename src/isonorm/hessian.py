@@ -30,7 +30,7 @@ from .fd import hessian_fd, third_tensor_fd
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
                         _sphere_tangent_basis, multiplicities, normal_plane_basis,
                         t_coord, unit_w)
-from .profile import Profile, convexity_gap, is_minkowski
+from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
 CURVATURE_TENSOR_STEP = 2e-4
@@ -49,11 +49,7 @@ class InducedNorm:
                 f"profile symmetry order d={profile.d} does not match the "
                 f"foliation (d={foliation.d})")
         if validate and isinstance(profile, Profile):
-            report = is_minkowski(profile)
-            if report.status == "invalid":
-                raise ValueError(
-                    f"profile is not a Minkowski norm profile "
-                    f"(min_f={report.min_f:.3g}, min_gap={report.min_gap:.3g})")
+            require_minkowski(profile, "profile is not a Minkowski norm profile")
         object.__setattr__(self, "foliation", foliation)
         object.__setattr__(self, "profile", profile)
 
@@ -81,8 +77,7 @@ def grad_energy(nm: InducedNorm, x) -> np.ndarray:
     """Closed-form gradient of E: 2f * x + r f' * w."""
     x = np.asarray(x, dtype=float)
     r, t = t_coord(nm.foliation, x)
-    f0 = nm.profile.evaluate(t, 0)
-    f1 = nm.profile.evaluate(t, 1)
+    f0, f1 = nm.profile.jet(t, 1)
     if abs(f1) < 1e-15:
         return 2.0 * f0 * x
     w = unit_w(nm.foliation, x)
@@ -130,9 +125,7 @@ def frame_components(nm: InducedNorm, x, spectrum) -> FrameComponents:
     """
     x = np.asarray(x, dtype=float)
     r, t = t_coord(nm.foliation, x)
-    f0 = nm.profile.evaluate(t, 0)
-    f1 = nm.profile.evaluate(t, 1)
-    f2 = nm.profile.evaluate(t, 2)
+    f0, f1, f2 = nm.profile.jet(t, 2)
     factors = tuple(2.0 * f0 + entry.kappa * f1 for entry in spectrum)
     return FrameComponents(g_rr=2.0 * f0, g_rt=r * f1,
                            g_tt=r * r * (f2 + 2.0 * f0),
@@ -208,22 +201,9 @@ def riemann_fd(nm: InducedNorm, x, delta: float = DEFAULT_FOCAL_GUARD,
 
 def indicatrix_grad_t_norm(nm: InducedNorm, t: float) -> float:
     """Closed-form squared g-norm of grad t on the indicatrix:
-    4 f^2 / (4 f^2 - (f')^2 + 2 f f'')."""
-    f0 = nm.profile.evaluate(t, 0)
-    f1 = nm.profile.evaluate(t, 1)
-    f2 = nm.profile.evaluate(t, 2)
-    return 4.0 * f0 * f0 / (4.0 * f0 * f0 - f1 * f1 + 2.0 * f0 * f2)
-
-
-def _laplacian_pieces(nm: InducedNorm, t: float):
-    p = nm.profile
-    f0 = p.evaluate(t, 0)
-    f1 = p.evaluate(t, 1)
-    f2 = p.evaluate(t, 2)
-    f3 = p.evaluate(t, 3)
-    gap = 2.0 * f0 * f2 - f1 * f1 + 4.0 * f0 * f0
-    gap_p = 2.0 * f0 * (f3 + 4.0 * f1)
-    return f0, f1, f2, f3, gap, gap_p
+    4 f^2 / gap, gap = 4 f^2 - (f')^2 + 2 f f''."""
+    f0, f1, f2 = nm.profile.jet(t, 2)
+    return 4.0 * f0 * f0 / gap_from_jet(f0, f1, f2)
 
 
 def indicatrix_laplacian_t(nm: InducedNorm, t: float, spectrum=None) -> float:
@@ -240,7 +220,9 @@ def indicatrix_laplacian_t(nm: InducedNorm, t: float, spectrum=None) -> float:
     always use the closed form cot(t + k pi/d).
     """
     m = nm.foliation
-    f0, f1, f2, f3, gap, gap_p = _laplacian_pieces(nm, t)
+    f0, f1, f2, f3 = nm.profile.jet(t, 3)
+    gap = gap_from_jet(f0, f1, f2)
+    gap_p = 2.0 * f0 * (f3 + 4.0 * f1)
     if spectrum is not None:
         mults = tuple((entry.k, entry.multiplicity) for entry in spectrum)
     else:
@@ -293,8 +275,7 @@ def _indicatrix_chart_data(nm: InducedNorm, u0: np.ndarray, V: np.ndarray,
     m = nm.foliation
     u, du = _chart_point(u0, V, z)
     t = t_coord(m, u).t
-    f0 = nm.profile.evaluate(t, 0)
-    f1 = nm.profile.evaluate(t, 1)
+    f0, f1 = nm.profile.jet(t, 1)
     w = unit_w(m, u)
     dt = du.T @ w                      # chart components of grad t
     rho = 1.0 / math.sqrt(2.0 * f0)

@@ -26,11 +26,11 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
 
 from .foliation import FoliationModel, normal_geodesic, t_coord
-from .planar import (DualProfile, PlanarNorm, _legendre_numden, _unwrap_to,
-                     dual_profile, fundamental_tensor, legendre_ode_rhs,
-                     theta_legendre, theta_legendre_deriv, theta_scaled,
-                     theta_scaled_deriv)
-from .profile import Profile, SectorProfile, profile_from_json_dict, sampled_profile
+from .planar import (DualProfile, PlanarNorm, _unwrap_to, fundamental_tensor,
+                     legendre_num_den, legendre_ode_rhs, theta_legendre,
+                     theta_scaled, theta_scaled_deriv)
+from .profile import (Profile, SectorProfile, gap_from_jet,
+                      profile_from_json_dict, sampled_profile)
 
 THETA_KINDS = ("identity", "linear", "legendre", "scaled-legendre",
                "sampled", "piecewise")
@@ -112,11 +112,8 @@ def theta_value(tm: ThetaMap, f: Profile, t, order: int = 0):
             out = _unwrap_to(t_arr, raw)
         else:
             out = a * b / (a * a * np.cos(t_arr) ** 2 + b * b * np.sin(t_arr) ** 2)
-    elif tm.kind == "legendre":
-        nm = PlanarNorm(f, validate=False)
-        out = theta_legendre(nm, t_arr) if order == 0 else theta_legendre_deriv(nm, t_arr)
-    elif tm.kind == "scaled-legendre":
-        a, b = tm.params
+    elif tm.kind in ("legendre", "scaled-legendre"):
+        a, b = tm.params or (1.0, 1.0)
         nm = PlanarNorm(f, validate=False)
         out = (theta_scaled(nm, t_arr, a, b) if order == 0
                else theta_scaled_deriv(nm, t_arr, a, b))
@@ -211,8 +208,8 @@ def ode_residuals(tr: IsometryTriple, t: float) -> np.ndarray:
     d = tr.f.d
     th = theta_value(tr.theta, tr.f, t, 0)
     thp = theta_value(tr.theta, tr.f, t, 1)
-    f0, f1, f2 = (tr.f.evaluate(t, k) for k in range(3))
-    h0, h1, h2 = (tr.h.evaluate(th, k) for k in range(3))
+    f0, f1, f2 = tr.f.jet(t, 2)
+    h0, h1, h2 = tr.h.jet(th, 2)
 
     res = np.empty(d + 1)
     lhs2 = f2 / (2 * f0) - f1 * f1 / (4 * f0 * f0) + 1.0
@@ -241,15 +238,13 @@ def quadratic_and_roots(f: Profile, t: float, theta: float) -> QuadraticReductio
     Raises when the leading coefficient degenerates; outside d > 2 the
     nonvanishing of A is not guaranteed, which is reported as a warning.
     """
-    f0 = f.evaluate(t, 0)
-    f1 = f.evaluate(t, 1)
-    f2 = f.evaluate(t, 2)
+    f0, f1, f2 = f.jet(t, 2)
     ct, st = math.cos(t), math.sin(t)
     cth, sth = math.cos(theta), math.sin(theta)
     cs = ct * st
+    N, D = legendre_num_den(f0, f1, st, ct)
 
-    A = cs * (ct * f1 + 2 * st * f0) * (st * f1 - 2 * ct * f0) \
-        / (2 * f0 * f0 * cth * cth * sth * sth)
+    A = -cs * N * D / (2 * f0 * f0 * cth * cth * sth * sth)
     B = (cs * f2 / f0 - cs * f1 * f1 / (f0 * f0)
          + (ct * ct - st * st) * f1 / f0 + 4 * cs) / (cth * sth)
     C = -f2 / f0 + f1 * f1 / (2 * f0 * f0) - 2.0
@@ -260,11 +255,8 @@ def quadratic_and_roots(f: Profile, t: float, theta: float) -> QuadraticReductio
     if abs(A) < 1e-12:
         raise ValueError(f"degenerate quadratic: |A| = {abs(A):.3e} < 1e-12")
 
-    gap = 2 * f0 * f2 - f1 * f1 + 4 * f0 * f0
-    N = 2 * f0 * st + f1 * ct
-    D = 2 * f0 * ct - f1 * st
     r1 = cth * sth / cs
-    r2 = gap * cth * sth / (N * D)
+    r2 = gap_from_jet(f0, f1, f2) * cth * sth / (N * D)
     return QuadraticReduction(A=A, B=B, C=C, roots=(r1, r2))
 
 
@@ -323,8 +315,7 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
     def integrand(ts):
         th = theta_value(theta, f, ts, 0)
         thp = theta_value(theta, f, ts, 1)
-        f0 = f.evaluate(ts, 0)
-        f1 = f.evaluate(ts, 1)
+        f0, f1 = f.jet(ts, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             rhs = ((2 * np.sin(ts) ** 2 + np.sin(ts) * np.cos(ts) * f1 / f0)
                    / (np.sin(th) * np.cos(th)) - 2 * np.tan(th))

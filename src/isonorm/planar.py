@@ -9,13 +9,13 @@ through the gradient map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .profile import (Profile, convexity_gap, dihedral_fold, is_minkowski,
+from .profile import (FIT_MAX_TERMS, Profile, dihedral_fold, gap_from_jet,
                       profile_from_json_dict, register_profile_kind,
-                      sampled_profile)
+                      require_minkowski, sampled_profile)
 
 # the exact dual's Legendre-angle solve (see DualProfile)
 NEWTON_TOL = 1e-14
@@ -28,11 +28,7 @@ class PlanarNorm:
 
     def __init__(self, profile: Profile, validate: bool = True):
         if validate:
-            report = is_minkowski(profile)
-            if report.status == "invalid":
-                raise ValueError(
-                    f"profile is not a Minkowski norm profile "
-                    f"(min_f={report.min_f:.3g}, min_gap={report.min_gap:.3g})")
+            require_minkowski(profile, "profile is not a Minkowski norm profile")
         object.__setattr__(self, "profile", profile)
 
     @property
@@ -61,9 +57,7 @@ def fundamental_tensor(nm: PlanarNorm, x) -> np.ndarray:
     if r == 0.0:
         raise ValueError("fundamental tensor undefined at the origin")
     t = math.atan2(x[1], x[0])
-    f0 = nm.profile.evaluate(t, 0)
-    f1 = nm.profile.evaluate(t, 1)
-    f2 = nm.profile.evaluate(t, 2)
+    f0, f1, f2 = nm.profile.jet(t, 2)
     frame = np.array([[2.0 * f0, f1], [f1, f2 + 2.0 * f0]])
     c, s = math.cos(t), math.sin(t)
     rot = np.array([[c, -s], [s, c]])
@@ -77,19 +71,15 @@ def legendre_map(nm: PlanarNorm, x) -> np.ndarray:
     if r == 0.0:
         raise ValueError("gradient map undefined at the origin")
     t = math.atan2(x[1], x[0])
-    f0 = nm.profile.evaluate(t, 0)
-    f1 = nm.profile.evaluate(t, 1)
+    f0, f1 = nm.profile.jet(t, 1)
     e_t = np.array([-math.sin(t), math.cos(t)])
     return 2.0 * f0 * x + f1 * r * e_t
 
 
-def _legendre_numden(p: Profile, t):
-    """Numerator/denominator of tan(theta) for the gradient direction."""
-    f0 = p.evaluate(t, 0)
-    f1 = p.evaluate(t, 1)
-    num = 2.0 * f0 * np.sin(t) + f1 * np.cos(t)
-    den = 2.0 * f0 * np.cos(t) - f1 * np.sin(t)
-    return num, den
+def legendre_num_den(f0, f1, sin, cos):
+    """(N, D) with tan(theta) = N / D for the gradient direction at angle t:
+    N = 2 f sin t + f' cos t, D = 2 f cos t - f' sin t."""
+    return 2.0 * f0 * sin + f1 * cos, 2.0 * f0 * cos - f1 * sin
 
 
 def _pow(x: np.ndarray, n: int) -> np.ndarray:
@@ -114,27 +104,26 @@ def _unwrap_to(t, raw):
 
 def theta_legendre(nm: PlanarNorm, t):
     """Polar angle of legendre_map at polar angle t (branch-corrected)."""
-    num, den = _legendre_numden(nm.profile, t)
-    return _unwrap_to(np.asarray(t, dtype=float), np.arctan2(num, den))
+    return theta_scaled(nm, t, 1.0, 1.0)
 
 
 def theta_legendre_deriv(nm: PlanarNorm, t):
     """d theta_legendre / dt = gap / (num^2 + den^2)."""
-    num, den = _legendre_numden(nm.profile, t)
-    return convexity_gap(nm.profile, t) / (num * num + den * den)
+    return theta_scaled_deriv(nm, t, 1.0, 1.0)
 
 
 def theta_scaled(nm: PlanarNorm, t, a: float, b: float):
     """Angle of x -> (a * dE/dx1, b * dE/dx2); a = b gives theta_legendre."""
     if a <= 0 or b <= 0:
         raise ValueError("axis weights must be positive")
-    num, den = _legendre_numden(nm.profile, t)
+    num, den = legendre_num_den(*nm.profile.jet(t, 1), np.sin(t), np.cos(t))
     return _unwrap_to(np.asarray(t, dtype=float), np.arctan2(b * num, a * den))
 
 
 def theta_scaled_deriv(nm: PlanarNorm, t, a: float, b: float):
-    num, den = _legendre_numden(nm.profile, t)
-    gap = convexity_gap(nm.profile, t)
+    f0, f1, f2 = nm.profile.jet(t, 2)
+    num, den = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
+    gap = gap_from_jet(f0, f1, f2)
     return a * b * gap / (a * a * den * den + b * b * num * num)
 
 
@@ -145,14 +134,18 @@ def legendre_ode_rhs(p: Profile, t, theta):
 
     Also the second root of the reduction quadratic (the "Legendre branch").
     """
-    num, den = _legendre_numden(p, t)
-    gap = convexity_gap(p, t)
-    return gap * np.cos(theta) * np.sin(theta) / (num * den)
+    f0, f1, f2 = p.jet(t, 2)
+    num, den = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
+    return gap_from_jet(f0, f1, f2) * np.cos(theta) * np.sin(theta) / (num * den)
 
 
 def indicatrix_point(nm: PlanarNorm, t):
-    """The point of S_F at polar angle t: (2f)^(-1/2) (cos t, sin t)."""
-    f0 = nm.profile.evaluate(t, 0)
+    """The point of S_F at polar angle t: (2f)^(-1/2) (cos t, sin t); a
+    ValueError where f <= 0, since S_F is unbounded there."""
+    f0 = np.asarray(nm.profile.evaluate(t, 0))
+    if np.any(f0 <= 0.0):
+        at = np.broadcast_to(t, f0.shape)[f0 <= 0.0][0]
+        raise ValueError(f"f <= 0 at t = {at:.17g}: S_F is unbounded there")
     rho = 1.0 / np.sqrt(2.0 * f0)
     return np.stack([rho * np.cos(t), rho * np.sin(t)], axis=-1)
 
@@ -163,23 +156,39 @@ def dual_profile(nm: PlanarNorm, grid_size: int = 512,
 
     Samples x on S_F, maps through legendre_map, reads polar (rho, theta) of
     the images and sets h(theta) = 1/(2 rho^2); the (theta, h) pairs are fit
-    to a cosine series of the same dihedral order.
+    to a cosine series of the same dihedral order.  The fit is also checked
+    at the images of the grid's midpoints, and `fit_residual` is the larger
+    of the two errors, so a series that only interpolates its samples does
+    not pass for an accurate one.
     """
     if grid_size < 128:
         raise ValueError("grid_size must be >= 128")
     d = nm.profile.d
     ts = np.linspace(0.0, math.pi / d, grid_size)
-    pts = indicatrix_point(nm, ts)
-    images = np.array([legendre_map(nm, p) for p in pts])
-    rho = np.hypot(images[:, 0], images[:, 1])
-    thetas = _unwrap_to(ts, np.arctan2(images[:, 1], images[:, 0]))
+    thetas, h = _dual_samples(nm, ts)
     if np.any(np.diff(thetas) <= 0.0):
         raise ValueError("gradient image angles are not strictly monotone "
                          "(input norm is not strongly convex)")
-    h = 1.0 / (2.0 * rho * rho)
-    if max_terms is None:
-        return sampled_profile(d, thetas, h)
-    return sampled_profile(d, thetas, h, max_terms=max_terms)
+    fit = sampled_profile(d, thetas, h, FIT_MAX_TERMS if max_terms is None
+                          else max_terms)
+    mid_thetas, mid_h = _dual_samples(nm, 0.5 * (ts[1:] + ts[:-1]))
+    mid_err = float(np.max(np.abs(fit.evaluate(mid_thetas) - mid_h)))
+    return replace(fit, fit_residual=max(fit.fit_residual, mid_err))
+
+
+def _dual_samples(nm: PlanarNorm, ts):
+    """Polar theta of legendre_map at the points of S_F at angles ts, and
+    h = 1/(2 rho^2) from the image's length rho.  Each point is taken as
+    legendre_map takes it: math.atan2 and math.hypot (numpy's arctan2 can
+    differ in the last bit) and one dot product per point."""
+    pts = indicatrix_point(nm, ts)
+    r = np.array([math.hypot(x, y) for x, y in pts])
+    t = np.array([math.atan2(y, x) for x, y in pts])
+    f0, f1 = (v[:, 0] for v in nm.profile.jet(t[:, None], 1))
+    img_x = 2.0 * f0 * pts[:, 0] + f1 * r * -np.sin(t)
+    img_y = 2.0 * f0 * pts[:, 1] + f1 * r * np.cos(t)
+    rho = np.hypot(img_x, img_y)
+    return _unwrap_to(ts, np.arctan2(img_y, img_x)), 1.0 / (2.0 * rho * rho)
 
 
 def sample_indicatrix(nm: PlanarNorm, n: int):
@@ -205,12 +214,12 @@ class DualProfile:
     the root.  A point stops once its Newton step is below NEWTON_TOL, or
     once the step only returns to a bracket end (the residual is down to
     rounding); a point still moving after NEWTON_MAX_STEPS raises
-    ValueError rather than return a wrong number.  The chain rule is
-    then applied analytically, so no spectral truncation enters: the fitted
-    `dual_profile` is the portable representation, this one is the
-    machine-precision evaluator used where second derivatives of h feed
-    residual checks.  Derivatives are supported up to order 2 (order 3
-    would need the fourth derivative of the base profile).  The base must
+    ValueError rather than return a wrong number.  `jet(t, k)` then applies
+    the chain rule to h, h' and h'' from that one solve, so no spectral
+    truncation enters: the fitted `dual_profile` is the portable
+    representation, this one is the machine-precision evaluator used where
+    second derivatives of h feed residual checks.  Orders go up to 2 (order
+    3 would need the fourth derivative of the base profile).  The base must
     not be an invalid Minkowski profile (`is_minkowski`).
     """
 
@@ -220,11 +229,7 @@ class DualProfile:
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        report = is_minkowski(self.base)
-        if report.status == "invalid":
-            raise ValueError(
-                f"dual of an invalid profile (min_f={report.min_f:.3g}, "
-                f"min_gap={report.min_gap:.3g})")
+        require_minkowski(self.base, "dual of an invalid profile")
 
     @property
     def d(self) -> int:
@@ -252,12 +257,9 @@ class DualProfile:
         active = np.ones(theta.shape, dtype=bool)
         for _ in range(NEWTON_MAX_STEPS):
             f0, f1, f2 = self._jet(t, 2)
-            sin, cos = np.sin(t), np.cos(t)
-            N = 2.0 * f0 * sin + f1 * cos
-            D = 2.0 * f0 * cos - f1 * sin
+            N, D = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
             resid = _unwrap_to(t, np.arctan2(N, D)) - theta
-            gap = 2.0 * f0 * f2 - f1 * f1 + 4.0 * f0 * f0
-            step = resid * (N * N + D * D) / gap
+            step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
             newton = t - step
             lo = np.where(resid < 0, t, lo)
             hi = np.where(resid > 0, t, hi)
@@ -278,27 +280,38 @@ class DualProfile:
             f"{NEWTON_MAX_STEPS} steps at theta={float(theta[active][0]):.17g}")
 
     def evaluate(self, t, order: int = 0):
-        if order not in (0, 1, 2):
+        return self.jet(t, order)[order]
+
+    def jet(self, t, k: int):
+        """(h, ..., h^(k)) at t, k <= 2: one fold and one inversion."""
+        if k not in (0, 1, 2):
             raise ValueError("dual profiles support derivative orders 0..2")
         t = np.asarray(t, dtype=float)
         tau, sign = dihedral_fold(t.reshape(-1), self.d)
-        out = self._eval_at(self._invert_theta(tau), order) * sign ** order
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+        out = self._chain(self._invert_theta(tau), k)
+        out = [v * sign ** m for m, v in enumerate(out)]
+        return tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
+                     for v in out)
 
-    def _eval_at(self, t: np.ndarray, order: int) -> np.ndarray:
-        f0, f1, f2, f3 = self._jet(t, 3)
+    def _chain(self, t: np.ndarray, k: int) -> list:
+        """h, h', ... up to h^(k) at theta_legendre(t), by the chain rule."""
+        jet = self._jet(t, k + 1)
+        f0, f1 = jet[:2]
         G = 4 * f0 * f0 + f1 * f1
-        if order == 0:
-            return self.scale * f0 / G
+        out = [self.scale * f0 / G]
+        if k == 0:
+            return out
+        f2 = jet[2]
         Gp = 2 * f1 * (4 * f0 + f2)
         qp = f1 / G - f0 * Gp / _pow(G, 2)
-        gap = 2 * f0 * f2 - f1 * f1 + 4 * f0 * f0
+        gap = gap_from_jet(f0, f1, f2)
         sin, cos = np.sin(t), np.cos(t)
-        N = 2 * f0 * sin + f1 * cos
-        D = 2 * f0 * cos - f1 * sin
+        N, D = legendre_num_den(f0, f1, sin, cos)
         tp = gap / (N * N + D * D)
-        if order == 1:
-            return self.scale * qp / tp
+        out.append(self.scale * qp / tp)
+        if k == 1:
+            return out
+        f3 = jet[3]
         Gpp = 8 * (f1 * f1 + f0 * f2) + 2 * (f2 * f2 + f1 * f3)
         qpp = f2 / G - 2 * f1 * Gp / _pow(G, 2) - f0 * Gpp / _pow(G, 2) \
             + 2 * f0 * _pow(Gp, 2) / _pow(G, 3)
@@ -307,7 +320,8 @@ class DualProfile:
         Dp = f1 * cos - (2 * f0 + f2) * sin
         tpp = gap_p / (N * N + D * D) \
             - gap * 2 * (N * Np + D * Dp) / _pow(N * N + D * D, 2)
-        return self.scale * (qpp * tp - qp * tpp) / _pow(tp, 3)
+        out.append(self.scale * (qpp * tp - qp * tpp) / _pow(tp, 3))
+        return out
 
     def scaled(self, factor: float) -> "DualProfile":
         return DualProfile(base=self.base, scale=self.scale * factor)

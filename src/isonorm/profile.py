@@ -6,9 +6,11 @@ norms F = r*sqrt(2 f(t)); the strong-convexity criterion for such a norm is
 
     gap(t) = 2 f f'' - (f')^2 + 4 f^2 > 0   and   f > 0.
 
-Numerically produced profiles (duals, phi-constructions, glued targets) are
-fit to the same cosine basis; the fitted series is the single evaluation
-authority for every derivative order.
+Numerically produced profiles (phi-constructions, fitted duals, solved
+targets) are fit to the same cosine basis.  All three profile kinds
+(`Profile`, `SectorProfile` and planar's exact `DualProfile`) answer
+`jet(t, k)`: (f, f', ..., f^(k)) at t from one evaluation, of which
+`evaluate(t, order)` is one entry, bit for bit.
 """
 
 from __future__ import annotations
@@ -94,12 +96,14 @@ def round_profile(d: int = 1) -> Profile:
     return Profile(d, (0.5,))
 
 
-def convexity_gap(p: Profile, t):
-    """2 f f'' - (f')^2 + 4 f^2 at t (scalar or array)."""
-    f0 = p.evaluate(t, 0)
-    f1 = p.evaluate(t, 1)
-    f2 = p.evaluate(t, 2)
+def gap_from_jet(f0, f1, f2):
+    """The convexity gap 2 f f'' - (f')^2 + 4 f^2 from the jet (f, f', f'')."""
     return 2.0 * f0 * f2 - f1 * f1 + 4.0 * f0 * f0
+
+
+def convexity_gap(p, t):
+    """2 f f'' - (f')^2 + 4 f^2 at t (scalar or array)."""
+    return gap_from_jet(*p.jet(t, 2))
 
 
 def _golden_refine(fun, a: float, b: float, iters: int = 48) -> tuple[float, float]:
@@ -139,8 +143,8 @@ def is_minkowski(p: Profile, grid_size: int = 1024) -> ValidityReport:
     if grid_size < 64:
         raise ValueError("grid_size must be >= 64")
     ts = np.linspace(0.0, math.pi / p.d, grid_size)
-    fs = p.evaluate(ts, 0)
-    gaps = convexity_gap(p, ts)
+    jet = p.jet(ts, 2)
+    fs, gaps = jet[0], gap_from_jet(*jet)
     h = ts[1] - ts[0]
 
     def refine(values, fun):
@@ -163,6 +167,14 @@ def is_minkowski(p: Profile, grid_size: int = 1024) -> ValidityReport:
         status = "marginal"
     return ValidityReport(valid=(status == "valid"), status=status,
                           min_f=min_f, min_gap=min_gap, argmin=float(arg_gap))
+
+
+def require_minkowski(p, what: str) -> None:
+    """Raise ValueError, starting with `what`, if is_minkowski calls p invalid."""
+    report = is_minkowski(p)
+    if report.status == "invalid":
+        raise ValueError(f"{what} (min_f={report.min_f:.3g}, "
+                         f"min_gap={report.min_gap:.3g})")
 
 
 def fit_cosine_series(d: int, ts, values, max_terms: int = FIT_MAX_TERMS):
@@ -264,18 +276,25 @@ class SectorProfile:
         return max(p.fit_residual for p in self.pieces)
 
     def evaluate(self, t, order: int = 0):
+        return self.jet(t, order)[order]
+
+    def jet(self, t, k: int):
+        """(f, ..., f^(k)) at t: one fold, then each piece's jet on its points."""
+        if k not in range(MAX_DERIV_ORDER + 1):
+            raise ValueError(f"k must be in 0..{MAX_DERIV_ORDER}, got {k}")
         t = np.asarray(t, dtype=float)
         tau, sign = dihedral_fold(t.reshape(-1), self.d)
         # side="right" so that a break angle belongs to the piece on its
         # right, matching the convention of piecewise theta maps
         idx = np.searchsorted(self.breaks, tau, side="right")
-        out = np.empty_like(tau)
+        out = np.empty((k + 1, tau.size))
         for i, piece in enumerate(self.pieces):
             mask = idx == i
             if mask.any():
-                out[mask] = piece.evaluate(tau[mask], order)
-        out *= sign ** order
-        return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+                out[:, mask] = piece.jet(tau[mask], k)
+        out *= sign ** np.arange(k + 1)[:, None]
+        return tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
+                     for v in out)
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "kind": "sector", "breaks": list(self.breaks),

@@ -93,6 +93,23 @@ def test_dual_ellipse_oracle(capsys, profiles):
     assert c[1] == pytest.approx(-0.05208333333333333, abs=1e-6)
 
 
+def test_dual_fails_on_unresolved_fit(capsys, tmp_path):
+    # the fit misses the dual by 0.14 between its samples
+    path = tmp_path / "strong.json"
+    save_profile(Profile(2, (1.0, 0.95)), path)
+    code, rep = run_json(capsys, "dual", "--profile", str(path))
+    assert code == 1
+    assert rep["residuals"]["fit_residual"] > 0.1
+
+
+def test_dual_of_vanishing_profile_is_a_clean_error(capfd, profiles):
+    code = main(["dual", "--profile", profiles["pinched"]])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("isonorm: error:")
+
+
 # ----------------------------------------------------------------- reports
 
 def test_reports_validate_against_schema(capsys, profiles):

@@ -14,8 +14,8 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             theta_legendre, theta_legendre_deriv,
                             theta_scaled, value)
 from isonorm.isometry import IsometryTriple, legendre_map_tag, ode_residuals
-from isonorm.profile import (Profile, dihedral_fold, is_minkowski,
-                             profile_from_json_dict)
+from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
+                             is_minkowski, profile_from_json_dict)
 
 ELLIPSE = PlanarNorm(Profile(2, (1.0, 0.2)))
 ROUND = PlanarNorm(Profile(1, (0.5,)))
@@ -155,6 +155,38 @@ def test_dual_profile_rejects_small_grid():
         dual_profile(ELLIPSE, grid_size=64)
 
 
+def test_dual_profile_samples_are_the_gradient_images():
+    # the samples carry the bits of legendre_map applied point by point
+    dp = dual_profile(ELLIPSE, grid_size=128)
+    ts = np.linspace(0.0, math.pi / 2, 128)
+    for i in (0, 17, 64, 127):
+        y = legendre_map(ELLIPSE, indicatrix_point(ELLIPSE, ts)[i])
+        assert dp.sample_grid[i] == float(np.arctan2(y[1], y[0]))
+        assert dp.sample_values[i] == 1.0 / (2.0 * float(np.hypot(*y)) ** 2)
+
+
+@pytest.mark.parametrize("b", [0.95, -0.95])
+def test_dual_profile_residual_covers_the_gaps(b):
+    # the 32-term series interpolates its samples to 1e-14 but is 0.14 off
+    # the dual between them; fit_residual must say so
+    p = Profile(2, (1.0, b))
+    fitted = dual_profile(PlanarNorm(p))
+    ts = np.linspace(0.0, math.pi / 2, 1001)
+    err = np.max(np.abs(fitted.evaluate(ts) - DualProfile(p).evaluate(ts)))
+    assert err > 0.1
+    assert fitted.fit_residual > 0.5 * err
+
+
+def test_dual_profile_residual_stays_small_when_resolved():
+    assert dual_profile(ELLIPSE).fit_residual < 1e-14
+
+
+def test_dual_profile_rejects_vanishing_f():
+    # (1 + cos t)^2 / 2 vanishes at t = pi
+    with pytest.raises(ValueError, match=r"<= 0 at t = 3\.14159"):
+        dual_profile(PlanarNorm(Profile(1, (0.75, 1.0, 0.25))))
+
+
 def test_exact_dual_matches_fitted():
     p = Profile(2, (1.0, 0.2))
     exact = DualProfile(p)
@@ -177,6 +209,52 @@ def test_exact_dual_round_trip_json():
 def test_exact_dual_derivative_cap():
     with pytest.raises(ValueError):
         DualProfile(Profile(2, (1.0, 0.2))).evaluate(0.3, 3)
+
+
+BASE = Profile(2, (1.0, 0.5))
+JET_KINDS = {
+    "cosine": (BASE, 3),
+    "sector": (SectorProfile(2, (0.6,), (BASE.scaled(0.5), DualProfile(BASE))),
+               2),
+    "dual": (DualProfile(BASE, scale=0.8), 2),
+}
+
+
+@pytest.mark.parametrize("kind", JET_KINDS)
+@pytest.mark.parametrize("t", [0.3, -0.9, 2.2, np.linspace(-4.0, 5.0, 41)],
+                         ids=["scalar", "negative", "beyond", "array"])
+def test_jet_has_the_bits_of_evaluate_for_every_kind(kind, t):
+    p, top = JET_KINDS[kind]
+    for k in range(top + 1):
+        jet = p.jet(t, k)
+        assert len(jet) == k + 1
+        for m, v in enumerate(jet):
+            want = p.evaluate(t, m)
+            assert type(v) is type(want)
+            assert np.array_equal(v, want)
+
+
+@pytest.mark.parametrize("kind", JET_KINDS)
+def test_jet_rejects_out_of_range_orders(kind):
+    p, top = JET_KINDS[kind]
+    ts = np.linspace(-4.0, 5.0, 41)
+    for k in (-1, top + 1):
+        with pytest.raises(ValueError):
+            p.jet(ts, k)
+
+
+def test_ode_residuals_inverts_the_dual_once(monkeypatch):
+    calls = []
+    invert = DualProfile._invert_theta
+
+    def counted(self, theta):
+        calls.append(theta.size)
+        return invert(self, theta)
+
+    monkeypatch.setattr(DualProfile, "_invert_theta", counted)
+    tr = IsometryTriple(f=BASE, h=DualProfile(BASE), theta=legendre_map_tag())
+    ode_residuals(tr, 0.4)
+    assert calls == [1]
 
 
 def test_exact_dual_rejects_invalid_base():
