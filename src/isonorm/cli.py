@@ -81,6 +81,8 @@ def _report(command: str, inputs: dict, results: dict, residuals: dict,
 def _status_from(residuals: dict) -> str:
     status = "ok"
     for name, val in residuals.items():
+        if name not in TOLERANCES:  # a program fault, not a bad input
+            raise RuntimeError(f"no status rule for residual {name!r}")
         ok_max, marginal_max = TOLERANCES[name]
         if not math.isfinite(val) or abs(val) > marginal_max:
             return "failed"

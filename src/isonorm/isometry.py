@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
 
 from .foliation import FoliationModel, normal_geodesic, t_coord
 from .planar import (DualProfile, PlanarNorm, _unwrap_to, fundamental_tensor,
@@ -118,8 +116,7 @@ def theta_value(tm: ThetaMap, f: Profile, t, order: int = 0):
         out = (theta_scaled(nm, t_arr, a, b) if order == 0
                else theta_scaled_deriv(nm, t_arr, a, b))
     elif tm.kind == "sampled":
-        interp = PchipInterpolator(np.asarray(tm.grid), np.asarray(tm.values))
-        out = interp(t_arr) if order == 0 else interp.derivative()(t_arr)
+        out = _pchip(np.asarray(tm.grid), np.asarray(tm.values), t_arr, order)
     else:  # piecewise
         out = np.empty_like(t_arr)
         filled = np.zeros(t_arr.shape, dtype=bool)
@@ -134,6 +131,42 @@ def theta_value(tm: ThetaMap, f: Profile, t, order: int = 0):
                 out[mask] = theta_value(sub, f, t_arr[mask], order)
                 filled |= mask
     return float(out[0]) if scalar else out
+
+
+def _pchip(x, y, t, order: int):
+    """Monotone cubic Hermite interpolant through (x, y) (Fritsch & Carlson,
+    SIAM J. Numer. Anal. 17, 1980), or its derivative (order 1), at t; the end
+    cubics extrapolate.  Each step is scipy's PchipInterpolator's, bit for bit."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    # inside: weighted harmonic mean of the secants; 0 at a zero or sign change
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    dk = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+
+    def edge(h0, h1, m0, m1):  # one-sided three-point slope, kept monotone
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return e
+    dk[0] = edge(h[0], h[1], m[0], m[1])
+    dk[-1] = edge(h[-1], h[-2], m[-1], m[-2])
+    tt = (dk[:-1] + dk[1:] - 2 * m) / h
+    c = [tt / h, (m - dk[:-1]) / h - tt, dk[:-1], y[:-1]]
+    if order == 1:
+        c = [3 * c[0], 2 * c[1], c[2]]
+    i = np.clip(np.searchsorted(x, t, "right") - 1, 0, len(x) - 2)
+    s = t - x[i]
+    out, z = c[-1][i], 1.0  # ascending powers, as scipy sums (not Horner)
+    for ck in c[-2::-1]:
+        z = z * s
+        out = out + ck[i] * z
+    return out
 
 
 def theta_to_json_dict(tm: ThetaMap) -> dict:
@@ -298,6 +331,29 @@ def integrate_branch(f: Profile, branch: str, t0: float, theta0: float,
     return BranchSolution(ts=ts, thetas=thetas)
 
 
+def _cumulative_simpson(y, x):
+    """Integral of the samples y(x) from x[0] to each x[i], starting at 0, by
+    scipy's cumulative_simpson rule for unequal intervals, bit for bit (the
+    trapezoid rule below 3 points)."""
+    dx = np.diff(x)
+    if len(y) < 3:
+        return np.concatenate([[0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)])
+
+    def pieces(y, dx):  # each interval by the parabola through it and the next
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21 / (x21 + x32)
+        q = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + q + x21_x31) * y[1:-1]
+                          - q * y[2:])
+    # odd intervals and the last one take the parabola to their left
+    bwd = pieces(y[::-1], dx[::-1])[::-1]
+    sub = np.empty(len(dx))
+    sub[:-1:2] = pieces(y, dx)[::2]
+    sub[1::2] = bwd[::2]
+    sub[-1] = bwd[-1]
+    return np.concatenate([[0.0], np.cumsum(sub)])
+
+
 def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
                        grid_size: int = 2048) -> Profile:
     """Integrate the k=0 dihedral equation for log h along theta(t).
@@ -335,8 +391,8 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
     half = grid_size // 2
     t_fwd = np.linspace(theta0, hi, half + 1)
     t_bwd = np.linspace(lo, theta0, half + 1)
-    log_fwd = cumulative_simpson(integrand(t_fwd), x=t_fwd, initial=0.0)
-    log_bwd = cumulative_simpson(integrand(t_bwd), x=t_bwd, initial=0.0)
+    log_fwd = _cumulative_simpson(integrand(t_fwd), t_fwd)
+    log_bwd = _cumulative_simpson(integrand(t_bwd), t_bwd)
     log_bwd -= log_bwd[-1]          # re-anchor at theta0
     logs = np.concatenate([log_bwd, log_fwd[1:]]) + math.log(h0)
     ts_all = np.concatenate([t_bwd, t_fwd[1:]])

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import isonorm
+from isonorm import cli
 from isonorm.cli import main
 from isonorm.isometry import Sector, bump_profile, glue_construct
 from isonorm.profile import Profile, save_profile
@@ -108,6 +113,29 @@ def test_dual_of_vanishing_profile_is_a_clean_error(capfd, profiles):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("isonorm: error:")
+
+
+def test_missing_status_rule_is_not_a_user_error(capsys, monkeypatch,
+                                                 profiles):
+    # a residual without a status rule is a program fault: it must not be
+    # reported as a bad input with exit 1
+    monkeypatch.delitem(cli.TOLERANCES, "norm_error")
+    with pytest.raises(RuntimeError,
+                       match="no status rule for residual 'norm_error'"):
+        main(["sample", "--profile", profiles["ellipse"], "--count", "4"])
+    assert "isonorm: error:" not in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test extra; every CLI call would pay for importing it
+    src = os.path.dirname(os.path.dirname(isonorm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, isonorm, isonorm.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------- reports
@@ -221,6 +249,16 @@ def test_isometry_solve_check_classify_flow(capsys, profiles, tmp_path):
     assert code == 0
     sectors = rep["results"]["sectors"]
     assert len(sectors) == 1 and sectors[0]["label"] == "legendre"
+
+
+@pytest.mark.parametrize("grid", ("1", "2"))
+def test_isometry_solve_short_grid_fails_cleanly(capsys, profiles, grid):
+    # half-grids of 1 or 2 points: a failed report, not a traceback
+    code, rep = run_json(capsys, "isometry", "solve",
+                         "--profile", profiles["ellipse"],
+                         "--theta", "legendre", "--grid", grid)
+    assert code == 1
+    assert rep["status"] == "failed"
 
 
 def test_isometry_check_flags_broken_triple(capsys, profiles, tmp_path):

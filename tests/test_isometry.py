@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
-                              build_h_from_theta, bump_profile,
-                              check_d_property, check_hessian_isometry,
-                              classify_sectors, d_residual_signed,
+                              _cumulative_simpson, _pchip, build_h_from_theta,
+                              bump_profile, check_d_property,
+                              check_hessian_isometry, classify_sectors,
+                              d_residual_signed,
                               glue_construct, identity_map, integrate_branch,
                               legendre_map_tag, ode_residuals,
                               planar_lift_map, quadratic_and_roots,
@@ -89,6 +90,59 @@ def test_theta_json_round_trip():
         for t in (0.2, 0.8, 1.3):
             assert theta_value(back, ELLIPSE, t, 0) == pytest.approx(
                 theta_value(tm, ELLIPSE, t, 0), abs=1e-12)
+
+
+# The numpy monotone cubic and cumulative Simpson rule replace scipy's and
+# must keep their bits; scipy is only a test extra.
+PCHIP_NODES = {
+    "four nodes": ((0.0, 0.5, 1.0, 1.5), (0.0, 0.45, 1.05, 1.5)),
+    "flat run": ((0.0, 0.3, 0.5, 0.9, 1.2, 1.4),
+                 (0.0, 0.2, 0.2, 0.2, 0.7, 1.0)),
+    # the first end slope is clipped to 3 times its secant
+    "sign change": ((0.0, 0.2, 0.5, 0.6, 1.0, 1.1),
+                    (0.0, 0.05, -0.4, -0.3, 0.5, 0.45)),
+    "uneven monotone": (tuple(np.cumsum(np.linspace(0.05, 0.3, 24) ** 2)),
+                        tuple(np.sqrt(np.arange(24.0)))),
+}
+
+
+@pytest.mark.parametrize("order", (0, 1))
+@pytest.mark.parametrize("name", sorted(PCHIP_NODES))
+def test_pchip_matches_scipy(name, order):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    x, y = (np.array(v) for v in PCHIP_NODES[name])
+    # before, between, at and after the nodes
+    t = np.concatenate([[x[0] - 0.4, x[0] - 1e-9], (x[:-1] + x[1:]) / 2,
+                        x[:-1] + 0.3 * np.diff(x), x,
+                        [x[-1] + 1e-9, x[-1] + 0.4]])
+    ref = interpolate.PchipInterpolator(x, y)
+    want = ref(t) if order == 0 else ref.derivative()(t)
+    assert np.array_equal(_pchip(x, y, t, order), want)
+
+
+@pytest.mark.parametrize("uniform", (True, False))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 64, 65))
+def test_cumulative_simpson_matches_scipy(n, uniform):
+    integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.default_rng(n)
+    x = (np.linspace(0.2, 1.3, n) if uniform
+         else 0.2 + np.cumsum(rng.uniform(0.001, 0.1, n)))
+    y = np.sin(3 * x) + rng.normal(scale=0.1, size=n)
+    want = integrate.cumulative_simpson(y, x=x, initial=0.0)
+    assert np.array_equal(_cumulative_simpson(y, x), want)
+
+
+def test_sampled_theta_matches_scipy():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    grid = np.linspace(0.0, math.pi / 2, 17)
+    values = theta_legendre(PlanarNorm(ELLIPSE), grid)
+    tm = ThetaMap(kind="sampled", grid=tuple(grid), values=tuple(values))
+    ref = interpolate.PchipInterpolator(grid, values)
+    ts = np.linspace(-0.1, math.pi / 2 + 0.1, 101)
+    assert np.array_equal(theta_value(tm, ELLIPSE, ts, 0), ref(ts))
+    assert np.array_equal(theta_value(tm, ELLIPSE, ts, 1),
+                          ref.derivative()(ts))
+    assert theta_value(tm, ELLIPSE, 0.7, 1) == float(ref.derivative()(0.7))
 
 
 # ------------------------------------------------------------ ODE residuals
