@@ -36,7 +36,7 @@ from .isometry import (DEFAULT_BAND_WIDTH, IsometryTriple, ThetaMap,
                        triple_to_json_dict)
 from .planar import (PlanarNorm, dual_profile, indicatrix_point,
                      value as planar_value)
-from .profile import Profile, is_minkowski, load_profile
+from .profile import Profile, is_minkowski, json_field, load_profile
 
 EXIT_BY_STATUS = {"ok": 0, "marginal": 2, "failed": 1}
 USAGE_EXIT = 64
@@ -371,7 +371,7 @@ def cmd_isometry_glue(args):
     if isinstance(spec, dict):
         if band is None and "band_width" in spec:
             band = float(spec["band_width"])
-        spec = spec["sectors"]
+        spec = json_field(spec, "sectors", "sectors file")
     if band is None:
         band = DEFAULT_BAND_WIDTH
     res = glue_construct(f_base, spec, band_width=band)
@@ -579,7 +579,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         out = args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"isonorm: error: {exc}", file=sys.stderr)
         return 1
     if isinstance(out, tuple):

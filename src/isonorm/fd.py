@@ -1,67 +1,47 @@
-"""Central finite-difference stencils on a shared, memoized lattice.
+"""Central finite-difference stencils, each evaluated in one call.
 
 All derivative estimates of a scalar field are assembled from values at
-x + step * (integer offset); the lattice cache keeps repeated stencil
-evaluations (Hessian + full third-derivative tensor at one point) cheap.
+x + step * (integer offset).  `fun` maps an (m, n) array of points to its
+m values.  A stencil lists the distinct offsets it reads, calls `fun` once
+on all of them, and forms every entry with the same floating-point
+operations, in the same order, as evaluating one point at a time.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 
-class _Lattice:
-    def __init__(self, fun, x, step):
-        self.fun = fun
-        self.x = np.asarray(x, dtype=float)
-        self.step = float(step)
-        self.cache: dict[tuple[int, ...], float] = {}
-
-    def __call__(self, *offset: int) -> float:
-        key = tuple(offset)
-        if key not in self.cache:
-            pt = self.x + self.step * np.asarray(key, dtype=float)
-            self.cache[key] = float(self.fun(pt))
-        return self.cache[key]
-
-
-def _unit_offsets(n: int, entries: dict[int, int]) -> tuple[int, ...]:
-    off = [0] * n
-    for axis, val in entries.items():
-        off[axis] += val
-    return tuple(off)
+def _lattice(fun, x, step, *groups) -> list[np.ndarray]:
+    """fun at x + step * offset for every row of the (k, n) groups of
+    distinct integer offsets, from one call; one array of values per group."""
+    values = np.asarray(fun(x + step * np.concatenate(groups)), dtype=float)
+    ends = np.cumsum([len(g) for g in groups])
+    return [values[end - len(g):end] for g, end in zip(groups, ends)]
 
 
 def gradient_fd(fun, x, step: float = 1e-6) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    lat = _Lattice(fun, x, step)
-    n = len(x)
-    g = np.empty(n)
-    for i in range(n):
-        g[i] = (lat(*_unit_offsets(n, {i: 1})) - lat(*_unit_offsets(n, {i: -1}))) / (2 * step)
-    return g
+    e = np.eye(len(x), dtype=int)
+    up, down = _lattice(fun, x, step, e, -e)
+    return (up - down) / (2 * step)
 
 
 def hessian_fd(fun, x, step: float = 1e-4) -> np.ndarray:
     """Symmetric central-difference Hessian."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    lat = _Lattice(fun, x, step)
+    e = np.eye(n, dtype=int)
+    i, j = np.triu_indices(n, 1)
+    f0, up, down, pp, pm, mp, mm = _lattice(
+        fun, x, step, 0 * e[:1], e, -e,
+        e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j])
     h2 = step * step
     H = np.empty((n, n))
-    f0 = lat(*([0] * n))
-    for i in range(n):
-        H[i, i] = (lat(*_unit_offsets(n, {i: 1})) - 2.0 * f0
-                   + lat(*_unit_offsets(n, {i: -1}))) / h2
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = (lat(*_unit_offsets(n, {i: 1, j: 1}))
-                   - lat(*_unit_offsets(n, {i: 1, j: -1}))
-                   - lat(*_unit_offsets(n, {i: -1, j: 1}))
-                   + lat(*_unit_offsets(n, {i: -1, j: -1}))) / (4.0 * h2)
-            H[i, j] = H[j, i] = val
+    H[np.diag_indices(n)] = (up - 2.0 * f0 + down) / h2
+    H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h2)
     return H
 
 
@@ -69,38 +49,31 @@ def third_tensor_fd(fun, x, step: float = 1e-3) -> np.ndarray:
     """Fully symmetric third-derivative tensor by central differences."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    lat = _Lattice(fun, x, step)
+    e = np.eye(n, dtype=int)
+    i, j = np.triu_indices(n, 1)
+    a, b, c = np.array(list(combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
+    two, three = list(product((1, -1), repeat=2)), list(product((1, -1), repeat=3))
+    up2, up, down, down2, *v = _lattice(
+        fun, x, step, 2 * e, e, -e, -2 * e,
+        *(s * e[i] + t * e[j] for s, t in two),
+        *(s * e[a] + t * e[b] + u * e[c] for s, t, u in three))
     h3 = step ** 3
-    T = np.zeros((n, n, n))
-
-    def entry(i: int, j: int, k: int) -> float:
-        if i == j == k:
-            return (lat(*_unit_offsets(n, {i: 2})) - 2.0 * lat(*_unit_offsets(n, {i: 1}))
-                    + 2.0 * lat(*_unit_offsets(n, {i: -1}))
-                    - lat(*_unit_offsets(n, {i: -2}))) / (2.0 * h3)
-        if i == j:  # second difference along i, first along k
-            return (lat(*_unit_offsets(n, {i: 1, k: 1}))
-                    - 2.0 * lat(*_unit_offsets(n, {k: 1}))
-                    + lat(*_unit_offsets(n, {i: -1, k: 1}))
-                    - lat(*_unit_offsets(n, {i: 1, k: -1}))
-                    + 2.0 * lat(*_unit_offsets(n, {k: -1}))
-                    - lat(*_unit_offsets(n, {i: -1, k: -1}))) / (2.0 * h3)
-        # three distinct axes: product of three central first differences
-        total = 0.0
-        for si, sj, sk in product((1, -1), repeat=3):
-            total += si * sj * sk * lat(*_unit_offsets(n, {i: si, j: sj, k: sk}))
-        return total / (8.0 * h3)
-
-    for idx in combinations_with_replacement(range(n), 3):
-        i, j, k = sorted(idx)
-        if i == j == k:
-            val = entry(i, i, i)
-        elif i == j:
-            val = entry(i, i, k)
-        elif j == k:
-            val = entry(j, j, i)
-        else:
-            val = entry(i, j, k)
-        for perm in set(permutations((i, j, k))):
-            T[perm] = val
+    T = np.empty((n, n, n))
+    k = np.arange(n)
+    T[k, k, k] = (up2 - 2.0 * up + 2.0 * down - down2) / (2.0 * h3)
+    # second difference along p, first along q != p: pair[s, t][p, q] is
+    # the value at s e_p + t e_q, with index 0 for the sign + and 1 for -
+    pair = np.zeros((2, 2, n, n))
+    for (s, t), vals in zip(product((0, 1), repeat=2), v[:4]):
+        pair[s, t, i, j] = pair[t, s, j, i] = vals
+    D = (pair[0, 0] - 2.0 * up + pair[1, 0] - pair[0, 1] + 2.0 * down
+         - pair[1, 1]) / (2.0 * h3)
+    p, q = np.nonzero(1 - e)
+    T[p, p, q] = T[p, q, p] = T[q, p, p] = D[p, q]
+    # three distinct axes: product of three central first differences
+    total = 0.0
+    for (s, t, u), vals in zip(three, v[4:]):
+        total = total + s * t * u * vals
+    for perm in permutations((a, b, c)):
+        T[perm] = total / (8.0 * h3)
     return T

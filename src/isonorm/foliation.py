@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .profile import _pow
+
 SQ3 = math.sqrt(3.0)
 DEFAULT_FOCAL_GUARD = 0.05
 # random_leaf_points gives up after this many sphere draws per point wanted
@@ -92,19 +94,30 @@ def eval_poly(m: FoliationModel, u) -> float:
     u = np.asarray(u, dtype=float)
     if abs(np.dot(u, u) - 1.0) > 1e-10:
         raise ValueError("eval_poly expects a unit vector")
-    return _poly(m, u)
+    return float(_poly(m, u))
 
 
-def _poly(m: FoliationModel, u) -> float:
+def _sqnorm(x: np.ndarray):
+    """|x|^2 of a point (a numpy scalar), or of each row of an (m, n)
+    array, by one dot product per point (a matrix product of the rows would
+    round otherwise)."""
+    return (x[..., None, :] @ x[..., :, None]).T[0, 0]
+
+
+def _poly(m: FoliationModel, u: np.ndarray):
+    """p at a point, or at each row with the bits of its one-point call.
+
+    Columns are taken with u.T, so a point yields numpy scalars, whose
+    arithmetic is much cheaper than that of 0-d arrays."""
     if m.d == 1:
-        return float(u[0])
+        return u.T[0]
     if m.d == 2:
-        return float(np.dot(u[: m.k], u[: m.k]) - np.dot(u[m.k:], u[m.k:]))
-    a, b, x, y, z = u
-    return float(a ** 3 - 3.0 * a * b * b
-                 + 1.5 * a * (x * x + y * y - 2.0 * z * z)
-                 + 1.5 * SQ3 * b * (x * x - y * y)
-                 + 3.0 * SQ3 * x * y * z)
+        return _sqnorm(u[..., :m.k]) - _sqnorm(u[..., m.k:])
+    a, b, x, y, z = u.T
+    return (_pow(a, 3) - 3.0 * a * b * b
+            + 1.5 * a * (x * x + y * y - 2.0 * z * z)
+            + 1.5 * SQ3 * b * (x * x - y * y)
+            + 3.0 * SQ3 * x * y * z)
 
 
 def _grad_poly(m: FoliationModel, u) -> np.ndarray:
@@ -132,13 +145,19 @@ class RT(NamedTuple):
 
 
 def t_coord(m: FoliationModel, x) -> RT:
-    """Polar data (r, t) of x: r = |x|, t = arccos(p(x/r)) / d in [0, pi/d]."""
+    """Polar data (r, t) of x: r = |x|, t = arccos(p(x/r)) / d in [0, pi/d].
+
+    x is one point (r and t are floats) or an (m, n) array of rows (r and t
+    are arrays); each row gets the bits of its one-point call.
+    """
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
+    r = np.sqrt(_sqnorm(x))
+    if not r.all():
         raise ValueError("t undefined at the origin")
-    p = _poly(m, x / r)
-    return RT(r, math.acos(min(1.0, max(-1.0, p))) / m.d)
+    p = np.minimum(np.maximum(_poly(m, x / r[..., None]), -1.0), 1.0)
+    # math.acos: numpy's arccos differs from it in the last bit on some points
+    t = np.array([math.acos(v) for v in np.atleast_1d(p).tolist()]) / m.d
+    return RT(float(r), float(t[0])) if x.ndim == 1 else RT(r, t)
 
 
 class NormalPlane(NamedTuple):
@@ -268,24 +287,19 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD,
     if len(leaf) != m.n - 2:
         raise RuntimeError("failed to build a leaf tangent basis")
 
-    def t_along(v, h):
-        # great circle through u in direction v stays on the sphere
-        pt = math.cos(h) * u + math.sin(h) * v
-        return t_coord(m, pt).t
-
+    # second differences of t along great circles through u (they stay on
+    # the sphere), in the leaf directions and their normalised sums and
+    # differences, from one t_coord call
     nl = len(leaf)
+    i, j = np.triu_indices(nl, 1)
+    dirs = np.concatenate([leaf, (leaf[i] + leaf[j]) / math.sqrt(2.0),
+                           (leaf[i] - leaf[j]) / math.sqrt(2.0)])
+    ends = t_coord(m, np.concatenate([math.cos(h) * u + math.sin(h) * dirs
+                                      for h in (step, -step)])).t
+    q = (ends[:len(dirs)] - 2.0 * t + ends[len(dirs):]) / step ** 2
     hess = np.empty((nl, nl))
-    t0 = t
-    for i in range(nl):
-        hess[i, i] = (t_along(leaf[i], step) - 2.0 * t0
-                      + t_along(leaf[i], -step)) / step ** 2
-    for i in range(nl):
-        for j in range(i + 1, nl):
-            vp = (leaf[i] + leaf[j]) / math.sqrt(2.0)
-            vm = (leaf[i] - leaf[j]) / math.sqrt(2.0)
-            qp = (t_along(vp, step) - 2.0 * t0 + t_along(vp, -step)) / step ** 2
-            qm = (t_along(vm, step) - 2.0 * t0 + t_along(vm, -step)) / step ** 2
-            hess[i, j] = hess[j, i] = 0.5 * (qp - qm)
+    hess[np.diag_indices(nl)] = q[:nl]
+    hess[i, j] = hess[j, i] = 0.5 * (q[nl:nl + len(i)] - q[nl + len(i):])
 
     evals, evecs = np.linalg.eigh(hess)
     targets = {k: 1.0 / math.tan(t + k * math.pi / m.d) for k, _ in multiplicities(m)}

@@ -3,7 +3,9 @@
 The Hessian metric g = Hess(E), E = F^2/2, is evaluated by finite
 differences in ambient coordinates; the closed forms live in the adapted
 frame (radial, t-direction, shape eigenvectors) and every closed-form claim
-here is cross-checked against the FD side by projection.
+here is cross-checked against the FD side by projection.  `energy` maps an
+(m, n) array of points to their m values, so each FD stencil evaluates its
+whole lattice in one call (see fd.py), with the bits of one-point calls.
 
 Curvature note: for a Hessian metric the Riemann tensor depends only on the
 second and third derivatives of the potential — the fourth-derivative terms
@@ -28,7 +30,7 @@ import numpy as np
 
 from .fd import hessian_fd, third_tensor_fd
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
-                        _sphere_tangent_basis, multiplicities, normal_plane_basis,
+                        _sqnorm, _sphere_tangent_basis, multiplicities,
                         t_coord, unit_w)
 from .profile import Profile, gap_from_jet, require_minkowski
 
@@ -63,14 +65,19 @@ def value(nm: InducedNorm, x) -> float:
     return r * math.sqrt(2.0 * nm.profile.evaluate(t, 0))
 
 
-def energy(nm: InducedNorm, x) -> float:
-    """E(x) = F(x)^2 / 2 = r^2 f(t)."""
+def energy(nm: InducedNorm, x):
+    """E(x) = F(x)^2 / 2 = r^2 f(t) at a point, or at each row of an (m, n)
+    array.  f is evaluated one angle per row, so every row gets the bits of
+    its one-point call."""
     x = np.asarray(x, dtype=float)
-    r2 = float(np.dot(x, x))
-    if r2 == 0.0:
-        return 0.0
-    t = t_coord(nm.foliation, x).t
-    return r2 * nm.profile.evaluate(t, 0)
+    rows = np.atleast_2d(x)
+    r2 = _sqnorm(rows)
+    E = np.zeros(len(rows))
+    live = r2 != 0.0
+    if live.any():
+        t = t_coord(nm.foliation, rows[live]).t
+        E[live] = r2[live] * nm.profile.evaluate(t[:, None], 0)[:, 0]
+    return float(E[0]) if x.ndim == 1 else E
 
 
 def grad_energy(nm: InducedNorm, x) -> np.ndarray:

@@ -27,7 +27,7 @@ from .foliation import FoliationModel, normal_geodesic, t_coord
 from .planar import (DualProfile, PlanarNorm, _unwrap_to, fundamental_tensor,
                      legendre_num_den, legendre_ode_rhs, theta_legendre,
                      theta_scaled, theta_scaled_deriv)
-from .profile import (Profile, SectorProfile, gap_from_jet,
+from .profile import (Profile, SectorProfile, gap_from_jet, json_field,
                       profile_from_json_dict, sampled_profile)
 
 THETA_KINDS = ("identity", "linear", "legendre", "scaled-legendre",
@@ -183,14 +183,17 @@ def theta_to_json_dict(tm: ThetaMap) -> dict:
 
 
 def theta_from_json_dict(d: dict) -> ThetaMap:
-    kind = d["kind"]
+    field = lambda key, data=d: json_field(data, key, "theta map")
+    kind = field("kind")
     if kind in ("linear", "scaled-legendre"):
-        return ThetaMap(kind=kind, params=(d["a"], d["b"]))
+        return ThetaMap(kind=kind, params=(field("a"), field("b")))
     if kind == "sampled":
-        return ThetaMap(kind=kind, grid=tuple(d["grid"]), values=tuple(d["values"]))
+        return ThetaMap(kind=kind, grid=tuple(field("grid")),
+                        values=tuple(field("values")))
     if kind == "piecewise":
-        pieces = tuple((p["lo"], p["hi"], theta_from_json_dict(p["map"]))
-                       for p in d["pieces"])
+        pieces = tuple((field("lo", p), field("hi", p),
+                        theta_from_json_dict(field("map", p)))
+                       for p in field("pieces"))
         return ThetaMap(kind=kind, pieces=pieces)
     return ThetaMap(kind=kind)
 
@@ -213,9 +216,10 @@ def triple_to_json_dict(tr: IsometryTriple) -> dict:
 
 
 def triple_from_json_dict(d: dict) -> IsometryTriple:
-    return IsometryTriple(f=profile_from_json_dict(d["f"]),
-                          h=profile_from_json_dict(d["h"]),
-                          theta=theta_from_json_dict(d["theta"]))
+    field = lambda key: json_field(d, key, "triple")
+    return IsometryTriple(f=profile_from_json_dict(field("f")),
+                          h=profile_from_json_dict(field("h")),
+                          theta=theta_from_json_dict(field("theta")))
 
 
 def load_triple(path) -> IsometryTriple:
@@ -257,6 +261,10 @@ def ode_residuals(tr: IsometryTriple, t: float) -> np.ndarray:
     return res
 
 
+# quadratic_and_roots warns about d <= 2 once per process
+_low_d_warned = False
+
+
 class QuadraticReduction(NamedTuple):
     A: float
     B: float
@@ -269,7 +277,8 @@ def quadratic_and_roots(f: Profile, t: float, theta: float) -> QuadraticReductio
     plus its two closed-form roots (identity-like and Legendre-like).
 
     Raises when the leading coefficient degenerates; outside d > 2 the
-    nonvanishing of A is not guaranteed, which is reported as a warning.
+    nonvanishing of A is not guaranteed, which is reported as a warning
+    (once per process).
     """
     f0, f1, f2 = f.jet(t, 2)
     ct, st = math.cos(t), math.sin(t)
@@ -282,7 +291,9 @@ def quadratic_and_roots(f: Profile, t: float, theta: float) -> QuadraticReductio
          + (ct * ct - st * st) * f1 / f0 + 4 * cs) / (cth * sth)
     C = -f2 / f0 + f1 * f1 / (2 * f0 * f0) - 2.0
 
-    if f.d <= 2:
+    global _low_d_warned
+    if f.d <= 2 and not _low_d_warned:
+        _low_d_warned = True
         warnings.warn("nonvanishing of the leading coefficient is only "
                       "guaranteed for d > 2", stacklevel=2)
     if abs(A) < 1e-12:
@@ -363,6 +374,8 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
     """
     if h0 <= 0:
         raise ValueError("h0 must be positive")
+    if grid_size < 4:  # each half-grid needs 3 points for Simpson's rule
+        raise ValueError(f"grid_size must be >= 4, got {grid_size}")
     d = f.d
     lo, hi = INTERIOR_GUARD, math.pi / d - INTERIOR_GUARD
     if not (lo < theta0 < hi):

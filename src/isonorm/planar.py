@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .profile import (FIT_MAX_TERMS, Profile, dihedral_fold, gap_from_jet,
-                      profile_from_json_dict, register_profile_kind,
-                      require_minkowski, sampled_profile)
+from .profile import (FIT_MAX_TERMS, Profile, _pow, dihedral_fold,
+                      gap_from_jet, json_field, profile_from_json_dict,
+                      register_profile_kind, require_minkowski,
+                      sampled_profile)
 
 # the exact dual's Legendre-angle solve (see DualProfile)
 NEWTON_TOL = 1e-14
@@ -80,16 +81,6 @@ def legendre_num_den(f0, f1, sin, cos):
     """(N, D) with tan(theta) = N / D for the gradient direction at angle t:
     N = 2 f sin t + f' cos t, D = 2 f cos t - f' sin t."""
     return 2.0 * f0 * sin + f1 * cos, 2.0 * f0 * cos - f1 * sin
-
-
-def _pow(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n element by element with the C library's pow, as Python floats do.
-
-    numpy's vectorised pow can differ from it in the last bit.  The exact
-    dual has always used the library's pow, and the reports that print its
-    residuals keep their bytes only if it still does.
-    """
-    return (x.astype(object) ** n).astype(float)
 
 
 def _unwrap_to(t, raw):
@@ -331,6 +322,6 @@ class DualProfile:
                 "scale": self.scale}
 
 
-register_profile_kind(
-    "dual", lambda data: DualProfile(base=profile_from_json_dict(data["base"]),
-                                     scale=float(data.get("scale", 1.0))))
+register_profile_kind("dual", lambda data: DualProfile(
+    base=profile_from_json_dict(json_field(data, "base", "dual profile")),
+    scale=float(data.get("scale", 1.0))))

@@ -96,6 +96,18 @@ def round_profile(d: int = 1) -> Profile:
     return Profile(d, (0.5,))
 
 
+def _pow(x, n: int):
+    """x**n (a scalar or element by element) with the C library's pow, as
+    Python floats and numpy scalars do.
+
+    numpy's vectorised pow can differ from it in the last bit, so arrays
+    computed with this keep the bits of one-point evaluation.
+    """
+    if np.ndim(x) == 0:
+        return x ** n
+    return np.array([v ** n for v in x.tolist()])
+
+
 def gap_from_jet(f0, f1, f2):
     """The convexity gap 2 f f'' - (f')^2 + 4 f^2 from the jet (f, f', f'')."""
     return 2.0 * f0 * f2 - f1 * f1 + 4.0 * f0 * f0
@@ -290,8 +302,8 @@ class SectorProfile:
         out = np.empty((k + 1, tau.size))
         for i, piece in enumerate(self.pieces):
             mask = idx == i
-            if mask.any():
-                out[:, mask] = piece.jet(tau[mask], k)
+            if mask.any():  # one point per row: each value has scalar bits
+                out[:, mask] = np.array(piece.jet(tau[mask][:, None], k))[..., 0]
         out *= sign ** np.arange(k + 1)[:, None]
         return tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
                      for v in out)
@@ -310,15 +322,24 @@ def register_profile_kind(kind: str, loader) -> None:
     _EXTRA_JSON_KINDS[kind] = loader
 
 
+def json_field(data, key: str, what: str):
+    """data[key] of a loaded JSON object; a ValueError naming the field when
+    it is missing."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"{what} is missing the field {key!r}")
+    return data[key]
+
+
 def profile_from_json_dict(data: dict):
     kind = data.get("kind", "cosine")
+    field = lambda key: json_field(data, key, f"{kind} profile")
     if kind == "cosine":
-        return Profile(int(data["d"]), tuple(data["cos_coeffs"]))
+        return Profile(int(field("d")), tuple(field("cos_coeffs")))
     if kind == "sampled":
-        return sampled_profile(int(data["d"]), data["grid"], data["values"])
+        return sampled_profile(int(field("d")), field("grid"), field("values"))
     if kind == "sector":
-        pieces = tuple(profile_from_json_dict(p) for p in data["pieces"])
-        return SectorProfile(int(data["d"]), tuple(data["breaks"]), pieces)
+        pieces = tuple(profile_from_json_dict(p) for p in field("pieces"))
+        return SectorProfile(int(field("d")), tuple(field("breaks")), pieces)
     if kind in _EXTRA_JSON_KINDS:
         return _EXTRA_JSON_KINDS[kind](data)
     raise ValueError(f"unknown profile kind {kind!r}")

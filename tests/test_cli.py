@@ -115,6 +115,31 @@ def test_dual_of_vanishing_profile_is_a_clean_error(capfd, profiles):
     assert err.count("\n") == 1 and err.startswith("isonorm: error:")
 
 
+@pytest.mark.parametrize("command,data,field", [
+    (["validate", "--profile"], {"kind": "cosine", "cos_coeffs": [1.0]}, "'d'"),
+    (["isometry", "check", "--triple"],
+     {"f": {"d": 2, "cos_coeffs": [1.0]}, "h": {"d": 2, "cos_coeffs": [1.0]}},
+     "'theta'"),
+], ids=["profile", "triple"])
+def test_missing_field_is_named(capfd, tmp_path, command, data, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main(command + [str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("isonorm: error: ") and err.count("\n") == 1
+    assert f"missing the field {field}" in err
+
+
+def test_internal_key_error_is_not_a_user_error(monkeypatch):
+    def broken(args):
+        return {}["status"]
+    monkeypatch.setattr(cli, "cmd_foliation_info", broken)
+    with pytest.raises(KeyError):
+        main(["foliation", "info", "--model", "cartan3"])
+
+
 def test_missing_status_rule_is_not_a_user_error(capsys, monkeypatch,
                                                  profiles):
     # a residual without a status rule is a program fault: it must not be
@@ -251,13 +276,22 @@ def test_isometry_solve_check_classify_flow(capsys, profiles, tmp_path):
     assert len(sectors) == 1 and sectors[0]["label"] == "legendre"
 
 
-@pytest.mark.parametrize("grid", ("1", "2"))
-def test_isometry_solve_short_grid_fails_cleanly(capsys, profiles, grid):
-    # half-grids of 1 or 2 points: a failed report, not a traceback
+@pytest.mark.parametrize("grid", ("0", "1", "2", "3"))
+def test_isometry_solve_short_grid_fails_cleanly(capfd, profiles, grid):
+    # half-grids of 1 or 2 points are a bad input, not a solver failure
+    code = main(["isometry", "solve", "--profile", profiles["ellipse"],
+                 "--theta", "legendre", "--grid", grid])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"isonorm: error: grid_size must be >= 4, got {grid}\n"
+
+
+def test_isometry_solve_smallest_grid_runs(capsys, profiles):
     code, rep = run_json(capsys, "isometry", "solve",
                          "--profile", profiles["ellipse"],
-                         "--theta", "legendre", "--grid", grid)
-    assert code == 1
+                         "--theta", "legendre", "--grid", "4")
+    assert code == 1  # too coarse to fit h, but a report
     assert rep["status"] == "failed"
 
 
@@ -291,3 +325,56 @@ def test_isometry_glue_cli(capsys, tmp_path):
 
     code, rep = run_json(capsys, "isometry", "check", "--triple", out_path)
     assert code == 0
+
+
+# ------------------------------------------------------------ status rules
+
+# residuals whose exit status comes from a rule of their command instead of
+# a TOLERANCES entry of their own
+OTHER_STATUS_RULES = {
+    "validate": {"min_f", "min_gap"},                   # is_minkowski's verdict
+    "curvature": {"max_abs_component", "noise_floor"},  # flat or clearly not
+}
+
+
+def test_every_emitted_residual_has_a_status_rule(capsys, profiles,
+                                                  tmp_path):
+    base = tmp_path / "base.json"
+    save_profile(bump_profile(2, humps=[(0.5, 0.4)]), base)
+    sectors = tmp_path / "sectors.json"
+    sectors.write_text(json.dumps({"sectors": [
+        {"lo": 0.0, "hi": 0.9, "mode": "scale"},
+        {"lo": 0.9, "hi": math.pi / 2, "mode": "legendre-scale"}]}))
+    paths = dict(profiles, base=base, sectors=sectors,
+                 triple=tmp_path / "triple.json")
+    argvs = [
+        ["validate", "--profile", "{ellipse}", "--degrees"],
+        ["validate", "--profile", "{bad}"],
+        ["dual", "--profile", "{ellipse}"],
+        ["tensor", "--profile", "{ellipse}", "--model", "d2:4:2", "--t", "0.6"],
+        ["curvature", "--profile", "{euclid}", "--model", "d1:3",
+         "--samples", "2"],
+        ["isoparametric-check", "--profile", "{wobble3}", "--model",
+         "cartan3", "--t-count", "2", "--xi-count", "2"],
+        ["isometry", "solve", "--profile", "{ellipse}", "--theta",
+         "legendre", "--out", "{triple}"],
+        ["isometry", "check", "--triple", "{triple}"],
+        ["isometry", "classify", "--triple", "{triple}"],
+        ["isometry", "glue", "--profile", "{base}", "--sectors", "{sectors}"],
+        ["sample", "--profile", "{ellipse}", "--count", "4"],
+        ["sample", "--profile", "{ellipse}", "--model", "d2:4:2",
+         "--count", "5"],
+        ["foliation", "info", "--model", "cartan3"],
+    ]
+    commands = set()
+    for argv in argvs:
+        _, rep = run_json(capsys, *(a.format(**paths) for a in argv))
+        command = rep["command"]
+        commands.add(command)
+        for name in rep["residuals"]:
+            if name in OTHER_STATUS_RULES.get(command, ()):
+                continue
+            # every ODE equation shares the thresholds of ode_max
+            rule = "ode_max" if name.startswith("ode_eq") else name
+            assert rule in cli.TOLERANCES, (command, name)
+    assert len(commands) == 11  # every subcommand

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isonorm import isometry
 from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                               _cumulative_simpson, _pchip, build_h_from_theta,
                               bump_profile, check_d_property,
@@ -192,9 +193,14 @@ def test_quadratic_round_frozen():
     assert sorted(q.roots) == pytest.approx([1.0, 1.0], abs=1e-8)
 
 
-def test_quadratic_roots_sector_guarantee_warning():
+def test_quadratic_roots_sector_guarantee_warning(monkeypatch):
+    # the warning comes once per process; start this test from a fresh one
+    monkeypatch.setattr(isometry, "_low_d_warned", False)
     with pytest.warns(UserWarning):
         quadratic_and_roots(ELLIPSE, 0.5, 0.55)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quadratic_and_roots(ELLIPSE, 0.6, 0.65)  # already warned
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         quadratic_and_roots(WOBBLE3, 0.5, 0.55)  # d=3: no warning

@@ -61,7 +61,7 @@ def test_tensor_matches_fd_hessian(r, ang):
     nm = PlanarNorm(p)
     x = r * np.array([math.cos(ang), math.sin(ang)])
     g = fundamental_tensor(nm, x)
-    E = lambda y: 0.5 * value(nm, y) ** 2
+    E = lambda ys: np.array([0.5 * value(nm, y) ** 2 for y in ys])
     assert np.allclose(g, hessian_fd(E, x, step=1e-4 * r), atol=3e-6)
 
 

@@ -251,9 +251,8 @@ def test_sector_profile_array_matches_pointwise():
             tau, sign = dihedral_fold(float(t), 2)
             piece = lo if tau < 0.7 else hi
             want.append(piece.evaluate(tau, order) * sign ** order)
-        # a piece sums its series in another order for an array than for
-        # one point, so the two may differ by rounding
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
+        # each piece takes its points one per row: the bits of a scalar call
+        assert np.array_equal(got, want)
         assert sp.evaluate(float(ts[5]), order) == want[5]
 
 
