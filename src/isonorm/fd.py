@@ -16,10 +16,13 @@ import numpy as np
 
 def _lattice(fun, x, step, *groups) -> list[np.ndarray]:
     """fun at x + step * offset for every row of the (k, n) groups of
-    distinct integer offsets, from one call; one array of values per group."""
-    values = np.asarray(fun(x + step * np.concatenate(groups)), dtype=float)
+    distinct integer offsets, from one call; one array of values per group.
+    Base points x (..., n) with steps (...) give values (..., k)."""
+    pts = x[..., None, :] + np.multiply.outer(step, np.concatenate(groups))
+    values = np.asarray(fun(pts.reshape(-1, x.shape[-1])),
+                        dtype=float).reshape(pts.shape[:-1])
     ends = np.cumsum([len(g) for g in groups])
-    return [values[end - len(g):end] for g, end in zip(groups, ends)]
+    return [values[..., end - len(g):end] for g, end in zip(groups, ends)]
 
 
 def gradient_fd(fun, x, step: float = 1e-6) -> np.ndarray:
@@ -30,18 +33,19 @@ def gradient_fd(fun, x, step: float = 1e-6) -> np.ndarray:
 
 
 def hessian_fd(fun, x, step: float = 1e-4) -> np.ndarray:
-    """Symmetric central-difference Hessian."""
+    """Symmetric central-difference Hessian at x, or one per row of a (k, n)
+    array x with a step per row (shape (k,)): then (k, n, n)."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     e = np.eye(n, dtype=int)
-    i, j = np.triu_indices(n, 1)
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # triu_indices(n, 1)
     f0, up, down, pp, pm, mp, mm = _lattice(
         fun, x, step, 0 * e[:1], e, -e,
         e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j])
-    h2 = step * step
-    H = np.empty((n, n))
-    H[np.diag_indices(n)] = (up - 2.0 * f0 + down) / h2
-    H[i, j] = H[j, i] = (pp - pm - mp + mm) / (4.0 * h2)
+    h2 = np.square(step)[..., None]
+    H = np.empty(x.shape + (n,))
+    H[..., np.arange(n), np.arange(n)] = (up - 2.0 * f0 + down) / h2
+    H[..., i, j] = H[..., j, i] = (pp - pm - mp + mm) / (4.0 * h2)
     return H
 
 
@@ -50,7 +54,7 @@ def third_tensor_fd(fun, x, step: float = 1e-3) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = len(x)
     e = np.eye(n, dtype=int)
-    i, j = np.triu_indices(n, 1)
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # triu_indices(n, 1)
     a, b, c = np.array(list(combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
     two, three = list(product((1, -1), repeat=2)), list(product((1, -1), repeat=3))
     up2, up, down, down2, *v = _lattice(

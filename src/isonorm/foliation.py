@@ -121,15 +121,17 @@ def _poly(m: FoliationModel, u: np.ndarray):
 
 
 def _grad_poly(m: FoliationModel, u) -> np.ndarray:
+    """grad p at a point, or at the rows of an (m, n) array as the columns
+    of an (n, m) one."""
     if m.d == 1:
-        g = np.zeros(m.n)
+        g = np.zeros(u.T.shape)
         g[0] = 1.0
         return g
     if m.d == 2:
-        g = 2.0 * np.asarray(u, dtype=float).copy()
+        g = 2.0 * u.T
         g[m.k:] *= -1.0
         return g
-    a, b, x, y, z = u
+    a, b, x, y, z = u.T
     return np.array([
         3.0 * a * a - 3.0 * b * b + 1.5 * (x * x + y * y - 2.0 * z * z),
         -6.0 * a * b + 1.5 * SQ3 * (x * x - y * y),
@@ -170,17 +172,21 @@ def unit_w(m: FoliationModel, x) -> np.ndarray:
     """Unit sphere-tangent vector in the direction of increasing t.
 
     The spherical gradient of t at u is -grad_S p / (d sin(d t)), which is
-    exactly unit because t is an arc-length (isoparametric) parameter.
+    exactly unit because t is an arc-length (isoparametric) parameter.  x is
+    one point or an (m, n) array of rows, as in t_coord.
     """
     x = np.asarray(x, dtype=float)
     r, t = t_coord(m, x)
-    s = math.sin(m.d * t)
-    if s < 1e-12:
+    return _unit_w(m, x / np.asarray(r)[..., None], t)
+
+
+def _unit_w(m: FoliationModel, u: np.ndarray, t) -> np.ndarray:
+    s = np.sin(m.d * t)
+    if (s < 1e-12).any():
         raise FocalProximityError("t direction degenerates on the focal set")
-    u = x / r
-    grad = _grad_poly(m, u)
-    grad_sphere = grad - (m.d * _poly(m, u)) * u
-    return -grad_sphere / (m.d * s)
+    # one column per point, so that a point's s and p stay numpy scalars
+    grad_sphere = _grad_poly(m, u) - (m.d * _poly(m, u)) * u.T
+    return np.ascontiguousarray((-grad_sphere / (m.d * s)).T)
 
 
 def normal_plane_basis(m: FoliationModel, x,
@@ -188,27 +194,30 @@ def normal_plane_basis(m: FoliationModel, x,
     """Orthonormal (v1, v2) spanning the normal plane through x, plus w.
 
     The normal geodesic through u = x/|x| is gamma(s) = cos(s) v1 + sin(s) v2
-    with gamma(t) = u; v1 sits on the focal set M_0.
+    with gamma(t) = u; v1 sits on the focal set M_0.  x is one point or an
+    (m, n) array of rows (v1, v2 and w are then rows too).
     """
     x = np.asarray(x, dtype=float)
     r, t = t_coord(m, x)
-    if not (delta < t < math.pi / m.d - delta):
-        raise FocalProximityError(
-            f"t={t:.4f} is within {delta} of a focal value (0 or {math.pi / m.d:.4f})")
-    u = x / r
-    w = unit_w(m, x)
-    v1 = math.cos(t) * u - math.sin(t) * w
-    v2 = math.sin(t) * u + math.cos(t) * w
-    return NormalPlane(v1=v1, v2=v2, w=w)
+    hi = math.pi / m.d - delta
+    near = [v for v in np.atleast_1d(t).tolist() if not delta < v < hi]
+    if near:
+        raise FocalProximityError(f"t={near[0]:.4f} is within {delta} of a "
+                                  f"focal value (0 or {math.pi / m.d:.4f})")
+    u = x / np.asarray(r)[..., None]
+    w = _unit_w(m, u, t)
+    c, s = np.cos(t)[..., None], np.sin(t)[..., None]
+    return NormalPlane(v1=c * u - s * w, v2=s * u + c * w, w=w)
 
 
 def normal_geodesic(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     """Arc-length parametrization gamma(s) of the normal geodesic through x,
-    with t(gamma(s)) following the dihedral fold of s and gamma(t(x)) = x/|x|."""
+    with t(gamma(s)) following the dihedral fold of s and gamma(t(x)) = x/|x|.
+    For an (m, n) array of rows x, s is a column: one parameter per row."""
     basis = normal_plane_basis(m, x, delta)
 
     def gamma(s):
-        return math.cos(s) * basis.v1 + math.sin(s) * basis.v2
+        return np.cos(s) * basis.v1 + np.sin(s) * basis.v2
 
     return gamma
 
@@ -343,20 +352,20 @@ def random_leaf_points(m: FoliationModel, t: float, count: int,
             f"delta={delta} leaves no leaf parameter away from both focal "
             f"values: it must be below pi/(2d) = {math.pi / (2 * m.d):.4f}")
     rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(LEAF_DRAWS_PER_POINT * count):
-        if len(pts) == count:
-            break
-        y = rng.standard_normal(m.n)
-        y /= np.linalg.norm(y)
-        ty = t_coord(m, y).t
-        if not (delta < ty < math.pi / m.d - delta):
-            continue
-        basis = normal_plane_basis(m, y, delta)
-        pts.append(math.cos(t) * basis.v1 + math.sin(t) * basis.v2)
-    if len(pts) < count:
+    limit = LEAF_DRAWS_PER_POINT * count
+    y, drawn = np.empty((0, m.n)), 0
+    # draws come in growing blocks, each tested as one array; a block of k
+    # draws is the same as k single draws, so the points keep their bits
+    while len(y) < count and drawn < limit:
+        block = rng.standard_normal((min(limit - drawn, max(2 * count, drawn)),
+                                     m.n))
+        drawn += len(block)
+        block /= np.sqrt(_sqnorm(block))[:, None]
+        tb = t_coord(m, block).t
+        y = np.concatenate([y, block[(delta < tb) & (tb < math.pi / m.d - delta)]])
+    if len(y) < count:
         raise FocalProximityError(
-            f"found {len(pts)} of {count} leaf points in "
-            f"{LEAF_DRAWS_PER_POINT * count} draws: delta={delta} leaves too "
-            f"little room between the focal values")
-    return np.array(pts)
+            f"found {len(y)} of {count} leaf points in {limit} draws: "
+            f"delta={delta} leaves too little room between the focal values")
+    basis = normal_plane_basis(m, y[:count], delta)
+    return math.cos(t) * basis.v1 + math.sin(t) * basis.v2

@@ -101,18 +101,21 @@ def fd_fundamental_tensor(nm: InducedNorm, x,
                           step_scale: float = TENSOR_STEP_SCALE) -> TensorResult:
     """Hessian of E at x by central differences, step = step_scale * |x|.
 
-    Works on focal cones too: the stencil only needs E values, and E is
-    smooth across the cones for admissible profiles.
+    x is one point, or a (k, n) array of points whose k stencils take one
+    energy call (positive_definite is then an array of k flags).  Works on
+    focal cones too: the stencil only needs E values, and E is smooth
+    across the cones for admissible profiles.
     """
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
+    r = np.sqrt(_sqnorm(x))
+    if not r.all():
         raise ValueError("fundamental tensor undefined at the origin")
     G = hessian_fd(lambda p: energy(nm, p), x, step=step_scale * r)
-    G = 0.5 * (G + G.T)
+    G = 0.5 * (G + np.swapaxes(G, -1, -2))
     evals = np.linalg.eigvalsh(G)
+    pd = evals[..., 0] > 0.0
     return TensorResult(matrix=G, eigenvalues=evals,
-                        positive_definite=bool(evals[0] > 0.0))
+                        positive_definite=bool(pd) if x.ndim == 1 else pd)
 
 
 class FrameComponents(NamedTuple):

@@ -11,6 +11,10 @@ The second family admits a quadratic reduction in theta' whose two roots
 are the "identity-like" and "Legendre-like" branches; gluing the two
 branch maps across bands where the base profile is round produces the
 piecewise constructions checked by classify_sectors.
+
+A map `phi` handed to the metric checks takes rows, like `fun` in fd.py: an
+(m, n) array of points in, their (m, n) images out.  The maps of lift_to_nd
+and planar_lift_map give every row the bits of its one-row call.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .foliation import FoliationModel, normal_geodesic, t_coord
+from .foliation import FoliationModel, _sqnorm, normal_geodesic, t_coord
 from .planar import (DualProfile, PlanarNorm, _unwrap_to, fundamental_tensor,
                      legendre_num_den, legendre_ode_rhs, theta_legendre,
                      theta_scaled, theta_scaled_deriv)
@@ -127,8 +131,9 @@ def theta_value(tm: ThetaMap, f: Profile, t, order: int = 0):
                 mask |= (t_arr < lo) & ~filled
             if last:
                 mask |= (t_arr > hi) & ~filled
-            if np.any(mask):
-                out[mask] = theta_value(sub, f, t_arr[mask], order)
+            if np.any(mask):  # a column of angles stays a column
+                sub_t = t_arr[mask].reshape((-1,) + t_arr.shape[1:])
+                out[mask] = theta_value(sub, f, sub_t, order).reshape(-1)
                 filled |= mask
     return float(out[0]) if scalar else out
 
@@ -419,13 +424,16 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
 
 
 def _tensor_at(norm, x) -> np.ndarray:
+    """The fundamental tensor at each row of x, shape (m, n, n)."""
     if isinstance(norm, PlanarNorm):
-        return fundamental_tensor(norm, np.asarray(x, dtype=float))
+        return np.array([fundamental_tensor(norm, p) for p in x])
     from .hessian import fd_fundamental_tensor
     return fd_fundamental_tensor(norm, x).matrix
 
 
-def _sample_points(norm, samples: int, seed: int) -> list[np.ndarray]:
+def _sample_points(norm, samples: int, seed: int) -> np.ndarray:
+    if samples < 1:
+        raise ValueError(f"a metric check needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     pts = []
     if isinstance(norm, PlanarNorm):
@@ -443,17 +451,7 @@ def _sample_points(norm, samples: int, seed: int) -> list[np.ndarray]:
             t = rng.uniform(guard, math.pi / m.d - guard)
             u = random_leaf_points(m, t, 1, seed=int(rng.integers(2 ** 31)))[0]
             pts.append(rng.uniform(0.6, 1.4) * u)
-    return pts
-
-
-def _map_jacobian(phi: Callable, x: np.ndarray, step: float) -> np.ndarray:
-    n = len(x)
-    J = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        J[:, i] = (np.asarray(phi(x + e)) - np.asarray(phi(x - e))) / (2 * step)
-    return J
+    return np.array(pts)
 
 
 class IsometryCheck(NamedTuple):
@@ -463,15 +461,25 @@ class IsometryCheck(NamedTuple):
 def check_hessian_isometry(norm1, norm2, phi: Callable,
                            samples: int = 20, seed: int = 0,
                            fd_step: float = 1e-5) -> IsometryCheck:
-    """Max over samples and basis pairs of |g1(u,v) - g2(dPhi u, dPhi v)|."""
-    worst = 0.0
-    for x in _sample_points(norm1, samples, seed):
-        g1 = _tensor_at(norm1, x)
-        y = np.asarray(phi(x), dtype=float)
-        g2 = _tensor_at(norm2, y)
-        J = _map_jacobian(phi, x, fd_step * float(np.linalg.norm(x)))
-        worst = max(worst, float(np.max(np.abs(g1 - J.T @ g2 @ J))))
-    return IsometryCheck(max_metric_residual=worst)
+    """Max over samples and basis pairs of |g1(u,v) - g2(dPhi u, dPhi v)|.
+
+    phi maps an (m, n) array of points to their (m, n) images.  It is called
+    once, on the samples x and their Jacobian neighbours x +- step e_i
+    (step = fd_step |x|), and each norm's tensors come from one FD stencil
+    over all samples.
+    """
+    X = _sample_points(norm1, samples, seed)
+    k, n = X.shape
+    step = fd_step * np.sqrt(_sqnorm(X))[:, None, None]
+    E = step * np.eye(n)
+    Y = np.asarray(phi(np.concatenate([X, (X[:, None] + E).reshape(-1, n),
+                                       (X[:, None] - E).reshape(-1, n)])),
+                   dtype=float)
+    up, down = Y[k:].reshape(2, k, n, n)
+    J = np.swapaxes((up - down) / (2 * step), 1, 2)  # J[s][:, i]: d phi / dx_i
+    G1, G2 = _tensor_at(norm1, X), _tensor_at(norm2, Y[:k])
+    resid = np.abs(G1 - np.swapaxes(J, 1, 2) @ G2 @ J)
+    return IsometryCheck(max_metric_residual=float(np.max(resid)))
 
 
 @dataclass(frozen=True)
@@ -493,16 +501,17 @@ class Decomposition:
         return x - Q @ (Q.T @ x)
 
 
+def _d_residual(dec: Decomposition, x, g1, y, g2) -> float:
+    return float(dec.project_out(x) @ g1 @ x) - float(dec.project_out(y) @ g2 @ y)
+
+
 def d_residual_signed(norm1, norm2, phi: Callable, dec: Decomposition,
                       x) -> float:
     """g1_x(x'', x) - g2_{Phi x}((Phi x)'', Phi x) for the decomposition."""
-    x = np.asarray(x, dtype=float)
-    g1 = _tensor_at(norm1, x)
+    x = np.asarray(x, dtype=float)[None]
     y = np.asarray(phi(x), dtype=float)
-    g2 = _tensor_at(norm2, y)
-    lhs = float(dec.project_out(x) @ g1 @ x)
-    rhs = float(dec.project_out(y) @ g2 @ y)
-    return lhs - rhs
+    return _d_residual(dec, x[0], _tensor_at(norm1, x)[0],
+                       y[0], _tensor_at(norm2, y)[0])
 
 
 class DPropertyCheck(NamedTuple):
@@ -511,10 +520,12 @@ class DPropertyCheck(NamedTuple):
 
 def check_d_property(norm1, norm2, phi: Callable, dec: Decomposition,
                      samples: int = 20, seed: int = 0) -> DPropertyCheck:
-    worst = 0.0
-    for x in _sample_points(norm1, samples, seed):
-        worst = max(worst, abs(d_residual_signed(norm1, norm2, phi, dec, x)))
-    return DPropertyCheck(max_residual=worst)
+    """Max over samples of |d_residual_signed|, from one phi call."""
+    X = _sample_points(norm1, samples, seed)
+    Y = np.asarray(phi(X), dtype=float)
+    tensors = zip(X, _tensor_at(norm1, X), Y, _tensor_at(norm2, Y))
+    res = [abs(_d_residual(dec, *args)) for args in tensors]
+    return DPropertyCheck(max_residual=max([0.0] + res))
 
 
 # --- gluing and classification ----------------------------------------------
@@ -536,6 +547,19 @@ class Sector:
             raise ValueError("empty sector interval")
 
 
+def _sector(i: int, s) -> Sector:
+    """s as a Sector; a ValueError naming entry i unless s is a Sector or a
+    JSON object with the fields lo, hi, mode and an optional scale."""
+    if isinstance(s, Sector):
+        return s
+    what = f"sectors entry {i}"
+    if not isinstance(s, dict) or not set(s) <= {"lo", "hi", "mode", "scale"}:
+        raise ValueError(f"{what} must be an object with the fields lo, hi, "
+                         f"mode and an optional scale, got {s!r}")
+    return Sector(*(json_field(s, key, what) for key in ("lo", "hi", "mode")),
+                  scale=s.get("scale", 1.0))
+
+
 @dataclass(frozen=True)
 class GlueResult:
     triple: IsometryTriple
@@ -554,7 +578,7 @@ def glue_construct(f_base: Profile, sectors, band_width: float = DEFAULT_BAND_WI
     sector boundary; the assembled theta and h switch pieces at the band
     centers and stay smooth because both pieces coincide on the whole band.
     """
-    sectors = tuple(s if isinstance(s, Sector) else Sector(**s) for s in sectors)
+    sectors = tuple(_sector(i, s) for i, s in enumerate(sectors))
     if not sectors:
         raise ValueError("need at least one sector")
     d = f_base.d
@@ -684,54 +708,57 @@ def classify_sectors(tr: IsometryTriple, grid: int = 512,
 
 def lift_to_nd(tr: IsometryTriple, m: FoliationModel,
                delta: float = 0.02) -> Callable:
-    """Pointwise map Phi(x) = r sqrt(f(t)/h(theta)) * gamma_x(theta) where
-    gamma_x is the normal geodesic of the foliation through x/|x|."""
+    """Map Phi(x) = r sqrt(f(t)/h(theta)) * gamma_x(theta) where gamma_x is
+    the normal geodesic of the foliation through x/|x|; Phi takes an (m, n)
+    array of points and returns their images."""
     if tr.f.d != m.d:
         raise ValueError("triple and foliation disagree on d")
 
     def phi(x):
         x = np.asarray(x, dtype=float)
         r, t = t_coord(m, x)
+        # angles as a column: a profile evaluates each row of a column with
+        # the bits of its scalar call
+        t = t[:, None]
         th = theta_value(tr.theta, tr.f, t, 0)
-        f0 = tr.f.evaluate(t, 0)
-        h0 = tr.h.evaluate(th, 0)
-        gamma = normal_geodesic(m, x, delta=delta)
-        return r * math.sqrt(f0 / h0) * gamma(th)
+        scale = r[:, None] * np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
+        return scale * normal_geodesic(m, x, delta=delta)(th)
 
     return phi
 
 
-def _fold_theta(tm: ThetaMap, f: Profile, t: float) -> float:
+def _fold_theta(tm: ThetaMap, f: Profile, t: np.ndarray) -> np.ndarray:
     """Equivariant extension of theta from the principal sector to all of R.
 
     theta commutes with the dihedral action, so even-numbered sectors are
     translates of the principal one and odd-numbered sectors are its
-    reflections: theta(2 pi/d - t) = 2 pi/d - theta(t).
+    reflections: theta(2 pi/d - t) = 2 pi/d - theta(t).  (dihedral_fold
+    rounds the sector base differently, which moves the last bits here.)
     """
-    d = f.d
-    period = math.pi / d
-    j = math.floor(t / period)
+    period = math.pi / f.d
+    j = np.floor(t / period)
     tau = t - j * period
-    if tau < 1e-12:
-        return j * period
-    if period - tau < 1e-12:
-        return (j + 1) * period
-    if j % 2 == 0:
-        return j * period + theta_value(tm, f, tau, 0)
-    return (j + 1) * period - theta_value(tm, f, period - tau, 0)
+    odd = j % 2 == 1
+    th = np.where(tau < 1e-12, j * period, (j + 1) * period)
+    inner = (tau >= 1e-12) & (period - tau >= 1e-12)
+    j, odd, tau = j[inner], odd[inner], tau[inner]
+    sub = theta_value(tm, f, np.where(odd, period - tau, tau)[:, None], 0)[:, 0]
+    th[inner] = np.where(odd, (j + 1) * period - sub, j * period + sub)
+    return th
 
 
 def planar_lift_map(tr: IsometryTriple) -> Callable:
     """The planar realization x -> r sqrt(f/h(theta)) (cos theta, sin theta),
-    extended equivariantly to the full circle."""
+    extended equivariantly to the full circle; it maps an (m, 2) array of
+    points to their images."""
 
     def phi(x):
         x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        t = math.atan2(x[1], x[0])
-        th = _fold_theta(tr.theta, tr.f, t)
-        f0 = tr.f.evaluate(t, 0)
+        r = np.sqrt(_sqnorm(x))
+        t = np.array([math.atan2(b, a) for a, b in x.tolist()])
+        th = _fold_theta(tr.theta, tr.f, t)[:, None]
+        f0 = tr.f.evaluate(t[:, None], 0)
         h0 = tr.h.evaluate(th, 0)
-        return r * math.sqrt(f0 / h0) * np.array([math.cos(th), math.sin(th)])
+        return r[:, None] * np.sqrt(f0 / h0) * np.hstack([np.cos(th), np.sin(th)])
 
     return phi

@@ -66,15 +66,17 @@ def fundamental_tensor(nm: PlanarNorm, x) -> np.ndarray:
 
 
 def legendre_map(nm: PlanarNorm, x) -> np.ndarray:
-    """Gradient of E at x: 2f * x + f' * r * e_t."""
+    """Gradient of E at x: 2f * x + f' * r * e_t, at one point or at each
+    row of an (m, 2) array (math.atan2: numpy's can differ in the last bit)."""
     x = np.asarray(x, dtype=float)
-    r = math.hypot(x[0], x[1])
-    if r == 0.0:
+    rows = np.atleast_2d(x)
+    r = np.array([math.hypot(a, b) for a, b in rows.tolist()])
+    if not r.all():
         raise ValueError("gradient map undefined at the origin")
-    t = math.atan2(x[1], x[0])
+    t = np.array([math.atan2(b, a) for a, b in rows.tolist()])[:, None]
     f0, f1 = nm.profile.jet(t, 1)
-    e_t = np.array([-math.sin(t), math.cos(t)])
-    return 2.0 * f0 * x + f1 * r * e_t
+    y = 2.0 * f0 * rows + f1 * r[:, None] * np.hstack([-np.sin(t), np.cos(t)])
+    return y[0] if x.ndim == 1 else y
 
 
 def legendre_num_den(f0, f1, sin, cos):
@@ -169,15 +171,8 @@ def dual_profile(nm: PlanarNorm, grid_size: int = 512,
 
 def _dual_samples(nm: PlanarNorm, ts):
     """Polar theta of legendre_map at the points of S_F at angles ts, and
-    h = 1/(2 rho^2) from the image's length rho.  Each point is taken as
-    legendre_map takes it: math.atan2 and math.hypot (numpy's arctan2 can
-    differ in the last bit) and one dot product per point."""
-    pts = indicatrix_point(nm, ts)
-    r = np.array([math.hypot(x, y) for x, y in pts])
-    t = np.array([math.atan2(y, x) for x, y in pts])
-    f0, f1 = (v[:, 0] for v in nm.profile.jet(t[:, None], 1))
-    img_x = 2.0 * f0 * pts[:, 0] + f1 * r * -np.sin(t)
-    img_y = 2.0 * f0 * pts[:, 1] + f1 * r * np.cos(t)
+    h = 1/(2 rho^2) from the image's length rho."""
+    img_x, img_y = legendre_map(nm, indicatrix_point(nm, ts)).T
     rho = np.hypot(img_x, img_y)
     return _unwrap_to(ts, np.arctan2(img_y, img_x)), 1.0 / (2.0 * rho * rho)
 

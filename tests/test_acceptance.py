@@ -164,7 +164,7 @@ def test_criterion_5_d_property():
     f = Profile(2, (1.0, 0.15, 0.01))
     nm = PlanarNorm(f)
     dual_nm = PlanarNorm(DualProfile(f))
-    phi = lambda x: legendre_map(nm, x)
+    phi = lambda X: legendre_map(nm, X)
     leg_worst = 0.0
     for c in np.linspace(0.0, math.pi, 8):
         res = check_d_property(nm, dual_nm, phi, Decomposition(angle=float(c)),
@@ -173,7 +173,7 @@ def test_criterion_5_d_property():
     assert leg_worst < 1e-6
 
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    rot = check_d_property(nm, nm, lambda x: R @ x, Decomposition(angle=0.0),
+    rot = check_d_property(nm, nm, lambda X: X @ R.T, Decomposition(angle=0.0),
                            samples=12)
     assert rot.max_residual > 1e-3
 
@@ -184,7 +184,7 @@ def test_criterion_5_d_property():
         dec = Decomposition(angle=-k * math.pi / f.d)
         for t in np.linspace(0.1, math.pi / 2 - 0.1, 9):
             x = indicatrix_point(nm, float(t))
-            lhs = d_residual_signed(nm, nm, lambda y: y, dec, x)
+            lhs = d_residual_signed(nm, nm, lambda X: X, dec, x)
             rhs = 2.0 * f.evaluate(float(t), 0) \
                 * ode_residuals(tr, float(t))[k + 1]
             id_err = max(id_err, abs(lhs - rhs))
@@ -276,3 +276,33 @@ def test_criterion_8_glued_lift():
     _pass(8, f"glued triple classifies into {sorted(kinds)} with transition "
              f"length {trans_len:.3f} < 3x band width; lifted map metric "
              f"residual {chk.max_metric_residual:.2e} (tol 1e-4)")
+
+
+# --------------------------------------------------------------------- 9
+
+def test_criterion_9_glued_lift_d_property_any_splitting():
+    # d > 2: the lifted isometry has the (d)-property for *any* orthogonal
+    # splitting R^n = V' + V'', not only the dihedral angles of the plane
+    base = bump_profile(3, humps=[(0.24, 0.4), (0.78, 0.36)])
+    tr = glue_construct(base, [Sector(0.0, 0.52, "scale"),
+                               Sector(0.52, math.pi / 3, "legendre-scale")],
+                        band_width=0.02).triple
+    model = cartan3()
+    nm1, nm2 = InducedNorm(model, tr.f), InducedNorm(model, tr.h)
+    phi = lift_to_nd(tr, model)
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for i in range(12):
+        vprime = np.linalg.qr(rng.standard_normal((5, 1 + i % 4)))[0]
+        res = check_d_property(nm1, nm2, phi, Decomposition(vprime=vprime),
+                               samples=20, seed=i)
+        worst = max(worst, res.max_residual)
+    assert worst < 1e-6
+
+    R = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    rot = check_d_property(nm1, nm2, lambda X: X @ R.T,
+                           Decomposition(vprime=vprime), samples=20)
+    assert rot.max_residual > 1e-2
+    _pass(9, f"glued cartan3 lift (d)-property residual {worst:.2e} over 12 "
+             f"random V' of dimension 1-4 (tol 1e-6); random rotation "
+             f"control {rot.max_residual:.2e} > 1e-2")

@@ -327,6 +327,26 @@ def test_isometry_glue_cli(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("entry", [
+    {"lo": 0.9, "hi": math.pi / 2},
+    {"lo": 0.9, "hi": math.pi / 2, "mode": "scale", "colour": "red"},
+    [0.9, math.pi / 2, "scale"],
+], ids=["missing-mode", "unknown-key", "not-an-object"])
+def test_isometry_glue_bad_sector_is_named(capfd, tmp_path, entry):
+    base_path = tmp_path / "base.json"
+    save_profile(bump_profile(2, humps=[(0.5, 0.4)]), base_path)
+    sectors_path = tmp_path / "sectors.json"
+    sectors_path.write_text(json.dumps(
+        {"sectors": [{"lo": 0.0, "hi": 0.9, "mode": "scale"}, entry]}))
+    code = main(["isometry", "glue", "--profile", str(base_path),
+                 "--sectors", str(sectors_path)])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("isonorm: error: sectors entry 1 ")
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------------ status rules
 
 # residuals whose exit status comes from a rule of their command instead of

@@ -12,7 +12,7 @@ import pytest
 
 from isonorm.fd import gradient_fd, hessian_fd, third_tensor_fd
 from isonorm.foliation import SQ3, parse_model, random_leaf_points, t_coord
-from isonorm.hessian import InducedNorm, energy
+from isonorm.hessian import InducedNorm, energy, fd_fundamental_tensor
 from isonorm.isometry import Sector, bump_profile, glue_construct
 from isonorm.planar import DualProfile
 from isonorm.profile import Profile
@@ -196,6 +196,26 @@ def test_stencils_have_the_bits_of_the_point_lattice(spec, glued_h):
                               point_hessian(point, x, 2e-4)), name
         assert np.array_equal(third_tensor_fd(rows, x, 1e-3),
                               point_third(point, x, 1e-3)), name
+
+
+@pytest.mark.parametrize("spec", MODELS)
+def test_tensors_of_many_points_have_the_bits_of_one_point_calls(spec,
+                                                                  glued_h):
+    m = parse_model(spec)
+    X = _cloud(m, 7)
+    for name, prof in _profiles(m.d, glued_h).items():
+        nm = InducedNorm(m, prof, validate=False)
+        calls = []
+        got = fd_fundamental_tensor(nm, X)
+        # one energy call for all the stencils
+        hessian_fd(lambda P: calls.append(len(P)) or energy(nm, P), X,
+                   np.full(len(X), 1e-4))
+        assert calls == [len(X) * (1 + 2 * m.n * m.n)], name
+        for i, x in enumerate(X):
+            one = fd_fundamental_tensor(nm, x)
+            assert np.array_equal(got.matrix[i], one.matrix), name
+            assert np.array_equal(got.eigenvalues[i], one.eigenvalues), name
+            assert got.positive_definite[i] == one.positive_definite, name
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 5))

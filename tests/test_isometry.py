@@ -10,19 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isonorm import isometry
+from isonorm.foliation import parse_model
+from isonorm.hessian import InducedNorm, fd_fundamental_tensor
 from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                               _cumulative_simpson, _pchip, build_h_from_theta,
                               bump_profile, check_d_property,
                               check_hessian_isometry, classify_sectors,
                               d_residual_signed,
                               glue_construct, identity_map, integrate_branch,
-                              legendre_map_tag, ode_residuals,
+                              legendre_map_tag, lift_to_nd, ode_residuals,
                               planar_lift_map, quadratic_and_roots,
                               theta_from_json_dict, theta_to_json_dict,
                               theta_value, triple_from_json_dict,
                               triple_to_json_dict)
-from isonorm.planar import (DualProfile, PlanarNorm, indicatrix_point,
-                            legendre_map, theta_legendre)
+from isonorm.planar import (DualProfile, PlanarNorm, fundamental_tensor,
+                            indicatrix_point, legendre_map, theta_legendre)
 from isonorm.profile import Profile, round_profile
 
 ELLIPSE = Profile(2, (1.0, 0.2))
@@ -284,7 +286,7 @@ def test_build_h_rejects_nonpositive_anchor():
 
 def test_identity_map_is_isometry():
     nm = PlanarNorm(ELLIPSE)
-    res = check_hessian_isometry(nm, nm, lambda x: x, samples=10)
+    res = check_hessian_isometry(nm, nm, lambda X: X, samples=10)
     assert res.max_metric_residual < 1e-9
 
 
@@ -292,14 +294,14 @@ def test_legendre_map_is_isometry():
     nm = PlanarNorm(ELLIPSE)
     dual_nm = PlanarNorm(DualProfile(ELLIPSE))
     res = check_hessian_isometry(nm, dual_nm,
-                                 lambda x: legendre_map(nm, x), samples=10)
+                                 lambda X: legendre_map(nm, X), samples=10)
     assert res.max_metric_residual < 1e-8
 
 
 def test_rotation_is_not_isometry():
     nm = PlanarNorm(ELLIPSE)
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    res = check_hessian_isometry(nm, nm, lambda x: R @ x, samples=10)
+    res = check_hessian_isometry(nm, nm, lambda X: X @ R.T, samples=10)
     assert res.max_metric_residual > 1e-2
 
 
@@ -308,7 +310,7 @@ def test_rotation_is_not_isometry():
 def test_legendre_has_d_property():
     nm = PlanarNorm(ELLIPSE)
     dual_nm = PlanarNorm(DualProfile(ELLIPSE))
-    phi = lambda x: legendre_map(nm, x)
+    phi = lambda X: legendre_map(nm, X)
     for k in range(ELLIPSE.d):
         dec = Decomposition(angle=-k * math.pi / ELLIPSE.d)
         res = check_d_property(nm, dual_nm, phi, dec, samples=12)
@@ -318,7 +320,7 @@ def test_legendre_has_d_property():
 def test_rotation_fails_d_property():
     nm = PlanarNorm(ELLIPSE)
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    res = check_d_property(nm, nm, lambda x: R @ x,
+    res = check_d_property(nm, nm, lambda X: X @ R.T,
                            Decomposition(angle=0.0), samples=12)
     assert res.max_residual > 1e-3
 
@@ -329,7 +331,7 @@ def test_signed_residual_equals_ode_residual():
     f = Profile(2, (1.0, 0.15, 0.01))
     tr = _identity_triple(f)
     nm = PlanarNorm(f)
-    phi = lambda x: x
+    phi = lambda X: X
     for k in range(f.d):
         dec = Decomposition(angle=-k * math.pi / f.d)
         for t in (0.3, 0.8, 1.2):
@@ -437,14 +439,95 @@ def test_planar_lift_of_legendre_triple_is_gradient_map():
     nm = PlanarNorm(ELLIPSE)
     phi = planar_lift_map(tr)
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        x = 1.3 * indicatrix_point(nm, ang)
-        assert np.allclose(phi(x), legendre_map(nm, x), atol=1e-9)
+    X = 1.3 * indicatrix_point(nm, rng.uniform(0.0, 2.0 * math.pi, 20))
+    assert np.allclose(phi(X), legendre_map(nm, X), atol=1e-9)
 
 
 def test_planar_lift_identity_triple():
     tr = _identity_triple(ELLIPSE)
     phi = planar_lift_map(tr)
-    x = np.array([0.4, 0.7])
-    assert np.allclose(phi(x), x, atol=1e-12)
+    X = np.array([[0.4, 0.7]])
+    assert np.allclose(phi(X), X, atol=1e-12)
+
+
+# ---------------------------------------------------------- maps on rows
+
+LIFT_MODELS = ("d1:3", "d2:4:2", "cartan3")
+LIFT_BASE = {1: Profile(1, (0.55, 0.04, 0.01)), 2: Profile(2, (1.0, 0.15, 0.01)),
+             3: WOBBLE3}
+# glue bases (humps) and break angles, round around each break
+LIFT_GLUE = {1: ([(1.0, 0.8)], 2.0), 2: ([(0.5, 0.4)], 0.9),
+             3: ([(0.24, 0.4), (0.78, 0.36)], 0.52)}
+
+
+@pytest.fixture(scope="module")
+def lift_triples():
+    out = {}
+    for d, f in LIFT_BASE.items():
+        t0 = math.pi / (2 * d)
+        humps, brk = LIFT_GLUE[d]
+        out[d] = {"identity": _identity_triple(f), "legendre": _legendre_triple(f),
+                  "glued": glue_construct(bump_profile(d, humps), [
+                      Sector(0.0, brk, "scale"),
+                      Sector(brk, math.pi / d, "legendre-scale")]).triple}
+        for kind in ("linear", "scaled-legendre"):
+            tm = ThetaMap(kind=kind, params=(1.3, 0.8))
+            out[d][kind] = IsometryTriple(
+                f=f, h=build_h_from_theta(f, tm, t0, f.evaluate(t0, 0)),
+                theta=tm)
+    return out
+
+
+@pytest.mark.parametrize("spec", LIFT_MODELS)
+def test_lifts_map_rows_with_the_bits_of_one_row_calls(spec, lift_triples):
+    m = parse_model(spec)
+    angles = np.linspace(-7.0, 7.0, 57)
+    P = np.stack([np.cos(angles), np.sin(angles)], axis=-1) * 1.1
+    for name, tr in lift_triples[m.d].items():
+        phi = lift_to_nd(tr, m)
+        X = isometry._sample_points(InducedNorm(m, tr.f), 8, seed=4)
+        Y = phi(X)
+        assert Y.shape == X.shape
+        assert np.array_equal(Y, [phi(x[None])[0] for x in X]), name
+        phi2 = planar_lift_map(tr)
+        assert np.array_equal(phi2(P), [phi2(p[None])[0] for p in P]), name
+
+
+def _per_sample_check(norm1, norm2, phi, samples, seed, fd_step=1e-5):
+    """check_hessian_isometry one sample at a time, as it was before it
+    took rows: 1 + 2n one-row phi calls and two one-point tensors each."""
+    def tensor(norm, x):
+        if isinstance(norm, PlanarNorm):
+            return fundamental_tensor(norm, x)
+        return fd_fundamental_tensor(norm, x).matrix
+
+    one = lambda x: phi(x[None])[0]
+    worst = 0.0
+    for x in isometry._sample_points(norm1, samples, seed):
+        step = fd_step * float(np.linalg.norm(x))
+        J = np.empty((len(x), len(x)))
+        for i in range(len(x)):
+            e = np.zeros(len(x))
+            e[i] = step
+            J[:, i] = (one(x + e) - one(x - e)) / (2 * step)
+        g2 = tensor(norm2, one(x))
+        worst = max(worst, float(np.max(np.abs(tensor(norm1, x) - J.T @ g2 @ J))))
+    return worst
+
+
+@pytest.mark.parametrize("spec", LIFT_MODELS)
+def test_check_hessian_isometry_has_the_bits_of_the_per_sample_loop(
+        spec, lift_triples):
+    m = parse_model(spec)
+    for name, tr in lift_triples[m.d].items():
+        # on cartan3 the linear-map targets are not norms; the bits still count
+        nm1, nm2 = InducedNorm(m, tr.f), InducedNorm(m, tr.h, validate=False)
+        phi = lift_to_nd(tr, m)
+        got = check_hessian_isometry(nm1, nm2, phi, samples=4, seed=9)
+        assert got.max_metric_residual == _per_sample_check(nm1, nm2, phi, 4, 9), name
+    nm = PlanarNorm(ELLIPSE)
+    R = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for norm2, phi in ((PlanarNorm(DualProfile(ELLIPSE)), lambda X: legendre_map(nm, X)),
+                       (nm, lambda X: X @ R.T)):
+        got = check_hessian_isometry(nm, norm2, phi, samples=6, seed=1)
+        assert got.max_metric_residual == _per_sample_check(nm, norm2, phi, 6, 1)

@@ -1,0 +1,29 @@
+"""Smoke tests of scripts/: each runs in-process, as from the command line."""
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_isometry_gallery_separates_isometries_from_broken_rows(
+        capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["isometry_gallery.py"])
+    runpy.run_path(str(SCRIPTS / "isometry_gallery.py"), run_name="__main__")
+    rows = []
+    for line in capsys.readouterr().out.splitlines():
+        try:
+            ode_max, lift_res, d_res = (float(v) for v in line.split()[-3:])
+        except ValueError:
+            continue  # titles, headers and the glued demo's lines
+        rows.append((line.split()[0], lift_res))
+    # identity and Legendre rows for d = 1, 2, 3, linear and scaled-Legendre
+    # rows for d = 1, 2, and one broken control row per d
+    assert len(rows) == 13
+    assert sum(kind == "BROKEN" for kind, _ in rows) == 3
+    for kind, lift_res in rows:
+        if kind == "BROKEN":
+            assert lift_res > 1e-3
+        else:
+            assert lift_res < 1e-4, kind
