@@ -264,38 +264,35 @@ def indicatrix_laplacian_t(nm: InducedNorm, t: float, spectrum=None) -> float:
 def _chart_point(u0: np.ndarray, V: np.ndarray, z: np.ndarray):
     """u(z) = cos|z| u0 + sin|z| V^T z / |z| and its partials du/dz_a."""
     zeta = float(np.linalg.norm(z))
-    n = len(u0)
-    na = V.shape[0]
     if zeta < 1e-14:
         return u0.copy(), V.T.copy()
     vz = V.T @ z
     u = math.cos(zeta) * u0 + (math.sin(zeta) / zeta) * vz
-    du = np.empty((n, na))
     coeff = (math.cos(zeta) / zeta - math.sin(zeta) / zeta ** 2)
-    for a in range(na):
-        du[:, a] = (-math.sin(zeta) * (z[a] / zeta) * u0
-                    + coeff * (z[a] / zeta) * vz
-                    + (math.sin(zeta) / zeta) * V[a])
+    za = z / zeta
+    du = (np.outer(u0, -math.sin(zeta) * za) + np.outer(vz, coeff * za)
+          + (math.sin(zeta) / zeta) * V.T)
     return u, du
 
 
 def _indicatrix_chart_data(nm: InducedNorm, u0: np.ndarray, V: np.ndarray,
-                           z: np.ndarray, tensor_step: float):
-    """(metric, dt-components, sqrt(det)) of the induced chart metric at z."""
-    m = nm.foliation
-    u, du = _chart_point(u0, V, z)
-    t = t_coord(m, u).t
-    f0, f1 = nm.profile.jet(t, 1)
-    w = unit_w(m, u)
-    dt = du.T @ w                      # chart components of grad t
-    rho = 1.0 / math.sqrt(2.0 * f0)
-    drho = -f1 * rho / (2.0 * f0) * dt
-    X = rho * u
-    J = rho * du + np.outer(u, drho)
+                           Z: np.ndarray, tensor_step: float):
+    """(metric, dt-components, sqrt(det)) of the induced chart metric at the
+    k rows of the chart offsets Z, stacked; one t_coord, jet, unit_w and
+    hessian_fd call serve all rows, and each keeps its one-point bits."""
+    u, du = (np.array(a) for a in zip(*(_chart_point(u0, V, z) for z in Z)))
+    t = t_coord(nm.foliation, u).t
+    f0, f1 = (f[:, 0] for f in nm.profile.jet(t[:, None], 1))
+    w = unit_w(nm.foliation, u)
+    dt = (np.swapaxes(du, 1, 2) @ w[..., None])[..., 0]  # chart components of grad t
+    rho = 1.0 / np.sqrt(2.0 * f0)
+    drho = (-f1 * rho / (2.0 * f0))[:, None] * dt
+    X = rho[:, None] * u
+    J = rho[:, None, None] * du + u[:, :, None] * drho[:, None, :]
     G = hessian_fd(lambda p: energy(nm, p), X, step=tensor_step * rho)
-    G = 0.5 * (G + G.T)
-    ghat = J.T @ G @ J
-    return ghat, dt, math.sqrt(float(np.linalg.det(ghat)))
+    G = 0.5 * (G + np.swapaxes(G, 1, 2))
+    ghat = np.swapaxes(J, 1, 2) @ G @ J
+    return ghat, dt, np.sqrt(np.linalg.det(ghat))
 
 
 def fd_indicatrix_grad_t_norm(nm: InducedNorm, u0,
@@ -304,8 +301,9 @@ def fd_indicatrix_grad_t_norm(nm: InducedNorm, u0,
     u0 = np.asarray(u0, dtype=float)
     u0 = u0 / np.linalg.norm(u0)
     V = _sphere_tangent_basis(u0)
-    ghat, dt, _ = _indicatrix_chart_data(nm, u0, V, np.zeros(len(V)), tensor_step)
-    return float(dt @ np.linalg.solve(ghat, dt))
+    ghat, dt, _ = _indicatrix_chart_data(nm, u0, V, np.zeros((1, len(V))),
+                                         tensor_step)
+    return float(dt[0] @ np.linalg.solve(ghat[0], dt[0]))
 
 
 def fd_indicatrix_laplacian_t(nm: InducedNorm, u0,
@@ -317,22 +315,23 @@ def fd_indicatrix_laplacian_t(nm: InducedNorm, u0,
     a fourth-order stencil: the chart (and hence the truncation error of a
     low-order difference) depends on the base point, which would otherwise
     show up as spurious position dependence of an isoparametric invariant.
+    The base point and the 4(n-1) stencil points are evaluated in one pass.
     """
     u0 = np.asarray(u0, dtype=float)
     u0 = u0 / np.linalg.norm(u0)
     V = _sphere_tangent_basis(u0)
     na = len(V)
-    _, _, sdet0 = _indicatrix_chart_data(nm, u0, V, np.zeros(na), tensor_step)
+    axis = np.repeat(np.arange(na), 4)  # axis a outer, the stencil inner
+    coef = np.tile([-1.0, 8.0, -8.0, 1.0], na)
+    Z = np.zeros((1 + 4 * na, na))
+    Z[1 + np.arange(4 * na), axis] = np.tile([2.0, 1.0, -1.0, -2.0], na) * outer_step
+    ghat, dt, sdet = _indicatrix_chart_data(nm, u0, V, Z, tensor_step)
 
     total = 0.0
-    for a in range(na):
-        for coef, mult in ((-1.0, 2.0), (8.0, 1.0), (-8.0, -1.0), (1.0, -2.0)):
-            z = np.zeros(na)
-            z[a] = mult * outer_step
-            ghat, dt, sdet = _indicatrix_chart_data(nm, u0, V, z, tensor_step)
-            flux = sdet * np.linalg.solve(ghat, dt)
-            total += coef * flux[a] / (12.0 * outer_step)
-    return float(total / sdet0)
+    for i, a in enumerate(axis, 1):
+        flux = sdet[i] * np.linalg.solve(ghat[i], dt[i])
+        total += coef[i - 1] * flux[a] / (12.0 * outer_step)
+    return float(total / sdet[0])
 
 
 class FlatCandidateReport(NamedTuple):

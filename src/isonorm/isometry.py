@@ -549,15 +549,20 @@ class Sector:
 
 def _sector(i: int, s) -> Sector:
     """s as a Sector; a ValueError naming entry i unless s is a Sector or a
-    JSON object with the fields lo, hi, mode and an optional scale."""
+    JSON object with the number fields lo, hi, optional scale and a mode."""
     if isinstance(s, Sector):
         return s
     what = f"sectors entry {i}"
     if not isinstance(s, dict) or not set(s) <= {"lo", "hi", "mode", "scale"}:
         raise ValueError(f"{what} must be an object with the fields lo, hi, "
                          f"mode and an optional scale, got {s!r}")
-    return Sector(*(json_field(s, key, what) for key in ("lo", "hi", "mode")),
-                  scale=s.get("scale", 1.0))
+    fields = {key: json_field(s, key, what) for key in ("lo", "hi", "mode")}
+    fields["scale"] = s.get("scale", 1.0)
+    for key, v in fields.items():
+        want = str if key == "mode" else (int, float)
+        if isinstance(v, bool) or not isinstance(v, want):
+            raise ValueError(f"{what} field {key!r} has the wrong type: {v!r}")
+    return Sector(**fields)
 
 
 @dataclass(frozen=True)
@@ -578,6 +583,8 @@ def glue_construct(f_base: Profile, sectors, band_width: float = DEFAULT_BAND_WI
     sector boundary; the assembled theta and h switch pieces at the band
     centers and stay smooth because both pieces coincide on the whole band.
     """
+    if not isinstance(sectors, (list, tuple)):
+        raise ValueError(f"sectors must be a list, got {sectors!r}")
     sectors = tuple(_sector(i, s) for i, s in enumerate(sectors))
     if not sectors:
         raise ValueError("need at least one sector")

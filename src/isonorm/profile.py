@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,8 +86,14 @@ class Profile:
 
     def to_json_dict(self) -> dict:
         if self.kind == "sampled" and self.sample_grid is not None:
-            return {"d": self.d, "kind": "sampled",
-                    "grid": list(self.sample_grid), "values": list(self.sample_values)}
+            out = {"d": self.d, "kind": "sampled",
+                   "grid": list(self.sample_grid), "values": list(self.sample_values)}
+            # the loader refits the samples: store an error that the refit misses
+            refit = fit_cosine_series(self.d, self.sample_grid, self.sample_values,
+                                      len(self.cos_coeffs))[1]
+            if self.fit_residual > refit:
+                out["fit_residual"] = self.fit_residual
+            return out
         return {"d": self.d, "kind": "cosine", "cos_coeffs": list(self.cos_coeffs)}
 
 
@@ -336,7 +342,9 @@ def profile_from_json_dict(data: dict):
     if kind == "cosine":
         return Profile(int(field("d")), tuple(field("cos_coeffs")))
     if kind == "sampled":
-        return sampled_profile(int(field("d")), field("grid"), field("values"))
+        p = sampled_profile(int(field("d")), field("grid"), field("values"))
+        stored = float(data.get("fit_residual", 0.0))
+        return replace(p, fit_residual=max(p.fit_residual, stored))
     if kind == "sector":
         pieces = tuple(profile_from_json_dict(p) for p in field("pieces"))
         return SectorProfile(int(field("d")), tuple(field("breaks")), pieces)

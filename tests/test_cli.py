@@ -327,23 +327,34 @@ def test_isometry_glue_cli(capsys, tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("entry", [
-    {"lo": 0.9, "hi": math.pi / 2},
-    {"lo": 0.9, "hi": math.pi / 2, "mode": "scale", "colour": "red"},
-    [0.9, math.pi / 2, "scale"],
-], ids=["missing-mode", "unknown-key", "not-an-object"])
-def test_isometry_glue_bad_sector_is_named(capfd, tmp_path, entry):
+GOOD_SECTOR = {"lo": 0.0, "hi": 0.9, "mode": "scale"}
+
+
+@pytest.mark.parametrize("sectors,named", [
+    ([GOOD_SECTOR, {"lo": 0.9, "hi": math.pi / 2}], "sectors entry 1 "),
+    ([GOOD_SECTOR, {"lo": 0.9, "hi": math.pi / 2, "mode": "scale",
+                    "colour": "red"}], "sectors entry 1 "),
+    ([GOOD_SECTOR, [0.9, math.pi / 2, "scale"]], "sectors entry 1 "),
+    ([GOOD_SECTOR, {"lo": "a", "hi": math.pi / 2, "mode": "scale"}],
+     "sectors entry 1 field 'lo' "),
+    ([{"lo": 0.0, "hi": 0.9, "mode": "scale", "scale": "x"}, GOOD_SECTOR],
+     "sectors entry 0 field 'scale' "),
+    ([GOOD_SECTOR, {"lo": 0.9, "hi": math.pi / 2, "mode": True}],
+     "sectors entry 1 field 'mode' "),
+    (3, "sectors must be a list,"),
+], ids=["missing-mode", "unknown-key", "not-an-object", "lo-not-a-number",
+        "scale-not-a-number", "mode-not-a-string", "sectors-not-a-list"])
+def test_isometry_glue_bad_sector_is_named(capfd, tmp_path, sectors, named):
     base_path = tmp_path / "base.json"
     save_profile(bump_profile(2, humps=[(0.5, 0.4)]), base_path)
     sectors_path = tmp_path / "sectors.json"
-    sectors_path.write_text(json.dumps(
-        {"sectors": [{"lo": 0.0, "hi": 0.9, "mode": "scale"}, entry]}))
+    sectors_path.write_text(json.dumps({"sectors": sectors}))
     code = main(["isometry", "glue", "--profile", str(base_path),
                  "--sectors", str(sectors_path)])
     out, err = capfd.readouterr()
     assert code == 1
     assert out == ""
-    assert err.startswith("isonorm: error: sectors entry 1 ")
+    assert err.startswith("isonorm: error: " + named)
     assert err.count("\n") == 1
 
 

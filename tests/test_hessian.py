@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from isonorm.fd import gradient_fd
-from isonorm.foliation import cartan3, d1, d2, random_leaf_points, shape_spectrum
+from isonorm import hessian
+from isonorm.fd import gradient_fd, hessian_fd
+from isonorm.foliation import (_sphere_tangent_basis, cartan3, d1, d2,
+                               random_leaf_points, shape_spectrum, t_coord,
+                               unit_w)
 from isonorm.hessian import (InducedNorm, cartan_flat_candidate,
                              closed_frame_matrix, energy, fd_fundamental_tensor,
                              fd_indicatrix_grad_t_norm,
@@ -14,6 +17,7 @@ from isonorm.hessian import (InducedNorm, cartan_flat_candidate,
                              frame_components, grad_energy,
                              indicatrix_grad_t_norm, indicatrix_laplacian_t,
                              riemann_fd, value)
+from isonorm.planar import DualProfile
 from isonorm.profile import Profile, round_profile
 
 ELLIPSE_D2 = Profile(2, (1.0, 0.2))
@@ -175,6 +179,100 @@ def test_fd_laplacian_xi_independent():
     us = random_leaf_points(nm.foliation, t, 2, seed=7)
     vals = [fd_indicatrix_laplacian_t(nm, u) for u in us]
     assert abs(vals[0] - vals[1]) < 1e-5
+
+
+def _one_point_chart_point(u0, V, z):
+    zeta = float(np.linalg.norm(z))
+    if zeta < 1e-14:
+        return u0.copy(), V.T.copy()
+    vz = V.T @ z
+    u = math.cos(zeta) * u0 + (math.sin(zeta) / zeta) * vz
+    du = np.empty((len(u0), len(V)))
+    coeff = (math.cos(zeta) / zeta - math.sin(zeta) / zeta ** 2)
+    for a in range(len(V)):
+        du[:, a] = (-math.sin(zeta) * (z[a] / zeta) * u0
+                    + coeff * (z[a] / zeta) * vz
+                    + (math.sin(zeta) / zeta) * V[a])
+    return u, du
+
+
+def _one_point_chart_data(nm, u0, V, z, tensor_step):
+    """Reference for the stacked chart data: one offset z, one point per
+    call of t_coord, jet, unit_w and hessian_fd."""
+    m = nm.foliation
+    u, du = _one_point_chart_point(u0, V, z)
+    t = t_coord(m, u).t
+    f0, f1 = nm.profile.jet(t, 1)
+    w = unit_w(m, u)
+    dt = du.T @ w
+    rho = 1.0 / math.sqrt(2.0 * f0)
+    drho = -f1 * rho / (2.0 * f0) * dt
+    X = rho * u
+    J = rho * du + np.outer(u, drho)
+    G = hessian_fd(lambda p: energy(nm, p), X, step=tensor_step * rho)
+    G = 0.5 * (G + G.T)
+    ghat = J.T @ G @ J
+    return ghat, dt, math.sqrt(float(np.linalg.det(ghat)))
+
+
+def _one_point_operators(nm, u0, outer_step=1e-2, tensor_step=3e-4,
+                         grad_step=hessian.CURVATURE_TENSOR_STEP):
+    u0 = np.asarray(u0, dtype=float)
+    u0 = u0 / np.linalg.norm(u0)
+    V = _sphere_tangent_basis(u0)
+    na = len(V)
+    ghat, dt, _ = _one_point_chart_data(nm, u0, V, np.zeros(na), grad_step)
+    grad = float(dt @ np.linalg.solve(ghat, dt))
+    _, _, sdet0 = _one_point_chart_data(nm, u0, V, np.zeros(na), tensor_step)
+    total = 0.0
+    for a in range(na):
+        for coef, mult in ((-1.0, 2.0), (8.0, 1.0), (-8.0, -1.0), (1.0, -2.0)):
+            z = np.zeros(na)
+            z[a] = mult * outer_step
+            ghat, dt, sdet = _one_point_chart_data(nm, u0, V, z, tensor_step)
+            flux = sdet * np.linalg.solve(ghat, dt)
+            total += coef * flux[a] / (12.0 * outer_step)
+    return grad, float(total / sdet0)
+
+
+@pytest.mark.parametrize("model,profile", [
+    (d1(3), RANDERS),
+    (d2(4, 2), ELLIPSE_D2),
+    (d2(8, 3), Profile(2, (1.0, 0.3))),
+    (cartan3(), Profile(3, (0.5, 0.02))),
+    (d2(4, 2), DualProfile(Profile(2, (1.0, 0.3)))),
+], ids=["d1:3", "d2:4:2", "d2:8:3", "cartan3", "d2:4:2-dual"])
+def test_fd_indicatrix_chart_keeps_one_point_bits(model, profile):
+    # the chart points are evaluated in one pass; every value must be the
+    # one the per-point loop gives, to the last bit
+    nm = _norm(model, profile)
+    hi = math.pi / model.d - 0.3
+    for i, t in enumerate(np.linspace(0.3, hi, 3)):
+        for u in random_leaf_points(model, float(t), 2, seed=20 + i):
+            grad, lap = _one_point_operators(nm, u)
+            assert fd_indicatrix_grad_t_norm(nm, u) == grad
+            assert fd_indicatrix_laplacian_t(nm, u) == lap
+    grad, lap = _one_point_operators(nm, u, outer_step=2.5e-2,
+                                     tensor_step=1e-3, grad_step=5e-4)
+    assert fd_indicatrix_grad_t_norm(nm, u, tensor_step=5e-4) == grad
+    assert fd_indicatrix_laplacian_t(nm, u, outer_step=2.5e-2,
+                                     tensor_step=1e-3) == lap
+
+
+def test_fd_indicatrix_laplacian_makes_one_energy_call(monkeypatch):
+    nm = _norm(d2(8, 3), Profile(2, (1.0, 0.3)))
+    u = random_leaf_points(nm.foliation, 0.5, 1, seed=3)[0]
+    calls = []
+    one_call = hessian.energy
+
+    def counted(nm, x):
+        calls.append(len(x))
+        return one_call(nm, x)
+
+    monkeypatch.setattr(hessian, "energy", counted)
+    fd_indicatrix_laplacian_t(nm, u)
+    # 1 + 4(n - 1) chart points, each a 1 + 2n^2 point Hessian stencil
+    assert calls == [29 * (1 + 2 * 8 * 8)]
 
 
 # ------------------------------------------------------------- flat gate

@@ -1,5 +1,6 @@
 """Planar norms: values, tensors, Legendre duality, dual profiles."""
 
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,8 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             theta_scaled, value)
 from isonorm.isometry import IsometryTriple, legendre_map_tag, ode_residuals
 from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
-                             is_minkowski, profile_from_json_dict)
+                             is_minkowski, profile_from_json_dict,
+                             sampled_profile)
 
 ELLIPSE = PlanarNorm(Profile(2, (1.0, 0.2)))
 ROUND = PlanarNorm(Profile(1, (0.5,)))
@@ -175,6 +177,20 @@ def test_dual_profile_residual_covers_the_gaps(b):
     err = np.max(np.abs(fitted.evaluate(ts) - DualProfile(p).evaluate(ts)))
     assert err > 0.1
     assert fitted.fit_residual > 0.5 * err
+
+
+def test_dual_profile_residual_survives_json():
+    # the loader refits the samples, which alone give ~1e-14; the stored
+    # error between them must come back
+    fitted = dual_profile(PlanarNorm(Profile(2, (1.0, 0.95))))
+    q = profile_from_json_dict(json.loads(json.dumps(fitted.to_json_dict())))
+    assert fitted.fit_residual > 0.1
+    assert q.fit_residual == fitted.fit_residual
+    assert q.cos_coeffs == fitted.cos_coeffs
+    # a plain fit of its samples keeps the field out: its refit says as much
+    plain = sampled_profile(2, fitted.sample_grid, fitted.sample_values)
+    assert "fit_residual" not in plain.to_json_dict()
+    assert profile_from_json_dict(plain.to_json_dict()) == plain
 
 
 def test_dual_profile_residual_stays_small_when_resolved():

@@ -1,5 +1,6 @@
 """Smoke tests of scripts/: each runs in-process, as from the command line."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -27,3 +28,24 @@ def test_isometry_gallery_separates_isometries_from_broken_rows(
             assert lift_res > 1e-3
         else:
             assert lift_res < 1e-4, kind
+
+
+def test_curvature_sweep_tells_quadratic_energies_from_curved_ones(
+        capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["curvature_sweep.py"])
+    runpy.run_path(str(SCRIPTS / "curvature_sweep.py"), run_name="__main__")
+    rows = []
+    for line in capsys.readouterr().out.splitlines():
+        m = re.match(r"(.{38}) +\S+ +\S+  (flat \(FD noise\)|curved)", line)
+        if m:  # the sweep tables' rows; the gate table has no verdict
+            label = m.group(1).strip()
+            param = re.search(r"[+=] (\d\.\d{3})", label)
+            rows.append((label, float(param.group(1)) if param else 0.0,
+                         m.group(2).split()[0]))
+    # five steps of the two d1:3, the two d2:4:2 and the cartan3 families
+    assert len(rows) == 25
+    for label, param, verdict in rows:
+        quadratic = label.startswith(("ellipse", "clifford ellipse")) \
+            or param == 0.0
+        assert verdict == ("flat" if quadratic else "curved"), label
+    assert sum(v == "curved" for _, _, v in rows) == 4 + 4 + 4
