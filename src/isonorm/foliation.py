@@ -141,6 +141,24 @@ def _grad_poly(m: FoliationModel, u) -> np.ndarray:
     ])
 
 
+def _hess_poly(m: FoliationModel, u) -> np.ndarray:
+    """Hess p at each row of a (k, n) array, shape (k, n, n): zero for
+    d = 1, constant for d = 2 and linear in u for the Cartan cubic."""
+    if m.d < 3:
+        diag = np.where(np.arange(m.n) < m.k, 2.0, -2.0) if m.d == 2 else 0.0
+        return np.broadcast_to(np.eye(m.n) * diag, u.shape + u.shape[-1:])
+    a, b, x, y, z = 3.0 * u.T
+    s, o = SQ3, 0.0 * a
+    # symmetric, so .T only moves the row axis first
+    return np.array([
+        [2.0 * a, -2.0 * b, x, y, -2.0 * z],
+        [-2.0 * b, -2.0 * a, s * x, -s * y, o],
+        [x, s * x, a + s * b, s * z, s * y],
+        [y, -s * y, s * z, a - s * b, s * x],
+        [-2.0 * z, o, s * y, s * x, -2.0 * a],
+    ]).T
+
+
 class RT(NamedTuple):
     r: float
     t: float
@@ -248,90 +266,58 @@ class ShapeEigen(NamedTuple):
     basis: np.ndarray      # orthonormal eigenvectors, shape (mult, n)
 
 
-def _sphere_tangent_basis(u: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the tangent space u^perp."""
-    n = len(u)
-    basis = []
+def _sphere_tangent_basis(*vs: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal basis of the complement of the orthonormal
+    vectors vs: the tangent space u^perp for (u,), the leaf's for (u, w)."""
+    n = len(vs[0])
+    basis = list(vs)
     for i in range(n):
         v = np.zeros(n)
         v[i] = 1.0
-        v = v - np.dot(v, u) * u
         for b in basis:
             v = v - np.dot(v, b) * b
         norm = np.linalg.norm(v)
         if norm > 1e-8:
             basis.append(v / norm)
-        if len(basis) == n - 1:
+        if len(basis) == n:
             break
-    return np.array(basis)
+    return np.array(basis[len(vs):])
 
 
-def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD,
-                   step: float = 1e-4, cluster_tol: float = 1e-3):
-    """Shape-operator spectrum of the leaf through x (unit), by central FD.
+def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray):
+    """S = -P (Hess p - d p I) P / (d sin dt), P = I - u u^T - w w^T, at each
+    row of the unit (k, n) array u: the leaf's shape operator (the spherical
+    Hessian of t on the leaf), with eigenvalues cot(t + k pi/d) there."""
+    eye = np.eye(m.n)
+    P = eye - u[:, :, None] * u[:, None, :] - w[:, :, None] * w[:, None, :]
+    H = _hess_poly(m, u) - (m.d * _poly(m, u))[:, None, None] * eye
+    return -(P @ H @ P) / (m.d * np.sin(m.d * t))[:, None, None]
 
-    The operator is the spherical Hessian of the leaf parameter t restricted
-    to the leaf tangent space (t is the arc-length isoparametric function,
-    so its Hessian in leaf directions is the second fundamental form w.r.t.
-    the unit normal w).  Eigenvalues are clustered against cot(t + k pi/d).
-    """
+
+def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
+    """Shape-operator spectrum of the leaf through x: S (_shape_operator) on
+    a leaf basis.  Its eigenvalues cot(t + k pi/d) decrease in k, so sorted
+    they fall to the k of multiplicities(m) in turn; RuntimeError if one is
+    not its cot(t + k pi/d)."""
     x = np.asarray(x, dtype=float)
     u = x / np.linalg.norm(x)
     r, t = t_coord(m, u)
     if not (delta < t < math.pi / m.d - delta):
         raise FocalProximityError(f"t={t:.4f} inside the focal guard band")
     w = unit_w(m, u)
-
-    # leaf tangent directions: orthogonal to both u and w
-    tang = _sphere_tangent_basis(u)
-    leaf = []
-    for v in tang:
-        v = v - np.dot(v, w) * w
-        for b in leaf:
-            v = v - np.dot(v, b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            leaf.append(v / norm)
-    leaf = np.array(leaf)
-    if len(leaf) != m.n - 2:
-        raise RuntimeError("failed to build a leaf tangent basis")
-
-    # second differences of t along great circles through u (they stay on
-    # the sphere), in the leaf directions and their normalised sums and
-    # differences, from one t_coord call
-    nl = len(leaf)
-    i, j = np.triu_indices(nl, 1)
-    dirs = np.concatenate([leaf, (leaf[i] + leaf[j]) / math.sqrt(2.0),
-                           (leaf[i] - leaf[j]) / math.sqrt(2.0)])
-    ends = t_coord(m, np.concatenate([math.cos(h) * u + math.sin(h) * dirs
-                                      for h in (step, -step)])).t
-    q = (ends[:len(dirs)] - 2.0 * t + ends[len(dirs):]) / step ** 2
-    hess = np.empty((nl, nl))
-    hess[np.diag_indices(nl)] = q[:nl]
-    hess[i, j] = hess[j, i] = 0.5 * (q[nl:nl + len(i)] - q[nl + len(i):])
-
-    evals, evecs = np.linalg.eigh(hess)
-    targets = {k: 1.0 / math.tan(t + k * math.pi / m.d) for k, _ in multiplicities(m)}
-    buckets: dict[int, list[int]] = {k: [] for k in targets}
-    for idx, lam in enumerate(evals):
-        k_best = min(targets, key=lambda k: abs(lam - targets[k]))
-        if abs(lam - targets[k_best]) > cluster_tol:
-            raise RuntimeError(
-                f"eigenvalue {lam:.6f} does not cluster near any cot(t + k pi/d) "
-                f"(closest target {targets[k_best]:.6f})")
-        buckets[k_best].append(idx)
-
-    expected = dict(multiplicities(m))
-    out = []
-    for k in sorted(buckets):
-        idxs = buckets[k]
-        if len(idxs) != expected[k]:
-            raise RuntimeError(
-                f"eigenvalue cluster k={k} has multiplicity {len(idxs)}, "
-                f"expected {expected[k]}")
-        vecs = np.array([evecs[:, i] for i in idxs]) @ leaf
-        out.append(ShapeEigen(k=k, kappa=float(np.mean([evals[i] for i in idxs])),
-                              multiplicity=len(idxs), basis=vecs))
+    leaf = _sphere_tangent_basis(u, w)
+    S = _shape_operator(m, u[None], np.array([t]), w[None])[0]
+    evals, evecs = np.linalg.eigh(leaf @ S @ leaf.T)
+    out, i = [], len(evals)  # eigh sorts ascending: walk from the top
+    for k, mk in multiplicities(m):
+        kappa = evals[i - mk:i]
+        target = 1.0 / math.tan(t + k * math.pi / m.d)
+        if not np.allclose(kappa, target):
+            raise RuntimeError(f"shape eigenvalues {kappa} for k={k} are not "
+                               f"cot(t + k pi/d) = {target:.6f}")
+        out.append(ShapeEigen(k=k, kappa=float(np.mean(kappa)), multiplicity=mk,
+                              basis=evecs[:, i - mk:i].T @ leaf))
+        i -= mk
     return out
 
 

@@ -1,23 +1,18 @@
 """Norms on R^n induced by an isoparametric foliation: F = r*sqrt(2 f(t)).
 
-The Hessian metric g = Hess(E), E = F^2/2, is evaluated by finite
-differences in ambient coordinates; the closed forms live in the adapted
-frame (radial, t-direction, shape eigenvectors) and every closed-form claim
-here is cross-checked against the FD side by projection.  `energy` maps an
-(m, n) array of points to their m values, so each FD stencil evaluates its
-whole lattice in one call (see fd.py), with the bits of one-point calls.
+The Hessian metric g = Hess(E), E = F^2/2, is evaluated in closed form
+(`closed_fundamental_tensor`) wherever g itself is needed; the FD functions
+difference E instead and stay the independent oracle of the closed forms.
+`energy` maps an (m, n) array of points to their m values, so each FD
+stencil evaluates its whole lattice in one call (see fd.py).
 
-Curvature note: for a Hessian metric the Riemann tensor depends only on the
-second and third derivatives of the potential — the fourth-derivative terms
-cancel identically under the antisymmetrization — so the curvature is
-assembled from third-order stencils of E:
+Curvature note: for a Hessian metric the Riemann tensor depends only on g
+and T = dg, the third derivatives of the potential (Shima, The Geometry of
+Hessian Structures, 2007):
 
     R^l_{kij} = (1/4) g^{la} (T_{jab} g^{bm} T_{mik} - T_{iab} g^{bm} T_{mjk}),
 
-with T = FD third-derivative tensor of E.  Differencing the FD metric a
-second time instead (the naive recipe) amplifies the inner truncation error
-by orders of magnitude and drowns genuinely flat cases; measured noise
-floors for the assembled form sit far below the 1e-3 flatness threshold.
+with T one central difference of the exact g, and g^{-1} T_i formed first.
 """
 
 from __future__ import annotations
@@ -28,15 +23,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fd import hessian_fd, third_tensor_fd
+from .fd import hessian_fd
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
-                        _sqnorm, _sphere_tangent_basis, multiplicities,
-                        t_coord, unit_w)
+                        _shape_operator, _sphere_tangent_basis, _sqnorm,
+                        _unit_w, multiplicities, t_coord, unit_w)
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
 CURVATURE_TENSOR_STEP = 2e-4
-CURVATURE_THIRD_STEP = 1e-3
 FLATNESS_THRESHOLD = 1e-3
 
 
@@ -97,9 +91,8 @@ class TensorResult(NamedTuple):
     positive_definite: bool
 
 
-def fd_fundamental_tensor(nm: InducedNorm, x,
-                          step_scale: float = TENSOR_STEP_SCALE) -> TensorResult:
-    """Hessian of E at x by central differences, step = step_scale * |x|.
+def fd_fundamental_tensor(nm: InducedNorm, x) -> TensorResult:
+    """Hessian of E at x by central differences, step = TENSOR_STEP_SCALE * |x|.
 
     x is one point, or a (k, n) array of points whose k stencils take one
     energy call (positive_definite is then an array of k flags).  Works on
@@ -110,12 +103,30 @@ def fd_fundamental_tensor(nm: InducedNorm, x,
     r = np.sqrt(_sqnorm(x))
     if not r.all():
         raise ValueError("fundamental tensor undefined at the origin")
-    G = hessian_fd(lambda p: energy(nm, p), x, step=step_scale * r)
+    G = hessian_fd(lambda p: energy(nm, p), x, step=TENSOR_STEP_SCALE * r)
     G = 0.5 * (G + np.swapaxes(G, -1, -2))
     evals = np.linalg.eigvalsh(G)
     pd = evals[..., 0] > 0.0
     return TensorResult(matrix=G, eigenvalues=evals,
                         positive_definite=bool(pd) if x.ndim == 1 else pd)
+
+
+def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
+    """Hessian of E at x in closed form, from jet(t, 2) alone:
+    G = 2f I + f' (u w^T + w u^T + S) + f'' w w^T, with u = x/|x|, w = unit_w
+    and S the leaf's shape operator.  x is one point or a (k, n) array of
+    rows, each with the bits of its one-row call; FocalProximityError on a
+    focal cone, where w degenerates."""
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    r, t = t_coord(nm.foliation, rows)
+    u = rows / r[:, None]
+    w = _unit_w(nm.foliation, u, t)
+    f0, f1, f2 = (f[:, :, None] for f in nm.profile.jet(t[:, None], 2))
+    uw = u[:, :, None] * w[:, None, :]
+    G = (2.0 * f0 * np.eye(nm.foliation.n) + f2 * (w[:, :, None] * w[:, None, :])
+         + f1 * (uw + np.swapaxes(uw, 1, 2) + _shape_operator(nm.foliation, u, t, w)))
+    return G if x.ndim == 2 else G[0]
 
 
 class FrameComponents(NamedTuple):
@@ -165,11 +176,8 @@ def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
     M[0, 0] = comps.g_rr
     M[0, 1] = M[1, 0] = comps.g_rt / r
     M[1, 1] = comps.g_tt / (r * r)
-    idx = 2
-    for entry, factor in zip(spectrum, comps.tangential_factors):
-        for _ in range(entry.multiplicity):
-            M[idx, idx] = factor
-            idx += 1
+    M[2:, 2:] = np.diag(np.repeat(comps.tangential_factors,
+                                  [entry.multiplicity for entry in spectrum]))
     return M
 
 
@@ -181,27 +189,27 @@ class CurvatureResult(NamedTuple):
 
 def riemann_fd(nm: InducedNorm, x, delta: float = DEFAULT_FOCAL_GUARD,
                flat_threshold: float = FLATNESS_THRESHOLD) -> CurvatureResult:
-    """Max |R^l_kij| of the Hessian metric at x/|x|, from FD stencils of E."""
+    """Max |R^l_kij| of the Hessian metric at x/|x|: G in closed form, and
+    T_i = d_i G as a central difference of it over x +- h e_i, with
+    h = TENSOR_STEP_SCALE, from one closed_fundamental_tensor call."""
     x = np.asarray(x, dtype=float)
     x = x / np.linalg.norm(x)
     r, t = t_coord(nm.foliation, x)
     if not (delta < t < math.pi / nm.foliation.d - delta):
         raise FocalProximityError(f"t={t:.4f} inside the focal guard band")
 
-    fun = lambda p: energy(nm, p)
-    G = hessian_fd(fun, x, step=CURVATURE_TENSOR_STEP)
-    G = 0.5 * (G + G.T)
-    T = third_tensor_fd(fun, x, step=CURVATURE_THIRD_STEP)
+    n, h = len(x), TENSOR_STEP_SCALE
+    E = h * np.eye(n)
+    Gs = closed_fundamental_tensor(nm, np.concatenate([x[None], x + E, x - E]))
+    G, T = Gs[0], (Gs[1:n + 1] - Gs[n + 1:]) / (2.0 * h)
     Gi = np.linalg.inv(G)
+    C = Gi @ T
+    A = C[:, None] @ C[None]  # A[i, j] = g^-1 T_i g^-1 T_j, R = (A^T - A)/4
+    max_abs = 0.25 * float(np.max(np.abs(np.swapaxes(A, 0, 1) - A)))
 
-    A = np.einsum("la,iab,bm,mjk->lkij", Gi, T, Gi, T)
-    R = 0.25 * (np.transpose(A, (0, 1, 3, 2)) - A)
-    max_abs = float(np.max(np.abs(R)))
-
-    # roundoff floor: third-difference stencils see ~eps*E/h^3 of noise, and
-    # R is quadratic in T, so the floor is linear in |T| plus a square term
-    eps_t = 8.0 * np.finfo(float).eps * max(1.0, abs(energy(nm, x))) \
-        / CURVATURE_THIRD_STEP ** 3
+    # roundoff floor: a difference of G sees ~eps*|G|/h of noise, and R is
+    # quadratic in T, so the floor is linear in |T| plus a square term
+    eps_t = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(G)))) / h
     t_max = float(np.max(np.abs(T)))
     gi_norm = float(np.linalg.norm(Gi, 2))
     floor = 0.5 * gi_norm ** 2 * (2.0 * t_max * eps_t + eps_t ** 2)

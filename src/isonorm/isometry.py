@@ -424,11 +424,11 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
 
 
 def _tensor_at(norm, x) -> np.ndarray:
-    """The fundamental tensor at each row of x, shape (m, n, n)."""
+    """The closed-form fundamental tensor at each row of x, shape (m, n, n)."""
     if isinstance(norm, PlanarNorm):
         return np.array([fundamental_tensor(norm, p) for p in x])
-    from .hessian import fd_fundamental_tensor
-    return fd_fundamental_tensor(norm, x).matrix
+    from .hessian import closed_fundamental_tensor
+    return closed_fundamental_tensor(norm, x)
 
 
 def _sample_points(norm, samples: int, seed: int) -> np.ndarray:
@@ -465,8 +465,8 @@ def check_hessian_isometry(norm1, norm2, phi: Callable,
 
     phi maps an (m, n) array of points to their (m, n) images.  It is called
     once, on the samples x and their Jacobian neighbours x +- step e_i
-    (step = fd_step |x|), and each norm's tensors come from one FD stencil
-    over all samples.
+    (step = fd_step |x|), and each norm's tensors are closed forms (one
+    call for all samples of an induced norm).
     """
     X = _sample_points(norm1, samples, seed)
     k, n = X.shape
@@ -562,7 +562,10 @@ def _sector(i: int, s) -> Sector:
         want = str if key == "mode" else (int, float)
         if isinstance(v, bool) or not isinstance(v, want):
             raise ValueError(f"{what} field {key!r} has the wrong type: {v!r}")
-    return Sector(**fields)
+    try:
+        return Sector(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{what} is invalid: {exc}") from None
 
 
 @dataclass(frozen=True)

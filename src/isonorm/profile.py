@@ -23,7 +23,6 @@ import numpy as np
 
 ALLOWED_D = (1, 2, 3, 4, 6)
 FIT_MAX_TERMS = 32
-FIT_RESIDUAL_FLAG = 1e-8
 VALIDITY_MARGIN = 1e-9
 MAX_DERIV_ORDER = 3
 
@@ -80,9 +79,11 @@ class Profile:
         return tuple(out)
 
     def scaled(self, factor: float) -> "Profile":
-        """The profile factor*f (coefficient-wise, exact)."""
-        return Profile(self.d, tuple(factor * c for c in self.cos_coeffs),
-                       kind=self.kind, fit_residual=abs(factor) * self.fit_residual)
+        """The profile factor*f (coefficient-wise, exact; samples scaled too)."""
+        values = self.sample_values and tuple(factor * v for v in self.sample_values)
+        return replace(self, cos_coeffs=tuple(factor * c for c in self.cos_coeffs),
+                       fit_residual=abs(factor) * self.fit_residual,
+                       sample_values=values)
 
     def to_json_dict(self) -> dict:
         if self.kind == "sampled" and self.sample_grid is not None:

@@ -342,8 +342,11 @@ GOOD_SECTOR = {"lo": 0.0, "hi": 0.9, "mode": "scale"}
     ([GOOD_SECTOR, {"lo": 0.9, "hi": math.pi / 2, "mode": True}],
      "sectors entry 1 field 'mode' "),
     (3, "sectors must be a list,"),
+    ([GOOD_SECTOR, {"lo": 0.9, "hi": math.pi / 2, "mode": "foo"}],
+     "sectors entry 1 is invalid: unknown sector mode 'foo'"),
 ], ids=["missing-mode", "unknown-key", "not-an-object", "lo-not-a-number",
-        "scale-not-a-number", "mode-not-a-string", "sectors-not-a-list"])
+        "scale-not-a-number", "mode-not-a-string", "sectors-not-a-list",
+        "unknown-mode"])
 def test_isometry_glue_bad_sector_is_named(capfd, tmp_path, sectors, named):
     base_path = tmp_path / "base.json"
     save_profile(bump_profile(2, humps=[(0.5, 0.4)]), base_path)

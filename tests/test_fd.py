@@ -1,7 +1,8 @@
 """FD stencils evaluated in one call, and the array energy they call.
 
 The references here evaluate one point at a time, as the stencils and the
-energy did before they took arrays; every comparison is bit for bit.
+energy did before they took arrays; every comparison is bit for bit.  The
+FD fundamental tensor is also the oracle of the closed-form one.
 """
 
 import math
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from isonorm.fd import gradient_fd, hessian_fd, third_tensor_fd
-from isonorm.foliation import SQ3, parse_model, random_leaf_points, t_coord
-from isonorm.hessian import InducedNorm, energy, fd_fundamental_tensor
+from isonorm.foliation import (SQ3, FocalProximityError, parse_model,
+                               random_leaf_points, t_coord)
+from isonorm.hessian import (InducedNorm, closed_fundamental_tensor, energy,
+                             fd_fundamental_tensor)
 from isonorm.isometry import Sector, bump_profile, glue_construct
 from isonorm.planar import DualProfile
 from isonorm.profile import Profile
@@ -250,6 +253,43 @@ def test_each_stencil_calls_fun_once(stencil, points):
         stencil(fun, np.linspace(0.1, 0.9, n))
         # one call, with each lattice point once
         assert calls == [(points(n), points(n), n)]
+
+
+@pytest.mark.parametrize("spec", MODELS)
+def test_closed_tensor_matches_the_fd_oracle(spec, glued_h):
+    m = parse_model(spec)
+    X = _cloud(m, 7)
+    for name, prof in _profiles(m.d, glued_h).items():
+        nm = InducedNorm(m, prof, validate=False)
+        G = closed_fundamental_tensor(nm, X)
+        F = fd_fundamental_tensor(nm, X).matrix
+        assert np.max(np.abs(G - F)) <= 1e-6, name
+
+
+@pytest.mark.parametrize("spec", MODELS)
+def test_closed_tensor_rows_have_the_bits_of_one_row_calls(spec, glued_h):
+    m = parse_model(spec)
+    X = _cloud(m, 9)
+    for name, prof in _profiles(m.d, glued_h).items():
+        nm = InducedNorm(m, prof, validate=False)
+        got = closed_fundamental_tensor(nm, X)
+        assert got.shape == (len(X), m.n, m.n), name
+        for i, x in enumerate(X):
+            one_row = closed_fundamental_tensor(nm, X[i:i + 1])[0]
+            assert np.array_equal(got[i], one_row), name
+            assert np.array_equal(got[i], closed_fundamental_tensor(nm, x)), name
+
+
+def test_closed_tensor_on_a_focal_cone_raises():
+    for spec in MODELS:
+        m = parse_model(spec)
+        nm = InducedNorm(m, Profile(m.d, COEFFS[m.d]))
+        focal = np.zeros(m.n)
+        focal[0] = 2.0  # p = 1 there, so t = 0
+        with pytest.raises(FocalProximityError):
+            closed_fundamental_tensor(nm, focal)
+        with pytest.raises(FocalProximityError):
+            closed_fundamental_tensor(nm, np.stack([_cloud(m, 1)[0], focal]))
 
 
 def test_sector_jet_on_an_array_has_the_bits_of_scalar_calls(glued_h):

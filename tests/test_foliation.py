@@ -120,7 +120,7 @@ def test_shape_spectrum_eigenvalues():
         assert sum(e.multiplicity for e in spec) == m.n - 2
         for e in spec:
             kappa = 1.0 / math.tan(t + e.k * math.pi / m.d)
-            assert e.kappa == pytest.approx(kappa, abs=1e-5)
+            assert e.kappa == pytest.approx(kappa, abs=1e-12)
 
 
 def test_shape_spectrum_basis_tangent():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isonorm import hessian
-from isonorm.fd import gradient_fd, hessian_fd
+from isonorm.fd import gradient_fd, hessian_fd, third_tensor_fd
 from isonorm.foliation import (_sphere_tangent_basis, cartan3, d1, d2,
                                random_leaf_points, shape_spectrum, t_coord,
                                unit_w)
@@ -127,6 +127,51 @@ def test_riemann_nonflat_randers():
     assert not res.flat
     assert res.max_abs_component > 1e-2
     assert res.max_abs_component > 10 * res.noise_floor
+
+
+def _former_riemann(nm, x):
+    """Max |R| by riemann_fd's former recipe: G and T from FD stencils of E
+    (steps 2e-4 and 1e-3), contracted in one unstaged einsum."""
+    x = x / np.linalg.norm(x)
+    fun = lambda p: energy(nm, p)
+    G = hessian_fd(fun, x, step=2e-4)
+    Gi = np.linalg.inv(0.5 * (G + G.T))
+    T = third_tensor_fd(fun, x, step=1e-3)
+    A = np.einsum("la,iab,bm,mjk->lkij", Gi, T, Gi, T)
+    return float(np.max(np.abs(0.25 * (np.transpose(A, (0, 1, 3, 2)) - A))))
+
+
+WAVY_D2 = Profile(2, (1.0, 0.2, 0.03))
+
+
+@pytest.mark.parametrize("model,profile", [
+    (d1(3), RANDERS),
+    (d1(3), Profile(1, (0.5, 0.03, 0.01))),
+    (d2(4, 2), WAVY_D2),
+    (d2(8, 3), WAVY_D2),
+    (d2(4, 2), DualProfile(WAVY_D2)),
+    (cartan3(), Profile(3, (0.5, 0.02))),
+])
+def test_riemann_matches_the_former_fd_recipe(model, profile):
+    nm = _norm(model, profile)
+    for i, t in enumerate((0.3, 0.6 * math.pi / model.d)):
+        x = random_leaf_points(model, t, 1, seed=30 + i)[0]
+        former = _former_riemann(nm, x)
+        assert former > 1e-5  # curved, far above the flat cases
+        assert riemann_fd(nm, x).max_abs_component == pytest.approx(former,
+                                                                     rel=1e-4)
+
+
+@pytest.mark.parametrize("model,profile", [
+    (d1(3), round_profile(1)), (d2(8, 3), round_profile(2)),
+    (cartan3(), round_profile(3)), (d1(3), ELLIPSE_D1),
+    (d2(4, 2), ELLIPSE_D2), (d2(8, 3), Profile(2, (1.0, -0.3))),
+])
+def test_riemann_of_flat_norms_is_rounding(model, profile):
+    nm = _norm(model, profile)
+    for i, t in enumerate((0.3, 0.6 * math.pi / model.d)):
+        x = random_leaf_points(model, t, 1, seed=30 + i)[0]
+        assert riemann_fd(nm, x).max_abs_component < 1e-18
 
 
 # ------------------------------------------------- indicatrix t operators

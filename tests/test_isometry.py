@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isonorm import isometry
-from isonorm.foliation import parse_model
-from isonorm.hessian import InducedNorm, fd_fundamental_tensor
+from isonorm import hessian, isometry
+from isonorm.foliation import parse_model, random_leaf_points, shape_spectrum
+from isonorm.hessian import (InducedNorm, closed_fundamental_tensor,
+                             fd_fundamental_tensor, riemann_fd)
 from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                               _cumulative_simpson, _pchip, build_h_from_theta,
                               bump_profile, check_d_property,
@@ -495,11 +496,12 @@ def test_lifts_map_rows_with_the_bits_of_one_row_calls(spec, lift_triples):
 
 def _per_sample_check(norm1, norm2, phi, samples, seed, fd_step=1e-5):
     """check_hessian_isometry one sample at a time, as it was before it
-    took rows: 1 + 2n one-row phi calls and two one-point tensors each."""
+    took rows: 1 + 2n one-row phi calls and two one-point closed-form
+    tensors each."""
     def tensor(norm, x):
         if isinstance(norm, PlanarNorm):
             return fundamental_tensor(norm, x)
-        return fd_fundamental_tensor(norm, x).matrix
+        return closed_fundamental_tensor(norm, x)
 
     one = lambda x: phi(x[None])[0]
     worst = 0.0
@@ -531,3 +533,28 @@ def test_check_hessian_isometry_has_the_bits_of_the_per_sample_loop(
                        (nm, lambda X: X @ R.T)):
         got = check_hessian_isometry(nm, norm2, phi, samples=6, seed=1)
         assert got.max_metric_residual == _per_sample_check(nm, norm2, phi, 6, 1)
+
+
+@pytest.mark.parametrize("spec", LIFT_MODELS)
+def test_induced_norm_paths_make_no_energy_call(spec, lift_triples,
+                                                 monkeypatch):
+    # G comes from the closed form; only the FD oracle differences E
+    m = parse_model(spec)
+    calls = []
+    energy = hessian.energy
+    monkeypatch.setattr(hessian, "energy",
+                        lambda nm, x: calls.append(len(x)) or energy(nm, x))
+    tr = lift_triples[m.d]["legendre"]
+    nm1, nm2 = InducedNorm(m, tr.f), InducedNorm(m, tr.h)
+    phi = lift_to_nd(tr, m)
+    u = random_leaf_points(m, 0.4, 1, seed=5)[0]
+    dec = Decomposition(vprime=np.eye(m.n)[:, :2])
+    check_hessian_isometry(nm1, nm2, phi, samples=3)
+    check_d_property(nm1, nm2, phi, dec, samples=3)
+    d_residual_signed(nm1, nm2, phi, dec, 1.2 * u)
+    riemann_fd(nm1, u)
+    riemann_fd(nm2, u)
+    shape_spectrum(m, u)
+    assert calls == []
+    fd_fundamental_tensor(nm1, u)
+    assert calls == [1 + 2 * m.n * m.n]

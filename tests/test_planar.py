@@ -193,6 +193,16 @@ def test_dual_profile_residual_survives_json():
     assert profile_from_json_dict(plain.to_json_dict()) == plain
 
 
+def test_scaled_fitted_dual_keeps_its_residual_through_json():
+    # scaling keeps the samples, scaled with it, so the stored error and the
+    # kind survive the reload
+    s = dual_profile(PlanarNorm(Profile(2, (1.0, 0.95)))).scaled(2.0)
+    assert s.sample_values is not None and s.fit_residual > 0.2
+    q = profile_from_json_dict(json.loads(json.dumps(s.to_json_dict())))
+    assert q.kind == "sampled"
+    assert q.fit_residual == s.fit_residual
+
+
 def test_dual_profile_residual_stays_small_when_resolved():
     assert dual_profile(ELLIPSE).fit_residual < 1e-14
 
