@@ -36,6 +36,31 @@ print("gap =", gap)
 for av, bv in [(1, 0.2), (1, 0.5), (1, 0.99), (1, 1.1)]:
     print(f"  (a,b)=({av},{bv}) -> {4*(av**2-bv**2):.6f}")
 
+banner("exhibit f = 1 - 0.01 cos 2t + 4.837e-4 cos 64t: gap at t = pi/2, exact")
+# a dip narrower than a 1024-point grid's spacing; f' = 0 at pi/2, so there
+# gap = 2 f (f'' + 2 f), in exact rationals
+tx = sp.symbols("t")
+f_ex = 1 - sp.Rational(1, 100) * sp.cos(2 * tx) + sp.Rational(4837, 10**7) * sp.cos(64 * tx)
+f0x, f1x, f2x = (f_ex.diff(tx, k).subs(tx, sp.pi / 2) for k in range(3))
+gap_ex = 2 * f0x * (f2x + 2 * f0x)
+print("f =", f0x, " f' =", f1x, " f'' =", f2x)
+print("gap(pi/2) =", gap_ex, "=", float(gap_ex))
+
+banner("exact dual h(theta(t)) = s f / (4 f^2 + f'^2): its gap is s^2 / gap_f")
+# theta' = gap_f / (N^2 + D^2) with N^2 + D^2 = 4 f^2 + f'^2; d/dt acts on the
+# jet symbols by f_k -> f_(k+1)
+sj, *fj = sp.symbols("s f0 f1 f2 f3")
+ddt = lambda e: sum(e.diff(fj[k]) * fj[k + 1] for k in range(3))
+G = 4 * fj[0] ** 2 + fj[1] ** 2
+gap_f = 2 * fj[0] * fj[2] - fj[1] ** 2 + 4 * fj[0] ** 2
+h0 = sj * fj[0] / G
+h1 = ddt(h0) * G / gap_f
+h2 = ddt(h1) * G / gap_f
+gap_h = 2 * h0 * h2 - h1 ** 2 + 4 * h0 ** 2
+print("(h o theta)' + s f' gap_f / G^2 =", sp.simplify(ddt(h0) + sj * fj[1] * gap_f / G ** 2))
+print("gap_h * gap_f - s^2 =", sp.simplify(gap_h * gap_f - sj ** 2))
+print("ellipse base 1 + b cos 2t: min_gap = s^2/(4(1 - b^2)), min h = s/(4(1 + |b|))")
+
 banner("scaled Legendre angle of the round norm, (a,b)=(1,2), t=pi/4")
 # map is x -> (a*x1, 2f*b*x2) with f=1/2 -> (x1, 2 x2); angle = atan2(2 sin, cos)
 print("theta =", np.arctan2(2 * np.sin(np.pi / 4), np.cos(np.pi / 4)), "= arctan 2 =", np.arctan(2.0))

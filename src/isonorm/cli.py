@@ -40,6 +40,7 @@ from .profile import Profile, is_minkowski, json_field, load_profile
 
 EXIT_BY_STATUS = {"ok": 0, "marginal": 2, "failed": 1}
 USAGE_EXIT = 64
+STATUS_BY_VALIDITY = {"valid": "ok", "marginal": "marginal", "invalid": "failed"}
 
 # Per-residual thresholds (within -> ok, within 'marginal' bound -> marginal,
 # beyond -> failed).  Keyed by residual name as it appears in the report, so
@@ -99,7 +100,7 @@ def _interior_grid(d: int, count: int, guard: float = 1e-3) -> np.ndarray:
 
 def cmd_validate(args):
     p = load_profile(args.profile)
-    rep = is_minkowski(p, grid_size=args.grid)
+    rep = is_minkowski(p)
     results = {
         "d": int(p.d),
         "valid": bool(rep.valid),
@@ -110,12 +111,9 @@ def cmd_validate(args):
     }
     if args.degrees:
         results["argmin_degrees"] = math.degrees(rep.argmin)
-    status = {"valid": "ok", "marginal": "marginal", "invalid": "failed"}
-    return _report("validate",
-                   {"profile": args.profile, "grid": args.grid},
-                   results,
+    return _report("validate", {"profile": args.profile}, results,
                    {"min_f": rep.min_f, "min_gap": rep.min_gap},
-                   status[rep.status])
+                   STATUS_BY_VALIDITY[rep.status])
 
 
 # -------------------------------------------------------------------- dual
@@ -129,11 +127,8 @@ def cmd_dual(args):
     dual_dict = Profile(dp.d, dp.cos_coeffs, kind="cosine",
                         fit_residual=dp.fit_residual).to_json_dict()
     residuals = {"fit_residual": dp.fit_residual}
-    if rep.status == "invalid":
-        status = "failed"
-    elif rep.status == "marginal":
-        status = "marginal"
-    else:
+    status = STATUS_BY_VALIDITY[rep.status]
+    if status == "ok":  # a valid dual still needs an accurate fit
         status = _status_from(residuals)
     results = {
         "dual": dual_dict,
@@ -473,7 +468,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("validate", help="Minkowski validity of a profile")
     _add(sp, "--profile", required=True)
-    _add(sp, "--grid", type=int, default=1024)
     _add(sp, "--degrees", action="store_true")
     sp.set_defaults(func=cmd_validate)
 

@@ -32,7 +32,7 @@ from .planar import (DualProfile, PlanarNorm, _unwrap_to, fundamental_tensor,
                      legendre_num_den, legendre_ode_rhs, theta_legendre,
                      theta_scaled, theta_scaled_deriv)
 from .profile import (Profile, SectorProfile, gap_from_jet, json_field,
-                      profile_from_json_dict, sampled_profile)
+                      profile_from_json_dict, require_minkowski, sampled_profile)
 
 THETA_KINDS = ("identity", "linear", "legendre", "scaled-legendre",
                "sampled", "piecewise")
@@ -571,8 +571,6 @@ def _sector(i: int, s) -> Sector:
 @dataclass(frozen=True)
 class GlueResult:
     triple: IsometryTriple
-    norm1: PlanarNorm
-    norm2: PlanarNorm
     max_band_residual: float
     scale: float
 
@@ -610,10 +608,13 @@ def glue_construct(f_base: Profile, sectors, band_width: float = DEFAULT_BAND_WI
             raise ValueError(
                 f"profile is not round (f = 1/2) on the band around t={b:.4f}")
 
-    # exact dual evaluator: a fitted dual's spectral tail would be amplified
-    # by freq^2 in the h'' of the residual system and swamp the band check
-    needs_dual = any(s.mode == "legendre-scale" for s in sectors)
-    dual = DualProfile(f_base) if needs_dual else None
+    # exact dual evaluator (a fitted dual's spectral tail, amplified by freq^2
+    # in the h'' of the residual system, would swamp the band check); it checks
+    # f_base, and every piece of h is a positive multiple of f_base or of it
+    if any(s.mode == "legendre-scale" for s in sectors):
+        dual = DualProfile(f_base, 1.0 / lam ** 2)
+    else:
+        require_minkowski(f_base, "profile is not a Minkowski norm profile")
     piece_profiles = []
     piece_maps = []
     for s in sectors:
@@ -621,7 +622,7 @@ def glue_construct(f_base: Profile, sectors, band_width: float = DEFAULT_BAND_WI
             piece_profiles.append(f_base.scaled(1.0 / lam ** 2))
             piece_maps.append((s.lo, s.hi, identity_map()))
         else:
-            piece_profiles.append(dual.scaled(1.0 / lam ** 2))
+            piece_profiles.append(dual)
             piece_maps.append((s.lo, s.hi, legendre_map_tag()))
 
     if len(sectors) == 1:
@@ -641,9 +642,7 @@ def glue_construct(f_base: Profile, sectors, band_width: float = DEFAULT_BAND_WI
     for b in breaks:
         for t in np.linspace(b - band_width / 2, b + band_width / 2, 33):
             band_res = max(band_res, float(np.max(np.abs(ode_residuals(triple, t)))))
-    return GlueResult(triple=triple, norm1=PlanarNorm(f_base),
-                      norm2=PlanarNorm(h_prof), max_band_residual=band_res,
-                      scale=lam)
+    return GlueResult(triple=triple, max_band_residual=band_res, scale=lam)
 
 
 def bump_profile(d: int, humps, amplitude: float = 5e-4,

@@ -229,6 +229,12 @@ class DualProfile:
     def fit_residual(self) -> float:
         return 0.0
 
+    def stationary_angles(self) -> np.ndarray:
+        """theta_legendre of the base's angles, as (h o theta)' =
+        -s f' gap_f / (4f^2 + f'^2)^2 and gap_h(theta(t)) = s^2 / gap_f(t)."""
+        return theta_legendre(PlanarNorm(self.base, validate=False),
+                              self.base.stationary_angles())
+
     def _jet(self, t, k: int):
         # One point per row: matmul then sums each point's series with its
         # own dot product, so the values carry the bits of scalar

@@ -10,21 +10,25 @@ Numerically produced profiles (phi-constructions, fitted duals, solved
 targets) are fit to the same cosine basis.  All three profile kinds
 (`Profile`, `SectorProfile` and planar's exact `DualProfile`) answer
 `jet(t, k)`: (f, f', ..., f^(k)) at t from one evaluation, of which
-`evaluate(t, order)` is one entry, bit for bit.
+`evaluate(t, order)` is one entry, bit for bit.  `is_minkowski` is exact:
+it reads f and the gap from `jet` at the piece ends and at each kind's
+`stationary_angles()`, the only other places their minima can lie.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 ALLOWED_D = (1, 2, 3, 4, 6)
 FIT_MAX_TERMS = 32
 VALIDITY_MARGIN = 1e-9
 MAX_DERIV_ORDER = 3
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,19 @@ class Profile:
             out.append(float(s) if s.ndim == 0 else s)
         return tuple(out)
 
+    def stationary_angles(self) -> np.ndarray:
+        """Angles in [0, pi/d] where f, f' or f''' + 4 f' may vanish: in
+        q = cos(d t), f is the Chebyshev series phi(q) with coefficients c_j,
+        f' = -d sin(d t) phi'(q), and f''' + 4 f' is the f' of the series with
+        coefficients c_j ((j d)^2 - 4); t = arccos(q)/d over the real parts,
+        clipped to [-1, 1], of the roots of phi, phi' and that derivative."""
+        c = np.asarray(self.cos_coeffs)
+        phi = Chebyshev(c)
+        # trailing c_j below eps * max|c| overflow the companion matrix
+        q = [s.trim(EPS * np.max(np.abs(s.coef))).roots().real for s in
+             (phi, phi.deriv(), Chebyshev(c * (self._freq ** 2 - 4.0)).deriv())]
+        return np.arccos(np.clip(np.concatenate(q), -1.0, 1.0)) / self.d
+
     def scaled(self, factor: float) -> "Profile":
         """The profile factor*f (coefficient-wise, exact; samples scaled too)."""
         values = self.sample_values and tuple(factor * v for v in self.sample_values)
@@ -125,24 +142,6 @@ def convexity_gap(p, t):
     return gap_from_jet(*p.jet(t, 2))
 
 
-def _golden_refine(fun, a: float, b: float, iters: int = 48) -> tuple[float, float]:
-    """Deterministic golden-section minimization of fun on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     valid: bool
@@ -152,31 +151,29 @@ class ValidityReport:
     argmin: float  # location of the gap minimum
 
 
-def is_minkowski(p: Profile, grid_size: int = 1024) -> ValidityReport:
-    """Check f > 0 and gap > 0 on [0, pi/d] (grid plus golden refinement).
+def _candidates(p, lo: float, hi: float) -> np.ndarray:
+    """Rows (t, f, gap) from each smooth piece's own jet at its ends and
+    stationary angles in [lo, hi]; sectors split at their breaks."""
+    if isinstance(p, SectorProfile):
+        ends = (0.0, *p.breaks, math.pi / p.d)
+        return np.hstack([_candidates(piece, max(a, lo), min(b, hi))
+                          for piece, a, b in zip(p.pieces, ends, ends[1:])
+                          if max(a, lo) < min(b, hi)])
+    t = np.unique(np.clip(np.append(p.stationary_angles(), (lo, hi)), lo, hi))
+    f0, f1, f2 = p.jet(t, 2)
+    return np.array([t, f0, gap_from_jet(f0, f1, f2)])
 
-    "valid" needs both minima above 1e-9; a sign flip below -1e-9 is
-    "invalid"; anything pinched in between is reported as "marginal" rather
-    than guessed.
+
+def is_minkowski(p) -> ValidityReport:
+    """Check f > 0 and gap > 0 on [0, pi/d], exactly: on a smooth piece both
+    reach their minima at a piece end or where f' or gap' = 2 f (f''' + 4 f')
+    vanishes, and there the values come from `jet`.  "valid" needs both
+    minima above 1e-9; a sign flip below -1e-9 is "invalid"; anything
+    pinched in between is reported as "marginal" rather than guessed.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be >= 64")
-    ts = np.linspace(0.0, math.pi / p.d, grid_size)
-    jet = p.jet(ts, 2)
-    fs, gaps = jet[0], gap_from_jet(*jet)
-    h = ts[1] - ts[0]
-
-    def refine(values, fun):
-        i = int(np.argmin(values))
-        lo = max(ts[0], ts[i] - h)
-        hi = min(ts[-1], ts[i] + h)
-        arg, val = _golden_refine(fun, lo, hi)
-        if values[i] < val:
-            arg, val = ts[i], values[i]
-        return arg, float(val)
-
-    _, min_f = refine(fs, lambda t: p.evaluate(t, 0))
-    arg_gap, min_gap = refine(gaps, lambda t: convexity_gap(p, t))
+    ts, fs, gaps = _candidates(p, 0.0, math.pi / p.d)
+    i = int(np.argmin(gaps))
+    min_f, min_gap, arg_gap = float(np.min(fs)), float(gaps[i]), ts[i]
 
     if min_f > VALIDITY_MARGIN and min_gap > VALIDITY_MARGIN:
         status = "valid"
@@ -314,6 +311,10 @@ class SectorProfile:
         out *= sign ** np.arange(k + 1)[:, None]
         return tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
                      for v in out)
+
+    def stationary_angles(self) -> np.ndarray:
+        """The breaks and every piece's angles (for an exact dual's base)."""
+        return np.hstack([self.breaks, *(p.stationary_angles() for p in self.pieces)])
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "kind": "sector", "breaks": list(self.breaks),

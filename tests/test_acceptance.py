@@ -44,9 +44,9 @@ def test_criterion_1_validity_closed_form():
     for b in (0.2, 0.5, 0.99, 1.1):
         rep = is_minkowski(Profile(2, (1.0, b)))
         worst = max(worst, abs(rep.min_gap - 4.0 * (1.0 - b * b)))
-        assert worst < 1e-8
+        assert worst < 1e-12
         assert rep.valid is (1.0 > abs(b))
-    _pass(1, f"min_gap matches 4(a^2-b^2) to {worst:.2e} (tol 1e-8); "
+    _pass(1, f"min_gap matches 4(a^2-b^2) to {worst:.2e} (tol 1e-12); "
              f"validity flips at a=|b|")
 
 

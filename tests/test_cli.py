@@ -29,6 +29,8 @@ def profiles(tmp_path):
         "bad": Profile(2, (1.0, 1.1)),
         "pinched": Profile(1, (0.75, 1.0, 0.25)),  # (1 + cos t)^2 / 2
         "wobble3": Profile(3, (0.5, 0.02)),
+        # a gap dip at t = pi/2 narrower than a 1024-point grid's spacing
+        "exhibit": Profile(1, (1.0, 0.0, -0.01) + (0.0,) * 61 + (4.837e-4,)),
     }.items():
         path = tmp_path / f"{name}.json"
         save_profile(p, path)
@@ -63,6 +65,29 @@ def test_validate_invalid_exits_1(capsys, profiles):
     assert code == 1
     assert rep["status"] == "failed"
     assert rep["results"]["min_gap"] == pytest.approx(-0.84, abs=1e-8)
+
+
+def test_validate_exits_1_on_a_dip_between_grid_points(capsys, profiles):
+    code, rep = run_json(capsys, "validate", "--profile", profiles["exhibit"])
+    assert code == 1
+    assert rep["results"]["validity"] == "invalid"
+    assert rep["results"]["min_gap"] == pytest.approx(-5.4121507e-4, abs=1e-9)
+    assert rep["results"]["argmin"] == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("b, scale", [(0.2, 1.0), (-0.6, 0.5), (0.9, 3.0)])
+def test_validate_exact_dual_of_an_ellipse(capsys, tmp_path, b, scale):
+    # h has the constant gap s^2 / gap_f = s^2 / (4 (1 - b^2)), and its least
+    # value s / (4 (1 + |b|)) where f is largest
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps({"kind": "dual", "scale": scale,
+                                "base": {"d": 2, "cos_coeffs": [1.0, b]}}))
+    code, rep = run_json(capsys, "validate", "--profile", str(path))
+    assert code == 0 and rep["results"]["validity"] == "valid"
+    assert rep["results"]["min_gap"] == pytest.approx(
+        scale ** 2 / (4.0 * (1.0 - b * b)), rel=1e-13)
+    assert rep["results"]["min_f"] == pytest.approx(
+        scale / (4.0 * (1.0 + abs(b))), rel=1e-13)
 
 
 def test_validate_marginal_exits_2(capsys, profiles):

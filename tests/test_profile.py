@@ -14,6 +14,10 @@ from isonorm.profile import (Profile, SectorProfile, convexity_gap,
                              round_profile, sampled_profile, save_profile)
 
 ELLIPSE = Profile(2, (1.0, 0.2))
+# 1 - 0.01 cos 2t + 4.837e-4 cos 64t: a dip of the gap at t = pi/2 narrower
+# than a 1024-point grid's spacing (scripts/derive_oracles.py derives it)
+EXHIBIT = Profile(1, (1.0, 0.0, -0.01) + (0.0,) * 61 + (4.837e-4,))
+EXHIBIT_GAP = -5.4121507e-4
 
 
 # ---------------------------------------------------------------- evaluate
@@ -104,7 +108,7 @@ def test_validity_flip_at_equal_coeffs():
     for b, expect in ((0.2, True), (0.5, True), (0.99, True), (1.1, False)):
         rep = is_minkowski(Profile(2, (1.0, b)))
         assert rep.valid is expect
-        assert rep.min_gap == pytest.approx(4.0 * (1.0 - b * b), abs=1e-8)
+        assert rep.min_gap == pytest.approx(4.0 * (1.0 - b * b), abs=1e-12)
 
 
 def test_validity_invalid_sign():
@@ -113,9 +117,12 @@ def test_validity_invalid_sign():
     assert rep.min_gap == pytest.approx(-0.84, abs=1e-8)
 
 
-def test_validity_grid_floor():
-    with pytest.raises(ValueError):
-        is_minkowski(ELLIPSE, grid_size=32)
+def test_validity_sees_a_dip_between_grid_points():
+    rep = is_minkowski(EXHIBIT)
+    assert rep.status == "invalid"
+    assert rep.min_gap == pytest.approx(convexity_gap(EXHIBIT, math.pi / 2), abs=1e-12)
+    assert rep.min_gap == pytest.approx(EXHIBIT_GAP, abs=1e-9)
+    assert rep.argmin == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------- from_phi
