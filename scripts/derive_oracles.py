@@ -28,6 +28,16 @@ c0 = (1 / 4.8 + 1 / 3.2) / 2
 c1 = (1 / 4.8 - 1 / 3.2) / 2
 print("dual profile coeffs: c0 =", c0, " c1 =", c1)
 
+banner("ellipse dual: f = a + b cos 2t has h(theta) = (a - b cos 2theta)/(4(a^2 - b^2))")
+# E = r^2 f = (a+b) x1^2 + (a-b) x2^2, so Ehat = y1^2/(4(a+b)) + y2^2/(4(a-b))
+a, b, th = sp.symbols("a b theta")
+h = (sp.cos(th) ** 2 / (a + b) + sp.sin(th) ** 2 / (a - b)) / 4
+print("h - closed form =",
+      sp.simplify(h - (a - b * sp.cos(2 * th)) / (4 * (a * a - b * b))))
+for bv in (0.95, -0.95):
+    print(f"  (a,b)=(1,{bv}) -> c0 = 1/0.39 = {1 / 0.39!r}, "
+          f"c1 = -b/0.39 = {-bv / 0.39!r}")
+
 banner("convexity gap of a + b cos 2t is the constant 4(a^2 - b^2)")
 a, b, t = sp.symbols("a b t")
 f = a + b * sp.cos(2 * t)

@@ -460,6 +460,17 @@ def _add(parser, *names, **kw):
     parser.add_argument(*names, **kw)
 
 
+def _count(text: str) -> int:
+    """type= of the count options: an int of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="isonorm", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -493,7 +504,7 @@ def build_parser() -> _Parser:
     _add(sp, "--profile", required=True)
     _add(sp, "--model", required=True)
     _add(sp, "--t", type=float, default=None)
-    _add(sp, "--samples", type=int, default=4)
+    _add(sp, "--samples", type=_count, default=4)
     _add(sp, "--seed", type=int, default=0)
     _add(sp, "--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     _add(sp, "--flat-threshold", type=float, default=FLATNESS_THRESHOLD)
@@ -504,8 +515,8 @@ def build_parser() -> _Parser:
                              "norm and Laplacian on the indicatrix")
     _add(sp, "--profile", required=True)
     _add(sp, "--model", required=True)
-    _add(sp, "--t-count", type=int, default=5)
-    _add(sp, "--xi-count", type=int, default=3)
+    _add(sp, "--t-count", type=_count, default=5)
+    _add(sp, "--xi-count", type=_count, default=3)
     _add(sp, "--seed", type=int, default=0)
     _add(sp, "--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_isoparametric_check)
@@ -526,13 +537,13 @@ def build_parser() -> _Parser:
 
     sp = isosub.add_parser("check", help="ODE residuals of a stored triple")
     _add(sp, "--triple", required=True)
-    _add(sp, "--grid", type=int, default=512)
+    _add(sp, "--grid", type=_count, default=512)
     sp.set_defaults(func=cmd_isometry_check)
 
     sp = isosub.add_parser("classify",
                            help="label identity / legendre / transition runs")
     _add(sp, "--triple", required=True)
-    _add(sp, "--grid", type=int, default=512)
+    _add(sp, "--grid", type=_count, default=512)
     _add(sp, "--tol", type=float, default=1e-6)
     _add(sp, "--degrees", action="store_true")
     sp.set_defaults(func=cmd_isometry_classify)
@@ -551,7 +562,7 @@ def build_parser() -> _Parser:
     _add(sp, "--profile", required=True)
     _add(sp, "--model", default=None,
          help="omit for the planar norm of the profile")
-    _add(sp, "--count", type=int, default=16)
+    _add(sp, "--count", type=_count, default=16)
     _add(sp, "--seed", type=int, default=0)
     _add(sp, "--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     _add(sp, "--format", choices=("json", "csv"), default="json")

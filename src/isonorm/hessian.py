@@ -224,7 +224,7 @@ def indicatrix_grad_t_norm(nm: InducedNorm, t: float) -> float:
     return 4.0 * f0 * f0 / gap_from_jet(f0, f1, f2)
 
 
-def indicatrix_laplacian_t(nm: InducedNorm, t: float, spectrum=None) -> float:
+def indicatrix_laplacian_t(nm: InducedNorm, t: float) -> float:
     """Closed-form Laplacian of t on the indicatrix (S_F, g).
 
     Assembled in divergence form from the frame volume element: with
@@ -233,21 +233,15 @@ def indicatrix_laplacian_t(nm: InducedNorm, t: float, spectrum=None) -> float:
         Delta t |_{S_F} = 2f * [ -(n-2) f'/gap + d/dt(2f/gap)
                                  + (2f/gap) * d/dt log S ].
 
-    Depends on t only; the optional spectrum argument fixes the (k, m_k)
-    bookkeeping from a measured spectrum, while the kappa values themselves
-    always use the closed form cot(t + k pi/d).
+    Depends on t only: kappa_k is the closed form cot(t + k pi/d).
     """
     m = nm.foliation
     f0, f1, f2, f3 = nm.profile.jet(t, 3)
     gap = gap_from_jet(f0, f1, f2)
     gap_p = 2.0 * f0 * (f3 + 4.0 * f1)
-    if spectrum is not None:
-        mults = tuple((entry.k, entry.multiplicity) for entry in spectrum)
-    else:
-        mults = multiplicities(m)
 
     dlogS = 0.5 * gap_p / gap
-    for k, mk in mults:
+    for k, mk in multiplicities(m):
         tau = t + k * math.pi / m.d
         kap = math.cos(tau) / math.sin(tau)
         kap_p = -1.0 - kap * kap

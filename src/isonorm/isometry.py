@@ -40,6 +40,10 @@ INTERIOR_GUARD = 1e-3
 CLASSIFY_TOL = 1e-6
 DEFAULT_BAND_WIDTH = 0.02
 ROUND_BAND_TOL = 1e-6
+BRANCH_STEPS = 4096          # integrate_branch's RK4 steps
+JACOBIAN_STEP = 1e-5         # check_hessian_isometry's FD step, times |x|
+LIFT_FOCAL_GUARD = 0.02      # lift_to_nd's normal-geodesic focal guard
+BUMP_GRID, BUMP_TERMS = 8192, 96  # bump_profile's sample grid and series
 
 IDENTITY_TYPE = "identity"
 LEGENDRE_TYPE = "legendre"
@@ -315,7 +319,7 @@ class BranchSolution(NamedTuple):
 
 
 def integrate_branch(f: Profile, branch: str, t0: float, theta0: float,
-                     t1: float, steps: int = 4096) -> BranchSolution:
+                     t1: float) -> BranchSolution:
     """Fixed-step RK4 for theta(t) along branch "one"
     (theta' = cos sin theta / cos sin t) or "two" (the Legendre-root ODE)."""
     branch = branch.lower()
@@ -329,12 +333,12 @@ def integrate_branch(f: Profile, branch: str, t0: float, theta0: float,
     else:
         rhs = lambda t, th: legendre_ode_rhs(f, t, th)
 
-    ts = np.linspace(t0, t1, steps + 1)
-    dt = (t1 - t0) / steps
-    thetas = np.empty(steps + 1)
+    ts = np.linspace(t0, t1, BRANCH_STEPS + 1)
+    dt = (t1 - t0) / BRANCH_STEPS
+    thetas = np.empty(BRANCH_STEPS + 1)
     th = float(theta0)
     thetas[0] = th
-    for i in range(steps):
+    for i in range(BRANCH_STEPS):
         t = ts[i]
         k1 = rhs(t, th)
         k2 = rhs(t + dt / 2, th + dt * k1 / 2)
@@ -459,18 +463,17 @@ class IsometryCheck(NamedTuple):
 
 
 def check_hessian_isometry(norm1, norm2, phi: Callable,
-                           samples: int = 20, seed: int = 0,
-                           fd_step: float = 1e-5) -> IsometryCheck:
+                           samples: int = 20, seed: int = 0) -> IsometryCheck:
     """Max over samples and basis pairs of |g1(u,v) - g2(dPhi u, dPhi v)|.
 
     phi maps an (m, n) array of points to their (m, n) images.  It is called
     once, on the samples x and their Jacobian neighbours x +- step e_i
-    (step = fd_step |x|), and each norm's tensors are closed forms (one
+    (step = JACOBIAN_STEP |x|), and each norm's tensors are closed forms (one
     call for all samples of an induced norm).
     """
     X = _sample_points(norm1, samples, seed)
     k, n = X.shape
-    step = fd_step * np.sqrt(_sqnorm(X))[:, None, None]
+    step = JACOBIAN_STEP * np.sqrt(_sqnorm(X))[:, None, None]
     E = step * np.eye(n)
     Y = np.asarray(phi(np.concatenate([X, (X[:, None] + E).reshape(-1, n),
                                        (X[:, None] - E).reshape(-1, n)])),
@@ -645,8 +648,7 @@ def glue_construct(f_base: Profile, sectors, band_width: float = DEFAULT_BAND_WI
     return GlueResult(triple=triple, max_band_residual=band_res, scale=lam)
 
 
-def bump_profile(d: int, humps, amplitude: float = 5e-4,
-                 grid_size: int = 8192, max_terms: int = 96) -> Profile:
+def bump_profile(d: int, humps, amplitude: float = 5e-4) -> Profile:
     """Round profile 1/2 plus compactly supported C^7 humps, one per
     (center, width) pair, fitted to the symmetric cosine basis.
 
@@ -659,13 +661,13 @@ def bump_profile(d: int, humps, amplitude: float = 5e-4,
     Returned as a plain cosine-series profile (the fit *is* the profile
     here) so that JSON round trips reproduce it coefficient-for-coefficient.
     """
-    ts = np.linspace(0.0, math.pi / d, grid_size + 1)
+    ts = np.linspace(0.0, math.pi / d, BUMP_GRID + 1)
     vals = np.full_like(ts, 0.5)
     for center, width in humps:
         s = (ts - center) / (width / 2.0)
         mask = np.abs(s) < 1.0
         vals[mask] += amplitude * np.cos(0.5 * math.pi * s[mask]) ** 8
-    fitted = sampled_profile(d, ts, vals, max_terms=max_terms)
+    fitted = sampled_profile(d, ts, vals, max_terms=BUMP_TERMS)
     return Profile(d, fitted.cos_coeffs, kind="cosine",
                    fit_residual=fitted.fit_residual)
 
@@ -715,8 +717,7 @@ def classify_sectors(tr: IsometryTriple, grid: int = 512,
 # --- lifting to n dimensions --------------------------------------------------
 
 
-def lift_to_nd(tr: IsometryTriple, m: FoliationModel,
-               delta: float = 0.02) -> Callable:
+def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
     """Map Phi(x) = r sqrt(f(t)/h(theta)) * gamma_x(theta) where gamma_x is
     the normal geodesic of the foliation through x/|x|; Phi takes an (m, n)
     array of points and returns their images."""
@@ -731,7 +732,7 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel,
         t = t[:, None]
         th = theta_value(tr.theta, tr.f, t, 0)
         scale = r[:, None] * np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
-        return scale * normal_geodesic(m, x, delta=delta)(th)
+        return scale * normal_geodesic(m, x, delta=LIFT_FOCAL_GUARD)(th)
 
     return phi
 

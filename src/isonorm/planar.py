@@ -2,8 +2,8 @@
 
 Everything here is closed-form in (f, f', f''): the fundamental tensor in a
 rotating frame, the gradient (Legendre) map, the angle it induces on the
-indicatrix, and the dual profile obtained by transporting the indicatrix
-through the gradient map.
+indicatrix, and the exact dual profile `DualProfile`, which inverts that
+angle; `dual_profile` fits it to a cosine series.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .profile import (FIT_MAX_TERMS, Profile, _pow, dihedral_fold,
-                      gap_from_jet, json_field, profile_from_json_dict,
-                      register_profile_kind, require_minkowski,
-                      sampled_profile)
+                      gap_from_jet, is_minkowski, json_field,
+                      profile_from_json_dict, register_profile_kind,
+                      require_minkowski, sampled_profile)
 
 # the exact dual's Legendre-angle solve (see DualProfile)
 NEWTON_TOL = 1e-14
@@ -145,36 +145,18 @@ def indicatrix_point(nm: PlanarNorm, t):
 
 def dual_profile(nm: PlanarNorm, grid_size: int = 512,
                  max_terms: int | None = None) -> Profile:
-    """Profile of the dual norm, via the gradient image of the indicatrix.
-
-    Samples x on S_F, maps through legendre_map, reads polar (rho, theta) of
-    the images and sets h(theta) = 1/(2 rho^2); the (theta, h) pairs are fit
-    to a cosine series of the same dihedral order.  The fit is also checked
-    at the images of the grid's midpoints, and `fit_residual` is the larger
-    of the two errors, so a series that only interpolates its samples does
-    not pass for an accurate one.
-    """
+    """The exact `DualProfile` fit to a cosine series, its portable form: the
+    dual on the 2 grid_size - 1 points of a uniform grid on [0, pi/d] is fit
+    at the even-indexed ones, and `fit_residual` also covers the odd ones."""
     if grid_size < 128:
         raise ValueError("grid_size must be >= 128")
-    d = nm.profile.d
-    ts = np.linspace(0.0, math.pi / d, grid_size)
-    thetas, h = _dual_samples(nm, ts)
-    if np.any(np.diff(thetas) <= 0.0):
-        raise ValueError("gradient image angles are not strictly monotone "
-                         "(input norm is not strongly convex)")
-    fit = sampled_profile(d, thetas, h, FIT_MAX_TERMS if max_terms is None
+    ts = np.linspace(0.0, math.pi / nm.d, 2 * grid_size - 1)
+    indicatrix_point(nm, ts)  # names the angle where f <= 0
+    h = DualProfile(nm.profile).evaluate(ts)
+    fit = sampled_profile(nm.d, ts[::2], h[::2], FIT_MAX_TERMS if max_terms is None
                           else max_terms)
-    mid_thetas, mid_h = _dual_samples(nm, 0.5 * (ts[1:] + ts[:-1]))
-    mid_err = float(np.max(np.abs(fit.evaluate(mid_thetas) - mid_h)))
+    mid_err = float(np.max(np.abs(fit.evaluate(ts[1::2]) - h[1::2])))
     return replace(fit, fit_residual=max(fit.fit_residual, mid_err))
-
-
-def _dual_samples(nm: PlanarNorm, ts):
-    """Polar theta of legendre_map at the points of S_F at angles ts, and
-    h = 1/(2 rho^2) from the image's length rho."""
-    img_x, img_y = legendre_map(nm, indicatrix_point(nm, ts)).T
-    rho = np.hypot(img_x, img_y)
-    return _unwrap_to(ts, np.arctan2(img_y, img_x)), 1.0 / (2.0 * rho * rho)
 
 
 def sample_indicatrix(nm: PlanarNorm, n: int):
@@ -202,11 +184,10 @@ class DualProfile:
     rounding); a point still moving after NEWTON_MAX_STEPS raises
     ValueError rather than return a wrong number.  `jet(t, k)` then applies
     the chain rule to h, h' and h'' from that one solve, so no spectral
-    truncation enters: the fitted `dual_profile` is the portable
-    representation, this one is the machine-precision evaluator used where
-    second derivatives of h feed residual checks.  Orders go up to 2 (order
-    3 would need the fourth derivative of the base profile).  The base must
-    not be an invalid Minkowski profile (`is_minkowski`).
+    truncation enters (`dual_profile` fits this to a cosine series).
+    Orders go up to 2 (order 3 would need the fourth derivative of the base
+    profile).  The base must be a valid Minkowski profile (`is_minkowski`):
+    a marginal one may pinch theta_legendre' to zero, where h blows up.
     """
 
     base: Profile
@@ -215,7 +196,10 @@ class DualProfile:
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-        require_minkowski(self.base, "dual of an invalid profile")
+        rep = is_minkowski(self.base)
+        if not rep.valid:
+            raise ValueError(f"dual needs a valid profile ({rep.status}: "
+                             f"min_f={rep.min_f:.3g}, min_gap={rep.min_gap:.3g})")
 
     @property
     def d(self) -> int:

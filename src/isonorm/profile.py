@@ -29,6 +29,7 @@ FIT_MAX_TERMS = 32
 VALIDITY_MARGIN = 1e-9
 MAX_DERIV_ORDER = 3
 EPS = np.finfo(float).eps
+PHI_GRID = 512  # from_phi's sample grid
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,7 @@ def sampled_profile(d: int, ts, values, max_terms: int = FIT_MAX_TERMS) -> Profi
                    sample_values=tuple(float(v) for v in np.asarray(values, float)))
 
 
-def from_phi(phi, b: float = 1.0, mode: str = "alpha-beta",
-             grid_size: int = 512) -> Profile:
+def from_phi(phi, b: float = 1.0, mode: str = "alpha-beta") -> Profile:
     """Profiles from a one-variable generating function phi.
 
     mode "alpha-beta"    : d=1, f(t) = phi(b cos t)^2 / 2
@@ -228,15 +228,13 @@ def from_phi(phi, b: float = 1.0, mode: str = "alpha-beta",
     if mode == "alpha-beta":
         if b <= 0:
             raise ValueError("b must be positive")
-        d = 1
-        ts = np.linspace(0.0, math.pi, grid_size)
-        raw = np.array([phi(b * math.cos(t)) for t in ts], dtype=float)
+        d, scale = 1, b
     elif mode == "alpha1-alpha2":
-        d = 2
-        ts = np.linspace(0.0, math.pi / 2, grid_size)
-        raw = np.array([phi(math.cos(t)) for t in ts], dtype=float)
+        d, scale = 2, 1.0
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    ts = np.linspace(0.0, math.pi / d, PHI_GRID)
+    raw = np.array([phi(scale * math.cos(t)) for t in ts], dtype=float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("phi produced non-finite values on the sampling grid")
     return sampled_profile(d, ts, 0.5 * raw * raw)

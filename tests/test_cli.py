@@ -124,16 +124,44 @@ def test_dual_ellipse_oracle(capsys, profiles):
 
 
 def test_dual_fails_on_unresolved_fit(capsys, tmp_path):
-    # the fit misses the dual by 0.14 between its samples
+    # six terms cannot hold the dual of 1 + 0.95 cos t: the error between
+    # the samples decides the status
     path = tmp_path / "strong.json"
-    save_profile(Profile(2, (1.0, 0.95)), path)
-    code, rep = run_json(capsys, "dual", "--profile", str(path))
+    save_profile(Profile(1, (1.0, 0.95)), path)
+    code, rep = run_json(capsys, "dual", "--profile", str(path), "--terms", "6")
     assert code == 1
-    assert rep["residuals"]["fit_residual"] > 0.1
+    assert rep["residuals"]["fit_residual"] > 1e-2
+
+
+@pytest.mark.parametrize("b", [0.95, -0.95])
+def test_dual_resolves_a_strong_ellipse(capsys, tmp_path, b):
+    # h = (1 - b cos 2 theta) / 0.39; the fit of the gradient images missed
+    # it by 0.138 (exit 1)
+    path = tmp_path / "strong.json"
+    save_profile(Profile(2, (1.0, b)), path)
+    code, rep = run_json(capsys, "dual", "--profile", str(path))
+    assert code == 0
+    assert rep["residuals"]["fit_residual"] < 1e-12
+    c = rep["results"]["cos_coeffs"]
+    assert c[0] == pytest.approx(1.0 / 0.39, abs=1e-12)
+    assert c[1] == pytest.approx(-b / 0.39, abs=1e-12)
 
 
 def test_dual_of_vanishing_profile_is_a_clean_error(capfd, profiles):
     code = main(["dual", "--profile", profiles["pinched"]])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("isonorm: error:")
+
+
+def test_validate_dual_of_a_marginal_base_is_a_clean_error(capfd, tmp_path):
+    # (1 + cos t)^2 / 2 pinches the Legendre angle map at t = pi: its dual
+    # is unbounded there, so no numbers are reported for it
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps({"kind": "dual", "base": {
+        "d": 1, "cos_coeffs": [0.75, 1.0, 0.25]}}))
+    code = main(["validate", "--profile", str(path)])
     out, err = capfd.readouterr()
     assert code == 1
     assert out == ""
@@ -299,6 +327,36 @@ def test_isometry_solve_check_classify_flow(capsys, profiles, tmp_path):
     assert code == 0
     sectors = rep["results"]["sectors"]
     assert len(sectors) == 1 and sectors[0]["label"] == "legendre"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--profile", "{ellipse}", "--count"],
+    ["curvature", "--profile", "{euclid}", "--model", "d1:3", "--samples"],
+    ["isoparametric-check", "--profile", "{euclid}", "--model", "d1:3",
+     "--t-count"],
+    ["isoparametric-check", "--profile", "{euclid}", "--model", "d1:3",
+     "--xi-count"],
+    ["isometry", "check", "--triple", "triple.json", "--grid"],
+    ["isometry", "classify", "--triple", "triple.json", "--grid"],
+], ids=["sample-count", "curvature-samples", "t-count", "xi-count",
+        "check-grid", "classify-grid"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_count_below_one_is_a_usage_error(capfd, profiles, argv, value):
+    # a zero count checked nothing and still said "ok", or crashed later
+    argv = [a.format(**profiles) for a in argv] + [value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert f"error: argument {argv[-2]}: must be at least 1, got {value}" in err
+
+
+def test_count_that_is_not_an_int_keeps_its_message(capfd, profiles):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--profile", profiles["ellipse"], "--count", "abc"])
+    assert exc.value.code == 64
+    assert "argument --count: invalid int value: 'abc'" in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ("0", "1", "2", "3"))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isonorm.fd import hessian_fd
@@ -158,37 +158,62 @@ def test_dual_profile_rejects_small_grid():
 
 
 def test_dual_profile_samples_are_the_gradient_images():
-    # the samples carry the bits of legendre_map applied point by point
+    # the samples are the exact dual on every other point of a uniform grid,
+    # and each is the polar form of the gradient image of a point of S_F
     dp = dual_profile(ELLIPSE, grid_size=128)
-    ts = np.linspace(0.0, math.pi / 2, 128)
-    for i in (0, 17, 64, 127):
-        y = legendre_map(ELLIPSE, indicatrix_point(ELLIPSE, ts)[i])
-        assert dp.sample_grid[i] == float(np.arctan2(y[1], y[0]))
-        assert dp.sample_values[i] == 1.0 / (2.0 * float(np.hypot(*y)) ** 2)
+    exact = DualProfile(ELLIPSE.profile)
+    grid = np.linspace(0.0, math.pi / 2, 255)[::2]
+    assert dp.sample_grid == tuple(grid)
+    assert dp.sample_values == tuple(exact.evaluate(grid))
+    ts = exact._invert_theta(grid)
+    y = legendre_map(ELLIPSE, indicatrix_point(ELLIPSE, ts))
+    assert np.max(np.abs(np.arctan2(y[:, 1], y[:, 0]) - grid)) < 1e-14
+    assert np.max(np.abs(1.0 / (2.0 * np.sum(y * y, axis=1))
+                         - dp.sample_values)) < 1e-14
 
 
 @pytest.mark.parametrize("b", [0.95, -0.95])
 def test_dual_profile_residual_covers_the_gaps(b):
-    # the 32-term series interpolates its samples to 1e-14 but is 0.14 off
-    # the dual between them; fit_residual must say so
+    # h = (1 - b cos 2 theta) / (4 (1 - b^2)); the fit of the gradient images,
+    # which cluster in theta, missed it by 0.14 between them
     p = Profile(2, (1.0, b))
     fitted = dual_profile(PlanarNorm(p))
+    want = (1.0 / 0.39, -b / 0.39)
+    assert np.max(np.abs(np.array(fitted.cos_coeffs[:2]) - want)) < 1e-12
+    assert np.max(np.abs(fitted.cos_coeffs[2:])) < 1e-12
+    assert fitted.fit_residual < 1e-12
     ts = np.linspace(0.0, math.pi / 2, 1001)
     err = np.max(np.abs(fitted.evaluate(ts) - DualProfile(p).evaluate(ts)))
-    assert err > 0.1
-    assert fitted.fit_residual > 0.5 * err
+    assert err <= 2.0 * fitted.fit_residual + 1e-12
+
+
+@given(st.sampled_from((1, 2, 3)), st.floats(-0.95, 0.95))
+@example(1, 0.95)
+@example(2, -0.95)
+@example(3, 0.95)
+@settings(max_examples=20, deadline=None)
+def test_dual_profile_fit_stays_within_its_residual(d, share):
+    # over the valid range, up to 0.95 of the bound on |b|: the fit is a
+    # valid profile, off the exact dual by no more than its fit_residual says
+    p = Profile(d, (1.0, share * B_BOUND[d]))
+    fitted = dual_profile(PlanarNorm(p))
+    ts = np.linspace(0.0, math.pi / d, 4001)
+    err = np.max(np.abs(fitted.evaluate(ts) - DualProfile(p).evaluate(ts)))
+    assert err <= 2.0 * fitted.fit_residual + 1e-12
+    assert is_minkowski(fitted).status == "valid"
 
 
 def test_dual_profile_residual_survives_json():
-    # the loader refits the samples, which alone give ~1e-14; the stored
-    # error between them must come back
-    fitted = dual_profile(PlanarNorm(Profile(2, (1.0, 0.95))))
+    # the loader refits the samples, which alone give 3.5075e-6; the stored
+    # error between them (3.5166e-6) must come back
+    fitted = dual_profile(PlanarNorm(Profile(1, (1.0, 0.95))))
     q = profile_from_json_dict(json.loads(json.dumps(fitted.to_json_dict())))
-    assert fitted.fit_residual > 0.1
+    assert fitted.fit_residual > 3.51e-6
     assert q.fit_residual == fitted.fit_residual
     assert q.cos_coeffs == fitted.cos_coeffs
     # a plain fit of its samples keeps the field out: its refit says as much
-    plain = sampled_profile(2, fitted.sample_grid, fitted.sample_values)
+    plain = sampled_profile(1, fitted.sample_grid, fitted.sample_values)
+    assert plain.fit_residual < fitted.fit_residual
     assert "fit_residual" not in plain.to_json_dict()
     assert profile_from_json_dict(plain.to_json_dict()) == plain
 
@@ -196,8 +221,10 @@ def test_dual_profile_residual_survives_json():
 def test_scaled_fitted_dual_keeps_its_residual_through_json():
     # scaling keeps the samples, scaled with it, so the stored error and the
     # kind survive the reload
-    s = dual_profile(PlanarNorm(Profile(2, (1.0, 0.95)))).scaled(2.0)
-    assert s.sample_values is not None and s.fit_residual > 0.2
+    fitted = dual_profile(PlanarNorm(Profile(1, (1.0, 0.95))))
+    s = fitted.scaled(2.0)
+    assert s.sample_values is not None
+    assert s.fit_residual == 2.0 * fitted.fit_residual
     q = profile_from_json_dict(json.loads(json.dumps(s.to_json_dict())))
     assert q.kind == "sampled"
     assert q.fit_residual == s.fit_residual
@@ -287,6 +314,13 @@ def test_exact_dual_rejects_invalid_base():
     # gap < 0 somewhere: the angle map is not monotone, so it has no inverse
     with pytest.raises(ValueError, match="invalid"):
         DualProfile(Profile(2, (1.0, 1.1)))
+
+
+def test_exact_dual_rejects_marginal_base():
+    # (1 + cos t)^2 / 2 pinches theta_legendre' to 0 at t = pi, where h
+    # blows up (h(pi - 1e-3) came out as -6.9e15)
+    with pytest.raises(ValueError, match="marginal"):
+        DualProfile(Profile(1, (0.75, 1.0, 0.25)))
 
 
 # validity bound on |b| for c0 (1 + b cos(d t))
