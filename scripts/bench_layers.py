@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Time a few layers of isonorm on fixed inputs and write BENCH_<label>.json.
+
+Each row is the best of --repeat timed calls, rescaled to a fixed host speed
+with perfbench's probe kernel (perfbench/hostspeed.py), which runs right
+before and right after the row's calls.  The rows:
+
+- `is_minkowski` on Profile(2, (1, 0.5)) and on the 96-term cartan3 glue
+  base of scripts/isometry_gallery.py, cold (a new, equal profile object per
+  call) and warm (the same object again, after one untimed call);
+- `DualProfile(f).scaled(k)` for three k, f a new copy of that base per call;
+- a glued cartan3 triple on that base and its lift check:
+  `glue_construct`, two `InducedNorm`s and `check_hessian_isometry` with 20
+  samples, once with a new copy of the base per call and once reusing one
+  base object, as a caller gluing many sector layouts on one base does.
+
+Only public names are used, so the script also times another checkout:
+
+    python3 scripts/bench_layers.py --label mine
+    PYTHONPATH=../other/src python3 scripts/bench_layers.py --label other
+
+The file records the git commit of the isonorm package that was imported,
+whether its source differs from that commit, and the Python and numpy
+versions.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# one BLAS thread, as perfbench sets it, before numpy loads
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import numpy as np  # noqa: E402
+
+import hostspeed  # noqa: E402
+import isonorm  # noqa: E402
+from isonorm import (DualProfile, InducedNorm, Profile, Sector,  # noqa: E402
+                     bump_profile, cartan3, check_hessian_isometry,
+                     glue_construct, is_minkowski, lift_to_nd)
+
+GLUE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]  # isometry_gallery.py's glue base
+GLUE_BREAK = 0.52
+GLUE_BAND = 0.02
+LIFT_SAMPLES = 20
+DUAL_SCALES = (0.5, 2.0, 3.0)
+
+
+def _best(call, setup, repeat: int) -> float:
+    """Least wall time of `repeat` calls of call(setup()); setup untimed."""
+    best = math.inf
+    for _ in range(repeat):
+        arg = setup()
+        t0 = time.perf_counter()
+        call(arg)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _glue_check(base):
+    m = cartan3()
+    tr = glue_construct(base, [Sector(0.0, GLUE_BREAK, "scale"),
+                               Sector(GLUE_BREAK, math.pi / 3, "legendre-scale")],
+                        band_width=GLUE_BAND).triple
+    return check_hessian_isometry(InducedNorm(m, tr.f), InducedNorm(m, tr.h),
+                                  lift_to_nd(tr, m), samples=LIFT_SAMPLES, seed=0)
+
+
+def rows():
+    """(name, call, setup) of every row; setup() builds the call's input."""
+    small = Profile(2, (1.0, 0.5))
+    base = bump_profile(3, GLUE_HUMPS)
+
+    def copy(p):  # an equal profile, as a new object per call
+        return lambda: Profile(p.d, p.cos_coeffs)
+
+    out = [("is_minkowski cold, Profile(2, (1, 0.5))", is_minkowski, copy(small)),
+           ("is_minkowski warm, Profile(2, (1, 0.5))", is_minkowski, lambda: small),
+           ("is_minkowski cold, 96-term glue base", is_minkowski, copy(base)),
+           ("is_minkowski warm, 96-term glue base", is_minkowski, lambda: base)]
+    for k in DUAL_SCALES:
+        out.append((f"DualProfile(f).scaled({k:g}), 96-term glue base",
+                    lambda f, k=k: DualProfile(f).scaled(k), copy(base)))
+    out.append(("glue_construct + InducedNorm + check_hessian_isometry, "
+                "new base object", _glue_check, copy(base)))
+    out.append(("glue_construct + InducedNorm + check_hessian_isometry, "
+                "reused base object", _glue_check, lambda: base))
+    return out
+
+
+def _git(*args) -> str:
+    try:
+        return subprocess.run(["git", *args], capture_output=True, text=True,
+                              check=True,
+                              cwd=Path(isonorm.__file__).parent).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    ap.add_argument("--repeat", type=int, default=5, help="timed calls per row")
+    ap.add_argument("--out-dir", default=str(ROOT),
+                    help="directory of the output file (default: repo root)")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+
+    table = []
+    for name, call, setup in rows():
+        call(setup())  # untimed: first-call set-up, and warms the warm rows
+        before = hostspeed.probe_s()
+        best = _best(call, setup, args.repeat)
+        after = hostspeed.probe_s()
+        table.append({"name": name, "best_ms": 1e3 * best,
+                      "scaled_ms": 1e3 * hostspeed.scaled(best, before, after),
+                      "probe_ms": [1e3 * before, 1e3 * after]})
+        print(f"{table[-1]['scaled_ms']:10.4f} ms  {name}")
+
+    status = _git("status", "--porcelain", "--", ".")
+    report = {
+        "label": args.label,
+        "git_sha": _git("rev-parse", "HEAD"),
+        "src_modified": status != "" if status != "unknown" else None,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "repeat": args.repeat,
+        "timing": "best of repeat calls; scaled_ms = best_ms * "
+                  f"{hostspeed.REF_S * 1e3:g} ms / mean(probe_ms)",
+        "rows": table,
+    }
+    path = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -460,14 +460,15 @@ def _add(parser, *names, **kw):
     parser.add_argument(*names, **kw)
 
 
-def _count(text: str) -> int:
-    """type= of the count options: an int of at least 1."""
+def _count(text: str, least: int = 1) -> int:
+    """type= of the count options: an int of at least 1, and of `least`."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    for bound in (1, least):
+        if n < bound:
+            raise argparse.ArgumentTypeError(f"must be at least {bound}, got {n}")
     return n
 
 
@@ -516,7 +517,8 @@ def build_parser() -> _Parser:
     _add(sp, "--profile", required=True)
     _add(sp, "--model", required=True)
     _add(sp, "--t-count", type=_count, default=5)
-    _add(sp, "--xi-count", type=_count, default=3)
+    # xi_spread compares the points of a leaf: one point compares nothing
+    _add(sp, "--xi-count", type=lambda text: _count(text, 2), default=3)
     _add(sp, "--seed", type=int, default=0)
     _add(sp, "--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_isoparametric_check)

@@ -36,6 +36,9 @@ FLATNESS_THRESHOLD = 1e-3
 
 @dataclass(frozen=True)
 class InducedNorm:
+    """F = r sqrt(2 f(t)) on a foliation.  Only a plain `Profile` is checked:
+    a glued h (new scaled copies of its base and dual) would cost ~19 ms to
+    check on the 96-term cartan3 base, as much as its glue and lift check."""
     foliation: FoliationModel
     profile: Profile
 

@@ -12,7 +12,8 @@ targets) are fit to the same cosine basis.  All three profile kinds
 `jet(t, k)`: (f, f', ..., f^(k)) at t from one evaluation, of which
 `evaluate(t, order)` is one entry, bit for bit.  `is_minkowski` is exact:
 it reads f and the gap from `jet` at the piece ends and at each kind's
-`stationary_angles()`, the only other places their minima can lie.
+`stationary_angles()`, the only other places their minima can lie.  Both
+the report and a `Profile`'s angles are computed once per object and reused.
 """
 
 from __future__ import annotations
@@ -88,13 +89,18 @@ class Profile:
         q = cos(d t), f is the Chebyshev series phi(q) with coefficients c_j,
         f' = -d sin(d t) phi'(q), and f''' + 4 f' is the f' of the series with
         coefficients c_j ((j d)^2 - 4); t = arccos(q)/d over the real parts,
-        clipped to [-1, 1], of the roots of phi, phi' and that derivative."""
-        c = np.asarray(self.cos_coeffs)
-        phi = Chebyshev(c)
-        # trailing c_j below eps * max|c| overflow the companion matrix
-        q = [s.trim(EPS * np.max(np.abs(s.coef))).roots().real for s in
-             (phi, phi.deriv(), Chebyshev(c * (self._freq ** 2 - 4.0)).deriv())]
-        return np.arccos(np.clip(np.concatenate(q), -1.0, 1.0)) / self.d
+        clipped to [-1, 1], of the roots of phi, phi' and that derivative.
+        Computed once per profile object; the array is read-only."""
+        if "_angles" not in self.__dict__:
+            c = np.asarray(self.cos_coeffs)
+            phi = Chebyshev(c)
+            # trailing c_j below eps * max|c| overflow the companion matrix
+            q = [s.trim(EPS * np.max(np.abs(s.coef))).roots().real for s in
+                 (phi, phi.deriv(), Chebyshev(c * (self._freq ** 2 - 4.0)).deriv())]
+            angles = np.arccos(np.clip(np.concatenate(q), -1.0, 1.0)) / self.d
+            angles.flags.writeable = False
+            object.__setattr__(self, "_angles", angles)
+        return self._angles
 
     def scaled(self, factor: float) -> "Profile":
         """The profile factor*f (coefficient-wise, exact; samples scaled too)."""
@@ -171,7 +177,11 @@ def is_minkowski(p) -> ValidityReport:
     vanishes, and there the values come from `jet`.  "valid" needs both
     minima above 1e-9; a sign flip below -1e-9 is "invalid"; anything
     pinched in between is reported as "marginal" rather than guessed.
+    Profiles are frozen, so the report is computed once per profile object
+    and kept on it; `replace` and `scaled` build objects checked afresh.
     """
+    if "_validity" in p.__dict__:
+        return p._validity
     ts, fs, gaps = _candidates(p, 0.0, math.pi / p.d)
     i = int(np.argmin(gaps))
     min_f, min_gap, arg_gap = float(np.min(fs)), float(gaps[i]), ts[i]
@@ -182,8 +192,10 @@ def is_minkowski(p) -> ValidityReport:
         status = "invalid"
     else:
         status = "marginal"
-    return ValidityReport(valid=(status == "valid"), status=status,
-                          min_f=min_f, min_gap=min_gap, argmin=float(arg_gap))
+    report = ValidityReport(valid=(status == "valid"), status=status,
+                            min_f=min_f, min_gap=min_gap, argmin=float(arg_gap))
+    object.__setattr__(p, "_validity", report)
+    return report
 
 
 def require_minkowski(p, what: str) -> None:

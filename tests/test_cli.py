@@ -352,6 +352,21 @@ def test_count_below_one_is_a_usage_error(capfd, profiles, argv, value):
     assert f"error: argument {argv[-2]}: must be at least 1, got {value}" in err
 
 
+def test_xi_count_of_one_is_a_usage_error(capfd, profiles):
+    # xi_spread compares the points of a leaf: with one point it read 0 and
+    # the report said "isoparametric": true having compared nothing
+    argv = ["isoparametric-check", "--profile", profiles["ellipse"],
+            "--model", "d2:4:2", "--t-count", "1", "--xi-count"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["1"])
+    assert exc.value.code == 64
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == ("isonorm isoparametric-check: error: "
+                                    "argument --xi-count: must be at least 2, got 1")
+    assert main(argv + ["2"]) == 0
+
+
 def test_count_that_is_not_an_int_keeps_its_message(capfd, profiles):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--profile", profiles["ellipse"], "--count", "abc"])

@@ -1,9 +1,12 @@
 """Smoke tests of scripts/: each runs in-process, as from the command line."""
 
+import json
 import re
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -49,3 +52,21 @@ def test_curvature_sweep_tells_quadratic_energies_from_curved_ones(
             or param == 0.0
         assert verdict == ("flat" if quadratic else "curved"), label
     assert sum(v == "curved" for _, _, v in rows) == 4 + 4 + 4
+
+
+def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
+    # the script puts perfbench/ on sys.path and pins BLAS threads: undo both
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "argv", ["bench_layers.py", "--label", "smoke",
+                                      "--repeat", "1", "--out-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "bench_layers.py"), run_name="__main__")
+    assert exc.value.code == 0
+    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert bench["label"] == "smoke" and bench["repeat"] == 1
+    assert {"git_sha", "python", "numpy"} <= set(bench)
+    names = [row["name"] for row in bench["rows"]]
+    assert len(names) == 9 and len(set(names)) == 9
+    assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0 for row in bench["rows"])

@@ -6,12 +6,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from isonorm import profile as profile_module
+from isonorm.cli import main
+from isonorm.foliation import cartan3
+from isonorm.hessian import InducedNorm
 from isonorm.isometry import Sector, bump_profile, glue_construct
 from isonorm.planar import DualProfile, PlanarNorm, theta_legendre
 from isonorm.profile import (VALIDITY_MARGIN, Profile, SectorProfile,
                              convexity_gap, gap_from_jet, is_minkowski,
-                             round_profile)
+                             round_profile, save_profile)
+
+# validity bound on |b| for c0 (1 + b cos(d t))
+B_BOUND = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0}
 
 
 def _golden(fun, a, b, iters=48):
@@ -128,3 +137,91 @@ def test_glue_rejects_an_invalid_base_with_scale_sectors_only():
     with pytest.raises(ValueError, match="profile is not a Minkowski norm profile"):
         glue_construct(base, [Sector(0.0, 1.1, "scale"),
                               Sector(1.1, math.pi / 2, "scale")])
+
+
+# ----------------------------------------------- one check per profile object
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Every profile that `is_minkowski`'s candidate search runs on."""
+    seen = []
+    candidates = profile_module._candidates
+
+    def counted(p, lo, hi):
+        seen.append(p)
+        return candidates(p, lo, hi)
+
+    monkeypatch.setattr(profile_module, "_candidates", counted)
+    return seen
+
+
+GLUE_BASE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]
+
+
+@pytest.mark.parametrize("sectors", [
+    [Sector(0.0, 0.52, "scale"), Sector(0.52, math.pi / 3, "legendre-scale")],
+    [Sector(0.0, 0.52, "scale"), Sector(0.52, math.pi / 3, "scale")],
+], ids=["dual-sector", "scale-only"])
+def test_a_glue_base_is_checked_once_by_glue_ops_and_lifts(checks, sectors):
+    base = bump_profile(3, GLUE_BASE_HUMPS)
+    tr = glue_construct(base, sectors).triple
+    InducedNorm(cartan3(), tr.f)
+    assert [p is base for p in checks] == [True]
+    glue_construct(base, sectors)   # a second layout on the same base
+    InducedNorm(cartan3(), base)
+    assert [p is base for p in checks] == [True]
+
+
+def test_scaled_exact_duals_check_their_base_once(checks):
+    f = Profile(2, (1.0, 0.3))
+    DualProfile(f).scaled(2.0).scaled(3.0)
+    assert len(checks) == 1 and checks[0] is f
+
+
+def test_cli_dual_checks_the_base_once_and_the_fit_once(checks, tmp_path, capsys):
+    path = tmp_path / "ellipse.json"
+    save_profile(Profile(2, (1.0, 0.3)), path)
+    assert main(["dual", "--profile", str(path)]) == 0
+    capsys.readouterr()
+    assert [p.kind for p in checks] == ["cosine", "sampled"]
+
+
+def test_a_sector_profile_keeps_its_report(checks):
+    h = SectorProfile(1, (1.0,), (Profile(1, (1.0, 0.3)), round_profile(1)))
+    first = is_minkowski(h)
+    assert is_minkowski(h) is first
+    assert checks[0] is h and len(checks) == 1 + len(h.pieces)
+
+
+# ------------------------------------------------- the stored report is honest
+
+@given(st.sampled_from((1, 2, 3)), st.floats(0.05, 20.0),
+       st.floats(-1.5, 1.5), st.floats(-0.3, 0.3))
+@example(1, 1.0, 1.0, 0.0)    # |b| at the validity bound: marginal
+@example(2, 0.5, -1.0, 0.0)
+@example(3, 2.0, 1.0, 0.0)
+@settings(max_examples=60, deadline=None)
+def test_a_stored_report_equals_a_fresh_one(d, c0, share, c2):
+    # b spans 1.5x the validity bound of c0 (1 + b cos(d t)) on both sides
+    coeffs = (c0, c0 * share * B_BOUND[d], c0 * c2 * B_BOUND[d])
+    p = Profile(d, coeffs)
+    first = is_minkowski(p)
+    assert is_minkowski(p) is first
+    assert first == is_minkowski(Profile(d, coeffs))
+    for k in (-1.0, 1e-12):
+        scaled = tuple(k * c for c in coeffs)
+        assert is_minkowski(p.scaled(k)) == is_minkowski(Profile(d, scaled))
+    if first.valid:
+        assert is_minkowski(p.scaled(-1.0)).status == "invalid"
+        assert is_minkowski(p.scaled(1e-12)).status == "marginal"
+        dual = DualProfile(p, 0.5)
+        assert is_minkowski(dual) == is_minkowski(DualProfile(Profile(d, coeffs), 0.5))
+        assert is_minkowski(dual.scaled(2.0)) == is_minkowski(DualProfile(p))
+
+
+def test_stored_stationary_angles_are_read_only():
+    p = Profile(2, (1.0, 0.3, 0.05))
+    angles = p.stationary_angles()
+    assert p.stationary_angles() is angles
+    with pytest.raises(ValueError):
+        angles[0] = 1.0
