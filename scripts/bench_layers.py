@@ -12,7 +12,13 @@ before and right after the row's calls.  The rows:
 - a glued cartan3 triple on that base and its lift check:
   `glue_construct`, two `InducedNorm`s and `check_hessian_isometry` with 20
   samples, once with a new copy of the base per call and once reusing one
-  base object, as a caller gluing many sector layouts on one base does.
+  base object, as a caller gluing many sector layouts on one base does;
+- the JSON round trip of `isometry solve --out` and `isometry check`:
+  `triple_from_json_dict(json.loads(json.dumps(triple_to_json_dict(tr))))`
+  for the Legendre triple on Profile(2, (1, 0.2)) whose h comes from
+  `build_h_from_theta`, anchored as the CLI anchors it;
+- `dual_profile(PlanarNorm(Profile(2, (1, 0.5))))` at grid 512, with a new
+  norm per call.
 
 Only public names are used, so the script also times another checkout:
 
@@ -44,9 +50,12 @@ import numpy as np  # noqa: E402
 
 import hostspeed  # noqa: E402
 import isonorm  # noqa: E402
-from isonorm import (DualProfile, InducedNorm, Profile, Sector,  # noqa: E402
+from isonorm import (DualProfile, InducedNorm, IsometryTriple,  # noqa: E402
+                     PlanarNorm, Profile, Sector, build_h_from_theta,
                      bump_profile, cartan3, check_hessian_isometry,
-                     glue_construct, is_minkowski, lift_to_nd)
+                     dual_profile, glue_construct, is_minkowski,
+                     legendre_map_tag, lift_to_nd, triple_from_json_dict,
+                     triple_to_json_dict)
 
 GLUE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]  # isometry_gallery.py's glue base
 GLUE_BREAK = 0.52
@@ -75,6 +84,19 @@ def _glue_check(base):
                                   lift_to_nd(tr, m), samples=LIFT_SAMPLES, seed=0)
 
 
+def _solved_triple() -> IsometryTriple:
+    """`isometry solve --theta legendre` on Profile(2, (1, 0.2))."""
+    f = Profile(2, (1.0, 0.2))
+    t0 = math.pi / 4
+    f0, f1 = f.jet(t0, 1)
+    h = build_h_from_theta(f, legendre_map_tag(), t0, f0 / (4.0 * f0 * f0 + f1 * f1))
+    return IsometryTriple(f=f, h=h, theta=legendre_map_tag())
+
+
+def _triple_json_round_trip(tr):
+    return triple_from_json_dict(json.loads(json.dumps(triple_to_json_dict(tr))))
+
+
 def rows():
     """(name, call, setup) of every row; setup() builds the call's input."""
     small = Profile(2, (1.0, 0.5))
@@ -94,6 +116,11 @@ def rows():
                 "new base object", _glue_check, copy(base)))
     out.append(("glue_construct + InducedNorm + check_hessian_isometry, "
                 "reused base object", _glue_check, lambda: base))
+    triple = _solved_triple()
+    out.append(("triple JSON round trip, solved Legendre triple on "
+                "Profile(2, (1, 0.2))", _triple_json_round_trip, lambda: triple))
+    out.append(("dual_profile(PlanarNorm(Profile(2, (1, 0.5)))), grid 512",
+                dual_profile, lambda: PlanarNorm(Profile(2, (1.0, 0.5)))))
     return out
 
 

@@ -123,15 +123,12 @@ def cmd_dual(args):
     nm = PlanarNorm(p)
     dp = dual_profile(nm, grid_size=args.grid, max_terms=args.terms)
     rep = is_minkowski(dp)
-    # emit the fitted series, not the sample table: compact and reloadable
-    dual_dict = Profile(dp.d, dp.cos_coeffs, kind="cosine",
-                        fit_residual=dp.fit_residual).to_json_dict()
     residuals = {"fit_residual": dp.fit_residual}
     status = STATUS_BY_VALIDITY[rep.status]
     if status == "ok":  # a valid dual still needs an accurate fit
         status = _status_from(residuals)
     results = {
-        "dual": dual_dict,
+        "dual": dp.to_json_dict(),
         "cos_coeffs": [float(c) for c in dp.cos_coeffs],
         "dual_valid": bool(rep.valid),
         "dual_min_gap": float(rep.min_gap),

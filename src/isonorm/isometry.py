@@ -656,10 +656,7 @@ def bump_profile(d: int, humps, amplitude: float = 5e-4) -> Profile:
     supports, so the profile is round on any band that avoids them.  The
     generous term count keeps the second derivative of the fit quiet on the
     round stretches, which is what the in-band residuals of a glued triple
-    are limited by.
-
-    Returned as a plain cosine-series profile (the fit *is* the profile
-    here) so that JSON round trips reproduce it coefficient-for-coefficient.
+    are limited by.  The fit's error at its samples is the `fit_residual`.
     """
     ts = np.linspace(0.0, math.pi / d, BUMP_GRID + 1)
     vals = np.full_like(ts, 0.5)
@@ -667,9 +664,7 @@ def bump_profile(d: int, humps, amplitude: float = 5e-4) -> Profile:
         s = (ts - center) / (width / 2.0)
         mask = np.abs(s) < 1.0
         vals[mask] += amplitude * np.cos(0.5 * math.pi * s[mask]) ** 8
-    fitted = sampled_profile(d, ts, vals, max_terms=BUMP_TERMS)
-    return Profile(d, fitted.cos_coeffs, kind="cosine",
-                   fit_residual=fitted.fit_residual)
+    return sampled_profile(d, ts, vals, max_terms=BUMP_TERMS)
 
 
 class SectorLabel(NamedTuple):

@@ -7,7 +7,9 @@ norms F = r*sqrt(2 f(t)); the strong-convexity criterion for such a norm is
     gap(t) = 2 f f'' - (f')^2 + 4 f^2 > 0   and   f > 0.
 
 Numerically produced profiles (phi-constructions, fitted duals, solved
-targets) are fit to the same cosine basis.  All three profile kinds
+targets, bump bases) are fit to the same cosine basis: such a profile is its
+series plus the fit's `fit_residual`, which JSON stores next to
+`cos_coeffs`.  All three profile kinds
 (`Profile`, `SectorProfile` and planar's exact `DualProfile`) answer
 `jet(t, k)`: (f, f', ..., f^(k)) at t from one evaluation, of which
 `evaluate(t, order)` is one entry, bit for bit.  `is_minkowski` is exact:
@@ -35,15 +37,12 @@ PHI_GRID = 512  # from_phi's sample grid
 
 @dataclass(frozen=True)
 class Profile:
-    """Truncated cosine series c0 + sum_j c_j cos(j*d*t)."""
+    """Truncated cosine series c0 + sum_j c_j cos(j*d*t); a fitted one
+    carries the fit's max abs error as `fit_residual` (0 for an exact one)."""
 
     d: int
     cos_coeffs: tuple[float, ...]
-    kind: str = "cosine"  # "cosine" (exact) or "sampled" (fit to samples)
     fit_residual: float = 0.0
-    # original samples for "sampled" profiles, kept for JSON round-trips
-    sample_grid: tuple[float, ...] | None = None
-    sample_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.d not in ALLOWED_D:
@@ -52,6 +51,11 @@ class Profile:
             raise ValueError("profile needs at least one coefficient")
         object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
         coeffs = np.asarray(self.cos_coeffs)
+        if not np.isfinite(coeffs).all():
+            raise ValueError("profile coefficients must be finite")
+        if not (math.isfinite(self.fit_residual) and self.fit_residual >= 0):
+            raise ValueError(f"fit_residual must be finite and >= 0, "
+                             f"got {self.fit_residual}")
         freq = np.arange(len(coeffs)) * self.d
         # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps the c0 term
         object.__setattr__(self, "_freq", freq)
@@ -102,24 +106,20 @@ class Profile:
             object.__setattr__(self, "_angles", angles)
         return self._angles
 
+    @property
+    def kind(self) -> str:
+        return "cosine"
+
     def scaled(self, factor: float) -> "Profile":
-        """The profile factor*f (coefficient-wise, exact; samples scaled too)."""
-        values = self.sample_values and tuple(factor * v for v in self.sample_values)
+        """The profile factor*f (coefficient-wise, exact)."""
         return replace(self, cos_coeffs=tuple(factor * c for c in self.cos_coeffs),
-                       fit_residual=abs(factor) * self.fit_residual,
-                       sample_values=values)
+                       fit_residual=abs(factor) * self.fit_residual)
 
     def to_json_dict(self) -> dict:
-        if self.kind == "sampled" and self.sample_grid is not None:
-            out = {"d": self.d, "kind": "sampled",
-                   "grid": list(self.sample_grid), "values": list(self.sample_values)}
-            # the loader refits the samples: store an error that the refit misses
-            refit = fit_cosine_series(self.d, self.sample_grid, self.sample_values,
-                                      len(self.cos_coeffs))[1]
-            if self.fit_residual > refit:
-                out["fit_residual"] = self.fit_residual
-            return out
-        return {"d": self.d, "kind": "cosine", "cos_coeffs": list(self.cos_coeffs)}
+        out = {"d": self.d, "kind": "cosine", "cos_coeffs": list(self.cos_coeffs)}
+        if self.fit_residual:
+            out["fit_residual"] = self.fit_residual
+        return out
 
 
 def round_profile(d: int = 1) -> Profile:
@@ -221,11 +221,10 @@ def fit_cosine_series(d: int, ts, values, max_terms: int = FIT_MAX_TERMS):
 
 
 def sampled_profile(d: int, ts, values, max_terms: int = FIT_MAX_TERMS) -> Profile:
-    """Build a "sampled" Profile by fitting a cosine series to (ts, values)."""
+    """The cosine series fit to (ts, values), with the fit's max abs error
+    at the samples as its `fit_residual`; the samples are not kept."""
     coeffs, resid = fit_cosine_series(d, ts, values, max_terms)
-    return Profile(d, tuple(coeffs), kind="sampled", fit_residual=resid,
-                   sample_grid=tuple(float(t) for t in np.asarray(ts, float)),
-                   sample_values=tuple(float(v) for v in np.asarray(values, float)))
+    return Profile(d, tuple(coeffs), fit_residual=resid)
 
 
 def from_phi(phi, b: float = 1.0, mode: str = "alpha-beta") -> Profile:
@@ -352,11 +351,12 @@ def profile_from_json_dict(data: dict):
     kind = data.get("kind", "cosine")
     field = lambda key: json_field(data, key, f"{kind} profile")
     if kind == "cosine":
-        return Profile(int(field("d")), tuple(field("cos_coeffs")))
-    if kind == "sampled":
+        return Profile(int(field("d")), tuple(field("cos_coeffs")),
+                       fit_residual=float(data.get("fit_residual", 0.0)))
+    if kind == "sampled":  # the older format, kept readable: refit the samples
         p = sampled_profile(int(field("d")), field("grid"), field("values"))
         stored = float(data.get("fit_residual", 0.0))
-        return replace(p, fit_residual=max(p.fit_residual, stored))
+        return replace(p, fit_residual=max(stored, p.fit_residual))
     if kind == "sector":
         pieces = tuple(profile_from_json_dict(p) for p in field("pieces"))
         return SectorProfile(int(field("d")), tuple(field("breaks")), pieces)

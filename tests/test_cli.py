@@ -14,7 +14,7 @@ import isonorm
 from isonorm import cli
 from isonorm.cli import main
 from isonorm.isometry import Sector, bump_profile, glue_construct
-from isonorm.profile import Profile, save_profile
+from isonorm.profile import Profile, profile_from_json_dict, save_profile
 
 SCHEMA = json.loads(resources.files("isonorm")
                     .joinpath("schemas/report.schema.json").read_text())
@@ -123,6 +123,17 @@ def test_dual_ellipse_oracle(capsys, profiles):
     assert c[1] == pytest.approx(-0.05208333333333333, abs=1e-6)
 
 
+def test_dual_report_reloads_with_its_residual(capsys, tmp_path):
+    # the emitted dual was a bare series: it reloaded with fit_residual 0
+    path = tmp_path / "strong.json"
+    save_profile(Profile(1, (1.0, 0.9)), path)
+    code, rep = run_json(capsys, "dual", "--profile", str(path), "--terms", "64")
+    assert code == 0
+    q = profile_from_json_dict(rep["results"]["dual"])
+    assert q.fit_residual == rep["residuals"]["fit_residual"] > 0
+    assert list(q.cos_coeffs) == rep["results"]["cos_coeffs"]
+
+
 def test_dual_fails_on_unresolved_fit(capsys, tmp_path):
     # six terms cannot hold the dual of 1 + 0.95 cos t: the error between
     # the samples decides the status
@@ -166,6 +177,23 @@ def test_validate_dual_of_a_marginal_base_is_a_clean_error(capfd, tmp_path):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("isonorm: error:")
+
+
+@pytest.mark.parametrize("profile", [
+    {"d": 1, "kind": "cosine", "cos_coeffs": [math.nan]},
+    {"d": 2, "kind": "cosine", "cos_coeffs": [1.0, math.inf]},
+    {"d": 2, "kind": "cosine", "cos_coeffs": [1.0], "fit_residual": -1.0},
+    {"d": 2, "kind": "cosine", "cos_coeffs": [1.0], "fit_residual": math.nan}])
+def test_non_finite_profile_is_a_clean_error(capfd, tmp_path, profile):
+    # a NaN coefficient was "marginal" and then broke the report's JSON
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(profile))  # writes NaN / Infinity
+    code = main(["validate", "--profile", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("isonorm: error:")
+    assert "finite" in err
 
 
 @pytest.mark.parametrize("command,data,field", [

@@ -26,7 +26,7 @@ from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                               triple_to_json_dict)
 from isonorm.planar import (DualProfile, PlanarNorm, fundamental_tensor,
                             indicatrix_point, legendre_map, theta_legendre)
-from isonorm.profile import Profile, round_profile
+from isonorm.profile import Profile, load_profile, round_profile, save_profile
 
 ELLIPSE = Profile(2, (1.0, 0.2))
 WOBBLE3 = Profile(3, (0.5, 0.02, 0.005))
@@ -184,6 +184,17 @@ def test_triple_json_round_trip():
     for t in (0.2, 0.7, 1.2):
         assert np.allclose(ode_residuals(back, t), ode_residuals(tr, t),
                            atol=1e-12)
+
+
+def test_solved_triple_json_round_trip_is_exact():
+    # a built h is stored as its series and fit error and reloads equal
+    f = ELLIPSE
+    t0 = math.pi / 4
+    h = build_h_from_theta(f, legendre_map_tag(), t0,
+                           DualProfile(f).evaluate(theta_legendre(PlanarNorm(f), t0)))
+    tr = IsometryTriple(f=f, h=h, theta=legendre_map_tag())
+    back = triple_from_json_dict(json.loads(json.dumps(triple_to_json_dict(tr))))
+    assert back == tr and back.h.fit_residual == h.fit_residual > 0
 
 
 # ------------------------------------------------------- quadratic reduction
@@ -401,6 +412,17 @@ def test_glue_rejects_nonround_band():
     with pytest.raises(ValueError):
         glue_construct(base, [Sector(0.0, 0.5, "scale"),
                               Sector(0.5, math.pi / 2, "legendre-scale")])
+
+
+def test_bump_profile_keeps_its_residual_through_json(tmp_path):
+    # it was saved as a plain series without its fit error (8.6e-12)
+    base = bump_profile(2, [(0.5, 0.4)])
+    assert base.fit_residual > 0
+    for p in (base, base.scaled(2.0)):
+        save_profile(p, tmp_path / "bump.json")
+        q = load_profile(tmp_path / "bump.json")
+        assert q == p and q.fit_residual == p.fit_residual
+    assert q.fit_residual == 2.0 * base.fit_residual
 
 
 def test_bump_profile_round_on_gaps():

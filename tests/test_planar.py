@@ -16,8 +16,8 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             theta_scaled, value)
 from isonorm.isometry import IsometryTriple, legendre_map_tag, ode_residuals
 from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
-                             is_minkowski, profile_from_json_dict,
-                             sampled_profile)
+                             fit_cosine_series, is_minkowski,
+                             profile_from_json_dict, sampled_profile)
 
 ELLIPSE = PlanarNorm(Profile(2, (1.0, 0.2)))
 ROUND = PlanarNorm(Profile(1, (0.5,)))
@@ -157,19 +157,19 @@ def test_dual_profile_rejects_small_grid():
         dual_profile(ELLIPSE, grid_size=64)
 
 
-def test_dual_profile_samples_are_the_gradient_images():
-    # the samples are the exact dual on every other point of a uniform grid,
-    # and each is the polar form of the gradient image of a point of S_F
+def test_dual_profile_fits_the_gradient_images():
+    # the series is the fit of the exact dual on every other point of a
+    # uniform grid, and each of those values is the polar form of the
+    # gradient image of a point of S_F
     dp = dual_profile(ELLIPSE, grid_size=128)
     exact = DualProfile(ELLIPSE.profile)
     grid = np.linspace(0.0, math.pi / 2, 255)[::2]
-    assert dp.sample_grid == tuple(grid)
-    assert dp.sample_values == tuple(exact.evaluate(grid))
+    h = exact.evaluate(grid)
+    assert dp.cos_coeffs == tuple(fit_cosine_series(2, grid, h)[0])
     ts = exact._invert_theta(grid)
     y = legendre_map(ELLIPSE, indicatrix_point(ELLIPSE, ts))
     assert np.max(np.abs(np.arctan2(y[:, 1], y[:, 0]) - grid)) < 1e-14
-    assert np.max(np.abs(1.0 / (2.0 * np.sum(y * y, axis=1))
-                         - dp.sample_values)) < 1e-14
+    assert np.max(np.abs(1.0 / (2.0 * np.sum(y * y, axis=1)) - h)) < 1e-14
 
 
 @pytest.mark.parametrize("b", [0.95, -0.95])
@@ -203,31 +203,38 @@ def test_dual_profile_fit_stays_within_its_residual(d, share):
     assert is_minkowski(fitted).status == "valid"
 
 
+def _json_round_trip(p):
+    return profile_from_json_dict(json.loads(json.dumps(p.to_json_dict())))
+
+
 def test_dual_profile_residual_survives_json():
-    # the loader refits the samples, which alone give 3.5075e-6; the stored
-    # error between them (3.5166e-6) must come back
-    fitted = dual_profile(PlanarNorm(Profile(1, (1.0, 0.95))))
-    q = profile_from_json_dict(json.loads(json.dumps(fitted.to_json_dict())))
-    assert fitted.fit_residual > 3.51e-6
-    assert q.fit_residual == fitted.fit_residual
-    assert q.cos_coeffs == fitted.cos_coeffs
-    # a plain fit of its samples keeps the field out: its refit says as much
-    plain = sampled_profile(1, fitted.sample_grid, fitted.sample_values)
+    # a fit of the samples alone gives 3.5075e-6; the error between them
+    # (3.5166e-6) is the stored one, and it comes back
+    p = Profile(1, (1.0, 0.95))
+    fitted = dual_profile(PlanarNorm(p))
+    ts = np.linspace(0.0, math.pi, 1023)[::2]
+    plain = sampled_profile(1, ts, DualProfile(p).evaluate(ts))
+    assert plain.cos_coeffs == fitted.cos_coeffs
     assert plain.fit_residual < fitted.fit_residual
-    assert "fit_residual" not in plain.to_json_dict()
-    assert profile_from_json_dict(plain.to_json_dict()) == plain
+    assert fitted.fit_residual > 3.51e-6
+    assert _json_round_trip(fitted) == fitted
+    assert _json_round_trip(plain) == plain
+
+
+def test_dual_profile_keeps_its_terms_through_json():
+    # the loader refit the samples at 32 terms: error 1.9e-13 -> 3.0e-8
+    fitted = dual_profile(PlanarNorm(Profile(1, (1.0, 0.9))), max_terms=64)
+    q = _json_round_trip(fitted)
+    assert len(q.cos_coeffs) == 64 and q.cos_coeffs == fitted.cos_coeffs
+    assert q.fit_residual == fitted.fit_residual < 1e-12
 
 
 def test_scaled_fitted_dual_keeps_its_residual_through_json():
-    # scaling keeps the samples, scaled with it, so the stored error and the
-    # kind survive the reload
     fitted = dual_profile(PlanarNorm(Profile(1, (1.0, 0.95))))
     s = fitted.scaled(2.0)
-    assert s.sample_values is not None
     assert s.fit_residual == 2.0 * fitted.fit_residual
-    q = profile_from_json_dict(json.loads(json.dumps(s.to_json_dict())))
-    assert q.kind == "sampled"
-    assert q.fit_residual == s.fit_residual
+    q = _json_round_trip(s)
+    assert q == s and q.fit_residual == 2.0 * fitted.fit_residual
 
 
 def test_dual_profile_residual_stays_small_when_resolved():

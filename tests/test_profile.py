@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isonorm.planar import DualProfile
 from isonorm.profile import (Profile, SectorProfile, convexity_gap,
-                             dihedral_fold, from_phi, is_minkowski,
-                             load_profile, profile_from_json_dict,
-                             round_profile, sampled_profile, save_profile)
+                             dihedral_fold, fit_cosine_series, from_phi,
+                             is_minkowski, load_profile,
+                             profile_from_json_dict, round_profile,
+                             sampled_profile, save_profile)
 
 ELLIPSE = Profile(2, (1.0, 0.2))
 # 1 - 0.01 cos 2t + 4.837e-4 cos 64t: a dip of the gap at t = pi/2 narrower
@@ -194,7 +196,6 @@ def test_sampled_profile_recovers_series():
     ts = np.linspace(0, math.pi / 2, 257)
     vals = 1.0 + 0.2 * np.cos(2 * ts)
     p = sampled_profile(2, ts, vals)
-    assert p.kind == "sampled"
     assert p.fit_residual < 1e-10
     assert p.cos_coeffs[0] == pytest.approx(1.0, abs=1e-9)
     assert p.cos_coeffs[1] == pytest.approx(0.2, abs=1e-9)
@@ -224,6 +225,54 @@ def test_json_round_trip_sampled(tmp_path):
     q = load_profile(path)
     grid = np.linspace(0, math.pi, 37)
     assert np.allclose(q.evaluate(grid, 0), p.evaluate(grid, 0), atol=1e-12)
+
+
+def test_json_stores_the_fit_not_the_samples():
+    ts = np.linspace(0, math.pi, 301)
+    p = sampled_profile(1, ts, 0.5 + 0.01 * np.cos(2 * ts) + 1e-6 * np.abs(ts - 1.0))
+    assert p.to_json_dict() == {"d": 1, "kind": "cosine",
+                                "cos_coeffs": list(p.cos_coeffs),
+                                "fit_residual": p.fit_residual}
+    assert p.fit_residual > 0 and profile_from_json_dict(p.to_json_dict()) == p
+    # an exact profile writes no residual: its bytes are as before
+    assert ELLIPSE.to_json_dict() == {"d": 2, "kind": "cosine",
+                                      "cos_coeffs": [1.0, 0.2]}
+
+
+@pytest.mark.parametrize("stored", [None, 0.0, 1e-3])
+def test_json_old_sampled_format_still_loads(stored):
+    # the older format kept the samples; the loader refits them, as before,
+    # and keeps a stored residual that is larger than the refit's
+    ts = np.linspace(0, math.pi / 2, 65)
+    vals = 1.0 + 0.2 * np.cos(2 * ts) + 0.01 * np.cos(6 * ts) ** 3 + 1e-7 * ts
+    data = {"d": 2, "kind": "sampled", "grid": ts.tolist(), "values": vals.tolist()}
+    if stored is not None:
+        data["fit_residual"] = stored
+    coeffs, resid = fit_cosine_series(2, ts, vals)
+    q = profile_from_json_dict(data)
+    assert q.cos_coeffs == tuple(coeffs) and len(coeffs) == 32
+    assert q.fit_residual == max(stored or 0.0, resid) and resid > 0
+
+
+def test_json_round_trip_of_every_kind():
+    ts = np.linspace(0, math.pi / 2, 65)
+    fitted = sampled_profile(2, ts, 1.0 + 0.2 * np.cos(2 * ts) + 1e-6 * ts)
+    assert fitted.fit_residual > 0
+    sector = SectorProfile(2, (0.7,), (fitted, ELLIPSE.scaled(3.0)))
+    for p in (ELLIPSE, fitted, fitted.scaled(-0.5), sector,
+              DualProfile(fitted, 2.0), DualProfile(ELLIPSE)):
+        assert profile_from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
+
+
+@pytest.mark.parametrize("coeffs,residual", [
+    ((math.nan,), 0.0), ((1.0, math.inf), 0.0), ((1.0, -math.inf), 0.0),
+    ((1.0,), -1e-9), ((1.0,), math.nan), ((1.0,), math.inf)])
+def test_non_finite_profile_is_rejected(coeffs, residual):
+    with pytest.raises(ValueError, match="finite"):
+        Profile(2, coeffs, fit_residual=residual)
+    data = {"d": 2, "cos_coeffs": list(coeffs), "fit_residual": residual}
+    with pytest.raises(ValueError, match="finite"):
+        profile_from_json_dict(json.loads(json.dumps(data)))
 
 
 def test_json_unknown_kind():

@@ -1,6 +1,7 @@
 """The exact validity rule of `is_minkowski` on every profile kind, against a
 dense-grid search with golden-section refinement kept here as the reference."""
 
+import json
 import math
 import warnings
 
@@ -182,8 +183,8 @@ def test_cli_dual_checks_the_base_once_and_the_fit_once(checks, tmp_path, capsys
     path = tmp_path / "ellipse.json"
     save_profile(Profile(2, (1.0, 0.3)), path)
     assert main(["dual", "--profile", str(path)]) == 0
-    capsys.readouterr()
-    assert [p.kind for p in checks] == ["cosine", "sampled"]
+    fit = json.loads(capsys.readouterr().out)["results"]["cos_coeffs"]
+    assert [p.cos_coeffs for p in checks] == [(1.0, 0.3), tuple(fit)]
 
 
 def test_a_sector_profile_keeps_its_report(checks):
