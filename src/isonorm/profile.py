@@ -49,7 +49,12 @@ class Profile:
             raise ValueError(f"d must be one of {ALLOWED_D}, got {self.d}")
         if not self.cos_coeffs:
             raise ValueError("profile needs at least one coefficient")
-        object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
+        try:  # JSON can hold any type here
+            object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
+            object.__setattr__(self, "fit_residual", float(self.fit_residual))
+        except TypeError as exc:
+            raise ValueError(f"profile coefficients and fit_residual must be "
+                             f"numbers ({exc})") from None
         coeffs = np.asarray(self.cos_coeffs)
         if not np.isfinite(coeffs).all():
             raise ValueError("profile coefficients must be finite")
@@ -352,10 +357,10 @@ def profile_from_json_dict(data: dict):
     field = lambda key: json_field(data, key, f"{kind} profile")
     if kind == "cosine":
         return Profile(int(field("d")), tuple(field("cos_coeffs")),
-                       fit_residual=float(data.get("fit_residual", 0.0)))
+                       fit_residual=data.get("fit_residual", 0.0))
     if kind == "sampled":  # the older format, kept readable: refit the samples
         p = sampled_profile(int(field("d")), field("grid"), field("values"))
-        stored = float(data.get("fit_residual", 0.0))
+        stored = replace(p, fit_residual=data.get("fit_residual", 0.0)).fit_residual
         return replace(p, fit_residual=max(stored, p.fit_residual))
     if kind == "sector":
         pieces = tuple(profile_from_json_dict(p) for p in field("pieces"))

@@ -252,6 +252,8 @@ def test_json_old_sampled_format_still_loads(stored):
     q = profile_from_json_dict(data)
     assert q.cos_coeffs == tuple(coeffs) and len(coeffs) == 32
     assert q.fit_residual == max(stored or 0.0, resid) and resid > 0
+    with pytest.raises(ValueError, match="fit_residual"):
+        profile_from_json_dict(dict(data, fit_residual=-1.0))
 
 
 def test_json_round_trip_of_every_kind():
