@@ -356,7 +356,7 @@ def profile_from_json_dict(data: dict):
     kind = data.get("kind", "cosine")
     field = lambda key: json_field(data, key, f"{kind} profile")
     if kind == "cosine":
-        return Profile(int(field("d")), tuple(field("cos_coeffs")),
+        return Profile(int(field("d")), field("cos_coeffs"),
                        fit_residual=data.get("fit_residual", 0.0))
     if kind == "sampled":  # the older format, kept readable: refit the samples
         p = sampled_profile(int(field("d")), field("grid"), field("values"))

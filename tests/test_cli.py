@@ -185,6 +185,7 @@ def test_validate_dual_of_a_marginal_base_is_a_clean_error(capfd, tmp_path):
     {"d": 2, "kind": "cosine", "cos_coeffs": [1.0], "fit_residual": -1.0},
     {"d": 2, "kind": "cosine", "cos_coeffs": [1.0], "fit_residual": math.nan},
     {"d": 2, "kind": "cosine", "cos_coeffs": [[1.0]]},
+    {"d": 2, "kind": "cosine", "cos_coeffs": 1.0},
     {"d": 2, "kind": "cosine", "cos_coeffs": [1.0], "fit_residual": [0.1]}])
 def test_non_finite_profile_is_a_clean_error(capfd, tmp_path, profile):
     # a NaN coefficient was "marginal" and then broke the report's JSON; a
