@@ -18,7 +18,14 @@ before and right after the row's calls.  The rows:
   for the Legendre triple on Profile(2, (1, 0.2)) whose h comes from
   `build_h_from_theta`, anchored as the CLI anchors it;
 - `dual_profile(PlanarNorm(Profile(2, (1, 0.5))))` at grid 512, with a new
-  norm per call.
+  norm per call;
+- in-process `isonorm.cli.main(["isometry", "check", "--triple", path])`,
+  its report discarded, where path holds that solved Legendre triple;
+- `glue_construct` alone on the reused 96-term base (the glue row above
+  without its lift check);
+- planar `check_d_property` (20 samples, V' the x1 axis) of the exact-dual
+  Legendre triple on Profile(2, (1, 0.2)): the norms of f and of its
+  `DualProfile`, and `planar_lift_map` of the triple.
 
 Only public names are used, so the script also times another checkout:
 
@@ -31,12 +38,15 @@ versions.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,12 +60,14 @@ import numpy as np  # noqa: E402
 
 import hostspeed  # noqa: E402
 import isonorm  # noqa: E402
-from isonorm import (DualProfile, InducedNorm, IsometryTriple,  # noqa: E402
-                     PlanarNorm, Profile, Sector, build_h_from_theta,
-                     bump_profile, cartan3, check_hessian_isometry,
-                     dual_profile, glue_construct, is_minkowski,
-                     legendre_map_tag, lift_to_nd, triple_from_json_dict,
-                     triple_to_json_dict)
+from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
+                     IsometryTriple, PlanarNorm, Profile, Sector,
+                     build_h_from_theta, bump_profile, cartan3,
+                     check_d_property, check_hessian_isometry, dual_profile,
+                     glue_construct, is_minkowski, legendre_map_tag,
+                     lift_to_nd, planar_lift_map, save_triple,
+                     triple_from_json_dict, triple_to_json_dict)
+from isonorm.cli import main as cli_main  # noqa: E402
 
 GLUE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]  # isometry_gallery.py's glue base
 GLUE_BREAK = 0.52
@@ -75,11 +87,15 @@ def _best(call, setup, repeat: int) -> float:
     return best
 
 
+def _glue(base):
+    return glue_construct(base, [Sector(0.0, GLUE_BREAK, "scale"),
+                                 Sector(GLUE_BREAK, math.pi / 3, "legendre-scale")],
+                          band_width=GLUE_BAND)
+
+
 def _glue_check(base):
     m = cartan3()
-    tr = glue_construct(base, [Sector(0.0, GLUE_BREAK, "scale"),
-                               Sector(GLUE_BREAK, math.pi / 3, "legendre-scale")],
-                        band_width=GLUE_BAND).triple
+    tr = _glue(base).triple
     return check_hessian_isometry(InducedNorm(m, tr.f), InducedNorm(m, tr.h),
                                   lift_to_nd(tr, m), samples=LIFT_SAMPLES, seed=0)
 
@@ -97,8 +113,20 @@ def _triple_json_round_trip(tr):
     return triple_from_json_dict(json.loads(json.dumps(triple_to_json_dict(tr))))
 
 
-def rows():
-    """(name, call, setup) of every row; setup() builds the call's input."""
+def _cli_check(path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(["isometry", "check", "--triple", path])
+
+
+def _planar_d_property(f):
+    tr = IsometryTriple(f=f, h=DualProfile(f), theta=legendre_map_tag())
+    return check_d_property(PlanarNorm(f), PlanarNorm(tr.h), planar_lift_map(tr),
+                            Decomposition(angle=0.0), samples=LIFT_SAMPLES)
+
+
+def rows(tmp: str):
+    """(name, call, setup) of every row; setup() builds the call's input.
+    Files a row reads are written under the directory tmp."""
     small = Profile(2, (1.0, 0.5))
     base = bump_profile(3, GLUE_HUMPS)
 
@@ -121,6 +149,14 @@ def rows():
                 "Profile(2, (1, 0.2))", _triple_json_round_trip, lambda: triple))
     out.append(("dual_profile(PlanarNorm(Profile(2, (1, 0.5)))), grid 512",
                 dual_profile, lambda: PlanarNorm(Profile(2, (1.0, 0.5)))))
+    triple_path = os.path.join(tmp, "triple.json")
+    save_triple(triple, triple_path)
+    out.append(("cli.main isometry check in-process, solved Legendre triple on "
+                "Profile(2, (1, 0.2))", _cli_check, lambda: triple_path))
+    out.append(("glue_construct, reused 96-term glue base", _glue, lambda: base))
+    out.append(("check_d_property, planar exact-dual Legendre triple on "
+                "Profile(2, (1, 0.2))", _planar_d_property,
+                lambda: Profile(2, (1.0, 0.2))))
     return out
 
 
@@ -144,15 +180,16 @@ def main(argv=None) -> int:
         ap.error("--repeat must be at least 1")
 
     table = []
-    for name, call, setup in rows():
-        call(setup())  # untimed: first-call set-up, and warms the warm rows
-        before = hostspeed.probe_s()
-        best = _best(call, setup, args.repeat)
-        after = hostspeed.probe_s()
-        table.append({"name": name, "best_ms": 1e3 * best,
-                      "scaled_ms": 1e3 * hostspeed.scaled(best, before, after),
-                      "probe_ms": [1e3 * before, 1e3 * after]})
-        print(f"{table[-1]['scaled_ms']:10.4f} ms  {name}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, call, setup in rows(tmp):
+            call(setup())  # untimed: first-call set-up, and warms the warm rows
+            before = hostspeed.probe_s()
+            best = _best(call, setup, args.repeat)
+            after = hostspeed.probe_s()
+            table.append({"name": name, "best_ms": 1e3 * best,
+                          "scaled_ms": 1e3 * hostspeed.scaled(best, before, after),
+                          "probe_ms": [1e3 * before, 1e3 * after]})
+            print(f"{table[-1]['scaled_ms']:10.4f} ms  {name}")
 
     status = _git("status", "--porcelain", "--", ".")
     report = {

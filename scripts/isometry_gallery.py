@@ -48,8 +48,7 @@ BASE = {
 
 def triple_row(label, tr, model, samples, seed):
     ts = np.linspace(0.0, math.pi / tr.f.d, 258)[1:-1]
-    ode_max = max(float(np.max(np.abs(ode_residuals(tr, float(t)))))
-                  for t in ts)
+    ode_max = float(np.max(np.abs(ode_residuals(tr, ts))))
 
     nm_f = InducedNorm(model, tr.f)
     nm_h = InducedNorm(model, tr.h)

@@ -296,9 +296,8 @@ def _default_anchor(f: Profile, theta: ThetaMap, t0: float) -> float:
 
 
 def _triple_residual(tr: IsometryTriple, grid: int) -> dict:
-    ts = _interior_grid(tr.f.d, grid)
-    res = np.array([ode_residuals(tr, float(t)) for t in ts])
-    worst = np.max(np.abs(res), axis=0)
+    res = ode_residuals(tr, _interior_grid(tr.f.d, grid))
+    worst = np.max(np.abs(res), axis=1)
     out = {f"ode_eq{i}": float(w) for i, w in enumerate(worst)}
     out["ode_max"] = float(np.max(worst))
     return out
@@ -362,7 +361,7 @@ def cmd_isometry_glue(args):
     band = args.band_width
     if isinstance(spec, dict):
         if band is None and "band_width" in spec:
-            band = float(spec["band_width"])
+            band = float(json_field(spec, "band_width", "sectors file", "number"))
         spec = json_field(spec, "sectors", "sectors file")
     if band is None:
         band = DEFAULT_BAND_WIDTH
@@ -406,11 +405,8 @@ def cmd_sample(args):
     else:
         nm = PlanarNorm(p)
         ts = rng.uniform(0.0, 2.0 * math.pi, args.count)
-        for t in ts:
-            t = float(t)
-            x = indicatrix_point(nm, t)
-            r = float(np.hypot(*x))
-            rows.append([t, r, float(x[0]), float(x[1])])
+        X = indicatrix_point(nm, ts[:, None])[:, 0]  # a column: scalar bits
+        rows = np.column_stack([ts, np.hypot(X[:, 0], X[:, 1]), X]).tolist()
         norm_err = max(abs(planar_value(nm, np.array(row[2:])) - 1.0)
                        for row in rows)
         dim = 2

@@ -13,8 +13,9 @@ branch maps across bands where the base profile is round produces the
 piecewise constructions checked by classify_sectors.
 
 A map `phi` handed to the metric checks takes rows, like `fun` in fd.py: an
-(m, n) array of points in, their (m, n) images out.  The maps of lift_to_nd
-and planar_lift_map give every row the bits of its one-row call.
+(m, n) array of points in, their (m, n) images out.  lift_to_nd's and
+planar_lift_map's maps, project_out, planar `fundamental_tensor` and
+`ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
 """
 
 from __future__ import annotations
@@ -192,17 +193,17 @@ def theta_to_json_dict(tm: ThetaMap) -> dict:
 
 
 def theta_from_json_dict(d: dict) -> ThetaMap:
-    field = lambda key, data=d: json_field(data, key, "theta map")
-    kind = field("kind")
+    field = lambda key, want, data=d: json_field(data, key, "theta map", want)
+    kind = field("kind", "string")
     if kind in ("linear", "scaled-legendre"):
-        return ThetaMap(kind=kind, params=(field("a"), field("b")))
+        return ThetaMap(kind=kind, params=(field("a", "number"), field("b", "number")))
     if kind == "sampled":
-        return ThetaMap(kind=kind, grid=tuple(field("grid")),
-                        values=tuple(field("values")))
+        return ThetaMap(kind=kind, grid=tuple(field("grid", "numbers")),
+                        values=tuple(field("values", "numbers")))
     if kind == "piecewise":
-        pieces = tuple((field("lo", p), field("hi", p),
-                        theta_from_json_dict(field("map", p)))
-                       for p in field("pieces"))
+        pieces = tuple((field("lo", "number", p), field("hi", "number", p),
+                        theta_from_json_dict(field("map", "object", p)))
+                       for p in field("pieces", "array"))
         return ThetaMap(kind=kind, pieces=pieces)
     return ThetaMap(kind=kind)
 
@@ -225,7 +226,7 @@ def triple_to_json_dict(tr: IsometryTriple) -> dict:
 
 
 def triple_from_json_dict(d: dict) -> IsometryTriple:
-    field = lambda key: json_field(d, key, "triple")
+    field = lambda key: json_field(d, key, "triple", "object")
     return IsometryTriple(f=profile_from_json_dict(field("f")),
                           h=profile_from_json_dict(field("h")),
                           theta=theta_from_json_dict(field("theta")))
@@ -244,30 +245,30 @@ def save_triple(tr: IsometryTriple, path) -> None:
 # --- the ODE system ---------------------------------------------------------
 
 
-def ode_residuals(tr: IsometryTriple, t: float) -> np.ndarray:
-    """Left-minus-right of the isometry ODE system at t; length d+1.
+def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
+    """Left-minus-right of the isometry ODE system at t: length d+1 for a
+    scalar t, shape (d+1, m) for a 1-D array of m angles.
 
     Entry 0 is the second-order equation linking the curvature data of f
     and h through theta'; entries 1..d are the dihedral first-order
     equations (one per k).  All vanish iff the triple is a Hessian isometry.
     """
-    d = tr.f.d
-    th = theta_value(tr.theta, tr.f, t, 0)
-    thp = theta_value(tr.theta, tr.f, t, 1)
-    f0, f1, f2 = tr.f.jet(t, 2)
+    t = np.asarray(t, dtype=float)
+    tc = t.reshape(-1, 1)  # a column: one exact-dual solve, scalar bits per row
+    th = theta_value(tr.theta, tr.f, tc, 0)
+    thp = theta_value(tr.theta, tr.f, tc, 1)
+    f0, f1, f2 = tr.f.jet(tc, 2)
     h0, h1, h2 = tr.h.jet(th, 2)
 
-    res = np.empty(d + 1)
     lhs2 = f2 / (2 * f0) - f1 * f1 / (4 * f0 * f0) + 1.0
     rhs2 = h2 / (2 * h0) - h1 * h1 / (4 * h0 * h0) + 1.0
-    res[0] = lhs2 - thp * thp * rhs2
-    for k in range(d):
-        tau = k * math.pi / d
-        sf, cf = math.sin(t + tau), math.cos(t + tau)
-        sh, ch = math.sin(th + tau), math.cos(th + tau)
-        res[k + 1] = (sf * sf + sf * cf * f1 / (2 * f0)) \
-            - (sh * sh + sh * ch * h1 / (2 * h0))
-    return res
+    tau = np.arange(tr.f.d) * math.pi / tr.f.d  # the dihedral angles k pi/d
+    at, ath = tc + tau, th + tau
+    sf, cf, sh, ch = np.sin(at), np.cos(at), np.sin(ath), np.cos(ath)
+    dihedral = (sf * sf + sf * cf * f1 / (2 * f0)) \
+        - (sh * sh + sh * ch * h1 / (2 * h0))
+    res = np.concatenate([lhs2 - thp * thp * rhs2, dihedral], axis=1).T
+    return res[:, 0] if t.ndim == 0 else res
 
 
 # quadratic_and_roots warns about d <= 2 once per process
@@ -430,7 +431,7 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
 def _tensor_at(norm, x) -> np.ndarray:
     """The closed-form fundamental tensor at each row of x, shape (m, n, n)."""
     if isinstance(norm, PlanarNorm):
-        return np.array([fundamental_tensor(norm, p) for p in x])
+        return fundamental_tensor(norm, x)
     from .hessian import closed_fundamental_tensor
     return closed_fundamental_tensor(norm, x)
 
@@ -439,22 +440,17 @@ def _sample_points(norm, samples: int, seed: int) -> np.ndarray:
     if samples < 1:
         raise ValueError(f"a metric check needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
+    if isinstance(norm, PlanarNorm):  # rows (t, r), in the order of the draws
+        t, r = rng.uniform([0.05, 0.6], [math.pi / norm.d - 0.05, 1.4], (samples, 2)).T
+        return r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+    from .foliation import random_leaf_points
+    m = norm.foliation
+    guard = 0.1
     pts = []
-    if isinstance(norm, PlanarNorm):
-        d = norm.profile.d
-        guard = 0.05
-        for _ in range(samples):
-            t = rng.uniform(guard, math.pi / d - guard)
-            r = rng.uniform(0.6, 1.4)
-            pts.append(r * np.array([math.cos(t), math.sin(t)]))
-    else:
-        from .foliation import random_leaf_points
-        m = norm.foliation
-        guard = 0.1
-        for i in range(samples):
-            t = rng.uniform(guard, math.pi / m.d - guard)
-            u = random_leaf_points(m, t, 1, seed=int(rng.integers(2 ** 31)))[0]
-            pts.append(rng.uniform(0.6, 1.4) * u)
+    for i in range(samples):
+        t = rng.uniform(guard, math.pi / m.d - guard)
+        u = random_leaf_points(m, t, 1, seed=int(rng.integers(2 ** 31)))[0]
+        pts.append(rng.uniform(0.6, 1.4) * u)
     return np.array(pts)
 
 
@@ -494,27 +490,27 @@ class Decomposition:
     vprime: tuple | None = None
 
     def project_out(self, x: np.ndarray) -> np.ndarray:
-        """Component of x orthogonal to V' (that is, x'')."""
-        if self.angle is not None:
-            u = np.array([math.cos(self.angle), math.sin(self.angle)])
-            return x - np.dot(x, u) * u
-        Q = np.asarray(self.vprime, dtype=float)
-        if Q.ndim == 1:
-            Q = Q[:, None]
-        return x - Q @ (Q.T @ x)
+        """Component of each row of x orthogonal to V' (that is, x''), by
+        one product per row, as for a single point."""
+        Q = np.asarray(self.vprime if self.angle is None else
+                       [math.cos(self.angle), math.sin(self.angle)], dtype=float)
+        Q = Q.reshape(len(Q), -1)  # a single vector is one column
+        return x - (Q @ (Q.T @ x[..., None]))[..., 0]
 
 
-def _d_residual(dec: Decomposition, x, g1, y, g2) -> float:
-    return float(dec.project_out(x) @ g1 @ x) - float(dec.project_out(y) @ g2 @ y)
+def _d_residuals(norm1, norm2, phi: Callable, dec: Decomposition, X) -> np.ndarray:
+    """g1_x(x'', x) - g2_y(y'', y), y = Phi x, at each row x of X, from one
+    phi call and stacked products (as _sqnorm forms |x|^2)."""
+    form = lambda norm, x: (dec.project_out(x)[:, None] @ _tensor_at(norm, x)
+                            @ x[:, :, None])[:, 0, 0]
+    return form(norm1, X) - form(norm2, np.asarray(phi(X), dtype=float))
 
 
 def d_residual_signed(norm1, norm2, phi: Callable, dec: Decomposition,
                       x) -> float:
     """g1_x(x'', x) - g2_{Phi x}((Phi x)'', Phi x) for the decomposition."""
-    x = np.asarray(x, dtype=float)[None]
-    y = np.asarray(phi(x), dtype=float)
-    return _d_residual(dec, x[0], _tensor_at(norm1, x)[0],
-                       y[0], _tensor_at(norm2, y)[0])
+    X = np.asarray(x, dtype=float)[None]
+    return float(_d_residuals(norm1, norm2, phi, dec, X)[0])
 
 
 class DPropertyCheck(NamedTuple):
@@ -524,11 +520,8 @@ class DPropertyCheck(NamedTuple):
 def check_d_property(norm1, norm2, phi: Callable, dec: Decomposition,
                      samples: int = 20, seed: int = 0) -> DPropertyCheck:
     """Max over samples of |d_residual_signed|, from one phi call."""
-    X = _sample_points(norm1, samples, seed)
-    Y = np.asarray(phi(X), dtype=float)
-    tensors = zip(X, _tensor_at(norm1, X), Y, _tensor_at(norm2, Y))
-    res = [abs(_d_residual(dec, *args)) for args in tensors]
-    return DPropertyCheck(max_residual=max([0.0] + res))
+    res = _d_residuals(norm1, norm2, phi, dec, _sample_points(norm1, samples, seed))
+    return DPropertyCheck(max_residual=float(np.max(np.abs(res))))
 
 
 # --- gluing and classification ----------------------------------------------
@@ -559,12 +552,9 @@ def _sector(i: int, s) -> Sector:
     if not isinstance(s, dict) or not set(s) <= {"lo", "hi", "mode", "scale"}:
         raise ValueError(f"{what} must be an object with the fields lo, hi, "
                          f"mode and an optional scale, got {s!r}")
-    fields = {key: json_field(s, key, what) for key in ("lo", "hi", "mode")}
-    fields["scale"] = s.get("scale", 1.0)
-    for key, v in fields.items():
-        want = str if key == "mode" else (int, float)
-        if isinstance(v, bool) or not isinstance(v, want):
-            raise ValueError(f"{what} field {key!r} has the wrong type: {v!r}")
+    fields = {key: json_field(s, key, what, "number") for key in ("lo", "hi")}
+    fields["mode"] = json_field(s, "mode", what, "string")
+    fields["scale"] = json_field(s, "scale", what, "number", default=1.0)
     try:
         return Sector(**fields)
     except ValueError as exc:
@@ -641,10 +631,9 @@ def glue_construct(f_base: Profile, sectors, band_width: float = DEFAULT_BAND_WI
         raise ValueError("assembled theta map is not strictly increasing")
 
     triple = IsometryTriple(f=f_base, h=h_prof, theta=theta)
-    band_res = 0.0
-    for b in breaks:
-        for t in np.linspace(b - band_width / 2, b + band_width / 2, 33):
-            band_res = max(band_res, float(np.max(np.abs(ode_residuals(triple, t)))))
+    band = np.array([np.linspace(b - band_width / 2, b + band_width / 2, 33)
+                     for b in breaks]).reshape(-1)
+    band_res = float(np.max(np.abs(ode_residuals(triple, band)), initial=0.0))
     return GlueResult(triple=triple, max_band_residual=band_res, scale=lam)
 
 
@@ -690,23 +679,18 @@ def classify_sectors(tr: IsometryTriple, grid: int = 512,
     raw = np.where(is_id & ~is_leg, 0, np.where(is_leg & ~is_id, 1,
                    np.where(is_id & is_leg, 2, 3)))
     labels = raw.copy()
-    definite = np.where(raw < 2)[0]
+    definite, both = np.flatnonzero(raw < 2), np.flatnonzero(raw == 2)
     if len(definite) == 0:
         labels[:] = np.where(raw == 2, 0, 3)
-    else:
-        for i in np.where(raw == 2)[0]:
-            j = definite[np.argmin(np.abs(definite - i))]
-            labels[i] = raw[j]
+    else:  # the nearest definite point, the lower one on a tie
+        near = np.argmin(np.abs(definite[None, :] - both[:, None]), axis=1)
+        labels[both] = raw[definite[near]]
 
     names = {0: IDENTITY_TYPE, 1: LEGENDRE_TYPE, 3: TRANSITION}
-    out: list[SectorLabel] = []
-    start = 0
-    for i in range(1, grid + 1):
-        if i == grid or labels[i] != labels[start]:
-            out.append(SectorLabel(lo=float(ts[start]), hi=float(ts[i - 1]),
-                                   label=names[int(labels[start])]))
-            start = i
-    return out
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))  # of the runs
+    return [SectorLabel(lo=float(ts[a]), hi=float(ts[b - 1]),
+                        label=names[int(labels[a])])
+            for a, b in zip(starts, np.r_[starts[1:], grid])]
 
 
 # --- lifting to n dimensions --------------------------------------------------

@@ -48,21 +48,24 @@ def value(nm: PlanarNorm, x) -> float:
 
 
 def fundamental_tensor(nm: PlanarNorm, x) -> np.ndarray:
-    """Hessian of E = F^2/2 at x != 0, in Cartesian coordinates.
+    """Hessian of E = F^2/2 at x != 0, in Cartesian coordinates, at one
+    point or at each row of an (m, 2) array, shape (m, 2, 2).
 
     In the orthonormal frame (e_r, e_t) the matrix is
-    [[2f, f'], [f', f'' + 2f]]; rotate back by the polar angle.
+    [[2f, f'], [f', f'' + 2f]]; rotate back by the polar angle (math.atan2
+    per row, as legendre_map).
     """
     x = np.asarray(x, dtype=float)
-    r = math.hypot(x[0], x[1])
-    if r == 0.0:
+    rows = np.atleast_2d(x).tolist()
+    if not all(math.hypot(a, b) for a, b in rows):
         raise ValueError("fundamental tensor undefined at the origin")
-    t = math.atan2(x[1], x[0])
+    t = np.array([math.atan2(b, a) for a, b in rows])[:, None, None]
     f0, f1, f2 = nm.profile.jet(t, 2)
-    frame = np.array([[2.0 * f0, f1], [f1, f2 + 2.0 * f0]])
-    c, s = math.cos(t), math.sin(t)
-    rot = np.array([[c, -s], [s, c]])
-    return rot @ frame @ rot.T
+    frame = np.block([[2.0 * f0, f1], [f1, f2 + 2.0 * f0]])
+    c, s = np.cos(t), np.sin(t)
+    rot = np.block([[c, -s], [s, c]])
+    g = rot @ frame @ np.swapaxes(rot, 1, 2)
+    return g[0] if x.ndim == 1 else g
 
 
 def legendre_map(nm: PlanarNorm, x) -> np.ndarray:
@@ -308,5 +311,5 @@ class DualProfile:
 
 
 register_profile_kind("dual", lambda data: DualProfile(
-    base=profile_from_json_dict(json_field(data, "base", "dual profile")),
-    scale=float(data.get("scale", 1.0))))
+    base=profile_from_json_dict(json_field(data, "base", "dual profile", "object")),
+    scale=float(json_field(data, "scale", "dual profile", "number", default=1.0))))

@@ -47,14 +47,14 @@ class Profile:
     def __post_init__(self):
         if self.d not in ALLOWED_D:
             raise ValueError(f"d must be one of {ALLOWED_D}, got {self.d}")
-        if not self.cos_coeffs:
-            raise ValueError("profile needs at least one coefficient")
-        try:  # JSON can hold any type here
+        try:  # JSON can hold any type here, and a caller a numpy array
             object.__setattr__(self, "cos_coeffs", tuple(float(c) for c in self.cos_coeffs))
             object.__setattr__(self, "fit_residual", float(self.fit_residual))
         except TypeError as exc:
             raise ValueError(f"profile coefficients and fit_residual must be "
                              f"numbers ({exc})") from None
+        if not self.cos_coeffs:
+            raise ValueError("profile needs at least one coefficient")
         coeffs = np.asarray(self.cos_coeffs)
         if not np.isfinite(coeffs).all():
             raise ValueError("profile coefficients must be finite")
@@ -344,27 +344,42 @@ def register_profile_kind(kind: str, loader) -> None:
     _EXTRA_JSON_KINDS[kind] = loader
 
 
-def json_field(data, key: str, what: str):
-    """data[key] of a loaded JSON object; a ValueError naming the field when
-    it is missing."""
+_JSON_TYPES = {"integer": int, "number": (int, float), "numbers": (int, float),
+               "string": str, "array": list, "object": dict}
+
+
+def json_field(data, key: str, what: str, want: str | None = None, default=None):
+    """data[key] of a loaded JSON object, or `default`, where given, if the
+    key is absent; a ValueError naming the field when it is missing or not
+    of the JSON type `want`, a key of _JSON_TYPES ("numbers": an array of
+    numbers; a bool is no number)."""
+    if default is not None and isinstance(data, dict) and key not in data:
+        return default
     if not isinstance(data, dict) or key not in data:
         raise ValueError(f"{what} is missing the field {key!r}")
-    return data[key]
+    value, types = data[key], _JSON_TYPES.get(want)
+    items = value if want == "numbers" else [value]
+    if types and not (isinstance(items, list) and all(
+            isinstance(v, types) and not isinstance(v, bool) for v in items)):
+        raise ValueError(f"{what} field {key!r} has the wrong type: {value!r}")
+    return value
 
 
 def profile_from_json_dict(data: dict):
-    kind = data.get("kind", "cosine")
-    field = lambda key: json_field(data, key, f"{kind} profile")
+    kind = json_field(data, "kind", "profile", "string", default="cosine")
+    field = lambda key, want=None: json_field(data, key, f"{kind} profile", want)
     if kind == "cosine":
-        return Profile(int(field("d")), field("cos_coeffs"),
+        return Profile(field("d", "integer"), field("cos_coeffs"),
                        fit_residual=data.get("fit_residual", 0.0))
     if kind == "sampled":  # the older format, kept readable: refit the samples
-        p = sampled_profile(int(field("d")), field("grid"), field("values"))
+        p = sampled_profile(field("d", "integer"), field("grid", "numbers"),
+                            field("values", "numbers"))
         stored = replace(p, fit_residual=data.get("fit_residual", 0.0)).fit_residual
         return replace(p, fit_residual=max(stored, p.fit_residual))
     if kind == "sector":
-        pieces = tuple(profile_from_json_dict(p) for p in field("pieces"))
-        return SectorProfile(int(field("d")), tuple(field("breaks")), pieces)
+        pieces = tuple(profile_from_json_dict(p) for p in field("pieces", "array"))
+        return SectorProfile(field("d", "integer"),
+                             tuple(field("breaks", "numbers")), pieces)
     if kind in _EXTRA_JSON_KINDS:
         return _EXTRA_JSON_KINDS[kind](data)
     raise ValueError(f"unknown profile kind {kind!r}")

@@ -125,9 +125,7 @@ def test_criterion_4_ode_system():
                    IsometryTriple(f=f, h=DualProfile(f),
                                   theta=legendre_map_tag())):
             ts = np.linspace(0.0, math.pi / f.d, 514)[1:-1]
-            for t in ts:
-                tre_err = max(tre_err,
-                              float(np.max(np.abs(ode_residuals(tr, float(t))))))
+            tre_err = max(tre_err, float(np.max(np.abs(ode_residuals(tr, ts)))))
     assert tre_err < 1e-6
 
     sol = integrate_branch(round_profile(1), "one", math.pi / 4,
@@ -180,13 +178,14 @@ def test_criterion_5_d_property():
     from isonorm.isometry import d_residual_signed
     tr = IsometryTriple(f=f, h=f, theta=identity_map())
     id_err = 0.0
+    ts = np.linspace(0.1, math.pi / 2 - 0.1, 9)
+    ode = ode_residuals(tr, ts)
     for k in range(f.d):
         dec = Decomposition(angle=-k * math.pi / f.d)
-        for t in np.linspace(0.1, math.pi / 2 - 0.1, 9):
+        for i, t in enumerate(ts):
             x = indicatrix_point(nm, float(t))
             lhs = d_residual_signed(nm, nm, lambda X: X, dec, x)
-            rhs = 2.0 * f.evaluate(float(t), 0) \
-                * ode_residuals(tr, float(t))[k + 1]
+            rhs = 2.0 * f.evaluate(float(t), 0) * ode[k + 1, i]
             id_err = max(id_err, abs(lhs - rhs))
     assert id_err < 1e-8
     _pass(5, f"Legendre decomposition residual {leg_worst:.2e} at 8 angles "

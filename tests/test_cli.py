@@ -8,12 +8,14 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import isonorm
 from isonorm import cli
 from isonorm.cli import main
 from isonorm.isometry import Sector, bump_profile, glue_construct
+from isonorm.planar import PlanarNorm, indicatrix_point
 from isonorm.profile import Profile, profile_from_json_dict, save_profile
 
 SCHEMA = json.loads(resources.files("isonorm")
@@ -199,6 +201,63 @@ def test_non_finite_profile_is_a_clean_error(capfd, tmp_path, profile):
     assert err.count("\n") == 1 and err.startswith("isonorm: error:")
 
 
+PIECE = {"d": 2, "cos_coeffs": [0.5]}
+
+
+@pytest.mark.parametrize("profile,named", [
+    ({"d": 2.7, "cos_coeffs": [1.0, 0.2]}, "cosine profile field 'd' "),
+    ({"d": "2", "cos_coeffs": [1.0, 0.2]}, "cosine profile field 'd' "),
+    ({"d": True, "cos_coeffs": [1.0, 0.2]}, "cosine profile field 'd' "),
+    ({"d": [2], "cos_coeffs": [1.0, 0.2]}, "cosine profile field 'd' "),
+    ({"kind": ["cosine"], "d": 2, "cos_coeffs": [1.0]}, "profile field 'kind' "),
+    ({"d": 2, "kind": "sector", "breaks": [[0.5]], "pieces": [PIECE, PIECE]},
+     "sector profile field 'breaks' "),
+    ({"d": 2, "kind": "sector", "breaks": [0.5], "pieces": 3},
+     "sector profile field 'pieces' "),
+    ({"d": 2, "kind": "sampled", "grid": 3, "values": [1.0]},
+     "sampled profile field 'grid' "),
+    ({"kind": "dual", "base": PIECE, "scale": [1]}, "dual profile field 'scale' "),
+    ({"kind": "dual", "base": 3}, "dual profile field 'base' "),
+], ids=["d-float", "d-string", "d-bool", "d-list", "kind-list", "breaks-nested",
+        "pieces-number", "grid-number", "scale-list", "base-number"])
+def test_profile_field_of_the_wrong_type_is_named(capfd, tmp_path, profile, named):
+    # these validated a truncated d silently, or ended in a TypeError traceback
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    code = main(["validate", "--profile", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("isonorm: error: " + named + "has the wrong type")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("theta,key", [
+    ({"kind": "linear", "a": [1], "b": 1.0}, "a"),
+    ({"kind": "linear", "a": "x", "b": 1.0}, "a"),
+    ({"kind": "scaled-legendre", "a": 1.0, "b": None}, "b"),
+    ({"kind": "sampled", "grid": 3, "values": [0.1, 0.2, 0.3, 0.4]}, "grid"),
+    ({"kind": "sampled", "grid": [0.1, 0.2, 0.3, 0.4], "values": ["a"] * 4},
+     "values"),
+    ({"kind": "piecewise", "pieces": 3}, "pieces"),
+    ({"kind": "piecewise", "pieces": [{"lo": 0.0, "hi": "a",
+                                       "map": {"kind": "identity"}}]}, "hi"),
+    ({"kind": "piecewise", "pieces": [{"lo": 0.0, "hi": 1.5, "map": 3}]}, "map"),
+    ({"kind": 3}, "kind"),
+], ids=["a-list", "a-string", "b-null", "grid-number", "values-strings",
+        "pieces-number", "hi-string", "map-number", "kind-number"])
+def test_theta_field_of_the_wrong_type_is_named(capfd, tmp_path, theta, key):
+    # each ended in a TypeError traceback from the theta-map constructor
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({"f": PIECE, "h": PIECE, "theta": theta}))
+    code = main(["isometry", "check", "--triple", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"isonorm: error: theta map field {key!r} has the wrong type")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,data,field", [
     (["validate", "--profile"], {"kind": "cosine", "cos_coeffs": [1.0]}, "'d'"),
     (["isometry", "check", "--triple"],
@@ -337,6 +396,18 @@ def test_sample_planar_json(capsys, profiles):
     assert code == 0
     assert rep["results"]["columns"] == ["t", "r", "x0", "x1"]
     assert rep["residuals"]["norm_error"] < 1e-12
+
+
+def test_sample_planar_points_have_the_bits_of_the_per_point_loop(capsys, profiles):
+    code, rep = run_json(capsys, "sample", "--profile", profiles["wobble3"],
+                         "--count", "40", "--seed", "5")
+    assert code == 0
+    nm = PlanarNorm(profile_from_json_dict(json.loads(open(profiles["wobble3"]).read())))
+    want = []
+    for t in np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 40).tolist():
+        x = indicatrix_point(nm, t)
+        want.append([t, float(np.hypot(*x)), float(x[0]), float(x[1])])
+    assert rep["results"]["points"] == want
 
 
 # ---------------------------------------------------------------- isometry

@@ -26,7 +26,8 @@ from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                               triple_to_json_dict)
 from isonorm.planar import (DualProfile, PlanarNorm, fundamental_tensor,
                             indicatrix_point, legendre_map, theta_legendre)
-from isonorm.profile import Profile, load_profile, round_profile, save_profile
+from isonorm.profile import (Profile, SectorProfile, load_profile, round_profile,
+                             save_profile)
 
 ELLIPSE = Profile(2, (1.0, 0.2))
 WOBBLE3 = Profile(3, (0.5, 0.02, 0.005))
@@ -153,22 +154,21 @@ def test_sampled_theta_matches_scipy():
 
 def test_identity_triple_residuals_vanish():
     tr = _identity_triple(WOBBLE3)
-    for t in np.linspace(0.05, math.pi / 3 - 0.05, 33):
-        assert np.max(np.abs(ode_residuals(tr, float(t)))) < 1e-12
+    ts = np.linspace(0.05, math.pi / 3 - 0.05, 33)
+    assert np.max(np.abs(ode_residuals(tr, ts))) < 1e-12
 
 
 def test_legendre_triple_residuals_vanish():
     tr = _legendre_triple(ELLIPSE)
     assert len(ode_residuals(tr, 0.3)) == 3  # second order + one per k
-    for t in np.linspace(0.05, math.pi / 2 - 0.05, 33):
-        assert np.max(np.abs(ode_residuals(tr, float(t)))) < 1e-9
+    ts = np.linspace(0.05, math.pi / 2 - 0.05, 33)
+    assert np.max(np.abs(ode_residuals(tr, ts))) < 1e-9
 
 
 def test_perturbed_h_breaks_residuals():
     tr = IsometryTriple(f=ELLIPSE, h=Profile(2, (1.0, 0.23)),
                         theta=identity_map())
-    worst = max(np.max(np.abs(ode_residuals(tr, float(t))))
-                for t in np.linspace(0.1, 1.4, 21))
+    worst = np.max(np.abs(ode_residuals(tr, np.linspace(0.1, 1.4, 21))))
     assert worst > 1e-2
 
 
@@ -181,9 +181,39 @@ def test_triple_json_round_trip():
     tr = _legendre_triple(ELLIPSE)
     back = triple_from_json_dict(json.loads(json.dumps(
         triple_to_json_dict(tr))))
-    for t in (0.2, 0.7, 1.2):
-        assert np.allclose(ode_residuals(back, t), ode_residuals(tr, t),
-                           atol=1e-12)
+    ts = np.array([0.2, 0.7, 1.2])
+    assert np.allclose(ode_residuals(back, ts), ode_residuals(tr, ts), atol=1e-12)
+
+
+ROW_F = Profile(2, (1.0, 0.15, 0.01))
+ROW_GRID = np.linspace(0.0, math.pi / 2, 9)
+ROW_THETAS = {
+    "identity": identity_map(),
+    "linear": ThetaMap(kind="linear", params=(1.3, 0.8)),
+    "legendre": legendre_map_tag(),
+    "scaled-legendre": ThetaMap(kind="scaled-legendre", params=(1.2, 0.9)),
+    "sampled": ThetaMap(kind="sampled", grid=tuple(ROW_GRID),
+                        values=tuple(ROW_GRID + 0.01 * np.sin(2 * ROW_GRID))),
+    "piecewise": ThetaMap(kind="piecewise", pieces=(
+        (0.0, 0.7, identity_map()), (0.7, math.pi / 2, legendre_map_tag()))),
+}
+ROW_HS = {
+    "Profile": Profile(2, (0.8, -0.1)),
+    "SectorProfile": SectorProfile(2, (0.7,), (ROW_F.scaled(0.9),
+                                               Profile(2, (0.5, 0.05)))),
+    "DualProfile": DualProfile(ROW_F),
+}
+
+
+@pytest.mark.parametrize("h_kind", sorted(ROW_HS))
+@pytest.mark.parametrize("theta_kind", isometry.THETA_KINDS)
+def test_ode_residual_rows_have_the_bits_of_one_angle_calls(theta_kind, h_kind):
+    tr = IsometryTriple(f=ROW_F, h=ROW_HS[h_kind], theta=ROW_THETAS[theta_kind])
+    ts = np.append(np.linspace(0.01, math.pi / 2 - 0.01, 37), 0.7)  # + a break
+    rows = ode_residuals(tr, ts)
+    assert rows.shape == (3, ts.size)
+    assert np.array_equal(rows, np.array([ode_residuals(tr, float(t)) for t in ts]).T)
+    assert ode_residuals(tr, np.array([])).shape == (3, 0)
 
 
 def test_solved_triple_json_round_trip_is_exact():
@@ -337,6 +367,49 @@ def test_rotation_fails_d_property():
     assert res.max_residual > 1e-3
 
 
+def test_planar_sample_points_draw_as_the_per_sample_loop():
+    for d in (1, 2, 3):
+        rng = np.random.default_rng(d)
+        want = []
+        for _ in range(50):  # t then r, sample by sample
+            t = rng.uniform(0.05, math.pi / d - 0.05)
+            want.append(rng.uniform(0.6, 1.4) * np.array([math.cos(t), math.sin(t)]))
+        got = isometry._sample_points(PlanarNorm(Profile(d, (1.0,))), 50, d)
+        assert np.array_equal(got, want)
+
+
+def _per_sample_d(norm1, norm2, phi, dec, samples, seed):
+    """check_d_property one sample at a time, as it was before it took rows:
+    one-point tensors and one-point projections."""
+    def tensor(norm, x):
+        if isinstance(norm, PlanarNorm):
+            return fundamental_tensor(norm, x)
+        return closed_fundamental_tensor(norm, x)
+
+    def x2(x):
+        if dec.angle is not None:
+            u = np.array([math.cos(dec.angle), math.sin(dec.angle)])
+            return x - np.dot(x, u) * u
+        Q = np.asarray(dec.vprime, dtype=float)
+        Q = Q[:, None] if Q.ndim == 1 else Q
+        return x - Q @ (Q.T @ x)
+
+    form = lambda norm, x: float(x2(x) @ tensor(norm, x) @ x)
+    X = isometry._sample_points(norm1, samples, seed)
+    return max([0.0] + [abs(form(norm1, x) - form(norm2, y)) for x, y in zip(X, phi(X))])
+
+
+def test_planar_check_d_property_has_the_bits_of_the_per_sample_loop():
+    nm = PlanarNorm(ELLIPSE)
+    R = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for norm2, phi in ((PlanarNorm(DualProfile(ELLIPSE)), lambda X: legendre_map(nm, X)),
+                       (nm, lambda X: X @ R.T)):
+        for angle in (0.0, -math.pi / 2, 0.3):
+            dec = Decomposition(angle=angle)
+            got = check_d_property(nm, norm2, phi, dec, samples=30, seed=2)
+            assert got.max_residual == _per_sample_d(nm, norm2, phi, dec, 30, 2)
+
+
 def test_signed_residual_equals_ode_residual():
     # on the unit sphere of the norm, the pointwise decomposition residual
     # at angle -k pi/d is exactly the k-th first-order equation residual
@@ -344,12 +417,14 @@ def test_signed_residual_equals_ode_residual():
     tr = _identity_triple(f)
     nm = PlanarNorm(f)
     phi = lambda X: X
+    ts = (0.3, 0.8, 1.2)
+    ode = ode_residuals(tr, np.array(ts))
     for k in range(f.d):
         dec = Decomposition(angle=-k * math.pi / f.d)
-        for t in (0.3, 0.8, 1.2):
+        for i, t in enumerate(ts):
             x = indicatrix_point(nm, t)
             lhs = d_residual_signed(nm, nm, phi, dec, x)
-            rhs = 2.0 * f.evaluate(t, 0) * ode_residuals(tr, t)[k + 1]
+            rhs = 2.0 * f.evaluate(t, 0) * ode[k + 1, i]
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -366,15 +441,28 @@ def test_glue_two_sectors_residuals():
     res = _two_sector_result()
     assert res.max_band_residual < 1e-6
     ts = np.linspace(1e-3, math.pi / 3 - 1e-3, 257)
-    worst = max(np.max(np.abs(ode_residuals(res.triple, float(t))))
-                for t in ts)
-    assert worst < 1e-6
+    assert np.max(np.abs(ode_residuals(res.triple, ts))) < 1e-6
+
+
+def test_glue_band_residual_has_the_bits_of_the_per_angle_loop():
+    base = bump_profile(2, humps=[(0.3, 0.3), (1.3, 0.3)])
+    breaks = (0.7, 0.95)
+    res = glue_construct(base, [Sector(0.0, 0.7, "scale"),
+                                Sector(0.7, 0.95, "legendre-scale"),
+                                Sector(0.95, math.pi / 2, "scale")])
+    worst = 0.0
+    for b in breaks:
+        for t in np.linspace(b - 0.01, b + 0.01, 33):
+            worst = max(worst, float(np.max(np.abs(ode_residuals(res.triple, t)))))
+    assert res.max_band_residual == worst
+    assert 0.0 < worst < 1e-6
 
 
 def test_glue_single_scale_sector_is_scaling_triple():
     base = bump_profile(2, humps=[(0.6, 0.5)])
     res = glue_construct(base, [Sector(0.0, math.pi / 2, "scale", 1.3)])
     assert res.triple.theta.kind == "identity"
+    assert res.max_band_residual == 0.0  # no break, so no band
     assert res.scale == pytest.approx(1.3)
     for t in (0.3, 0.9):
         assert res.triple.h.evaluate(t, 0) == pytest.approx(
@@ -387,9 +475,7 @@ def test_glue_single_legendre_sector_is_legendre_triple():
                          [Sector(0.0, math.pi / 2, "legendre-scale", 1.0)])
     assert res.triple.theta.kind == "legendre"
     ts = np.linspace(0.05, math.pi / 2 - 0.05, 65)
-    worst = max(np.max(np.abs(ode_residuals(res.triple, float(t))))
-                for t in ts)
-    assert worst < 1e-9
+    assert np.max(np.abs(ode_residuals(res.triple, ts))) < 1e-9
 
 
 def test_glue_rejects_coverage_gap():
@@ -453,6 +539,45 @@ def test_classify_glued_triple():
     assert kinds == ["identity", "legendre"]
     # the seam between the runs sits at the sector boundary
     assert labels[0].hi == pytest.approx(0.52, abs=0.01)
+
+
+def _per_point_runs(tr, grid, tol):
+    """classify_sectors' labels and runs by its per-point loops, as they
+    were before they became array expressions."""
+    ts = np.linspace(1e-3, math.pi / tr.f.d - 1e-3, grid)
+    th = theta_value(tr.theta, tr.f, ts, 0)
+    leg = theta_legendre(PlanarNorm(tr.f, validate=False), ts)
+    is_id, is_leg = np.abs(th - ts) < tol, np.abs(th - leg) < tol
+    raw = np.where(is_id & ~is_leg, 0, np.where(is_leg & ~is_id, 1,
+                   np.where(is_id & is_leg, 2, 3)))
+    labels = raw.copy()
+    definite = np.where(raw < 2)[0]
+    if len(definite) == 0:
+        labels[:] = np.where(raw == 2, 0, 3)
+    else:
+        for i in np.where(raw == 2)[0]:
+            labels[i] = raw[definite[np.argmin(np.abs(definite - i))]]
+    names = {0: "identity", 1: "legendre", 3: "transition"}
+    out, start = [], 0
+    for i in range(1, grid + 1):
+        if i == grid or labels[i] != labels[start]:
+            out.append((float(ts[start]), float(ts[i - 1]), names[int(labels[start])]))
+            start = i
+    return out
+
+
+def test_classify_runs_equal_the_per_point_loop():
+    glued = _two_sector_result().triple
+    bumpy = Profile(2, (1.0, 0.02, 0.01))
+    wavy = ThetaMap(kind="sampled", grid=tuple(ROW_GRID),
+                    values=tuple(ROW_GRID + 0.003 * np.sin(4 * ROW_GRID)))
+    for tr in (glued, _legendre_triple(ELLIPSE), _identity_triple(WOBBLE3),
+               IsometryTriple(f=bumpy, h=bumpy, theta=wavy),
+               IsometryTriple(f=bumpy, h=bumpy, theta=ROW_THETAS["piecewise"])):
+        for grid in (0, 1, 2, 97, 512):
+            for tol in (1e-12, 1e-6, 1e-3, 0.1):
+                got = [tuple(s) for s in classify_sectors(tr, grid=grid, tol=tol)]
+                assert got == _per_point_runs(tr, grid, tol), (grid, tol)
 
 
 # -------------------------------------------------------------------- lift
@@ -555,6 +680,21 @@ def test_check_hessian_isometry_has_the_bits_of_the_per_sample_loop(
                        (nm, lambda X: X @ R.T)):
         got = check_hessian_isometry(nm, norm2, phi, samples=6, seed=1)
         assert got.max_metric_residual == _per_sample_check(nm, norm2, phi, 6, 1)
+
+
+@pytest.mark.parametrize("spec", LIFT_MODELS)
+def test_check_d_property_has_the_bits_of_the_per_sample_loop(spec, lift_triples):
+    m = parse_model(spec)
+    rng = np.random.default_rng(2)
+    for name, tr in lift_triples[m.d].items():
+        nm1, nm2 = InducedNorm(m, tr.f), InducedNorm(m, tr.h, validate=False)
+        phi = lift_to_nd(tr, m)
+        unit = rng.standard_normal(m.n)
+        for vprime in (np.linalg.qr(rng.standard_normal((m.n, 2)))[0],
+                       tuple(unit / np.linalg.norm(unit))):
+            dec = Decomposition(vprime=vprime)
+            got = check_d_property(nm1, nm2, phi, dec, samples=4, seed=9)
+            assert got.max_residual == _per_sample_d(nm1, nm2, phi, dec, 4, 9), name
 
 
 @pytest.mark.parametrize("spec", LIFT_MODELS)

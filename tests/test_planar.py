@@ -72,6 +72,19 @@ def test_tensor_positive_definite():
     assert np.all(np.linalg.eigvalsh(g) > 0)
 
 
+def test_tensor_rows_have_the_bits_of_one_point_calls():
+    X = np.random.default_rng(3).standard_normal((40, 2))
+    base = Profile(2, (1.0, 0.15, 0.01))
+    sector = SectorProfile(2, (0.7,), (base, Profile(2, (1.0, 0.1))))
+    for p in (base, sector, DualProfile(base)):
+        nm = PlanarNorm(p, validate=False)
+        G = fundamental_tensor(nm, X)
+        assert G.shape == (40, 2, 2)
+        assert np.array_equal(G, [fundamental_tensor(nm, x) for x in X]), p.kind
+    with pytest.raises(ValueError, match="origin"):
+        fundamental_tensor(ELLIPSE, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 # --------------------------------------------------------------- legendre
 
 def test_legendre_map_quadratic():
@@ -315,6 +328,10 @@ def test_ode_residuals_inverts_the_dual_once(monkeypatch):
     tr = IsometryTriple(f=BASE, h=DualProfile(BASE), theta=legendre_map_tag())
     ode_residuals(tr, 0.4)
     assert calls == [1]
+    # m angles: one solve for all of them, not one per angle
+    calls.clear()
+    ode_residuals(tr, np.linspace(0.05, math.pi / 2 - 0.05, 33))
+    assert calls == [33]
 
 
 def test_exact_dual_rejects_invalid_base():
@@ -360,8 +377,8 @@ def _check_exact_dual(p: Profile):
     # a scalar is solved as a one-point array: the same bits
     assert exact.evaluate(float(ts[40]), 2) == exact.evaluate(ts, 2)[40]
     tr = IsometryTriple(f=p, h=exact, theta=legendre_map_tag())
-    for t in np.linspace(0.05, math.pi / d - 0.05, 7):
-        assert np.max(np.abs(ode_residuals(tr, float(t)))) <= 1e-11
+    ts = np.linspace(0.05, math.pi / d - 0.05, 7)
+    assert np.max(np.abs(ode_residuals(tr, ts))) <= 1e-11
 
 
 @given(st.sampled_from((1, 2, 3)), st.floats(-0.95, 0.95),

@@ -84,6 +84,16 @@ def test_bad_d_rejected():
         Profile(5, (0.5,))
 
 
+def test_array_of_coefficients_is_accepted():
+    # the emptiness check ran on the array itself: "truth value ... ambiguous"
+    p = Profile(2, np.array([1.0, 0.2]))
+    assert p.cos_coeffs == (1.0, 0.2) and type(p.cos_coeffs[0]) is float
+    assert p == Profile(2, (1.0, 0.2))
+    for empty in (np.array([]), (), []):
+        with pytest.raises(ValueError, match="profile needs at least one coefficient"):
+            Profile(2, empty)
+
+
 # ------------------------------------------------------------------- gap
 
 @given(st.floats(0.05, 0.95), st.floats(-3.0, 3.0))
