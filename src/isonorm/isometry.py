@@ -687,7 +687,7 @@ def classify_sectors(tr: IsometryTriple, grid: int = 512,
         labels[both] = raw[definite[near]]
 
     names = {0: IDENTITY_TYPE, 1: LEGENDRE_TYPE, 3: TRANSITION}
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))  # of the runs
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))  # each run's first index
     return [SectorLabel(lo=float(ts[a]), hi=float(ts[b - 1]),
                         label=names[int(labels[a])])
             for a, b in zip(starts, np.r_[starts[1:], grid])]
