@@ -25,7 +25,13 @@ before and right after the row's calls.  The rows:
   without its lift check);
 - planar `check_d_property` (20 samples, V' the x1 axis) of the exact-dual
   Legendre triple on Profile(2, (1, 0.2)): the norms of f and of its
-  `DualProfile`, and `planar_lift_map` of the triple.
+  `DualProfile`, and `planar_lift_map` of the triple;
+- `check_hessian_isometry` (20 samples) of the cartan3 Legendre lift of
+  Profile(3, (0.5, 0.05)): the induced norms of f and of its `DualProfile`,
+  and `lift_to_nd` of the triple, built once;
+- in-process `isonorm.cli.main(["sample", "--profile", path, "--model",
+  "cartan3", "--count", "16"])`, its report discarded, where path holds
+  Profile(3, (0.5, 0.05)).
 
 Only public names are used, so the script also times another checkout:
 
@@ -65,7 +71,7 @@ from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      build_h_from_theta, bump_profile, cartan3,
                      check_d_property, check_hessian_isometry, dual_profile,
                      glue_construct, is_minkowski, legendre_map_tag,
-                     lift_to_nd, planar_lift_map, save_triple,
+                     lift_to_nd, planar_lift_map, save_profile, save_triple,
                      triple_from_json_dict, triple_to_json_dict)
 from isonorm.cli import main as cli_main  # noqa: E402
 
@@ -124,6 +130,20 @@ def _planar_d_property(f):
                             Decomposition(angle=0.0), samples=LIFT_SAMPLES)
 
 
+def _cartan_lift():
+    """Norms of f = Profile(3, (0.5, 0.05)) and of its exact dual, and their
+    Legendre lift on cartan3."""
+    m, f = cartan3(), Profile(3, (0.5, 0.05))
+    tr = IsometryTriple(f=f, h=DualProfile(f), theta=legendre_map_tag())
+    return InducedNorm(m, f), InducedNorm(m, tr.h), lift_to_nd(tr, m)
+
+
+def _cli_sample(path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(["sample", "--profile", path, "--model", "cartan3",
+                         "--count", "16"])
+
+
 def rows(tmp: str):
     """(name, call, setup) of every row; setup() builds the call's input.
     Files a row reads are written under the directory tmp."""
@@ -157,6 +177,15 @@ def rows(tmp: str):
     out.append(("check_d_property, planar exact-dual Legendre triple on "
                 "Profile(2, (1, 0.2))", _planar_d_property,
                 lambda: Profile(2, (1.0, 0.2))))
+    lift = _cartan_lift()
+    out.append(("check_hessian_isometry, cartan3 Legendre lift of "
+                "Profile(3, (0.5, 0.05))",
+                lambda a: check_hessian_isometry(*a, samples=LIFT_SAMPLES, seed=0),
+                lambda: lift))
+    profile_path = os.path.join(tmp, "profile.json")
+    save_profile(Profile(3, (0.5, 0.05)), profile_path)
+    out.append(("cli.main sample --model cartan3 --count 16 in-process, "
+                "Profile(3, (0.5, 0.05))", _cli_sample, lambda: profile_path))
     return out
 
 

@@ -184,19 +184,18 @@ def cmd_curvature(args):
     m = parse_model(args.model)
     nm = InducedNorm(m, p)
     if args.t is not None:
-        ts = [args.t] * args.samples
+        ts = np.full(args.samples, args.t)
     else:
         rng = np.random.default_rng(args.seed)
         lo = args.delta + 0.02
         ts = rng.uniform(lo, math.pi / m.d - lo, args.samples)
+    us = random_leaf_points(m, ts, args.samples, seed=args.seed, delta=args.delta)
     rows = []
-    for i, t in enumerate(ts):
-        u = random_leaf_points(m, float(t), 1, seed=args.seed + i,
-                               delta=args.delta)[0]
+    for t, u in zip(ts.tolist(), us):
         riemann = riemann_fd(nm, u, delta=args.delta,
                              flat_threshold=args.flat_threshold)
         rows.append({
-            "t": float(t),
+            "t": t,
             "max_abs_component": float(riemann.max_abs_component),
             "noise_floor": float(riemann.noise_floor),
             "flat": bool(riemann.flat),
@@ -234,14 +233,15 @@ def cmd_isoparametric_check(args):
     # cot(t)-type growth of the integrand near the focal ends
     guard = args.delta + 0.25
     ts = np.linspace(guard, math.pi / m.d - guard, args.t_count)
+    leaves = random_leaf_points(m, np.repeat(ts, args.xi_count),
+                                args.t_count * args.xi_count, seed=args.seed,
+                                delta=args.delta)
     rows = []
     grad_err = lap_err = spread = 0.0
-    for i, t in enumerate(ts):
-        t = float(t)
+    for t, us in zip(ts.tolist(),
+                     leaves.reshape(args.t_count, args.xi_count, m.n)):
         g_closed = indicatrix_grad_t_norm(nm, t)
         l_closed = indicatrix_laplacian_t(nm, t)
-        us = random_leaf_points(m, t, args.xi_count, seed=args.seed + i,
-                                delta=args.delta)
         g_fd = [fd_indicatrix_grad_t_norm(nm, u) for u in us]
         l_fd = [fd_indicatrix_laplacian_t(nm, u) for u in us]
         grad_err = max(grad_err, max(abs(v - g_closed) for v in g_fd))
@@ -386,30 +386,24 @@ def cmd_isometry_glue(args):
 def cmd_sample(args):
     p = load_profile(args.profile)
     rng = np.random.default_rng(args.seed)
-    rows = []
     if args.model:
         m = parse_model(args.model)
         nm = InducedNorm(m, p)
         lo = args.delta + 0.05
         ts = rng.uniform(lo, math.pi / m.d - lo, args.count)
-        for i, t in enumerate(ts):
-            t = float(t)
-            u = random_leaf_points(m, t, 1, seed=args.seed + i,
-                                   delta=args.delta)[0]
-            r = 1.0 / math.sqrt(2.0 * p.evaluate(t, 0))
-            x = r * u
-            rows.append([t, r] + [float(c) for c in x])
-        norm_err = max(abs(induced_value(nm, np.array(row[2:])) - 1.0)
-                       for row in rows)
-        dim = m.n
+        r = 1.0 / np.sqrt(2.0 * p.evaluate(ts[:, None], 0)[:, 0])
+        X = r[:, None] * random_leaf_points(m, ts, args.count, seed=args.seed,
+                                            delta=args.delta)
+        F = induced_value(nm, X)
     else:
         nm = PlanarNorm(p)
         ts = rng.uniform(0.0, 2.0 * math.pi, args.count)
         X = indicatrix_point(nm, ts[:, None])[:, 0]  # a column: scalar bits
-        rows = np.column_stack([ts, np.hypot(X[:, 0], X[:, 1]), X]).tolist()
-        norm_err = max(abs(planar_value(nm, np.array(row[2:])) - 1.0)
-                       for row in rows)
-        dim = 2
+        r = np.hypot(X[:, 0], X[:, 1])
+        F = [planar_value(nm, x) for x in X]
+    rows = np.column_stack([ts, r, X]).tolist()
+    norm_err = np.max(np.abs(np.subtract(F, 1.0)))
+    dim = X.shape[1]
     columns = ["t", "r"] + [f"x{i}" for i in range(dim)]
     residuals = {"norm_error": norm_err}
     report = _report("sample",

@@ -321,17 +321,25 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     return out
 
 
-def random_leaf_points(m: FoliationModel, t: float, count: int,
+def random_leaf_points(m: FoliationModel, t, count: int,
                        seed: int = 0, delta: float = DEFAULT_FOCAL_GUARD):
-    """Deterministic sample of `count` unit points on the leaf M_t.
+    """Deterministic sample of `count` unit points on the leaves M_t.
 
-    Draws random normal planes (via random sphere points with leaf
-    parameter more than delta from both focal values) and walks their normal
-    geodesics to parameter t.  Raises FocalProximityError when delta leaves
-    no such parameter (delta >= pi/(2d)) or when LEAF_DRAWS_PER_POINT * count
-    draws do not yield count points.
+    t is one leaf parameter for every point or a 1-D array of `count`, one
+    per point.  Draws random normal planes (via random sphere points with
+    leaf parameter more than delta from both focal values) and walks each
+    point's normal geodesic to its own t.  Raises FocalProximityError when
+    delta leaves no such parameter (delta >= pi/(2d)) or when
+    LEAF_DRAWS_PER_POINT * count draws do not yield count points.
     """
-    if not (0.0 < t < math.pi / m.d):
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
+    t = np.asarray(t, dtype=float)
+    if t.ndim and t.shape != (count,):
+        raise ValueError(f"t must be one leaf parameter or {count}, "
+                         f"got an array of shape {t.shape}")
+    t = np.full(count, t)
+    if not ((0.0 < t) & (t < math.pi / m.d)).all():
         raise ValueError("t must be an interior leaf parameter")
     if delta >= math.pi / (2 * m.d):
         raise FocalProximityError(
@@ -354,4 +362,4 @@ def random_leaf_points(m: FoliationModel, t: float, count: int,
             f"found {len(y)} of {count} leaf points in {limit} draws: "
             f"delta={delta} leaves too little room between the focal values")
     basis = normal_plane_basis(m, y[:count], delta)
-    return math.cos(t) * basis.v1 + math.sin(t) * basis.v2
+    return np.cos(t)[:, None] * basis.v1 + np.sin(t)[:, None] * basis.v2

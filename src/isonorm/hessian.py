@@ -53,13 +53,9 @@ class InducedNorm:
         object.__setattr__(self, "profile", profile)
 
 
-def value(nm: InducedNorm, x) -> float:
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return 0.0
-    t = t_coord(nm.foliation, x).t
-    return r * math.sqrt(2.0 * nm.profile.evaluate(t, 0))
+def value(nm: InducedNorm, x):
+    """F(x) = sqrt(2 E(x)) at a point, or at each row of an (m, n) array."""
+    return np.sqrt(2.0 * energy(nm, x))
 
 
 def energy(nm: InducedNorm, x):

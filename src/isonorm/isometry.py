@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .foliation import FoliationModel, _sqnorm, normal_geodesic, t_coord
+from .foliation import (FoliationModel, _sqnorm, normal_geodesic,
+                        random_leaf_points, t_coord)
 from .planar import (DualProfile, PlanarNorm, _unwrap_to, fundamental_tensor,
                      legendre_num_den, legendre_ode_rhs, theta_legendre,
                      theta_scaled, theta_scaled_deriv)
@@ -437,21 +438,19 @@ def _tensor_at(norm, x) -> np.ndarray:
 
 
 def _sample_points(norm, samples: int, seed: int) -> np.ndarray:
+    """Rows r u: (t, r) of every sample from one draw, u at angle t in the
+    plane, or on the leaf M_t from one random_leaf_points call."""
     if samples < 1:
         raise ValueError(f"a metric check needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    if isinstance(norm, PlanarNorm):  # rows (t, r), in the order of the draws
-        t, r = rng.uniform([0.05, 0.6], [math.pi / norm.d - 0.05, 1.4], (samples, 2)).T
+    planar = isinstance(norm, PlanarNorm)
+    guard = 0.05 if planar else 0.1
+    t, r = rng.uniform([guard, 0.6], [math.pi / norm.profile.d - guard, 1.4],
+                       (samples, 2)).T
+    if planar:
         return r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
-    from .foliation import random_leaf_points
-    m = norm.foliation
-    guard = 0.1
-    pts = []
-    for i in range(samples):
-        t = rng.uniform(guard, math.pi / m.d - guard)
-        u = random_leaf_points(m, t, 1, seed=int(rng.integers(2 ** 31)))[0]
-        pts.append(rng.uniform(0.6, 1.4) * u)
-    return np.array(pts)
+    return r[:, None] * random_leaf_points(norm.foliation, t, samples,
+                                           seed=int(rng.integers(2 ** 31)))
 
 
 class IsometryCheck(NamedTuple):

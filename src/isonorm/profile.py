@@ -350,12 +350,14 @@ _JSON_TYPES = {"integer": int, "number": (int, float), "numbers": (int, float),
 
 def json_field(data, key: str, what: str, want: str | None = None, default=None):
     """data[key] of a loaded JSON object, or `default`, where given, if the
-    key is absent; a ValueError naming the field when it is missing or not
-    of the JSON type `want`, a key of _JSON_TYPES ("numbers": an array of
-    numbers; a bool is no number)."""
-    if default is not None and isinstance(data, dict) and key not in data:
-        return default
-    if not isinstance(data, dict) or key not in data:
+    key is absent; a ValueError when data is not an object, or naming the
+    field when it is missing or not of the JSON type `want`, a key of
+    _JSON_TYPES ("numbers": an array of numbers; a bool is no number)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    if key not in data:
+        if default is not None:
+            return default
         raise ValueError(f"{what} is missing the field {key!r}")
     value, types = data[key], _JSON_TYPES.get(want)
     items = value if want == "numbers" else [value]

@@ -14,6 +14,8 @@ import pytest
 import isonorm
 from isonorm import cli
 from isonorm.cli import main
+from isonorm.foliation import (DEFAULT_FOCAL_GUARD, parse_model,
+                               random_leaf_points, t_coord)
 from isonorm.isometry import Sector, bump_profile, glue_construct
 from isonorm.planar import PlanarNorm, indicatrix_point
 from isonorm.profile import Profile, profile_from_json_dict, save_profile
@@ -275,6 +277,28 @@ def test_missing_field_is_named(capfd, tmp_path, command, data, field):
     assert f"missing the field {field}" in err
 
 
+@pytest.mark.parametrize("command,data,named", [
+    (["validate", "--profile"], [1, 2], "profile must be a JSON object, got [1, 2]"),
+    (["validate", "--profile"], "x", "profile must be a JSON object, got 'x'"),
+    (["validate", "--profile"],
+     {"d": 2, "kind": "sector", "breaks": [0.5], "pieces": [[1], PIECE]},
+     "profile must be a JSON object, got [1]"),
+    (["isometry", "check", "--triple"],
+     {"f": PIECE, "h": PIECE, "theta": {"kind": "piecewise", "pieces": [[0, 1]]}},
+     "theta map must be a JSON object, got [0, 1]"),
+    (["isometry", "check", "--triple"], [1], "triple must be a JSON object, got [1]"),
+], ids=["profile-list", "profile-string", "sector-piece", "theta-piece", "triple-list"])
+def test_json_that_is_not_an_object_is_named(capfd, tmp_path, command, data, named):
+    # each was reported as a missing field ('kind', 'lo' or 'f')
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main(command + [str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"isonorm: error: {named}\n"
+
+
 def test_internal_key_error_is_not_a_user_error(monkeypatch):
     def broken(args):
         return {}["status"]
@@ -367,6 +391,67 @@ def test_curvature_flat_round(capsys, profiles):
                          "--model", "d1:3", "--samples", "2")
     assert code == 0
     assert rep["results"]["flat"] is True
+
+
+@pytest.fixture
+def leaf_draws(monkeypatch):
+    """The point counts of every random_leaf_points call the CLI makes."""
+    calls = []
+
+    def counted(m, t, count, **kw):
+        calls.append(count)
+        return random_leaf_points(m, t, count, **kw)
+
+    monkeypatch.setattr(cli, "random_leaf_points", counted)
+    return calls
+
+
+def test_curvature_draws_every_sample_at_once(capsys, profiles, leaf_draws):
+    argv = ["curvature", "--profile", profiles["wobble3"], "--model", "cartan3",
+            "--samples", "5", "--seed", "2"]
+    _, rep = run_json(capsys, *argv)
+    assert leaf_draws == [5]
+    lo = DEFAULT_FOCAL_GUARD + 0.02
+    want = np.random.default_rng(2).uniform(lo, math.pi / 3 - lo, 5).tolist()
+    assert [row["t"] for row in rep["results"]["points"]] == want
+    _, rep = run_json(capsys, *argv, "--t", "0.4")
+    assert leaf_draws == [5, 5]
+    assert [row["t"] for row in rep["results"]["points"]] == [0.4] * 5
+
+
+def test_isoparametric_check_draws_every_leaf_at_once(capsys, profiles, leaf_draws):
+    code, rep = run_json(capsys, "isoparametric-check", "--profile",
+                         profiles["ellipse"], "--model", "d2:4:2",
+                         "--t-count", "3", "--xi-count", "4")
+    assert code == 0
+    assert leaf_draws == [12]
+    guard = DEFAULT_FOCAL_GUARD + 0.25
+    assert ([row["t"] for row in rep["results"]["points"]]
+            == np.linspace(guard, math.pi / 2 - guard, 3).tolist())
+    assert rep["residuals"]["xi_spread"] < 1e-5
+
+
+@pytest.mark.parametrize("model", ["d1:3", "d2:4:2", "d2:8:3", "cartan3"])
+def test_sample_model_points_lie_on_their_leaves(capsys, tmp_path, leaf_draws, model):
+    m = parse_model(model)
+    f = {1: Profile(1, (1.0, 0.1)), 2: Profile(2, (1.0, 0.2)),
+         3: Profile(3, (0.5, 0.02))}[m.d]
+    save_profile(f, tmp_path / "f.json")
+    code, rep = run_json(capsys, "sample", "--profile", str(tmp_path / "f.json"),
+                         "--model", model, "--count", "9", "--seed", "4")
+    assert code == 0
+    assert leaf_draws == [9]
+    pts = np.array(rep["results"]["points"])
+    t, r, X = pts[:, 0], pts[:, 1], pts[:, 2:]
+    lo = DEFAULT_FOCAL_GUARD + 0.05
+    assert t.tolist() == np.random.default_rng(4).uniform(
+        lo, math.pi / m.d - lo, 9).tolist()
+    # F(x) = r sqrt(2 f(t)) = 1 on the leaf M_t at radius r
+    assert np.allclose(r, [1.0 / math.sqrt(2.0 * f.evaluate(v, 0)) for v in t],
+                       rtol=1e-15, atol=0.0)
+    rt = t_coord(m, X)
+    assert np.max(np.abs(rt.r - r)) < 1e-14 and np.max(np.abs(rt.t - t)) < 1e-13
+    assert rep["residuals"]["norm_error"] < 1e-12
 
 
 # ---------------------------------------------------------------- foliation

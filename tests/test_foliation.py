@@ -157,6 +157,41 @@ def test_random_leaf_points_interior_only():
         random_leaf_points(cartan3(), 2.0, 1)
 
 
+SWEEP_MODELS = (d1(3), d2(4, 2), d2(8, 3), cartan3())
+
+
+@pytest.mark.parametrize("m", SWEEP_MODELS, ids=lambda m: m.describe())
+def test_random_leaf_points_scalar_t_is_the_broadcast_array(m):
+    for i, k in enumerate((1, 2, 7)):
+        t = (0.2 + 0.25 * i) * math.pi / m.d
+        a = random_leaf_points(m, t, k, seed=40 + i)
+        b = random_leaf_points(m, np.full(k, t), k, seed=40 + i)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("m", SWEEP_MODELS, ids=lambda m: m.describe())
+def test_random_leaf_points_walks_each_point_to_its_own_t(m):
+    ts = np.linspace(0.08, math.pi / m.d - 0.08, 12)[::-1]
+    pts = random_leaf_points(m, ts, len(ts), seed=3)
+    assert pts.shape == (len(ts), m.n)
+    assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-14
+    assert np.max(np.abs(t_coord(m, pts).t - ts)) < 1e-14
+
+
+def test_random_leaf_points_rejects_bad_counts_and_shapes():
+    m = cartan3()
+    with pytest.raises(ValueError, match="count must be at least 0, got -1"):
+        random_leaf_points(m, 0.5, -1)
+    assert random_leaf_points(m, 0.5, 0).shape == (0, 5)
+    for t in (np.full(2, 0.5), np.full((3, 1), 0.5), np.array([0.5])):
+        with pytest.raises(ValueError, match="shape"):
+            random_leaf_points(m, t, 3)
+    # one leaf parameter out of (0, pi/d) rejects the whole array
+    for bad in (0.0, math.pi / 3, 2.0, math.nan):
+        with pytest.raises(ValueError, match="interior leaf parameter"):
+            random_leaf_points(m, np.array([0.5, bad, 0.6]), 3)
+
+
 @pytest.mark.parametrize("m", MODELS, ids=lambda m: m.describe())
 def test_random_leaf_points_rejects_wide_guard(m):
     half = math.pi / (2 * m.d)

@@ -43,6 +43,23 @@ def test_value_homogeneous():
     assert value(nm, 3.0 * x) == pytest.approx(3.0 * value(nm, x), abs=1e-12)
 
 
+@pytest.mark.parametrize("model,profile", [
+    (d1(3), ELLIPSE_D1), (d2(4, 2), ELLIPSE_D2), (cartan3(), Profile(3, (0.5, 0.02)))])
+def test_value_rows_have_the_bits_of_one_point_calls(model, profile):
+    nm = _norm(model, profile)
+    X = np.concatenate([random_leaf_points(model, np.linspace(0.2, 0.8, 6) * math.pi
+                                           / model.d, 6, seed=4) * 1.7,
+                        np.zeros((1, model.n))])
+    F = value(nm, X)
+    assert F.shape == (7,)
+    assert F.tolist() == [value(nm, x) for x in X]
+    assert F[-1] == 0.0 and value(nm, np.zeros(model.n)) == 0.0
+    # F = r sqrt(2 f(t))
+    r, t = t_coord(model, X[:-1])
+    assert np.allclose(F[:-1], r * np.sqrt(2.0 * profile.evaluate(t, 0)),
+                       rtol=1e-14, atol=0.0)
+
+
 def test_profile_model_d_mismatch():
     with pytest.raises(ValueError):
         InducedNorm(cartan3(), ELLIPSE_D2)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isonorm import hessian, isometry
-from isonorm.foliation import parse_model, random_leaf_points, shape_spectrum
+from isonorm.foliation import (parse_model, random_leaf_points, shape_spectrum,
+                               t_coord)
 from isonorm.hessian import (InducedNorm, closed_fundamental_tensor,
                              fd_fundamental_tensor, riemann_fd)
 from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
@@ -376,6 +377,27 @@ def test_planar_sample_points_draw_as_the_per_sample_loop():
             want.append(rng.uniform(0.6, 1.4) * np.array([math.cos(t), math.sin(t)]))
         got = isometry._sample_points(PlanarNorm(Profile(d, (1.0,))), 50, d)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", ["d1:3", "d2:4:2", "d2:8:3", "cartan3"])
+def test_induced_sample_points_are_one_leaf_draw(spec, monkeypatch):
+    m = parse_model(spec)
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args[2])
+        return random_leaf_points(*args, **kw)
+
+    monkeypatch.setattr(isometry, "random_leaf_points", counted)
+    X = isometry._sample_points(InducedNorm(m, Profile(m.d, (1.0,))), 20, seed=9)
+    assert calls == [20]
+    # (t, r) of each sample in one draw, then the leaf points from its stream
+    rng = np.random.default_rng(9)
+    t, r = rng.uniform([0.1, 0.6], [math.pi / m.d - 0.1, 1.4], (20, 2)).T
+    assert np.array_equal(X, r[:, None] * random_leaf_points(
+        m, t, 20, seed=int(rng.integers(2 ** 31))))
+    rt = t_coord(m, X)
+    assert np.max(np.abs(rt.r - r)) < 1e-14 and np.max(np.abs(rt.t - t)) < 1e-13
 
 
 def _per_sample_d(norm1, norm2, phi, dec, samples, seed):
