@@ -31,7 +31,12 @@ before and right after the row's calls.  The rows:
   and `lift_to_nd` of the triple, built once;
 - in-process `isonorm.cli.main(["sample", "--profile", path, "--model",
   "cartan3", "--count", "16"])`, its report discarded, where path holds
-  Profile(3, (0.5, 0.05)).
+  Profile(3, (0.5, 0.05));
+- 256 one-angle `ode_residuals` calls of the exact-dual Legendre triple on
+  Profile(2, (1, 0.5)), at the interior angles of a 258-point grid on
+  [0, pi/2] (the loop of perfbench's planar-sweep);
+- `DualProfile(Profile(2, (1, 0.5))).evaluate` on 256 angles of [0, pi/2]
+  in one array.
 
 Only public names are used, so the script also times another checkout:
 
@@ -71,8 +76,8 @@ from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      build_h_from_theta, bump_profile, cartan3,
                      check_d_property, check_hessian_isometry, dual_profile,
                      glue_construct, is_minkowski, legendre_map_tag,
-                     lift_to_nd, planar_lift_map, save_profile, save_triple,
-                     triple_from_json_dict, triple_to_json_dict)
+                     lift_to_nd, ode_residuals, planar_lift_map, save_profile,
+                     save_triple, triple_from_json_dict, triple_to_json_dict)
 from isonorm.cli import main as cli_main  # noqa: E402
 
 GLUE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]  # isometry_gallery.py's glue base
@@ -80,6 +85,8 @@ GLUE_BREAK = 0.52
 GLUE_BAND = 0.02
 LIFT_SAMPLES = 20
 DUAL_SCALES = (0.5, 2.0, 3.0)
+ODE_ANGLES = np.linspace(0.0, math.pi / 2, 258)[1:-1]  # planar-sweep's, d = 2
+DUAL_GRID = np.linspace(0.0, math.pi / 2, 256)
 
 
 def _best(call, setup, repeat: int) -> float:
@@ -144,6 +151,10 @@ def _cli_sample(path):
                          "--count", "16"])
 
 
+def _one_angle_residuals(tr):
+    return [ode_residuals(tr, float(t)) for t in ODE_ANGLES]
+
+
 def rows(tmp: str):
     """(name, call, setup) of every row; setup() builds the call's input.
     Files a row reads are written under the directory tmp."""
@@ -186,6 +197,14 @@ def rows(tmp: str):
     save_profile(Profile(3, (0.5, 0.05)), profile_path)
     out.append(("cli.main sample --model cartan3 --count 16 in-process, "
                 "Profile(3, (0.5, 0.05))", _cli_sample, lambda: profile_path))
+    dual_triple = IsometryTriple(f=small, h=DualProfile(small),
+                                 theta=legendre_map_tag())
+    out.append(("256 one-angle ode_residuals calls, exact-dual Legendre triple "
+                "on Profile(2, (1, 0.5))", _one_angle_residuals,
+                lambda: dual_triple))
+    out.append(("DualProfile(Profile(2, (1, 0.5))).evaluate, 256 angles in one "
+                "array", lambda h: h.evaluate(DUAL_GRID),
+                lambda: dual_triple.h))
     return out
 
 
@@ -201,7 +220,7 @@ def _git(*args) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    ap.add_argument("--repeat", type=int, default=5, help="timed calls per row")
+    ap.add_argument("--repeat", type=int, default=15, help="timed calls per row")
     ap.add_argument("--out-dir", default=str(ROOT),
                     help="directory of the output file (default: repo root)")
     args = ap.parse_args(argv)

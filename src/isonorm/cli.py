@@ -20,9 +20,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .foliation import (DEFAULT_FOCAL_GUARD, focal_dimensions, multiplicities,
-                        parse_model, random_leaf_points, shape_spectrum,
-                        t_coord)
+from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
+                        focal_dimensions, multiplicities, parse_model,
+                        random_leaf_points, shape_spectrum, t_coord)
 from .hessian import (FLATNESS_THRESHOLD, InducedNorm, closed_frame_matrix,
                       fd_fundamental_tensor, fd_indicatrix_grad_t_norm,
                       fd_indicatrix_laplacian_t, frame_basis,
@@ -96,6 +96,19 @@ def _interior_grid(d: int, count: int, guard: float = 1e-3) -> np.ndarray:
     return np.linspace(guard, math.pi / d - guard, count)
 
 
+def _leaf_range(m, delta: float, margin: float):
+    """(delta + margin, pi/d - delta - margin), the leaf parameters a command
+    draws from; FocalProximityError where delta leaves none."""
+    lo = delta + margin
+    hi = math.pi / m.d - lo
+    if hi < lo:
+        raise FocalProximityError(
+            f"delta={delta} leaves no leaf parameter more than delta + "
+            f"{margin:g} from both focal values: it must be at most "
+            f"pi/(2d) - {margin:g} = {math.pi / (2 * m.d) - margin:.4f}")
+    return lo, hi
+
+
 # ---------------------------------------------------------------- validate
 
 def cmd_validate(args):
@@ -147,8 +160,7 @@ def cmd_tensor(args):
     nm = InducedNorm(m, p)
     if args.t is None:
         rng = np.random.default_rng(args.seed)
-        lo = args.delta + 0.02
-        args.t = float(rng.uniform(lo, math.pi / m.d - lo))
+        args.t = float(rng.uniform(*_leaf_range(m, args.delta, 0.02)))
     u = random_leaf_points(m, args.t, 1, seed=args.seed, delta=args.delta)[0]
     x = args.r * u
     spec = shape_spectrum(m, u, delta=args.delta)
@@ -187,8 +199,7 @@ def cmd_curvature(args):
         ts = np.full(args.samples, args.t)
     else:
         rng = np.random.default_rng(args.seed)
-        lo = args.delta + 0.02
-        ts = rng.uniform(lo, math.pi / m.d - lo, args.samples)
+        ts = rng.uniform(*_leaf_range(m, args.delta, 0.02), args.samples)
     us = random_leaf_points(m, ts, args.samples, seed=args.seed, delta=args.delta)
     rows = []
     for t, u in zip(ts.tolist(), us):
@@ -231,8 +242,7 @@ def cmd_isoparametric_check(args):
     nm = InducedNorm(m, p)
     # stay well inside the sector: the outer finite difference inherits the
     # cot(t)-type growth of the integrand near the focal ends
-    guard = args.delta + 0.25
-    ts = np.linspace(guard, math.pi / m.d - guard, args.t_count)
+    ts = np.linspace(*_leaf_range(m, args.delta, 0.25), args.t_count)
     leaves = random_leaf_points(m, np.repeat(ts, args.xi_count),
                                 args.t_count * args.xi_count, seed=args.seed,
                                 delta=args.delta)
@@ -389,8 +399,7 @@ def cmd_sample(args):
     if args.model:
         m = parse_model(args.model)
         nm = InducedNorm(m, p)
-        lo = args.delta + 0.05
-        ts = rng.uniform(lo, math.pi / m.d - lo, args.count)
+        ts = rng.uniform(*_leaf_range(m, args.delta, 0.05), args.count)
         r = 1.0 / np.sqrt(2.0 * p.evaluate(ts[:, None], 0)[:, 0])
         X = r[:, None] * random_leaf_points(m, ts, args.count, seed=args.seed,
                                             delta=args.delta)

@@ -255,7 +255,9 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     equations (one per k).  All vanish iff the triple is a Hessian isometry.
     """
     t = np.asarray(t, dtype=float)
-    tc = t.reshape(-1, 1)  # a column: one exact-dual solve, scalar bits per row
+    # m angles go in as a column (one exact-dual solve, scalar bits per row);
+    # a scalar stays a float, so h solves on scalars, not one-element arrays
+    tc = float(t) if t.ndim == 0 else t.reshape(-1, 1)
     th = theta_value(tr.theta, tr.f, tc, 0)
     thp = theta_value(tr.theta, tr.f, tc, 1)
     f0, f1, f2 = tr.f.jet(tc, 2)
@@ -268,8 +270,7 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     sf, cf, sh, ch = np.sin(at), np.cos(at), np.sin(ath), np.cos(ath)
     dihedral = (sf * sf + sf * cf * f1 / (2 * f0)) \
         - (sh * sh + sh * ch * h1 / (2 * h0))
-    res = np.concatenate([lhs2 - thp * thp * rhs2, dihedral], axis=1).T
-    return res[:, 0] if t.ndim == 0 else res
+    return np.hstack([lhs2 - thp * thp * rhs2, dihedral]).T
 
 
 # quadratic_and_roots warns about d <= 2 once per process

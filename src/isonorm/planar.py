@@ -223,40 +223,44 @@ class DualProfile:
                               self.base.stationary_angles())
 
     def _jet(self, t, k: int):
-        # One point per row: matmul then sums each point's series with its
-        # own dot product, so the values carry the bits of scalar
-        # evaluation whatever the array length.
+        # A scalar stays a scalar; an array goes in one point per row, where
+        # matmul sums each point's series with its own dot product, so the
+        # values carry the bits of scalar evaluation whatever the length.
+        if np.ndim(t) == 0:
+            return self.base.jet(t, k)
         return [v[:, 0] for v in self.base.jet(t[:, None], k)]
 
-    def _invert_theta(self, theta: np.ndarray) -> np.ndarray:
-        """Solve theta_legendre(t) = theta for theta in [0, pi/d]."""
-        t = theta.copy()
-        lo = np.zeros_like(theta)
-        hi = np.full_like(theta, math.pi / self.d)
-        active = np.ones(theta.shape, dtype=bool)
+    def _invert_theta(self, theta: np.ndarray | float) -> np.ndarray | float:
+        """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta an
+        array or a scalar (`[()]` keeps a scalar a numpy scalar)."""
+        t = theta
+        lo = np.zeros_like(theta)[()]
+        hi = np.full_like(theta, math.pi / self.d)[()]
+        active = np.ones(np.shape(theta), dtype=bool)
         for _ in range(NEWTON_MAX_STEPS):
             f0, f1, f2 = self._jet(t, 2)
             N, D = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
             resid = _unwrap_to(t, np.arctan2(N, D)) - theta
             step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
             newton = t - step
-            lo = np.where(resid < 0, t, lo)
-            hi = np.where(resid > 0, t, hi)
+            lo = np.where(resid < 0, t, lo)[()]
+            hi = np.where(resid > 0, t, hi)[()]
             tiny = np.abs(step) < NEWTON_TOL
             # a NaN or infinite step fails both tests: bisection
             nxt = np.where(tiny | ((lo <= newton) & (newton <= hi)), newton,
-                           0.5 * (lo + hi))
+                           0.5 * (lo + hi))[()]
             # a step back onto a bracket end means the residual no longer
             # tells the points apart: where theta_legendre' is small, its
             # last bit of rounding moves t by more than NEWTON_TOL
             done = tiny | (nxt == lo) | (nxt == hi)
-            t = np.where(active, nxt, t)
+            t = np.where(active, nxt, t)[()]
             active &= ~done
             if not active.any():
                 return t
+        at = np.extract(active, theta)[0]
         raise ValueError(
             f"exact dual: Legendre angle inversion did not converge in "
-            f"{NEWTON_MAX_STEPS} steps at theta={float(theta[active][0]):.17g}")
+            f"{NEWTON_MAX_STEPS} steps at theta={float(at):.17g}")
 
     def evaluate(self, t, order: int = 0):
         return self.jet(t, order)[order]
@@ -266,13 +270,13 @@ class DualProfile:
         if k not in (0, 1, 2):
             raise ValueError("dual profiles support derivative orders 0..2")
         t = np.asarray(t, dtype=float)
-        tau, sign = dihedral_fold(t.reshape(-1), self.d)
+        tau, sign = dihedral_fold(t if t.ndim == 0 else t.reshape(-1), self.d)
         out = self._chain(self._invert_theta(tau), k)
         out = [v * sign ** m for m, v in enumerate(out)]
-        return tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
+        return tuple(float(v) if t.ndim == 0 else v.reshape(t.shape)
                      for v in out)
 
-    def _chain(self, t: np.ndarray, k: int) -> list:
+    def _chain(self, t, k: int) -> list:
         """h, h', ... up to h^(k) at theta_legendre(t), by the chain rule."""
         jet = self._jet(t, k + 1)
         f0, f1 = jet[:2]

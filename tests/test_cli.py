@@ -384,6 +384,24 @@ def test_tensor_focal_guard_too_wide_exits_1(capsys, profiles):
     assert "delta=0.6" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--model", "cartan3", "--delta", "0.51"],
+    ["sample", "--model", "cartan3", "--delta", "0.5"],
+    ["tensor", "--model", "cartan3", "--delta", "0.51"],
+    ["isoparametric-check", "--model", "cartan3", "--delta", "0.4"],
+], ids=lambda argv: argv[0])
+def test_focal_guard_leaving_no_leaf_range_exits_1(capsys, profiles, argv):
+    # the leaf-parameter draw or grid is checked before it runs: no bare
+    # numpy error, and no grid running backwards inside its own guard
+    code = main([argv[0], "--profile", profiles["wobble3"], *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("isonorm: error: delta=")
+    assert "Traceback" not in captured.err
+
+
 # --------------------------------------------------------------- curvature
 
 def test_curvature_flat_round(capsys, profiles):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isonorm import planar
 from isonorm.fd import hessian_fd
 from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             fundamental_tensor, indicatrix_point,
@@ -321,7 +322,7 @@ def test_ode_residuals_inverts_the_dual_once(monkeypatch):
     invert = DualProfile._invert_theta
 
     def counted(self, theta):
-        calls.append(theta.size)
+        calls.append(np.size(theta))  # a scalar angle arrives as a float
         return invert(self, theta)
 
     monkeypatch.setattr(DualProfile, "_invert_theta", counted)
@@ -332,6 +333,12 @@ def test_ode_residuals_inverts_the_dual_once(monkeypatch):
     calls.clear()
     ode_residuals(tr, np.linspace(0.05, math.pi / 2 - 0.05, 33))
     assert calls == [33]
+
+
+def test_exact_dual_names_a_scalar_angle_that_does_not_converge(monkeypatch):
+    monkeypatch.setattr(planar, "NEWTON_MAX_STEPS", 1)
+    with pytest.raises(ValueError, match="did not converge in 1 steps at theta=0.4"):
+        DualProfile(BASE).evaluate(0.4)
 
 
 def test_exact_dual_rejects_invalid_base():
@@ -374,8 +381,11 @@ def _check_exact_dual(p: Profile):
     got = exact.evaluate(ts)
     want = _bisection_dual(p, dihedral_fold(ts, d)[0])
     assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-    # a scalar is solved as a one-point array: the same bits
-    assert exact.evaluate(float(ts[40]), 2) == exact.evaluate(ts, 2)[40]
+    # a scalar is solved on scalars, with the bits of its row in an array
+    for k in range(3):
+        rows = exact.jet(ts, k)
+        for i, t in enumerate(ts):
+            assert exact.jet(float(t), k) == tuple(float(v[i]) for v in rows)
     tr = IsometryTriple(f=p, h=exact, theta=legendre_map_tag())
     ts = np.linspace(0.05, math.pi / d - 0.05, 7)
     assert np.max(np.abs(ode_residuals(tr, ts))) <= 1e-11
