@@ -36,7 +36,13 @@ before and right after the row's calls.  The rows:
   Profile(2, (1, 0.5)), at the interior angles of a 258-point grid on
   [0, pi/2] (the loop of perfbench's planar-sweep);
 - `DualProfile(Profile(2, (1, 0.5))).evaluate` on 256 angles of [0, pi/2]
-  in one array.
+  in one array;
+- in-process `isonorm.cli.main(["isoparametric-check", "--profile", path,
+  "--model", "d2:8:3"])` with its defaults, its report discarded, where path
+  holds Profile(2, (1, 0.2));
+- 15 one-point `fd_indicatrix_laplacian_t` calls on cartan3 with
+  Profile(3, (0.5, 0.02)), 3 points on each of 5 leaves in
+  [0.3, pi/3 - 0.3] (the path of perfbench's field-sweep).
 
 Only public names are used, so the script also times another checkout:
 
@@ -75,8 +81,9 @@ from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      IsometryTriple, PlanarNorm, Profile, Sector,
                      build_h_from_theta, bump_profile, cartan3,
                      check_d_property, check_hessian_isometry, dual_profile,
-                     glue_construct, is_minkowski, legendre_map_tag,
-                     lift_to_nd, ode_residuals, planar_lift_map, save_profile,
+                     fd_indicatrix_laplacian_t, glue_construct, is_minkowski,
+                     legendre_map_tag, lift_to_nd, ode_residuals,
+                     planar_lift_map, random_leaf_points, save_profile,
                      save_triple, triple_from_json_dict, triple_to_json_dict)
 from isonorm.cli import main as cli_main  # noqa: E402
 
@@ -155,6 +162,12 @@ def _one_angle_residuals(tr):
     return [ode_residuals(tr, float(t)) for t in ODE_ANGLES]
 
 
+def _cli_isoparametric_check(path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(["isoparametric-check", "--profile", path,
+                         "--model", "d2:8:3"])
+
+
 def rows(tmp: str):
     """(name, call, setup) of every row; setup() builds the call's input.
     Files a row reads are written under the directory tmp."""
@@ -205,6 +218,18 @@ def rows(tmp: str):
     out.append(("DualProfile(Profile(2, (1, 0.5))).evaluate, 256 angles in one "
                 "array", lambda h: h.evaluate(DUAL_GRID),
                 lambda: dual_triple.h))
+    ellipse_path = os.path.join(tmp, "ellipse.json")
+    save_profile(Profile(2, (1.0, 0.2)), ellipse_path)
+    out.append(("cli.main isoparametric-check --model d2:8:3 in-process, "
+                "Profile(2, (1, 0.2))", _cli_isoparametric_check,
+                lambda: ellipse_path))
+    chart_norm = InducedNorm(cartan3(), Profile(3, (0.5, 0.02)))
+    leaves = np.repeat(np.linspace(0.3, math.pi / 3 - 0.3, 5), 3)
+    chart_points = random_leaf_points(cartan3(), leaves, len(leaves), seed=0)
+    out.append(("15 one-point fd_indicatrix_laplacian_t calls, cartan3, "
+                "Profile(3, (0.5, 0.02))",
+                lambda us: [fd_indicatrix_laplacian_t(chart_norm, u) for u in us],
+                lambda: chart_points))
     return out
 
 

@@ -25,13 +25,6 @@ def _lattice(fun, x, step, *groups) -> list[np.ndarray]:
     return [values[..., end - len(g):end] for g, end in zip(groups, ends)]
 
 
-def gradient_fd(fun, x, step: float = 1e-6) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    e = np.eye(len(x), dtype=int)
-    up, down = _lattice(fun, x, step, e, -e)
-    return (up - down) / (2 * step)
-
-
 def hessian_fd(fun, x, step: float = 1e-4) -> np.ndarray:
     """Symmetric central-difference Hessian at x, or one per row of a (k, n)
     array x with a step per row (shape (k,)): then (k, n, n)."""

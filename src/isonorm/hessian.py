@@ -1,10 +1,12 @@
 """Norms on R^n induced by an isoparametric foliation: F = r*sqrt(2 f(t)).
 
 The Hessian metric g = Hess(E), E = F^2/2, is evaluated in closed form
-(`closed_fundamental_tensor`) wherever g itself is needed; the FD functions
-difference E instead and stay the independent oracle of the closed forms.
-`energy` maps an (m, n) array of points to their m values, so each FD
-stencil evaluates its whole lattice in one call (see fd.py).
+(`closed_fundamental_tensor`) wherever g itself is needed, the indicatrix
+chart included.  `fd_fundamental_tensor` differences E instead and stays the
+independent oracle of G; `energy` maps an (m, n) array of points to their m
+values, so its stencil evaluates the whole lattice in one call (see fd.py).
+The only FD left in the indicatrix chart is the outer divergence difference
+of the Laplacian.
 
 Curvature note: for a Hessian metric the Riemann tensor depends only on g
 and T = dg, the third derivatives of the potential (Shima, The Geometry of
@@ -30,7 +32,7 @@ from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
-CURVATURE_TENSOR_STEP = 2e-4
+INDICATRIX_STEP = 3e-4
 FLATNESS_THRESHOLD = 1e-3
 
 
@@ -71,17 +73,6 @@ def energy(nm: InducedNorm, x):
         t = t_coord(nm.foliation, rows[live]).t
         E[live] = r2[live] * nm.profile.evaluate(t[:, None], 0)[:, 0]
     return float(E[0]) if x.ndim == 1 else E
-
-
-def grad_energy(nm: InducedNorm, x) -> np.ndarray:
-    """Closed-form gradient of E: 2f * x + r f' * w."""
-    x = np.asarray(x, dtype=float)
-    r, t = t_coord(nm.foliation, x)
-    f0, f1 = nm.profile.jet(t, 1)
-    if abs(f1) < 1e-15:
-        return 2.0 * f0 * x
-    w = unit_w(nm.foliation, x)
-    return 2.0 * f0 * x + r * f1 * w
 
 
 class TensorResult(NamedTuple):
@@ -257,9 +248,10 @@ def indicatrix_laplacian_t(nm: InducedNorm, t: float) -> float:
 # --- FD counterparts on the indicatrix -------------------------------------
 #
 # The indicatrix is parametrized over the unit sphere through a normal-
-# coordinate chart z -> u(z) around a base direction; the only FD ingredient
-# is the ambient fundamental tensor, everything else (chart Jacobian, dt) is
-# closed-form, which keeps the noise of the outer divergence difference low.
+# coordinate chart z -> u(z) around a base direction.  The metric (the closed
+# G), the chart Jacobian and dt are closed-form; the only finite difference
+# is the outer divergence difference of the Laplacian, so the chart stays an
+# independent check of indicatrix_laplacian_t.
 
 
 def _chart_point(u0: np.ndarray, V: np.ndarray, z: np.ndarray):
@@ -276,12 +268,14 @@ def _chart_point(u0: np.ndarray, V: np.ndarray, z: np.ndarray):
     return u, du
 
 
-def _indicatrix_chart_data(nm: InducedNorm, u0: np.ndarray, V: np.ndarray,
-                           Z: np.ndarray, tensor_step: float):
+def _indicatrix_chart_data(nm: InducedNorm, U0: np.ndarray, V: np.ndarray,
+                           Z: np.ndarray):
     """(metric, dt-components, sqrt(det)) of the induced chart metric at the
-    k rows of the chart offsets Z, stacked; one t_coord, jet, unit_w and
-    hessian_fd call serve all rows, and each keeps its one-point bits."""
-    u, du = (np.array(a) for a in zip(*(_chart_point(u0, V, z) for z in Z)))
+    k rows of the chart offsets Z (k, n-1) around the base directions U0
+    (k, n) with tangent bases V (k, n-1, n), stacked; one t_coord, jet,
+    unit_w and closed_fundamental_tensor call serve all rows, and each keeps
+    its one-point bits."""
+    u, du = (np.array(a) for a in zip(*map(_chart_point, U0, V, Z)))
     t = t_coord(nm.foliation, u).t
     f0, f1 = (f[:, 0] for f in nm.profile.jet(t[:, None], 1))
     w = unit_w(nm.foliation, u)
@@ -290,49 +284,48 @@ def _indicatrix_chart_data(nm: InducedNorm, u0: np.ndarray, V: np.ndarray,
     drho = (-f1 * rho / (2.0 * f0))[:, None] * dt
     X = rho[:, None] * u
     J = rho[:, None, None] * du + u[:, :, None] * drho[:, None, :]
-    G = hessian_fd(lambda p: energy(nm, p), X, step=tensor_step * rho)
-    G = 0.5 * (G + np.swapaxes(G, 1, 2))
-    ghat = np.swapaxes(J, 1, 2) @ G @ J
+    ghat = np.swapaxes(J, 1, 2) @ closed_fundamental_tensor(nm, X) @ J
     return ghat, dt, np.sqrt(np.linalg.det(ghat))
 
 
-def fd_indicatrix_grad_t_norm(nm: InducedNorm, u0,
-                              tensor_step: float = CURVATURE_TENSOR_STEP) -> float:
-    """FD squared norm of grad t on the indicatrix at direction u0."""
-    u0 = np.asarray(u0, dtype=float)
-    u0 = u0 / np.linalg.norm(u0)
-    V = _sphere_tangent_basis(u0)
-    ghat, dt, _ = _indicatrix_chart_data(nm, u0, V, np.zeros((1, len(V))),
-                                         tensor_step)
-    return float(dt[0] @ np.linalg.solve(ghat[0], dt[0]))
+def fd_indicatrix_operators(nm: InducedNorm, u0):
+    """FD squared norm of grad t and FD Laplacian of t on the indicatrix at
+    direction u0, or at each row of a (k, n) array (then two (k,) arrays).
 
-
-def fd_indicatrix_laplacian_t(nm: InducedNorm, u0,
-                              outer_step: float = 1e-2,
-                              tensor_step: float = 3e-4) -> float:
-    """FD Laplacian of t on the indicatrix at direction u0 (divergence form).
-
-    The divergence of the flux sqrt(det g) g^{ab} dt/dz^b is differenced with
-    a fourth-order stencil: the chart (and hence the truncation error of a
-    low-order difference) depends on the base point, which would otherwise
-    show up as spurious position dependence of an isoparametric invariant.
-    The base point and the 4(n-1) stencil points are evaluated in one pass.
+    The grad norm is read at the chart's base point.  The Laplacian differences
+    the flux sqrt(det g) g^{ab} dt/dz^b with a fourth-order stencil of step
+    INDICATRIX_STEP: the chart (and hence the truncation error of a low-order
+    difference) depends on the base point, which would otherwise show up as
+    spurious position dependence of an isoparametric invariant.  The base
+    points and their 4(n-1) stencil points, k(4n-3) rows, take one chart call.
     """
     u0 = np.asarray(u0, dtype=float)
-    u0 = u0 / np.linalg.norm(u0)
-    V = _sphere_tangent_basis(u0)
-    na = len(V)
+    U = np.array([u / np.linalg.norm(u) for u in np.atleast_2d(u0)])
+    V = np.array([_sphere_tangent_basis(u) for u in U])
+    k, na = V.shape[:2]
     axis = np.repeat(np.arange(na), 4)  # axis a outer, the stencil inner
     coef = np.tile([-1.0, 8.0, -8.0, 1.0], na)
     Z = np.zeros((1 + 4 * na, na))
-    Z[1 + np.arange(4 * na), axis] = np.tile([2.0, 1.0, -1.0, -2.0], na) * outer_step
-    ghat, dt, sdet = _indicatrix_chart_data(nm, u0, V, Z, tensor_step)
-
+    Z[1 + np.arange(4 * na), axis] = (np.tile([2.0, 1.0, -1.0, -2.0], na)
+                                      * INDICATRIX_STEP)
+    ghat, dt, sdet = (a.reshape((k, len(Z)) + a.shape[1:])
+                      for a in _indicatrix_chart_data(
+                          nm, np.repeat(U, len(Z), 0), np.repeat(V, len(Z), 0),
+                          np.tile(Z, (k, 1))))
+    sol = np.linalg.solve(ghat, dt[..., None])[..., 0]  # g^{ab} dt/dz^b
+    grad = (dt[:, 0, None, :] @ sol[:, 0, :, None])[:, 0, 0]
+    flux = (sdet[..., None] * sol)[:, 1 + np.arange(4 * na), axis]
     total = 0.0
-    for i, a in enumerate(axis, 1):
-        flux = sdet[i] * np.linalg.solve(ghat[i], dt[i])
-        total += coef[i - 1] * flux[a] / (12.0 * outer_step)
-    return float(total / sdet[0])
+    for c, column in zip(coef, flux.T):
+        total = total + c * column / (12.0 * INDICATRIX_STEP)
+    lap = total / sdet[:, 0]
+    return (float(grad[0]), float(lap[0])) if u0.ndim == 1 else (grad, lap)
+
+
+def fd_indicatrix_laplacian_t(nm: InducedNorm, u0) -> float:
+    """FD Laplacian of t on the indicatrix at direction u0 (see
+    fd_indicatrix_operators)."""
+    return fd_indicatrix_operators(nm, u0)[1]
 
 
 class FlatCandidateReport(NamedTuple):

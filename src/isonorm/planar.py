@@ -103,11 +103,6 @@ def theta_legendre(nm: PlanarNorm, t):
     return theta_scaled(nm, t, 1.0, 1.0)
 
 
-def theta_legendre_deriv(nm: PlanarNorm, t):
-    """d theta_legendre / dt = gap / (num^2 + den^2)."""
-    return theta_scaled_deriv(nm, t, 1.0, 1.0)
-
-
 def theta_scaled(nm: PlanarNorm, t, a: float, b: float):
     """Angle of x -> (a * dE/dx1, b * dE/dx2); a = b gives theta_legendre."""
     if a <= 0 or b <= 0:
@@ -160,17 +155,6 @@ def dual_profile(nm: PlanarNorm, grid_size: int = 512,
                           else max_terms)
     mid_err = float(np.max(np.abs(fit.evaluate(ts[1::2]) - h[1::2])))
     return replace(fit, fit_residual=max(fit.fit_residual, mid_err))
-
-
-def sample_indicatrix(nm: PlanarNorm, n: int):
-    """Rows (t, x1, x2, F(x), theta_legendre) over one full period."""
-    ts = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    pts = indicatrix_point(nm, ts)
-    rows = []
-    for t, p in zip(ts, pts):
-        rows.append((float(t), float(p[0]), float(p[1]),
-                     value(nm, p), float(theta_legendre(nm, t))))
-    return rows
 
 
 @dataclass(frozen=True)

@@ -149,11 +149,6 @@ def gap_from_jet(f0, f1, f2):
     return 2.0 * f0 * f2 - f1 * f1 + 4.0 * f0 * f0
 
 
-def convexity_gap(p, t):
-    """2 f f'' - (f')^2 + 4 f^2 at t (scalar or array)."""
-    return gap_from_jet(*p.jet(t, 2))
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     valid: bool

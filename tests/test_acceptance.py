@@ -12,10 +12,10 @@ from isonorm.fd import hessian_fd
 from isonorm.foliation import (cartan3, d1, d2, random_leaf_points,
                                shape_spectrum)
 from isonorm.hessian import (InducedNorm, cartan_flat_candidate,
-                             closed_frame_matrix, fd_indicatrix_grad_t_norm,
-                             fd_indicatrix_laplacian_t, frame_basis,
-                             fd_fundamental_tensor, indicatrix_grad_t_norm,
-                             indicatrix_laplacian_t, riemann_fd)
+                             closed_frame_matrix, fd_fundamental_tensor,
+                             fd_indicatrix_operators, frame_basis,
+                             indicatrix_grad_t_norm, indicatrix_laplacian_t,
+                             riemann_fd)
 from isonorm.isometry import (Decomposition, IsometryTriple, Sector,
                               bump_profile, check_d_property,
                               check_hessian_isometry, classify_sectors,
@@ -24,7 +24,7 @@ from isonorm.isometry import (Decomposition, IsometryTriple, Sector,
                               quadratic_and_roots, theta_value)
 from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             indicatrix_point, legendre_map, legendre_ode_rhs,
-                            theta_legendre, theta_legendre_deriv)
+                            theta_legendre, theta_scaled_deriv)
 from isonorm.profile import Profile, is_minkowski, round_profile
 
 ELLIPSE_D1 = Profile(1, (1.0, 0.0, 0.2))
@@ -101,7 +101,7 @@ def test_criterion_3_legendre_suite():
         y = legendre_map(nm, indicatrix_point(nm, t))
         th = theta_legendre(nm, t)
         ang_err = max(ang_err, abs(th - math.atan2(y[1], y[0])))
-        ode_err = max(ode_err, abs(theta_legendre_deriv(nm, t)
+        ode_err = max(ode_err, abs(theta_scaled_deriv(nm, t, 1.0, 1.0)
                                    - legendre_ode_rhs(nm.profile, t, th)))
     assert ang_err < 1e-10
     assert ode_err < 1e-5
@@ -207,8 +207,7 @@ def test_criterion_6_indicatrix_operators():
             us = random_leaf_points(model, t, 8, seed=100 + i)
             g_closed = indicatrix_grad_t_norm(nm, t)
             l_closed = indicatrix_laplacian_t(nm, t)
-            g_fd = [fd_indicatrix_grad_t_norm(nm, u) for u in us]
-            l_fd = [fd_indicatrix_laplacian_t(nm, u) for u in us]
+            g_fd, l_fd = fd_indicatrix_operators(nm, us)
             agree = max(agree,
                         max(abs(v - g_closed) for v in g_fd),
                         max(abs(v - l_closed) for v in l_fd))

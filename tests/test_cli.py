@@ -388,7 +388,7 @@ def test_tensor_focal_guard_too_wide_exits_1(capsys, profiles):
     ["curvature", "--model", "cartan3", "--delta", "0.51"],
     ["sample", "--model", "cartan3", "--delta", "0.5"],
     ["tensor", "--model", "cartan3", "--delta", "0.51"],
-    ["isoparametric-check", "--model", "cartan3", "--delta", "0.4"],
+    ["isoparametric-check", "--model", "cartan3", "--delta", "0.51"],
 ], ids=lambda argv: argv[0])
 def test_focal_guard_leaving_no_leaf_range_exits_1(capsys, profiles, argv):
     # the leaf-parameter draw or grid is checked before it runs: no bare
@@ -443,10 +443,22 @@ def test_isoparametric_check_draws_every_leaf_at_once(capsys, profiles, leaf_dra
                          "--t-count", "3", "--xi-count", "4")
     assert code == 0
     assert leaf_draws == [12]
-    guard = DEFAULT_FOCAL_GUARD + 0.25
+    guard = DEFAULT_FOCAL_GUARD + 0.02
     assert ([row["t"] for row in rep["results"]["points"]]
             == np.linspace(guard, math.pi / 2 - guard, 3).tolist())
     assert rep["residuals"]["xi_spread"] < 1e-5
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_isoparametric_check_default_d2_8_3_exits_0(capsys, profiles, seed):
+    # the paper's N_t is isoparametric: with the closed G in the chart the
+    # default check confirms it, every residual far inside its ok bound
+    code, rep = run_json(capsys, "isoparametric-check", "--profile",
+                         profiles["ellipse"], "--model", "d2:8:3",
+                         "--seed", str(seed))
+    assert code == 0
+    for name, val in rep["residuals"].items():
+        assert val < cli.TOLERANCES[name][0] / 100, name
 
 
 @pytest.mark.parametrize("model", ["d1:3", "d2:4:2", "d2:8:3", "cartan3"])

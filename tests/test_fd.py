@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 import pytest
 
-from isonorm.fd import gradient_fd, hessian_fd, third_tensor_fd
+from isonorm.fd import hessian_fd, third_tensor_fd
 from isonorm.foliation import (SQ3, FocalProximityError, parse_model,
                                random_leaf_points, t_coord)
 from isonorm.hessian import (InducedNorm, closed_fundamental_tensor, energy,
@@ -43,12 +43,6 @@ def _off(n, entries):
     for axis, val in entries.items():
         off[axis] += val
     return tuple(off)
-
-
-def point_gradient(fun, x, step):
-    lat, n = _Lattice(fun, x, step), len(x)
-    return np.array([(lat(*_off(n, {i: 1})) - lat(*_off(n, {i: -1})))
-                     / (2 * step) for i in range(n)])
 
 
 def point_hessian(fun, x, step):
@@ -193,8 +187,6 @@ def test_stencils_have_the_bits_of_the_point_lattice(spec, glued_h):
         nm = InducedNorm(m, prof, validate=False)
         rows = lambda X: energy(nm, X)
         point = lambda p: point_energy(nm, p)
-        assert np.array_equal(gradient_fd(rows, x, 1e-6),
-                              point_gradient(point, x, 1e-6)), name
         assert np.array_equal(hessian_fd(rows, x, 2e-4),
                               point_hessian(point, x, 2e-4)), name
         assert np.array_equal(third_tensor_fd(rows, x, 1e-3),
@@ -228,8 +220,7 @@ def test_stencils_on_a_polynomial_field(n):
     cubic = lambda X: np.einsum("...i,...j,...k,ijk->...", X, X, X, A)
     point = lambda p: float(cubic(p))
     x = rng.standard_normal(n)
-    for stencil, ref, step in ((gradient_fd, point_gradient, 1e-3),
-                               (hessian_fd, point_hessian, 1e-3),
+    for stencil, ref, step in ((hessian_fd, point_hessian, 1e-3),
                                (third_tensor_fd, point_third, 1e-2)):
         assert np.array_equal(stencil(cubic, x, step), ref(point, x, step))
     sym = sum(A.transpose(p) for p in permutations(range(3)))
@@ -237,7 +228,6 @@ def test_stencils_on_a_polynomial_field(n):
 
 
 @pytest.mark.parametrize("stencil,points", [
-    (gradient_fd, lambda n: 2 * n),
     (hessian_fd, lambda n: 1 + 2 * n * n),
     (third_tensor_fd, lambda n: 4 * n + 2 * n * (n - 1)
      + 8 * math.comb(n, 3)),

@@ -5,20 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from isonorm import hessian
-from isonorm.fd import gradient_fd, hessian_fd, third_tensor_fd
-from isonorm.foliation import (_sphere_tangent_basis, cartan3, d1, d2,
-                               random_leaf_points, shape_spectrum, t_coord,
-                               unit_w)
+from isonorm import cli, hessian
+from isonorm.fd import hessian_fd, third_tensor_fd
+from isonorm.foliation import (DEFAULT_FOCAL_GUARD, _sphere_tangent_basis,
+                               cartan3, d1, d2, random_leaf_points,
+                               shape_spectrum, t_coord, unit_w)
 from isonorm.hessian import (InducedNorm, cartan_flat_candidate,
-                             closed_frame_matrix, energy, fd_fundamental_tensor,
-                             fd_indicatrix_grad_t_norm,
-                             fd_indicatrix_laplacian_t, frame_basis,
-                             frame_components, grad_energy,
+                             closed_frame_matrix, closed_fundamental_tensor,
+                             energy, fd_fundamental_tensor,
+                             fd_indicatrix_laplacian_t, fd_indicatrix_operators,
+                             frame_basis, frame_components,
                              indicatrix_grad_t_norm, indicatrix_laplacian_t,
                              riemann_fd, value)
 from isonorm.planar import DualProfile
-from isonorm.profile import Profile, round_profile
+from isonorm.profile import Profile, round_profile, save_profile
 
 ELLIPSE_D2 = Profile(2, (1.0, 0.2))
 ELLIPSE_D1 = Profile(1, (1.0, 0.0, 0.2))  # same f(t) = 1 + 0.2 cos 2t
@@ -63,22 +63,6 @@ def test_value_rows_have_the_bits_of_one_point_calls(model, profile):
 def test_profile_model_d_mismatch():
     with pytest.raises(ValueError):
         InducedNorm(cartan3(), ELLIPSE_D2)
-
-
-def test_grad_energy_matches_fd():
-    nm = _norm(d2(4, 2), ELLIPSE_D2)
-    x = 1.3 * random_leaf_points(nm.foliation, 0.6, 1, seed=8)[0]
-    g = grad_energy(nm, x)
-    fd = gradient_fd(lambda y: energy(nm, y), x, step=1e-6)
-    assert np.allclose(g, fd, atol=1e-8)
-
-
-def test_grad_energy_euler_identity():
-    # <grad E, x> = 2E for 2-homogeneous E
-    nm = _norm(cartan3(), Profile(3, (0.5, 0.03)))
-    x = 0.8 * random_leaf_points(nm.foliation, 0.5, 1, seed=2)[0]
-    assert float(grad_energy(nm, x) @ x) == pytest.approx(
-        2.0 * energy(nm, x), abs=1e-12)
 
 
 # ------------------------------------------------------------------ frame
@@ -228,9 +212,9 @@ def test_fd_indicatrix_operators_match_closed():
     nm = _norm(d2(4, 2), ELLIPSE_D2)
     t = 0.6
     u = random_leaf_points(nm.foliation, t, 1, seed=6)[0]
-    assert fd_indicatrix_grad_t_norm(nm, u) == pytest.approx(
-        indicatrix_grad_t_norm(nm, t), abs=1e-6)
-    assert fd_indicatrix_laplacian_t(nm, u) == pytest.approx(
+    grad, lap = fd_indicatrix_operators(nm, u)
+    assert grad == pytest.approx(indicatrix_grad_t_norm(nm, t), abs=1e-6)
+    assert lap == pytest.approx(
         indicatrix_laplacian_t(nm, t), abs=1e-5)
 
 
@@ -258,9 +242,9 @@ def _one_point_chart_point(u0, V, z):
     return u, du
 
 
-def _one_point_chart_data(nm, u0, V, z, tensor_step):
+def _one_point_chart_data(nm, u0, V, z):
     """Reference for the stacked chart data: one offset z, one point per
-    call of t_coord, jet, unit_w and hessian_fd."""
+    call of t_coord, jet, unit_w and closed_fundamental_tensor."""
     m = nm.foliation
     u, du = _one_point_chart_point(u0, V, z)
     t = t_coord(m, u).t
@@ -271,70 +255,83 @@ def _one_point_chart_data(nm, u0, V, z, tensor_step):
     drho = -f1 * rho / (2.0 * f0) * dt
     X = rho * u
     J = rho * du + np.outer(u, drho)
-    G = hessian_fd(lambda p: energy(nm, p), X, step=tensor_step * rho)
-    G = 0.5 * (G + G.T)
-    ghat = J.T @ G @ J
+    ghat = J.T @ closed_fundamental_tensor(nm, X) @ J
     return ghat, dt, math.sqrt(float(np.linalg.det(ghat)))
 
 
-def _one_point_operators(nm, u0, outer_step=1e-2, tensor_step=3e-4,
-                         grad_step=hessian.CURVATURE_TENSOR_STEP):
+def _one_point_operators(nm, u0):
     u0 = np.asarray(u0, dtype=float)
     u0 = u0 / np.linalg.norm(u0)
     V = _sphere_tangent_basis(u0)
-    na = len(V)
-    ghat, dt, _ = _one_point_chart_data(nm, u0, V, np.zeros(na), grad_step)
+    na, step = len(V), hessian.INDICATRIX_STEP
+    ghat, dt, sdet0 = _one_point_chart_data(nm, u0, V, np.zeros(na))
     grad = float(dt @ np.linalg.solve(ghat, dt))
-    _, _, sdet0 = _one_point_chart_data(nm, u0, V, np.zeros(na), tensor_step)
     total = 0.0
     for a in range(na):
         for coef, mult in ((-1.0, 2.0), (8.0, 1.0), (-8.0, -1.0), (1.0, -2.0)):
             z = np.zeros(na)
-            z[a] = mult * outer_step
-            ghat, dt, sdet = _one_point_chart_data(nm, u0, V, z, tensor_step)
+            z[a] = mult * step
+            ghat, dt, sdet = _one_point_chart_data(nm, u0, V, z)
             flux = sdet * np.linalg.solve(ghat, dt)
-            total += coef * flux[a] / (12.0 * outer_step)
+            total += coef * flux[a] / (12.0 * step)
     return grad, float(total / sdet0)
 
 
-@pytest.mark.parametrize("model,profile", [
+MODEL_PROFILES = [
     (d1(3), RANDERS),
     (d2(4, 2), ELLIPSE_D2),
     (d2(8, 3), Profile(2, (1.0, 0.3))),
     (cartan3(), Profile(3, (0.5, 0.02))),
     (d2(4, 2), DualProfile(Profile(2, (1.0, 0.3)))),
-], ids=["d1:3", "d2:4:2", "d2:8:3", "cartan3", "d2:4:2-dual"])
+]
+MODEL_IDS = ["d1:3", "d2:4:2", "d2:8:3", "cartan3", "d2:4:2-dual"]
+
+
+@pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
 def test_fd_indicatrix_chart_keeps_one_point_bits(model, profile):
-    # the chart points are evaluated in one pass; every value must be the
-    # one the per-point loop gives, to the last bit
+    # all points and their chart rows are evaluated in one pass; every value
+    # must be the one the per-point, per-row loop gives, to the last bit
     nm = _norm(model, profile)
     hi = math.pi / model.d - 0.3
-    for i, t in enumerate(np.linspace(0.3, hi, 3)):
-        for u in random_leaf_points(model, float(t), 2, seed=20 + i):
-            grad, lap = _one_point_operators(nm, u)
-            assert fd_indicatrix_grad_t_norm(nm, u) == grad
-            assert fd_indicatrix_laplacian_t(nm, u) == lap
-    grad, lap = _one_point_operators(nm, u, outer_step=2.5e-2,
-                                     tensor_step=1e-3, grad_step=5e-4)
-    assert fd_indicatrix_grad_t_norm(nm, u, tensor_step=5e-4) == grad
-    assert fd_indicatrix_laplacian_t(nm, u, outer_step=2.5e-2,
-                                     tensor_step=1e-3) == lap
+    us = np.concatenate([random_leaf_points(model, float(t), 2, seed=20 + i)
+                         for i, t in enumerate(np.linspace(0.3, hi, 3))])
+    grads, laps = fd_indicatrix_operators(nm, us)
+    assert grads.shape == laps.shape == (6,)
+    for u, g, lap in zip(us, grads, laps):
+        assert (g, lap) == _one_point_operators(nm, u)
+        assert fd_indicatrix_operators(nm, u) == (g, lap)
+        assert fd_indicatrix_laplacian_t(nm, u) == lap
 
 
-def test_fd_indicatrix_laplacian_makes_one_energy_call(monkeypatch):
-    nm = _norm(d2(8, 3), Profile(2, (1.0, 0.3)))
-    u = random_leaf_points(nm.foliation, 0.5, 1, seed=3)[0]
-    calls = []
-    one_call = hessian.energy
+@pytest.mark.parametrize("model,profile", MODEL_PROFILES[:4], ids=MODEL_IDS[:4])
+def test_fd_indicatrix_laplacian_near_the_focal_ends(model, profile):
+    # the closed G leaves only the outer difference's truncation error, so
+    # the chart holds at the 0.02 leaf margin that the commands draw from
+    nm = _norm(model, profile)
+    t = DEFAULT_FOCAL_GUARD + 0.02
+    for t in (t, math.pi / model.d - t):
+        us = random_leaf_points(model, t, 3, seed=5)
+        _, laps = fd_indicatrix_operators(nm, us)
+        assert np.max(np.abs(laps - indicatrix_laplacian_t(nm, t))) < 1e-6
 
-    def counted(nm, x):
-        calls.append(len(x))
-        return one_call(nm, x)
 
-    monkeypatch.setattr(hessian, "energy", counted)
-    fd_indicatrix_laplacian_t(nm, u)
-    # 1 + 4(n - 1) chart points, each a 1 + 2n^2 point Hessian stencil
-    assert calls == [29 * (1 + 2 * 8 * 8)]
+def test_isoparametric_check_makes_one_chart_call(monkeypatch, tmp_path,
+                                                   capsys):
+    closed_rows, energy_calls = [], []
+    closed, one_energy = hessian.closed_fundamental_tensor, hessian.energy
+    monkeypatch.setattr(hessian, "closed_fundamental_tensor",
+                        lambda nm, X: closed_rows.append(len(X)) or closed(nm, X))
+    monkeypatch.setattr(hessian, "energy",
+                        lambda nm, x: energy_calls.append(len(x))
+                        or one_energy(nm, x))
+    save_profile(Profile(2, (1.0, 0.2)), tmp_path / "f.json")
+    code = cli.main(["isoparametric-check", "--profile", str(tmp_path / "f.json"),
+                     "--model", "d2:8:3"])
+    capsys.readouterr()
+    assert code == 0
+    # 5 leaves x 3 points, each the base and 4(n - 1) stencil rows, n = 8
+    assert closed_rows == [5 * 3 * 29]
+    assert energy_calls == []
 
 
 # ------------------------------------------------------------- flat gate

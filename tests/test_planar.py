@@ -12,9 +12,8 @@ from isonorm import planar
 from isonorm.fd import hessian_fd
 from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             fundamental_tensor, indicatrix_point,
-                            legendre_map, legendre_ode_rhs, sample_indicatrix,
-                            theta_legendre, theta_legendre_deriv,
-                            theta_scaled, value)
+                            legendre_map, legendre_ode_rhs, theta_legendre,
+                            theta_scaled, theta_scaled_deriv, value)
 from isonorm.isometry import IsometryTriple, legendre_map_tag, ode_residuals
 from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
                              fit_cosine_series, is_minkowski,
@@ -123,13 +122,13 @@ def test_theta_deriv_matches_fd():
     for t in (0.3, 0.8, 1.2):
         fd = (theta_legendre(ELLIPSE, t + h)
               - theta_legendre(ELLIPSE, t - h)) / (2 * h)
-        assert theta_legendre_deriv(ELLIPSE, t) == pytest.approx(fd, rel=1e-7)
+        assert theta_scaled_deriv(ELLIPSE, t, 1.0, 1.0) == pytest.approx(fd, rel=1e-7)
 
 
 def test_legendre_ode_rhs():
     # theta_legendre solves the first-order angle equation
     for t in np.linspace(0.1, math.pi / 2 - 0.1, 11):
-        lhs = theta_legendre_deriv(ELLIPSE, float(t))
+        lhs = theta_scaled_deriv(ELLIPSE, float(t), 1.0, 1.0)
         rhs = legendre_ode_rhs(ELLIPSE.profile, float(t),
                                theta_legendre(ELLIPSE, float(t)))
         assert lhs == pytest.approx(rhs, abs=1e-5)
@@ -420,9 +419,3 @@ def test_indicatrix_points_have_unit_norm():
         x = indicatrix_point(ELLIPSE, float(t))
         assert value(ELLIPSE, x) == pytest.approx(1.0, abs=1e-12)
 
-
-def test_sample_indicatrix_rows():
-    rows = sample_indicatrix(ELLIPSE, 32)
-    assert len(rows) == 32
-    for t, x1, x2, F, th in rows:
-        assert F == pytest.approx(1.0, abs=1e-12)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isonorm.planar import DualProfile
-from isonorm.profile import (Profile, SectorProfile, convexity_gap,
-                             dihedral_fold, fit_cosine_series, from_phi,
+from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
+                             fit_cosine_series, from_phi, gap_from_jet,
                              is_minkowski, load_profile,
                              profile_from_json_dict, round_profile,
                              sampled_profile, save_profile)
@@ -101,11 +101,12 @@ def test_array_of_coefficients_is_accepted():
 def test_gap_closed_form_two_term(b, t):
     # for f = a + b cos 2t the criterion quantity is the constant 4(a^2-b^2)
     p = Profile(2, (1.0, b))
-    assert convexity_gap(p, t) == pytest.approx(4.0 * (1.0 - b * b), abs=1e-10)
+    assert gap_from_jet(*p.jet(t, 2)) == pytest.approx(4.0 * (1.0 - b * b),
+                                                      abs=1e-10)
 
 
 def test_gap_round():
-    assert convexity_gap(round_profile(1), 0.3) == pytest.approx(1.0)
+    assert gap_from_jet(*round_profile(1).jet(0.3, 2)) == pytest.approx(1.0)
 
 
 # ------------------------------------------------------------ is_minkowski
@@ -132,7 +133,8 @@ def test_validity_invalid_sign():
 def test_validity_sees_a_dip_between_grid_points():
     rep = is_minkowski(EXHIBIT)
     assert rep.status == "invalid"
-    assert rep.min_gap == pytest.approx(convexity_gap(EXHIBIT, math.pi / 2), abs=1e-12)
+    assert rep.min_gap == pytest.approx(
+        gap_from_jet(*EXHIBIT.jet(math.pi / 2, 2)), abs=1e-12)
     assert rep.min_gap == pytest.approx(EXHIBIT_GAP, abs=1e-9)
     assert rep.argmin == pytest.approx(math.pi / 2, abs=1e-12)
 
@@ -214,8 +216,8 @@ def test_sampled_profile_recovers_series():
 def test_scaled_profile():
     q = ELLIPSE.scaled(0.25)
     assert q.evaluate(0.3, 0) == pytest.approx(0.25 * ELLIPSE.evaluate(0.3, 0))
-    assert convexity_gap(q, 0.3) == pytest.approx(
-        0.0625 * convexity_gap(ELLIPSE, 0.3))
+    assert gap_from_jet(*q.jet(0.3, 2)) == pytest.approx(
+        0.0625 * gap_from_jet(*ELLIPSE.jet(0.3, 2)))
 
 
 # ------------------------------------------------------------------- json

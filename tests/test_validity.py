@@ -17,7 +17,7 @@ from isonorm.hessian import InducedNorm
 from isonorm.isometry import Sector, bump_profile, glue_construct
 from isonorm.planar import DualProfile, PlanarNorm, theta_legendre
 from isonorm.profile import (VALIDITY_MARGIN, Profile, SectorProfile,
-                             convexity_gap, gap_from_jet, is_minkowski,
+                             gap_from_jet, is_minkowski,
                              round_profile, save_profile)
 
 # validity bound on |b| for c0 (1 + b cos(d t))
@@ -53,7 +53,7 @@ def reference_validity(p, grid_size=1024):
         return float(min(values[i], _golden(fun, lo, hi)))
 
     min_f = refine(jet[0], lambda t: p.evaluate(t, 0))
-    min_gap = refine(gap_from_jet(*jet), lambda t: convexity_gap(p, t))
+    min_gap = refine(gap_from_jet(*jet), lambda t: gap_from_jet(*p.jet(t, 2)))
     if min_f > VALIDITY_MARGIN and min_gap > VALIDITY_MARGIN:
         return "valid", min_f, min_gap
     if min_f < -VALIDITY_MARGIN or min_gap < -VALIDITY_MARGIN:
@@ -111,7 +111,8 @@ def test_dual_gap_is_the_inverse_of_the_base_gap(scale):
     base = Profile(2, (1.0, 0.15, -0.02, 0.004))
     t = np.linspace(0.0, math.pi / 2, 41)
     theta = theta_legendre(PlanarNorm(base), t)
-    product = convexity_gap(DualProfile(base, scale), theta) * convexity_gap(base, t)
+    product = (gap_from_jet(*DualProfile(base, scale).jet(theta, 2))
+               * gap_from_jet(*base.jet(t, 2)))
     assert np.max(np.abs(product - scale ** 2)) <= 1e-12 * scale ** 2
 
 
