@@ -28,10 +28,10 @@ from .hessian import (FLATNESS_THRESHOLD, InducedNorm, closed_frame_matrix,
                       frame_basis, frame_components, indicatrix_grad_t_norm,
                       indicatrix_laplacian_t, riemann_fd,
                       value as induced_value)
-from .isometry import (DEFAULT_BAND_WIDTH, IsometryTriple, ThetaMap,
-                       classify_sectors, glue_construct, build_h_from_theta,
-                       identity_map, legendre_map_tag, load_triple,
-                       ode_residuals, save_triple, theta_value,
+from .isometry import (DEFAULT_BAND_WIDTH, INTERIOR_GUARD, IsometryTriple,
+                       ThetaMap, classify_sectors, glue_construct,
+                       build_h_from_theta, identity_map, legendre_map_tag,
+                       load_triple, ode_residuals, save_triple, theta_value,
                        triple_to_json_dict)
 from .planar import (PlanarNorm, dual_profile, indicatrix_point,
                      value as planar_value)
@@ -89,10 +89,6 @@ def _status_from(residuals: dict) -> str:
         if abs(val) > ok_max:
             status = "marginal"
     return status
-
-
-def _interior_grid(d: int, count: int, guard: float = 1e-3) -> np.ndarray:
-    return np.linspace(guard, math.pi / d - guard, count)
 
 
 def _leaf_range(m, delta: float, margin: float):
@@ -296,7 +292,8 @@ def _default_anchor(f: Profile, theta: ThetaMap, t0: float) -> float:
 
 
 def _triple_residual(tr: IsometryTriple, grid: int) -> dict:
-    res = ode_residuals(tr, _interior_grid(tr.f.d, grid))
+    ts = np.linspace(INTERIOR_GUARD, math.pi / tr.f.d - INTERIOR_GUARD, grid)
+    res = ode_residuals(tr, ts)
     worst = np.max(np.abs(res), axis=1)
     out = {f"ode_eq{i}": float(w) for i, w in enumerate(worst)}
     out["ode_max"] = float(np.max(worst))
@@ -442,10 +439,6 @@ def cmd_foliation_info(args):
 
 # ------------------------------------------------------------------ parser
 
-def _add(parser, *names, **kw):
-    parser.add_argument(*names, **kw)
-
-
 def _count(text: str, least: int = 1) -> int:
     """type= of the count options: an int of at least 1, and of `least`."""
     try:
@@ -465,48 +458,48 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     sp = sub.add_parser("validate", help="Minkowski validity of a profile")
-    _add(sp, "--profile", required=True)
-    _add(sp, "--degrees", action="store_true")
+    sp.add_argument("--profile", required=True)
+    sp.add_argument("--degrees", action="store_true")
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("dual", help="planar dual profile via the gradient map")
-    _add(sp, "--profile", required=True)
-    _add(sp, "--grid", type=int, default=512)
-    _add(sp, "--terms", type=int, default=None)
+    sp.add_argument("--profile", required=True)
+    sp.add_argument("--grid", type=int, default=512)
+    sp.add_argument("--terms", type=int, default=None)
     sp.set_defaults(func=cmd_dual)
 
     sp = sub.add_parser("tensor",
                         help="fundamental tensor vs frame closed forms")
-    _add(sp, "--profile", required=True)
-    _add(sp, "--model", required=True)
-    _add(sp, "--t", type=float, default=None)
-    _add(sp, "--r", type=float, default=1.0)
-    _add(sp, "--seed", type=int, default=0)
-    _add(sp, "--delta", type=float, default=DEFAULT_FOCAL_GUARD)
+    sp.add_argument("--profile", required=True)
+    sp.add_argument("--model", required=True)
+    sp.add_argument("--t", type=float, default=None)
+    sp.add_argument("--r", type=float, default=1.0)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_tensor)
 
     sp = sub.add_parser("curvature",
                         help="finite-difference Riemann tensor of the "
                              "Hessian metric")
-    _add(sp, "--profile", required=True)
-    _add(sp, "--model", required=True)
-    _add(sp, "--t", type=float, default=None)
-    _add(sp, "--samples", type=_count, default=4)
-    _add(sp, "--seed", type=int, default=0)
-    _add(sp, "--delta", type=float, default=DEFAULT_FOCAL_GUARD)
-    _add(sp, "--flat-threshold", type=float, default=FLATNESS_THRESHOLD)
+    sp.add_argument("--profile", required=True)
+    sp.add_argument("--model", required=True)
+    sp.add_argument("--t", type=float, default=None)
+    sp.add_argument("--samples", type=_count, default=4)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
+    sp.add_argument("--flat-threshold", type=float, default=FLATNESS_THRESHOLD)
     sp.set_defaults(func=cmd_curvature)
 
     sp = sub.add_parser("isoparametric-check",
                         help="leaf parameter has xi-independent gradient "
                              "norm and Laplacian on the indicatrix")
-    _add(sp, "--profile", required=True)
-    _add(sp, "--model", required=True)
-    _add(sp, "--t-count", type=_count, default=5)
+    sp.add_argument("--profile", required=True)
+    sp.add_argument("--model", required=True)
+    sp.add_argument("--t-count", type=_count, default=5)
     # xi_spread compares the points of a leaf: one point compares nothing
-    _add(sp, "--xi-count", type=lambda text: _count(text, 2), default=3)
-    _add(sp, "--seed", type=int, default=0)
-    _add(sp, "--delta", type=float, default=DEFAULT_FOCAL_GUARD)
+    sp.add_argument("--xi-count", type=lambda text: _count(text, 2), default=3)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_isoparametric_check)
 
     iso = sub.add_parser("isometry", help="isometry triple tool chain")
@@ -514,54 +507,54 @@ def build_parser() -> _Parser:
                                 parser_class=_Parser)
 
     sp = isosub.add_parser("solve", help="build h from a profile and theta")
-    _add(sp, "--profile", required=True)
-    _add(sp, "--theta", required=True,
-         help="identity | legendre | linear:a:b | scaled-legendre:a:b")
-    _add(sp, "--theta0", type=float, default=None)
-    _add(sp, "--h0", type=float, default=None)
-    _add(sp, "--grid", type=int, default=2048)
-    _add(sp, "--out", default=None)
+    sp.add_argument("--profile", required=True)
+    sp.add_argument("--theta", required=True,
+                    help="identity | legendre | linear:a:b | scaled-legendre:a:b")
+    sp.add_argument("--theta0", type=float, default=None)
+    sp.add_argument("--h0", type=float, default=None)
+    sp.add_argument("--grid", type=int, default=2048)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_isometry_solve)
 
     sp = isosub.add_parser("check", help="ODE residuals of a stored triple")
-    _add(sp, "--triple", required=True)
-    _add(sp, "--grid", type=_count, default=512)
+    sp.add_argument("--triple", required=True)
+    sp.add_argument("--grid", type=_count, default=512)
     sp.set_defaults(func=cmd_isometry_check)
 
     sp = isosub.add_parser("classify",
                            help="label identity / legendre / transition runs")
-    _add(sp, "--triple", required=True)
-    _add(sp, "--grid", type=_count, default=512)
-    _add(sp, "--tol", type=float, default=1e-6)
-    _add(sp, "--degrees", action="store_true")
+    sp.add_argument("--triple", required=True)
+    sp.add_argument("--grid", type=_count, default=512)
+    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--degrees", action="store_true")
     sp.set_defaults(func=cmd_isometry_classify)
 
     sp = isosub.add_parser("glue",
                            help="assemble a triple from sector directives")
-    _add(sp, "--profile", required=True,
-         help="base profile; must be round on the blend bands")
-    _add(sp, "--sectors", required=True,
-         help="JSON file: list of {lo, hi, mode, scale}")
-    _add(sp, "--band-width", type=float, default=None)
-    _add(sp, "--out", default=None)
+    sp.add_argument("--profile", required=True,
+                    help="base profile; must be round on the blend bands")
+    sp.add_argument("--sectors", required=True,
+                    help="JSON file: list of {lo, hi, mode, scale}")
+    sp.add_argument("--band-width", type=float, default=None)
+    sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_isometry_glue)
 
     sp = sub.add_parser("sample", help="points on the unit sphere of the norm")
-    _add(sp, "--profile", required=True)
-    _add(sp, "--model", default=None,
-         help="omit for the planar norm of the profile")
-    _add(sp, "--count", type=_count, default=16)
-    _add(sp, "--seed", type=int, default=0)
-    _add(sp, "--delta", type=float, default=DEFAULT_FOCAL_GUARD)
-    _add(sp, "--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--profile", required=True)
+    sp.add_argument("--model", default=None,
+                    help="omit for the planar norm of the profile")
+    sp.add_argument("--count", type=_count, default=16)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_sample)
 
     fol = sub.add_parser("foliation", help="foliation model metadata")
     folsub = fol.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
     sp = folsub.add_parser("info")
-    _add(sp, "--model", required=True)
-    _add(sp, "--degrees", action="store_true")
+    sp.add_argument("--model", required=True)
+    sp.add_argument("--degrees", action="store_true")
     sp.set_defaults(func=cmd_foliation_info)
 
     return parser

@@ -89,14 +89,6 @@ def parse_model(spec: str) -> FoliationModel:
     raise ValueError(f"bad model spec {spec!r} (want d1:n, d2:n:k or cartan3)")
 
 
-def eval_poly(m: FoliationModel, u) -> float:
-    """The defining degree-d polynomial at a unit vector; p = cos(d t)."""
-    u = np.asarray(u, dtype=float)
-    if abs(np.dot(u, u) - 1.0) > 1e-10:
-        raise ValueError("eval_poly expects a unit vector")
-    return float(_poly(m, u))
-
-
 def _sqnorm(x: np.ndarray):
     """|x|^2 of a point (a numpy scalar), or of each row of an (m, n)
     array, by one dot product per point (a matrix product of the rows would

@@ -34,6 +34,7 @@ from .profile import Profile, gap_from_jet, require_minkowski
 TENSOR_STEP_SCALE = 1e-4
 INDICATRIX_STEP = 3e-4
 FLATNESS_THRESHOLD = 1e-3
+FLAT_CANDIDATE_TOL = 1e-8  # cartan_flat_candidate's bound on |f'(pi/3)|
 
 
 @dataclass(frozen=True)
@@ -44,15 +45,13 @@ class InducedNorm:
     foliation: FoliationModel
     profile: Profile
 
-    def __init__(self, foliation: FoliationModel, profile, validate: bool = True):
-        if profile.d != foliation.d:
+    def __post_init__(self):
+        if self.profile.d != self.foliation.d:
             raise ValueError(
-                f"profile symmetry order d={profile.d} does not match the "
-                f"foliation (d={foliation.d})")
-        if validate and isinstance(profile, Profile):
-            require_minkowski(profile, "profile is not a Minkowski norm profile")
-        object.__setattr__(self, "foliation", foliation)
-        object.__setattr__(self, "profile", profile)
+                f"profile symmetry order d={self.profile.d} does not match the "
+                f"foliation (d={self.foliation.d})")
+        if isinstance(self.profile, Profile):
+            require_minkowski(self.profile, "profile is not a Minkowski norm profile")
 
 
 def value(nm: InducedNorm, x):
@@ -333,7 +332,7 @@ class FlatCandidateReport(NamedTuple):
     fprime_at_pi3: float
 
 
-def cartan_flat_candidate(profile, tol: float = 1e-8) -> FlatCandidateReport:
+def cartan_flat_candidate(profile) -> FlatCandidateReport:
     """Gate for profiles that could make the Cartan-foliation norm flat.
 
     A flat Hessian metric forces the restriction of the profile to every
@@ -342,4 +341,5 @@ def cartan_flat_candidate(profile, tol: float = 1e-8) -> FlatCandidateReport:
     failing it are rejected as flat candidates outright.
     """
     fp = float(profile.evaluate(math.pi / 3.0, 1))
-    return FlatCandidateReport(candidate=bool(abs(fp) <= tol), fprime_at_pi3=fp)
+    return FlatCandidateReport(candidate=bool(abs(fp) <= FLAT_CANDIDATE_TOL),
+                               fprime_at_pi3=fp)

@@ -122,9 +122,8 @@ def theta_value(tm: ThetaMap, f: Profile, t, order: int = 0):
             out = a * b / (a * a * np.cos(t_arr) ** 2 + b * b * np.sin(t_arr) ** 2)
     elif tm.kind in ("legendre", "scaled-legendre"):
         a, b = tm.params or (1.0, 1.0)
-        nm = PlanarNorm(f, validate=False)
-        out = (theta_scaled(nm, t_arr, a, b) if order == 0
-               else theta_scaled_deriv(nm, t_arr, a, b))
+        out = (theta_scaled(f, t_arr, a, b) if order == 0
+               else theta_scaled_deriv(f, t_arr, a, b))
     elif tm.kind == "sampled":
         out = _pchip(np.asarray(tm.grid), np.asarray(tm.values), t_arr, order)
     else:  # piecewise
@@ -669,8 +668,7 @@ def classify_sectors(tr: IsometryTriple, grid: int = 512,
     d = tr.f.d
     ts = np.linspace(INTERIOR_GUARD, math.pi / d - INTERIOR_GUARD, grid)
     th = np.atleast_1d(theta_value(tr.theta, tr.f, ts, 0))
-    nm = PlanarNorm(tr.f, validate=False)
-    th_leg = theta_legendre(nm, ts)
+    th_leg = theta_legendre(tr.f, ts)
     is_id = np.abs(th - ts) < tol
     is_leg = np.abs(th - th_leg) < tol
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .profile import (FIT_MAX_TERMS, Profile, _pow, dihedral_fold,
-                      gap_from_jet, is_minkowski, json_field,
-                      profile_from_json_dict, register_profile_kind,
-                      require_minkowski, sampled_profile)
+                      gap_from_jet, is_minkowski, require_minkowski,
+                      sampled_profile)
 
 # the exact dual's Legendre-angle solve (see DualProfile)
 NEWTON_TOL = 1e-14
@@ -27,10 +26,8 @@ NEWTON_MAX_STEPS = 100
 class PlanarNorm:
     profile: Profile
 
-    def __init__(self, profile: Profile, validate: bool = True):
-        if validate:
-            require_minkowski(profile, "profile is not a Minkowski norm profile")
-        object.__setattr__(self, "profile", profile)
+    def __post_init__(self):
+        require_minkowski(self.profile, "profile is not a Minkowski norm profile")
 
     @property
     def d(self) -> int:
@@ -98,21 +95,21 @@ def _unwrap_to(t, raw):
     return raw + 2.0 * math.pi * np.rint((t - raw) / (2.0 * math.pi))
 
 
-def theta_legendre(nm: PlanarNorm, t):
+def theta_legendre(p: Profile, t):
     """Polar angle of legendre_map at polar angle t (branch-corrected)."""
-    return theta_scaled(nm, t, 1.0, 1.0)
+    return theta_scaled(p, t, 1.0, 1.0)
 
 
-def theta_scaled(nm: PlanarNorm, t, a: float, b: float):
+def theta_scaled(p: Profile, t, a: float, b: float):
     """Angle of x -> (a * dE/dx1, b * dE/dx2); a = b gives theta_legendre."""
     if a <= 0 or b <= 0:
         raise ValueError("axis weights must be positive")
-    num, den = legendre_num_den(*nm.profile.jet(t, 1), np.sin(t), np.cos(t))
+    num, den = legendre_num_den(*p.jet(t, 1), np.sin(t), np.cos(t))
     return _unwrap_to(np.asarray(t, dtype=float), np.arctan2(b * num, a * den))
 
 
-def theta_scaled_deriv(nm: PlanarNorm, t, a: float, b: float):
-    f0, f1, f2 = nm.profile.jet(t, 2)
+def theta_scaled_deriv(p: Profile, t, a: float, b: float):
+    f0, f1, f2 = p.jet(t, 2)
     num, den = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
     gap = gap_from_jet(f0, f1, f2)
     return a * b * gap / (a * a * den * den + b * b * num * num)
@@ -203,8 +200,7 @@ class DualProfile:
     def stationary_angles(self) -> np.ndarray:
         """theta_legendre of the base's angles, as (h o theta)' =
         -s f' gap_f / (4f^2 + f'^2)^2 and gap_h(theta(t)) = s^2 / gap_f(t)."""
-        return theta_legendre(PlanarNorm(self.base, validate=False),
-                              self.base.stationary_angles())
+        return theta_legendre(self.base, self.base.stationary_angles())
 
     def _jet(self, t, k: int):
         # A scalar stays a scalar; an array goes in one point per row, where
@@ -296,8 +292,3 @@ class DualProfile:
     def to_json_dict(self) -> dict:
         return {"kind": "dual", "d": self.d, "base": self.base.to_json_dict(),
                 "scale": self.scale}
-
-
-register_profile_kind("dual", lambda data: DualProfile(
-    base=profile_from_json_dict(json_field(data, "base", "dual profile", "object")),
-    scale=float(json_field(data, "scale", "dual profile", "number", default=1.0))))

@@ -330,15 +330,6 @@ class SectorProfile:
                 "pieces": [p.to_json_dict() for p in self.pieces]}
 
 
-# other modules can contribute profile kinds (e.g. exact dual profiles)
-# without this module importing them
-_EXTRA_JSON_KINDS: dict = {}
-
-
-def register_profile_kind(kind: str, loader) -> None:
-    _EXTRA_JSON_KINDS[kind] = loader
-
-
 _JSON_TYPES = {"integer": int, "number": (int, float), "numbers": (int, float),
                "string": str, "array": list, "object": dict}
 
@@ -364,21 +355,25 @@ def json_field(data, key: str, what: str, want: str | None = None, default=None)
 
 def profile_from_json_dict(data: dict):
     kind = json_field(data, "kind", "profile", "string", default="cosine")
-    field = lambda key, want=None: json_field(data, key, f"{kind} profile", want)
+    field = lambda key, want=None, default=None: json_field(
+        data, key, f"{kind} profile", want, default)
     if kind == "cosine":
-        return Profile(field("d", "integer"), field("cos_coeffs"),
-                       fit_residual=data.get("fit_residual", 0.0))
+        return Profile(field("d", "integer"), field("cos_coeffs", "numbers"),
+                       fit_residual=field("fit_residual", "number", 0.0))
     if kind == "sampled":  # the older format, kept readable: refit the samples
         p = sampled_profile(field("d", "integer"), field("grid", "numbers"),
                             field("values", "numbers"))
-        stored = replace(p, fit_residual=data.get("fit_residual", 0.0)).fit_residual
+        stored = field("fit_residual", "number", 0.0)
+        stored = replace(p, fit_residual=stored).fit_residual
         return replace(p, fit_residual=max(stored, p.fit_residual))
     if kind == "sector":
         pieces = tuple(profile_from_json_dict(p) for p in field("pieces", "array"))
         return SectorProfile(field("d", "integer"),
                              tuple(field("breaks", "numbers")), pieces)
-    if kind in _EXTRA_JSON_KINDS:
-        return _EXTRA_JSON_KINDS[kind](data)
+    if kind == "dual":
+        from .planar import DualProfile
+        return DualProfile(base=profile_from_json_dict(field("base", "object")),
+                           scale=float(field("scale", "number", 1.0)))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

@@ -99,9 +99,9 @@ def test_criterion_3_legendre_suite():
     for t in np.linspace(0.05, math.pi - 0.05, 50):
         t = float(t)
         y = legendre_map(nm, indicatrix_point(nm, t))
-        th = theta_legendre(nm, t)
+        th = theta_legendre(nm.profile, t)
         ang_err = max(ang_err, abs(th - math.atan2(y[1], y[0])))
-        ode_err = max(ode_err, abs(theta_scaled_deriv(nm, t, 1.0, 1.0)
+        ode_err = max(ode_err, abs(theta_scaled_deriv(nm.profile, t, 1.0, 1.0)
                                    - legendre_ode_rhs(nm.profile, t, th)))
     assert ang_err < 1e-10
     assert ode_err < 1e-5
@@ -132,10 +132,9 @@ def test_criterion_4_ode_system():
                            math.atan(2.0), math.pi / 3)
     atan_err = abs(sol.thetas[-1] - math.atan(2.0 * math.tan(math.pi / 3)))
     assert atan_err < 1e-6
-    nm = PlanarNorm(ELLIPSE_D2)
-    sol2 = integrate_branch(ELLIPSE_D2, "two", 0.4, theta_legendre(nm, 0.4),
-                            1.45)
-    leg_err = max(abs(th - theta_legendre(nm, float(t)))
+    sol2 = integrate_branch(ELLIPSE_D2, "two", 0.4,
+                            theta_legendre(ELLIPSE_D2, 0.4), 1.45)
+    leg_err = max(abs(th - theta_legendre(ELLIPSE_D2, float(t)))
                   for t, th in zip(sol2.ts[::256], sol2.thetas[::256]))
     assert leg_err < 1e-6
 

@@ -220,10 +220,22 @@ PIECE = {"d": 2, "cos_coeffs": [0.5]}
      "sampled profile field 'grid' "),
     ({"kind": "dual", "base": PIECE, "scale": [1]}, "dual profile field 'scale' "),
     ({"kind": "dual", "base": 3}, "dual profile field 'base' "),
+    ({"d": 2, "cos_coeffs": "12"}, "cosine profile field 'cos_coeffs' "),
+    ({"d": 2, "cos_coeffs": ["1.0", 0.2]}, "cosine profile field 'cos_coeffs' "),
+    ({"d": 2, "cos_coeffs": [True, 0.2]}, "cosine profile field 'cos_coeffs' "),
+    ({"d": 2, "cos_coeffs": [1.0], "fit_residual": "1e-3"},
+     "cosine profile field 'fit_residual' "),
+    ({"d": 2, "cos_coeffs": [1.0], "fit_residual": True},
+     "cosine profile field 'fit_residual' "),
+    ({"d": 2, "kind": "sampled", "grid": [0.0, 1.0], "values": [1.0, 1.0],
+      "fit_residual": "1e-3"}, "sampled profile field 'fit_residual' "),
 ], ids=["d-float", "d-string", "d-bool", "d-list", "kind-list", "breaks-nested",
-        "pieces-number", "grid-number", "scale-list", "base-number"])
+        "pieces-number", "grid-number", "scale-list", "base-number",
+        "coeffs-string", "coeffs-string-item", "coeffs-bool-item",
+        "residual-string", "residual-bool", "sampled-residual-string"])
 def test_profile_field_of_the_wrong_type_is_named(capfd, tmp_path, profile, named):
-    # these validated a truncated d silently, or ended in a TypeError traceback
+    # these validated a truncated d or a coerced series silently, or ended in
+    # a TypeError traceback
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(profile))
     code = main(["validate", "--profile", str(path)])
@@ -620,6 +632,24 @@ def test_isometry_check_flags_broken_triple(capsys, profiles, tmp_path):
     code, rep = run_json(capsys, "isometry", "check", "--triple", str(path))
     assert code == 1
     assert rep["status"] == "failed"
+
+
+def test_triple_whose_f_is_not_a_norm_profile_is_classified_and_checked(
+        capfd, tmp_path):
+    # theta_legendre needs only f's jet: the Legendre run is labelled, and the
+    # check reports the failed ODE residuals instead of refusing the triple
+    triple = {"f": {"d": 2, "kind": "cosine", "cos_coeffs": [1.0, 1.5]},
+              "h": {"d": 2, "kind": "cosine", "cos_coeffs": [1.0, 0.2]},
+              "theta": {"kind": "legendre"}}
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(triple))
+    assert main(["isometry", "classify", "--triple", str(path)]) == 0
+    out, err = capfd.readouterr()
+    sectors = json.loads(out)["results"]["sectors"]
+    assert [s["label"] for s in sectors] == ["legendre"] and err == ""
+    assert main(["isometry", "check", "--triple", str(path)]) == 1
+    out, err = capfd.readouterr()
+    assert json.loads(out)["status"] == "failed" and err == ""
 
 
 def test_isometry_glue_cli(capsys, tmp_path):

@@ -155,7 +155,7 @@ def test_array_energy_has_the_bits_of_one_point_energy(spec, glued_h):
     m = parse_model(spec)
     X = _cloud(m, 5)
     for name, prof in _profiles(m.d, glued_h).items():
-        nm = InducedNorm(m, prof, validate=False)
+        nm = InducedNorm(m, prof)
         got = energy(nm, X)
         assert got.shape == (len(X),), name
         assert np.array_equal(got, [point_energy(nm, x) for x in X]), name
@@ -184,7 +184,7 @@ def test_stencils_have_the_bits_of_the_point_lattice(spec, glued_h):
     m = parse_model(spec)
     x = 1.2 * random_leaf_points(m, 0.45 * math.pi / m.d, 1, seed=3)[0]
     for name, prof in _profiles(m.d, glued_h).items():
-        nm = InducedNorm(m, prof, validate=False)
+        nm = InducedNorm(m, prof)
         rows = lambda X: energy(nm, X)
         point = lambda p: point_energy(nm, p)
         assert np.array_equal(hessian_fd(rows, x, 2e-4),
@@ -199,7 +199,7 @@ def test_tensors_of_many_points_have_the_bits_of_one_point_calls(spec,
     m = parse_model(spec)
     X = _cloud(m, 7)
     for name, prof in _profiles(m.d, glued_h).items():
-        nm = InducedNorm(m, prof, validate=False)
+        nm = InducedNorm(m, prof)
         calls = []
         got = fd_fundamental_tensor(nm, X)
         # one energy call for all the stencils
@@ -250,7 +250,7 @@ def test_closed_tensor_matches_the_fd_oracle(spec, glued_h):
     m = parse_model(spec)
     X = _cloud(m, 7)
     for name, prof in _profiles(m.d, glued_h).items():
-        nm = InducedNorm(m, prof, validate=False)
+        nm = InducedNorm(m, prof)
         G = closed_fundamental_tensor(nm, X)
         F = fd_fundamental_tensor(nm, X).matrix
         assert np.max(np.abs(G - F)) <= 1e-6, name
@@ -261,7 +261,7 @@ def test_closed_tensor_rows_have_the_bits_of_one_row_calls(spec, glued_h):
     m = parse_model(spec)
     X = _cloud(m, 9)
     for name, prof in _profiles(m.d, glued_h).items():
-        nm = InducedNorm(m, prof, validate=False)
+        nm = InducedNorm(m, prof)
         got = closed_fundamental_tensor(nm, X)
         assert got.shape == (len(X), m.n, m.n), name
         for i, x in enumerate(X):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from isonorm.foliation import (FocalProximityError, cartan3, d1, d2,
-                               eval_poly, focal_dimensions, multiplicities,
+from isonorm.foliation import (FocalProximityError, _poly, cartan3, d1, d2,
+                               focal_dimensions, multiplicities,
                                normal_geodesic, normal_plane_basis,
                                parse_model, random_leaf_points,
                                shape_spectrum, t_coord, unit_w)
@@ -63,8 +63,8 @@ def test_cartan_anchors():
     m = cartan3()
     e0 = np.zeros(5); e0[0] = 1.0
     e1 = np.zeros(5); e1[1] = 1.0
-    assert eval_poly(m, e0) == pytest.approx(1.0, abs=1e-12)
-    assert eval_poly(m, e1) == pytest.approx(0.0, abs=1e-12)
+    assert _poly(m, e0) == pytest.approx(1.0, abs=1e-12)
+    assert _poly(m, e1) == pytest.approx(0.0, abs=1e-12)
     # cos 3t = 0 at the mid-sector leaf
     assert t_coord(m, e1).t == pytest.approx(math.pi / 6, abs=1e-12)
 

@@ -77,7 +77,7 @@ def test_tensor_rows_have_the_bits_of_one_point_calls():
     base = Profile(2, (1.0, 0.15, 0.01))
     sector = SectorProfile(2, (0.7,), (base, Profile(2, (1.0, 0.1))))
     for p in (base, sector, DualProfile(base)):
-        nm = PlanarNorm(p, validate=False)
+        nm = PlanarNorm(p)
         G = fundamental_tensor(nm, X)
         assert G.shape == (40, 2, 2)
         assert np.array_equal(G, [fundamental_tensor(nm, x) for x in X]), p.kind
@@ -93,7 +93,7 @@ def test_legendre_map_quadratic():
 
 
 def test_theta_legendre_frozen():
-    assert theta_legendre(ELLIPSE, math.pi / 4) == pytest.approx(
+    assert theta_legendre(ELLIPSE.profile, math.pi / 4) == pytest.approx(
         0.5880026035475676, abs=1e-12)
 
 
@@ -102,35 +102,36 @@ def test_theta_legendre_is_gradient_angle():
     for t in np.linspace(0.05, math.pi / 2 - 0.05, 9):
         x = indicatrix_point(ELLIPSE, float(t))
         y = legendre_map(ELLIPSE, x)
-        assert theta_legendre(ELLIPSE, float(t)) == pytest.approx(
+        assert theta_legendre(ELLIPSE.profile, float(t)) == pytest.approx(
             math.atan2(y[1], y[0]), abs=1e-10)
 
 
 def test_theta_legendre_round_is_identity():
     for t in (0.2, 0.9, 2.5):
-        assert theta_legendre(ROUND, t) == pytest.approx(t, abs=1e-12)
+        assert theta_legendre(ROUND.profile, t) == pytest.approx(t, abs=1e-12)
 
 
 def test_theta_scaled_frozen():
     # round norm, (a,b) = (1,2): tan theta = 2 tan t
-    assert theta_scaled(ROUND, math.pi / 4, 1.0, 2.0) == pytest.approx(
+    assert theta_scaled(ROUND.profile, math.pi / 4, 1.0, 2.0) == pytest.approx(
         1.1071487177940904, abs=1e-12)
 
 
 def test_theta_deriv_matches_fd():
     h = 1e-6
     for t in (0.3, 0.8, 1.2):
-        fd = (theta_legendre(ELLIPSE, t + h)
-              - theta_legendre(ELLIPSE, t - h)) / (2 * h)
-        assert theta_scaled_deriv(ELLIPSE, t, 1.0, 1.0) == pytest.approx(fd, rel=1e-7)
+        fd = (theta_legendre(ELLIPSE.profile, t + h)
+              - theta_legendre(ELLIPSE.profile, t - h)) / (2 * h)
+        assert theta_scaled_deriv(ELLIPSE.profile, t, 1.0, 1.0) == pytest.approx(
+            fd, rel=1e-7)
 
 
 def test_legendre_ode_rhs():
     # theta_legendre solves the first-order angle equation
     for t in np.linspace(0.1, math.pi / 2 - 0.1, 11):
-        lhs = theta_scaled_deriv(ELLIPSE, float(t), 1.0, 1.0)
+        lhs = theta_scaled_deriv(ELLIPSE.profile, float(t), 1.0, 1.0)
         rhs = legendre_ode_rhs(ELLIPSE.profile, float(t),
-                               theta_legendre(ELLIPSE, float(t)))
+                               theta_legendre(ELLIPSE.profile, float(t)))
         assert lhs == pytest.approx(rhs, abs=1e-5)
 
 
@@ -360,12 +361,11 @@ B_BOUND = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0}
 def _bisection_dual(p: Profile, thetas):
     """h at the angles thetas in [0, pi/d] by bisection on theta_legendre,
     which is increasing there."""
-    nm = PlanarNorm(p, validate=False)
     lo = np.zeros_like(thetas)
     hi = np.full_like(thetas, math.pi / p.d)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        below = theta_legendre(nm, mid) < thetas
+        below = theta_legendre(p, mid) < thetas
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     t = 0.5 * (lo + hi)

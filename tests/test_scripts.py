@@ -70,3 +70,19 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     names = [row["name"] for row in bench["rows"]]
     assert len(names) == 20 and len(set(names)) == 20
     assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0 for row in bench["rows"])
+
+
+def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["report_digest.py"])
+    home = Path.cwd()
+    runs = []
+    for _ in range(2):
+        scope = runpy.run_path(str(SCRIPTS / "report_digest.py"),
+                               run_name="__main__")
+        runs.append(capsys.readouterr().out.splitlines())
+    assert Path.cwd() == home
+    assert runs[0] == runs[1]
+    assert [line.split(" ", 2)[2] for line in runs[0]] == [
+        " ".join(argv) for argv in scope["argvs"]()]
+    assert all(re.fullmatch(r"[0-9a-f]{64} \d+ \S.*", line) for line in runs[0])

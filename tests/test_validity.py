@@ -15,7 +15,7 @@ from isonorm.cli import main
 from isonorm.foliation import cartan3
 from isonorm.hessian import InducedNorm
 from isonorm.isometry import Sector, bump_profile, glue_construct
-from isonorm.planar import DualProfile, PlanarNorm, theta_legendre
+from isonorm.planar import DualProfile, theta_legendre
 from isonorm.profile import (VALIDITY_MARGIN, Profile, SectorProfile,
                              gap_from_jet, is_minkowski,
                              round_profile, save_profile)
@@ -110,7 +110,7 @@ def test_dual_gap_is_the_inverse_of_the_base_gap(scale):
     # gap_f(t) = s^2, which is why the dual's gap turns where the base's does
     base = Profile(2, (1.0, 0.15, -0.02, 0.004))
     t = np.linspace(0.0, math.pi / 2, 41)
-    theta = theta_legendre(PlanarNorm(base), t)
+    theta = theta_legendre(base, t)
     product = (gap_from_jet(*DualProfile(base, scale).jet(theta, 2))
                * gap_from_jet(*base.jet(t, 2)))
     assert np.max(np.abs(product - scale ** 2)) <= 1e-12 * scale ** 2
