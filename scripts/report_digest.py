@@ -8,8 +8,10 @@ working directory that holds the input files under relative names, so the
 paths a report echoes in its `inputs` are the same on every run.  The list
 covers `--help` of every command and subcommand, every subcommand on the
 four foliation models with seeds 0 and 1, planar and model `sample`, a
-stored triple whose f is not a Minkowski profile, and profile JSON whose
-`cos_coeffs` or `fit_residual` is not a number.
+stored triple whose f is not a Minkowski profile, stored triples with a
+sampled and a piecewise theta map (so every theta kind is checked and
+classified), and profile JSON whose `cos_coeffs` or `fit_residual` is not a
+number.
 
 Whether a change moves a report byte is then a diff of two runs:
 
@@ -52,6 +54,8 @@ MALFORMED = {
     "residual_bool.json": {"d": 2, "cos_coeffs": [1.0, 0.2],
                            "fit_residual": True},
 }
+SAMPLED_GRID = [i * math.pi / 16 for i in range(9)]
+ELLIPSE_JSON = PROFILES["ellipse.json"].to_json_dict()
 OTHER_INPUTS = {
     "sectors.json": {"sectors": [
         {"lo": 0.0, "hi": 0.9, "mode": "scale"},
@@ -60,6 +64,16 @@ OTHER_INPUTS = {
         "f": PROFILES["not_minkowski.json"].to_json_dict(),
         "h": PROFILES["ellipse.json"].to_json_dict(),
         "theta": {"kind": "legendre"}},
+    "sampled_theta_triple.json": {
+        "f": ELLIPSE_JSON, "h": ELLIPSE_JSON,
+        "theta": {"kind": "sampled", "grid": SAMPLED_GRID,
+                  "values": [t + 0.01 * math.sin(2 * t) for t in SAMPLED_GRID]}},
+    "piecewise_theta_triple.json": {
+        "f": ELLIPSE_JSON, "h": ELLIPSE_JSON,
+        "theta": {"kind": "piecewise", "pieces": [
+            {"lo": 0.0, "hi": 0.8, "map": {"kind": "identity"}},
+            {"lo": 0.8, "hi": math.pi / 2,
+             "map": {"kind": "linear", "a": 1.0, "b": 1.2}}]}},
     **MALFORMED,
 }
 
@@ -96,7 +110,8 @@ def argvs() -> list[list[str]]:
         out.append(["isometry", "classify", "--triple", triple, "--degrees"])
     out.append(["isometry", "glue", "--profile", "glue_base.json",
                 "--sectors", "sectors.json", "--out", "glued_triple.json"])
-    for triple in ("glued_triple.json", "not_minkowski_triple.json"):
+    for triple in ("glued_triple.json", "not_minkowski_triple.json",
+                   "sampled_theta_triple.json", "piecewise_theta_triple.json"):
         out.append(["isometry", "check", "--triple", triple])
         out.append(["isometry", "classify", "--triple", triple])
     return out

@@ -29,7 +29,7 @@ from .isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                        glue_construct, identity_map, integrate_branch,
                        legendre_map_tag, lift_to_nd, load_triple,
                        ode_residuals, planar_lift_map, quadratic_and_roots,
-                       save_triple, theta_value, triple_from_json_dict,
+                       save_triple, theta_jet, triple_from_json_dict,
                        triple_to_json_dict)
 
 __version__ = "0.1.0"
@@ -53,7 +53,7 @@ __all__ = [
     "check_hessian_isometry", "classify_sectors", "glue_construct",
     "identity_map", "integrate_branch", "legendre_map_tag", "lift_to_nd",
     "load_triple", "ode_residuals", "planar_lift_map", "quadratic_and_roots",
-    "save_triple", "theta_value", "triple_from_json_dict",
+    "save_triple", "theta_jet", "triple_from_json_dict",
     "triple_to_json_dict",
     "__version__",
 ]

@@ -31,7 +31,7 @@ from .hessian import (FLATNESS_THRESHOLD, InducedNorm, closed_frame_matrix,
 from .isometry import (DEFAULT_BAND_WIDTH, INTERIOR_GUARD, IsometryTriple,
                        ThetaMap, classify_sectors, glue_construct,
                        build_h_from_theta, identity_map, legendre_map_tag,
-                       load_triple, ode_residuals, save_triple, theta_value,
+                       load_triple, ode_residuals, save_triple, theta_jet,
                        triple_to_json_dict)
 from .planar import (PlanarNorm, dual_profile, indicatrix_point,
                      value as planar_value)
@@ -40,6 +40,10 @@ from .profile import Profile, is_minkowski, json_field, load_profile
 EXIT_BY_STATUS = {"ok": 0, "marginal": 2, "failed": 1}
 USAGE_EXIT = 64
 STATUS_BY_VALIDITY = {"valid": "ok", "marginal": "marginal", "invalid": "failed"}
+# parsed arguments that a report does not echo as inputs: the command,
+# options that only shape the output, and flat_threshold, which curvature
+# echoes in its results
+NOT_INPUTS = ("func", "command", "subcommand", "degrees", "out", "flat_threshold")
 
 # Per-residual thresholds (within -> ok, within 'marginal' bound -> marginal,
 # beyond -> failed).  Keyed by residual name as it appears in the report, so
@@ -63,19 +67,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
-
-
-def _report(command: str, inputs: dict, results: dict, residuals: dict,
-            status: str) -> dict:
-    return {
-        "tool": "isonorm",
-        "version": __version__,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "residuals": {k: float(v) for k, v in residuals.items()},
-        "status": status,
-    }
 
 
 def _status_from(residuals: dict) -> str:
@@ -119,9 +110,8 @@ def cmd_validate(args):
     }
     if args.degrees:
         results["argmin_degrees"] = math.degrees(rep.argmin)
-    return _report("validate", {"profile": args.profile}, results,
-                   {"min_f": rep.min_f, "min_gap": rep.min_gap},
-                   STATUS_BY_VALIDITY[rep.status])
+    return (results, {"min_f": rep.min_f, "min_gap": rep.min_gap},
+            STATUS_BY_VALIDITY[rep.status])
 
 
 # -------------------------------------------------------------------- dual
@@ -141,10 +131,7 @@ def cmd_dual(args):
         "dual_valid": bool(rep.valid),
         "dual_min_gap": float(rep.min_gap),
     }
-    return _report("dual",
-                   {"profile": args.profile, "grid": args.grid,
-                    "terms": args.terms},
-                   results, residuals, status)
+    return results, residuals, status
 
 
 # ------------------------------------------------------------------ tensor
@@ -177,11 +164,7 @@ def cmd_tensor(args):
         "g_tt": float(frame.g_tt),
         "tangential_factors": [float(c) for c in frame.tangential_factors],
     }
-    return _report("tensor",
-                   {"profile": args.profile, "model": args.model,
-                    "t": args.t, "r": args.r, "seed": args.seed,
-                    "delta": args.delta},
-                   results, residuals, status)
+    return results, residuals, status
 
 
 # --------------------------------------------------------------- curvature
@@ -221,12 +204,7 @@ def cmd_curvature(args):
         "flat": bool(all(r["flat"] for r in rows)),
         "flat_threshold": float(args.flat_threshold),
     }
-    residuals = {"max_abs_component": worst, "noise_floor": floor}
-    return _report("curvature",
-                   {"profile": args.profile, "model": args.model,
-                    "t": args.t, "samples": args.samples, "seed": args.seed,
-                    "delta": args.delta},
-                   results, residuals, status)
+    return results, {"max_abs_component": worst, "noise_floor": floor}, status
 
 
 # ----------------------------------------------------- isoparametric-check
@@ -252,12 +230,8 @@ def cmd_isoparametric_check(args):
     spread = max(np.ptp(g_fd, axis=1).max(), np.ptp(l_fd, axis=1).max())
     residuals = {"grad_error": grad_err, "laplacian_error": lap_err,
                  "xi_spread": spread}
-    results = {"points": rows, "isoparametric": _status_from(residuals) != "failed"}
-    return _report("isoparametric-check",
-                   {"profile": args.profile, "model": args.model,
-                    "t_count": args.t_count, "xi_count": args.xi_count,
-                    "seed": args.seed, "delta": args.delta},
-                   results, residuals, _status_from(residuals))
+    status = _status_from(residuals)
+    return {"points": rows, "isoparametric": status != "failed"}, residuals, status
 
 
 # --------------------------------------------------------------- isometry
@@ -287,7 +261,7 @@ def _default_anchor(f: Profile, theta: ThetaMap, t0: float) -> float:
         if theta.kind == "scaled-legendre":
             h0 /= theta.params[0] * theta.params[1]
         return h0
-    th0 = float(theta_value(theta, f, t0, 0))
+    th0 = theta_jet(theta, f, t0, 0)[0]
     return float(f.evaluate(th0, 0))
 
 
@@ -321,20 +295,14 @@ def cmd_isometry_solve(args):
         "h0": float(h0),
         "written": args.out or None,
     }
-    return _report("isometry solve",
-                   {"profile": args.profile, "theta": args.theta,
-                    "theta0": args.theta0, "h0": args.h0, "grid": args.grid},
-                   results, {"ode_max": per_eq["ode_max"]},
-                   _eq_status(per_eq))
+    return results, {"ode_max": per_eq["ode_max"]}, _eq_status(per_eq)
 
 
 def cmd_isometry_check(args):
     tr = load_triple(args.triple)
     per_eq = _triple_residual(tr, args.grid)
     results = {"d": int(tr.f.d), "equations": len(per_eq) - 1}
-    return _report("isometry check",
-                   {"triple": args.triple, "grid": args.grid},
-                   results, per_eq, _eq_status(per_eq))
+    return results, per_eq, _eq_status(per_eq)
 
 
 def cmd_isometry_classify(args):
@@ -346,9 +314,7 @@ def cmd_isometry_classify(args):
         for s in sectors:
             s["lo_degrees"] = math.degrees(s["lo"])
             s["hi_degrees"] = math.degrees(s["hi"])
-    return _report("isometry classify",
-                   {"triple": args.triple, "grid": args.grid, "tol": args.tol},
-                   {"sectors": sectors}, {}, "ok")
+    return {"sectors": sectors}, {}, "ok"
 
 
 def cmd_isometry_glue(args):
@@ -372,10 +338,7 @@ def cmd_isometry_glue(args):
         "written": args.out or None,
     }
     residuals = {"band_residual": res.max_band_residual}
-    return _report("isometry glue",
-                   {"profile": args.profile, "sectors": args.sectors,
-                    "band_width": args.band_width},
-                   results, residuals, _status_from(residuals))
+    return results, residuals, _status_from(residuals)
 
 
 # ------------------------------------------------------------------ sample
@@ -402,19 +365,15 @@ def cmd_sample(args):
     dim = X.shape[1]
     columns = ["t", "r"] + [f"x{i}" for i in range(dim)]
     residuals = {"norm_error": norm_err}
-    report = _report("sample",
-                     {"profile": args.profile, "model": args.model,
-                      "count": args.count, "seed": args.seed,
-                      "delta": args.delta, "format": args.format},
-                     {"columns": columns, "dimension": dim,
-                      "points": [[float(v) for v in row] for row in rows]},
-                     residuals, _status_from(residuals))
+    out = ({"columns": columns, "dimension": dim,
+            "points": [[float(v) for v in row] for row in rows]},
+           residuals, _status_from(residuals))
     if args.format == "csv":
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(format(v, ".17g") for v in row))
-        return report, "\n".join(lines)
-    return report
+        return out + ("\n".join(lines),)
+    return out
 
 
 # --------------------------------------------------------------- foliation
@@ -434,7 +393,7 @@ def cmd_foliation_info(args):
     }
     if args.degrees:
         results["sector_width_degrees"] = math.degrees(math.pi / m.d)
-    return _report("foliation info", {"model": args.model}, results, {}, "ok")
+    return results, {}, "ok"
 
 
 # ------------------------------------------------------------------ parser
@@ -561,22 +520,28 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command: its cmd_* returns (results, residuals, status), plus
+    the text to print in place of the JSON report (`sample --format csv`)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = args.func(args)
+        results, residuals, status, *rendered = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"isonorm: error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(out, tuple):
-        report, rendered = out
-    else:
-        report, rendered = out, None
-    if rendered is None:
-        rendered = json.dumps(report, indent=2, sort_keys=True,
-                              allow_nan=False)
-    print(rendered)
-    return EXIT_BY_STATUS[report["status"]]
+    report = {
+        "tool": "isonorm",
+        "version": __version__,
+        "command": args.command + (f" {args.subcommand}" if "subcommand" in args
+                                   else ""),
+        "inputs": {k: v for k, v in vars(args).items() if k not in NOT_INPUTS},
+        "results": results,
+        "residuals": {k: float(v) for k, v in residuals.items()},
+        "status": status,
+    }
+    print(rendered[0] if rendered else
+          json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
+    return EXIT_BY_STATUS[status]
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .foliation import (FoliationModel, _sqnorm, normal_geodesic,
                         random_leaf_points, t_coord)
 from .planar import (DualProfile, PlanarNorm, _unwrap_to, fundamental_tensor,
                      legendre_num_den, legendre_ode_rhs, theta_legendre,
-                     theta_scaled, theta_scaled_deriv)
+                     theta_scaled)
 from .profile import (Profile, SectorProfile, gap_from_jet, json_field,
                       profile_from_json_dict, require_minkowski, sampled_profile)
 
@@ -103,44 +103,34 @@ def legendre_map_tag() -> ThetaMap:
     return ThetaMap(kind="legendre")
 
 
-def theta_value(tm: ThetaMap, f: Profile, t, order: int = 0):
-    """theta(t) (order 0) or theta'(t) (order 1); scalar or array t."""
-    if order not in (0, 1):
-        raise ValueError("theta maps support order 0 and 1 only")
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
+def theta_jet(tm: ThetaMap, f: Profile, t, k: int):
+    """(theta,) for k = 0 or (theta, theta') for k = 1 at t, like
+    `Profile.jet`: floats for a scalar t, arrays of t's shape otherwise."""
+    if k not in (0, 1):
+        raise ValueError("theta maps support k = 0 and 1 only")
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
 
     if tm.kind == "identity":
-        out = t_arr.copy() if order == 0 else np.ones_like(t_arr)
+        out = (t_arr.copy(), np.ones_like(t_arr))
     elif tm.kind == "linear":
         a, b = tm.params
-        if order == 0:
-            raw = np.arctan2(b * np.sin(t_arr), a * np.cos(t_arr))
-            out = _unwrap_to(t_arr, raw)
-        else:
-            out = a * b / (a * a * np.cos(t_arr) ** 2 + b * b * np.sin(t_arr) ** 2)
+        sin, cos = np.sin(t_arr), np.cos(t_arr)
+        out = (_unwrap_to(t_arr, np.arctan2(b * sin, a * cos)),
+               a * b / (a * a * cos ** 2 + b * b * sin ** 2))
     elif tm.kind in ("legendre", "scaled-legendre"):
-        a, b = tm.params or (1.0, 1.0)
-        out = (theta_scaled(f, t_arr, a, b) if order == 0
-               else theta_scaled_deriv(f, t_arr, a, b))
+        out = theta_scaled(f, t_arr, *(tm.params or (1.0, 1.0)), k)
     elif tm.kind == "sampled":
-        out = _pchip(np.asarray(tm.grid), np.asarray(tm.values), t_arr, order)
-    else:  # piecewise
-        out = np.empty_like(t_arr)
-        filled = np.zeros(t_arr.shape, dtype=bool)
-        for i, (lo, hi, sub) in enumerate(tm.pieces):
-            last = i == len(tm.pieces) - 1
-            mask = (t_arr >= lo) & ((t_arr <= hi) if last else (t_arr < hi)) & ~filled
-            if i == 0:
-                mask |= (t_arr < lo) & ~filled
-            if last:
-                mask |= (t_arr > hi) & ~filled
-            if np.any(mask):  # a column of angles stays a column
+        out = [_pchip(np.asarray(tm.grid), np.asarray(tm.values), t_arr, order)
+               for order in range(k + 1)]
+    else:  # piecewise: a piece's hi belongs to the next piece, as in SectorProfile
+        idx = np.searchsorted([hi for _, hi, _ in tm.pieces[:-1]], t_arr, side="right")
+        out = np.empty((k + 1,) + t_arr.shape)
+        for i, (_, _, sub) in enumerate(tm.pieces):
+            mask = idx == i
+            if mask.any():  # a column of angles stays a column
                 sub_t = t_arr[mask].reshape((-1,) + t_arr.shape[1:])
-                out[mask] = theta_value(sub, f, sub_t, order).reshape(-1)
-                filled |= mask
-    return float(out[0]) if scalar else out
+                out[:, mask] = np.reshape(theta_jet(sub, f, sub_t, k), (k + 1, -1))
+    return tuple(float(v[0]) if np.ndim(t) == 0 else v for v in out[:k + 1])
 
 
 def _pchip(x, y, t, order: int):
@@ -257,8 +247,7 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     # m angles go in as a column (one exact-dual solve, scalar bits per row);
     # a scalar stays a float, so h solves on scalars, not one-element arrays
     tc = float(t) if t.ndim == 0 else t.reshape(-1, 1)
-    th = theta_value(tr.theta, tr.f, tc, 0)
-    thp = theta_value(tr.theta, tr.f, tc, 1)
+    th, thp = theta_jet(tr.theta, tr.f, tc, 1)
     f0, f1, f2 = tr.f.jet(tc, 2)
     h0, h1, h2 = tr.h.jet(th, 2)
 
@@ -393,8 +382,7 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
         raise ValueError("theta0 must be interior to the sector")
 
     def integrand(ts):
-        th = theta_value(theta, f, ts, 0)
-        thp = theta_value(theta, f, ts, 1)
+        th, thp = theta_jet(theta, f, ts, 1)
         f0, f1 = f.jet(ts, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             rhs = ((2 * np.sin(ts) ** 2 + np.sin(ts) * np.cos(ts) * f1 / f0)
@@ -422,7 +410,7 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
     ts_all = np.concatenate([t_bwd, t_fwd[1:]])
     if not np.all(np.isfinite(logs)) or np.max(np.abs(logs)) > 50:
         raise ValueError("log h blew up along the integration: invalid theta map")
-    th_all = theta_value(theta, f, ts_all, 0)
+    th_all = theta_jet(theta, f, ts_all, 0)[0]
     return sampled_profile(d, th_all, np.exp(logs))
 
 
@@ -625,7 +613,7 @@ def glue_construct(f_base: Profile, sectors, band_width: float = DEFAULT_BAND_WI
         theta = ThetaMap(kind="piecewise", pieces=tuple(piece_maps))
 
     ts = np.linspace(INTERIOR_GUARD, hi_end - INTERIOR_GUARD, 1024)
-    th = theta_value(theta, f_base, ts, 0)
+    th = theta_jet(theta, f_base, ts, 0)[0]
     if np.any(np.diff(th) <= 0):
         raise ValueError("assembled theta map is not strictly increasing")
 
@@ -667,7 +655,7 @@ def classify_sectors(tr: IsometryTriple, grid: int = 512,
     Legendre closed form, or neither (Transition)."""
     d = tr.f.d
     ts = np.linspace(INTERIOR_GUARD, math.pi / d - INTERIOR_GUARD, grid)
-    th = np.atleast_1d(theta_value(tr.theta, tr.f, ts, 0))
+    th = theta_jet(tr.theta, tr.f, ts, 0)[0]
     th_leg = theta_legendre(tr.f, ts)
     is_id = np.abs(th - ts) < tol
     is_leg = np.abs(th - th_leg) < tol
@@ -707,7 +695,7 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
         # angles as a column: a profile evaluates each row of a column with
         # the bits of its scalar call
         t = t[:, None]
-        th = theta_value(tr.theta, tr.f, t, 0)
+        th = theta_jet(tr.theta, tr.f, t, 0)[0]
         scale = r[:, None] * np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
         return scale * normal_geodesic(m, x, delta=LIFT_FOCAL_GUARD)(th)
 
@@ -729,7 +717,7 @@ def _fold_theta(tm: ThetaMap, f: Profile, t: np.ndarray) -> np.ndarray:
     th = np.where(tau < 1e-12, j * period, (j + 1) * period)
     inner = (tau >= 1e-12) & (period - tau >= 1e-12)
     j, odd, tau = j[inner], odd[inner], tau[inner]
-    sub = theta_value(tm, f, np.where(odd, period - tau, tau)[:, None], 0)[:, 0]
+    sub = theta_jet(tm, f, np.where(odd, period - tau, tau)[:, None], 0)[0][:, 0]
     th[inner] = np.where(odd, (j + 1) * period - sub, j * period + sub)
     return th
 

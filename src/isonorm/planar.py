@@ -97,22 +97,22 @@ def _unwrap_to(t, raw):
 
 def theta_legendre(p: Profile, t):
     """Polar angle of legendre_map at polar angle t (branch-corrected)."""
-    return theta_scaled(p, t, 1.0, 1.0)
+    return theta_scaled(p, t, 1.0, 1.0, 0)[0]
 
 
-def theta_scaled(p: Profile, t, a: float, b: float):
-    """Angle of x -> (a * dE/dx1, b * dE/dx2); a = b gives theta_legendre."""
+def theta_scaled(p: Profile, t, a: float, b: float, k: int):
+    """(theta,) for k = 0 or (theta, theta') for k = 1, theta the angle of
+    x -> (a * dE/dx1, b * dE/dx2), from one jet of p; a = b is theta_legendre."""
     if a <= 0 or b <= 0:
         raise ValueError("axis weights must be positive")
-    num, den = legendre_num_den(*p.jet(t, 1), np.sin(t), np.cos(t))
-    return _unwrap_to(np.asarray(t, dtype=float), np.arctan2(b * num, a * den))
-
-
-def theta_scaled_deriv(p: Profile, t, a: float, b: float):
-    f0, f1, f2 = p.jet(t, 2)
-    num, den = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
-    gap = gap_from_jet(f0, f1, f2)
-    return a * b * gap / (a * a * den * den + b * b * num * num)
+    if k not in (0, 1):
+        raise ValueError("theta maps support k = 0 and 1 only")
+    jet = p.jet(t, k + 1)
+    num, den = legendre_num_den(jet[0], jet[1], np.sin(t), np.cos(t))
+    theta = _unwrap_to(np.asarray(t, dtype=float), np.arctan2(b * num, a * den))
+    if k == 0:
+        return (theta,)
+    return theta, a * b * gap_from_jet(*jet) / (a * a * den * den + b * b * num * num)
 
 
 def legendre_ode_rhs(p: Profile, t, theta):

@@ -372,8 +372,11 @@ def profile_from_json_dict(data: dict):
                              tuple(field("breaks", "numbers")), pieces)
     if kind == "dual":
         from .planar import DualProfile
-        return DualProfile(base=profile_from_json_dict(field("base", "object")),
-                           scale=float(field("scale", "number", 1.0)))
+        base = profile_from_json_dict(field("base", "object"))
+        if field("d", "integer", base.d) != base.d:
+            raise ValueError(f"dual profile field 'd' is {data['d']}, but its "
+                             f"base has d = {base.d}")
+        return DualProfile(base=base, scale=float(field("scale", "number", 1.0)))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

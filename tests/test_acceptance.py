@@ -21,10 +21,10 @@ from isonorm.isometry import (Decomposition, IsometryTriple, Sector,
                               check_hessian_isometry, classify_sectors,
                               glue_construct, identity_map, integrate_branch,
                               legendre_map_tag, lift_to_nd, ode_residuals,
-                              quadratic_and_roots, theta_value)
+                              quadratic_and_roots)
 from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             indicatrix_point, legendre_map, legendre_ode_rhs,
-                            theta_legendre, theta_scaled_deriv)
+                            theta_legendre, theta_scaled)
 from isonorm.profile import Profile, is_minkowski, round_profile
 
 ELLIPSE_D1 = Profile(1, (1.0, 0.0, 0.2))
@@ -101,7 +101,7 @@ def test_criterion_3_legendre_suite():
         y = legendre_map(nm, indicatrix_point(nm, t))
         th = theta_legendre(nm.profile, t)
         ang_err = max(ang_err, abs(th - math.atan2(y[1], y[0])))
-        ode_err = max(ode_err, abs(theta_scaled_deriv(nm.profile, t, 1.0, 1.0)
+        ode_err = max(ode_err, abs(theta_scaled(nm.profile, t, 1.0, 1.0, 1)[1]
                                    - legendre_ode_rhs(nm.profile, t, th)))
     assert ang_err < 1e-10
     assert ode_err < 1e-5

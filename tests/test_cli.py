@@ -220,6 +220,7 @@ PIECE = {"d": 2, "cos_coeffs": [0.5]}
      "sampled profile field 'grid' "),
     ({"kind": "dual", "base": PIECE, "scale": [1]}, "dual profile field 'scale' "),
     ({"kind": "dual", "base": 3}, "dual profile field 'base' "),
+    ({"kind": "dual", "d": "x", "base": PIECE}, "dual profile field 'd' "),
     ({"d": 2, "cos_coeffs": "12"}, "cosine profile field 'cos_coeffs' "),
     ({"d": 2, "cos_coeffs": ["1.0", 0.2]}, "cosine profile field 'cos_coeffs' "),
     ({"d": 2, "cos_coeffs": [True, 0.2]}, "cosine profile field 'cos_coeffs' "),
@@ -230,7 +231,7 @@ PIECE = {"d": 2, "cos_coeffs": [0.5]}
     ({"d": 2, "kind": "sampled", "grid": [0.0, 1.0], "values": [1.0, 1.0],
       "fit_residual": "1e-3"}, "sampled profile field 'fit_residual' "),
 ], ids=["d-float", "d-string", "d-bool", "d-list", "kind-list", "breaks-nested",
-        "pieces-number", "grid-number", "scale-list", "base-number",
+        "pieces-number", "grid-number", "scale-list", "base-number", "dual-d-string",
         "coeffs-string", "coeffs-string-item", "coeffs-bool-item",
         "residual-string", "residual-bool", "sampled-residual-string"])
 def test_profile_field_of_the_wrong_type_is_named(capfd, tmp_path, profile, named):
@@ -244,6 +245,17 @@ def test_profile_field_of_the_wrong_type_is_named(capfd, tmp_path, profile, name
     assert out == ""
     assert err.startswith("isonorm: error: " + named + "has the wrong type")
     assert err.count("\n") == 1
+
+
+def test_dual_d_that_differs_from_its_base_is_named(capfd, tmp_path):
+    # loaded silently as a dual of the base's d
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"kind": "dual", "d": 3, "base": PIECE}))
+    code = main(["validate", "--profile", str(path)])
+    out, err = capfd.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("isonorm: error: dual profile field 'd' is 3, but its base "
+                   "has d = 2\n")
 
 
 @pytest.mark.parametrize("theta,key", [
@@ -670,6 +682,25 @@ def test_isometry_glue_cli(capsys, tmp_path):
 
     code, rep = run_json(capsys, "isometry", "check", "--triple", out_path)
     assert code == 0
+
+
+def test_isometry_glue_sectors_that_meet_within_tolerance(capsys, tmp_path):
+    # the second sector starts 5e-10 past the first one's end: the angles
+    # between the glued theta pieces were left uninitialised, so the band
+    # residual read whatever memory held (0.99999995 and exit 1, or 3.6e-11)
+    base_path = tmp_path / "base.json"
+    save_profile(bump_profile(2, humps=[(0.5, 0.4)]), base_path)
+    sectors_path = tmp_path / "sectors.json"
+    band_residuals = []
+    for lo in (0.9, 0.9 + 5e-10):
+        sectors_path.write_text(json.dumps({"sectors": [
+            {"lo": 0.0, "hi": 0.9, "mode": "scale"},
+            {"lo": lo, "hi": math.pi / 2, "mode": "legendre-scale"}]}))
+        code, rep = run_json(capsys, "isometry", "glue", "--profile",
+                             str(base_path), "--sectors", str(sectors_path))
+        assert code == 0
+        band_residuals.append(rep["residuals"]["band_residual"])
+    assert band_residuals[0] == band_residuals[1] < 1e-6
 
 
 GOOD_SECTOR = {"lo": 0.0, "hi": 0.9, "mode": "scale"}

@@ -23,7 +23,7 @@ from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                               legendre_map_tag, lift_to_nd, ode_residuals,
                               planar_lift_map, quadratic_and_roots,
                               theta_from_json_dict, theta_to_json_dict,
-                              theta_value, triple_from_json_dict,
+                              theta_jet, triple_from_json_dict,
                               triple_to_json_dict)
 from isonorm.planar import (DualProfile, PlanarNorm, fundamental_tensor,
                             indicatrix_point, legendre_map, theta_legendre)
@@ -58,29 +58,29 @@ def test_theta_kind_validation():
 
 def test_theta_identity_and_linear():
     f = ELLIPSE
-    assert theta_value(identity_map(), f, 0.37, 0) == pytest.approx(0.37)
-    assert theta_value(identity_map(), f, 0.37, 1) == pytest.approx(1.0)
+    assert theta_jet(identity_map(), f, 0.37, 0)[0] == pytest.approx(0.37)
+    assert theta_jet(identity_map(), f, 0.37, 1)[1] == pytest.approx(1.0)
     tm = ThetaMap(kind="linear", params=(1.0, 2.0))
     t = math.pi / 4
-    assert theta_value(tm, f, t, 0) == pytest.approx(math.atan(2.0),
+    assert theta_jet(tm, f, t, 0)[0] == pytest.approx(math.atan(2.0),
                                                      abs=1e-12)
     h = 1e-6
-    fd = (theta_value(tm, f, t + h, 0) - theta_value(tm, f, t - h, 0)) / (2 * h)
-    assert theta_value(tm, f, t, 1) == pytest.approx(fd, rel=1e-7)
+    fd = (theta_jet(tm, f, t + h, 0)[0] - theta_jet(tm, f, t - h, 0)[0]) / (2 * h)
+    assert theta_jet(tm, f, t, 1)[1] == pytest.approx(fd, rel=1e-7)
 
 
 def test_theta_legendre_kind_uses_profile():
     tm = legendre_map_tag()
     for t in (0.2, 0.9, 1.4):
-        assert theta_value(tm, ELLIPSE, t, 0) == pytest.approx(
+        assert theta_jet(tm, ELLIPSE, t, 0)[0] == pytest.approx(
             theta_legendre(ELLIPSE, t), abs=1e-12)
 
 
 def test_theta_sampled_interpolates():
     grid = np.linspace(0.0, math.pi / 2, 33)
     tm = ThetaMap(kind="sampled", grid=tuple(grid), values=tuple(grid * 1.0))
-    assert theta_value(tm, ELLIPSE, 0.7, 0) == pytest.approx(0.7, abs=1e-10)
-    assert theta_value(tm, ELLIPSE, 0.7, 1) == pytest.approx(1.0, abs=1e-6)
+    assert theta_jet(tm, ELLIPSE, 0.7, 0)[0] == pytest.approx(0.7, abs=1e-10)
+    assert theta_jet(tm, ELLIPSE, 0.7, 1)[1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_theta_json_round_trip():
@@ -93,8 +93,8 @@ def test_theta_json_round_trip():
         back = theta_from_json_dict(json.loads(json.dumps(
             theta_to_json_dict(tm))))
         for t in (0.2, 0.8, 1.3):
-            assert theta_value(back, ELLIPSE, t, 0) == pytest.approx(
-                theta_value(tm, ELLIPSE, t, 0), abs=1e-12)
+            assert theta_jet(back, ELLIPSE, t, 0)[0] == pytest.approx(
+                theta_jet(tm, ELLIPSE, t, 0)[0], abs=1e-12)
 
 
 # The numpy monotone cubic and cumulative Simpson rule replace scipy's and
@@ -144,10 +144,25 @@ def test_sampled_theta_matches_scipy():
     tm = ThetaMap(kind="sampled", grid=tuple(grid), values=tuple(values))
     ref = interpolate.PchipInterpolator(grid, values)
     ts = np.linspace(-0.1, math.pi / 2 + 0.1, 101)
-    assert np.array_equal(theta_value(tm, ELLIPSE, ts, 0), ref(ts))
-    assert np.array_equal(theta_value(tm, ELLIPSE, ts, 1),
+    assert np.array_equal(theta_jet(tm, ELLIPSE, ts, 0)[0], ref(ts))
+    assert np.array_equal(theta_jet(tm, ELLIPSE, ts, 1)[1],
                           ref.derivative()(ts))
-    assert theta_value(tm, ELLIPSE, 0.7, 1) == float(ref.derivative()(0.7))
+    assert theta_jet(tm, ELLIPSE, 0.7, 1)[1] == float(ref.derivative()(0.7))
+
+
+@pytest.mark.parametrize("lo", [0.7 + 5e-10, 0.7 - 5e-10], ids=["gap", "overlap"])
+def test_piecewise_theta_pieces_that_meet_within_tolerance(lo):
+    # a piece's hi belongs to the next piece, so an angle in a gap [hi, lo)
+    # takes the next piece (it was left uninitialised) and an angle in an
+    # overlap [lo, hi) the piece before
+    left, right = ThetaMap(kind="linear", params=(1.3, 0.8)), legendre_map_tag()
+    tm = ThetaMap(kind="piecewise",
+                  pieces=((0.0, 0.7, left), (lo, math.pi / 2, right)))
+    ts = 0.7 + np.array([-2.5e-10, 0.0, 2.5e-10])
+    want = [theta_jet(sub, ELLIPSE, float(t), 1)
+            for t, sub in zip(ts, (left, right, right))]
+    assert [theta_jet(tm, ELLIPSE, float(t), 1) for t in ts] == want
+    assert np.array_equal(np.hstack(theta_jet(tm, ELLIPSE, ts[:, None], 1)), want)
 
 
 # ------------------------------------------------------------ ODE residuals
@@ -203,6 +218,33 @@ ROW_HS = {
                                                Profile(2, (0.5, 0.05)))),
     "DualProfile": DualProfile(ROW_F),
 }
+
+
+@pytest.mark.parametrize("theta_kind", isometry.THETA_KINDS)
+def test_theta_of_a_first_order_jet_has_the_bits_of_theta_alone(theta_kind):
+    tm = ROW_THETAS[theta_kind]
+    ts = np.append(np.linspace(-0.2, math.pi / 2 + 0.2, 41), 0.7)  # + a break
+    for t in (ts, ts[:, None], 0.7, 0.3):
+        assert np.array_equal(theta_jet(tm, ROW_F, t, 1)[0],
+                              theta_jet(tm, ROW_F, t, 0)[0])
+
+
+def test_ode_residuals_takes_one_jet_of_f_for_a_legendre_theta(monkeypatch):
+    calls = []
+    jet = Profile.jet
+
+    def counted(self, t, k):
+        if self is ROW_F:
+            calls.append(k)
+        return jet(self, t, k)
+
+    monkeypatch.setattr(Profile, "jet", counted)
+    for theta in (legendre_map_tag(), ROW_THETAS["scaled-legendre"]):
+        tr = IsometryTriple(f=ROW_F, h=ROW_HS["Profile"], theta=theta)
+        for t in (0.4, np.linspace(0.05, 1.5, 9)):
+            calls.clear()
+            ode_residuals(tr, t)
+            assert calls == [2, 2]  # theta and theta' from one, and f's own
 
 
 @pytest.mark.parametrize("h_kind", sorted(ROW_HS))
@@ -565,7 +607,7 @@ def _per_point_runs(tr, grid, tol):
     """classify_sectors' labels and runs by its per-point loops, as they
     were before they became array expressions."""
     ts = np.linspace(1e-3, math.pi / tr.f.d - 1e-3, grid)
-    th = theta_value(tr.theta, tr.f, ts, 0)
+    th = theta_jet(tr.theta, tr.f, ts, 0)[0]
     leg = theta_legendre(tr.f, ts)
     is_id, is_leg = np.abs(th - ts) < tol, np.abs(th - leg) < tol
     raw = np.where(is_id & ~is_leg, 0, np.where(is_leg & ~is_id, 1,

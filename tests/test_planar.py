@@ -13,7 +13,7 @@ from isonorm.fd import hessian_fd
 from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             fundamental_tensor, indicatrix_point,
                             legendre_map, legendre_ode_rhs, theta_legendre,
-                            theta_scaled, theta_scaled_deriv, value)
+                            theta_scaled, value)
 from isonorm.isometry import IsometryTriple, legendre_map_tag, ode_residuals
 from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
                              fit_cosine_series, is_minkowski,
@@ -113,7 +113,7 @@ def test_theta_legendre_round_is_identity():
 
 def test_theta_scaled_frozen():
     # round norm, (a,b) = (1,2): tan theta = 2 tan t
-    assert theta_scaled(ROUND.profile, math.pi / 4, 1.0, 2.0) == pytest.approx(
+    assert theta_scaled(ROUND.profile, math.pi / 4, 1.0, 2.0, 0)[0] == pytest.approx(
         1.1071487177940904, abs=1e-12)
 
 
@@ -122,14 +122,14 @@ def test_theta_deriv_matches_fd():
     for t in (0.3, 0.8, 1.2):
         fd = (theta_legendre(ELLIPSE.profile, t + h)
               - theta_legendre(ELLIPSE.profile, t - h)) / (2 * h)
-        assert theta_scaled_deriv(ELLIPSE.profile, t, 1.0, 1.0) == pytest.approx(
+        assert theta_scaled(ELLIPSE.profile, t, 1.0, 1.0, 1)[1] == pytest.approx(
             fd, rel=1e-7)
 
 
 def test_legendre_ode_rhs():
     # theta_legendre solves the first-order angle equation
     for t in np.linspace(0.1, math.pi / 2 - 0.1, 11):
-        lhs = theta_scaled_deriv(ELLIPSE.profile, float(t), 1.0, 1.0)
+        lhs = theta_scaled(ELLIPSE.profile, float(t), 1.0, 1.0, 1)[1]
         rhs = legendre_ode_rhs(ELLIPSE.profile, float(t),
                                theta_legendre(ELLIPSE.profile, float(t)))
         assert lhs == pytest.approx(rhs, abs=1e-5)
