@@ -42,7 +42,11 @@ before and right after the row's calls.  The rows:
   holds Profile(2, (1, 0.2));
 - 15 one-point `fd_indicatrix_laplacian_t` calls on cartan3 with
   Profile(3, (0.5, 0.02)), 3 points on each of 5 leaves in
-  [0.3, pi/3 - 0.3] (the path of perfbench's field-sweep).
+  [0.3, pi/3 - 0.3] (the path of perfbench's field-sweep);
+- 20 one-point `shape_spectrum`, `riemann_fd` and `t_coord` calls, one row
+  each: one point on each of 5 leaves in [0.3, pi/d - 0.3] of each of
+  field-sweep's models d1:3, d2:4:2, d2:8:3 and cartan3, with a curved
+  profile of field-sweep's for `riemann_fd`.
 
 Only public names are used, so the script also times another checkout:
 
@@ -82,9 +86,10 @@ from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      build_h_from_theta, bump_profile, cartan3,
                      check_d_property, check_hessian_isometry, dual_profile,
                      fd_indicatrix_laplacian_t, glue_construct, is_minkowski,
-                     legendre_map_tag, lift_to_nd, ode_residuals,
-                     planar_lift_map, random_leaf_points, save_profile,
-                     save_triple, triple_from_json_dict, triple_to_json_dict)
+                     legendre_map_tag, lift_to_nd, ode_residuals, parse_model,
+                     planar_lift_map, random_leaf_points, riemann_fd,
+                     save_profile, save_triple, shape_spectrum, t_coord,
+                     triple_from_json_dict, triple_to_json_dict)
 from isonorm.cli import main as cli_main  # noqa: E402
 
 GLUE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]  # isometry_gallery.py's glue base
@@ -92,6 +97,9 @@ GLUE_BREAK = 0.52
 GLUE_BAND = 0.02
 LIFT_SAMPLES = 20
 DUAL_SCALES = (0.5, 2.0, 3.0)
+# field-sweep's models, each with one of its curved profiles
+FIELD_MODELS = {"d1:3": (0.5225, 0.3, 0.0225), "d2:4:2": (1.0, 0.4),
+                "d2:8:3": (1.0, 0.4), "cartan3": (0.5, 0.05)}
 ODE_ANGLES = np.linspace(0.0, math.pi / 2, 258)[1:-1]  # planar-sweep's, d = 2
 DUAL_GRID = np.linspace(0.0, math.pi / 2, 256)
 
@@ -168,6 +176,17 @@ def _cli_isoparametric_check(path):
                          "--model", "d2:8:3"])
 
 
+def _field_points():
+    """(norm, point) pairs: one point on each of 5 leaves per field model."""
+    out = []
+    for spec, coeffs in FIELD_MODELS.items():
+        m = parse_model(spec)
+        nm = InducedNorm(m, Profile(m.d, coeffs))
+        leaves = np.linspace(0.3, math.pi / m.d - 0.3, 5)
+        out += [(nm, u) for u in random_leaf_points(m, leaves, 5, seed=0)]
+    return out
+
+
 def rows(tmp: str):
     """(name, call, setup) of every row; setup() builds the call's input.
     Files a row reads are written under the directory tmp."""
@@ -230,6 +249,15 @@ def rows(tmp: str):
                 "Profile(3, (0.5, 0.02))",
                 lambda us: [fd_indicatrix_laplacian_t(chart_norm, u) for u in us],
                 lambda: chart_points))
+    field = _field_points()
+    calls = {"shape_spectrum": lambda nm, u: shape_spectrum(nm.foliation, u),
+             "riemann_fd": riemann_fd,
+             "t_coord": lambda nm, u: t_coord(nm.foliation, u)}
+    for name, call in calls.items():
+        out.append((f"20 one-point {name} calls, 5 leaves of each of d1:3, "
+                    "d2:4:2, d2:8:3, cartan3",
+                    lambda pts, call=call: [call(nm, u) for nm, u in pts],
+                    lambda: field))
     return out
 
 

@@ -151,6 +151,21 @@ def _hess_poly(m: FoliationModel, u) -> np.ndarray:
     ]).T
 
 
+def _radius(m: FoliationModel, x: np.ndarray):
+    """|x| as t_coord takes it; ValueError unless x is a point or rows of
+    the model's n, each with a finite, nonzero |x|."""
+    if x.ndim not in (1, 2) or x.shape[-1] != m.n:
+        raise ValueError(f"x has shape {x.shape}, not ({m.n},) or (m, {m.n})")
+    r = np.sqrt(_sqnorm(x))
+    # a point's r is a numpy scalar, whose Python comparison is the cheapest
+    if not (0.0 < r < math.inf if x.ndim == 1
+            else ((0.0 < r) & (r < math.inf)).all()):
+        if not r.all():
+            raise ValueError("t undefined at the origin")
+        raise ValueError("t undefined: x is not finite or |x|^2 overflows")
+    return r
+
+
 class RT(NamedTuple):
     r: float
     t: float
@@ -160,12 +175,11 @@ def t_coord(m: FoliationModel, x) -> RT:
     """Polar data (r, t) of x: r = |x|, t = arccos(p(x/r)) / d in [0, pi/d].
 
     x is one point (r and t are floats) or an (m, n) array of rows (r and t
-    are arrays); each row gets the bits of its one-point call.
+    are arrays); each row gets the bits of its one-point call.  ValueError
+    for any other shape, at the origin and for a non-finite |x|.
     """
     x = np.asarray(x, dtype=float)
-    r = np.sqrt(_sqnorm(x))
-    if not r.all():
-        raise ValueError("t undefined at the origin")
+    r = _radius(m, x)
     p = np.minimum(np.maximum(_poly(m, x / r[..., None]), -1.0), 1.0)
     # math.acos: numpy's arccos differs from it in the last bit on some points
     t = np.array([math.acos(v) for v in np.atleast_1d(p).tolist()]) / m.d
@@ -292,11 +306,12 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     they fall to the k of multiplicities(m) in turn; RuntimeError if one is
     not its cot(t + k pi/d)."""
     x = np.asarray(x, dtype=float)
+    _radius(m, x)  # t_coord's errors, before x / |x| can warn
     u = x / np.linalg.norm(x)
     r, t = t_coord(m, u)
     if not (delta < t < math.pi / m.d - delta):
         raise FocalProximityError(f"t={t:.4f} inside the focal guard band")
-    w = unit_w(m, u)
+    w = _unit_w(m, u / r, t)
     leaf = _sphere_tangent_basis(u, w)
     S = _shape_operator(m, u[None], np.array([t]), w[None])[0]
     evals, evecs = np.linalg.eigh(leaf @ S @ leaf.T)

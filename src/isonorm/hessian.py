@@ -27,8 +27,8 @@ import numpy as np
 
 from .fd import hessian_fd
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
-                        _shape_operator, _sphere_tangent_basis, _sqnorm,
-                        _unit_w, multiplicities, t_coord, unit_w)
+                        _radius, _shape_operator, _sphere_tangent_basis,
+                        _sqnorm, _unit_w, multiplicities, t_coord, unit_w)
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
@@ -145,9 +145,8 @@ def frame_components(nm: InducedNorm, x, spectrum) -> FrameComponents:
 def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
     """Columns: radial u, t-direction w, then shape eigenvectors."""
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    u = x / r
     w = unit_w(nm.foliation, x)
+    u = x / float(np.linalg.norm(x))
     cols = [u, w]
     for entry in spectrum:
         for vec in entry.basis:
@@ -182,6 +181,7 @@ def riemann_fd(nm: InducedNorm, x, delta: float = DEFAULT_FOCAL_GUARD,
     T_i = d_i G as a central difference of it over x +- h e_i, with
     h = TENSOR_STEP_SCALE, from one closed_fundamental_tensor call."""
     x = np.asarray(x, dtype=float)
+    _radius(nm.foliation, x)  # t_coord's errors, before x / |x| can warn
     x = x / np.linalg.norm(x)
     r, t = t_coord(nm.foliation, x)
     if not (delta < t < math.pi / nm.foliation.d - delta):
@@ -253,31 +253,39 @@ def indicatrix_laplacian_t(nm: InducedNorm, t: float) -> float:
 # independent check of indicatrix_laplacian_t.
 
 
-def _chart_point(u0: np.ndarray, V: np.ndarray, z: np.ndarray):
-    """u(z) = cos|z| u0 + sin|z| V^T z / |z| and its partials du/dz_a."""
-    zeta = float(np.linalg.norm(z))
-    if zeta < 1e-14:
-        return u0.copy(), V.T.copy()
-    vz = V.T @ z
-    u = math.cos(zeta) * u0 + (math.sin(zeta) / zeta) * vz
-    coeff = (math.cos(zeta) / zeta - math.sin(zeta) / zeta ** 2)
-    za = z / zeta
-    du = (np.outer(u0, -math.sin(zeta) * za) + np.outer(vz, coeff * za)
-          + (math.sin(zeta) / zeta) * V.T)
-    return u, du
+def _chart_points(U0: np.ndarray, V: np.ndarray, Z: np.ndarray):
+    """u(z) = cos|z| u0 + sin|z| V^T z / |z| and du/dz_a, u (k, n) and du
+    (k, n, n-1), at the k rows of Z (k, n-1) around U0 (k, n) with bases V
+    (k, n-1, n); (u0, V^T) where |z| < 1e-14.  cos, sin and |z|^2 are libm's
+    per row (Python's **, not numpy's square), as one row at a time had them."""
+    zeta = np.sqrt(_sqnorm(Z))
+    live = zeta >= 1e-14
+    zeta = np.where(live, zeta, 1.0)
+    cos, sin, sq = np.array([(math.cos(v), math.sin(v), v ** 2)
+                             for v in zeta.tolist()]).reshape(-1, 3).T
+    VT = np.swapaxes(V, 1, 2)
+    vz = (VT @ Z[:, :, None])[:, :, 0]
+    u = cos[:, None] * U0 + (sin / zeta)[:, None] * vz
+    coeff = cos / zeta - sin / sq
+    za = Z / zeta[:, None]
+    du = (U0[:, :, None] * (-sin[:, None] * za)[:, None, :]
+          + vz[:, :, None] * (coeff[:, None] * za)[:, None, :]
+          + (sin / zeta)[:, None, None] * VT)
+    return (np.where(live[:, None], u, U0),
+            np.where(live[:, None, None], du, VT))
 
 
 def _indicatrix_chart_data(nm: InducedNorm, U0: np.ndarray, V: np.ndarray,
                            Z: np.ndarray):
     """(metric, dt-components, sqrt(det)) of the induced chart metric at the
     k rows of the chart offsets Z (k, n-1) around the base directions U0
-    (k, n) with tangent bases V (k, n-1, n), stacked; one t_coord, jet,
-    unit_w and closed_fundamental_tensor call serve all rows, and each keeps
-    its one-point bits."""
-    u, du = (np.array(a) for a in zip(*map(_chart_point, U0, V, Z)))
-    t = t_coord(nm.foliation, u).t
+    (k, n) with tangent bases V (k, n-1, n), stacked; one jet, one
+    closed_fundamental_tensor and two t_coord calls (one in the tensor)
+    serve all rows, and each keeps its one-point bits."""
+    u, du = _chart_points(U0, V, Z)
+    r, t = t_coord(nm.foliation, u)
     f0, f1 = (f[:, 0] for f in nm.profile.jet(t[:, None], 1))
-    w = unit_w(nm.foliation, u)
+    w = _unit_w(nm.foliation, u / r[:, None], t)
     dt = (np.swapaxes(du, 1, 2) @ w[..., None])[..., 0]  # chart components of grad t
     rho = 1.0 / np.sqrt(2.0 * f0)
     drho = (-f1 * rho / (2.0 * f0))[:, None] * dt
@@ -296,12 +304,15 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
     INDICATRIX_STEP: the chart (and hence the truncation error of a low-order
     difference) depends on the base point, which would otherwise show up as
     spurious position dependence of an isoparametric invariant.  The base
-    points and their 4(n-1) stencil points, k(4n-3) rows, take one chart call.
+    points and their 4(n-1) stencil points, k(4n-3) rows, take one chart call,
+    so two t_coord calls in all.  A (0, n) array gives two empty arrays.
     """
     u0 = np.asarray(u0, dtype=float)
-    U = np.array([u / np.linalg.norm(u) for u in np.atleast_2d(u0)])
-    V = np.array([_sphere_tangent_basis(u) for u in U])
-    k, na = V.shape[:2]
+    rows = np.atleast_2d(u0)
+    _radius(nm.foliation, rows)  # t_coord's errors, before u / |u| can warn
+    k, na = len(rows), nm.foliation.n - 1
+    U = np.array([u / np.linalg.norm(u) for u in rows]).reshape(k, na + 1)
+    V = np.array([_sphere_tangent_basis(u) for u in U]).reshape(k, na, na + 1)
     axis = np.repeat(np.arange(na), 4)  # axis a outer, the stencil inner
     coef = np.tile([-1.0, 8.0, -8.0, 1.0], na)
     Z = np.zeros((1 + 4 * na, na))

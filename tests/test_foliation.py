@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from isonorm import foliation
 from isonorm.foliation import (FocalProximityError, _poly, cartan3, d1, d2,
                                focal_dimensions, multiplicities,
                                normal_geodesic, normal_plane_basis,
                                parse_model, random_leaf_points,
                                shape_spectrum, t_coord, unit_w)
+from isonorm.hessian import InducedNorm, energy, frame_basis
+from isonorm.profile import Profile
 
 MODELS = (d1(3), d2(4, 2), cartan3())
 
@@ -73,6 +76,53 @@ def test_t_coord_homogeneous_in_r():
     m = d2(4, 2)
     x = random_leaf_points(m, 0.6, 1, seed=5)[0]
     assert t_coord(m, 3.7 * x).t == pytest.approx(t_coord(m, x).t, abs=1e-12)
+
+
+def test_t_coord_rejects_a_point_of_another_dimension():
+    m = d2(4, 2)
+    nm = InducedNorm(m, Profile(2, (1.0, 0.2)))
+    for x in (np.ones(3), np.ones((2, 5)), np.ones((1, 2, 4)), 1.0):
+        with pytest.raises(ValueError, match=r"not \(4,\) or \(m, 4\)"):
+            t_coord(m, x)
+    with pytest.raises(ValueError, match=r"shape \(1, 3\), not \(4,\)"):
+        energy(nm, np.ones(3))
+
+
+def test_t_coord_rejects_a_non_finite_entry():
+    m = d2(4, 2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            t_coord(m, [bad, 1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="not finite"):
+            t_coord(m, [[1.0, 0.0, 0.0, 0.0], [0.0, bad, 0.0, 0.0]])
+    nm = InducedNorm(m, Profile(2, (1.0, 0.2)))
+    with pytest.raises(ValueError, match="not finite"):
+        frame_basis(nm, [math.nan, 1.0, 0.0, 0.0], [])
+
+
+def test_t_coord_rejects_a_sum_of_squares_that_overflows():
+    m = d2(4, 2)
+    x = np.array([1e200, 1e200, 0.0, 0.0])  # every entry finite, |x|^2 not
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="overflows"):
+            t_coord(m, x)
+
+
+def test_t_coord_rejects_the_origin():
+    m = d2(4, 2)
+    for x in (np.zeros(4), np.array([[1.0, 0.0, 0.0, 0.0], [0.0] * 4])):
+        with pytest.raises(ValueError, match="t undefined at the origin"):
+            t_coord(m, x)
+
+
+def test_shape_spectrum_makes_one_t_coord_call(monkeypatch):
+    m = d2(8, 3)
+    x = random_leaf_points(m, 0.6, 1, seed=3)[0]
+    calls, one = [], foliation.t_coord
+    monkeypatch.setattr(foliation, "t_coord",
+                        lambda m, x: calls.append(1) or one(m, x))
+    shape_spectrum(m, x)
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------------ frames

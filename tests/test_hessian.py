@@ -1,11 +1,12 @@
 """Induced norms on R^n: frame formulas, curvature, indicatrix operators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from isonorm import cli, hessian
+from isonorm import cli, foliation, hessian
 from isonorm.fd import hessian_fd, third_tensor_fd
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, _sphere_tangent_basis,
                                cartan3, d1, d2, random_leaf_points,
@@ -287,6 +288,29 @@ MODEL_PROFILES = [
 MODEL_IDS = ["d1:3", "d2:4:2", "d2:8:3", "cartan3", "d2:4:2-dual"]
 
 
+@pytest.mark.parametrize("model", [m for m, _ in MODEL_PROFILES[:4]],
+                         ids=MODEL_IDS[:4])
+def test_chart_points_have_the_one_point_bits(model):
+    # the stencil's offsets, one nonzero entry each, give the bits of the
+    # one-row reference; an offset along several axes agrees to rounding
+    U0 = random_leaf_points(model, 0.4, 3, seed=11)
+    na, h = model.n - 1, hessian.INDICATRIX_STEP
+    Z = np.concatenate([np.zeros((1, na))]
+                       + [c * h * np.eye(na) for c in (1.0, -1.0, 2.0, -2.0)])
+    Z = np.concatenate([Z, np.full((1, na), h), 1e-15 * np.eye(1, na)])
+    U, Z = np.repeat(U0, len(Z), 0), np.tile(Z, (len(U0), 1))
+    V = np.array([_sphere_tangent_basis(u) for u in U])
+    u, du = hessian._chart_points(U, V, Z)
+    assert u.shape == (len(U), model.n) and du.shape == (len(U), model.n, na)
+    for i, z in enumerate(Z):
+        u1, du1 = _one_point_chart_point(U[i], V[i], z)
+        if np.count_nonzero(z) > 1:
+            assert np.max(np.abs(u[i] - u1)) < 1e-15
+            assert np.max(np.abs(du[i] - du1)) < 1e-15
+        else:
+            assert np.array_equal(u[i], u1) and np.array_equal(du[i], du1)
+
+
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
 def test_fd_indicatrix_chart_keeps_one_point_bits(model, profile):
     # all points and their chart rows are evaluated in one pass; every value
@@ -313,6 +337,41 @@ def test_fd_indicatrix_laplacian_near_the_focal_ends(model, profile):
         us = random_leaf_points(model, t, 3, seed=5)
         _, laps = fd_indicatrix_operators(nm, us)
         assert np.max(np.abs(laps - indicatrix_laplacian_t(nm, t))) < 1e-6
+
+
+def test_fd_indicatrix_operators_make_two_t_coord_calls(monkeypatch):
+    # one for the chart rows, one inside their closed G
+    model, profile = MODEL_PROFILES[2]
+    us = random_leaf_points(model, 0.6, 2, seed=4)
+    calls = []
+    for module in (hessian, foliation):
+        monkeypatch.setattr(module, "t_coord",
+                            lambda m, x, one=module.t_coord:
+                            calls.append(len(x)) or one(m, x))
+    fd_indicatrix_operators(_norm(model, profile), us)
+    assert calls == [2 * (4 * model.n - 3)] * 2
+
+
+def test_geometry_entry_points_raise_the_origin_error_without_a_warning():
+    model, profile = MODEL_PROFILES[1]
+    nm = _norm(model, profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda x: riemann_fd(nm, x),
+                     lambda x: shape_spectrum(model, x),
+                     lambda x: fd_indicatrix_operators(nm, x),
+                     lambda x: frame_basis(nm, x, [])):
+            with pytest.raises(ValueError, match="t undefined at the origin"):
+                call(np.zeros(model.n))
+        with pytest.raises(ValueError, match="t undefined at the origin"):
+            fd_indicatrix_operators(nm, np.eye(2, model.n) * [[1.0], [0.0]])
+
+
+def test_fd_indicatrix_operators_take_no_rows():
+    model, profile = MODEL_PROFILES[3]
+    grads, laps = fd_indicatrix_operators(_norm(model, profile),
+                                          np.empty((0, model.n)))
+    assert grads.shape == laps.shape == (0,)
 
 
 def test_isoparametric_check_makes_one_chart_call(monkeypatch, tmp_path,
