@@ -46,7 +46,10 @@ before and right after the row's calls.  The rows:
 - 20 one-point `shape_spectrum`, `riemann_fd` and `t_coord` calls, one row
   each: one point on each of 5 leaves in [0.3, pi/d - 0.3] of each of
   field-sweep's models d1:3, d2:4:2, d2:8:3 and cartan3, with a curved
-  profile of field-sweep's for `riemann_fd`.
+  profile of field-sweep's for `riemann_fd`;
+- `integrate_branch(f, "two", 0.3, theta_legendre(f, 0.3), 0.7)` for
+  f = Profile(3, (0.5, 0.05)): 4096 RK4 steps of the Legendre branch, each
+  four one-angle jets of f (the paper's two-branch reduction).
 
 Only public names are used, so the script also times another checkout:
 
@@ -85,10 +88,11 @@ from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      IsometryTriple, PlanarNorm, Profile, Sector,
                      build_h_from_theta, bump_profile, cartan3,
                      check_d_property, check_hessian_isometry, dual_profile,
-                     fd_indicatrix_laplacian_t, glue_construct, is_minkowski,
-                     legendre_map_tag, lift_to_nd, ode_residuals, parse_model,
-                     planar_lift_map, random_leaf_points, riemann_fd,
-                     save_profile, save_triple, shape_spectrum, t_coord,
+                     fd_indicatrix_laplacian_t, glue_construct,
+                     integrate_branch, is_minkowski, legendre_map_tag,
+                     lift_to_nd, ode_residuals, parse_model, planar_lift_map,
+                     random_leaf_points, riemann_fd, save_profile, save_triple,
+                     shape_spectrum, t_coord, theta_legendre,
                      triple_from_json_dict, triple_to_json_dict)
 from isonorm.cli import main as cli_main  # noqa: E402
 
@@ -176,6 +180,10 @@ def _cli_isoparametric_check(path):
                          "--model", "d2:8:3"])
 
 
+def _legendre_branch(f):
+    return integrate_branch(f, "two", 0.3, theta_legendre(f, 0.3), 0.7)
+
+
 def _field_points():
     """(norm, point) pairs: one point on each of 5 leaves per field model."""
     out = []
@@ -258,6 +266,8 @@ def rows(tmp: str):
                     "d2:4:2, d2:8:3, cartan3",
                     lambda pts, call=call: [call(nm, u) for nm, u in pts],
                     lambda: field))
+    out.append(("integrate_branch two, Profile(3, (0.5, 0.05)), t 0.3 -> 0.7, "
+                "4096 RK4 steps", _legendre_branch, lambda: Profile(3, (0.5, 0.05))))
     return out
 
 

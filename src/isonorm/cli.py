@@ -13,6 +13,7 @@ Angles are radians everywhere; --degrees only adds display fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -410,7 +411,10 @@ def _count(text: str, least: int = 1) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument tree, built once per process: parsing leaves it as it
+    was (no option has a mutable default), so `main` reuses it."""
     parser = _Parser(prog="isonorm", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -524,8 +528,11 @@ def main(argv=None) -> int:
     the text to print in place of the JSON report (`sample --format csv`)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the parser is built once, so look the command up when it runs: one
+    # replaced since then (a test's monkeypatch) is the one that runs
+    command = globals()[args.func.__name__]
     try:
-        results, residuals, status, *rendered = args.func(args)
+        results, residuals, status, *rendered = command(args)
     except (ValueError, OSError) as exc:
         print(f"isonorm: error: {exc}", file=sys.stderr)
         return 1

@@ -151,11 +151,16 @@ def _hess_poly(m: FoliationModel, u) -> np.ndarray:
     ]).T
 
 
+def _check_shape(m: FoliationModel, x: np.ndarray) -> None:
+    """ValueError unless x is a point or rows of the model's n."""
+    if x.ndim not in (1, 2) or x.shape[-1] != m.n:
+        raise ValueError(f"x has shape {x.shape}, not ({m.n},) or (m, {m.n})")
+
+
 def _radius(m: FoliationModel, x: np.ndarray):
     """|x| as t_coord takes it; ValueError unless x is a point or rows of
     the model's n, each with a finite, nonzero |x|."""
-    if x.ndim not in (1, 2) or x.shape[-1] != m.n:
-        raise ValueError(f"x has shape {x.shape}, not ({m.n},) or (m, {m.n})")
+    _check_shape(m, x)
     r = np.sqrt(_sqnorm(x))
     # a point's r is a numpy scalar, whose Python comparison is the cheapest
     if not (0.0 < r < math.inf if x.ndim == 1

@@ -27,8 +27,9 @@ import numpy as np
 
 from .fd import hessian_fd
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
-                        _radius, _shape_operator, _sphere_tangent_basis,
-                        _sqnorm, _unit_w, multiplicities, t_coord, unit_w)
+                        _check_shape, _radius, _shape_operator,
+                        _sphere_tangent_basis, _sqnorm, _unit_w, multiplicities,
+                        t_coord, unit_w)
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
@@ -65,6 +66,7 @@ def energy(nm: InducedNorm, x):
     its one-point call."""
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
+    _check_shape(nm.foliation, rows)  # t_coord's, which origin rows skip
     r2 = _sqnorm(rows)
     E = np.zeros(len(rows))
     live = r2 != 0.0

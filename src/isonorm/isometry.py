@@ -30,10 +30,10 @@ import numpy as np
 
 from .foliation import (FoliationModel, _sqnorm, normal_geodesic,
                         random_leaf_points, t_coord)
-from .planar import (DualProfile, PlanarNorm, _unwrap_to, fundamental_tensor,
-                     legendre_num_den, legendre_ode_rhs, theta_legendre,
-                     theta_scaled)
-from .profile import (Profile, SectorProfile, gap_from_jet, json_field,
+from .planar import (DualProfile, PlanarNorm, _sin_cos, _unwrap_to,
+                     fundamental_tensor, legendre_num_den, legendre_ode_rhs,
+                     theta_legendre, theta_scaled)
+from .profile import (Profile, SectorProfile, as_angle, gap_from_jet, json_field,
                       profile_from_json_dict, require_minkowski, sampled_profile)
 
 THETA_KINDS = ("identity", "linear", "legendre", "scaled-legendre",
@@ -105,32 +105,39 @@ def legendre_map_tag() -> ThetaMap:
 
 def theta_jet(tm: ThetaMap, f: Profile, t, k: int):
     """(theta,) for k = 0 or (theta, theta') for k = 1 at t, like
-    `Profile.jet`: floats for a scalar t, arrays of t's shape otherwise."""
+    `Profile.jet`: floats for a scalar t, arrays of t's shape otherwise.  A
+    scalar runs on floats; the sampled and piecewise kinds take it as a
+    one-element array."""
     if k not in (0, 1):
         raise ValueError("theta maps support k = 0 and 1 only")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-
+    t = as_angle(t)
+    scalar = isinstance(t, float)
     if tm.kind == "identity":
-        out = (t_arr.copy(), np.ones_like(t_arr))
+        out = (t, 1.0) if scalar else (t.copy(), np.ones_like(t))
     elif tm.kind == "linear":
         a, b = tm.params
-        sin, cos = np.sin(t_arr), np.cos(t_arr)
-        out = (_unwrap_to(t_arr, np.arctan2(b * sin, a * cos)),
-               a * b / (a * a * cos ** 2 + b * b * sin ** 2))
+        sin, cos = _sin_cos(t)
+        out = (_unwrap_to(t, np.arctan2(b * sin, a * cos)),
+               a * b / (a * a * (cos * cos) + b * b * (sin * sin)))
     elif tm.kind in ("legendre", "scaled-legendre"):
-        out = theta_scaled(f, t_arr, *(tm.params or (1.0, 1.0)), k)
-    elif tm.kind == "sampled":
-        out = [_pchip(np.asarray(tm.grid), np.asarray(tm.values), t_arr, order)
-               for order in range(k + 1)]
-    else:  # piecewise: a piece's hi belongs to the next piece, as in SectorProfile
-        idx = np.searchsorted([hi for _, hi, _ in tm.pieces[:-1]], t_arr, side="right")
-        out = np.empty((k + 1,) + t_arr.shape)
-        for i, (_, _, sub) in enumerate(tm.pieces):
-            mask = idx == i
-            if mask.any():  # a column of angles stays a column
-                sub_t = t_arr[mask].reshape((-1,) + t_arr.shape[1:])
-                out[:, mask] = np.reshape(theta_jet(sub, f, sub_t, k), (k + 1, -1))
-    return tuple(float(v[0]) if np.ndim(t) == 0 else v for v in out[:k + 1])
+        out = theta_scaled(f, t, *(tm.params or (1.0, 1.0)), k)
+    else:
+        t_arr = np.atleast_1d(t)
+        if tm.kind == "sampled":
+            out = [_pchip(np.asarray(tm.grid), np.asarray(tm.values), t_arr, order)
+                   for order in range(k + 1)]
+        else:  # piecewise: a piece's hi belongs to the next piece, as in SectorProfile
+            idx = np.searchsorted([hi for _, hi, _ in tm.pieces[:-1]], t_arr,
+                                  side="right")
+            out = np.empty((k + 1,) + t_arr.shape)
+            for i, (_, _, sub) in enumerate(tm.pieces):
+                mask = idx == i
+                if mask.any():  # a column of angles stays a column
+                    sub_t = t_arr[mask].reshape((-1,) + t_arr.shape[1:])
+                    out[:, mask] = np.reshape(theta_jet(sub, f, sub_t, k), (k + 1, -1))
+        if scalar:
+            out = [float(v[0]) for v in out]
+    return tuple(out[:k + 1])
 
 
 def _pchip(x, y, t, order: int):
@@ -243,10 +250,10 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     and h through theta'; entries 1..d are the dihedral first-order
     equations (one per k).  All vanish iff the triple is a Hessian isometry.
     """
-    t = np.asarray(t, dtype=float)
+    t = as_angle(t)
     # m angles go in as a column (one exact-dual solve, scalar bits per row);
-    # a scalar stays a float, so h solves on scalars, not one-element arrays
-    tc = float(t) if t.ndim == 0 else t.reshape(-1, 1)
+    # a scalar stays a float, so every jet runs its float path
+    tc = t if isinstance(t, float) else t.reshape(-1, 1)
     th, thp = theta_jet(tr.theta, tr.f, tc, 1)
     f0, f1, f2 = tr.f.jet(tc, 2)
     h0, h1, h2 = tr.h.jet(th, 2)

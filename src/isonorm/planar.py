@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .profile import (FIT_MAX_TERMS, Profile, _pow, dihedral_fold,
+from .profile import (FIT_MAX_TERMS, Profile, _pow, as_angle, dihedral_fold,
                       gap_from_jet, is_minkowski, require_minkowski,
                       sampled_profile)
 
@@ -90,9 +90,19 @@ def _unwrap_to(t, raw):
 
     The gradient of a strongly convex E never turns more than pi/2 away
     from x (their inner product is 2E > 0), so this fixes the branch,
-    keeps continuity, and preserves the dihedral equivariance.
+    keeps continuity, and preserves the dihedral equivariance.  A float t
+    gives a float.
     """
+    if isinstance(t, float):
+        raw = float(raw)
+        return raw + 2.0 * math.pi * float(np.rint((t - raw) / (2.0 * math.pi)))
     return raw + 2.0 * math.pi * np.rint((t - raw) / (2.0 * math.pi))
+
+
+def _sin_cos(t):
+    """(sin t, cos t) by numpy's ufuncs; floats for a float t."""
+    sin, cos = np.sin(t), np.cos(t)
+    return (float(sin), float(cos)) if isinstance(t, float) else (sin, cos)
 
 
 def theta_legendre(p: Profile, t):
@@ -107,9 +117,10 @@ def theta_scaled(p: Profile, t, a: float, b: float, k: int):
         raise ValueError("axis weights must be positive")
     if k not in (0, 1):
         raise ValueError("theta maps support k = 0 and 1 only")
+    t = as_angle(t)
     jet = p.jet(t, k + 1)
-    num, den = legendre_num_den(jet[0], jet[1], np.sin(t), np.cos(t))
-    theta = _unwrap_to(np.asarray(t, dtype=float), np.arctan2(b * num, a * den))
+    num, den = legendre_num_den(jet[0], jet[1], *_sin_cos(t))
+    theta = _unwrap_to(t, np.arctan2(b * num, a * den))
     if k == 0:
         return (theta,)
     return theta, a * b * gap_from_jet(*jet) / (a * a * den * den + b * b * num * num)
@@ -123,8 +134,9 @@ def legendre_ode_rhs(p: Profile, t, theta):
     Also the second root of the reduction quadratic (the "Legendre branch").
     """
     f0, f1, f2 = p.jet(t, 2)
-    num, den = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
-    return gap_from_jet(f0, f1, f2) * np.cos(theta) * np.sin(theta) / (num * den)
+    num, den = legendre_num_den(f0, f1, *_sin_cos(t))
+    sin, cos = _sin_cos(theta)
+    return gap_from_jet(f0, f1, f2) * cos * sin / (num * den)
 
 
 def indicatrix_point(nm: PlanarNorm, t):
@@ -168,7 +180,10 @@ class DualProfile:
     rounding); a point still moving after NEWTON_MAX_STEPS raises
     ValueError rather than return a wrong number.  `jet(t, k)` then applies
     the chain rule to h, h' and h'' from that one solve, so no spectral
-    truncation enters (`dual_profile` fits this to a cosine series).
+    truncation enters (`dual_profile` fits this to a cosine series).  A
+    scalar angle takes the same steps on Python floats (an `if` for each
+    `np.where`, numpy's ufuncs for sin, cos and arctan2), so it returns
+    floats with the bits of its array row.
     Orders go up to 2 (order 3 would need the fourth derivative of the base
     profile).  The base must be a valid Minkowski profile (`is_minkowski`):
     a marginal one may pinch theta_legendre' to zero, where h blows up.
@@ -203,41 +218,58 @@ class DualProfile:
         return theta_legendre(self.base, self.base.stationary_angles())
 
     def _jet(self, t, k: int):
-        # A scalar stays a scalar; an array goes in one point per row, where
-        # matmul sums each point's series with its own dot product, so the
-        # values carry the bits of scalar evaluation whatever the length.
-        if np.ndim(t) == 0:
+        # An array goes in one point per row, where matmul sums each point's
+        # series with its own dot product, so the values carry the bits of
+        # the float path whatever the length.
+        if isinstance(t, float):
             return self.base.jet(t, k)
         return [v[:, 0] for v in self.base.jet(t[:, None], k)]
 
-    def _invert_theta(self, theta: np.ndarray | float) -> np.ndarray | float:
-        """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta an
-        array or a scalar (`[()]` keeps a scalar a numpy scalar)."""
-        t = theta
-        lo = np.zeros_like(theta)[()]
-        hi = np.full_like(theta, math.pi / self.d)[()]
-        active = np.ones(np.shape(theta), dtype=bool)
-        for _ in range(NEWTON_MAX_STEPS):
-            f0, f1, f2 = self._jet(t, 2)
-            N, D = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
-            resid = _unwrap_to(t, np.arctan2(N, D)) - theta
-            step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
-            newton = t - step
-            lo = np.where(resid < 0, t, lo)[()]
-            hi = np.where(resid > 0, t, hi)[()]
-            tiny = np.abs(step) < NEWTON_TOL
-            # a NaN or infinite step fails both tests: bisection
-            nxt = np.where(tiny | ((lo <= newton) & (newton <= hi)), newton,
-                           0.5 * (lo + hi))[()]
-            # a step back onto a bracket end means the residual no longer
-            # tells the points apart: where theta_legendre' is small, its
-            # last bit of rounding moves t by more than NEWTON_TOL
-            done = tiny | (nxt == lo) | (nxt == hi)
-            t = np.where(active, nxt, t)[()]
-            active &= ~done
-            if not active.any():
-                return t
-        at = np.extract(active, theta)[0]
+    def _invert_theta(self, theta):
+        """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta a
+        float or a 1-D array, by the same steps on either."""
+        if isinstance(theta, float):  # the array steps below, on floats
+            t, lo, hi = theta, 0.0, math.pi / self.d
+            for _ in range(NEWTON_MAX_STEPS):
+                f0, f1, f2 = self.base.jet(t, 2)
+                N, D = legendre_num_den(f0, f1, *_sin_cos(t))
+                resid = _unwrap_to(t, np.arctan2(N, D)) - theta
+                gap = gap_from_jet(f0, f1, f2)
+                # where numpy's x / 0 gives a NaN or infinite step
+                step = resid * (N * N + D * D) / gap if gap else math.nan
+                newton = t - step
+                lo, hi = (t if resid < 0 else lo), (t if resid > 0 else hi)
+                tiny = abs(step) < NEWTON_TOL
+                t = newton if tiny or lo <= newton <= hi else 0.5 * (lo + hi)
+                if tiny or t == lo or t == hi:
+                    return t
+            at = theta
+        else:
+            t = theta
+            lo = np.zeros_like(theta)
+            hi = np.full_like(theta, math.pi / self.d)
+            active = np.ones(theta.shape, dtype=bool)
+            for _ in range(NEWTON_MAX_STEPS):
+                f0, f1, f2 = self._jet(t, 2)
+                N, D = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
+                resid = _unwrap_to(t, np.arctan2(N, D)) - theta
+                step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
+                newton = t - step
+                lo = np.where(resid < 0, t, lo)
+                hi = np.where(resid > 0, t, hi)
+                tiny = np.abs(step) < NEWTON_TOL
+                # a NaN or infinite step fails both tests: bisection
+                nxt = np.where(tiny | ((lo <= newton) & (newton <= hi)), newton,
+                               0.5 * (lo + hi))
+                # a step back onto a bracket end means the residual no longer
+                # tells the points apart: where theta_legendre' is small, its
+                # last bit of rounding moves t by more than NEWTON_TOL
+                done = tiny | (nxt == lo) | (nxt == hi)
+                t = np.where(active, nxt, t)
+                active &= ~done
+                if not active.any():
+                    return t
+            at = theta[active][0]
         raise ValueError(
             f"exact dual: Legendre angle inversion did not converge in "
             f"{NEWTON_MAX_STEPS} steps at theta={float(at):.17g}")
@@ -249,15 +281,16 @@ class DualProfile:
         """(h, ..., h^(k)) at t, k <= 2: one fold and one inversion."""
         if k not in (0, 1, 2):
             raise ValueError("dual profiles support derivative orders 0..2")
-        t = np.asarray(t, dtype=float)
-        tau, sign = dihedral_fold(t if t.ndim == 0 else t.reshape(-1), self.d)
-        out = self._chain(self._invert_theta(tau), k)
-        out = [v * sign ** m for m, v in enumerate(out)]
-        return tuple(float(v) if t.ndim == 0 else v.reshape(t.shape)
-                     for v in out)
+        t = as_angle(t)
+        scalar = isinstance(t, float)
+        tau, sign = dihedral_fold(t if scalar else t.reshape(-1), self.d)
+        out = [v * sign ** m for m, v in
+               enumerate(self._chain(self._invert_theta(tau), k))]
+        return tuple(out) if scalar else tuple(v.reshape(t.shape) for v in out)
 
     def _chain(self, t, k: int) -> list:
-        """h, h', ... up to h^(k) at theta_legendre(t), by the chain rule."""
+        """h, h', ... up to h^(k) at theta_legendre(t), by the chain rule;
+        floats for a float t."""
         jet = self._jet(t, k + 1)
         f0, f1 = jet[:2]
         G = 4 * f0 * f0 + f1 * f1
@@ -268,7 +301,7 @@ class DualProfile:
         Gp = 2 * f1 * (4 * f0 + f2)
         qp = f1 / G - f0 * Gp / _pow(G, 2)
         gap = gap_from_jet(f0, f1, f2)
-        sin, cos = np.sin(t), np.cos(t)
+        sin, cos = _sin_cos(t)
         N, D = legendre_num_den(f0, f1, sin, cos)
         tp = gap / (N * N + D * D)
         out.append(self.scale * qp / tp)

@@ -33,6 +33,7 @@ VALIDITY_MARGIN = 1e-9
 MAX_DERIV_ORDER = 3
 EPS = np.finfo(float).eps
 PHI_GRID = 512  # from_phi's sample grid
+_PHASES = 0.5 * math.pi * np.arange(MAX_DERIV_ORDER + 1)  # d^m/dt^m cos: + m pi/2
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,14 @@ class Profile:
         freq = np.arange(len(coeffs)) * self.d
         # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps the c0 term
         object.__setattr__(self, "_freq", freq)
-        object.__setattr__(self, "_weights", tuple(
-            coeffs * freq.astype(float) ** m for m in range(MAX_DERIV_ORDER + 1)))
+        object.__setattr__(self, "_weights", np.array([
+            coeffs * freq.astype(float) ** m for m in range(MAX_DERIV_ORDER + 1)]))
 
     def evaluate(self, t, order: int = 0):
         """d^order f / dt^order at t (scalar or array), order 0..3."""
         if order not in range(MAX_DERIV_ORDER + 1):
             raise ValueError(f"order must be in 0..{MAX_DERIV_ORDER}, got {order}")
-        return self._series(t, (order,))[0]
+        return self._series(t, slice(order, order + 1))[0]
 
     def jet(self, t, k: int):
         """(f, f', ..., f^(k)) at t (scalar or array), k in 0..3.
@@ -80,18 +81,22 @@ class Profile:
         """
         if k not in range(MAX_DERIV_ORDER + 1):
             raise ValueError(f"k must be in 0..{MAX_DERIV_ORDER}, got {k}")
-        return self._series(t, range(k + 1))
+        return self._series(t, slice(k + 1))
 
-    def _series(self, t, orders) -> tuple:
-        t = np.asarray(t, dtype=float)
-        if not np.isfinite(t).all():
+    def _series(self, t, orders: slice) -> tuple:
+        """The derivatives of the given orders at t, each one dot product
+        of cos(w t + m pi/2) with its weights."""
+        t = as_angle(t)
+        scalar = isinstance(t, float)
+        if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
             raise ValueError("non-finite angle")
+        weights = self._weights[orders]
+        if scalar:  # one cos call for all orders, a row each
+            rows = np.cos(t * self._freq + _PHASES[orders, None])
+            return tuple(float(c @ w) for c, w in zip(rows, weights))
         wt = np.multiply.outer(t, self._freq)
-        out = []
-        for m in orders:
-            s = np.cos(wt + 0.5 * math.pi * m) @ self._weights[m]
-            out.append(float(s) if s.ndim == 0 else s)
-        return tuple(out)
+        return tuple(np.cos(wt + phase) @ w
+                     for phase, w in zip(_PHASES[orders].tolist(), weights))
 
     def stationary_angles(self) -> np.ndarray:
         """Angles in [0, pi/d] where f, f' or f''' + 4 f' may vanish: in
@@ -139,9 +144,19 @@ def _pow(x, n: int):
     numpy's vectorised pow can differ from it in the last bit, so arrays
     computed with this keep the bits of one-point evaluation.
     """
-    if np.ndim(x) == 0:
+    if not isinstance(x, np.ndarray):
         return x ** n
     return np.array([v ** n for v in x.tolist()])
+
+
+def as_angle(t):
+    """t as a Python float if it is a scalar (a number, a numpy scalar or a
+    0-d array), else as a float array: the two paths of every function that
+    takes an angle, a float path with the bits of the array path's rows."""
+    if isinstance(t, float):
+        return float(t)
+    t = np.asarray(t, dtype=float)
+    return float(t) if t.ndim == 0 else t
 
 
 def gap_from_jet(f0, f1, f2):
@@ -254,18 +269,19 @@ def from_phi(phi, b: float = 1.0, mode: str = "alpha-beta") -> Profile:
 def dihedral_fold(t, d: int):
     """Map t (scalar or array) to (tau, sign) with tau in [0, pi/d] and, for
     any profile of order d, f(t) = f(tau) and f'(t) = sign * f'(tau)."""
-    t = np.asarray(t, dtype=float)
+    t = as_angle(t)
+    period = 2.0 * math.pi / d
+    if isinstance(t, float):
+        if not math.isfinite(t):
+            raise ValueError("non-finite angle")
+        tau, sign = abs(t) % period, 1.0 if t >= 0 else -1.0
+        return (period - tau, -sign) if tau > period / 2.0 else (tau, sign)
     if not np.all(np.isfinite(t)):
         raise ValueError("non-finite angle")
-    period = 2.0 * math.pi / d
     tau = np.abs(t) % period
     sign = np.where(t >= 0, 1.0, -1.0)
     upper = tau > period / 2.0
-    tau = np.where(upper, period - tau, tau)
-    sign = np.where(upper, -sign, sign)
-    if t.ndim == 0:
-        return float(tau), float(sign)
-    return tau, sign
+    return np.where(upper, period - tau, tau), np.where(upper, -sign, sign)
 
 
 @dataclass(frozen=True)

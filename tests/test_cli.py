@@ -110,6 +110,27 @@ def test_usage_error_exits_64(capsys):
     assert exc.value.code == 64
 
 
+def test_main_reuses_one_parser_and_repeats_its_output(capsys, profiles):
+    # the parser is built once per process; a usage error must not leave
+    # state in it that the next call sees
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [["validate", "--profile", profiles["ellipse"], "--degrees"],
+             ["isometry", "classify", "--triple", "/does/not/exist.json"],
+             ["foliation", "info", "--model", "cartan3"]]
+    first = [(main(a), capsys.readouterr()) for a in argvs]
+    errors = []
+    for bad in (["validate", "--profile", profiles["ellipse"], "--grid", "7"],
+                ["isometry", "check"], ["foliation", "info"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 64
+        errors.append(capsys.readouterr().err)
+        assert [(main(a), capsys.readouterr()) for a in argvs] == first
+    with pytest.raises(SystemExit):
+        main(["isometry", "check"])
+    assert capsys.readouterr().err == errors[1]
+
+
 def test_missing_file_exits_1(capsys):
     code = main(["validate", "--profile", "/does/not/exist.json"])
     assert code == 1

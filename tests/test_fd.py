@@ -179,6 +179,15 @@ def test_energy_is_zero_at_the_origin():
                           [0.0, 4.0 * nm.profile.evaluate(0.0, 0)])
 
 
+def test_energy_checks_the_shape_of_origin_rows():
+    # rows at the origin skip t_coord, so the shape check must come first
+    nm = InducedNorm(parse_model("d2:4:2"), Profile(2, COEFFS[2]))
+    assert energy(nm, np.zeros(4)) == 0.0
+    for x in (np.zeros(3), np.zeros((2, 2, 4)), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match=r"x has shape .*, not \(4,\) or \(m, 4\)"):
+            energy(nm, x)
+
+
 @pytest.mark.parametrize("spec", MODELS)
 def test_stencils_have_the_bits_of_the_point_lattice(spec, glued_h):
     m = parse_model(spec)

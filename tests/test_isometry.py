@@ -258,6 +258,40 @@ def test_ode_residual_rows_have_the_bits_of_one_angle_calls(theta_kind, h_kind):
     assert ode_residuals(tr, np.array([])).shape == (3, 0)
 
 
+# one angle as a float, a numpy scalar and a 0-d array; the negative ones
+# and those beyond pi/2 go through the fold of h (and of f's jets)
+SCALAR_FORMS = (float, np.float64, np.array)
+FOLD_ANGLES = np.array([-2.9, -0.4, -0.0, 0.0, 0.3, 0.7, 1.2, math.pi / 2, 2.0, 4.4])
+GLUE_BASE_D2 = bump_profile(2, [(0.5, 0.4)])  # a 96-term glue base
+FLOAT_HS = {**ROW_HS, "glue-base-dual": DualProfile(GLUE_BASE_D2)}
+
+
+@pytest.mark.parametrize("h_kind", sorted(FLOAT_HS))
+@pytest.mark.parametrize("theta_kind", isometry.THETA_KINDS)
+def test_one_angle_residuals_have_their_row_bits_in_every_scalar_form(
+        theta_kind, h_kind):
+    tr = IsometryTriple(f=ROW_F, h=FLOAT_HS[h_kind], theta=ROW_THETAS[theta_kind])
+    rows = ode_residuals(tr, FOLD_ANGLES).T
+    for form in SCALAR_FORMS:
+        for t, row in zip(FOLD_ANGLES.tolist(), rows):
+            one = ode_residuals(tr, form(t))
+            assert one.shape == (3,)
+            assert [v.hex() for v in one.tolist()] == [v.hex() for v in row.tolist()]
+
+
+@pytest.mark.parametrize("theta_kind", isometry.THETA_KINDS)
+def test_theta_jet_of_one_angle_is_floats_with_its_row_bits(theta_kind):
+    tm = ROW_THETAS[theta_kind]
+    for f in (ROW_F, GLUE_BASE_D2):
+        rows = theta_jet(tm, f, FOLD_ANGLES[:, None], 1)  # a column, as f needs
+        for form in SCALAR_FORMS:
+            for i, t in enumerate(FOLD_ANGLES.tolist()):
+                one = theta_jet(tm, f, form(t), 1)
+                assert [type(v) for v in one] == [float, float]
+                assert [v.hex() for v in one] == [float(v[i, 0]).hex() for v in rows]
+                assert theta_jet(tm, f, form(t), 0)[0].hex() == one[0].hex()
+
+
 def test_solved_triple_json_round_trip_is_exact():
     # a built h is stored as its series and fit error and reloads equal
     f = ELLIPSE

@@ -14,7 +14,8 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             fundamental_tensor, indicatrix_point,
                             legendre_map, legendre_ode_rhs, theta_legendre,
                             theta_scaled, value)
-from isonorm.isometry import IsometryTriple, legendre_map_tag, ode_residuals
+from isonorm.isometry import (IsometryTriple, bump_profile, legendre_map_tag,
+                              ode_residuals)
 from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
                              fit_cosine_series, is_minkowski,
                              profile_from_json_dict, sampled_profile)
@@ -306,6 +307,37 @@ def test_jet_has_the_bits_of_evaluate_for_every_kind(kind, t):
             want = p.evaluate(t, m)
             assert type(v) is type(want)
             assert np.array_equal(v, want)
+
+
+# a scalar angle in each form the float path takes
+SCALAR_FORMS = {"float": float, "numpy-scalar": np.float64, "0-d": np.array}
+GLUE_BASE = bump_profile(3, [(0.24, 0.4), (0.78, 0.36)])  # 96 terms
+FLOAT_KINDS = {**JET_KINDS, "glue-base": (GLUE_BASE, 3),
+               "glue-base-dual": (DualProfile(GLUE_BASE, scale=0.5), 2)}
+
+
+@pytest.mark.parametrize("form", SCALAR_FORMS)
+@pytest.mark.parametrize("kind", FLOAT_KINDS)
+def test_one_angle_jet_is_floats_with_the_bits_of_its_row(kind, form):
+    p, top = FLOAT_KINDS[kind]
+    # negative angles and angles beyond pi/d go through the fold
+    ts = np.append(np.linspace(-4.0, 5.0, 37),
+                   [-0.0, math.pi / p.d, -math.pi / p.d, 2 * math.pi / p.d])
+    rows = p.jet(ts[:, None], top)  # a column: one dot product per row
+    for i, t in enumerate(ts.tolist()):
+        one = p.jet(SCALAR_FORMS[form](t), top)
+        assert all(type(v) is float for v in one)
+        assert [v.hex() for v in one] == [float(v[i, 0]).hex() for v in rows], t
+
+
+@pytest.mark.parametrize("kind", FLOAT_KINDS)
+def test_a_non_finite_scalar_angle_is_named(kind):
+    p, top = FLOAT_KINDS[kind]
+    for bad in (math.nan, math.inf, -math.inf):
+        for form in SCALAR_FORMS.values():
+            for k in range(top + 1):
+                with pytest.raises(ValueError, match="non-finite angle"):
+                    p.jet(form(bad), k)
 
 
 @pytest.mark.parametrize("kind", JET_KINDS)

@@ -197,9 +197,15 @@ def test_dihedral_fold_array_matches_scalar():
     ts = np.linspace(-7.0, 7.0, 101)
     tau, sign = dihedral_fold(ts, 3)
     for t, ta, sa in zip(ts, tau, sign):
-        assert (ta, sa) == dihedral_fold(float(t), 3)
+        for form in (float, np.float64, np.array):  # each runs on floats
+            one = dihedral_fold(form(t), 3)
+            assert [type(v) for v in one] == [float, float]
+            assert [v.hex() for v in one] == [float(ta).hex(), float(sa).hex()]
     with pytest.raises(ValueError):
         dihedral_fold(np.array([0.1, math.nan]), 3)
+    for bad in (math.nan, np.float64(math.inf), np.array(-math.inf)):
+        with pytest.raises(ValueError, match="non-finite angle"):
+            dihedral_fold(bad, 3)
 
 
 # ---------------------------------------------------------------- sampled

@@ -68,7 +68,7 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 23 and len(set(names)) == 23
+    assert len(names) == 24 and len(set(names)) == 24
     assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0 for row in bench["rows"])
 
 
