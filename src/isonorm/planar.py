@@ -231,7 +231,7 @@ class DualProfile:
         if isinstance(theta, float):  # the array steps below, on floats
             t, lo, hi = theta, 0.0, math.pi / self.d
             for _ in range(NEWTON_MAX_STEPS):
-                f0, f1, f2 = self.base.jet(t, 2)
+                f0, f1, f2 = self._jet(t, 2)
                 N, D = legendre_num_den(f0, f1, *_sin_cos(t))
                 resid = _unwrap_to(t, np.arctan2(N, D)) - theta
                 gap = gap_from_jet(f0, f1, f2)
@@ -251,7 +251,7 @@ class DualProfile:
             active = np.ones(theta.shape, dtype=bool)
             for _ in range(NEWTON_MAX_STEPS):
                 f0, f1, f2 = self._jet(t, 2)
-                N, D = legendre_num_den(f0, f1, np.sin(t), np.cos(t))
+                N, D = legendre_num_den(f0, f1, *_sin_cos(t))
                 resid = _unwrap_to(t, np.arctan2(N, D)) - theta
                 step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
                 newton = t - step
