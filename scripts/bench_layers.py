@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time a few layers of isonorm on fixed inputs and write BENCH_<label>.json.
 
-Each row is the best of --repeat timed calls, rescaled to a fixed host speed
-with perfbench's probe kernel (perfbench/hostspeed.py), which runs right
-before and right after the row's calls.  The rows:
+Each row is the best of --repeat timed calls (the ~15 ms 96-term rows of
+`is_minkowski` and `DualProfile` take LONG_ROW_REPEAT times as many),
+rescaled to a fixed host speed with perfbench's probe kernel
+(perfbench/hostspeed.py), which runs right before and right after the row's
+calls.  The rows:
 
 - `is_minkowski` on Profile(2, (1, 0.5)) and on the 96-term cartan3 glue
   base of scripts/isometry_gallery.py, cold (a new, equal profile object per
@@ -49,7 +51,11 @@ before and right after the row's calls.  The rows:
   profile of field-sweep's for `riemann_fd`;
 - `integrate_branch(f, "two", 0.3, theta_legendre(f, 0.3), 0.7)` for
   f = Profile(3, (0.5, 0.05)): 4096 RK4 steps of the Legendre branch, each
-  four one-angle jets of f (the paper's two-branch reduction).
+  four one-angle jets of f (the paper's two-branch reduction);
+- 1000 one-angle `jet(t, 2)` calls of Profile(2, (1, 0.5)), at the angles
+  of a 1000-point grid on [0, pi], and `jet(t, 2)` on 4096 angles of
+  [0, pi] in one array, of that profile and of the 96-term glue base (the
+  Clenshaw sum of a short series and the cosine matrix of a long one).
 
 Only public names are used, so the script also times another checkout:
 
@@ -106,6 +112,12 @@ FIELD_MODELS = {"d1:3": (0.5225, 0.3, 0.0225), "d2:4:2": (1.0, 0.4),
                 "d2:8:3": (1.0, 0.4), "cartan3": (0.5, 0.05)}
 ODE_ANGLES = np.linspace(0.0, math.pi / 2, 258)[1:-1]  # planar-sweep's, d = 2
 DUAL_GRID = np.linspace(0.0, math.pi / 2, 256)
+JET_ANGLES = np.linspace(0.0, math.pi, 1000).tolist()
+JET_GRID = np.linspace(0.0, math.pi, 4096)
+# the ~15 ms 96-term rows take this many times --repeat calls; even at best
+# of 60 they spread by ~50 % between runs of one commit, as the host has
+# slow stretches longer than a row, so compare them only across many runs
+LONG_ROW_REPEAT = 4
 
 
 def _best(call, setup, repeat: int) -> float:
@@ -174,6 +186,10 @@ def _one_angle_residuals(tr):
     return [ode_residuals(tr, float(t)) for t in ODE_ANGLES]
 
 
+def _one_angle_jets(p):
+    return [p.jet(t, 2) for t in JET_ANGLES]
+
+
 def _cli_isoparametric_check(path):
     with contextlib.redirect_stdout(io.StringIO()):
         return cli_main(["isoparametric-check", "--profile", path,
@@ -196,8 +212,8 @@ def _field_points():
 
 
 def rows(tmp: str):
-    """(name, call, setup) of every row; setup() builds the call's input.
-    Files a row reads are written under the directory tmp."""
+    """(name, call, setup, repeat factor) of every row; setup() builds the
+    call's input.  Files a row reads are written under the directory tmp."""
     small = Profile(2, (1.0, 0.5))
     base = bump_profile(3, GLUE_HUMPS)
 
@@ -268,7 +284,15 @@ def rows(tmp: str):
                     lambda: field))
     out.append(("integrate_branch two, Profile(3, (0.5, 0.05)), t 0.3 -> 0.7, "
                 "4096 RK4 steps", _legendre_branch, lambda: Profile(3, (0.5, 0.05))))
-    return out
+    out.append(("1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
+                _one_angle_jets, lambda: small))
+    for what, p in (("Profile(2, (1, 0.5))", small), ("96-term glue base", base)):
+        out.append((f"jet(t, 2), 4096 angles in one array, {what}",
+                    lambda p: p.jet(JET_GRID, 2), lambda p=p: p))
+    long_rows = {"is_minkowski cold, 96-term glue base",
+                 *(f"DualProfile(f).scaled({k:g}), 96-term glue base"
+                   for k in DUAL_SCALES)}
+    return [(*row, LONG_ROW_REPEAT if row[0] in long_rows else 1) for row in out]
 
 
 def _git(*args) -> str:
@@ -292,12 +316,13 @@ def main(argv=None) -> int:
 
     table = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, call, setup in rows(tmp):
+        for name, call, setup, factor in rows(tmp):
             call(setup())  # untimed: first-call set-up, and warms the warm rows
             before = hostspeed.probe_s()
-            best = _best(call, setup, args.repeat)
+            best = _best(call, setup, factor * args.repeat)
             after = hostspeed.probe_s()
-            table.append({"name": name, "best_ms": 1e3 * best,
+            table.append({"name": name, "repeat": factor * args.repeat,
+                          "best_ms": 1e3 * best,
                           "scaled_ms": 1e3 * hostspeed.scaled(best, before, after),
                           "probe_ms": [1e3 * before, 1e3 * after]})
             print(f"{table[-1]['scaled_ms']:10.4f} ms  {name}")
@@ -310,7 +335,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "repeat": args.repeat,
-        "timing": "best of repeat calls; scaled_ms = best_ms * "
+        "timing": "best of a row's repeat calls; scaled_ms = best_ms * "
                   f"{hostspeed.REF_S * 1e3:g} ms / mean(probe_ms)",
         "rows": table,
     }

@@ -351,14 +351,14 @@ def cmd_sample(args):
         m = parse_model(args.model)
         nm = InducedNorm(m, p)
         ts = rng.uniform(*_leaf_range(m, args.delta, 0.05), args.count)
-        r = 1.0 / np.sqrt(2.0 * p.evaluate(ts[:, None], 0)[:, 0])
+        r = 1.0 / np.sqrt(2.0 * p.evaluate(ts, 0))
         X = r[:, None] * random_leaf_points(m, ts, args.count, seed=args.seed,
                                             delta=args.delta)
         F = induced_value(nm, X)
     else:
         nm = PlanarNorm(p)
         ts = rng.uniform(0.0, 2.0 * math.pi, args.count)
-        X = indicatrix_point(nm, ts[:, None])[:, 0]  # a column: scalar bits
+        X = indicatrix_point(nm, ts)
         r = np.hypot(X[:, 0], X[:, 1])
         F = [planar_value(nm, x) for x in X]
     rows = np.column_stack([ts, r, X]).tolist()

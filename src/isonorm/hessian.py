@@ -62,17 +62,16 @@ def value(nm: InducedNorm, x):
 
 def energy(nm: InducedNorm, x):
     """E(x) = F(x)^2 / 2 = r^2 f(t) at a point, or at each row of an (m, n)
-    array.  f is evaluated one angle per row, so every row gets the bits of
-    its one-point call."""
+    array; every row gets the bits of its one-point call."""
     x = np.asarray(x, dtype=float)
+    _check_shape(nm.foliation, x)  # t_coord's, which origin rows skip
     rows = np.atleast_2d(x)
-    _check_shape(nm.foliation, rows)  # t_coord's, which origin rows skip
     r2 = _sqnorm(rows)
     E = np.zeros(len(rows))
     live = r2 != 0.0
     if live.any():
         t = t_coord(nm.foliation, rows[live]).t
-        E[live] = r2[live] * nm.profile.evaluate(t[:, None], 0)[:, 0]
+        E[live] = r2[live] * nm.profile.evaluate(t, 0)
     return float(E[0]) if x.ndim == 1 else E
 
 
@@ -113,7 +112,7 @@ def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
     r, t = t_coord(nm.foliation, rows)
     u = rows / r[:, None]
     w = _unit_w(nm.foliation, u, t)
-    f0, f1, f2 = (f[:, :, None] for f in nm.profile.jet(t[:, None], 2))
+    f0, f1, f2 = (f[:, None, None] for f in nm.profile.jet(t, 2))
     uw = u[:, :, None] * w[:, None, :]
     G = (2.0 * f0 * np.eye(nm.foliation.n) + f2 * (w[:, :, None] * w[:, None, :])
          + f1 * (uw + np.swapaxes(uw, 1, 2) + _shape_operator(nm.foliation, u, t, w)))
@@ -286,7 +285,7 @@ def _indicatrix_chart_data(nm: InducedNorm, U0: np.ndarray, V: np.ndarray,
     serve all rows, and each keeps its one-point bits."""
     u, du = _chart_points(U0, V, Z)
     r, t = t_coord(nm.foliation, u)
-    f0, f1 = (f[:, 0] for f in nm.profile.jet(t[:, None], 1))
+    f0, f1 = nm.profile.jet(t, 1)
     w = _unit_w(nm.foliation, u / r[:, None], t)
     dt = (np.swapaxes(du, 1, 2) @ w[..., None])[..., 0]  # chart components of grad t
     rho = 1.0 / np.sqrt(2.0 * f0)

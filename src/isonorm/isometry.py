@@ -132,9 +132,8 @@ def theta_jet(tm: ThetaMap, f: Profile, t, k: int):
             out = np.empty((k + 1,) + t_arr.shape)
             for i, (_, _, sub) in enumerate(tm.pieces):
                 mask = idx == i
-                if mask.any():  # a column of angles stays a column
-                    sub_t = t_arr[mask].reshape((-1,) + t_arr.shape[1:])
-                    out[:, mask] = np.reshape(theta_jet(sub, f, sub_t, k), (k + 1, -1))
+                if mask.any():
+                    out[:, mask] = theta_jet(sub, f, t_arr[mask], k)
         if scalar:
             out = [float(v[0]) for v in out]
     return tuple(out[:k + 1])
@@ -251,8 +250,8 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     equations (one per k).  All vanish iff the triple is a Hessian isometry.
     """
     t = as_angle(t)
-    # m angles go in as a column (one exact-dual solve, scalar bits per row);
-    # a scalar stays a float, so every jet runs its float path
+    # m angles go in as a column, against the row of dihedral angles; a
+    # scalar stays a float, so every jet runs its float path
     tc = t if isinstance(t, float) else t.reshape(-1, 1)
     th, thp = theta_jet(tr.theta, tr.f, tc, 1)
     f0, f1, f2 = tr.f.jet(tc, 2)
@@ -699,12 +698,10 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
     def phi(x):
         x = np.asarray(x, dtype=float)
         r, t = t_coord(m, x)
-        # angles as a column: a profile evaluates each row of a column with
-        # the bits of its scalar call
-        t = t[:, None]
         th = theta_jet(tr.theta, tr.f, t, 0)[0]
-        scale = r[:, None] * np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
-        return scale * normal_geodesic(m, x, delta=LIFT_FOCAL_GUARD)(th)
+        scale = r * np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
+        gamma = normal_geodesic(m, x, delta=LIFT_FOCAL_GUARD)
+        return scale[:, None] * gamma(th[:, None])
 
     return phi
 
@@ -724,7 +721,7 @@ def _fold_theta(tm: ThetaMap, f: Profile, t: np.ndarray) -> np.ndarray:
     th = np.where(tau < 1e-12, j * period, (j + 1) * period)
     inner = (tau >= 1e-12) & (period - tau >= 1e-12)
     j, odd, tau = j[inner], odd[inner], tau[inner]
-    sub = theta_jet(tm, f, np.where(odd, period - tau, tau)[:, None], 0)[0][:, 0]
+    sub = theta_jet(tm, f, np.where(odd, period - tau, tau), 0)[0]
     th[inner] = np.where(odd, (j + 1) * period - sub, j * period + sub)
     return th
 
@@ -738,9 +735,8 @@ def planar_lift_map(tr: IsometryTriple) -> Callable:
         x = np.asarray(x, dtype=float)
         r = np.sqrt(_sqnorm(x))
         t = np.array([math.atan2(b, a) for a, b in x.tolist()])
-        th = _fold_theta(tr.theta, tr.f, t)[:, None]
-        f0 = tr.f.evaluate(t[:, None], 0)
-        h0 = tr.h.evaluate(th, 0)
-        return r[:, None] * np.sqrt(f0 / h0) * np.hstack([np.cos(th), np.sin(th)])
+        th = _fold_theta(tr.theta, tr.f, t)
+        scale = r * np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
+        return scale[:, None] * np.column_stack([np.cos(th), np.sin(th)])
 
     return phi

@@ -217,21 +217,13 @@ class DualProfile:
         -s f' gap_f / (4f^2 + f'^2)^2 and gap_h(theta(t)) = s^2 / gap_f(t)."""
         return theta_legendre(self.base, self.base.stationary_angles())
 
-    def _jet(self, t, k: int):
-        # An array goes in one point per row, where matmul sums each point's
-        # series with its own dot product, so the values carry the bits of
-        # the float path whatever the length.
-        if isinstance(t, float):
-            return self.base.jet(t, k)
-        return [v[:, 0] for v in self.base.jet(t[:, None], k)]
-
     def _invert_theta(self, theta):
         """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta a
         float or a 1-D array, by the same steps on either."""
         if isinstance(theta, float):  # the array steps below, on floats
             t, lo, hi = theta, 0.0, math.pi / self.d
             for _ in range(NEWTON_MAX_STEPS):
-                f0, f1, f2 = self._jet(t, 2)
+                f0, f1, f2 = self.base.jet(t, 2)
                 N, D = legendre_num_den(f0, f1, *_sin_cos(t))
                 resid = _unwrap_to(t, np.arctan2(N, D)) - theta
                 gap = gap_from_jet(f0, f1, f2)
@@ -250,7 +242,7 @@ class DualProfile:
             hi = np.full_like(theta, math.pi / self.d)
             active = np.ones(theta.shape, dtype=bool)
             for _ in range(NEWTON_MAX_STEPS):
-                f0, f1, f2 = self._jet(t, 2)
+                f0, f1, f2 = self.base.jet(t, 2)
                 N, D = legendre_num_den(f0, f1, *_sin_cos(t))
                 resid = _unwrap_to(t, np.arctan2(N, D)) - theta
                 step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
@@ -291,7 +283,7 @@ class DualProfile:
     def _chain(self, t, k: int) -> list:
         """h, h', ... up to h^(k) at theta_legendre(t), by the chain rule;
         floats for a float t."""
-        jet = self._jet(t, k + 1)
+        jet = self.base.jet(t, k + 1)
         f0, f1 = jet[:2]
         G = 4 * f0 * f0 + f1 * f1
         out = [self.scale * f0 / G]

@@ -12,10 +12,12 @@ series plus the fit's `fit_residual`, which JSON stores next to
 `cos_coeffs`.  All three profile kinds
 (`Profile`, `SectorProfile` and planar's exact `DualProfile`) answer
 `jet(t, k)`: (f, f', ..., f^(k)) at t from one evaluation, of which
-`evaluate(t, order)` is one entry, bit for bit.  `is_minkowski` is exact:
-it reads f and the gap from `jet` at the piece ends and at each kind's
-`stationary_angles()`, the only other places their minima can lie.  Both
-the report and a `Profile`'s angles are computed once per object and reused.
+`evaluate(t, order)` is one entry, bit for bit; each row of an array of
+angles, flat or a column, has the bits of its one-angle call.
+`is_minkowski` is exact: it reads f and the gap from `jet` at the piece ends
+and at each kind's `stationary_angles()`, the only other places their minima
+can lie.  Both the report and a `Profile`'s angles are computed once per
+object and reused.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebder
 
 ALLOWED_D = (1, 2, 3, 4, 6)
 FIT_MAX_TERMS = 32
@@ -33,13 +36,27 @@ VALIDITY_MARGIN = 1e-9
 MAX_DERIV_ORDER = 3
 EPS = np.finfo(float).eps
 PHI_GRID = 512  # from_phi's sample grid
+# Series of up to this many terms are summed by Clenshaw's recurrence in
+# q = cos(d t), longer ones as one cosine matrix: Clenshaw takes a few array
+# operations per term and order, the matrix one cos per term.  jet(t, 2) on
+# 20 rows, best of 40 interleaved runs on a 2-vCPU Xeon: Clenshaw 11.8 us
+# against 16.1 at 2 terms, 17.0 against 18.5 at 3, then 24.5 against 21.4
+# at 4 and 262 against 40 at 32.
+CLENSHAW_MAX_TERMS = 3
 _PHASES = 0.5 * math.pi * np.arange(MAX_DERIV_ORDER + 1)  # d^m/dt^m cos: + m pi/2
 
 
 @dataclass(frozen=True)
 class Profile:
     """Truncated cosine series c0 + sum_j c_j cos(j*d*t); a fitted one
-    carries the fit's max abs error as `fit_residual` (0 for an exact one)."""
+    carries the fit's max abs error as `fit_residual` (0 for an exact one).
+
+    The c_j are also the Chebyshev coefficients of phi(q) = sum_j c_j T_j(q),
+    q = cos(d t), so f = phi(q).  A series of at most CLENSHAW_MAX_TERMS
+    terms keeps the series of (-d)^m phi^(m)(q), m = 0..3, as Python floats
+    and sums each by Clenshaw's recurrence; a longer one keeps the weights
+    (j d)^m c_j of the cosine series of each f^(m).
+    """
 
     d: int
     cos_coeffs: tuple[float, ...]
@@ -63,10 +80,15 @@ class Profile:
             raise ValueError(f"fit_residual must be finite and >= 0, "
                              f"got {self.fit_residual}")
         freq = np.arange(len(coeffs)) * self.d
-        # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps the c0 term
         object.__setattr__(self, "_freq", freq)
-        object.__setattr__(self, "_weights", np.array([
-            coeffs * freq.astype(float) ** m for m in range(MAX_DERIV_ORDER + 1)]))
+        if len(coeffs) <= CLENSHAW_MAX_TERMS:  # e_m = (-d)^m phi^(m), in q
+            phi = [self.cos_coeffs]
+            for _ in range(MAX_DERIV_ORDER):
+                phi.append(tuple((-self.d * chebder(phi[-1])).tolist()))
+            object.__setattr__(self, "_phi", tuple(phi))
+        else:  # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps c0
+            object.__setattr__(self, "_weights", np.array([
+                coeffs * freq.astype(float) ** m for m in range(MAX_DERIV_ORDER + 1)]))
 
     def evaluate(self, t, order: int = 0):
         """d^order f / dt^order at t (scalar or array), order 0..3."""
@@ -84,19 +106,49 @@ class Profile:
         return self._series(t, slice(k + 1))
 
     def _series(self, t, orders: slice) -> tuple:
-        """The derivatives of the given orders at t, each one dot product
-        of cos(w t + m pi/2) with its weights."""
+        """The derivatives of the given orders at t.  A float and each row
+        of an array take the same steps, so a row has the bits of its
+        one-angle call: Clenshaw's elementwise ones for a short series, and
+        for a long one the dot product of cos(w t + m pi/2) with the weights
+        of order m, one per angle."""
         t = as_angle(t)
         scalar = isinstance(t, float)
         if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
             raise ValueError("non-finite angle")
+        if "_phi" in self.__dict__:
+            return self._clenshaw_jet(t, orders.stop - 1, scalar)[orders]
         weights = self._weights[orders]
         if scalar:  # one cos call for all orders, a row each
             rows = np.cos(t * self._freq + _PHASES[orders, None])
             return tuple(float(c @ w) for c, w in zip(rows, weights))
-        wt = np.multiply.outer(t, self._freq)
-        return tuple(np.cos(wt + phase) @ w
+        # angles as a column: matmul then takes a dot product per angle, where
+        # a flat (m, n) @ (n,) would round its rows otherwise
+        wt = np.multiply.outer(t.reshape(-1, 1), self._freq)
+        return tuple((np.cos(wt + phase) @ w).reshape(t.shape)
                      for phase, w in zip(_PHASES[orders].tolist(), weights))
+
+    def _clenshaw_jet(self, t, k: int, scalar: bool) -> tuple:
+        """(f, ..., f^(k)) at t from s = sin(d t) and phi^(m)(q): f = phi,
+        f' = -d s phi', f'' = d^2 (s^2 phi'' - q phi') and
+        f''' = d^3 s (phi' + 3 q phi'' - s^2 phi'''), each summed as
+        e_m = (-d)^m phi^(m)."""
+        if len(self.cos_coeffs) == 1:  # f = c0 holds no q
+            out = (self.cos_coeffs[0],) + (0.0,) * k
+            return out if scalar else tuple(np.full(t.shape, v) for v in out)
+        u = self.d * t
+        q, s = np.cos(u), np.sin(u) if k else 0.0
+        if scalar:
+            q, s = float(q), float(s)
+        e, d = [_clenshaw(c, q) for c in self._phi[:k + 1]], self.d
+        out = [e[0]]
+        if k >= 1:
+            out.append(s * e[1])
+        if k >= 2:
+            s2 = s * s
+            out.append(s2 * e[2] + d * q * e[1])
+        if k >= 3:
+            out.append(s * (s2 * e[3] + 3 * d * q * e[2] - d * d * e[1]))
+        return tuple(out)
 
     def stationary_angles(self) -> np.ndarray:
         """Angles in [0, pi/d] where f, f' or f''' + 4 f' may vanish: in
@@ -130,6 +182,18 @@ class Profile:
         if self.fit_residual:
             out["fit_residual"] = self.fit_residual
         return out
+
+
+def _clenshaw(c: tuple, q):
+    """sum_j c_j T_j(q) by Clenshaw's recurrence (MTAC 9, 1955); elementwise,
+    so a float q and each entry of an array q take the same steps.  The
+    first steps are written out, where they have no b_{j+2} to subtract."""
+    if len(c) < 3:
+        return c[0] + q * c[1] if len(c) == 2 else c[0]
+    b1, b2 = c[-2] + 2.0 * q * c[-1], c[-1]
+    for cj in c[-3:0:-1]:
+        b1, b2 = cj + 2.0 * q * b1 - b2, b1
+    return c[0] + q * b1 - b2
 
 
 def round_profile(d: int = 1) -> Profile:
@@ -331,8 +395,8 @@ class SectorProfile:
         out = np.empty((k + 1, tau.size))
         for i, piece in enumerate(self.pieces):
             mask = idx == i
-            if mask.any():  # one point per row: each value has scalar bits
-                out[:, mask] = np.array(piece.jet(tau[mask][:, None], k))[..., 0]
+            if mask.any():
+                out[:, mask] = piece.jet(tau[mask], k)
         out *= sign ** np.arange(k + 1)[:, None]
         return tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
                      for v in out)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isonorm.isometry import bump_profile
 from isonorm.planar import DualProfile
-from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
-                             fit_cosine_series, from_phi, gap_from_jet,
+from isonorm.profile import (CLENSHAW_MAX_TERMS, Profile, SectorProfile,
+                             dihedral_fold, fit_cosine_series, from_phi,
+                             gap_from_jet,
                              is_minkowski, load_profile,
                              profile_from_json_dict, round_profile,
                              sampled_profile, save_profile)
@@ -40,6 +42,68 @@ def test_jet_has_the_bits_of_evaluate(t):
             assert np.array_equal(value, p.evaluate(t, order))
     with pytest.raises(ValueError):
         p.jet(t, 4)
+
+
+# the mpmath check's profiles: d2 and d3 series, a Randers-type d1 and a
+# d2 ellipse near its validity limit
+REFERENCE_PROFILES = [Profile(2, (1.0, 0.2, 0.03)), Profile(3, (0.5, 0.02)),
+                      Profile(1, (0.5225, 0.3, 0.0225)), Profile(2, (1.0, -0.57))]
+# 1- to 4-term series (Clenshaw up to CLENSHAW_MAX_TERMS, the cosine matrix
+# past it) and the 96-term glue base
+SUM_BASES = [Profile(2, (0.5,)), Profile(2, (1.0, 0.2)),
+             Profile(2, (1.0, 0.2, 0.03)), Profile(3, (0.5, 0.02, -0.004, 0.001)),
+             bump_profile(3, [(0.24, 0.4), (0.78, 0.36)])]
+
+
+def _padded(p):
+    """p's series with zero coefficients up to one term past
+    CLENSHAW_MAX_TERMS, so that the cosine matrix sums it."""
+    return Profile(p.d, p.cos_coeffs
+                   + (0.0,) * (CLENSHAW_MAX_TERMS + 1 - len(p.cos_coeffs)))
+
+
+def _reference_jet(p, ts, mpmath):
+    """(f, f', f'', f''') at each t of ts, summed in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        return [[float(mpmath.fsum(
+            mpmath.mpf(c) * (j * p.d) ** m
+            * mpmath.cos(j * p.d * mpmath.mpf(t) + m * mpmath.pi / 2)
+            for j, c in enumerate(p.cos_coeffs))) for t in ts] for m in range(4)]
+
+
+@pytest.mark.parametrize("p", REFERENCE_PROFILES, ids=lambda p: str(p.cos_coeffs))
+def test_clenshaw_jet_is_no_less_accurate_than_the_cosine_matrix(p):
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.linspace(0.0, 2.0 * math.pi, 301)
+    ref = np.array(_reference_jet(p, ts.tolist(), mpmath))
+    scale = np.max(np.abs(ref), axis=1)
+    err = lambda jet: np.max(np.abs(np.array(jet) - ref), axis=1) / scale
+    assert np.all(err(p.jet(ts, 3)) <= err(_padded(p).jet(ts, 3)))
+    assert np.all(err(p.jet(ts, 3)) < 2e-15)
+
+
+@pytest.mark.parametrize("p", REFERENCE_PROFILES, ids=lambda p: str(p.cos_coeffs))
+def test_a_short_series_agrees_with_its_padded_cosine_sum(p):
+    ts = np.linspace(-math.pi / p.d, math.pi / p.d, 301)
+    assert len(p.cos_coeffs) <= CLENSHAW_MAX_TERMS
+    for got, want in zip(p.jet(ts, 3), _padded(p).jet(ts, 3)):
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["profile", "sector", "dual"])
+@pytest.mark.parametrize("p", SUM_BASES, ids=lambda p: f"{len(p.cos_coeffs)}-term")
+def test_every_form_of_an_angle_has_the_same_bits(kind, p):
+    # a float, a numpy scalar, a 0-d array, a flat row and a column row
+    h = {"profile": p, "dual": DualProfile(p) if kind == "dual" else None,
+         "sector": SectorProfile(p.d, (0.4,), (p, round_profile(p.d)))}[kind]
+    ts = np.concatenate([np.linspace(-4.0, 4.0, 37), [0.0, math.pi / p.d]])
+    for k in range(3 if kind == "dual" else 4):
+        flat = np.array(h.jet(ts, k))
+        assert np.array(h.jet(ts[:, None], k))[..., 0].tobytes() == flat.tobytes()
+        for form in (float, np.float64, np.array):
+            ones = [h.jet(form(t), k) for t in ts.tolist()]
+            assert all(type(v) is float for one in ones for v in one)
+            assert np.array(ones).T.tobytes() == flat.tobytes()
 
 
 def test_second_derivative_node():
@@ -327,7 +391,6 @@ def test_sector_profile_array_matches_pointwise():
             tau, sign = dihedral_fold(float(t), 2)
             piece = lo if tau < 0.7 else hi
             want.append(piece.evaluate(tau, order) * sign ** order)
-        # each piece takes its points one per row: the bits of a scalar call
         assert np.array_equal(got, want)
         assert sp.evaluate(float(ts[5]), order) == want[5]
 

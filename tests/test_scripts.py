@@ -68,8 +68,13 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 24 and len(set(names)) == 24
+    assert len(names) == 27 and len(set(names)) == 27
+    assert {"1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
+            "jet(t, 2), 4096 angles in one array, Profile(2, (1, 0.5))",
+            "jet(t, 2), 4096 angles in one array, 96-term glue base"} <= set(names)
     assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0 for row in bench["rows"])
+    repeats = {row["name"]: row["repeat"] for row in bench["rows"]}
+    assert repeats["is_minkowski cold, 96-term glue base"] > repeats[names[0]] == 1
 
 
 def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
