@@ -49,6 +49,10 @@ calls.  The rows:
   each: one point on each of 5 leaves in [0.3, pi/d - 0.3] of each of
   field-sweep's models d1:3, d2:4:2, d2:8:3 and cartan3, with a curved
   profile of field-sweep's for `riemann_fd`;
+- one 20-point `riemann_fd` call on cartan3 with that profile,
+  Profile(3, (0.5, 0.05)): 4 points on each of 5 leaves in
+  [0.3, pi/3 - 0.3], whose k(2n+1) = 220 stencil rows take one closed-form
+  tensor call;
 - `integrate_branch(f, "two", 0.3, theta_legendre(f, 0.3), 0.7)` for
   f = Profile(3, (0.5, 0.05)): 4096 RK4 steps of the Legendre branch, each
   four one-angle jets of f (the paper's two-branch reduction);
@@ -282,6 +286,12 @@ def rows(tmp: str):
                     "d2:4:2, d2:8:3, cartan3",
                     lambda pts, call=call: [call(nm, u) for nm, u in pts],
                     lambda: field))
+    cartan_norm = InducedNorm(cartan3(), Profile(3, FIELD_MODELS["cartan3"]))
+    leaves = np.repeat(np.linspace(0.3, math.pi / 3 - 0.3, 5), 4)
+    cartan_points = random_leaf_points(cartan3(), leaves, len(leaves), seed=0)
+    out.append(("one 20-point riemann_fd call, 4 points on each of 5 leaves of "
+                "cartan3, Profile(3, (0.5, 0.05))",
+                lambda us: riemann_fd(cartan_norm, us), lambda: cartan_points))
     out.append(("integrate_branch two, Profile(3, (0.5, 0.05)), t 0.3 -> 0.7, "
                 "4096 RK4 steps", _legendre_branch, lambda: Profile(3, (0.5, 0.05))))
     out.append(("1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",

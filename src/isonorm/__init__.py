@@ -18,8 +18,8 @@ from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
                         multiplicities, normal_geodesic, normal_plane_basis,
                         parse_model, random_leaf_points, shape_spectrum,
                         t_coord, unit_w)
-from .hessian import (InducedNorm, cartan_flat_candidate, closed_frame_matrix,
-                      energy, fd_fundamental_tensor, fd_indicatrix_laplacian_t,
+from .hessian import (InducedNorm, closed_frame_matrix, energy,
+                      fd_fundamental_tensor, fd_indicatrix_laplacian_t,
                       fd_indicatrix_operators, frame_basis, frame_components,
                       indicatrix_grad_t_norm, indicatrix_laplacian_t,
                       riemann_fd)
@@ -44,10 +44,10 @@ __all__ = [
     "d1", "d2", "focal_dimensions", "multiplicities", "normal_geodesic",
     "normal_plane_basis", "parse_model", "random_leaf_points",
     "shape_spectrum", "t_coord", "unit_w",
-    "InducedNorm", "cartan_flat_candidate", "closed_frame_matrix", "energy",
-    "fd_fundamental_tensor", "fd_indicatrix_laplacian_t",
-    "fd_indicatrix_operators", "frame_basis", "frame_components",
-    "indicatrix_grad_t_norm", "indicatrix_laplacian_t", "riemann_fd",
+    "InducedNorm", "closed_frame_matrix", "energy", "fd_fundamental_tensor",
+    "fd_indicatrix_laplacian_t", "fd_indicatrix_operators", "frame_basis",
+    "frame_components", "indicatrix_grad_t_norm", "indicatrix_laplacian_t",
+    "riemann_fd",
     "Decomposition", "IsometryTriple", "Sector", "ThetaMap",
     "build_h_from_theta", "bump_profile", "check_d_property",
     "check_hessian_isometry", "classify_sectors", "glue_construct",

@@ -24,7 +24,7 @@ from . import __version__
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
                         focal_dimensions, multiplicities, parse_model,
                         random_leaf_points, shape_spectrum, t_coord)
-from .hessian import (FLATNESS_THRESHOLD, InducedNorm, closed_frame_matrix,
+from .hessian import (InducedNorm, closed_frame_matrix,
                       fd_fundamental_tensor, fd_indicatrix_operators,
                       frame_basis, frame_components, indicatrix_grad_t_norm,
                       indicatrix_laplacian_t, riemann_fd,
@@ -41,10 +41,9 @@ from .profile import Profile, is_minkowski, json_field, load_profile
 EXIT_BY_STATUS = {"ok": 0, "marginal": 2, "failed": 1}
 USAGE_EXIT = 64
 STATUS_BY_VALIDITY = {"valid": "ok", "marginal": "marginal", "invalid": "failed"}
-# parsed arguments that a report does not echo as inputs: the command,
-# options that only shape the output, and flat_threshold, which curvature
-# echoes in its results
-NOT_INPUTS = ("func", "command", "subcommand", "degrees", "out", "flat_threshold")
+# parsed arguments that a report does not echo as inputs: the command and
+# options that only shape the output
+NOT_INPUTS = ("func", "command", "subcommand", "degrees", "out")
 
 # Per-residual thresholds (within -> ok, within 'marginal' bound -> marginal,
 # beyond -> failed).  Keyed by residual name as it appears in the report, so
@@ -180,32 +179,17 @@ def cmd_curvature(args):
         rng = np.random.default_rng(args.seed)
         ts = rng.uniform(*_leaf_range(m, args.delta, 0.02), args.samples)
     us = random_leaf_points(m, ts, args.samples, seed=args.seed, delta=args.delta)
-    rows = []
-    for t, u in zip(ts.tolist(), us):
-        riemann = riemann_fd(nm, u, delta=args.delta,
-                             flat_threshold=args.flat_threshold)
-        rows.append({
-            "t": t,
-            "max_abs_component": float(riemann.max_abs_component),
-            "noise_floor": float(riemann.noise_floor),
-            "flat": bool(riemann.flat),
-        })
-    worst = max(r["max_abs_component"] for r in rows)
-    floor = max(r["noise_floor"] for r in rows)
+    res = riemann_fd(nm, us, delta=args.delta)
+    rows = [{"t": t, "max_abs_component": a, "noise_floor": b, "flat": c}
+            for t, a, b, c in zip(ts.tolist(), *(v.tolist() for v in res))]
     # ok means "definitive": each point is either flat or curved well above
-    # both the threshold and its own noise floor; anything in the gray zone
-    # between is reported as marginal rather than decided.
-    definitive = all(
-        r["flat"] or r["max_abs_component"] > max(10.0 * r["noise_floor"],
-                                                  args.flat_threshold)
-        for r in rows)
+    # its own noise floor; anything in the gray zone between is reported as
+    # marginal rather than decided.
+    definitive = (res.flat | (res.max_abs_component > 10.0 * res.noise_floor)).all()
     status = "ok" if definitive else "marginal"
-    results = {
-        "points": rows,
-        "flat": bool(all(r["flat"] for r in rows)),
-        "flat_threshold": float(args.flat_threshold),
-    }
-    return results, {"max_abs_component": worst, "noise_floor": floor}, status
+    residuals = {"max_abs_component": float(res.max_abs_component.max()),
+                 "noise_floor": float(res.noise_floor.max())}
+    return {"points": rows, "flat": bool(res.flat.all())}, residuals, status
 
 
 # ----------------------------------------------------- isoparametric-check
@@ -450,7 +434,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--samples", type=_count, default=4)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
-    sp.add_argument("--flat-threshold", type=float, default=FLATNESS_THRESHOLD)
     sp.set_defaults(func=cmd_curvature)
 
     sp = sub.add_parser("isoparametric-check",

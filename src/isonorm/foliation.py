@@ -161,15 +161,21 @@ def _check_shape(m: FoliationModel, x: np.ndarray) -> None:
         raise ValueError(f"x has shape {x.shape}, not ({m.n},) or (m, {m.n})")
 
 
+def _sqnorm_or_inf(x: np.ndarray):
+    """_sqnorm with an overflow read as inf and not warned of, so that the
+    caller's named error comes first: a point's vdot never warns, and only
+    rows take an errstate."""
+    if x.ndim == 1:
+        return _sqnorm(x)
+    with np.errstate(over="ignore"):
+        return _sqnorm(x)
+
+
 def _radius(m: FoliationModel, x: np.ndarray):
     """|x| as t_coord takes it; ValueError unless x is a point or rows of
     the model's n, each with a finite, nonzero |x|."""
     _check_shape(m, x)
-    if x.ndim == 1:
-        r = np.sqrt(_sqnorm(x))
-    else:  # an overflowing row gets the error below, not matmul's warning
-        with np.errstate(over="ignore"):
-            r = np.sqrt(_sqnorm(x))
+    r = np.sqrt(_sqnorm_or_inf(x))
     # a point's r is a numpy scalar, whose Python comparison is the cheapest
     if not (0.0 < r < math.inf if x.ndim == 1
             else ((0.0 < r) & (r < math.inf)).all()):

@@ -28,14 +28,12 @@ import numpy as np
 from .fd import hessian_fd
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
                         _check_shape, _radius, _shape_operator,
-                        _sphere_tangent_basis, _sqnorm, _unit_w, multiplicities,
-                        t_coord, unit_w)
+                        _sphere_tangent_basis, _sqnorm, _sqnorm_or_inf, _unit_w,
+                        multiplicities, t_coord, unit_w)
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
 INDICATRIX_STEP = 3e-4
-FLATNESS_THRESHOLD = 1e-3
-FLAT_CANDIDATE_TOL = 1e-8  # cartan_flat_candidate's bound on |f'(pi/3)|
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def energy(nm: InducedNorm, x):
     x = np.asarray(x, dtype=float)
     _check_shape(nm.foliation, x)  # t_coord's, which origin rows skip
     rows = np.atleast_2d(x)
-    r2 = _sqnorm(rows)
+    r2 = np.atleast_1d(_sqnorm_or_inf(x))  # an overflow gets t_coord's error
     E = np.zeros(len(rows))
     live = r2 != 0.0
     if live.any():
@@ -176,35 +174,55 @@ class CurvatureResult(NamedTuple):
     flat: bool
 
 
-def riemann_fd(nm: InducedNorm, x, delta: float = DEFAULT_FOCAL_GUARD,
-               flat_threshold: float = FLATNESS_THRESHOLD) -> CurvatureResult:
-    """Max |R^l_kij| of the Hessian metric at x/|x|: G in closed form, and
-    T_i = d_i G as a central difference of it over x +- h e_i, with
-    h = TENSOR_STEP_SCALE, from one closed_fundamental_tensor call."""
-    x = np.asarray(x, dtype=float)
-    _radius(nm.foliation, x)  # t_coord's errors, before x / |x| can warn
-    x = x / np.linalg.norm(x)
-    r, t = t_coord(nm.foliation, x)
-    if not (delta < t < math.pi / nm.foliation.d - delta):
-        raise FocalProximityError(f"t={t:.4f} inside the focal guard band")
+def riemann_fd(nm: InducedNorm, x,
+               delta: float = DEFAULT_FOCAL_GUARD) -> CurvatureResult:
+    """Max |R^l_kij| of the Hessian metric at x/|x|, its roundoff floor, and
+    the verdict: flat iff max |R| <= floor.
 
-    n, h = len(x), TENSOR_STEP_SCALE
+    G is the closed form, and T_i = d_i G a central difference of it over
+    x +- h e_i, h = TENSOR_STEP_SCALE.  x is one point (floats and a bool) or
+    a (k, n) array of rows (three (k,) arrays); the k(2n+1) stencil rows take
+    one closed_fundamental_tensor call, and each row has the bits of its
+    one-point call.  The floor bounds what rounding alone puts into R, so a
+    flat norm (a quadratic E, by the paper's Laugwitz theorem) reads below
+    it, and no other bound decides.
+    """
+    x = np.asarray(x, dtype=float)
+    r, t = t_coord(nm.foliation, x)  # its errors come before x / |x| can warn
+    rows, r, t = np.atleast_2d(x), np.atleast_1d(r), np.atleast_1d(t)
+    near = (t <= delta) | (t >= math.pi / nm.foliation.d - delta)
+    if near.any():
+        raise FocalProximityError(f"t={t[near][0]:.4f} inside the focal guard band")
+
+    k, n, h = len(rows), nm.foliation.n, TENSOR_STEP_SCALE
     E = h * np.eye(n)
-    Gs = closed_fundamental_tensor(nm, np.concatenate([x[None], x + E, x - E]))
-    G, T = Gs[0], (Gs[1:n + 1] - Gs[n + 1:]) / (2.0 * h)
+    u = rows / r[:, None]
+    stencil = u[:, None] + np.concatenate([np.zeros((1, n)), E, -E])
+    Gs = closed_fundamental_tensor(nm, stencil.reshape(-1, n))
+    Gs = Gs.reshape(k, 2 * n + 1, n, n)
+    G, T = Gs[:, 0], (Gs[:, 1:n + 1] - Gs[:, n + 1:]) / (2.0 * h)
     Gi = np.linalg.inv(G)
-    C = Gi @ T
-    A = C[:, None] @ C[None]  # A[i, j] = g^-1 T_i g^-1 T_j, R = (A^T - A)/4
-    max_abs = 0.25 * float(np.max(np.abs(np.swapaxes(A, 0, 1) - A)))
+    C = Gi[:, None] @ T
+    A = C[:, :, None] @ C[:, None]  # A[:, i, j] = g^-1 T_i g^-1 T_j, R = (A^T - A)/4
+    max_abs = 0.25 * np.abs(np.swapaxes(A, 1, 2) - A).max(axis=(1, 2, 3, 4))
 
     # roundoff floor: a difference of G sees ~eps*|G|/h of noise, and R is
-    # quadratic in T, so the floor is linear in |T| plus a square term
-    eps_t = 8.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(G)))) / h
-    t_max = float(np.max(np.abs(T)))
-    gi_norm = float(np.linalg.norm(Gi, 2))
-    floor = 0.5 * gi_norm ** 2 * (2.0 * t_max * eps_t + eps_t ** 2)
-    return CurvatureResult(max_abs_component=max_abs, noise_floor=floor,
-                           flat=bool(max_abs < flat_threshold))
+    # quadratic in T, so the floor is linear in |T| plus a square term.  It
+    # is formed per row in Python floats, whose ** (libm's pow) numpy's
+    # square need not match in the last bit; the 2-norm of Gi is its
+    # largest singular value
+    g_max = np.abs(G).max(axis=(1, 2)).tolist()
+    t_max = np.abs(T).max(axis=(1, 2, 3)).tolist()
+    gi_norm = np.linalg.svd(Gi, compute_uv=False).max(axis=1).tolist()
+    floor = []
+    for g, tm, gi in zip(g_max, t_max, gi_norm):
+        eps_t = 8.0 * np.finfo(float).eps * max(1.0, g) / h
+        floor.append(0.5 * gi ** 2 * (2.0 * tm * eps_t + eps_t ** 2))
+    floor = np.array(floor)
+    flat = max_abs <= floor
+    if x.ndim == 1:
+        return CurvatureResult(float(max_abs[0]), float(floor[0]), bool(flat[0]))
+    return CurvatureResult(max_abs, floor, flat)
 
 
 def indicatrix_grad_t_norm(nm: InducedNorm, t: float) -> float:
@@ -337,21 +355,3 @@ def fd_indicatrix_laplacian_t(nm: InducedNorm, u0) -> float:
     """FD Laplacian of t on the indicatrix at direction u0 (see
     fd_indicatrix_operators)."""
     return fd_indicatrix_operators(nm, u0)[1]
-
-
-class FlatCandidateReport(NamedTuple):
-    candidate: bool
-    fprime_at_pi3: float
-
-
-def cartan_flat_candidate(profile) -> FlatCandidateReport:
-    """Gate for profiles that could make the Cartan-foliation norm flat.
-
-    A flat Hessian metric forces the restriction of the profile to every
-    normal plane to look Euclidean there; the first nontrivial obstruction
-    is f'(pi/3) = 0 (the second focal angle of the d=3 geodesic).  Profiles
-    failing it are rejected as flat candidates outright.
-    """
-    fp = float(profile.evaluate(math.pi / 3.0, 1))
-    return FlatCandidateReport(candidate=bool(abs(fp) <= FLAT_CANDIDATE_TOL),
-                               fprime_at_pi3=fp)

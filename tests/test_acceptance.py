@@ -11,11 +11,10 @@ import numpy as np
 from isonorm.fd import hessian_fd
 from isonorm.foliation import (cartan3, d1, d2, random_leaf_points,
                                shape_spectrum)
-from isonorm.hessian import (InducedNorm, cartan_flat_candidate,
-                             closed_frame_matrix, fd_fundamental_tensor,
-                             fd_indicatrix_operators, frame_basis,
-                             indicatrix_grad_t_norm, indicatrix_laplacian_t,
-                             riemann_fd)
+from isonorm.hessian import (InducedNorm, closed_frame_matrix,
+                             fd_fundamental_tensor, fd_indicatrix_operators,
+                             frame_basis, indicatrix_grad_t_norm,
+                             indicatrix_laplacian_t, riemann_fd)
 from isonorm.isometry import (Decomposition, IsometryTriple, Sector,
                               bump_profile, check_d_property,
                               check_hessian_isometry, classify_sectors,
@@ -231,20 +230,19 @@ def test_criterion_7_flatness():
         nm = InducedNorm(model, profile)
         u = random_leaf_points(model, 0.45, 1, seed=21)[0]
         res = riemann_fd(nm, u)
+        assert res.flat
         flat_worst = max(flat_worst, res.max_abs_component)
     assert flat_worst < 1e-3
 
     nm = InducedNorm(d1(3), RANDERS)
-    curved = max(riemann_fd(nm, random_leaf_points(d1(3), t, 1, seed=22)[0])
-                 .max_abs_component for t in (0.6, 0.9, 1.3))
+    res = riemann_fd(nm, np.concatenate([random_leaf_points(d1(3), t, 1, seed=22)
+                                         for t in (0.6, 0.9, 1.3)]))
+    assert not res.flat.any()
+    curved = float(res.max_abs_component.max())
     assert curved > 1e-2
-
-    gate = cartan_flat_candidate(RANDERS)
-    assert not gate.candidate and abs(gate.fprime_at_pi3) > 1e-3
-    assert cartan_flat_candidate(round_profile(3)).candidate
-    _pass(7, f"curvature {flat_worst:.2e} (tol 1e-3) on round and "
-             f"quadratic-form norms; Randers control {curved:.2e} > 1e-2; "
-             f"flat-candidate gate keys on f'(pi/3)")
+    _pass(7, f"curvature {flat_worst:.2e} (tol 1e-3), below the noise floor, "
+             f"on round and quadratic-form norms; Randers control "
+             f"{curved:.2e} > 1e-2, curved at every point")
 
 
 # --------------------------------------------------------------------- 8

