@@ -59,7 +59,10 @@ calls.  The rows:
 - 1000 one-angle `jet(t, 2)` calls of Profile(2, (1, 0.5)), at the angles
   of a 1000-point grid on [0, pi], and `jet(t, 2)` on 4096 angles of
   [0, pi] in one array, of that profile and of the 96-term glue base (the
-  Clenshaw sum of a short series and the cosine matrix of a long one).
+  Clenshaw sum of a short series and the cosine matrix of a long one);
+- 1000 one-angle `jet(t, 2)` calls of `DualProfile(Profile(2, (1, 0.5)))`
+  at the same angles: the exact dual's float Newton solve and chain rule,
+  without the rest of `ode_residuals`.
 
 Only public names are used, so the script also times another checkout:
 
@@ -296,6 +299,8 @@ def rows(tmp: str):
                 "4096 RK4 steps", _legendre_branch, lambda: Profile(3, (0.5, 0.05))))
     out.append(("1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
                 _one_angle_jets, lambda: small))
+    out.append(("1000 one-angle jet(t, 2) calls, DualProfile(Profile(2, (1, 0.5)))",
+                _one_angle_jets, lambda: dual_triple.h))
     for what, p in (("Profile(2, (1, 0.5))", small), ("96-term glue base", base)):
         out.append((f"jet(t, 2), 4096 angles in one array, {what}",
                     lambda p: p.jet(JET_GRID, 2), lambda p=p: p))

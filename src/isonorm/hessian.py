@@ -88,9 +88,7 @@ def fd_fundamental_tensor(nm: InducedNorm, x) -> TensorResult:
     across the cones for admissible profiles.
     """
     x = np.asarray(x, dtype=float)
-    r = np.sqrt(_sqnorm(x))
-    if not r.all():
-        raise ValueError("fundamental tensor undefined at the origin")
+    r = _radius(nm.foliation, x)  # t_coord's errors, before the stencil can warn
     G = hessian_fd(lambda p: energy(nm, p), x, step=TENSOR_STEP_SCALE * r)
     G = 0.5 * (G + np.swapaxes(G, -1, -2))
     evals = np.linalg.eigvalsh(G)

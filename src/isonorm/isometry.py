@@ -243,7 +243,8 @@ def save_triple(tr: IsometryTriple, path) -> None:
 
 def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     """Left-minus-right of the isometry ODE system at t: length d+1 for a
-    scalar t, shape (d+1, m) for a 1-D array of m angles.
+    scalar t, which runs on Python floats with the bits of its array row,
+    shape (d+1, m) for a 1-D array of m angles.
 
     Entry 0 is the second-order equation linking the curvature data of f
     and h through theta'; entries 1..d are the dihedral first-order
@@ -259,12 +260,18 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
 
     lhs2 = f2 / (2 * f0) - f1 * f1 / (4 * f0 * f0) + 1.0
     rhs2 = h2 / (2 * h0) - h1 * h1 / (4 * h0 * h0) + 1.0
-    tau = np.arange(tr.f.d) * math.pi / tr.f.d  # the dihedral angles k pi/d
-    at, ath = tc + tau, th + tau
-    sf, cf, sh, ch = np.sin(at), np.cos(at), np.sin(ath), np.cos(ath)
-    dihedral = (sf * sf + sf * cf * f1 / (2 * f0)) \
-        - (sh * sh + sh * ch * h1 / (2 * h0))
-    return np.hstack([lhs2 - thp * thp * rhs2, dihedral]).T
+    second = lhs2 - thp * thp * rhs2
+
+    def dihedral(at, ath):  # the entries at t + tau and theta + tau
+        sf, cf = _sin_cos(at)
+        sh, ch = _sin_cos(ath)
+        return (sf * sf + sf * cf * f1 / (2 * f0)) - (sh * sh + sh * ch * h1 / (2 * h0))
+    d = tr.f.d
+    if isinstance(t, float):  # one dihedral angle tau = k pi/d at a time
+        return np.array([second] + [dihedral(t + k * math.pi / d, th + k * math.pi / d)
+                                    for k in range(d)])
+    tau = np.arange(d) * math.pi / d
+    return np.hstack([second, dihedral(tc + tau, th + tau)]).T
 
 
 # quadratic_and_roots warns about d <= 2 once per process

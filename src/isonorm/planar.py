@@ -91,11 +91,13 @@ def _unwrap_to(t, raw):
     The gradient of a strongly convex E never turns more than pi/2 away
     from x (their inner product is 2E > 0), so this fixes the branch,
     keeps continuity, and preserves the dihedral equivariance.  A float t
-    gives a float.
+    gives a float: `round` halves to even, as np.rint does, and a NaN or
+    infinite turn count passes through, as np.rint passes it.
     """
     if isinstance(t, float):
         raw = float(raw)
-        return raw + 2.0 * math.pi * float(np.rint((t - raw) / (2.0 * math.pi)))
+        turns = (t - raw) / (2.0 * math.pi)
+        return raw + 2.0 * math.pi * (round(turns) if math.isfinite(turns) else turns)
     return raw + 2.0 * math.pi * np.rint((t - raw) / (2.0 * math.pi))
 
 
@@ -221,11 +223,12 @@ class DualProfile:
         """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta a
         float or a 1-D array, by the same steps on either."""
         if isinstance(theta, float):  # the array steps below, on floats
+            jet, sin, cos, arctan2 = self.base.jet, np.sin, np.cos, np.arctan2
             t, lo, hi = theta, 0.0, math.pi / self.d
             for _ in range(NEWTON_MAX_STEPS):
-                f0, f1, f2 = self.base.jet(t, 2)
-                N, D = legendre_num_den(f0, f1, *_sin_cos(t))
-                resid = _unwrap_to(t, np.arctan2(N, D)) - theta
+                f0, f1, f2 = jet(t, 2)
+                N, D = legendre_num_den(f0, f1, float(sin(t)), float(cos(t)))
+                resid = _unwrap_to(t, arctan2(N, D)) - theta
                 gap = gap_from_jet(f0, f1, f2)
                 # where numpy's x / 0 gives a NaN or infinite step
                 step = resid * (N * N + D * D) / gap if gap else math.nan

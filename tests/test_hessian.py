@@ -105,6 +105,19 @@ def test_fd_tensor_round_is_identity():
     assert np.allclose(fd.matrix, np.eye(4), atol=1e-8)
 
 
+def test_fd_tensor_raises_t_coords_errors_before_any_warning():
+    # the suite turns RuntimeWarnings into errors: an overflowing |x|^2 must
+    # reach the named error before the stencil's step can warn
+    nm = _norm(d2(4, 2), ELLIPSE_D2)
+    x = np.array([1e200, 1e200, 0.0, 0.0])  # every entry finite, |x|^2 not
+    for pts in (x, np.array([[1.0, 0.0, 0.0, 0.0], x])):
+        with pytest.raises(ValueError, match="overflows"):
+            fd_fundamental_tensor(nm, pts)
+    for pts in (np.zeros(4), np.array([[1.0, 0.0, 0.0, 0.0], [0.0] * 4])):
+        with pytest.raises(ValueError, match="t undefined at the origin"):
+            fd_fundamental_tensor(nm, pts)
+
+
 # -------------------------------------------------------------- curvature
 
 def test_riemann_flat_round():

@@ -14,8 +14,8 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             fundamental_tensor, indicatrix_point,
                             legendre_map, legendre_ode_rhs, theta_legendre,
                             theta_scaled, value)
-from isonorm.isometry import (IsometryTriple, bump_profile, legendre_map_tag,
-                              ode_residuals)
+from isonorm.isometry import (IsometryTriple, ThetaMap, bump_profile,
+                              legendre_map_tag, ode_residuals, theta_jet)
 from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
                              fit_cosine_series, is_minkowski,
                              profile_from_json_dict, sampled_profile)
@@ -110,6 +110,32 @@ def test_theta_legendre_is_gradient_angle():
 def test_theta_legendre_round_is_identity():
     for t in (0.2, 0.9, 2.5):
         assert theta_legendre(ROUND.profile, t) == pytest.approx(t, abs=1e-12)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("t,raw", [(t, 0.5) for t in NON_FINITE]
+                         + [(0.5, raw) for raw in NON_FINITE]
+                         + [(math.pi, 0.0), (-math.pi, 0.0), (0.5, 0.5)])
+def test_unwrap_to_of_a_float_matches_its_array_row(t, raw):
+    # a NaN or infinite turn count passes through on floats, as np.rint
+    # passes it on arrays; a tie (t - raw = +-pi) rounds half to even
+    one = planar._unwrap_to(t, raw)
+    with np.errstate(invalid="ignore"):  # inf - inf in the array row
+        row = planar._unwrap_to(np.array([t]), np.array([raw]))
+    assert type(one) is float
+    assert np.array_equal([one], row, equal_nan=True)
+
+
+def test_linear_theta_of_a_nan_angle_is_nan_on_floats_and_rows():
+    # the linear map reaches _unwrap_to without a jet, so nothing names the
+    # NaN first: both paths return it, neither raises
+    tm = ThetaMap("linear", (1.3, 0.8))
+    one = theta_jet(tm, ROUND.profile, math.nan, 1)
+    rows = theta_jet(tm, ROUND.profile, np.array([math.nan]), 1)
+    assert all(math.isnan(v) for v in one)
+    assert all(np.isnan(v).all() for v in rows)
 
 
 def test_theta_scaled_frozen():
