@@ -60,6 +60,9 @@ calls.  The rows:
   of a 1000-point grid on [0, pi], and `jet(t, 2)` on 4096 angles of
   [0, pi] in one array, of that profile and of the 96-term glue base (the
   Clenshaw sum of a short series and the cosine matrix of a long one);
+- 1000 one-angle `jet(t, 3)` calls of Profile(3, (0.5, 0.02, 0.005)) at
+  those angles: a three-term kernel to order 3, as the exact dual's chain
+  rule takes it;
 - 1000 one-angle `jet(t, 2)` calls of `DualProfile(Profile(2, (1, 0.5)))`
   at the same angles: the exact dual's float Newton solve and chain rule,
   without the rest of `ode_residuals`.
@@ -193,8 +196,8 @@ def _one_angle_residuals(tr):
     return [ode_residuals(tr, float(t)) for t in ODE_ANGLES]
 
 
-def _one_angle_jets(p):
-    return [p.jet(t, 2) for t in JET_ANGLES]
+def _one_angle_jets(p, k: int = 2):
+    return [p.jet(t, k) for t in JET_ANGLES]
 
 
 def _cli_isoparametric_check(path):
@@ -301,6 +304,9 @@ def rows(tmp: str):
                 _one_angle_jets, lambda: small))
     out.append(("1000 one-angle jet(t, 2) calls, DualProfile(Profile(2, (1, 0.5)))",
                 _one_angle_jets, lambda: dual_triple.h))
+    out.append(("1000 one-angle jet(t, 3) calls, Profile(3, (0.5, 0.02, 0.005))",
+                lambda p: _one_angle_jets(p, 3),
+                lambda: Profile(3, (0.5, 0.02, 0.005))))
     for what, p in (("Profile(2, (1, 0.5))", small), ("96-term glue base", base)):
         out.append((f"jet(t, 2), 4096 angles in one array, {what}",
                     lambda p: p.jet(JET_GRID, 2), lambda p=p: p))

@@ -9,8 +9,7 @@ two such norms.
 
 from .profile import (Profile, SectorProfile, ValidityReport, dihedral_fold,
                       from_phi, is_minkowski, load_profile,
-                      profile_from_json_dict, round_profile, sampled_profile,
-                      save_profile)
+                      profile_from_json_dict, sampled_profile, save_profile)
 from .planar import (DualProfile, PlanarNorm, dual_profile, fundamental_tensor,
                      indicatrix_point, legendre_map, theta_legendre)
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
@@ -36,8 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Profile", "SectorProfile", "ValidityReport", "dihedral_fold", "from_phi",
-    "is_minkowski", "load_profile", "profile_from_json_dict", "round_profile",
-    "sampled_profile", "save_profile",
+    "is_minkowski", "load_profile", "profile_from_json_dict", "sampled_profile",
+    "save_profile",
     "DualProfile", "PlanarNorm", "dual_profile", "fundamental_tensor",
     "indicatrix_point", "legendre_map", "theta_legendre",
     "DEFAULT_FOCAL_GUARD", "FocalProximityError", "FoliationModel", "cartan3",

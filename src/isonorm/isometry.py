@@ -255,8 +255,8 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     # scalar stays a float, so every jet runs its float path
     tc = t if isinstance(t, float) else t.reshape(-1, 1)
     th, thp = theta_jet(tr.theta, tr.f, tc, 1)
-    f0, f1, f2 = tr.f.jet(tc, 2)
-    h0, h1, h2 = tr.h.jet(th, 2)
+    f0, f1, f2 = (tr.f._kernel or tr.f.jet)(tc, 2)
+    h0, h1, h2 = (tr.h._kernel or tr.h.jet)(th, 2)
 
     lhs2 = f2 / (2 * f0) - f1 * f1 / (4 * f0 * f0) + 1.0
     rhs2 = h2 / (2 * h0) - h1 * h1 / (4 * h0 * h0) + 1.0

@@ -120,7 +120,7 @@ def theta_scaled(p: Profile, t, a: float, b: float, k: int):
     if k not in (0, 1):
         raise ValueError("theta maps support k = 0 and 1 only")
     t = as_angle(t)
-    jet = p.jet(t, k + 1)
+    jet = (p._kernel or p.jet)(t, k + 1)
     num, den = legendre_num_den(jet[0], jet[1], *_sin_cos(t))
     theta = _unwrap_to(t, np.arctan2(b * num, a * den))
     if k == 0:
@@ -193,6 +193,7 @@ class DualProfile:
 
     base: Profile
     scale: float = 1.0
+    _kernel = None  # no float kernel: jet is the only path
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -222,8 +223,9 @@ class DualProfile:
     def _invert_theta(self, theta):
         """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta a
         float or a 1-D array, by the same steps on either."""
+        jet = self.base._kernel or self.base.jet
         if isinstance(theta, float):  # the array steps below, on floats
-            jet, sin, cos, arctan2 = self.base.jet, np.sin, np.cos, np.arctan2
+            sin, cos, arctan2 = np.sin, np.cos, np.arctan2
             t, lo, hi = theta, 0.0, math.pi / self.d
             for _ in range(NEWTON_MAX_STEPS):
                 f0, f1, f2 = jet(t, 2)
@@ -245,7 +247,7 @@ class DualProfile:
             hi = np.full_like(theta, math.pi / self.d)
             active = np.ones(theta.shape, dtype=bool)
             for _ in range(NEWTON_MAX_STEPS):
-                f0, f1, f2 = self.base.jet(t, 2)
+                f0, f1, f2 = jet(t, 2)
                 N, D = legendre_num_den(f0, f1, *_sin_cos(t))
                 resid = _unwrap_to(t, np.arctan2(N, D)) - theta
                 step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
@@ -285,8 +287,11 @@ class DualProfile:
 
     def _chain(self, t, k: int) -> list:
         """h, h', ... up to h^(k) at theta_legendre(t), by the chain rule;
-        floats for a float t."""
-        jet = self.base.jet(t, k + 1)
+        floats for a float t, whose powers go through the builtin pow (a
+        float's **, the C library's pow, which `_pow` applies to each entry
+        of an array)."""
+        jet = (self.base._kernel or self.base.jet)(t, k + 1)
+        pw = pow if isinstance(t, float) else _pow
         f0, f1 = jet[:2]
         G = 4 * f0 * f0 + f1 * f1
         out = [self.scale * f0 / G]
@@ -294,7 +299,7 @@ class DualProfile:
             return out
         f2 = jet[2]
         Gp = 2 * f1 * (4 * f0 + f2)
-        qp = f1 / G - f0 * Gp / _pow(G, 2)
+        qp = f1 / G - f0 * Gp / pw(G, 2)
         gap = gap_from_jet(f0, f1, f2)
         sin, cos = _sin_cos(t)
         N, D = legendre_num_den(f0, f1, sin, cos)
@@ -304,14 +309,14 @@ class DualProfile:
             return out
         f3 = jet[3]
         Gpp = 8 * (f1 * f1 + f0 * f2) + 2 * (f2 * f2 + f1 * f3)
-        qpp = f2 / G - 2 * f1 * Gp / _pow(G, 2) - f0 * Gpp / _pow(G, 2) \
-            + 2 * f0 * _pow(Gp, 2) / _pow(G, 3)
+        qpp = f2 / G - 2 * f1 * Gp / pw(G, 2) - f0 * Gpp / pw(G, 2) \
+            + 2 * f0 * pw(Gp, 2) / pw(G, 3)
         gap_p = 2 * f0 * (f3 + 4 * f1)
         Np = f1 * sin + (2 * f0 + f2) * cos
         Dp = f1 * cos - (2 * f0 + f2) * sin
         tpp = gap_p / (N * N + D * D) \
-            - gap * 2 * (N * Np + D * Dp) / _pow(N * N + D * D, 2)
-        out.append(self.scale * (qpp * tp - qp * tpp) / _pow(tp, 3))
+            - gap * 2 * (N * Np + D * Dp) / pw(N * N + D * D, 2)
+        out.append(self.scale * (qpp * tp - qp * tpp) / pw(tp, 3))
         return out
 
     def scaled(self, factor: float) -> "DualProfile":

@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import Chebyshev
-from numpy.polynomial.chebyshev import chebder
+from numpy.polynomial.chebyshev import chebder, chebroots
+from numpy.polynomial.polyutils import trimcoef
 
 ALLOWED_D = (1, 2, 3, 4, 6)
 FIT_MAX_TERMS = 32
@@ -41,8 +41,9 @@ PHI_GRID = 512  # from_phi's sample grid
 # operations per term and order, the matrix one cos per term.  jet(t, 2) on
 # 20 rows, best of 40 interleaved runs on a 2-vCPU Xeon: Clenshaw 11.8 us
 # against 16.1 at 2 terms, 17.0 against 18.5 at 3, then 24.5 against 21.4
-# at 4 and 262 against 40 at 32.
+# at 4 and 262 against 40 at 32.  `_clenshaw_kernel` writes out 3 terms.
 CLENSHAW_MAX_TERMS = 3
+_ORDERS = range(MAX_DERIV_ORDER + 1)
 _PHASES = 0.5 * math.pi * np.arange(MAX_DERIV_ORDER + 1)  # d^m/dt^m cos: + m pi/2
 
 
@@ -53,14 +54,15 @@ class Profile:
 
     The c_j are also the Chebyshev coefficients of phi(q) = sum_j c_j T_j(q),
     q = cos(d t), so f = phi(q).  A series of at most CLENSHAW_MAX_TERMS
-    terms keeps the series of (-d)^m phi^(m)(q), m = 0..3, as Python floats
-    and sums each by Clenshaw's recurrence; a longer one keeps the weights
-    (j d)^m c_j of the cosine series of each f^(m).
+    terms keeps one kernel (`_clenshaw_kernel`) over the series of
+    (-d)^m phi^(m)(q), m = 0..3, as Python floats; a longer one keeps the
+    weights (j d)^m c_j of the cosine series of each f^(m).
     """
 
     d: int
     cos_coeffs: tuple[float, ...]
     fit_residual: float = 0.0
+    _kernel = None  # a short series' jet(t, k): t as_angle'd, k in 0..3
 
     def __post_init__(self):
         if self.d not in ALLOWED_D:
@@ -85,14 +87,17 @@ class Profile:
             phi = [self.cos_coeffs]
             for _ in range(MAX_DERIV_ORDER):
                 phi.append(tuple((-self.d * chebder(phi[-1])).tolist()))
-            object.__setattr__(self, "_phi", tuple(phi))
+            object.__setattr__(self, "_kernel", _clenshaw_kernel(self.d, *phi))
         else:  # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps c0
             object.__setattr__(self, "_weights", np.array([
                 coeffs * freq.astype(float) ** m for m in range(MAX_DERIV_ORDER + 1)]))
 
+    def __reduce__(self):  # a closure does not pickle: build the kernel anew
+        return Profile, (self.d, self.cos_coeffs, self.fit_residual)
+
     def evaluate(self, t, order: int = 0):
         """d^order f / dt^order at t (scalar or array), order 0..3."""
-        if order not in range(MAX_DERIV_ORDER + 1):
+        if order not in _ORDERS:
             raise ValueError(f"order must be in 0..{MAX_DERIV_ORDER}, got {order}")
         return self._series(t, slice(order, order + 1))[0]
 
@@ -100,23 +105,25 @@ class Profile:
         """(f, f', ..., f^(k)) at t (scalar or array), k in 0..3.
 
         Each entry has the bits `evaluate(t, order)` gives for the same t.
+        A Python float goes straight to a short series' kernel.
         """
-        if k not in range(MAX_DERIV_ORDER + 1):
+        if type(t) is float and k in _ORDERS and self._kernel:
+            return self._kernel(t, k)
+        if k not in _ORDERS:
             raise ValueError(f"k must be in 0..{MAX_DERIV_ORDER}, got {k}")
         return self._series(t, slice(k + 1))
 
     def _series(self, t, orders: slice) -> tuple:
-        """The derivatives of the given orders at t.  A float and each row
-        of an array take the same steps, so a row has the bits of its
-        one-angle call: Clenshaw's elementwise ones for a short series, and
-        for a long one the dot product of cos(w t + m pi/2) with the weights
-        of order m, one per angle."""
+        """The derivatives of the given orders at t: a short series' kernel,
+        or for a long one the dot product of cos(w t + m pi/2) with the
+        weights of order m, one per angle.  A float and each row of an array
+        take the same steps, so a row has the bits of its one-angle call."""
         t = as_angle(t)
+        if self._kernel:
+            return self._kernel(t, orders.stop - 1)[orders]
         scalar = isinstance(t, float)
         if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
             raise ValueError("non-finite angle")
-        if "_phi" in self.__dict__:
-            return self._clenshaw_jet(t, orders.stop - 1, scalar)[orders]
         weights = self._weights[orders]
         if scalar:  # one cos call for all orders, a row each
             rows = np.cos(t * self._freq + _PHASES[orders, None])
@@ -127,29 +134,6 @@ class Profile:
         return tuple((np.cos(wt + phase) @ w).reshape(t.shape)
                      for phase, w in zip(_PHASES[orders].tolist(), weights))
 
-    def _clenshaw_jet(self, t, k: int, scalar: bool) -> tuple:
-        """(f, ..., f^(k)) at t from s = sin(d t) and phi^(m)(q): f = phi,
-        f' = -d s phi', f'' = d^2 (s^2 phi'' - q phi') and
-        f''' = d^3 s (phi' + 3 q phi'' - s^2 phi'''), each summed as
-        e_m = (-d)^m phi^(m)."""
-        if len(self.cos_coeffs) == 1:  # f = c0 holds no q
-            out = (self.cos_coeffs[0],) + (0.0,) * k
-            return out if scalar else tuple(np.full(t.shape, v) for v in out)
-        u = self.d * t
-        q, s = np.cos(u), np.sin(u) if k else 0.0
-        if scalar:
-            q, s = float(q), float(s)
-        e, d = [_clenshaw(c, q) for c in self._phi[:k + 1]], self.d
-        out = [e[0]]
-        if k >= 1:
-            out.append(s * e[1])
-        if k >= 2:
-            s2 = s * s
-            out.append(s2 * e[2] + d * q * e[1])
-        if k >= 3:
-            out.append(s * (s2 * e[3] + 3 * d * q * e[2] - d * d * e[1]))
-        return tuple(out)
-
     def stationary_angles(self) -> np.ndarray:
         """Angles in [0, pi/d] where f, f' or f''' + 4 f' may vanish: in
         q = cos(d t), f is the Chebyshev series phi(q) with coefficients c_j,
@@ -159,10 +143,9 @@ class Profile:
         Computed once per profile object; the array is read-only."""
         if "_angles" not in self.__dict__:
             c = np.asarray(self.cos_coeffs)
-            phi = Chebyshev(c)
             # trailing c_j below eps * max|c| overflow the companion matrix
-            q = [s.trim(EPS * np.max(np.abs(s.coef))).roots().real for s in
-                 (phi, phi.deriv(), Chebyshev(c * (self._freq ** 2 - 4.0)).deriv())]
+            q = [chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
+                 for s in (c, chebder(c), chebder(c * (self._freq ** 2 - 4.0)))]
             angles = np.arccos(np.clip(np.concatenate(q), -1.0, 1.0)) / self.d
             angles.flags.writeable = False
             object.__setattr__(self, "_angles", angles)
@@ -184,21 +167,44 @@ class Profile:
         return out
 
 
-def _clenshaw(c: tuple, q):
-    """sum_j c_j T_j(q) by Clenshaw's recurrence (MTAC 9, 1955); elementwise,
-    so a float q and each entry of an array q take the same steps.  The
-    first steps are written out, where they have no b_{j+2} to subtract."""
-    if len(c) < 3:
-        return c[0] + q * c[1] if len(c) == 2 else c[0]
-    b1, b2 = c[-2] + 2.0 * q * c[-1], c[-1]
-    for cj in c[-3:0:-1]:
-        b1, b2 = cj + 2.0 * q * b1 - b2, b1
-    return c[0] + q * b1 - b2
+def _clenshaw_kernel(d: int, c: tuple, e1: tuple, e2: tuple, e3: tuple):
+    """jet(t, k) of the profile of order d whose series c has at most three
+    terms, at a float t or a float array t, from the series e_m of
+    (-d)^m phi^(m), m = 1..3: f = phi, f' = -d s phi',
+    f'' = d^2 (s^2 phi'' - q phi') and
+    f''' = d^3 s (phi' + 3 q phi'' - s^2 phi'''), with q = cos(d t) and
+    s = sin(d t) from numpy's ufuncs and each series summed by Clenshaw's
+    recurrence (MTAC 9, 1955), written out for up to three terms.  A float
+    runs on Python floats and an array elementwise, by the same steps, so a
+    float has the bits of its array row."""
+    n, (c0, c1, c2), (a0, a1) = len(c), (*c, 0.0, 0.0)[:3], (*e1, 0.0)[:2]
+    (b0,), (g0,), d3, dd = e2, e3, 3 * d, d * d
+    cos, sin, isfinite = np.cos, np.sin, math.isfinite
 
-
-def round_profile(d: int = 1) -> Profile:
-    """f = 1/2: the Euclidean norm for any foliation order."""
-    return Profile(d, (0.5,))
+    def kernel(t, k: int) -> tuple:
+        scalar = type(t) is float
+        if not (isfinite(t) if scalar else np.isfinite(t).all()):
+            raise ValueError("non-finite angle")
+        if n == 1:  # f = c0 holds no q
+            out = (c0,) + (0.0,) * k
+            return out if scalar else tuple(np.full(t.shape, v) for v in out)
+        u = d * t
+        q = float(cos(u)) if scalar else cos(u)
+        # three terms: Clenshaw's b1 = c1 + 2 q c2 and b2 = c2
+        f0 = c0 + q * c1 if n == 2 else c0 + q * (c1 + 2.0 * q * c2) - c2
+        if not k:
+            return (f0,)
+        s = float(sin(u)) if scalar else sin(u)
+        e = a0 if n == 2 else a0 + q * a1
+        f1 = s * e
+        if k == 1:
+            return f0, f1
+        s2 = s * s
+        f2 = s2 * b0 + d * q * e
+        if k == 2:
+            return f0, f1, f2
+        return f0, f1, f2, s * (s2 * g0 + d3 * q * b0 - dd * e)
+    return kernel
 
 
 def _pow(x, n: int):
@@ -363,6 +369,7 @@ class SectorProfile:
     d: int
     breaks: tuple[float, ...]
     pieces: tuple[Profile, ...]
+    _kernel = None  # no float kernel: jet is the only path
 
     def __post_init__(self):
         if len(self.pieces) != len(self.breaks) + 1:

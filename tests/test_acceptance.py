@@ -24,7 +24,7 @@ from isonorm.isometry import (Decomposition, IsometryTriple, Sector,
 from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             indicatrix_point, legendre_map, legendre_ode_rhs,
                             theta_legendre, theta_scaled)
-from isonorm.profile import Profile, is_minkowski, round_profile
+from isonorm.profile import Profile, is_minkowski
 
 ELLIPSE_D1 = Profile(1, (1.0, 0.0, 0.2))
 ELLIPSE_D2 = Profile(2, (1.0, 0.2))
@@ -127,7 +127,7 @@ def test_criterion_4_ode_system():
             tre_err = max(tre_err, float(np.max(np.abs(ode_residuals(tr, ts)))))
     assert tre_err < 1e-6
 
-    sol = integrate_branch(round_profile(1), "one", math.pi / 4,
+    sol = integrate_branch(Profile(1, (0.5,)), "one", math.pi / 4,
                            math.atan(2.0), math.pi / 3)
     atan_err = abs(sol.thetas[-1] - math.atan(2.0 * math.tan(math.pi / 3)))
     assert atan_err < 1e-6
@@ -222,8 +222,8 @@ def test_criterion_6_indicatrix_operators():
 def test_criterion_7_flatness():
     flat_worst = 0.0
     flat_cases = [
-        (d1(3), round_profile(1)), (d2(4, 2), round_profile(2)),
-        (cartan3(), round_profile(3)),
+        (d1(3), Profile(1, (0.5,))), (d2(4, 2), Profile(2, (0.5,))),
+        (cartan3(), Profile(3, (0.5,))),
         (d1(3), ELLIPSE_D1), (d2(4, 2), ELLIPSE_D2),
     ]
     for model, profile in flat_cases:

@@ -10,13 +10,15 @@ and one where the Legendre angle's unwrap, (t - raw) / 2 pi, is a tie of
 round-half-even.
 """
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from isonorm.isometry import (IsometryTriple, legendre_map_tag, ode_residuals,
-                              theta_jet)
+from isonorm.isometry import (IsometryTriple, bump_profile, legendre_map_tag,
+                              ode_residuals, theta_jet)
 from isonorm.planar import DualProfile, legendre_num_den
 from isonorm.profile import Profile
 
@@ -172,3 +174,129 @@ def test_the_tie_angles_are_ties(key):
     num, den = legendre_num_den(f0, f1, float(np.sin(t)), float(np.cos(t)))
     turns = (t - float(np.arctan2(num, den))) / (2.0 * math.pi)
     assert turns - math.floor(turns) == 0.5
+
+
+# --- Profile.jet of short series and Profile.stationary_angles -------------
+# Recorded at commit 1833990: jet(t, 3) of 1-, 2- and 3-term profiles for
+# d = 1, 2, 3 at an interior and a negative angle (jet(t, k) is its first
+# k + 1 entries), and the stationary angles of profiles of 2 to 4 terms, the
+# last with a trailing coefficient below eps * max|c| that the root finder
+# drops.
+PROFILE_JETS = [
+    (1, (0.5,), '0x1.6666666666666p-1',
+     ['0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    (1, (0.5,), '-0x1.2666666666666p+1',
+     ['0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    (2, (0.5,), '0x1.6666666666666p-1',
+     ['0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    (2, (0.5,), '-0x1.2666666666666p+1',
+     ['0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    (3, (0.5,), '0x1.6666666666666p-1',
+     ['0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    (3, (0.5,), '-0x1.2666666666666p+1',
+     ['0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0']),
+    (1, (1.0, 0.3), '0x1.6666666666666p-1',
+     ['0x1.3abd68c64be09p+0', '-0x1.8bceae4ba8543p-3', '-0x1.d5eb46325f04ap-3', '0x1.8bceae4ba8543p-3']),
+    (1, (1.0, 0.3), '-0x1.2666666666666p+1',
+     ['0x1.99a8f5f718b3cp-1', '0x1.ca2949cd03891p-3', '0x1.995c28239d30ep-3', '-0x1.ca2949cd03891p-3']),
+    (2, (1.0, -0.45), '0x1.6666666666666p-1',
+     ['0x1.d8d6ee13dd302p-1', '0x1.c618615bdfdb5p-1', '0x1.39488f61167f0p-2', '-0x1.c618615bdfdb5p+1']),
+    (2, (1.0, -0.45), '-0x1.2666666666666p+1',
+     ['0x1.0ceb8339e84cap+0', '0x1.c9e48f7d48840p-1', '-0x1.9d70673d09936p-3', '-0x1.c9e48f7d48840p+1']),
+    (3, (0.5, 0.05), '0x1.6666666666666p-1',
+     ['0x1.e626e1923f01fp-2', '-0x1.092d8bff3ab65p-3', '0x1.d14423b791dccp-3', '0x1.2a533d7f220d2p+0']),
+    (3, (0.5, 0.05), '-0x1.2666666666666p+1',
+     ['0x1.14e1ef9ec1a84p-1', '0x1.6364b549cecdfp-4', '-0x1.77e2d9299dd49p-2', '-0x1.8fd14bf308a7ap-1']),
+    (1, (0.8, 0.1, 0.02), '0x1.6666666666666p-1',
+     ['0x1.c28019229a884p-1', '-0x1.a953e0c4e1f24p-4', '-0x1.70f964bb5fca2p-4', '0x1.c6d9133e1b904p-3']),
+    (1, (0.8, 0.1, 0.02), '-0x1.2666666666666p+1',
+     ['0x1.765695f7e284cp-1', '0x1.1d44dfeb76201p-5', '0x1.35a823efa8390p-4', '0x1.59c8d3c31ad22p-4']),
+    (2, (1.0, 0.2, -0.03), '0x1.6666666666666p-1',
+     ['0x1.0ff0472031339p+0', '-0x1.6a7a13dbb3209p-2', '-0x1.2d2dd9c56cc6ep-1', '0x1.ddf94248ef1d4p-1']),
+    (2, (1.0, 0.2, -0.03), '-0x1.2666666666666p+1',
+     ['0x1.01be9d6d1c00ep+0', '-0x1.b2679070b2800p-2', '-0x1.8347a01a5bf10p-2', '0x1.02490c3a59a55p+1']),
+    (3, (0.5, 0.02, 0.005), '0x1.6666666666666p-1',
+     ['0x1.f3268ecb6a42cp-2', '-0x1.a42c23339c077p-6', '0x1.6ed612543afc7p-3', '-0x1.e692a4c7b7946p-2']),
+    (3, (0.5, 0.02, 0.005), '-0x1.2666666666666p+1',
+     ['0x1.09332d5febb9cp-1', '0x1.021e61d5fd6eep-4', '-0x1.a6a9165d841a6p-3', '-0x1.54e061c2db6e9p+0']),
+]
+
+STATIONARY_ANGLES = [
+    (1, (1.0, 0.3),
+     ['0x1.921fb54442d18p+1']),
+    (2, (1.0, 0.2, -0.03),
+     ['0x1.921fb54442d18p+0', '0x0.0p+0', '0x0.0p+0', '0x1.921fb54442d18p-1']),
+    (3, (0.5, 0.02, 0.005, -0.001),
+     ['0x1.0c152382d7365p+0', '0x1.0c152382d7365p+0', '0x0.0p+0', '0x1.a578dfbbe4a23p-1', '0x0.0p+0', '0x1.483abbe3dd8bdp-1', '0x0.0p+0']),
+    (2, (1.0, 0.1, 0.01, 1e-19),
+     ['0x1.921fb54442d18p+0', '0x1.921fb54442d18p+0', '0x1.921fb54442d18p+0', '0x1.921fb54442d18p-1']),
+]
+
+# SHA-256 over the stationary angles of STATIONARY_SEED's 32 random profiles
+# of 1 to 32 terms (every fifth with a tail below eps * max|c|) and of the
+# 96-term glue base, one line of hex floats per profile
+STATIONARY_SEED = 2024
+STATIONARY_DIGEST = "c2db4f150ea08c4a6f6a08088614f43a7529ff6245e65598af898924b5c36660"
+
+
+@pytest.mark.parametrize("row", PROFILE_JETS, ids=lambda row: f"d{row[0]}-"
+                         f"{len(row[1])}terms-{float.fromhex(row[2]):.3g}")
+def test_profile_jet_of_a_float_keeps_its_recorded_bits(row):
+    # a float, a numpy scalar, a 0-d array and the angle's flat-array row
+    d, coeffs, t, golden = row
+    p, t = Profile(d, coeffs), float.fromhex(t)
+    for k in range(4):
+        for form in (t, np.float64(t), np.array(t)):
+            out = p.jet(form, k)
+            assert all(type(v) is float for v in out)
+            assert _hex(out) == golden[:k + 1]
+        assert _hex(v[0] for v in p.jet(np.array([t, 1.0]), k)) == golden[:k + 1]
+        assert _hex([p.evaluate(t, k)]) == golden[k:k + 1]
+
+
+def test_profile_jet_of_an_int_angle_is_that_of_its_float():
+    for d, coeffs, *_ in PROFILE_JETS[::2]:
+        p = Profile(d, coeffs)
+        for t, k in itertools.product((2, -3), range(4)):
+            out = p.jet(t, k)
+            assert all(type(v) is float for v in out)
+            assert _hex(out) == _hex(p.jet(float(t), k))
+
+
+@pytest.mark.parametrize("coeffs", [(0.5,), (1.0, 0.3), (0.8, 0.1, 0.02),
+                                    tuple(0.1 ** j for j in range(5))])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_jet_of_a_non_finite_angle_raises(coeffs, bad):
+    p = Profile(2, coeffs)
+    for t in (bad, np.float64(bad), np.array(bad), np.array([0.3, bad])):
+        for k in range(4):
+            with pytest.raises(ValueError, match="non-finite angle"):
+                p.jet(t, k)
+        with pytest.raises(ValueError, match="non-finite angle"):
+            p.evaluate(t, 1)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match=f"k must be in 0..3, got {k}"):
+            p.jet(0.3, k)
+
+
+@pytest.mark.parametrize("row", STATIONARY_ANGLES, ids=lambda row: f"d{row[0]}-"
+                         f"{len(row[1])}terms")
+def test_stationary_angles_keep_their_recorded_bits(row):
+    d, coeffs, golden = row
+    assert _hex(Profile(d, coeffs).stationary_angles()) == golden
+
+
+def test_stationary_angles_of_random_profiles_keep_their_recorded_bits():
+    rng = np.random.default_rng(STATIONARY_SEED)
+    profiles = []
+    for n in range(1, 33):
+        d = int(rng.choice([1, 2, 3]))
+        c = rng.normal(size=n) * rng.uniform(0.0, 1.0, size=n) ** 3
+        if n % 5 == 0:
+            c[-1] = 1e-18 * abs(c[0])
+        profiles.append(Profile(d, tuple(c)))
+    profiles.append(bump_profile(3, [(0.24, 0.4), (0.78, 0.36)]))
+    h = hashlib.sha256()
+    for p in profiles:
+        h.update(" ".join(_hex(p.stationary_angles())).encode() + b"\n")
+    assert h.hexdigest() == STATIONARY_DIGEST

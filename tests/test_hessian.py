@@ -20,7 +20,7 @@ from isonorm.hessian import (InducedNorm, closed_frame_matrix,
                              indicatrix_grad_t_norm, indicatrix_laplacian_t,
                              riemann_fd, value)
 from isonorm.planar import DualProfile
-from isonorm.profile import Profile, is_minkowski, round_profile, save_profile
+from isonorm.profile import Profile, is_minkowski, save_profile
 
 ELLIPSE_D2 = Profile(2, (1.0, 0.2))
 ELLIPSE_D1 = Profile(1, (1.0, 0.0, 0.2))  # same f(t) = 1 + 0.2 cos 2t
@@ -99,7 +99,7 @@ def test_frame_matches_fd_tensor(model, profile):
 
 
 def test_fd_tensor_round_is_identity():
-    nm = _norm(d1(4), round_profile(1))
+    nm = _norm(d1(4), Profile(1, (0.5,)))
     x = np.array([0.3, -0.8, 0.5, 0.1])
     fd = fd_fundamental_tensor(nm, x)
     assert np.allclose(fd.matrix, np.eye(4), atol=1e-8)
@@ -122,7 +122,7 @@ def test_fd_tensor_raises_t_coords_errors_before_any_warning():
 
 def test_riemann_flat_round():
     for model in (d1(3), d2(4, 2), cartan3()):
-        nm = _norm(model, round_profile(model.d))
+        nm = _norm(model, Profile(model.d, (0.5,)))
         x = random_leaf_points(model, 0.45, 1, seed=3)[0]
         res = riemann_fd(nm, x)
         assert res.flat
@@ -179,8 +179,8 @@ def test_riemann_matches_the_former_fd_recipe(model, profile):
 
 
 @pytest.mark.parametrize("model,profile", [
-    (d1(3), round_profile(1)), (d2(8, 3), round_profile(2)),
-    (cartan3(), round_profile(3)), (d1(3), ELLIPSE_D1),
+    (d1(3), Profile(1, (0.5,))), (d2(8, 3), Profile(2, (0.5,))),
+    (cartan3(), Profile(3, (0.5,))), (d1(3), ELLIPSE_D1),
     (d2(4, 2), ELLIPSE_D2), (d2(8, 3), Profile(2, (1.0, -0.3))),
 ])
 def test_riemann_of_flat_norms_is_rounding(model, profile):
@@ -290,11 +290,11 @@ def test_laplacian_frozen_d2():
 
 
 def test_laplacian_round_is_cot():
-    nm = _norm(d1(5), round_profile(1))
+    nm = _norm(d1(5), Profile(1, (0.5,)))
     for t in (0.4, 1.1, 2.0):
         assert indicatrix_laplacian_t(nm, t) == pytest.approx(
             3.0 / math.tan(t), abs=1e-10)
-    nmc = _norm(cartan3(), round_profile(3))
+    nmc = _norm(cartan3(), Profile(3, (0.5,)))
     for t in (0.3, 0.7):
         assert indicatrix_laplacian_t(nmc, t) == pytest.approx(
             3.0 / math.tan(3.0 * t), abs=1e-10)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from isonorm.profile import (CLENSHAW_MAX_TERMS, Profile, SectorProfile,
                              dihedral_fold, fit_cosine_series, from_phi,
                              gap_from_jet,
                              is_minkowski, load_profile,
-                             profile_from_json_dict, round_profile,
-                             sampled_profile, save_profile)
+                             profile_from_json_dict, sampled_profile,
+                             save_profile)
 
 ELLIPSE = Profile(2, (1.0, 0.2))
 # 1 - 0.01 cos 2t + 4.837e-4 cos 64t: a dip of the gap at t = pi/2 narrower
@@ -95,7 +97,7 @@ def test_a_short_series_agrees_with_its_padded_cosine_sum(p):
 def test_every_form_of_an_angle_has_the_same_bits(kind, p):
     # a float, a numpy scalar, a 0-d array, a flat row and a column row
     h = {"profile": p, "dual": DualProfile(p) if kind == "dual" else None,
-         "sector": SectorProfile(p.d, (0.4,), (p, round_profile(p.d)))}[kind]
+         "sector": SectorProfile(p.d, (0.4,), (p, Profile(p.d, (0.5,))))}[kind]
     ts = np.concatenate([np.linspace(-4.0, 4.0, 37), [0.0, math.pi / p.d]])
     for k in range(3 if kind == "dual" else 4):
         flat = np.array(h.jet(ts, k))
@@ -104,6 +106,14 @@ def test_every_form_of_an_angle_has_the_same_bits(kind, p):
             ones = [h.jet(form(t), k) for t in ts.tolist()]
             assert all(type(v) is float for one in ones for v in one)
             assert np.array(ones).T.tobytes() == flat.tobytes()
+
+
+@pytest.mark.parametrize("p", SUM_BASES, ids=lambda p: f"{len(p.cos_coeffs)}-term")
+def test_a_profile_survives_pickling(p):
+    p = replace(p, fit_residual=1e-9)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and q.fit_residual == p.fit_residual
+    assert np.array(q.jet(0.7, 3)).tobytes() == np.array(p.jet(0.7, 3)).tobytes()
 
 
 def test_second_derivative_node():
@@ -170,7 +180,7 @@ def test_gap_closed_form_two_term(b, t):
 
 
 def test_gap_round():
-    assert gap_from_jet(*round_profile(1).jet(0.3, 2)) == pytest.approx(1.0)
+    assert gap_from_jet(*Profile(1, (0.5,)).jet(0.3, 2)) == pytest.approx(1.0)
 
 
 # ------------------------------------------------------------ is_minkowski

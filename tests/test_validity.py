@@ -17,8 +17,7 @@ from isonorm.hessian import InducedNorm
 from isonorm.isometry import Sector, bump_profile, glue_construct
 from isonorm.planar import DualProfile, theta_legendre
 from isonorm.profile import (VALIDITY_MARGIN, Profile, SectorProfile,
-                             gap_from_jet, is_minkowski,
-                             round_profile, save_profile)
+                             gap_from_jet, is_minkowski, save_profile)
 
 # validity bound on |b| for c0 (1 + b cos(d t))
 B_BOUND = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0}
@@ -118,8 +117,8 @@ def test_dual_gap_is_the_inverse_of_the_base_gap(scale):
 
 def test_a_sector_nested_in_a_sector_is_checked_piece_by_piece():
     # the first piece is negative near t = pi but used only on [0, 0.5]
-    inner = SectorProfile(1, (0.5,), (Profile(1, (0.5, 0.6)), round_profile(1)))
-    outer = SectorProfile(1, (1.0,), (inner, round_profile(1)))
+    inner = SectorProfile(1, (0.5,), (Profile(1, (0.5, 0.6)), Profile(1, (0.5,))))
+    outer = SectorProfile(1, (1.0,), (inner, Profile(1, (0.5,))))
     assert not is_minkowski(Profile(1, (0.5, 0.6))).valid
     rep = is_minkowski(outer)
     assert rep.status == "valid"
@@ -189,7 +188,7 @@ def test_cli_dual_checks_the_base_once_and_the_fit_once(checks, tmp_path, capsys
 
 
 def test_a_sector_profile_keeps_its_report(checks):
-    h = SectorProfile(1, (1.0,), (Profile(1, (1.0, 0.3)), round_profile(1)))
+    h = SectorProfile(1, (1.0,), (Profile(1, (1.0, 0.3)), Profile(1, (0.5,))))
     first = is_minkowski(h)
     assert is_minkowski(h) is first
     assert checks[0] is h and len(checks) == 1 + len(h.pieces)
