@@ -87,11 +87,14 @@ class ThetaMap:
             if not self.pieces:
                 raise ValueError("piecewise theta needs at least one piece")
             lo_prev = None
-            for lo, hi, sub in self.pieces:
+            for i, (lo, hi, sub) in enumerate(self.pieces):
                 if not isinstance(sub, ThetaMap) or sub.kind == "piecewise":
                     raise ValueError("pieces must be non-piecewise ThetaMaps")
-                if hi <= lo or (lo_prev is not None and abs(lo - lo_prev) > 1e-9):
-                    raise ValueError("pieces must be contiguous and ordered")
+                # a NaN fails every comparison, an infinite end the outer ones
+                if not -math.inf < lo < hi < math.inf or (
+                        lo_prev is not None and abs(lo - lo_prev) > 1e-9):
+                    raise ValueError(f"piecewise theta piece {i} is [{lo!r}, {hi!r}]: "
+                                     f"pieces must be finite, contiguous and ordered")
                 lo_prev = hi
 
 
@@ -255,8 +258,8 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     # scalar stays a float, so every jet runs its float path
     tc = t if isinstance(t, float) else t.reshape(-1, 1)
     th, thp = theta_jet(tr.theta, tr.f, tc, 1)
-    f0, f1, f2 = (tr.f._kernel or tr.f.jet)(tc, 2)
-    h0, h1, h2 = (tr.h._kernel or tr.h.jet)(th, 2)
+    f0, f1, f2 = tr.f.jet(tc, 2)
+    h0, h1, h2 = tr.h.jet(th, 2)
 
     lhs2 = f2 / (2 * f0) - f1 * f1 / (4 * f0 * f0) + 1.0
     rhs2 = h2 / (2 * h0) - h1 * h1 / (4 * h0 * h0) + 1.0
@@ -342,8 +345,7 @@ def integrate_branch(f: Profile, branch: str, t0: float, theta0: float,
     thetas = np.empty(BRANCH_STEPS + 1)
     th = float(theta0)
     thetas[0] = th
-    for i in range(BRANCH_STEPS):
-        t = ts[i]
+    for i, t in enumerate(ts[:-1].tolist()):  # Python floats: the float path
         k1 = rhs(t, th)
         k2 = rhs(t + dt / 2, th + dt * k1 / 2)
         k3 = rhs(t + dt / 2, th + dt * k2 / 2)

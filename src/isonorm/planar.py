@@ -120,7 +120,7 @@ def theta_scaled(p: Profile, t, a: float, b: float, k: int):
     if k not in (0, 1):
         raise ValueError("theta maps support k = 0 and 1 only")
     t = as_angle(t)
-    jet = (p._kernel or p.jet)(t, k + 1)
+    jet = p.jet(t, k + 1)
     num, den = legendre_num_den(jet[0], jet[1], *_sin_cos(t))
     theta = _unwrap_to(t, np.arctan2(b * num, a * den))
     if k == 0:
@@ -193,7 +193,6 @@ class DualProfile:
 
     base: Profile
     scale: float = 1.0
-    _kernel = None  # no float kernel: jet is the only path
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -223,7 +222,7 @@ class DualProfile:
     def _invert_theta(self, theta):
         """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta a
         float or a 1-D array, by the same steps on either."""
-        jet = self.base._kernel or self.base.jet
+        jet = self.base.jet
         if isinstance(theta, float):  # the array steps below, on floats
             sin, cos, arctan2 = np.sin, np.cos, np.arctan2
             t, lo, hi = theta, 0.0, math.pi / self.d
@@ -290,7 +289,7 @@ class DualProfile:
         floats for a float t, whose powers go through the builtin pow (a
         float's **, the C library's pow, which `_pow` applies to each entry
         of an array)."""
-        jet = (self.base._kernel or self.base.jet)(t, k + 1)
+        jet = self.base.jet(t, k + 1)
         pw = pow if isinstance(t, float) else _pow
         f0, f1 = jet[:2]
         G = 4 * f0 * f0 + f1 * f1

@@ -13,7 +13,9 @@ series plus the fit's `fit_residual`, which JSON stores next to
 (`Profile`, `SectorProfile` and planar's exact `DualProfile`) answer
 `jet(t, k)`: (f, f', ..., f^(k)) at t from one evaluation, of which
 `evaluate(t, order)` is one entry, bit for bit; each row of an array of
-angles, flat or a column, has the bits of its one-angle call.
+angles, flat or a column, has the bits of its one-angle call.  A
+`Profile`'s jet is the kernel it binds at construction, so every caller,
+with one float angle or many, goes the same way in.
 `is_minkowski` is exact: it reads f and the gap from `jet` at the piece ends
 and at each kind's `stationary_angles()`, the only other places their minima
 can lie.  Both the report and a `Profile`'s angles are computed once per
@@ -52,17 +54,17 @@ class Profile:
     """Truncated cosine series c0 + sum_j c_j cos(j*d*t); a fitted one
     carries the fit's max abs error as `fit_residual` (0 for an exact one).
 
-    The c_j are also the Chebyshev coefficients of phi(q) = sum_j c_j T_j(q),
-    q = cos(d t), so f = phi(q).  A series of at most CLENSHAW_MAX_TERMS
-    terms keeps one kernel (`_clenshaw_kernel`) over the series of
-    (-d)^m phi^(m)(q), m = 0..3, as Python floats; a longer one keeps the
-    weights (j d)^m c_j of the cosine series of each f^(m).
+    `jet(t, k)` is a closure bound at construction, the one way in to the
+    series: `_clenshaw_kernel` for at most CLENSHAW_MAX_TERMS terms, over
+    the series of (-d)^m phi^(m)(q), m = 0..3, as Python floats, where
+    phi(q) = sum_j c_j T_j(q), q = cos(d t), is f; `_cosine_kernel` for a
+    longer series, over the weights (j d)^m c_j of the cosine series of
+    each f^(m).  `replace`, `scaled`, pickle and copy bind their own.
     """
 
     d: int
     cos_coeffs: tuple[float, ...]
     fit_residual: float = 0.0
-    _kernel = None  # a short series' jet(t, k): t as_angle'd, k in 0..3
 
     def __post_init__(self):
         if self.d not in ALLOWED_D:
@@ -81,58 +83,15 @@ class Profile:
         if not (math.isfinite(self.fit_residual) and self.fit_residual >= 0):
             raise ValueError(f"fit_residual must be finite and >= 0, "
                              f"got {self.fit_residual}")
-        freq = np.arange(len(coeffs)) * self.d
-        object.__setattr__(self, "_freq", freq)
-        if len(coeffs) <= CLENSHAW_MAX_TERMS:  # e_m = (-d)^m phi^(m), in q
-            phi = [self.cos_coeffs]
-            for _ in range(MAX_DERIV_ORDER):
-                phi.append(tuple((-self.d * chebder(phi[-1])).tolist()))
-            object.__setattr__(self, "_kernel", _clenshaw_kernel(self.d, *phi))
-        else:  # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps c0
-            object.__setattr__(self, "_weights", np.array([
-                coeffs * freq.astype(float) ** m for m in range(MAX_DERIV_ORDER + 1)]))
+        kernel = _clenshaw_kernel if len(coeffs) <= CLENSHAW_MAX_TERMS else _cosine_kernel
+        object.__setattr__(self, "jet", kernel(self.d, self.cos_coeffs))
 
-    def __reduce__(self):  # a closure does not pickle: build the kernel anew
+    def __reduce__(self):  # a closure does not pickle: bind the jet anew
         return Profile, (self.d, self.cos_coeffs, self.fit_residual)
 
     def evaluate(self, t, order: int = 0):
         """d^order f / dt^order at t (scalar or array), order 0..3."""
-        if order not in _ORDERS:
-            raise ValueError(f"order must be in 0..{MAX_DERIV_ORDER}, got {order}")
-        return self._series(t, slice(order, order + 1))[0]
-
-    def jet(self, t, k: int):
-        """(f, f', ..., f^(k)) at t (scalar or array), k in 0..3.
-
-        Each entry has the bits `evaluate(t, order)` gives for the same t.
-        A Python float goes straight to a short series' kernel.
-        """
-        if type(t) is float and k in _ORDERS and self._kernel:
-            return self._kernel(t, k)
-        if k not in _ORDERS:
-            raise ValueError(f"k must be in 0..{MAX_DERIV_ORDER}, got {k}")
-        return self._series(t, slice(k + 1))
-
-    def _series(self, t, orders: slice) -> tuple:
-        """The derivatives of the given orders at t: a short series' kernel,
-        or for a long one the dot product of cos(w t + m pi/2) with the
-        weights of order m, one per angle.  A float and each row of an array
-        take the same steps, so a row has the bits of its one-angle call."""
-        t = as_angle(t)
-        if self._kernel:
-            return self._kernel(t, orders.stop - 1)[orders]
-        scalar = isinstance(t, float)
-        if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
-            raise ValueError("non-finite angle")
-        weights = self._weights[orders]
-        if scalar:  # one cos call for all orders, a row each
-            rows = np.cos(t * self._freq + _PHASES[orders, None])
-            return tuple(float(c @ w) for c, w in zip(rows, weights))
-        # angles as a column: matmul then takes a dot product per angle, where
-        # a flat (m, n) @ (n,) would round its rows otherwise
-        wt = np.multiply.outer(t.reshape(-1, 1), self._freq)
-        return tuple((np.cos(wt + phase) @ w).reshape(t.shape)
-                     for phase, w in zip(_PHASES[orders].tolist(), weights))
+        return self.jet(t, order)[order]
 
     def stationary_angles(self) -> np.ndarray:
         """Angles in [0, pi/d] where f, f' or f''' + 4 f' may vanish: in
@@ -143,9 +102,10 @@ class Profile:
         Computed once per profile object; the array is read-only."""
         if "_angles" not in self.__dict__:
             c = np.asarray(self.cos_coeffs)
+            freq = np.arange(len(c)) * self.d
             # trailing c_j below eps * max|c| overflow the companion matrix
             q = [chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
-                 for s in (c, chebder(c), chebder(c * (self._freq ** 2 - 4.0)))]
+                 for s in (c, chebder(c), chebder(c * (freq ** 2 - 4.0)))]
             angles = np.arccos(np.clip(np.concatenate(q), -1.0, 1.0)) / self.d
             angles.flags.writeable = False
             object.__setattr__(self, "_angles", angles)
@@ -167,32 +127,43 @@ class Profile:
         return out
 
 
-def _clenshaw_kernel(d: int, c: tuple, e1: tuple, e2: tuple, e3: tuple):
+def _check_order(k) -> None:
+    if k not in _ORDERS:
+        raise ValueError(f"k must be in 0..{MAX_DERIV_ORDER}, got {k}")
+
+
+def _clenshaw_kernel(d: int, c: tuple):
     """jet(t, k) of the profile of order d whose series c has at most three
-    terms, at a float t or a float array t, from the series e_m of
-    (-d)^m phi^(m), m = 1..3: f = phi, f' = -d s phi',
-    f'' = d^2 (s^2 phi'' - q phi') and
+    terms, from the series e_m of (-d)^m phi^(m), m = 1..3, formed here by
+    `chebder`: f = phi, f' = -d s phi', f'' = d^2 (s^2 phi'' - q phi') and
     f''' = d^3 s (phi' + 3 q phi'' - s^2 phi'''), with q = cos(d t) and
     s = sin(d t) from numpy's ufuncs and each series summed by Clenshaw's
     recurrence (MTAC 9, 1955), written out for up to three terms.  A float
-    runs on Python floats and an array elementwise, by the same steps, so a
-    float has the bits of its array row."""
-    n, (c0, c1, c2), (a0, a1) = len(c), (*c, 0.0, 0.0)[:3], (*e1, 0.0)[:2]
-    (b0,), (g0,), d3, dd = e2, e3, 3 * d, d * d
+    runs on Python floats and any other angle, after `as_angle`, elementwise,
+    by the same steps, so a float has the bits of its array row."""
+    e = [c]
+    for _ in range(MAX_DERIV_ORDER):
+        e.append(tuple((-d * chebder(e[-1])).tolist()))
+    n, (c0, c1, c2), (a0, a1) = len(c), (*c, 0.0, 0.0)[:3], (*e[1], 0.0)[:2]
+    (b0,), (g0,), d3, dd = e[2], e[3], 3 * d, d * d
     cos, sin, isfinite = np.cos, np.sin, math.isfinite
 
-    def kernel(t, k: int) -> tuple:
+    def jet(t, k: int) -> tuple:
         scalar = type(t) is float
+        if not scalar:
+            t = as_angle(t)
+            scalar = type(t) is float
         if not (isfinite(t) if scalar else np.isfinite(t).all()):
             raise ValueError("non-finite angle")
         if n == 1:  # f = c0 holds no q
+            _check_order(k)
             out = (c0,) + (0.0,) * k
             return out if scalar else tuple(np.full(t.shape, v) for v in out)
         u = d * t
         q = float(cos(u)) if scalar else cos(u)
         # three terms: Clenshaw's b1 = c1 + 2 q c2 and b2 = c2
         f0 = c0 + q * c1 if n == 2 else c0 + q * (c1 + 2.0 * q * c2) - c2
-        if not k:
+        if k == 0:
             return (f0,)
         s = float(sin(u)) if scalar else sin(u)
         e = a0 if n == 2 else a0 + q * a1
@@ -203,8 +174,36 @@ def _clenshaw_kernel(d: int, c: tuple, e1: tuple, e2: tuple, e3: tuple):
         f2 = s2 * b0 + d * q * e
         if k == 2:
             return f0, f1, f2
+        _check_order(k)
         return f0, f1, f2, s * (s2 * g0 + d3 * q * b0 - dd * e)
-    return kernel
+    return jet
+
+
+def _cosine_kernel(d: int, c: tuple):
+    """jet(t, k) of the profile of order d with the long series c:
+    f^(m) is the dot product of cos(w t + m pi/2), w = j d, with the weights
+    w^m c_j, one per angle.  A float and each row of an array (after
+    `as_angle`) take the same steps, so a row has the bits of its one-angle
+    call."""
+    freq = np.arange(len(c)) * d
+    # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps c0
+    weights = np.array([np.asarray(c) * freq.astype(float) ** m for m in _ORDERS])
+
+    def jet(t, k: int) -> tuple:
+        t = as_angle(t)
+        scalar = type(t) is float
+        if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
+            raise ValueError("non-finite angle")
+        _check_order(k)
+        if scalar:  # one cos call for all orders, a row each
+            rows = np.cos(t * freq + _PHASES[:k + 1, None])
+            return tuple(float(c @ w) for c, w in zip(rows, weights))
+        # angles as a column: matmul then takes a dot product per angle, where
+        # a flat (m, n) @ (n,) would round its rows otherwise
+        wt = np.multiply.outer(t.reshape(-1, 1), freq)
+        return tuple((np.cos(wt + phase) @ w).reshape(t.shape)
+                     for phase, w in zip(_PHASES[:k + 1].tolist(), weights))
+    return jet
 
 
 def _pow(x, n: int):
@@ -369,15 +368,17 @@ class SectorProfile:
     d: int
     breaks: tuple[float, ...]
     pieces: tuple[Profile, ...]
-    _kernel = None  # no float kernel: jet is the only path
 
     def __post_init__(self):
         if len(self.pieces) != len(self.breaks) + 1:
             raise ValueError("need exactly len(breaks)+1 pieces")
         if any(p.d != self.d for p in self.pieces):
             raise ValueError("piece symmetry order mismatch")
-        if list(self.breaks) != sorted(self.breaks):
-            raise ValueError("breaks must be increasing")
+        ends = (0.0, *self.breaks, math.pi / self.d)
+        for i, b in enumerate(self.breaks):  # a NaN fails both tests
+            if not ends[i] < b < ends[-1]:
+                raise ValueError(f"sector profile break {i} is {b!r}: breaks must be "
+                                 f"finite, strictly increasing and inside (0, pi/{self.d})")
 
     @property
     def kind(self) -> str:
@@ -392,8 +393,7 @@ class SectorProfile:
 
     def jet(self, t, k: int):
         """(f, ..., f^(k)) at t: one fold, then each piece's jet on its points."""
-        if k not in range(MAX_DERIV_ORDER + 1):
-            raise ValueError(f"k must be in 0..{MAX_DERIV_ORDER}, got {k}")
+        _check_order(k)
         t = np.asarray(t, dtype=float)
         tau, sign = dihedral_fold(t.reshape(-1), self.d)
         # side="right" so that a break angle belongs to the piece on its

@@ -344,6 +344,36 @@ def test_json_that_is_not_an_object_is_named(capfd, tmp_path, command, data, nam
     assert err == f"isonorm: error: {named}\n"
 
 
+SECTOR_RULE = "breaks must be finite, strictly increasing and inside (0, pi/2)"
+
+
+@pytest.mark.parametrize("command,data,named", [
+    (["validate", "--profile"],
+     {"d": 2, "kind": "sector", "breaks": [5.0],
+      "pieces": [PIECE, {"d": 2, "cos_coeffs": [1.0, -3.0]}]},
+     f"sector profile break 0 is 5.0: {SECTOR_RULE}"),
+    (["validate", "--profile"],
+     {"d": 2, "kind": "sector", "breaks": [math.nan], "pieces": [PIECE, PIECE]},
+     f"sector profile break 0 is nan: {SECTOR_RULE}"),
+    (["isometry", "check", "--triple"],
+     {"f": PIECE, "h": PIECE, "theta": {"kind": "piecewise", "pieces": [
+         {"lo": math.nan, "hi": math.nan, "map": {"kind": "identity"}}]}},
+     "piecewise theta piece 0 is [nan, nan]: pieces must be finite, "
+     "contiguous and ordered"),
+], ids=["break-past-the-end", "break-nan", "theta-bounds-nan"])
+def test_sector_break_or_theta_bound_out_of_place_is_named(capfd, tmp_path, command,
+                                                           data, named):
+    # the first read "valid" without the invalid piece (exit 0), the second
+    # ended in "need at least one array to concatenate", and the third was
+    # checked as an isometry (exit 0); json writes and reads NaN as NaN
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main(command + [str(path)])
+    out, err = capfd.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"isonorm: error: {named}\n"
+
+
 def test_internal_key_error_is_not_a_user_error(monkeypatch):
     def broken(args):
         return {}["status"]

@@ -11,7 +11,8 @@ from itertools import combinations_with_replacement, permutations, product
 import numpy as np
 import pytest
 
-from isonorm.fd import hessian_fd, third_tensor_fd
+from fd_oracles import third_tensor_fd
+from isonorm.fd import hessian_fd
 from isonorm.foliation import (SQ3, FocalProximityError, parse_model,
                                random_leaf_points, t_coord)
 from isonorm.hessian import (InducedNorm, closed_fundamental_tensor, energy,

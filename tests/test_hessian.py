@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from isonorm import cli, foliation, hessian
-from isonorm.fd import hessian_fd, third_tensor_fd
+from fd_oracles import third_tensor_fd
+from isonorm.fd import hessian_fd
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
                                _sphere_tangent_basis, cartan3, d1, d2,
                                parse_model, random_leaf_points,

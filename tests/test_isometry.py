@@ -1,7 +1,9 @@
 """Isometry triples: theta maps, the ODE system, gluing, and lifts."""
 
+import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -164,6 +166,21 @@ def test_piecewise_theta_pieces_that_meet_within_tolerance(lo):
     assert np.array_equal(np.hstack(theta_jet(tm, ELLIPSE, ts[:, None], 1)), want)
 
 
+@pytest.mark.parametrize("bounds,named", [
+    (((math.nan, math.nan),), "piece 0 is [nan, nan]"),
+    (((0.0, math.nan),), "piece 0 is [0.0, nan]"),
+    (((math.nan, math.pi / 2),), "piece 0 is [nan, "),
+    (((0.0, math.inf),), "piece 0 is [0.0, inf]"),
+    (((-math.inf, math.pi / 2),), "piece 0 is [-inf, "),
+    (((0.0, 0.7), (0.7, math.nan)), "piece 1 is [0.7, nan]"),
+], ids=["both-nan", "hi-nan", "lo-nan", "hi-inf", "lo-minus-inf", "second-hi-nan"])
+def test_piecewise_theta_bound_that_is_not_finite_is_named(bounds, named):
+    # NaN bounds passed the order and contiguity tests and were evaluated
+    pieces = tuple((lo, hi, identity_map()) for lo, hi in bounds)
+    with pytest.raises(ValueError, match=re.escape(f"piecewise theta {named}")):
+        ThetaMap(kind="piecewise", pieces=pieces)
+
+
 # ------------------------------------------------------------ ODE residuals
 
 def test_identity_triple_residuals_vanish():
@@ -229,15 +246,15 @@ def test_theta_of_a_first_order_jet_has_the_bits_of_theta_alone(theta_kind):
 
 
 def test_ode_residuals_takes_one_jet_of_f_for_a_legendre_theta(monkeypatch):
-    # every jet of a short series, through `jet` or not, is a kernel call
+    # every evaluation of a profile goes through the jet bound to it
     calls = []
-    kernel = ROW_F._kernel
+    kernel = ROW_F.jet
 
     def counted(t, k):
         calls.append(k)
         return kernel(t, k)
 
-    monkeypatch.setitem(ROW_F.__dict__, "_kernel", counted)
+    monkeypatch.setitem(ROW_F.__dict__, "jet", counted)
     for theta in (legendre_map_tag(), ROW_THETAS["scaled-legendre"]):
         tr = IsometryTriple(f=ROW_F, h=ROW_HS["Profile"], theta=theta)
         for t in (0.4, np.linspace(0.05, 1.5, 9)):
@@ -352,6 +369,34 @@ def test_branch_two_tracks_legendre():
               for t, th in zip(sol.ts[:: len(sol.ts) // 16],
                                sol.thetas[:: len(sol.ts) // 16]))
     assert err < 1e-9
+
+
+# sha256 of the thetas of integrate_branch(f, branch, 0.3, theta0, 0.7),
+# theta0 = 0.25 on branch one and theta_legendre(f, 0.3) on branch two,
+# recorded before the steps took Python floats: a two-term profile (the
+# Clenshaw kernel) and a four-term one (the cosine matrix); branch one's
+# right side reads no jet of f, so its two rows agree
+BRANCH_THETAS = {
+    ((0.5, 0.05), "one"):
+        "527178b53524efd3e001c55594a4784db9026b3aed6d021e50233b881f817167",
+    ((0.5, 0.05), "two"):
+        "de6fd1552f33e5b125686e468fefbb57bf33fb8495662707fc92866b399b7a69",
+    ((0.5, 0.03, 0.01, 0.004), "one"):
+        "527178b53524efd3e001c55594a4784db9026b3aed6d021e50233b881f817167",
+    ((0.5, 0.03, 0.01, 0.004), "two"):
+        "92039df8a853b9d47ad71cd09b19876b77a7ce724750a98ec27744eafb74b51e",
+}
+
+
+@pytest.mark.parametrize("coeffs,branch", sorted(BRANCH_THETAS),
+                         ids=lambda v: f"{len(v)}-term" if isinstance(v, tuple) else v)
+def test_branch_thetas_keep_their_recorded_bits(coeffs, branch):
+    f = Profile(3, coeffs)
+    theta0 = 0.25 if branch == "one" else theta_legendre(f, 0.3)
+    sol = integrate_branch(f, branch, 0.3, theta0, 0.7)
+    assert sol.thetas.dtype == float and sol.thetas.shape == (4097,)
+    assert hashlib.sha256(sol.thetas.tobytes()).hexdigest() == \
+        BRANCH_THETAS[coeffs, branch]
 
 
 def test_branch_rejects_unknown():

@@ -1,8 +1,10 @@
 """Profile construction, evaluation, validity, and serialization."""
 
+import copy
 import json
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +116,25 @@ def test_a_profile_survives_pickling(p):
     q = pickle.loads(pickle.dumps(p))
     assert q == p and q.fit_residual == p.fit_residual
     assert np.array(q.jet(0.7, 3)).tobytes() == np.array(p.jet(0.7, 3)).tobytes()
+
+
+@pytest.mark.parametrize("p", [SUM_BASES[1], SUM_BASES[-1]],
+                         ids=["2-term", "96-term"])
+def test_each_copy_binds_its_own_jet_with_the_bits_of_its_parent(p):
+    # the jet is bound to each object and is no field: equality and the
+    # hash read the series alone, and every way to copy binds a new jet
+    bits = lambda q, t: np.array(q.jet(t, 3)).tobytes()
+    ts = np.linspace(-4.0, 4.0, 37)
+    twin = Profile(p.d, p.cos_coeffs, p.fit_residual)
+    copies = {"twin": twin, "replace": replace(p), "scaled": p.scaled(1.0),
+              "pickle": pickle.loads(pickle.dumps(p)), "deepcopy": copy.deepcopy(p)}
+    for how, q in copies.items():
+        assert q == p and hash(q) == hash(p), how
+        assert "jet" in vars(q) and q.jet is not p.jet, how
+        for t in (ts, 0.7):
+            assert bits(q, t) == bits(p, t), how
+    # a factor of 2 is exact, so the scaled series' jet is twice the parent's
+    assert bits(p.scaled(2.0), ts) == (2.0 * np.array(p.jet(ts, 3))).tobytes()
 
 
 def test_second_derivative_node():
@@ -385,6 +406,28 @@ def test_sector_profile_eval_and_fold():
     # dihedral image of an angle beyond the sector folds back in
     assert sp.evaluate(math.pi / 2 + 0.3, 0) == pytest.approx(
         sp.evaluate(math.pi / 2 - 0.3, 0))
+
+
+@pytest.mark.parametrize("breaks,named", [
+    ((5.0,), "break 0 is 5.0"),
+    ((math.nan,), "break 0 is nan"),
+    ((math.inf,), "break 0 is inf"),
+    ((0.0,), "break 0 is 0.0"),
+    ((math.pi / 2,), "break 0 is 1.5707963267948966"),
+    ((-0.3,), "break 0 is -0.3"),
+    ((0.9, 0.5), "break 1 is 0.5"),
+    ((0.7, 0.7), "break 1 is 0.7"),
+    ((0.5, math.nan), "break 1 is nan"),
+], ids=["past-the-end", "nan", "inf", "zero", "pi-over-d", "negative",
+        "decreasing", "repeated", "second-nan"])
+def test_sector_profile_break_out_of_place_is_named(breaks, named):
+    # a break past pi/d hid the pieces after it from is_minkowski, and a NaN
+    # one ended in numpy's "need at least one array to concatenate"
+    pieces = (Profile(2, (0.5,)),) * (len(breaks) + 1)
+    with pytest.raises(ValueError, match=re.escape(
+            f"sector profile {named}: breaks must be finite, strictly "
+            f"increasing and inside (0, pi/2)")):
+        SectorProfile(2, breaks, pieces)
 
 
 def test_sector_profile_array_matches_pointwise():

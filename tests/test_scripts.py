@@ -1,5 +1,6 @@
 """Smoke tests of scripts/: each runs in-process, as from the command line."""
 
+import hashlib
 import json
 import re
 import runpy
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# sha256 of report_digest.py's 84 lines (its whole output)
+REPORT_DIGEST_SHA256 = "028c5850ec5f33ef4132a9d9c24411318fedc403f8e459537e9635e5000cdabf"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -97,3 +100,7 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     assert [line.split(" ", 2)[2] for line in runs[0]] == [
         " ".join(argv) for argv in scope["argvs"]()]
     assert all(re.fullmatch(r"[0-9a-f]{64} \d+ \S.*", line) for line in runs[0])
+    # no report byte moved since the digest was recorded (8118346)
+    assert len(runs[0]) == 84
+    assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
+                          ).hexdigest() == REPORT_DIGEST_SHA256
