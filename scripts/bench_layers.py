@@ -65,7 +65,13 @@ calls.  The rows:
   rule takes it;
 - 1000 one-angle `jet(t, 2)` calls of `DualProfile(Profile(2, (1, 0.5)))`
   at the same angles: the exact dual's float Newton solve and chain rule,
-  without the rest of `ode_residuals`.
+  without the rest of `ode_residuals`;
+- a fresh `python -m isonorm.cli validate --profile path` process, where
+  path holds Profile(2, (1, 0.5)), and a fresh `python -m isonorm.cli
+  foliation info --model cartan3` process, each its report discarded:
+  interpreter start, the imports the command makes, and the command.  The
+  process finds isonorm where this script imported it, and writes bytecode
+  only where the environment lets it.
 
 Only public names are used, so the script also times another checkout:
 
@@ -206,6 +212,14 @@ def _cli_isoparametric_check(path):
                          "--model", "d2:8:3"])
 
 
+def _fresh_cli(argv):
+    src = os.path.dirname(os.path.dirname(isonorm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "isonorm.cli", *argv],
+                          env=env, capture_output=True, check=True)
+
+
 def _legendre_branch(f):
     return integrate_branch(f, "two", 0.3, theta_legendre(f, 0.3), 0.7)
 
@@ -310,6 +324,14 @@ def rows(tmp: str):
     for what, p in (("Profile(2, (1, 0.5))", small), ("96-term glue base", base)):
         out.append((f"jet(t, 2), 4096 angles in one array, {what}",
                     lambda p: p.jet(JET_GRID, 2), lambda p=p: p))
+    small_path = os.path.join(tmp, "small.json")
+    save_profile(small, small_path)
+    out.append(("fresh process python -m isonorm.cli validate, "
+                "Profile(2, (1, 0.5))", _fresh_cli,
+                lambda: ["validate", "--profile", small_path]))
+    out.append(("fresh process python -m isonorm.cli foliation info --model "
+                "cartan3", _fresh_cli,
+                lambda: ["foliation", "info", "--model", "cartan3"]))
     long_rows = {"is_minkowski cold, 96-term glue base",
                  *(f"DualProfile(f).scaled({k:g}), 96-term glue base"
                    for k in DUAL_SCALES)}

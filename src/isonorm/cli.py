@@ -23,20 +23,8 @@ import numpy as np
 from . import __version__
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
                         focal_dimensions, multiplicities, parse_model,
-                        random_leaf_points, shape_spectrum, t_coord)
-from .hessian import (InducedNorm, closed_frame_matrix,
-                      fd_fundamental_tensor, fd_indicatrix_operators,
-                      frame_basis, frame_components, indicatrix_grad_t_norm,
-                      indicatrix_laplacian_t, riemann_fd,
-                      value as induced_value)
-from .isometry import (DEFAULT_BAND_WIDTH, INTERIOR_GUARD, IsometryTriple,
-                       ThetaMap, classify_sectors, glue_construct,
-                       build_h_from_theta, identity_map, legendre_map_tag,
-                       load_triple, ode_residuals, save_triple, theta_jet,
-                       triple_to_json_dict)
-from .planar import (PlanarNorm, dual_profile, indicatrix_point,
-                     value as planar_value)
-from .profile import Profile, is_minkowski, json_field, load_profile
+                        random_leaf_points, shape_spectrum)
+from .profile import is_minkowski, json_field, load_profile
 
 EXIT_BY_STATUS = {"ok": 0, "marginal": 2, "failed": 1}
 USAGE_EXIT = 64
@@ -87,7 +75,7 @@ def _leaf_range(m, delta: float, margin: float):
     draws from; FocalProximityError where delta leaves none."""
     lo = delta + margin
     hi = math.pi / m.d - lo
-    if hi < lo:
+    if not lo <= hi:  # a NaN delta leaves none either
         raise FocalProximityError(
             f"delta={delta} leaves no leaf parameter more than delta + "
             f"{margin:g} from both focal values: it must be at most "
@@ -117,6 +105,7 @@ def cmd_validate(args):
 # -------------------------------------------------------------------- dual
 
 def cmd_dual(args):
+    from .planar import PlanarNorm, dual_profile
     p = load_profile(args.profile)
     nm = PlanarNorm(p)
     dp = dual_profile(nm, grid_size=args.grid, max_terms=args.terms)
@@ -137,6 +126,8 @@ def cmd_dual(args):
 # ------------------------------------------------------------------ tensor
 
 def cmd_tensor(args):
+    from .hessian import (InducedNorm, closed_frame_matrix,
+                          fd_fundamental_tensor, frame_basis, frame_components)
     p = load_profile(args.profile)
     m = parse_model(args.model)
     nm = InducedNorm(m, p)
@@ -170,6 +161,7 @@ def cmd_tensor(args):
 # --------------------------------------------------------------- curvature
 
 def cmd_curvature(args):
+    from .hessian import InducedNorm, riemann_fd
     p = load_profile(args.profile)
     m = parse_model(args.model)
     nm = InducedNorm(m, p)
@@ -195,6 +187,8 @@ def cmd_curvature(args):
 # ----------------------------------------------------- isoparametric-check
 
 def cmd_isoparametric_check(args):
+    from .hessian import (InducedNorm, fd_indicatrix_operators,
+                          indicatrix_grad_t_norm, indicatrix_laplacian_t)
     p = load_profile(args.profile)
     m = parse_model(args.model)
     nm = InducedNorm(m, p)
@@ -221,7 +215,8 @@ def cmd_isoparametric_check(args):
 
 # --------------------------------------------------------------- isometry
 
-def _parse_theta(spec: str) -> ThetaMap:
+def _parse_theta(spec: str):
+    from .isometry import ThetaMap, identity_map, legendre_map_tag
     if spec == "identity":
         return identity_map()
     if spec == "legendre":
@@ -237,7 +232,8 @@ def _parse_theta(spec: str) -> ThetaMap:
                      f"linear:a:b or scaled-legendre:a:b)")
 
 
-def _default_anchor(f: Profile, theta: ThetaMap, t0: float) -> float:
+def _default_anchor(f, theta, t0: float) -> float:
+    from .isometry import theta_jet
     # pick the anchor that reproduces the canonical triple for the two
     # closed-form kinds; otherwise pin h = f at the mapped anchor angle
     if theta.kind in ("legendre", "scaled-legendre"):
@@ -250,7 +246,8 @@ def _default_anchor(f: Profile, theta: ThetaMap, t0: float) -> float:
     return float(f.evaluate(th0, 0))
 
 
-def _triple_residual(tr: IsometryTriple, grid: int) -> dict:
+def _triple_residual(tr, grid: int) -> dict:
+    from .isometry import INTERIOR_GUARD, ode_residuals
     ts = np.linspace(INTERIOR_GUARD, math.pi / tr.f.d - INTERIOR_GUARD, grid)
     res = ode_residuals(tr, ts)
     worst = np.max(np.abs(res), axis=1)
@@ -265,6 +262,8 @@ def _eq_status(per_eq: dict) -> str:
 
 
 def cmd_isometry_solve(args):
+    from .isometry import (IsometryTriple, build_h_from_theta, save_triple,
+                           triple_to_json_dict)
     f = load_profile(args.profile)
     theta = _parse_theta(args.theta)
     t0 = args.theta0 if args.theta0 is not None else math.pi / (2 * f.d)
@@ -284,6 +283,7 @@ def cmd_isometry_solve(args):
 
 
 def cmd_isometry_check(args):
+    from .isometry import load_triple
     tr = load_triple(args.triple)
     per_eq = _triple_residual(tr, args.grid)
     results = {"d": int(tr.f.d), "equations": len(per_eq) - 1}
@@ -291,6 +291,7 @@ def cmd_isometry_check(args):
 
 
 def cmd_isometry_classify(args):
+    from .isometry import classify_sectors, load_triple
     tr = load_triple(args.triple)
     labels = classify_sectors(tr, grid=args.grid, tol=args.tol)
     sectors = [{"lo": float(s.lo), "hi": float(s.hi), "label": s.label}
@@ -303,6 +304,8 @@ def cmd_isometry_classify(args):
 
 
 def cmd_isometry_glue(args):
+    from .isometry import (DEFAULT_BAND_WIDTH, glue_construct, save_triple,
+                           triple_to_json_dict)
     f_base = load_profile(args.profile)
     with open(args.sectors) as fh:
         spec = json.load(fh)
@@ -332,6 +335,7 @@ def cmd_sample(args):
     p = load_profile(args.profile)
     rng = np.random.default_rng(args.seed)
     if args.model:
+        from .hessian import InducedNorm, value as induced_value
         m = parse_model(args.model)
         nm = InducedNorm(m, p)
         ts = rng.uniform(*_leaf_range(m, args.delta, 0.05), args.count)
@@ -340,6 +344,7 @@ def cmd_sample(args):
                                             delta=args.delta)
         F = induced_value(nm, X)
     else:
+        from .planar import PlanarNorm, indicatrix_point, value as planar_value
         nm = PlanarNorm(p)
         ts = rng.uniform(0.0, 2.0 * math.pi, args.count)
         X = indicatrix_point(nm, ts)

@@ -355,7 +355,7 @@ def random_leaf_points(m: FoliationModel, t, count: int,
     per point.  Draws random normal planes (via random sphere points with
     leaf parameter more than delta from both focal values) and walks each
     point's normal geodesic to its own t.  Raises FocalProximityError when
-    delta leaves no such parameter (delta >= pi/(2d)) or when
+    delta leaves no such parameter (delta NaN or >= pi/(2d)) or when
     LEAF_DRAWS_PER_POINT * count draws do not yield count points.
     """
     if count < 0:
@@ -367,7 +367,7 @@ def random_leaf_points(m: FoliationModel, t, count: int,
     t = np.full(count, t)
     if not ((0.0 < t) & (t < math.pi / m.d)).all():
         raise ValueError("t must be an interior leaf parameter")
-    if delta >= math.pi / (2 * m.d):
+    if not delta < math.pi / (2 * m.d):
         raise FocalProximityError(
             f"delta={delta} leaves no leaf parameter away from both focal "
             f"values: it must be below pi/(2d) = {math.pi / (2 * m.d):.4f}")

@@ -250,7 +250,9 @@ def _candidates(p, lo: float, hi: float) -> np.ndarray:
         return np.hstack([_candidates(piece, max(a, lo), min(b, hi))
                           for piece, a, b in zip(p.pieces, ends, ends[1:])
                           if max(a, lo) < min(b, hi)])
-    t = np.unique(np.clip(np.append(p.stationary_angles(), (lo, hi)), lo, hi))
+    # np.unique's values, by its steps, without the numpy.ma import it makes
+    t = np.sort(np.clip(np.append(p.stationary_angles(), (lo, hi)), lo, hi))
+    t = t[np.append(True, t[1:] != t[:-1])]
     f0, f1, f2 = p.jet(t, 2)
     return np.array([t, f0, gap_from_jet(f0, f1, f2)])
 

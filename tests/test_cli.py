@@ -16,7 +16,8 @@ from isonorm import cli, hessian
 from isonorm.cli import main
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, parse_model,
                                random_leaf_points, t_coord)
-from isonorm.isometry import Sector, bump_profile, glue_construct
+from isonorm.isometry import (IsometryTriple, Sector, bump_profile,
+                              glue_construct, identity_map, save_triple)
 from isonorm.planar import PlanarNorm, indicatrix_point
 from isonorm.profile import Profile, profile_from_json_dict, save_profile
 
@@ -393,16 +394,55 @@ def test_missing_status_rule_is_not_a_user_error(capsys, monkeypatch,
     assert "isonorm: error:" not in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
+# Command groups, each run in one fresh process, and the modules that none
+# of its commands may load: a command imports only what it runs
+IMPORT_GROUPS = [
+    ([["validate", "--profile", "{ellipse}"],
+      ["foliation", "info", "--model", "cartan3"]],
+     {"isonorm.planar", "isonorm.hessian", "isonorm.isometry", "numpy.ma"}),
+    ([["dual", "--profile", "{ellipse}"]], {"isonorm.hessian", "isonorm.isometry"}),
+    ([["tensor", "--profile", "{ellipse}", "--model", "d2:4:2"],
+      ["curvature", "--profile", "{ellipse}", "--model", "d2:4:2"],
+      ["isoparametric-check", "--profile", "{ellipse}", "--model", "d2:4:2"],
+      ["sample", "--profile", "{ellipse}", "--model", "d2:4:2"]],
+     {"isonorm.isometry"}),
+    ([["isometry", "check", "--triple", "{triple}"]], {"isonorm.hessian"}),
+    ([["isometry", "solve", "--profile", "{ellipse}", "--theta", "legendre"],
+      ["isometry", "classify", "--triple", "{triple}"],
+      ["isometry", "glue", "--profile", "{bump}", "--sectors", "{sectors}"],
+      ["sample", "--profile", "{ellipse}"]], set()),
+]
+
+
+def test_import_loads_no_scipy(profiles, tmp_path):
     # scipy is a test extra; every CLI call would pay for importing it
     src = os.path.dirname(os.path.dirname(isonorm.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, isonorm, isonorm.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    ellipse = Profile(2, (1.0, 0.2))
+    paths = dict(profiles, triple=str(tmp_path / "triple.json"),
+                 bump=str(tmp_path / "bump.json"),
+                 sectors=str(tmp_path / "sectors.json"))
+    save_triple(IsometryTriple(f=ellipse, h=ellipse, theta=identity_map()),
+                paths["triple"])
+    save_profile(bump_profile(2, humps=[(0.5, 0.4)]), paths["bump"])
+    with open(paths["sectors"], "w") as fh:
+        json.dump([{"lo": 0.0, "hi": 0.9, "mode": "scale"},
+                   {"lo": 0.9, "hi": math.pi / 2, "mode": "legendre-scale"}], fh)
+    code = ("import contextlib, io, json, sys\n"
+            "from isonorm import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(sys.modules)))")
+    for argvs, unloaded in IMPORT_GROUPS:
+        argvs = [[arg.format(**paths) for arg in argv] for argv in argvs]
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}, argvs
+        assert not loaded & unloaded, argvs
 
 
 # ----------------------------------------------------------------- reports
@@ -475,6 +515,24 @@ def test_focal_guard_leaving_no_leaf_range_exits_1(capsys, profiles, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("isonorm: error: delta=")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor", "--model", "cartan3"],
+    ["tensor", "--model", "cartan3", "--t", "0.5"],
+    ["curvature", "--model", "cartan3"],
+    ["sample", "--model", "cartan3"],
+], ids=lambda argv: "-".join(argv[:1] + argv[3:]).replace("--", ""))
+def test_nan_focal_guard_is_named(capsys, profiles, argv):
+    # NaN fails every comparison, so a `hi < lo` test let it through: the
+    # leaf draw raised numpy's OverflowError, or drew until it gave out
+    code = main([argv[0], "--profile", profiles["wobble3"], *argv[1:],
+                 "--delta", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("isonorm: error: delta=nan ")
 
 
 # --------------------------------------------------------------- curvature

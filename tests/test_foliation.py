@@ -254,6 +254,9 @@ def test_random_leaf_points_rejects_wide_guard(m):
     # an admissible band too thin to hit: the draws give out, not hang
     with pytest.raises(FocalProximityError, match="draws"):
         random_leaf_points(m, half, 1, delta=half - 1e-9)
+    # a NaN guard is named at once, not drawn against until the draws give out
+    with pytest.raises(FocalProximityError, match="delta=nan .* pi/\\(2d\\)"):
+        random_leaf_points(m, half, 1, delta=math.nan)
 
 
 def test_focal_proximity_guard():

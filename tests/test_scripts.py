@@ -73,14 +73,17 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 30 and len(set(names)) == 30
+    assert len(names) == 32 and len(set(names)) == 32
     assert {"one 20-point riemann_fd call, 4 points on each of 5 leaves of "
             "cartan3, Profile(3, (0.5, 0.05))",
             "1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
             "1000 one-angle jet(t, 2) calls, DualProfile(Profile(2, (1, 0.5)))",
             "1000 one-angle jet(t, 3) calls, Profile(3, (0.5, 0.02, 0.005))",
             "jet(t, 2), 4096 angles in one array, Profile(2, (1, 0.5))",
-            "jet(t, 2), 4096 angles in one array, 96-term glue base"} <= set(names)
+            "jet(t, 2), 4096 angles in one array, 96-term glue base",
+            "fresh process python -m isonorm.cli validate, Profile(2, (1, 0.5))",
+            "fresh process python -m isonorm.cli foliation info --model cartan3"
+            } <= set(names)
     assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0 for row in bench["rows"])
     repeats = {row["name"]: row["repeat"] for row in bench["rows"]}
     assert repeats["is_minkowski cold, 96-term glue base"] > repeats[names[0]] == 1

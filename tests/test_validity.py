@@ -4,6 +4,7 @@ dense-grid search with golden-section refinement kept here as the reference."""
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from isonorm.foliation import cartan3
 from isonorm.hessian import InducedNorm
 from isonorm.isometry import Sector, bump_profile, glue_construct
 from isonorm.planar import DualProfile, theta_legendre
-from isonorm.profile import (VALIDITY_MARGIN, Profile, SectorProfile,
+from isonorm.profile import (ALLOWED_D, VALIDITY_MARGIN, Profile, SectorProfile,
                              gap_from_jet, is_minkowski, save_profile)
 
-# validity bound on |b| for c0 (1 + b cos(d t))
-B_BOUND = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0}
+# validity bound on |b| for c0 (1 + b cos(d t)): 1, then 2 / (d^2 - 2) from d = 2
+B_BOUND = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0, 4: 1.0 / 7.0, 6: 1.0 / 17.0}
 
 
 def _golden(fun, a, b, iters=48):
@@ -226,3 +227,44 @@ def test_stored_stationary_angles_are_read_only():
     assert p.stationary_angles() is angles
     with pytest.raises(ValueError):
         angles[0] = 1.0
+
+
+# ----------------------------------------- candidate angles over every d
+
+def _unique_candidates(p, lo, hi):
+    """`_candidates` as it was written with np.unique: the reference."""
+    if isinstance(p, SectorProfile):
+        ends = (0.0, *p.breaks, math.pi / p.d)
+        return np.hstack([_unique_candidates(piece, max(a, lo), min(b, hi))
+                          for piece, a, b in zip(p.pieces, ends, ends[1:])
+                          if max(a, lo) < min(b, hi)])
+    t = np.unique(np.clip(np.append(p.stationary_angles(), (lo, hi)), lo, hi))
+    f0, f1, f2 = p.jet(t, 2)
+    return np.array([t, f0, gap_from_jet(f0, f1, f2)])
+
+
+@given(st.sampled_from(ALLOWED_D), st.floats(0.05, 20.0),
+       st.floats(-1.5, 1.5), st.floats(-0.3, 0.3), st.floats(0.05, 0.95),
+       st.floats(-0.9999, 0.9999))
+@example(6, 1.0, 0.9999, 0.0, 0.5, -0.9999)
+@example(4, 2.0, 1.0, 0.0, 0.3, 0.9999)    # at the validity bound: marginal
+@example(1, 0.5, -1.0001, 0.0, 0.7, 0.0)
+@settings(max_examples=60, deadline=None)
+def test_candidates_equal_np_unique_for_every_d(d, c0, share, c2, at, dual_share):
+    # b spans 1.5x the validity bound on both sides; the dual's base is valid
+    bound = B_BOUND[d]
+
+    def kinds():
+        yield Profile(d, (c0, c0 * share * bound, c0 * c2 * bound))
+        yield SectorProfile(d, (at * math.pi / d,), (
+            Profile(d, (c0, c0 * share * bound)),
+            Profile(d, (c0, -c0 * share * bound, c0 * c2 * bound))))
+        yield DualProfile(Profile(d, (c0, c0 * dual_share * bound)))
+
+    for p, ref in zip(kinds(), kinds()):   # equal twins, each checked afresh
+        got = profile_module._candidates(p, 0.0, math.pi / d)
+        want = _unique_candidates(ref, 0.0, math.pi / d)
+        assert got.tobytes() == want.tobytes(), p
+        with mock.patch.object(profile_module, "_candidates", _unique_candidates):
+            want_report = is_minkowski(ref)
+        assert repr(is_minkowski(p)) == repr(want_report), p
