@@ -10,6 +10,7 @@ and one where the Legendre angle's unwrap, (t - raw) / 2 pi, is a tie of
 round-half-even.
 """
 
+import collections
 import hashlib
 import itertools
 import math
@@ -17,6 +18,12 @@ import math
 import numpy as np
 import pytest
 
+from isonorm.foliation import (normal_plane_basis, parse_model,
+                               random_leaf_points, shape_spectrum, t_coord,
+                               unit_w)
+from isonorm.hessian import (InducedNorm, closed_fundamental_tensor, energy,
+                             fd_fundamental_tensor, fd_indicatrix_operators,
+                             frame_components, riemann_fd)
 from isonorm.isometry import (IsometryTriple, bump_profile, legendre_map_tag,
                               ode_residuals, theta_jet)
 from isonorm.planar import DualProfile, legendre_num_den
@@ -300,3 +307,148 @@ def test_stationary_angles_of_random_profiles_keep_their_recorded_bits():
     for p in profiles:
         h.update(" ".join(_hex(p.stationary_angles())).encode() + b"\n")
     assert h.hexdigest() == STATIONARY_DIGEST
+
+
+# --- The field path ---------------------------------------------------------
+# Recorded at commit e988108: SHA-256, per model and function, over the hex
+# bits of the foliation geometry and the induced-norm tensors at
+# FIELD_SEED's leaf points (one on each of 5 leaves in [0.3, pi/d - 0.3],
+# scaled by FIELD_RADII), as one row and as the 5-row array, with each of
+# perfbench field-sweep's profiles of the model; the one-point functions
+# (shape_spectrum, frame_components) take each row in turn.
+FIELD_SEED = 2027
+FIELD_RADII = (1.0, 0.75, 1.5, 2.0, 0.3)
+FIELD_PROFILES = {
+    "d1:3": [(0.5,), (0.5, 0.0, 0.175), (0.5225, 0.3, 0.0225)],
+    "d2:4:2": [(1.0,), (1.0, 0.4), (1.0, 0.15, 0.06)],
+    "d2:8:3": [(1.0,), (1.0, 0.4), (1.0, 0.15, 0.06)],
+    "cartan3": [(0.5,), (0.5, 0.05), (0.5, 0.02, 0.005)],
+}
+FIELD_DIGESTS = {
+    "d1:3": {
+        "closed_fundamental_tensor":
+            "59b09cea5ad38441718a6982da1e1e8a3093009d1988b8c4ada158f92371df54",
+        "energy":
+            "adb9da29daeb71b75354e7d0574c5739654b270a58b953500c0409a5d17db8db",
+        "fd_fundamental_tensor":
+            "96db176d3de712a689ef554c39444d6c4ba24e4c80fe06b8df5ddb80ea320121",
+        "fd_indicatrix_operators":
+            "3cdf8bb6296ba0d71e132d532e39f41035a259652f29869e4be831f2eae8d7af",
+        "frame_components":
+            "4c2a81a8e2071ad5ddb91978aaca7f032a9708f3288d155b3cbd4c532fd31a8b",
+        "normal_plane_basis":
+            "8557a7b418717f0f52409749038bad03e84a0b3f82484e8b194f8f563bf256f0",
+        "riemann_fd":
+            "2af6701afad4577500290d06de3b37ba0567d4755bc1ac40b1b2a6478ceba7c3",
+        "shape_spectrum":
+            "a54330bab056341faaac1cff3b039b0c42eee0325536890869bb84b5fe482a34",
+        "t_coord":
+            "d8e40d72e55ae4a2f23bcbfb78ac9ce850b3ae1b0adc54d09c665b7c92d63c13",
+        "unit_w":
+            "e4c2f1068ed5a268796425edc5e0b365381d8f73efbef11800332c49ea88bce3",
+    },
+    "d2:4:2": {
+        "closed_fundamental_tensor":
+            "f31364dea4854fbfc673671b12603267e68d48d581e5056214e300988cfef719",
+        "energy":
+            "429cfd78b59e76120f089623f00fc9179d76248ef0b69c1bef396f141bd99da8",
+        "fd_fundamental_tensor":
+            "2d34733bf65f5602cd42824860fc76466a35af0f148b0856c0d50cc0cb1a7f7e",
+        "fd_indicatrix_operators":
+            "b4b46152a6e45d037a0fe443f57142a98dd59ed79227d64cb3e4b4a784143121",
+        "frame_components":
+            "3f1b055e631f9934d90919d43012868718b26370243c50c1072ccf5d35f651df",
+        "normal_plane_basis":
+            "e5ee5f3a62930e7dae6ccbb3d15e8502a73b16820caa90d1d0658277d804ab25",
+        "riemann_fd":
+            "4d08e0204478185b72ae1aaf570203aa21d0e1653c8616665356b7a214b4e517",
+        "shape_spectrum":
+            "c8b19584aa53c9d65c0cc6a8472cc22a2d3d70d9cd9ffd74d5726f127565831a",
+        "t_coord":
+            "bd98a13fa7c3ca1dadf5cf5ecb18ffea7874ef95bc22ab90f28197ec880c5853",
+        "unit_w":
+            "a72eea2d75fe28c26ecadec0b3982cbbc4e07ea3290d57f9cce542ea9e5eea24",
+    },
+    "d2:8:3": {
+        "closed_fundamental_tensor":
+            "704b19958f60ce656664fc849868134dace483983cd83dc06f4b5b38e7bc2ea5",
+        "energy":
+            "aa2091e243b8a072ed946fdc6b067ebb02ba5e181467ab0a90c23ba36dc86f84",
+        "fd_fundamental_tensor":
+            "973d60c761b1f2d45277a85d22805bb6e4cf9240575bc2e0aaa2c35e174d990e",
+        "fd_indicatrix_operators":
+            "66ca41d55e6555afded8de14bcfa74a788c5672150355564d83edcd25cda69e2",
+        "frame_components":
+            "0728875be10fda63a947cc67af98059141403b94141290ca0df6808852396c9f",
+        "normal_plane_basis":
+            "d15b3eecde87a9e441e44b18f817120fea510391719f9eee0c295d4b755721cf",
+        "riemann_fd":
+            "b7270a175c8c5039fee221007d967767511a859729b317097b7177744022f384",
+        "shape_spectrum":
+            "320a2f3134d07178390230e0ef2acf1a3e8d63dadc4453c73ca5979ac4bd2e13",
+        "t_coord":
+            "6d914cd13de94f5976aa8ad3e7d34960c3cee71cb8534c5cf0ababe0af0ff3cc",
+        "unit_w":
+            "75c048587db38cf2bcaa9240b82578dde8a4b0c5516b6c65840e05e27548dd1d",
+    },
+    "cartan3": {
+        "closed_fundamental_tensor":
+            "74bbcd4d1846c949b40f2d9891531d39e4eb0e72c85e1f75b56b8463f870444a",
+        "energy":
+            "363b179c7dc43b3f4778b071eab56c886ed5805cfaebc9378fbd65092ef6cac6",
+        "fd_fundamental_tensor":
+            "4a68ccadddc3b2abbc49dba5e794f054ac0b8cf1b5f26ea5a0b4c3f5e6b922b5",
+        "fd_indicatrix_operators":
+            "6dec4d41e2f68df3a83fb0eb42ebf97e001f9d5facaa821178c5f46a2dbb5826",
+        "frame_components":
+            "845f31d4bfa31ee30d23fe63b62be2b69049d63fb01949339bf7cfdbaba6ac45",
+        "normal_plane_basis":
+            "38b0ea6fdd28c051d75103a8f0d479113589ec2f33e8bcd80a2a9eda4b67d42e",
+        "riemann_fd":
+            "c111eed4f339eb11cdeb4cefc29ceee8dcd34ec88992d73f6b17295e4e541761",
+        "shape_spectrum":
+            "de695ec33cf5d0a66034fa38e403ac99dc89e0a7d831be08a5311b3a8c8c5b1a",
+        "t_coord":
+            "0511c16a2a6fe0e1d3665613859b630f9e1c0f7753baf4af773b55e6f4586ea3",
+        "unit_w":
+            "5b0c3d43b26b73e8919a71f3c912cd07a6e8ed5c6811030354188cad50308f74",
+    },
+}
+
+
+def _field_digests(spec):
+    """{function name: sha256 hex} of the field path on the model spec."""
+    m = parse_model(spec)
+    leaves = np.linspace(0.3, math.pi / m.d - 0.3, 5)
+    xs = (random_leaf_points(m, leaves, 5, seed=FIELD_SEED)
+          * np.array(FIELD_RADII)[:, None])
+    hashes = collections.defaultdict(hashlib.sha256)
+
+    def put(name, *values):
+        for v in values:
+            hashes[name].update(" ".join(_hex(np.ravel(v))).encode() + b"\n")
+
+    spectra = [shape_spectrum(m, x) for x in xs]
+    for spectrum in spectra:
+        put("shape_spectrum", *(e.kappa for e in spectrum),
+            *(e.basis for e in spectrum))
+    for x in (xs[0], xs):
+        put("t_coord", *t_coord(m, x))
+        put("unit_w", unit_w(m, x))
+        put("normal_plane_basis", *normal_plane_basis(m, x))
+    for coeffs in FIELD_PROFILES[spec]:
+        nm = InducedNorm(m, Profile(m.d, coeffs))
+        for x, spectrum in zip(xs, spectra):
+            put("frame_components", *frame_components(nm, x, spectrum))
+        for x in (xs[0], xs):
+            put("closed_fundamental_tensor", closed_fundamental_tensor(nm, x))
+            put("riemann_fd", *riemann_fd(nm, x)[:2])
+            put("fd_indicatrix_operators", *fd_indicatrix_operators(nm, x))
+            put("fd_fundamental_tensor", fd_fundamental_tensor(nm, x).matrix)
+            put("energy", energy(nm, x))
+    return {name: h.hexdigest() for name, h in sorted(hashes.items())}
+
+
+@pytest.mark.parametrize("spec", FIELD_PROFILES)
+def test_field_path_keeps_its_recorded_bits(spec):
+    assert _field_digests(spec) == FIELD_DIGESTS[spec]
