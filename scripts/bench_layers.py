@@ -5,7 +5,10 @@ Each row is the best of --repeat timed calls (the ~15 ms 96-term rows of
 `is_minkowski` and `DualProfile` take LONG_ROW_REPEAT times as many),
 rescaled to a fixed host speed with perfbench's probe kernel
 (perfbench/hostspeed.py), which runs right before and right after the row's
-calls.  The rows:
+calls.  The fresh-process rows are not rescaled: the probe times the
+interpreter's own compute, not process start and file reads, and has
+flipped the sign of a change there, so they record their best and median
+wall time as measured, and `scaled_ms` is null.  The rows:
 
 - `is_minkowski` on Profile(2, (1, 0.5)) and on the 96-term cartan3 glue
   base of scripts/isometry_gallery.py, cold (a new, equal profile object per
@@ -45,10 +48,14 @@ calls.  The rows:
 - 15 one-point `fd_indicatrix_laplacian_t` calls on cartan3 with
   Profile(3, (0.5, 0.02)), 3 points on each of 5 leaves in
   [0.3, pi/3 - 0.3] (the path of perfbench's field-sweep);
-- 20 one-point `shape_spectrum`, `riemann_fd` and `t_coord` calls, one row
+- 20 one-point `shape_spectrum`, `riemann_fd`, `t_coord`,
+  `closed_fundamental_tensor` and `fd_fundamental_tensor` calls, one row
   each: one point on each of 5 leaves in [0.3, pi/d - 0.3] of each of
   field-sweep's models d1:3, d2:4:2, d2:8:3 and cartan3, with a curved
-  profile of field-sweep's for `riemann_fd`;
+  profile of field-sweep's for the norm's rows;
+- a cold `InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005)))`: a new
+  three-term profile per call, its kernel built and its validity checked,
+  as each field-sweep op builds its norm;
 - one 20-point `riemann_fd` call on cartan3 with that profile,
   Profile(3, (0.5, 0.05)): 4 points on each of 5 leaves in
   [0.3, pi/3 - 0.3], whose k(2n+1) = 220 stencil rows take one closed-form
@@ -90,6 +97,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -110,13 +118,15 @@ from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      IsometryTriple, PlanarNorm, Profile, Sector,
                      build_h_from_theta, bump_profile, cartan3,
                      check_d_property, check_hessian_isometry, dual_profile,
-                     fd_indicatrix_laplacian_t, glue_construct,
+                     fd_fundamental_tensor, fd_indicatrix_laplacian_t,
+                     glue_construct,
                      integrate_branch, is_minkowski, legendre_map_tag,
                      lift_to_nd, ode_residuals, parse_model, planar_lift_map,
                      random_leaf_points, riemann_fd, save_profile, save_triple,
                      shape_spectrum, t_coord, theta_legendre,
                      triple_from_json_dict, triple_to_json_dict)
 from isonorm.cli import main as cli_main  # noqa: E402
+from isonorm.hessian import closed_fundamental_tensor  # noqa: E402
 
 GLUE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]  # isometry_gallery.py's glue base
 GLUE_BREAK = 0.52
@@ -136,15 +146,15 @@ JET_GRID = np.linspace(0.0, math.pi, 4096)
 LONG_ROW_REPEAT = 4
 
 
-def _best(call, setup, repeat: int) -> float:
-    """Least wall time of `repeat` calls of call(setup()); setup untimed."""
-    best = math.inf
+def _times(call, setup, repeat: int) -> list:
+    """Wall times of `repeat` calls of call(setup()); setup untimed."""
+    times = []
     for _ in range(repeat):
         arg = setup()
         t0 = time.perf_counter()
         call(arg)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    return times
 
 
 def _glue(base):
@@ -300,12 +310,18 @@ def rows(tmp: str):
     field = _field_points()
     calls = {"shape_spectrum": lambda nm, u: shape_spectrum(nm.foliation, u),
              "riemann_fd": riemann_fd,
-             "t_coord": lambda nm, u: t_coord(nm.foliation, u)}
+             "t_coord": lambda nm, u: t_coord(nm.foliation, u),
+             "closed_fundamental_tensor": closed_fundamental_tensor,
+             "fd_fundamental_tensor": fd_fundamental_tensor}
     for name, call in calls.items():
         out.append((f"20 one-point {name} calls, 5 leaves of each of d1:3, "
                     "d2:4:2, d2:8:3, cartan3",
                     lambda pts, call=call: [call(nm, u) for nm, u in pts],
                     lambda: field))
+    out.append(("InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005))) cold, "
+                "a new profile per call",
+                lambda c: InducedNorm(cartan3(), Profile(3, c)),
+                lambda: (0.5, 0.02, 0.005)))
     cartan_norm = InducedNorm(cartan3(), Profile(3, FIELD_MODELS["cartan3"]))
     leaves = np.repeat(np.linspace(0.3, math.pi / 3 - 0.3, 5), 4)
     cartan_points = random_leaf_points(cartan3(), leaves, len(leaves), seed=0)
@@ -361,8 +377,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name, call, setup, factor in rows(tmp):
             call(setup())  # untimed: first-call set-up, and warms the warm rows
+            if call is _fresh_cli:
+                times = _times(call, setup, factor * args.repeat)
+                table.append({"name": name, "repeat": factor * args.repeat,
+                              "best_ms": 1e3 * min(times),
+                              "median_ms": 1e3 * statistics.median(times),
+                              "scaled_ms": None})
+                print(f"{table[-1]['best_ms']:10.4f} ms  {name} (best, unscaled)")
+                continue
             before = hostspeed.probe_s()
-            best = _best(call, setup, factor * args.repeat)
+            best = min(_times(call, setup, factor * args.repeat))
             after = hostspeed.probe_s()
             table.append({"name": name, "repeat": factor * args.repeat,
                           "best_ms": 1e3 * best,
@@ -379,7 +403,8 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "repeat": args.repeat,
         "timing": "best of a row's repeat calls; scaled_ms = best_ms * "
-                  f"{hostspeed.REF_S * 1e3:g} ms / mean(probe_ms)",
+                  f"{hostspeed.REF_S * 1e3:g} ms / mean(probe_ms); fresh-process "
+                  "rows: best_ms and median_ms as measured, scaled_ms null",
         "rows": table,
     }
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"

@@ -9,6 +9,12 @@ Three families, identified by the number d of distinct principal curvatures:
 In all cases p = cos(d t) on the unit sphere, where t in [0, pi/d] is the
 leaf parameter (spherical distance to the focal set M_0), and the leaf M_t
 has shape-operator eigenvalues cot(t + k pi/d), k = 0..d-1.
+
+The spherical coordinates of a point all come from p at u = x/|x| (Muenzner,
+Math. Ann. 251, 1980): t = arccos(p)/d, the unit normal
+w = -grad_S p / (d sin dt) and the shape operator from Hess p.  One polar
+pass per row set (`_polar`, behind t_coord) evaluates p, and the normal and
+the shape operator take that p from their caller.
 """
 
 from __future__ import annotations
@@ -190,19 +196,30 @@ class RT(NamedTuple):
     t: float
 
 
+def _polar(m: FoliationModel, x):
+    """The polar pass of t_coord: (r, u, p, t) with u = x / r and p = p(u)
+    unclipped, which _unit_w and _shape_operator take from their caller, so
+    that p is evaluated once per row set.  r and t as t_coord gives them."""
+    x = np.asarray(x, dtype=float)
+    r = _radius(m, x)
+    u = x / r[..., None]
+    p = _poly(m, u)
+    # math.acos: numpy's arccos differs from it in the last bit on some points
+    t = np.array([math.acos(v) for v in np.atleast_1d(
+        np.minimum(np.maximum(p, -1.0), 1.0)).tolist()]) / m.d
+    return (float(r), u, p, float(t[0])) if x.ndim == 1 else (r, u, p, t)
+
+
 def t_coord(m: FoliationModel, x) -> RT:
     """Polar data (r, t) of x: r = |x|, t = arccos(p(x/r)) / d in [0, pi/d].
 
     x is one point (r and t are floats) or an (m, n) array of rows (r and t
     are arrays); each row gets the bits of its one-point call.  ValueError
-    for any other shape, at the origin and for a non-finite |x|.
+    for any other shape, at the origin and for a non-finite |x|.  One polar
+    pass (_polar) evaluates p; the callers that also need p take it from there.
     """
-    x = np.asarray(x, dtype=float)
-    r = _radius(m, x)
-    p = np.minimum(np.maximum(_poly(m, x / r[..., None]), -1.0), 1.0)
-    # math.acos: numpy's arccos differs from it in the last bit on some points
-    t = np.array([math.acos(v) for v in np.atleast_1d(p).tolist()]) / m.d
-    return RT(float(r), float(t[0])) if x.ndim == 1 else RT(r, t)
+    r, _, _, t = _polar(m, x)
+    return RT(r, t)
 
 
 class NormalPlane(NamedTuple):
@@ -218,17 +235,17 @@ def unit_w(m: FoliationModel, x) -> np.ndarray:
     exactly unit because t is an arc-length (isoparametric) parameter.  x is
     one point or an (m, n) array of rows, as in t_coord.
     """
-    x = np.asarray(x, dtype=float)
-    r, t = t_coord(m, x)
-    return _unit_w(m, x / np.asarray(r)[..., None], t)
+    _, u, p, t = _polar(m, x)
+    return _unit_w(m, u, t, p)
 
 
-def _unit_w(m: FoliationModel, u: np.ndarray, t) -> np.ndarray:
+def _unit_w(m: FoliationModel, u: np.ndarray, t, p) -> np.ndarray:
+    """unit_w at the unit point or rows u, with their t and p = p(u)."""
     s = np.sin(m.d * t)
     if (s < 1e-12).any():
         raise FocalProximityError("t direction degenerates on the focal set")
     # one column per point, so that a point's s and p stay numpy scalars
-    grad_sphere = _grad_poly(m, u) - (m.d * _poly(m, u)) * u.T
+    grad_sphere = _grad_poly(m, u) - (m.d * p) * u.T
     return np.ascontiguousarray((-grad_sphere / (m.d * s)).T)
 
 
@@ -240,15 +257,13 @@ def normal_plane_basis(m: FoliationModel, x,
     with gamma(t) = u; v1 sits on the focal set M_0.  x is one point or an
     (m, n) array of rows (v1, v2 and w are then rows too).
     """
-    x = np.asarray(x, dtype=float)
-    r, t = t_coord(m, x)
+    _, u, p, t = _polar(m, x)
     hi = math.pi / m.d - delta
     near = [v for v in np.atleast_1d(t).tolist() if not delta < v < hi]
     if near:
         raise FocalProximityError(f"t={near[0]:.4f} is within {delta} of a "
                                   f"focal value (0 or {math.pi / m.d:.4f})")
-    u = x / np.asarray(r)[..., None]
-    w = _unit_w(m, u, t)
+    w = _unit_w(m, u, t, p)
     c, s = np.cos(t)[..., None], np.sin(t)[..., None]
     return NormalPlane(v1=c * u - s * w, v2=s * u + c * w, w=w)
 
@@ -309,13 +324,14 @@ def _sphere_tangent_basis(*vs: np.ndarray) -> np.ndarray:
     return np.array(basis[len(vs):])
 
 
-def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray):
+def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
     """S = -P (Hess p - d p I) P / (d sin dt), P = I - u u^T - w w^T, at each
-    row of the unit (k, n) array u: the leaf's shape operator (the spherical
-    Hessian of t on the leaf), with eigenvalues cot(t + k pi/d) there."""
+    row of the unit (k, n) array u, with p = p(u): the leaf's shape operator
+    (the spherical Hessian of t on the leaf), with eigenvalues
+    cot(t + k pi/d) there."""
     eye = np.eye(m.n)
     P = eye - u[:, :, None] * u[:, None, :] - w[:, :, None] * w[:, None, :]
-    H = _hess_poly(m, u) - (m.d * _poly(m, u))[:, None, None] * eye
+    H = _hess_poly(m, u) - (m.d * p)[:, None, None] * eye
     return -(P @ H @ P) / (m.d * np.sin(m.d * t))[:, None, None]
 
 
@@ -327,18 +343,22 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     x = np.asarray(x, dtype=float)
     _radius(m, x)  # t_coord's errors, before x / |x| can warn
     u = x / np.linalg.norm(x)
-    r, t = t_coord(m, u)
+    _, v, p, t = _polar(m, u)
     if not (delta < t < math.pi / m.d - delta):
         raise FocalProximityError(f"t={t:.4f} inside the focal guard band")
-    w = _unit_w(m, u / r, t)
+    w = _unit_w(m, v, t, p)
     leaf = _sphere_tangent_basis(u, w)
-    S = _shape_operator(m, u[None], np.array([t]), w[None])[0]
+    # S at u itself, whose p is not that of the pass's v = u / |u|
+    S = _shape_operator(m, u[None], np.array([t]), w[None], _poly(m, u[None]))[0]
     evals, evecs = np.linalg.eigh(leaf @ S @ leaf.T)
     out, i = [], len(evals)  # eigh sorts ascending: walk from the top
     for k, mk in multiplicities(m):
         kappa = evals[i - mk:i]
         target = 1.0 / math.tan(t + k * math.pi / m.d)
-        if not np.allclose(kappa, target):
+        # np.allclose's test, |kappa - target| <= 1e-8 + 1e-5 |target|, at a
+        # fraction of its cost; a NaN fails it
+        tol = 1e-8 + 1e-5 * abs(target)
+        if not all(abs(v - target) <= tol for v in kappa.tolist()):
             raise RuntimeError(f"shape eigenvalues {kappa} for k={k} are not "
                                f"cot(t + k pi/d) = {target:.6f}")
         out.append(ShapeEigen(k=k, kappa=float(np.mean(kappa)), multiplicity=mk,

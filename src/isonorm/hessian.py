@@ -2,9 +2,11 @@
 
 The Hessian metric g = Hess(E), E = F^2/2, is evaluated in closed form
 (`closed_fundamental_tensor`) wherever g itself is needed, the indicatrix
-chart included.  `fd_fundamental_tensor` differences E instead and stays the
-independent oracle of G; `energy` maps an (m, n) array of points to their m
-values, so its stencil evaluates the whole lattice in one call (see fd.py).
+chart included; each row set takes one polar pass of the foliation, whose
+p(u) the normal w and the shape operator share.  `fd_fundamental_tensor`
+differences E instead and stays the independent oracle of G; `energy` maps
+an (m, n) array of points to their m values, so its stencil evaluates the
+whole lattice in one call (see fd.py).
 The only FD left in the indicatrix chart is the outer divergence difference
 of the Laplacian.
 
@@ -19,6 +21,7 @@ with T one central difference of the exact g, and g^{-1} T_i formed first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,7 +30,7 @@ import numpy as np
 
 from .fd import hessian_fd
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
-                        _check_shape, _radius, _shape_operator,
+                        _check_shape, _polar, _radius, _shape_operator,
                         _sphere_tangent_basis, _sqnorm, _sqnorm_or_inf, _unit_w,
                         multiplicities, t_coord, unit_w)
 from .profile import Profile, gap_from_jet, require_minkowski
@@ -101,17 +104,17 @@ def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
     """Hessian of E at x in closed form, from jet(t, 2) alone:
     G = 2f I + f' (u w^T + w u^T + S) + f'' w w^T, with u = x/|x|, w = unit_w
     and S the leaf's shape operator.  x is one point or a (k, n) array of
-    rows, each with the bits of its one-row call; FocalProximityError on a
-    focal cone, where w degenerates."""
+    rows, each with the bits of its one-row call; one polar pass gives u, t
+    and the p that w and S take, so p is evaluated once per row set.
+    FocalProximityError on a focal cone, where w degenerates."""
     x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
-    r, t = t_coord(nm.foliation, rows)
-    u = rows / r[:, None]
-    w = _unit_w(nm.foliation, u, t)
+    _, u, p, t = _polar(nm.foliation, np.atleast_2d(x))
+    w = _unit_w(nm.foliation, u, t, p)
     f0, f1, f2 = (f[:, None, None] for f in nm.profile.jet(t, 2))
     uw = u[:, :, None] * w[:, None, :]
     G = (2.0 * f0 * np.eye(nm.foliation.n) + f2 * (w[:, :, None] * w[:, None, :])
-         + f1 * (uw + np.swapaxes(uw, 1, 2) + _shape_operator(nm.foliation, u, t, w)))
+         + f1 * (uw + np.swapaxes(uw, 1, 2)
+                 + _shape_operator(nm.foliation, u, t, w, p)))
     return G if x.ndim == 2 else G[0]
 
 
@@ -297,12 +300,12 @@ def _indicatrix_chart_data(nm: InducedNorm, U0: np.ndarray, V: np.ndarray,
     """(metric, dt-components, sqrt(det)) of the induced chart metric at the
     k rows of the chart offsets Z (k, n-1) around the base directions U0
     (k, n) with tangent bases V (k, n-1, n), stacked; one jet, one
-    closed_fundamental_tensor and two t_coord calls (one in the tensor)
-    serve all rows, and each keeps its one-point bits."""
+    closed_fundamental_tensor and two polar passes (one in the tensor) serve
+    all rows, each handing its p on, and each row keeps its one-point bits."""
     u, du = _chart_points(U0, V, Z)
-    r, t = t_coord(nm.foliation, u)
+    _, v, p, t = _polar(nm.foliation, u)
     f0, f1 = nm.profile.jet(t, 1)
-    w = _unit_w(nm.foliation, u / r[:, None], t)
+    w = _unit_w(nm.foliation, v, t, p)
     dt = (np.swapaxes(du, 1, 2) @ w[..., None])[..., 0]  # chart components of grad t
     rho = 1.0 / np.sqrt(2.0 * f0)
     drho = (-f1 * rho / (2.0 * f0))[:, None] * dt
@@ -310,6 +313,22 @@ def _indicatrix_chart_data(nm: InducedNorm, U0: np.ndarray, V: np.ndarray,
     J = rho[:, None, None] * du + u[:, :, None] * drho[:, None, :]
     ghat = np.swapaxes(J, 1, 2) @ closed_fundamental_tensor(nm, X) @ J
     return ghat, dt, np.sqrt(np.linalg.det(ghat))
+
+
+@functools.cache
+def _chart_stencil(na: int):
+    """(Z, axis, coef) of the fourth-order stencil in na chart axes: the
+    offsets Z, the base point first, then 4 per axis; each offset's axis
+    (axis a outer, the stencil inner) and its weight.  Built once per na,
+    read-only."""
+    axis = np.repeat(np.arange(na), 4)
+    coef = np.tile([-1.0, 8.0, -8.0, 1.0], na)
+    Z = np.zeros((1 + 4 * na, na))
+    Z[1 + np.arange(4 * na), axis] = (np.tile([2.0, 1.0, -1.0, -2.0], na)
+                                      * INDICATRIX_STEP)
+    for a in (Z, axis, coef):
+        a.flags.writeable = False
+    return Z, axis, coef
 
 
 def fd_indicatrix_operators(nm: InducedNorm, u0):
@@ -322,7 +341,8 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
     difference) depends on the base point, which would otherwise show up as
     spurious position dependence of an isoparametric invariant.  The base
     points and their 4(n-1) stencil points, k(4n-3) rows, take one chart call,
-    so two t_coord calls in all.  A (0, n) array gives two empty arrays.
+    so two polar passes (t_coord's) in all.  A (0, n) array gives two empty
+    arrays.
     """
     u0 = np.asarray(u0, dtype=float)
     rows = np.atleast_2d(u0)
@@ -330,11 +350,7 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
     k, na = len(rows), nm.foliation.n - 1
     U = np.array([u / np.linalg.norm(u) for u in rows]).reshape(k, na + 1)
     V = np.array([_sphere_tangent_basis(u) for u in U]).reshape(k, na, na + 1)
-    axis = np.repeat(np.arange(na), 4)  # axis a outer, the stencil inner
-    coef = np.tile([-1.0, 8.0, -8.0, 1.0], na)
-    Z = np.zeros((1 + 4 * na, na))
-    Z[1 + np.arange(4 * na), axis] = (np.tile([2.0, 1.0, -1.0, -2.0], na)
-                                      * INDICATRIX_STEP)
+    Z, axis, coef = _chart_stencil(na)
     ghat, dt, sdet = (a.reshape((k, len(Z)) + a.shape[1:])
                       for a in _indicatrix_chart_data(
                           nm, np.repeat(U, len(Z), 0), np.repeat(V, len(Z), 0),

@@ -99,14 +99,23 @@ class Profile:
         f' = -d sin(d t) phi'(q), and f''' + 4 f' is the f' of the series with
         coefficients c_j ((j d)^2 - 4); t = arccos(q)/d over the real parts,
         clipped to [-1, 1], of the roots of phi, phi' and that derivative.
-        Computed once per profile object; the array is read-only."""
+        Computed once per profile object; the array is read-only.  A series
+        of at most CLENSHAW_MAX_TERMS terms takes numpy's steps written out
+        (`_short_chebder`, `_short_roots`), a longer one numpy's functions."""
         if "_angles" not in self.__dict__:
-            c = np.asarray(self.cos_coeffs)
-            freq = np.arange(len(c)) * self.d
-            # trailing c_j below eps * max|c| overflow the companion matrix
-            q = [chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
-                 for s in (c, chebder(c), chebder(c * (freq ** 2 - 4.0)))]
-            angles = np.arccos(np.clip(np.concatenate(q), -1.0, 1.0)) / self.d
+            c = self.cos_coeffs
+            if len(c) <= CLENSHAW_MAX_TERMS:
+                c4 = tuple(v * ((j * self.d) ** 2 - 4.0) for j, v in enumerate(c))
+                q = [v for s in (c, _short_chebder(c), _short_chebder(c4))
+                     for v in _short_roots(s)]
+            else:
+                c = np.asarray(c)
+                freq = np.arange(len(c)) * self.d
+                # trailing c_j below eps * max|c| overflow the companion matrix
+                q = np.concatenate([
+                    chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
+                    for s in (c, chebder(c), chebder(c * (freq ** 2 - 4.0)))])
+            angles = np.arccos(np.clip(np.array(q, dtype=float), -1.0, 1.0)) / self.d
             angles.flags.writeable = False
             object.__setattr__(self, "_angles", angles)
         return self._angles
@@ -132,18 +141,45 @@ def _check_order(k) -> None:
         raise ValueError(f"k must be in 0..{MAX_DERIV_ORDER}, got {k}")
 
 
+def _short_chebder(c: tuple) -> tuple:
+    """numpy's `chebder(c)` of a series of at most three floats, by its
+    steps, as floats: (c1, 4 c2), (c1), or (0 c0) for a constant."""
+    if len(c) == 1:
+        return (c[0] * 0.0,)
+    return (c[1],) if len(c) == 2 else (c[1], 4.0 * c[2])
+
+
+def _short_roots(s: tuple) -> list:
+    """numpy's `chebroots(trimcoef(s, eps max|s|)).real` of a series of at
+    most three floats, as floats: trailing terms not above eps max|s| go,
+    then a line's root is its one division and a quadratic's `chebroots`."""
+    tol = EPS * max(abs(v) for v in s)
+    while len(s) > 1 and not abs(s[-1]) > tol:
+        s = s[:-1]
+    if len(s) == 3:
+        return chebroots(s).real.tolist()
+    return [-s[0] / s[1]] if len(s) == 2 else []
+
+
+def _short_series(d: int, c: tuple) -> list:
+    """The series e_m of (-d)^m phi^(m), m = 0..3, of a series c of at most
+    three terms, as tuples of floats, by numpy's `chebder` steps."""
+    e = [c]
+    for _ in range(MAX_DERIV_ORDER):
+        e.append(tuple(-d * v for v in _short_chebder(e[-1])))
+    return e
+
+
 def _clenshaw_kernel(d: int, c: tuple):
     """jet(t, k) of the profile of order d whose series c has at most three
-    terms, from the series e_m of (-d)^m phi^(m), m = 1..3, formed here by
-    `chebder`: f = phi, f' = -d s phi', f'' = d^2 (s^2 phi'' - q phi') and
+    terms, from the series e_m of (-d)^m phi^(m), m = 1..3 (`_short_series`):
+    f = phi, f' = -d s phi', f'' = d^2 (s^2 phi'' - q phi') and
     f''' = d^3 s (phi' + 3 q phi'' - s^2 phi'''), with q = cos(d t) and
     s = sin(d t) from numpy's ufuncs and each series summed by Clenshaw's
     recurrence (MTAC 9, 1955), written out for up to three terms.  A float
     runs on Python floats and any other angle, after `as_angle`, elementwise,
     by the same steps, so a float has the bits of its array row."""
-    e = [c]
-    for _ in range(MAX_DERIV_ORDER):
-        e.append(tuple((-d * chebder(e[-1])).tolist()))
+    e = _short_series(d, c)
     n, (c0, c1, c2), (a0, a1) = len(c), (*c, 0.0, 0.0)[:3], (*e[1], 0.0)[:2]
     (b0,), (g0,), d3, dd = e[2], e[3], 3 * d, d * d
     cos, sin, isfinite = np.cos, np.sin, math.isfinite

@@ -118,11 +118,12 @@ def test_t_coord_rejects_the_origin():
             t_coord(m, x)
 
 
-def test_shape_spectrum_makes_one_t_coord_call(monkeypatch):
+def test_shape_spectrum_makes_one_polar_pass(monkeypatch):
+    # t_coord's pass; S then takes p of u = x/|x|, not of the pass's u/|u|
     m = d2(8, 3)
     x = random_leaf_points(m, 0.6, 1, seed=3)[0]
-    calls, one = [], foliation.t_coord
-    monkeypatch.setattr(foliation, "t_coord",
+    calls, one = [], foliation._polar
+    monkeypatch.setattr(foliation, "_polar",
                         lambda m, x: calls.append(1) or one(m, x))
     shape_spectrum(m, x)
     assert len(calls) == 1
@@ -174,6 +175,23 @@ def test_shape_spectrum_eigenvalues():
         for e in spec:
             kappa = 1.0 / math.tan(t + e.k * math.pi / m.d)
             assert e.kappa == pytest.approx(kappa, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale,ok", [(1.0 + 5e-6, True), (1.0 - 5e-6, True),
+                                      (1.0 + 2e-5, False), (1.0 - 2e-5, False)])
+def test_shape_spectrum_accepts_what_allclose_accepts(monkeypatch, scale, ok):
+    # a relative error of 5e-6 in every eigenvalue is inside np.allclose's
+    # 1e-8 + 1e-5 |cot|, one of 2e-5 outside it
+    m = d2(8, 3)
+    x = random_leaf_points(m, 0.6, 1, seed=3)[0]
+    one = foliation._shape_operator
+    monkeypatch.setattr(foliation, "_shape_operator",
+                        lambda *args: scale * one(*args))
+    if ok:
+        shape_spectrum(m, x)
+    else:
+        with pytest.raises(RuntimeError, match="are not cot"):
+            shape_spectrum(m, x)
 
 
 def test_shape_spectrum_basis_tangent():

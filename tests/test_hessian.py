@@ -431,17 +431,32 @@ def test_fd_indicatrix_laplacian_near_the_focal_ends(model, profile):
         assert np.max(np.abs(laps - indicatrix_laplacian_t(nm, t))) < 1e-6
 
 
-def test_fd_indicatrix_operators_make_two_t_coord_calls(monkeypatch):
+def test_fd_indicatrix_operators_make_two_polar_passes(monkeypatch):
     # one for the chart rows, one inside their closed G
     model, profile = MODEL_PROFILES[2]
     us = random_leaf_points(model, 0.6, 2, seed=4)
     calls = []
     for module in (hessian, foliation):
-        monkeypatch.setattr(module, "t_coord",
-                            lambda m, x, one=module.t_coord:
+        monkeypatch.setattr(module, "_polar",
+                            lambda m, x, one=module._polar:
                             calls.append(len(x)) or one(m, x))
     fd_indicatrix_operators(_norm(model, profile), us)
     assert calls == [2 * (4 * model.n - 3)] * 2
+
+
+@pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
+def test_closed_fundamental_tensor_evaluates_p_once_per_row_set(monkeypatch,
+                                                               model, profile):
+    # the polar pass hands p on to w and S, which evaluated it again before
+    nm = _norm(model, profile)
+    xs = random_leaf_points(model, 0.6, 3, seed=5)
+    calls, one = [], foliation._poly
+    monkeypatch.setattr(foliation, "_poly",
+                        lambda m, u: calls.append(u.shape) or one(m, u))
+    for x in (xs, xs[0]):
+        calls.clear()
+        closed_fundamental_tensor(nm, x)
+        assert calls == [np.atleast_2d(x).shape]
 
 
 def test_geometry_entry_points_raise_the_origin_error_without_a_warning():

@@ -9,12 +9,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from numpy.polynomial.chebyshev import chebder, chebroots
+from numpy.polynomial.polyutils import trimcoef
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isonorm import profile as profile_module
 from isonorm.isometry import bump_profile
 from isonorm.planar import DualProfile
-from isonorm.profile import (CLENSHAW_MAX_TERMS, Profile, SectorProfile,
+from isonorm.profile import (ALLOWED_D, CLENSHAW_MAX_TERMS, EPS, Profile,
+                             SectorProfile,
                              dihedral_fold, fit_cosine_series, from_phi,
                              gap_from_jet,
                              is_minkowski, load_profile,
@@ -92,6 +96,50 @@ def test_a_short_series_agrees_with_its_padded_cosine_sum(p):
     assert len(p.cos_coeffs) <= CLENSHAW_MAX_TERMS
     for got, want in zip(p.jet(ts, 3), _padded(p).jet(ts, 3)):
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _numpy_series(d, c):
+    """The series of (-d)^m phi^(m), m = 0..3, by numpy's `chebder`."""
+    e = [tuple(c)]
+    for _ in range(3):
+        e.append(tuple((-d * chebder(e[-1])).tolist()))
+    return e
+
+
+def _numpy_stationary_angles(d, c):
+    """stationary_angles by numpy's `chebder`, `trimcoef` and `chebroots`."""
+    c = np.asarray(c)
+    freq = np.arange(len(c)) * d
+    q = [chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
+         for s in (c, chebder(c), chebder(c * (freq ** 2 - 4.0)))]
+    return np.arccos(np.clip(np.concatenate(q), -1.0, 1.0)) / d
+
+
+# a last coefficient that is 0, -0.0, subnormal or tiny next to c0
+SHORT_TAILS = st.one_of(st.floats(-1e3, 1e3),
+                        st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e-17]))
+
+
+@given(st.sampled_from(ALLOWED_D),
+       st.lists(st.floats(-1e3, 1e3), max_size=CLENSHAW_MAX_TERMS - 1),
+       SHORT_TAILS)
+@example(1, [1.0, 0.3], 0.0)
+@example(2, [1.0, 0.2], 5e-324)
+@example(3, [0.5, 0.05], -0.0)
+@example(4, [-1.0], 0.1)
+@example(6, [], -0.5)
+@example(2, [1.0], -0.0)
+@example(3, [0.0, 0.0], 0.0)
+@settings(max_examples=300, deadline=None)
+def test_short_series_steps_are_numpys(d, head, last):
+    # the written-out chebder, trimcoef and linear chebroots of a short
+    # series give numpy's bits, in the kernel's series and the angles
+    c = tuple(head) + (last,)
+    hexes = lambda series: [[v.hex() for v in e] for e in series]
+    assert hexes(profile_module._short_series(d, c)) == hexes(_numpy_series(d, c))
+    got = Profile(d, c).stationary_angles()
+    want = _numpy_stationary_angles(d, c)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["profile", "sector", "dual"])

@@ -73,7 +73,7 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 32 and len(set(names)) == 32
+    assert len(names) == 35 and len(set(names)) == 35
     assert {"one 20-point riemann_fd call, 4 points on each of 5 leaves of "
             "cartan3, Profile(3, (0.5, 0.05))",
             "1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
@@ -82,9 +82,20 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
             "jet(t, 2), 4096 angles in one array, Profile(2, (1, 0.5))",
             "jet(t, 2), 4096 angles in one array, 96-term glue base",
             "fresh process python -m isonorm.cli validate, Profile(2, (1, 0.5))",
-            "fresh process python -m isonorm.cli foliation info --model cartan3"
-            } <= set(names)
-    assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0 for row in bench["rows"])
+            "fresh process python -m isonorm.cli foliation info --model cartan3",
+            "20 one-point closed_fundamental_tensor calls, 5 leaves of each of "
+            "d1:3, d2:4:2, d2:8:3, cartan3",
+            "20 one-point fd_fundamental_tensor calls, 5 leaves of each of "
+            "d1:3, d2:4:2, d2:8:3, cartan3",
+            "InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005))) cold, "
+            "a new profile per call"} <= set(names)
+    # the fresh-process rows keep their wall times as measured, unscaled
+    fresh = [row for row in bench["rows"] if row["name"].startswith("fresh")]
+    assert len(fresh) == 2 and all(
+        row["scaled_ms"] is None and 0 < row["best_ms"] <= row["median_ms"]
+        for row in fresh)
+    assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0
+               for row in bench["rows"] if row not in fresh)
     repeats = {row["name"]: row["repeat"] for row in bench["rows"]}
     assert repeats["is_minkowski cold, 96-term glue base"] > repeats[names[0]] == 1
 

@@ -72,7 +72,7 @@ def _excess_over_reference(p) -> float:
 
 
 def _random_profile(rng) -> Profile:
-    d = int(rng.integers(1, 4))
+    d = int(rng.choice(ALLOWED_D))
     terms = int(rng.integers(2, 7))
     coeffs = [1.0] + [float(rng.uniform(-0.6, 0.6)) / j ** 2
                       for j in range(1, terms)]
