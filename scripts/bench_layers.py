@@ -65,14 +65,15 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   four one-angle jets of f (the paper's two-branch reduction);
 - 1000 one-angle `jet(t, 2)` calls of Profile(2, (1, 0.5)), at the angles
   of a 1000-point grid on [0, pi], and `jet(t, 2)` on 4096 angles of
-  [0, pi] in one array, of that profile and of the 96-term glue base (the
-  Clenshaw sum of a short series and the cosine matrix of a long one);
+  [0, pi] in one array, of that profile, of the 96-term glue base (the
+  Clenshaw sum of a short series and the cosine matrix of a long one) and
+  of `DualProfile(Profile(2, (1, 0.5)))` (one array Newton solve, then h,
+  h' and h'' in closed form);
 - 1000 one-angle `jet(t, 3)` calls of Profile(3, (0.5, 0.02, 0.005)) at
-  those angles: a three-term kernel to order 3, as the exact dual's chain
-  rule takes it;
+  those angles: a three-term kernel to order 3;
 - 1000 one-angle `jet(t, 2)` calls of `DualProfile(Profile(2, (1, 0.5)))`
-  at the same angles: the exact dual's float Newton solve and chain rule,
-  without the rest of `ode_residuals`;
+  at the same angles: the exact dual's float Newton solve and closed-form
+  h, h' and h'', without the rest of `ode_residuals`;
 - a fresh `python -m isonorm.cli validate --profile path` process, where
   path holds Profile(2, (1, 0.5)), and a fresh `python -m isonorm.cli
   foliation info --model cartan3` process, each its report discarded:
@@ -337,7 +338,8 @@ def rows(tmp: str):
     out.append(("1000 one-angle jet(t, 3) calls, Profile(3, (0.5, 0.02, 0.005))",
                 lambda p: _one_angle_jets(p, 3),
                 lambda: Profile(3, (0.5, 0.02, 0.005))))
-    for what, p in (("Profile(2, (1, 0.5))", small), ("96-term glue base", base)):
+    for what, p in (("Profile(2, (1, 0.5))", small), ("96-term glue base", base),
+                    ("DualProfile(Profile(2, (1, 0.5)))", dual_triple.h)):
         out.append((f"jet(t, 2), 4096 angles in one array, {what}",
                     lambda p: p.jet(JET_GRID, 2), lambda p=p: p))
     small_path = os.path.join(tmp, "small.json")

@@ -249,6 +249,16 @@ def _unit_w(m: FoliationModel, u: np.ndarray, t, p) -> np.ndarray:
     return np.ascontiguousarray((-grad_sphere / (m.d * s)).T)
 
 
+def _require_interior(m: FoliationModel, t, delta: float) -> None:
+    """FocalProximityError unless t (a float or an array) lies in
+    (delta, pi/d - delta); a NaN t or delta is outside too."""
+    hi = math.pi / m.d - delta
+    near = [v for v in np.atleast_1d(t).tolist() if not delta < v < hi]
+    if near:
+        raise FocalProximityError(f"t={near[0]:.4f} inside the focal guard band"
+                                  f" (delta={delta}, pi/d={math.pi / m.d:.4f})")
+
+
 def normal_plane_basis(m: FoliationModel, x,
                        delta: float = DEFAULT_FOCAL_GUARD) -> NormalPlane:
     """Orthonormal (v1, v2) spanning the normal plane through x, plus w.
@@ -258,11 +268,7 @@ def normal_plane_basis(m: FoliationModel, x,
     (m, n) array of rows (v1, v2 and w are then rows too).
     """
     _, u, p, t = _polar(m, x)
-    hi = math.pi / m.d - delta
-    near = [v for v in np.atleast_1d(t).tolist() if not delta < v < hi]
-    if near:
-        raise FocalProximityError(f"t={near[0]:.4f} is within {delta} of a "
-                                  f"focal value (0 or {math.pi / m.d:.4f})")
+    _require_interior(m, t, delta)
     w = _unit_w(m, u, t, p)
     c, s = np.cos(t)[..., None], np.sin(t)[..., None]
     return NormalPlane(v1=c * u - s * w, v2=s * u + c * w, w=w)
@@ -341,11 +347,9 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     they fall to the k of multiplicities(m) in turn; RuntimeError if one is
     not its cot(t + k pi/d)."""
     x = np.asarray(x, dtype=float)
-    _radius(m, x)  # t_coord's errors, before x / |x| can warn
-    u = x / np.linalg.norm(x)
+    u = x / _radius(m, x)  # t_coord's errors, before x / |x| can warn
     _, v, p, t = _polar(m, u)
-    if not (delta < t < math.pi / m.d - delta):
-        raise FocalProximityError(f"t={t:.4f} inside the focal guard band")
+    _require_interior(m, t, delta)
     w = _unit_w(m, v, t, p)
     leaf = _sphere_tangent_basis(u, w)
     # S at u itself, whose p is not that of the pass's v = u / |u|

@@ -29,10 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import hessian_fd
-from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
-                        _check_shape, _polar, _radius, _shape_operator,
+from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape,
+                        _polar, _radius, _require_interior, _shape_operator,
                         _sphere_tangent_basis, _sqnorm, _sqnorm_or_inf, _unit_w,
-                        multiplicities, t_coord, unit_w)
+                        multiplicities, t_coord)
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
@@ -144,10 +144,8 @@ def frame_components(nm: InducedNorm, x, spectrum) -> FrameComponents:
 
 def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
     """Columns: radial u, t-direction w, then shape eigenvectors."""
-    x = np.asarray(x, dtype=float)
-    w = unit_w(nm.foliation, x)
-    u = x / float(np.linalg.norm(x))
-    cols = [u, w]
+    _, u, p, t = _polar(nm.foliation, x)
+    cols = [u, _unit_w(nm.foliation, u, t, p)]
     for entry in spectrum:
         for vec in entry.basis:
             cols.append(vec)
@@ -157,8 +155,7 @@ def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
 def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
     """Expected projected metric matrix in the frame_basis (unit vectors)."""
     comps = frame_components(nm, x, spectrum)
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
+    r = float(_radius(nm.foliation, np.asarray(x, dtype=float)))
     n = nm.foliation.n
     M = np.zeros((n, n))
     M[0, 0] = comps.g_rr
@@ -190,10 +187,8 @@ def riemann_fd(nm: InducedNorm, x,
     """
     x = np.asarray(x, dtype=float)
     r, t = t_coord(nm.foliation, x)  # its errors come before x / |x| can warn
-    rows, r, t = np.atleast_2d(x), np.atleast_1d(r), np.atleast_1d(t)
-    near = (t <= delta) | (t >= math.pi / nm.foliation.d - delta)
-    if near.any():
-        raise FocalProximityError(f"t={t[near][0]:.4f} inside the focal guard band")
+    _require_interior(nm.foliation, t, delta)
+    rows, r = np.atleast_2d(x), np.atleast_1d(r)
 
     k, n, h = len(rows), nm.foliation.n, TENSOR_STEP_SCALE
     E = h * np.eye(n)
@@ -346,9 +341,8 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
     """
     u0 = np.asarray(u0, dtype=float)
     rows = np.atleast_2d(u0)
-    _radius(nm.foliation, rows)  # t_coord's errors, before u / |u| can warn
+    U = rows / _radius(nm.foliation, rows)[:, None]  # t_coord's errors first
     k, na = len(rows), nm.foliation.n - 1
-    U = np.array([u / np.linalg.norm(u) for u in rows]).reshape(k, na + 1)
     V = np.array([_sphere_tangent_basis(u) for u in U]).reshape(k, na, na + 1)
     Z, axis, coef = _chart_stencil(na)
     ghat, dt, sdet = (a.reshape((k, len(Z)) + a.shape[1:])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .profile import (FIT_MAX_TERMS, Profile, _pow, as_angle, dihedral_fold,
+from .profile import (FIT_MAX_TERMS, Profile, as_angle, dihedral_fold,
                       gap_from_jet, is_minkowski, require_minkowski,
                       sampled_profile)
 
@@ -180,15 +180,15 @@ class DualProfile:
     the root.  A point stops once its Newton step is below NEWTON_TOL, or
     once the step only returns to a bracket end (the residual is down to
     rounding); a point still moving after NEWTON_MAX_STEPS raises
-    ValueError rather than return a wrong number.  `jet(t, k)` then applies
-    the chain rule to h, h' and h'' from that one solve, so no spectral
-    truncation enters (`dual_profile` fits this to a cosine series).  A
-    scalar angle takes the same steps on Python floats (an `if` for each
-    `np.where`, numpy's ufuncs for sin, cos and arctan2), so it returns
-    floats with the bits of its array row.
-    Orders go up to 2 (order 3 would need the fourth derivative of the base
-    profile).  The base must be a valid Minkowski profile (`is_minkowski`):
-    a marginal one may pinch theta_legendre' to zero, where h blows up.
+    ValueError rather than return a wrong number.  `jet(t, k)` then forms
+    h, h' and h'' in closed form from the base's jet at that one solve, so
+    no spectral truncation enters (`dual_profile` fits this to a cosine
+    series).  A scalar angle takes the same steps on Python floats (an `if`
+    for each `np.where`, numpy's ufuncs for sin, cos and arctan2), so it
+    returns floats with the bits of its array row.
+    Orders go up to 2 (order 3 would need the base's f''').  The base must
+    be a valid Minkowski profile (`is_minkowski`): a marginal one may pinch
+    theta_legendre' to zero, where h blows up.
     """
 
     base: Profile
@@ -285,38 +285,20 @@ class DualProfile:
         return tuple(out) if scalar else tuple(v.reshape(t.shape) for v in out)
 
     def _chain(self, t, k: int) -> list:
-        """h, h', ... up to h^(k) at theta_legendre(t), by the chain rule;
-        floats for a float t, whose powers go through the builtin pow (a
-        float's **, the C library's pow, which `_pow` applies to each entry
-        of an array)."""
-        jet = self.base.jet(t, k + 1)
-        pw = pow if isinstance(t, float) else _pow
-        f0, f1 = jet[:2]
+        """h, h', ... up to h^(k) at theta_legendre(t), in closed form from
+        the base's (f, f', f''): with G = 4f^2 + f'^2 = N^2 + D^2,
+        theta_legendre' = gap/G and (f/G)' = -f' gap/G^2, so h = s f/G,
+        h' = -s f'/G and h'' = s (8 f f'^2 - (4f^2 - f'^2) f'')/(G gap).
+        Floats and arrays take the same steps."""
+        jet = self.base.jet(t, max(k, 1))
+        s, f0, f1 = self.scale, jet[0], jet[1]
         G = 4 * f0 * f0 + f1 * f1
-        out = [self.scale * f0 / G]
-        if k == 0:
-            return out
-        f2 = jet[2]
-        Gp = 2 * f1 * (4 * f0 + f2)
-        qp = f1 / G - f0 * Gp / pw(G, 2)
-        gap = gap_from_jet(f0, f1, f2)
-        sin, cos = _sin_cos(t)
-        N, D = legendre_num_den(f0, f1, sin, cos)
-        tp = gap / (N * N + D * D)
-        out.append(self.scale * qp / tp)
-        if k == 1:
-            return out
-        f3 = jet[3]
-        Gpp = 8 * (f1 * f1 + f0 * f2) + 2 * (f2 * f2 + f1 * f3)
-        qpp = f2 / G - 2 * f1 * Gp / pw(G, 2) - f0 * Gpp / pw(G, 2) \
-            + 2 * f0 * pw(Gp, 2) / pw(G, 3)
-        gap_p = 2 * f0 * (f3 + 4 * f1)
-        Np = f1 * sin + (2 * f0 + f2) * cos
-        Dp = f1 * cos - (2 * f0 + f2) * sin
-        tpp = gap_p / (N * N + D * D) \
-            - gap * 2 * (N * Np + D * Dp) / pw(N * N + D * D, 2)
-        out.append(self.scale * (qpp * tp - qp * tpp) / pw(tp, 3))
-        return out
+        out = [s * f0 / G, -s * f1 / G]
+        if k == 2:
+            f2 = jet[2]
+            out.append(s * (8 * f0 * f1 * f1 - (4 * f0 * f0 - f1 * f1) * f2)
+                       / (G * gap_from_jet(f0, f1, f2)))
+        return out[:k + 1]
 
     def scaled(self, factor: float) -> "DualProfile":
         return DualProfile(base=self.base, scale=self.scale * factor)

@@ -794,6 +794,32 @@ def test_isometry_check_flags_broken_triple(capsys, profiles, tmp_path):
     assert rep["status"] == "failed"
 
 
+def test_isometry_check_fails_on_its_worst_equation(capsys, tmp_path,
+                                                    monkeypatch):
+    # one middle equation past the failed bound, the others at rounding: the
+    # status follows ode_max, whatever the order of the per-equation entries
+    import isonorm.isometry as isometry
+    solve = isometry.ode_residuals
+
+    def one_bad_equation(tr, t):
+        res = solve(tr, t)
+        res[1] += 0.5
+        return res
+
+    monkeypatch.setattr(isometry, "ode_residuals", one_bad_equation)
+    scaled = {"f": {"d": 3, "kind": "cosine", "cos_coeffs": [1.0, 0.2]},
+              "h": {"d": 3, "kind": "cosine", "cos_coeffs": [2.0, 0.4]},
+              "theta": {"kind": "identity"}}
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(scaled))
+    code, rep = run_json(capsys, "isometry", "check", "--triple", str(path))
+    res = rep["residuals"]
+    assert code == 1 and rep["status"] == "failed"
+    assert res["ode_max"] == res["ode_eq1"] == pytest.approx(0.5)
+    assert max(v for k, v in res.items() if k not in ("ode_eq1", "ode_max")
+               ) < 1e-12
+
+
 def test_triple_whose_f_is_not_a_norm_profile_is_classified_and_checked(
         capfd, tmp_path):
     # theta_legendre needs only f's jet: the Legendre run is labelled, and the

@@ -16,8 +16,8 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             theta_scaled, value)
 from isonorm.isometry import (IsometryTriple, ThetaMap, bump_profile,
                               legendre_map_tag, ode_residuals, theta_jet)
-from isonorm.profile import (Profile, SectorProfile, dihedral_fold,
-                             fit_cosine_series, is_minkowski,
+from isonorm.profile import (ALLOWED_D, Profile, SectorProfile,
+                             dihedral_fold, fit_cosine_series, is_minkowski,
                              profile_from_json_dict, sampled_profile)
 
 ELLIPSE = PlanarNorm(Profile(2, (1.0, 0.2)))
@@ -228,10 +228,12 @@ def test_dual_profile_residual_covers_the_gaps(b):
     assert err <= 2.0 * fitted.fit_residual + 1e-12
 
 
-@given(st.sampled_from((1, 2, 3)), st.floats(-0.95, 0.95))
+@given(st.sampled_from(ALLOWED_D), st.floats(-0.95, 0.95))
 @example(1, 0.95)
 @example(2, -0.95)
 @example(3, 0.95)
+@example(4, -0.95)
+@example(6, 0.95)
 @settings(max_examples=20, deadline=None)
 def test_dual_profile_fit_stays_within_its_residual(d, share):
     # over the valid range, up to 0.95 of the bound on |b|: the fit is a
@@ -412,8 +414,8 @@ def test_exact_dual_rejects_marginal_base():
         DualProfile(Profile(1, (0.75, 1.0, 0.25)))
 
 
-# validity bound on |b| for c0 (1 + b cos(d t))
-B_BOUND = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0}
+# validity bound on |b| for c0 (1 + b cos(d t)): 2/(d^2 - 2) from d = 2 on
+B_BOUND = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0, 4: 2.0 / 14.0, 6: 2.0 / 34.0}
 
 
 def _bisection_dual(p: Profile, thetas):
@@ -448,11 +450,66 @@ def _check_exact_dual(p: Profile):
     assert np.max(np.abs(ode_residuals(tr, ts))) <= 1e-11
 
 
-@given(st.sampled_from((1, 2, 3)), st.floats(-0.95, 0.95),
+@given(st.sampled_from(ALLOWED_D), st.floats(-0.95, 0.95),
        st.floats(0.5, 2.0))
 @settings(max_examples=40, deadline=None)
 def test_exact_dual_over_the_valid_range(d, share, c0):
     _check_exact_dual(Profile(d, (c0, c0 * share * B_BOUND[d])))
+
+
+def _reference_dual_jet(mpmath, d, b, theta):
+    """(h, h', h'') of 1 + b cos(d t)'s exact dual at theta in (0, pi/d), in
+    50 digits: the Legendre angle inverted by findroot, then the chain rule
+    through theta_legendre' and theta_legendre''."""
+    mp = mpmath
+    with mp.workdps(50):
+        b, theta = mp.mpf(b), mp.mpf(theta)
+
+        def jet(t):
+            c, s = mp.cos(d * t), mp.sin(d * t)
+            return 1 + b * c, -b * d * s, -b * d ** 2 * c, b * d ** 3 * s
+
+        def angle(t):
+            f0, f1 = jet(t)[:2]
+            raw = mp.atan2(2 * f0 * mp.sin(t) + f1 * mp.cos(t),
+                           2 * f0 * mp.cos(t) - f1 * mp.sin(t))
+            return raw + 2 * mp.pi * mp.nint((t - raw) / (2 * mp.pi))
+
+        t = mp.findroot(lambda t: angle(t) - theta, (mp.mpf(0), mp.pi / d),
+                        solver="anderson")
+        f0, f1, f2, f3 = jet(t)
+        sin, cos = mp.sin(t), mp.cos(t)
+        G = 4 * f0 * f0 + f1 * f1
+        Gp = 2 * f1 * (4 * f0 + f2)
+        Gpp = 8 * (f1 * f1 + f0 * f2) + 2 * (f2 * f2 + f1 * f3)
+        qp = f1 / G - f0 * Gp / G ** 2
+        qpp = (f2 / G - 2 * f1 * Gp / G ** 2 - f0 * Gpp / G ** 2
+               + 2 * f0 * Gp ** 2 / G ** 3)
+        gap = 2 * f0 * f2 - f1 * f1 + 4 * f0 * f0
+        N, D = 2 * f0 * sin + f1 * cos, 2 * f0 * cos - f1 * sin
+        Np = f1 * sin + (2 * f0 + f2) * cos
+        Dp = f1 * cos - (2 * f0 + f2) * sin
+        tp = gap / (N * N + D * D)
+        tpp = (2 * f0 * (f3 + 4 * f1) / (N * N + D * D)
+               - gap * 2 * (N * Np + D * Dp) / (N * N + D * D) ** 2)
+        return f0 / G, qp / tp, (qpp * tp - qp * tpp) / tp ** 3
+
+
+@pytest.mark.parametrize("share", (0.5, 0.95, 0.9999))
+@pytest.mark.parametrize("d", ALLOWED_D)
+def test_exact_dual_jet_matches_a_50_digit_reference(d, share):
+    # each order's error, relative to |h| + |h^(m)|; the worst, 5.6e-12 at
+    # d = 2 and 0.9999 of the bound, is the inversion's: theta_legendre' is
+    # near 0 there, so one rounding unit of theta moves t by far more
+    mpmath = pytest.importorskip("mpmath")
+    b = share * B_BOUND[d]
+    thetas = np.linspace(0.0, math.pi / d, 42)[1:-1]
+    got = DualProfile(Profile(d, (1.0, b))).jet(thetas, 2)
+    for i, theta in enumerate(thetas):
+        want = _reference_dual_jet(mpmath, d, b, float(theta))
+        for m in range(3):
+            err = abs(got[m][i] - want[m]) / (abs(want[0]) + abs(want[m]))
+            assert err <= 1e-11, (m, float(theta))
 
 
 def test_exact_dual_strong_anisotropy():

@@ -73,7 +73,7 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 35 and len(set(names)) == 35
+    assert len(names) == 36 and len(set(names)) == 36
     assert {"one 20-point riemann_fd call, 4 points on each of 5 leaves of "
             "cartan3, Profile(3, (0.5, 0.05))",
             "1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
@@ -81,6 +81,8 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
             "1000 one-angle jet(t, 3) calls, Profile(3, (0.5, 0.02, 0.005))",
             "jet(t, 2), 4096 angles in one array, Profile(2, (1, 0.5))",
             "jet(t, 2), 4096 angles in one array, 96-term glue base",
+            "jet(t, 2), 4096 angles in one array, "
+            "DualProfile(Profile(2, (1, 0.5)))",
             "fresh process python -m isonorm.cli validate, Profile(2, (1, 0.5))",
             "fresh process python -m isonorm.cli foliation info --model cartan3",
             "20 one-point closed_fundamental_tensor calls, 5 leaves of each of "
