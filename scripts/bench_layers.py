@@ -66,11 +66,15 @@ wall time as measured, and `scaled_ms` is null.  The rows:
 - 1000 one-angle `jet(t, 2)` calls of Profile(2, (1, 0.5)), at the angles
   of a 1000-point grid on [0, pi], and `jet(t, 2)` on 4096 angles of
   [0, pi] in one array, of that profile, of the 96-term glue base (the
-  Clenshaw sum of a short series and the cosine matrix of a long one) and
+  Clenshaw sum of a short series and the rotation table of a long one) and
   of `DualProfile(Profile(2, (1, 0.5)))` (one array Newton solve, then h,
   h' and h'' in closed form);
 - 1000 one-angle `jet(t, 3)` calls of Profile(3, (0.5, 0.02, 0.005)) at
   those angles: a three-term kernel to order 3;
+- 1000 one-angle `jet(t, 2)` calls of Profile(3, (0.5, 0.03, 0.01, 0.004))
+  at those angles: the float path of a long series' rotation table;
+- `jet(t, 1)` of the 96-term glue base on 512 angles of [0, pi/3] in one
+  array, the shape of `classify_sectors`' `theta_legendre`;
 - 1000 one-angle `jet(t, 2)` calls of `DualProfile(Profile(2, (1, 0.5)))`
   at the same angles: the exact dual's float Newton solve and closed-form
   h, h' and h'', without the rest of `ode_residuals`;
@@ -141,6 +145,7 @@ ODE_ANGLES = np.linspace(0.0, math.pi / 2, 258)[1:-1]  # planar-sweep's, d = 2
 DUAL_GRID = np.linspace(0.0, math.pi / 2, 256)
 JET_ANGLES = np.linspace(0.0, math.pi, 1000).tolist()
 JET_GRID = np.linspace(0.0, math.pi, 4096)
+CLASSIFY_GRID = np.linspace(0.0, math.pi / 3, 512)
 # the ~15 ms 96-term rows take this many times --repeat calls; even at best
 # of 60 they spread by ~50 % between runs of one commit, as the host has
 # slow stretches longer than a row, so compare them only across many runs
@@ -338,6 +343,10 @@ def rows(tmp: str):
     out.append(("1000 one-angle jet(t, 3) calls, Profile(3, (0.5, 0.02, 0.005))",
                 lambda p: _one_angle_jets(p, 3),
                 lambda: Profile(3, (0.5, 0.02, 0.005))))
+    out.append(("1000 one-angle jet(t, 2) calls, Profile(3, (0.5, 0.03, 0.01, 0.004))",
+                _one_angle_jets, lambda: Profile(3, (0.5, 0.03, 0.01, 0.004))))
+    out.append(("jet(t, 1), 512 angles in one array, 96-term glue base",
+                lambda p: p.jet(CLASSIFY_GRID, 1), lambda: base))
     for what, p in (("Profile(2, (1, 0.5))", small), ("96-term glue base", base),
                     ("DualProfile(Profile(2, (1, 0.5)))", dual_triple.h)):
         out.append((f"jet(t, 2), 4096 angles in one array, {what}",

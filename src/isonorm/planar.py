@@ -177,9 +177,9 @@ class DualProfile:
     bracket that each step tightens, with bisection in place of any step
     that would leave it.  theta_legendre' = gap/(N^2 + D^2) > 0 for a valid
     base and theta_legendre fixes 0 and pi/d, so the bracket always holds
-    the root.  A point stops once its Newton step is below NEWTON_TOL, or
-    once the step only returns to a bracket end (the residual is down to
-    rounding); a point still moving after NEWTON_MAX_STEPS raises
+    the root.  A point stops, and leaves the later steps, once its Newton
+    step is below NEWTON_TOL or only returns to a bracket end (the residual
+    is down to rounding); a point still moving after NEWTON_MAX_STEPS raises
     ValueError rather than return a wrong number.  `jet(t, k)` then forms
     h, h' and h'' in closed form from the base's jet at that one solve, so
     no spectral truncation enters (`dual_profile` fits this to a cosine
@@ -240,19 +240,18 @@ class DualProfile:
                 if tiny or t == lo or t == hi:
                     return t
             at = theta
-        else:
-            t = theta
+        else:  # only the rows idx still move: ta, lo and hi are theirs
+            out, idx, ta = theta.copy(), np.arange(theta.size), theta
             lo = np.zeros_like(theta)
             hi = np.full_like(theta, math.pi / self.d)
-            active = np.ones(theta.shape, dtype=bool)
             for _ in range(NEWTON_MAX_STEPS):
-                f0, f1, f2 = jet(t, 2)
-                N, D = legendre_num_den(f0, f1, *_sin_cos(t))
-                resid = _unwrap_to(t, np.arctan2(N, D)) - theta
+                f0, f1, f2 = jet(ta, 2)
+                N, D = legendre_num_den(f0, f1, *_sin_cos(ta))
+                resid = _unwrap_to(ta, np.arctan2(N, D)) - theta[idx]
                 step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
-                newton = t - step
-                lo = np.where(resid < 0, t, lo)
-                hi = np.where(resid > 0, t, hi)
+                newton = ta - step
+                lo = np.where(resid < 0, ta, lo)
+                hi = np.where(resid > 0, ta, hi)
                 tiny = np.abs(step) < NEWTON_TOL
                 # a NaN or infinite step fails both tests: bisection
                 nxt = np.where(tiny | ((lo <= newton) & (newton <= hi)), newton,
@@ -260,12 +259,12 @@ class DualProfile:
                 # a step back onto a bracket end means the residual no longer
                 # tells the points apart: where theta_legendre' is small, its
                 # last bit of rounding moves t by more than NEWTON_TOL
-                done = tiny | (nxt == lo) | (nxt == hi)
-                t = np.where(active, nxt, t)
-                active &= ~done
-                if not active.any():
-                    return t
-            at = theta[active][0]
+                moving = ~(tiny | (nxt == lo) | (nxt == hi))
+                out[idx] = nxt
+                idx, ta, lo, hi = idx[moving], nxt[moving], lo[moving], hi[moving]
+                if not idx.size:
+                    return out
+            at = theta[idx[0]]
         raise ValueError(
             f"exact dual: Legendre angle inversion did not converge in "
             f"{NEWTON_MAX_STEPS} steps at theta={float(at):.17g}")

@@ -14,8 +14,8 @@ series plus the fit's `fit_residual`, which JSON stores next to
 `jet(t, k)`: (f, f', ..., f^(k)) at t from one evaluation, of which
 `evaluate(t, order)` is one entry, bit for bit; each row of an array of
 angles, flat or a column, has the bits of its one-angle call.  A
-`Profile`'s jet is the kernel it binds at construction, so every caller,
-with one float angle or many, goes the same way in.
+`Profile`'s jet is the kernel it binds (Clenshaw's sum or, for a long
+series, a rotation table), so every caller goes the same way in.
 `is_minkowski` is exact: it reads f and the gap from `jet` at the piece ends
 and at each kind's `stationary_angles()`, the only other places their minima
 can lie.  Both the report and a `Profile`'s angles are computed once per
@@ -39,14 +39,14 @@ MAX_DERIV_ORDER = 3
 EPS = np.finfo(float).eps
 PHI_GRID = 512  # from_phi's sample grid
 # Series of up to this many terms are summed by Clenshaw's recurrence in
-# q = cos(d t), longer ones as one cosine matrix: Clenshaw takes a few array
-# operations per term and order, the matrix one cos per term.  jet(t, 2) on
-# 20 rows, best of 40 interleaved runs on a 2-vCPU Xeon: Clenshaw 11.8 us
-# against 16.1 at 2 terms, 17.0 against 18.5 at 3, then 24.5 against 21.4
-# at 4 and 262 against 40 at 32.  `_clenshaw_kernel` writes out 3 terms.
+# q = cos(d t), longer ones by a rotation table: Clenshaw takes a few array
+# operations per term and order, the table one complex product per term and
+# one dot product per row and order.  jet(t, 2) on 20 rows, best of 40
+# interleaved runs on a 2-vCPU Xeon: Clenshaw 12.9 us against 29.0 at 2
+# terms, 17.5 against 30.3 at 3, then (its loop of old) 24.7 against 29.9
+# at 4 and 283 against 37 at 32.  `_clenshaw_kernel` writes out 3 terms.
 CLENSHAW_MAX_TERMS = 3
 _ORDERS = range(MAX_DERIV_ORDER + 1)
-_PHASES = 0.5 * math.pi * np.arange(MAX_DERIV_ORDER + 1)  # d^m/dt^m cos: + m pi/2
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class Profile:
     series: `_clenshaw_kernel` for at most CLENSHAW_MAX_TERMS terms, over
     the series of (-d)^m phi^(m)(q), m = 0..3, as Python floats, where
     phi(q) = sum_j c_j T_j(q), q = cos(d t), is f; `_cosine_kernel` for a
-    longer series, over the weights (j d)^m c_j of the cosine series of
-    each f^(m).  `replace`, `scaled`, pickle and copy bind their own.
+    longer series, a rotation table of e^(i j d t) weighted by (j d)^m c_j
+    for each f^(m).  `replace`, `scaled`, pickle and copy bind their own.
     """
 
     d: int
@@ -215,15 +215,29 @@ def _clenshaw_kernel(d: int, c: tuple):
     return jet
 
 
+def _times_d(d: int, t):
+    """(hi, lo), hi + lo = d t exactly: 3 t is Knuth's TwoSum of 2 t + t."""
+    if d % 3:
+        return d * t, 0.0
+    hi = 2.0 * t + t
+    b = hi - 2.0 * t
+    lo = (2.0 * t - (hi - b)) + (t - b)
+    return (hi, lo) if d == 3 else (2.0 * hi, 2.0 * lo)
+
+
 def _cosine_kernel(d: int, c: tuple):
-    """jet(t, k) of the profile of order d with the long series c:
-    f^(m) is the dot product of cos(w t + m pi/2), w = j d, with the weights
-    w^m c_j, one per angle.  A float and each row of an array (after
-    `as_angle`) take the same steps, so a row has the bits of its one-angle
-    call."""
-    freq = np.arange(len(c)) * d
-    # d^m/dt^m cos(w t) = w^m cos(w t + m pi/2); 0**0 == 1 keeps c0
-    weights = np.array([np.asarray(c) * freq.astype(float) ** m for m in _ORDERS])
+    """jet(t, k) of the profile of order d with the long series c, from one
+    rotation table per angle: z = e^(i d t) from one cos and one sin of hi,
+    corrected by lo (`_times_d`), then z^j, 0 < j < n, by `np.cumprod`.
+    With C and S its real and imaginary parts and w_m = (j d)^m c_j,
+    f = c_0 + C w_0, f' = -S w_1, f'' = -C w_2 and f''' = S w_3, one dot
+    product per order, c_0 added last.  A float takes the same steps on
+    one row, so each row of an array has the bits of its one-angle call."""
+    n, freq = len(c), np.arange(1, len(c)) * d
+    # order m's signed weights on the real (even m) or imaginary parts of z^j
+    weights = np.zeros((MAX_DERIV_ORDER + 1, 2 * n - 2))
+    for m, sign in zip(_ORDERS, (1.0, -1.0, -1.0, 1.0)):
+        weights[m, m % 2::2] = sign * np.asarray(c[1:]) * freq.astype(float) ** m
 
     def jet(t, k: int) -> tuple:
         t = as_angle(t)
@@ -231,14 +245,15 @@ def _cosine_kernel(d: int, c: tuple):
         if not (math.isfinite(t) if scalar else np.isfinite(t).all()):
             raise ValueError("non-finite angle")
         _check_order(k)
-        if scalar:  # one cos call for all orders, a row each
-            rows = np.cos(t * freq + _PHASES[:k + 1, None])
-            return tuple(float(c @ w) for c, w in zip(rows, weights))
-        # angles as a column: matmul then takes a dot product per angle, where
-        # a flat (m, n) @ (n,) would round its rows otherwise
-        wt = np.multiply.outer(t.reshape(-1, 1), freq)
-        return tuple((np.cos(wt + phase) @ w).reshape(t.shape)
-                     for phase, w in zip(_PHASES[:k + 1].tolist(), weights))
+        hi, lo = _times_d(d, t if scalar else t.reshape(-1, 1, 1))
+        cos, sin = np.cos(hi), np.sin(hi)
+        # a (1, n - 1) row per angle: matmul takes one dot product per row
+        z = np.empty((n - 1,) if scalar else (t.size, 1, n - 1), dtype=complex)
+        z.real, z.imag = cos - sin * lo, sin + cos * lo
+        rows = np.multiply.accumulate(z, axis=-1, out=z).view(float)  # cumprod
+        out = [float(rows.dot(w)) if scalar else rows @ w for w in weights[:k + 1]]
+        out[0] = c[0] + out[0]
+        return tuple(out) if scalar else tuple(v.reshape(t.shape) for v in out)
     return jet
 
 

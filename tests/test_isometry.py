@@ -374,8 +374,9 @@ def test_branch_two_tracks_legendre():
 # sha256 of the thetas of integrate_branch(f, branch, 0.3, theta0, 0.7),
 # theta0 = 0.25 on branch one and theta_legendre(f, 0.3) on branch two,
 # recorded before the steps took Python floats: a two-term profile (the
-# Clenshaw kernel) and a four-term one (the cosine matrix); branch one's
-# right side reads no jet of f, so its two rows agree
+# Clenshaw kernel) and a four-term one (the rotation table, whose row was
+# recorded again when that kernel replaced the cosine matrix); branch
+# one's right side reads no jet of f, so its two rows agree
 BRANCH_THETAS = {
     ((0.5, 0.05), "one"):
         "527178b53524efd3e001c55594a4784db9026b3aed6d021e50233b881f817167",
@@ -384,7 +385,7 @@ BRANCH_THETAS = {
     ((0.5, 0.03, 0.01, 0.004), "one"):
         "527178b53524efd3e001c55594a4784db9026b3aed6d021e50233b881f817167",
     ((0.5, 0.03, 0.01, 0.004), "two"):
-        "92039df8a853b9d47ad71cd09b19876b77a7ce724750a98ec27744eafb74b51e",
+        "9bb6cd272945f699874debe37b52be432fcdac5f7f1e14a6b5ad727cbbdd2303",
 }
 
 

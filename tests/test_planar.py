@@ -401,6 +401,32 @@ def test_exact_dual_names_a_scalar_angle_that_does_not_converge(monkeypatch):
         DualProfile(BASE).evaluate(0.4)
 
 
+def test_exact_dual_names_the_first_array_angle_that_does_not_converge(monkeypatch):
+    monkeypatch.setattr(planar, "NEWTON_MAX_STEPS", 1)
+    with pytest.raises(ValueError, match="in 1 steps at theta=0.40000000000000002"):
+        DualProfile(BASE).evaluate(np.array([0.0, 0.4, 0.9]))
+
+
+@pytest.mark.parametrize("base", [BASE, GLUE_BASE], ids=["2-term", "96-term"])
+def test_the_array_newton_solve_steps_only_the_rows_still_moving(base, monkeypatch):
+    # each row takes the steps of its one-angle solve, so the rows that
+    # reach the base's jet in one array solve add up to the steps of the
+    # one-angle solves, and each array step holds the rows still moving
+    thetas = np.linspace(0.0, math.pi / base.d, 257)
+    dual, jet, calls = DualProfile(base), base.jet, []
+    monkeypatch.setitem(vars(base), "jet", lambda t, k: (calls.append(np.size(t)),
+                                                         jet(t, k))[1])
+    ones, steps = [], []
+    for theta in thetas.tolist():
+        calls.clear()
+        ones.append(dual._invert_theta(theta))
+        steps.append(len(calls))
+    calls.clear()
+    assert dual._invert_theta(thetas).tobytes() == np.array(ones).tobytes()
+    assert sum(calls) == sum(steps) < len(thetas) * max(steps)
+    assert calls == [sum(s > i for s in steps) for i in range(max(steps))]
+
+
 def test_exact_dual_rejects_invalid_base():
     # gap < 0 somewhere: the angle map is not monotone, so it has no inverse
     with pytest.raises(ValueError, match="invalid"):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from isonorm import profile as profile_module
 from isonorm.isometry import bump_profile
-from isonorm.planar import DualProfile
+from isonorm.planar import DualProfile, PlanarNorm, dual_profile
 from isonorm.profile import (ALLOWED_D, CLENSHAW_MAX_TERMS, EPS, Profile,
                              SectorProfile,
                              dihedral_fold, fit_cosine_series, from_phi,
@@ -56,18 +56,30 @@ def test_jet_has_the_bits_of_evaluate(t):
 # d2 ellipse near its validity limit
 REFERENCE_PROFILES = [Profile(2, (1.0, 0.2, 0.03)), Profile(3, (0.5, 0.02)),
                       Profile(1, (0.5225, 0.3, 0.0225)), Profile(2, (1.0, -0.57))]
-# 1- to 4-term series (Clenshaw up to CLENSHAW_MAX_TERMS, the cosine matrix
-# past it) and the 96-term glue base
+# 1- to 4-term series (Clenshaw up to CLENSHAW_MAX_TERMS, the rotation
+# table past it), a 32-term fitted dual and the 96-term glue base
 SUM_BASES = [Profile(2, (0.5,)), Profile(2, (1.0, 0.2)),
              Profile(2, (1.0, 0.2, 0.03)), Profile(3, (0.5, 0.02, -0.004, 0.001)),
+             dual_profile(PlanarNorm(Profile(1, (1.0, 0.5)))),
              bump_profile(3, [(0.24, 0.4), (0.78, 0.36)])]
 
 
 def _padded(p):
     """p's series with zero coefficients up to one term past
-    CLENSHAW_MAX_TERMS, so that the cosine matrix sums it."""
+    CLENSHAW_MAX_TERMS, so that the rotation table sums it."""
     return Profile(p.d, p.cos_coeffs
                    + (0.0,) * (CLENSHAW_MAX_TERMS + 1 - len(p.cos_coeffs)))
+
+
+def _cosine_matrix_jet(p, ts):
+    """The jet (f, f', f'', f''') at ts as the long series' kernel summed it
+    before the rotation table: f^(m) is the dot product of cos(w t + m pi/2),
+    w = j d, with the weights w^m c_j, one per angle."""
+    freq = np.arange(len(p.cos_coeffs)) * p.d
+    weights = [np.asarray(p.cos_coeffs) * freq.astype(float) ** m for m in range(4)]
+    wt = np.multiply.outer(ts.reshape(-1, 1), freq)
+    return [(np.cos(wt + phase) @ w).reshape(ts.shape)
+            for phase, w in zip((0.5 * math.pi * np.arange(4)).tolist(), weights)]
 
 
 def _reference_jet(p, ts, mpmath):
@@ -86,8 +98,56 @@ def test_clenshaw_jet_is_no_less_accurate_than_the_cosine_matrix(p):
     ref = np.array(_reference_jet(p, ts.tolist(), mpmath))
     scale = np.max(np.abs(ref), axis=1)
     err = lambda jet: np.max(np.abs(np.array(jet) - ref), axis=1) / scale
-    assert np.all(err(p.jet(ts, 3)) <= err(_padded(p).jet(ts, 3)))
+    assert np.all(err(p.jet(ts, 3)) <= err(_cosine_matrix_jet(_padded(p), ts)))
     assert np.all(err(p.jet(ts, 3)) < 2e-15)
+
+
+def _rotation_reference(d, c, ts, lengths, mpmath):
+    """{n: the jet to order 3 at each t of ts of the series c[:n]} for each
+    n of lengths, each value rounded once: z = e^(i d t) from mpmath at 250
+    bits, then z^j, cut to 200 bits, and the sums in exact integers."""
+    bits = 200
+    ratios = [v.as_integer_ratio() for v in c]
+    scale = max(den for _, den in ratios)  # a power of 2
+    w = [num * (scale // den) for num, den in ratios]
+    with mpmath.workprec(250):
+        zs = [mpmath.expj(d * mpmath.mpf(t)) for t in ts]
+        x = np.array([int(mpmath.ldexp(z.real, bits)) for z in zs], dtype=object)
+        y = np.array([int(mpmath.ldexp(z.imag, bits)) for z in zs], dtype=object)
+    re = np.full(len(ts), 1 << bits, dtype=object)
+    im = np.zeros(len(ts), dtype=object)
+    sums = [np.zeros(len(ts), dtype=object) for _ in range(4)]
+    out = {}
+    for j in range(max(lengths)):
+        if j:
+            re, im = (re * x - im * y) >> bits, (re * y + im * x) >> bits
+        # f^(m) sums (j d)^m c_j times Re z^j, -Im, -Re and Im for m = 0..3
+        for m, part in enumerate((re, -im, -re, im)):
+            sums[m] = sums[m] + w[j] * (j * d) ** m * part
+        if j + 1 in lengths:
+            out[j + 1] = np.array([[v / (scale << bits) for v in s.tolist()]
+                                   for s in sums])
+    return out
+
+
+@pytest.mark.parametrize("decay", [0.0, 3.0], ids=["flat", "decaying"])
+@pytest.mark.parametrize("d", ALLOWED_D)
+def test_the_rotation_table_is_no_less_accurate_than_the_cosine_matrix(d, decay):
+    # random series c_j ~ N(0, 1) / (1 + j)^decay of 4 to 256 terms against
+    # an exact reference, each order's error scaled by sum_j |(j d)^m c_j|
+    mpmath = pytest.importorskip("mpmath")
+    lengths = (4, 8, 32, 96, 256)
+    c = np.random.default_rng(d).normal(size=256) / (1.0 + np.arange(256)) ** decay
+    ts = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 301)
+    for n, ref in _rotation_reference(d, c.tolist(), ts.tolist(), lengths,
+                                      mpmath).items():
+        p = Profile(d, tuple(c[:n]))
+        w = np.abs(c[:n, None]) * (np.arange(n) * d)[:, None] ** np.arange(4.0)
+        err = lambda jet: np.max(np.abs(np.array(jet) - ref), axis=1) / w.sum(axis=0)
+        new, old = err(p.jet(ts, 3)), err(_cosine_matrix_jet(p, ts))
+        assert new[0] <= old[0] + 2 * EPS, (n, new, old)
+        assert np.all(new[1:] <= old[1:]), (n, new, old)
+        assert np.all(new < 1e-14), (n, new)
 
 
 @pytest.mark.parametrize("p", REFERENCE_PROFILES, ids=lambda p: str(p.cos_coeffs))
