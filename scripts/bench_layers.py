@@ -34,6 +34,10 @@ wall time as measured, and `scaled_ms` is null.  The rows:
 - `check_hessian_isometry` (20 samples) of the cartan3 Legendre lift of
   Profile(3, (0.5, 0.05)): the induced norms of f and of its `DualProfile`,
   and `lift_to_nd` of the triple, built once;
+- `check_hessian_isometry` (20 samples) of the d1:3 identity lift of
+  Profile(1, (1, 0.5)), the norm and the lift built once: the check whose
+  time went to differencing the map before the lift carried its exact
+  differential;
 - in-process `isonorm.cli.main(["sample", "--profile", path, "--model",
   "cartan3", "--count", "16"])`, its report discarded, where path holds
   Profile(3, (0.5, 0.05));
@@ -124,7 +128,7 @@ from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      build_h_from_theta, bump_profile, cartan3,
                      check_d_property, check_hessian_isometry, dual_profile,
                      fd_fundamental_tensor, fd_indicatrix_laplacian_t,
-                     glue_construct,
+                     glue_construct, identity_map,
                      integrate_branch, is_minkowski, legendre_map_tag,
                      lift_to_nd, ode_residuals, parse_model, planar_lift_map,
                      random_leaf_points, riemann_fd, save_profile, save_triple,
@@ -208,6 +212,14 @@ def _cartan_lift():
     return InducedNorm(m, f), InducedNorm(m, tr.h), lift_to_nd(tr, m)
 
 
+def _d1_identity_lift():
+    """The norm of f = Profile(1, (1, 0.5)) on d1:3, twice, and its identity
+    lift."""
+    m, f = parse_model("d1:3"), Profile(1, (1.0, 0.5))
+    nm = InducedNorm(m, f)
+    return nm, nm, lift_to_nd(IsometryTriple(f=f, h=f, theta=identity_map()), m)
+
+
 def _cli_sample(path):
     with contextlib.redirect_stdout(io.StringIO()):
         return cli_main(["sample", "--profile", path, "--model", "cartan3",
@@ -289,6 +301,10 @@ def rows(tmp: str):
                 "Profile(3, (0.5, 0.05))",
                 lambda a: check_hessian_isometry(*a, samples=LIFT_SAMPLES, seed=0),
                 lambda: lift))
+    identity_lift = _d1_identity_lift()
+    out.append(("check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
+                lambda a: check_hessian_isometry(*a, samples=LIFT_SAMPLES, seed=0),
+                lambda: identity_lift))
     profile_path = os.path.join(tmp, "profile.json")
     save_profile(Profile(3, (0.5, 0.05)), profile_path)
     out.append(("cli.main sample --model cartan3 --count 16 in-process, "

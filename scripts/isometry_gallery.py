@@ -7,15 +7,16 @@ leaf-angle map.  Three numbers are reported per row:
   ode_max    largest residual of the d+1 isometry equations on an interior
              grid (the planar certificate),
   lift_res   metric residual of the lifted map on R^n against the two
-             fundamental tensors (the n-dimensional certificate),
+             fundamental tensors, with the lift's exact differential (the
+             n-dimensional certificate),
   d_res      largest decomposition-property residual over the d dihedral
              angles -k pi/d.
 
 The identity and Legendre rows use exact target profiles; the linear and
 scaled-Legendre rows integrate the target out of the ODE itself
-(build_h_from_theta), so they double as a solver smoke test.  Known
-isometries land at FD/quadrature noise; the deliberately broken row at the
-bottom shows what failure looks like.
+(build_h_from_theta), so they double as a solver smoke test.  Exact
+isometries land at rounding, the solved ones at their fit's defect; the
+deliberately broken row at the bottom shows what failure looks like.
 
 Usage:
     python3 scripts/isometry_gallery.py

@@ -205,9 +205,10 @@ def _polar(m: FoliationModel, x):
     u = x / r[..., None]
     p = _poly(m, u)
     # math.acos: numpy's arccos differs from it in the last bit on some points
-    t = np.array([math.acos(v) for v in np.atleast_1d(
-        np.minimum(np.maximum(p, -1.0), 1.0)).tolist()]) / m.d
-    return (float(r), u, p, float(t[0])) if x.ndim == 1 else (r, u, p, t)
+    if x.ndim == 1:  # a point's t on floats
+        return float(r), u, p, math.acos(min(max(float(p), -1.0), 1.0)) / m.d
+    return r, u, p, np.array([math.acos(v) for v in np.minimum(
+        np.maximum(p, -1.0), 1.0).tolist()]) / m.d
 
 
 def t_coord(m: FoliationModel, x) -> RT:

@@ -16,6 +16,8 @@ A map `phi` handed to the metric checks takes rows, like `fun` in fd.py: an
 (m, n) array of points in, their (m, n) images out.  lift_to_nd's and
 planar_lift_map's maps, project_out, planar `fundamental_tensor` and
 `ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
+lift_to_nd's map also carries its exact differential, `phi.jacobian`, which
+check_hessian_isometry takes where it differences any other map.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .foliation import (FoliationModel, _sqnorm, normal_geodesic,
-                        random_leaf_points, t_coord)
+from .foliation import (FoliationModel, _polar, _require_interior,
+                        _shape_operator, _sqnorm, _unit_w, random_leaf_points)
 from .planar import (DualProfile, PlanarNorm, _sin_cos, _unwrap_to,
                      fundamental_tensor, legendre_num_den, legendre_ode_rhs,
                      theta_legendre, theta_scaled)
@@ -396,7 +398,7 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
     if not (lo < theta0 < hi):
         raise ValueError("theta0 must be interior to the sector")
 
-    def integrand(ts):
+    def integrand(ts):  # the integrand on ts, and theta there
         th, thp = theta_jet(theta, f, ts, 1)
         f0, f1 = f.jet(ts, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -413,20 +415,19 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
             for i in sick:
                 near = healthy[np.argsort(np.abs(ts[healthy] - ts[i]))[:5]]
                 vals[i] = np.polyfit(ts[near] - ts[i], vals[near], 2)[-1]
-        return vals
+        return vals, th
 
     half = grid_size // 2
     t_fwd = np.linspace(theta0, hi, half + 1)
     t_bwd = np.linspace(lo, theta0, half + 1)
-    log_fwd = _cumulative_simpson(integrand(t_fwd), t_fwd)
-    log_bwd = _cumulative_simpson(integrand(t_bwd), t_bwd)
+    (v_fwd, th_fwd), (v_bwd, th_bwd) = integrand(t_fwd), integrand(t_bwd)
+    log_fwd = _cumulative_simpson(v_fwd, t_fwd)
+    log_bwd = _cumulative_simpson(v_bwd, t_bwd)
     log_bwd -= log_bwd[-1]          # re-anchor at theta0
     logs = np.concatenate([log_bwd, log_fwd[1:]]) + math.log(h0)
-    ts_all = np.concatenate([t_bwd, t_fwd[1:]])
     if not np.all(np.isfinite(logs)) or np.max(np.abs(logs)) > 50:
         raise ValueError("log h blew up along the integration: invalid theta map")
-    th_all = theta_jet(theta, f, ts_all, 0)[0]
-    return sampled_profile(d, th_all, np.exp(logs))
+    return sampled_profile(d, np.concatenate([th_bwd, th_fwd[1:]]), np.exp(logs))
 
 
 # --- pointwise metric checks -------------------------------------------------
@@ -464,21 +465,25 @@ def check_hessian_isometry(norm1, norm2, phi: Callable,
                            samples: int = 20, seed: int = 0) -> IsometryCheck:
     """Max over samples and basis pairs of |g1(u,v) - g2(dPhi u, dPhi v)|.
 
-    phi maps an (m, n) array of points to their (m, n) images.  It is called
-    once, on the samples x and their Jacobian neighbours x +- step e_i
-    (step = JACOBIAN_STEP |x|), and each norm's tensors are closed forms (one
-    call for all samples of an induced norm).
+    phi maps an (m, n) array of points to their (m, n) images.  A map with
+    a `jacobian` (lift_to_nd's) gives the images and their exact dPhi in one
+    call; any other map is called once, on the samples x and their
+    neighbours x +- step e_i (step = JACOBIAN_STEP |x|), and differenced.
+    g1 and g2 are closed forms, one call each; g2's from the images alone.
     """
     X = _sample_points(norm1, samples, seed)
-    k, n = X.shape
-    step = JACOBIAN_STEP * np.sqrt(_sqnorm(X))[:, None, None]
-    E = step * np.eye(n)
-    Y = np.asarray(phi(np.concatenate([X, (X[:, None] + E).reshape(-1, n),
-                                       (X[:, None] - E).reshape(-1, n)])),
-                   dtype=float)
-    up, down = Y[k:].reshape(2, k, n, n)
-    J = np.swapaxes((up - down) / (2 * step), 1, 2)  # J[s][:, i]: d phi / dx_i
-    G1, G2 = _tensor_at(norm1, X), _tensor_at(norm2, Y[:k])
+    if hasattr(phi, "jacobian"):
+        Y, J = phi.jacobian(X)
+    else:
+        k, n = X.shape
+        step = JACOBIAN_STEP * np.sqrt(_sqnorm(X))[:, None, None]
+        E = step * np.eye(n)
+        Y = np.asarray(phi(np.concatenate([X, (X[:, None] + E).reshape(-1, n),
+                                           (X[:, None] - E).reshape(-1, n)])),
+                       dtype=float)
+        up, down = Y[k:].reshape(2, k, n, n)  # J[s][:, i]: d phi / dx_i
+        Y, J = Y[:k], np.swapaxes((up - down) / (2 * step), 1, 2)
+    G1, G2 = _tensor_at(norm1, X), _tensor_at(norm2, Y)
     resid = np.abs(G1 - np.swapaxes(J, 1, 2) @ G2 @ J)
     return IsometryCheck(max_metric_residual=float(np.max(resid)))
 
@@ -698,20 +703,39 @@ def classify_sectors(tr: IsometryTriple, grid: int = 512,
 
 
 def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
-    """Map Phi(x) = r sqrt(f(t)/h(theta)) * gamma_x(theta) where gamma_x is
-    the normal geodesic of the foliation through x/|x|; Phi takes an (m, n)
-    array of points and returns their images."""
+    """Phi(x) = r rho gamma_x(theta) = r rho (c u + s w) on an (m, n) array of
+    points: gamma_x is the normal geodesic through u = x/|x|, w = unit_w,
+    rho = sqrt(f(t)/h(theta)), c = cos(theta - t) and s = sin(theta - t).
+    Phi.jacobian(X) gives (Phi(X), the (m, n, n) dPhi) from one polar pass:
+    dPhi = rho c I + rho s (w u^T + S) + (alpha u + beta w) w^T, S the shape
+    operator, alpha = rho' c - rho theta' s, beta = rho' s + rho (theta' - 1) c,
+    rho' = (rho/2)(f'/f - theta' h'(theta)/h(theta)).  So dPhi x = Phi(x), and
+    dPhi scales E_k, the eigenspace of S at cot(t + k pi/d), by
+    rho sin(theta + k pi/d) / sin(t + k pi/d)."""
     if tr.f.d != m.d:
         raise ValueError("triple and foliation disagree on d")
 
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        r, t = t_coord(m, x)
-        th = theta_jet(tr.theta, tr.f, t, 0)[0]
-        scale = r * np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
-        gamma = normal_geodesic(m, x, delta=LIFT_FOCAL_GUARD)
-        return scale[:, None] * gamma(th[:, None])
+    def lift(x, k):  # the images, and their differentials for k = 1
+        r, u, p, t = _polar(m, x)
+        _require_interior(m, t, LIFT_FOCAL_GUARD)
+        w = _unit_w(m, u, t, p)
+        th = theta_jet(tr.theta, tr.f, t, k)
+        fj, hj = tr.f.jet(t, k), tr.h.jet(th[0], k)
+        rho = np.sqrt(fj[0] / hj[0])
+        c, s = np.cos(th[0] - t), np.sin(th[0] - t)
+        Y = (r * rho)[:, None] * (c[:, None] * u + s[:, None] * w)
+        if k == 0:
+            return Y
+        drho = 0.5 * rho * (fj[1] / fj[0] - th[1] * hj[1] / hj[0])
+        ab = ((drho * c - rho * th[1] * s)[:, None] * u           # alpha u
+              + (drho * s + rho * (th[1] - 1.0) * c)[:, None] * w)  # + beta w
+        wu_S = w[:, :, None] * u[:, None, :] + _shape_operator(m, u, t, w, p)
+        col = lambda v: v[:, None, None]
+        return Y, (col(rho * c) * np.eye(m.n) + col(rho * s) * wu_S
+                   + ab[:, :, None] * w[:, None, :])
 
+    phi = lambda x: lift(x, 0)
+    phi.jacobian = lambda x: lift(x, 1)
     return phi
 
 

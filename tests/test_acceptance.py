@@ -267,10 +267,10 @@ def test_criterion_8_glued_lift():
     nm1 = InducedNorm(model, tr.f)
     nm2 = InducedNorm(model, tr.h)
     chk = check_hessian_isometry(nm1, nm2, phi, samples=20, seed=2)
-    assert chk.max_metric_residual < 1e-6
+    assert chk.max_metric_residual < 1e-12
     _pass(8, f"glued triple classifies into {sorted(kinds)} with transition "
              f"length {trans_len:.3f} < 3x band width; lifted map metric "
-             f"residual {chk.max_metric_residual:.2e} (tol 1e-6)")
+             f"residual {chk.max_metric_residual:.2e} (tol 1e-12)")
 
 
 # --------------------------------------------------------------------- 9

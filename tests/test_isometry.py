@@ -439,6 +439,57 @@ def test_build_h_scale_equivariant(lam):
             lam * base.evaluate(t, 0), rel=1e-10)
 
 
+def _two_call_build_h(f, theta, theta0, h0, grid_size=2048):
+    """build_h_from_theta as it was when it took theta on the whole grid
+    from a second theta_jet call, after the integrand's."""
+    d = f.d
+    lo, hi = isometry.INTERIOR_GUARD, math.pi / d - isometry.INTERIOR_GUARD
+
+    def integrand(ts):
+        th, thp = theta_jet(theta, f, ts, 1)
+        f0, f1 = f.jet(ts, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhs = ((2 * np.sin(ts) ** 2 + np.sin(ts) * np.cos(ts) * f1 / f0)
+                   / (np.sin(th) * np.cos(th)) - 2 * np.tan(th))
+            vals = rhs * thp
+        sick = np.flatnonzero(np.abs(np.cos(th)) < 1e-6)
+        if sick.size and sick.size < ts.size - 4:
+            healthy = np.flatnonzero(np.abs(np.cos(th)) >= 1e-6)
+            for i in sick:
+                near = healthy[np.argsort(np.abs(ts[healthy] - ts[i]))[:5]]
+                vals[i] = np.polyfit(ts[near] - ts[i], vals[near], 2)[-1]
+        return vals
+
+    half = grid_size // 2
+    t_fwd = np.linspace(theta0, hi, half + 1)
+    t_bwd = np.linspace(lo, theta0, half + 1)
+    log_fwd = _cumulative_simpson(integrand(t_fwd), t_fwd)
+    log_bwd = _cumulative_simpson(integrand(t_bwd), t_bwd)
+    log_bwd -= log_bwd[-1]
+    logs = np.concatenate([log_bwd, log_fwd[1:]]) + math.log(h0)
+    ts_all = np.concatenate([t_bwd, t_fwd[1:]])
+    th_all = theta_jet(theta, f, ts_all, 0)[0]
+    return isometry.sampled_profile(d, th_all, np.exp(logs))
+
+
+@pytest.mark.parametrize("kind", isometry.THETA_KINDS)
+def test_build_h_takes_theta_from_the_integrand_with_the_bits_of_two_calls(kind):
+    for f in (Profile(1, (0.55, 0.04, 0.01)), ELLIPSE, WOBBLE3):
+        end = math.pi / f.d
+        grid = np.linspace(0.0, end, 9)
+        tm = {"identity": identity_map(), "legendre": legendre_map_tag(),
+              "linear": ThetaMap(kind="linear", params=(1.3, 0.8)),
+              "scaled-legendre": ThetaMap(kind="scaled-legendre", params=(1.3, 0.8)),
+              "sampled": ThetaMap(kind="sampled", grid=tuple(grid),
+                                  values=tuple(theta_legendre(f, grid))),
+              "piecewise": ThetaMap(kind="piecewise", pieces=(
+                  (0.0, end / 3, identity_map()),
+                  (end / 3, end, ThetaMap(kind="linear", params=(1.3, 0.8)))))}[kind]
+        t0 = end / 2  # on d = 1 the identity's theta hits pi/2 there
+        h = build_h_from_theta(f, tm, t0, f.evaluate(t0, 0))
+        assert h == _two_call_build_h(f, tm, t0, f.evaluate(t0, 0)), f
+
+
 def test_build_h_rejects_nonpositive_anchor():
     with pytest.raises(ValueError):
         build_h_from_theta(ELLIPSE, identity_map(), 0.7, 0.0)
@@ -782,10 +833,72 @@ def test_lifts_map_rows_with_the_bits_of_one_row_calls(spec, lift_triples):
         assert np.array_equal(phi2(P), [phi2(p[None])[0] for p in P]), name
 
 
+JACOBIAN_MODELS = ("d1:3", "d2:4:2", "d2:8:3", "cartan3")
+
+
+def _richardson_jacobian(phi, X, step):
+    """Columns d phi / dx_i at each row of X by Richardson's extrapolation
+    of central differences at steps h and 2h, h = step |x|: error O(h^4)."""
+    h = step * np.linalg.norm(X, axis=1)[:, None]
+    J = np.empty(X.shape + X.shape[-1:])
+    for i, e in enumerate(np.eye(X.shape[1])):
+        d1, d2 = ((phi(X + k * h * e) - phi(X - k * h * e)) / (2 * k * h)
+                  for k in (1, 2))
+        J[:, :, i] = (4 * d1 - d2) / 3
+    return J
+
+
+@pytest.mark.parametrize("spec", JACOBIAN_MODELS)
+def test_lift_jacobian_matches_richardson_differences(spec, lift_triples):
+    m = parse_model(spec)
+    for name, tr in lift_triples[m.d].items():
+        phi = lift_to_nd(tr, m)
+        X = isometry._sample_points(InducedNorm(m, tr.f), 12, seed=4)
+        Y, J = phi.jacobian(X)
+        assert Y.shape == X.shape and J.shape == X.shape + (m.n,)
+        err = np.max(np.abs(J - _richardson_jacobian(phi, X, 1e-4)))
+        assert err <= 1e-9 * np.max(np.abs(J)), name
+
+
+@pytest.mark.parametrize("spec", JACOBIAN_MODELS)
+def test_lift_jacobian_is_euler_on_x_and_scales_each_curvature_space(
+        spec, lift_triples):
+    m = parse_model(spec)
+    for name, tr in lift_triples[m.d].items():
+        X = isometry._sample_points(InducedNorm(m, tr.f), 6, seed=5)
+        Y, J = lift_to_nd(tr, m).jacobian(X)
+        # Phi has degree 1, so J x = Phi(x)
+        assert np.max(np.abs((J @ X[:, :, None])[..., 0] - Y)) < 1e-14, name
+        r, t = t_coord(m, X)
+        th = theta_jet(tr.theta, tr.f, t, 0)[0]
+        rho = np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
+        for x, Jx, t_x, th_x, rho_x in zip(X, J, t, th, rho):
+            for eig in shape_spectrum(m, x):
+                tau = eig.k * math.pi / m.d
+                scale = rho_x * math.sin(th_x + tau) / math.sin(t_x + tau)
+                E = eig.basis.T  # the eigenvectors as columns
+                assert np.max(np.abs(Jx @ E - scale * E)) < 1e-13, (name, eig.k)
+
+
+@pytest.mark.parametrize("spec", JACOBIAN_MODELS)
+def test_lift_jacobian_rows_have_the_bits_of_phi_and_of_one_row_calls(
+        spec, lift_triples):
+    m = parse_model(spec)
+    for name, tr in lift_triples[m.d].items():
+        phi = lift_to_nd(tr, m)
+        X = isometry._sample_points(InducedNorm(m, tr.f), 8, seed=6)
+        Y, J = phi.jacobian(X)
+        assert np.array_equal(Y, phi(X)), name
+        rows = [phi.jacobian(x[None]) for x in X]
+        assert np.array_equal(Y, [y[0] for y, _ in rows]), name
+        assert np.array_equal(J, [j[0] for _, j in rows]), name
+
+
 def _per_sample_check(norm1, norm2, phi, samples, seed, fd_step=1e-5):
-    """check_hessian_isometry one sample at a time, as it was before it
-    took rows: 1 + 2n one-row phi calls and two one-point closed-form
-    tensors each."""
+    """check_hessian_isometry one sample at a time, with two one-point
+    closed-form tensors each: a map with a `jacobian` takes one one-row
+    jacobian call per sample, any other map 1 + 2n one-row phi calls, as
+    the check was before it took rows."""
     def tensor(norm, x):
         if isinstance(norm, PlanarNorm):
             return fundamental_tensor(norm, x)
@@ -794,13 +907,17 @@ def _per_sample_check(norm1, norm2, phi, samples, seed, fd_step=1e-5):
     one = lambda x: phi(x[None])[0]
     worst = 0.0
     for x in isometry._sample_points(norm1, samples, seed):
-        step = fd_step * float(np.linalg.norm(x))
-        J = np.empty((len(x), len(x)))
-        for i in range(len(x)):
-            e = np.zeros(len(x))
-            e[i] = step
-            J[:, i] = (one(x + e) - one(x - e)) / (2 * step)
-        g2 = tensor(norm2, one(x))
+        if hasattr(phi, "jacobian"):
+            y, J = (a[0] for a in phi.jacobian(x[None]))
+        else:
+            step = fd_step * float(np.linalg.norm(x))
+            J = np.empty((len(x), len(x)))
+            for i in range(len(x)):
+                e = np.zeros(len(x))
+                e[i] = step
+                J[:, i] = (one(x + e) - one(x - e)) / (2 * step)
+            y = one(x)
+        g2 = tensor(norm2, y)
         worst = max(worst, float(np.max(np.abs(tensor(norm1, x) - J.T @ g2 @ J))))
     return worst
 
@@ -821,9 +938,10 @@ def test_check_hessian_isometry_has_the_bits_of_the_per_sample_loop(
     for name, tr in lift_triples[m.d].items():
         # on cartan3 the linear-map targets are not norms; the bits still count
         nm1, nm2 = InducedNorm(m, tr.f), _unchecked_norm(m, tr.h)
-        phi = lift_to_nd(tr, m)
+        phi = lift_to_nd(tr, m)  # its exact differential, one row at a time
         got = check_hessian_isometry(nm1, nm2, phi, samples=4, seed=9)
         assert got.max_metric_residual == _per_sample_check(nm1, nm2, phi, 4, 9), name
+    # maps without a jacobian are differenced
     nm = PlanarNorm(ELLIPSE)
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     for norm2, phi in ((PlanarNorm(DualProfile(ELLIPSE)), lambda X: legendre_map(nm, X)),

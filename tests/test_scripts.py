@@ -29,9 +29,12 @@ def test_isometry_gallery_separates_isometries_from_broken_rows(
     # rows for d = 1, 2, and one broken control row per d
     assert len(rows) == 13
     assert sum(kind == "BROKEN" for kind, _ in rows) == 3
+    # exact isometries read at rounding: the lift's differential is exact
     for kind, lift_res in rows:
         if kind == "BROKEN":
             assert lift_res > 1e-3
+        elif kind in ("identity", "legendre"):
+            assert lift_res < 1e-13, kind
         else:
             assert lift_res < 1e-4, kind
 
@@ -73,8 +76,9 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 38 and len(set(names)) == 38
-    assert {"one 20-point riemann_fd call, 4 points on each of 5 leaves of "
+    assert len(names) == 39 and len(set(names)) == 39
+    assert {"check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
+            "one 20-point riemann_fd call, 4 points on each of 5 leaves of "
             "cartan3, Profile(3, (0.5, 0.05))",
             "1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
             "1000 one-angle jet(t, 2) calls, DualProfile(Profile(2, (1, 0.5)))",
