@@ -24,6 +24,8 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   `build_h_from_theta`, anchored as the CLI anchors it;
 - `dual_profile(PlanarNorm(Profile(2, (1, 0.5))))` at grid 512, with a new
   norm per call;
+- `bump_profile(3, GLUE_HUMPS)`, the fit of that glue base: 8193 samples to
+  96 terms;
 - in-process `isonorm.cli.main(["isometry", "check", "--triple", path])`,
   its report discarded, where path holds that solved Legendre triple;
 - `glue_construct` alone on the reused 96-term base (the glue row above
@@ -288,6 +290,8 @@ def rows(tmp: str):
                 "Profile(2, (1, 0.2))", _triple_json_round_trip, lambda: triple))
     out.append(("dual_profile(PlanarNorm(Profile(2, (1, 0.5)))), grid 512",
                 dual_profile, lambda: PlanarNorm(Profile(2, (1.0, 0.5)))))
+    out.append(("bump_profile(3, GLUE_HUMPS), the 96-term glue base's fit",
+                lambda humps: bump_profile(3, humps), lambda: GLUE_HUMPS))
     triple_path = os.path.join(tmp, "triple.json")
     save_triple(triple, triple_path)
     out.append(("cli.main isometry check in-process, solved Legendre triple on "

@@ -24,7 +24,7 @@ from . import __version__
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
                         focal_dimensions, multiplicities, parse_model,
                         random_leaf_points, shape_spectrum)
-from .profile import is_minkowski, json_field, load_profile
+from .profile import chop_count, is_minkowski, json_field, load_profile
 
 EXIT_BY_STATUS = {"ok": 0, "marginal": 2, "failed": 1}
 USAGE_EXIT = 64
@@ -105,10 +105,10 @@ def cmd_validate(args):
 # -------------------------------------------------------------------- dual
 
 def cmd_dual(args):
-    from .planar import PlanarNorm, dual_profile
+    from .planar import PlanarNorm, _dual_fit
     p = load_profile(args.profile)
     nm = PlanarNorm(p)
-    dp = dual_profile(nm, grid_size=args.grid, max_terms=args.terms)
+    dp, coeffs = _dual_fit(nm, args.grid, args.terms)
     rep = is_minkowski(dp)
     residuals = {"fit_residual": dp.fit_residual}
     status = STATUS_BY_VALIDITY[rep.status]
@@ -119,6 +119,7 @@ def cmd_dual(args):
         "cos_coeffs": [float(c) for c in dp.cos_coeffs],
         "dual_valid": bool(rep.valid),
         "dual_min_gap": float(rep.min_gap),
+        "terms_needed": chop_count(coeffs),  # a result only: no status rule
     }
     return results, residuals, status
 

@@ -36,7 +36,8 @@ from .planar import (DualProfile, PlanarNorm, _sin_cos, _unwrap_to,
                      fundamental_tensor, legendre_num_den, legendre_ode_rhs,
                      theta_legendre, theta_scaled)
 from .profile import (Profile, SectorProfile, as_angle, gap_from_jet, json_field,
-                      profile_from_json_dict, require_minkowski, sampled_profile)
+                      lobatto_fit, profile_from_json_dict, require_minkowski,
+                      sampled_profile)
 
 THETA_KINDS = ("identity", "linear", "legendre", "scaled-legendre",
                "sampled", "piecewise")
@@ -651,8 +652,9 @@ def bump_profile(d: int, humps, amplitude: float = 5e-4) -> Profile:
     Useful as a glue base: the humps vanish identically outside their
     supports, so the profile is round on any band that avoids them.  The
     generous term count keeps the second derivative of the fit quiet on the
-    round stretches, which is what the in-band residuals of a glued triple
-    are limited by.  The fit's error at its samples is the `fit_residual`.
+    round stretches, which limits the in-band residuals of a glued triple.
+    The fit is one DCT of Lobatto samples (`lobatto_fit`), with its error at
+    them as the `fit_residual`.
     """
     ts = np.linspace(0.0, math.pi / d, BUMP_GRID + 1)
     vals = np.full_like(ts, 0.5)
@@ -660,7 +662,7 @@ def bump_profile(d: int, humps, amplitude: float = 5e-4) -> Profile:
         s = (ts - center) / (width / 2.0)
         mask = np.abs(s) < 1.0
         vals[mask] += amplitude * np.cos(0.5 * math.pi * s[mask]) ** 8
-    return sampled_profile(d, ts, vals, max_terms=BUMP_TERMS)
+    return lobatto_fit(d, vals, BUMP_TERMS)[0]
 
 
 class SectorLabel(NamedTuple):
@@ -716,6 +718,8 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
         raise ValueError("triple and foliation disagree on d")
 
     def lift(x, k):  # the images, and their differentials for k = 1
+        if np.ndim(x) != 2:  # _polar gives a point floats
+            raise ValueError(f"the lifted map takes (m, {m.n}) rows, not {np.shape(x)}")
         r, u, p, t = _polar(m, x)
         _require_interior(m, t, LIFT_FOCAL_GUARD)
         w = _unit_w(m, u, t, p)

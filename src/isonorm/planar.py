@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .profile import (FIT_MAX_TERMS, Profile, as_angle, dihedral_fold,
-                      gap_from_jet, is_minkowski, require_minkowski,
-                      sampled_profile)
+                      gap_from_jet, is_minkowski, lobatto_fit,
+                      require_minkowski)
 
 # the exact dual's Legendre-angle solve (see DualProfile)
 NEWTON_TOL = 1e-14
@@ -155,17 +155,22 @@ def indicatrix_point(nm: PlanarNorm, t):
 def dual_profile(nm: PlanarNorm, grid_size: int = 512,
                  max_terms: int | None = None) -> Profile:
     """The exact `DualProfile` fit to a cosine series, its portable form: the
-    dual on the 2 grid_size - 1 points of a uniform grid on [0, pi/d] is fit
-    at the even-indexed ones, and `fit_residual` also covers the odd ones."""
+    dual on 2 grid_size - 1 uniform points of [0, pi/d] is fit by one DCT
+    (`lobatto_fit`) at the even-indexed ones; `fit_residual` covers all."""
+    return _dual_fit(nm, grid_size, max_terms)[0]
+
+
+def _dual_fit(nm: PlanarNorm, grid_size: int, max_terms: int | None):
+    """(dual_profile, all grid_size coefficients of the interpolant)."""
     if grid_size < 128:
         raise ValueError("grid_size must be >= 128")
     ts = np.linspace(0.0, math.pi / nm.d, 2 * grid_size - 1)
     indicatrix_point(nm, ts)  # names the angle where f <= 0
     h = DualProfile(nm.profile).evaluate(ts)
-    fit = sampled_profile(nm.d, ts[::2], h[::2], FIT_MAX_TERMS if max_terms is None
-                          else max_terms)
+    fit, coeffs = lobatto_fit(nm.d, h[::2], FIT_MAX_TERMS if max_terms is None
+                              else max_terms)
     mid_err = float(np.max(np.abs(fit.evaluate(ts[1::2]) - h[1::2])))
-    return replace(fit, fit_residual=max(fit.fit_residual, mid_err))
+    return replace(fit, fit_residual=max(fit.fit_residual, mid_err)), coeffs
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ norms F = r*sqrt(2 f(t)); the strong-convexity criterion for such a norm is
     gap(t) = 2 f f'' - (f')^2 + 4 f^2 > 0   and   f > 0.
 
 Numerically produced profiles (phi-constructions, fitted duals, solved
-targets, bump bases) are fit to the same cosine basis: such a profile is its
+targets, bump bases) are fit to the same cosine basis, by one DCT where the
+samples lie on the Lobatto grid of q = cos(d t) (`lobatto_fit`) and by
+`lstsq` only off it (`fit_cosine_series`): such a profile is its
 series plus the fit's `fit_residual`, which JSON stores next to
 `cos_coeffs`.  All three profile kinds
 (`Profile`, `SectorProfile` and planar's exact `DualProfile`) answer
@@ -346,7 +348,8 @@ def require_minkowski(p, what: str) -> None:
 def fit_cosine_series(d: int, ts, values, max_terms: int = FIT_MAX_TERMS):
     """Least-squares fit of values(ts) in the basis cos(j*d*t), j < max_terms.
 
-    Returns (coefficients, max_abs_residual).  ts need not be uniform.
+    Returns (coefficients, max_abs_residual).  ts need not be uniform; for
+    samples on the Lobatto grid, `lobatto_fit` takes one DCT instead.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -355,6 +358,40 @@ def fit_cosine_series(d: int, ts, values, max_terms: int = FIT_MAX_TERMS):
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     resid = float(np.max(np.abs(design @ coeffs - values)))
     return coeffs, resid
+
+
+def lobatto_fit(d: int, values, max_terms: int = FIT_MAX_TERMS):
+    """(profile, coeffs) of values at np.linspace(0, pi/d, N + 1), the Lobatto
+    points of q = cos(d t): all N + 1 coeffs of the interpolant are one DCT-I
+    (Trefethen, ATAP, ch. 3), and the profile keeps `fit_cosine_series`' term
+    count and its error at the samples, by one irfft, as `fit_residual`."""
+    v = np.asarray(values, dtype=float)
+    n, n_terms = len(v) - 1, min(max_terms, max(1, len(v) // 2))
+    spec = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real  # even extension
+    err = np.fft.irfft(spec * (np.arange(n + 1) < n_terms), 2 * n)[:n + 1] - v
+    coeffs = spec / n
+    coeffs[[0, -1]] /= 2.0
+    return Profile(d, coeffs[:n_terms], float(np.max(np.abs(err)))), coeffs
+
+
+def chop_count(coeffs) -> int:
+    """How many leading coefficients resolve a series to eps: Aurentz and
+    Trefethen's standardChop (ACM TOMS 43, 2017); all if none plateau."""
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    n, floor = len(env), EPS ** (7 / 6)
+    if n < 17 or not env[0]:
+        return n if n < 17 else 1
+    env = (env / env[0]).tolist()
+    for j in range(2, n + 1):  # 1-based; a plateau follows point j - 1
+        j2, e1 = int(1.25 * j + 5.5), env[j - 1]
+        if j2 > n:
+            return n
+        if not e1 or env[j2 - 1] / e1 > 3.0 * (1.0 - math.log(e1) / math.log(EPS)):
+            break
+    j2 = min(j2, sum(e >= floor for e in env) + 1)
+    env[j2 - 1] = max(env[j2 - 1], floor)
+    tilt = np.log10(env[:j2]) - np.linspace(0.0, math.log10(EPS) / 3.0, j2)
+    return max(int(np.argmin(tilt)), 1)
 
 
 def sampled_profile(d: int, ts, values, max_terms: int = FIT_MAX_TERMS) -> Profile:
@@ -385,7 +422,7 @@ def from_phi(phi, b: float = 1.0, mode: str = "alpha-beta") -> Profile:
     raw = np.array([phi(scale * math.cos(t)) for t in ts], dtype=float)
     if not np.all(np.isfinite(raw)):
         raise ValueError("phi produced non-finite values on the sampling grid")
-    return sampled_profile(d, ts, 0.5 * raw * raw)
+    return lobatto_fit(d, 0.5 * raw * raw)[0]
 
 
 def dihedral_fold(t, d: int):

@@ -13,7 +13,7 @@ import pytest
 
 import isonorm
 from isonorm import cli, hessian
-from isonorm.cli import main
+from isonorm.cli import EXIT_BY_STATUS, _status_from, main
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, parse_model,
                                random_leaf_points, t_coord)
 from isonorm.isometry import (IsometryTriple, Sector, bump_profile,
@@ -182,6 +182,20 @@ def test_dual_resolves_a_strong_ellipse(capsys, tmp_path, b):
     c = rep["results"]["cos_coeffs"]
     assert c[0] == pytest.approx(1.0 / 0.39, abs=1e-12)
     assert c[1] == pytest.approx(-b / 0.39, abs=1e-12)
+    assert rep["results"]["terms_needed"] == 2
+
+
+def test_dual_terms_needed_is_a_result_that_decides_nothing(capsys, tmp_path):
+    # near the bound 32 terms cannot hold the dual: the chop count says how
+    # many it needs, and the fit's residual alone decides the status
+    path = tmp_path / "strong.json"
+    save_profile(Profile(1, (1.0, 0.99)), path)
+    code, rep = run_json(capsys, "dual", "--profile", str(path))
+    assert rep["results"]["terms_needed"] > 32
+    assert len(rep["results"]["cos_coeffs"]) == 32
+    assert set(rep["residuals"]) == {"fit_residual"}
+    assert rep["status"] == _status_from(rep["residuals"])
+    assert code == EXIT_BY_STATUS[rep["status"]]
 
 
 def test_dual_of_vanishing_profile_is_a_clean_error(capfd, profiles):

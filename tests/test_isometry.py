@@ -703,6 +703,18 @@ def test_bump_profile_keeps_its_residual_through_json(tmp_path):
     assert q.fit_residual == 2.0 * base.fit_residual
 
 
+def test_bump_profile_dct_fit_keeps_the_lstsq_residual():
+    # the 8193 samples are Lobatto points: one DCT fits them, where a dense
+    # lstsq read a residual of 6.7824e-13; the base stays round off its humps
+    base = bump_profile(3, humps=[(0.24, 0.4), (0.78, 0.36)])
+    assert len(base.cos_coeffs) == 96
+    assert abs(base.fit_residual - 6.782352457435081e-13) < 1e-14
+    for lo, hi in ((0.44, 0.6), (0.51, 0.53), (0.96, math.pi / 3)):
+        f0, f1, f2 = base.jet(np.linspace(lo, hi, 2001), 2)
+        assert np.max(np.abs(f0 - 0.5)) < 1e-12
+        assert np.max(np.abs(f1)) < 1e-9 and np.max(np.abs(f2)) < 1e-6
+
+
 def test_bump_profile_round_on_gaps():
     base = bump_profile(3, humps=[(0.24, 0.4)])
     for t in (0.55, 0.8, 1.0):
@@ -831,6 +843,20 @@ def test_lifts_map_rows_with_the_bits_of_one_row_calls(spec, lift_triples):
         assert np.array_equal(Y, [phi(x[None])[0] for x in X]), name
         phi2 = planar_lift_map(tr)
         assert np.array_equal(phi2(P), [phi2(p[None])[0] for p in P]), name
+
+
+def test_lift_names_a_one_point_input(lift_triples):
+    # a 1-D point ended in numpy's IndexError on _polar's float radius
+    m = parse_model("d2:4:2")
+    phi = lift_to_nd(lift_triples[2]["legendre"], m)
+    x = np.array([1.0, 0.2, 0.3, 0.1])
+    for call in (phi, phi.jacobian):
+        for bad in (x, x[None, None], 1.0):
+            with pytest.raises(ValueError, match=r"takes \(m, 4\) rows"):
+                call(bad)
+        with pytest.raises(ValueError, match="has shape"):  # a row of the wrong n
+            call(x[None, :3])
+    assert np.array_equal(phi(x[None]), phi.jacobian(x[None])[0])
 
 
 JACOBIAN_MODELS = ("d1:3", "d2:4:2", "d2:8:3", "cartan3")

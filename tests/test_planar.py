@@ -16,8 +16,9 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             theta_scaled, value)
 from isonorm.isometry import (IsometryTriple, ThetaMap, bump_profile,
                               legendre_map_tag, ode_residuals, theta_jet)
-from isonorm.profile import (ALLOWED_D, Profile, SectorProfile,
-                             dihedral_fold, fit_cosine_series, is_minkowski,
+from isonorm.cli import _status_from
+from isonorm.profile import (ALLOWED_D, Profile, SectorProfile, chop_count,
+                             dihedral_fold, is_minkowski, lobatto_fit,
                              profile_from_json_dict, sampled_profile)
 
 ELLIPSE = PlanarNorm(Profile(2, (1.0, 0.2)))
@@ -199,14 +200,14 @@ def test_dual_profile_rejects_small_grid():
 
 
 def test_dual_profile_fits_the_gradient_images():
-    # the series is the fit of the exact dual on every other point of a
+    # the series is the DCT fit of the exact dual on every other point of a
     # uniform grid, and each of those values is the polar form of the
     # gradient image of a point of S_F
     dp = dual_profile(ELLIPSE, grid_size=128)
     exact = DualProfile(ELLIPSE.profile)
     grid = np.linspace(0.0, math.pi / 2, 255)[::2]
     h = exact.evaluate(grid)
-    assert dp.cos_coeffs == tuple(fit_cosine_series(2, grid, h)[0])
+    assert dp.cos_coeffs == lobatto_fit(2, h)[0].cos_coeffs
     ts = exact._invert_theta(grid)
     y = legendre_map(ELLIPSE, indicatrix_point(ELLIPSE, ts))
     assert np.max(np.abs(np.arctan2(y[:, 1], y[:, 0]) - grid)) < 1e-14
@@ -251,17 +252,53 @@ def _json_round_trip(p):
 
 
 def test_dual_profile_residual_survives_json():
-    # a fit of the samples alone gives 3.5075e-6; the error between them
-    # (3.5166e-6) is the stored one, and it comes back
+    # a fit of the samples alone gives 3.5058e-6; the error between them
+    # (3.5148e-6) is the stored one, and it comes back
     p = Profile(1, (1.0, 0.95))
     fitted = dual_profile(PlanarNorm(p))
     ts = np.linspace(0.0, math.pi, 1023)[::2]
-    plain = sampled_profile(1, ts, DualProfile(p).evaluate(ts))
+    plain = lobatto_fit(1, DualProfile(p).evaluate(ts))[0]
     assert plain.cos_coeffs == fitted.cos_coeffs
     assert plain.fit_residual < fitted.fit_residual
     assert fitted.fit_residual > 3.51e-6
     assert _json_round_trip(fitted) == fitted
     assert _json_round_trip(plain) == plain
+
+
+@given(st.sampled_from(ALLOWED_D), st.floats(-0.99, 0.99))
+@example(1, 0.99)
+@example(2, -0.99)
+@example(3, 0.99)
+@settings(max_examples=30, deadline=None)
+def test_dual_profile_dct_fit_is_as_good_as_lstsq(d, share):
+    # every d, up to 0.99 of the bound: the DCT's residual at the samples is
+    # at most twice lstsq's, and `dual`'s fit status under its tolerance,
+    # the odd points included, is the one the lstsq fit had
+    p = Profile(d, (1.0, share * B_BOUND[d]))
+    ts = np.linspace(0.0, math.pi / d, 1023)
+    h = DualProfile(p).evaluate(ts)
+    dct, lstsq = lobatto_fit(d, h[::2])[0], sampled_profile(d, ts[::2], h[::2])
+    assert dct.fit_residual <= 2.0 * lstsq.fit_residual + 1e-15
+    status = [_status_from({"fit_residual": max(
+        q.fit_residual, np.max(np.abs(q.evaluate(ts[1::2]) - h[1::2])))})
+        for q in (dct, lstsq)]
+    assert status[0] == status[1]
+    assert dual_profile(PlanarNorm(p)).fit_residual == max(
+        dct.fit_residual, np.max(np.abs(dct.evaluate(ts[1::2]) - h[1::2])))
+
+
+@pytest.mark.parametrize("b", [0.2, -0.6, 0.95])
+def test_dual_terms_needed_of_an_exact_two_term_dual_is_two(b):
+    # the dual of 1 + b cos 2t is the quadratic form's inverse: two terms
+    fit, coeffs = planar._dual_fit(PlanarNorm(Profile(2, (1.0, b))), 512, None)
+    assert len(coeffs) == 512 and fit.cos_coeffs == tuple(coeffs[:32])
+    assert chop_count(coeffs) == 2
+
+
+def test_dual_terms_needed_near_the_bound_exceeds_the_default():
+    # at d = 1 and 0.99 of the bound the 32 default terms do not resolve h
+    fit, coeffs = planar._dual_fit(PlanarNorm(Profile(1, (1.0, 0.99))), 512, None)
+    assert chop_count(coeffs) > 32 and len(fit.cos_coeffs) == 32
 
 
 def test_dual_profile_keeps_its_terms_through_json():

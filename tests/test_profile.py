@@ -18,10 +18,10 @@ from isonorm import profile as profile_module
 from isonorm.isometry import bump_profile
 from isonorm.planar import DualProfile, PlanarNorm, dual_profile
 from isonorm.profile import (ALLOWED_D, CLENSHAW_MAX_TERMS, EPS, Profile,
-                             SectorProfile,
+                             SectorProfile, chop_count,
                              dihedral_fold, fit_cosine_series, from_phi,
                              gap_from_jet,
-                             is_minkowski, load_profile,
+                             is_minkowski, load_profile, lobatto_fit,
                              profile_from_json_dict, sampled_profile,
                              save_profile)
 
@@ -420,6 +420,45 @@ def test_sampled_profile_recovers_series():
     assert p.fit_residual < 1e-10
     assert p.cos_coeffs[0] == pytest.approx(1.0, abs=1e-9)
     assert p.cos_coeffs[1] == pytest.approx(0.2, abs=1e-9)
+
+
+# ---------------------------------------------------------- the DCT fit
+
+def _lobatto(d, n):
+    return np.linspace(0.0, math.pi / d, n + 1)
+
+
+@pytest.mark.parametrize("d,values", [
+    (2, Profile(2, (1.0, 0.2, 0.03)).evaluate(_lobatto(2, 511))),
+    (1, DualProfile(Profile(1, (1.0, 0.5))).evaluate(_lobatto(1, 511)))],
+    ids=["3-term", "exact-dual-d1"])
+def test_lobatto_fit_matches_lstsq_on_converged_series(d, values):
+    fit, coeffs = lobatto_fit(d, values)
+    want, resid = fit_cosine_series(d, _lobatto(d, 511), values)
+    assert len(fit.cos_coeffs) == len(want) == 32 and len(coeffs) == 512
+    assert np.max(np.abs(np.array(fit.cos_coeffs) - want)) <= 4 * EPS
+    assert fit.fit_residual <= 4 * EPS and resid < 1e-14
+    assert fit.cos_coeffs == tuple(coeffs[:32])
+
+
+@pytest.mark.parametrize("d,n", [(1, 64), (2, 200), (3, 511), (6, 33)])
+def test_lobatto_fit_with_all_terms_reproduces_its_nodes(d, n):
+    values = np.random.default_rng(n).uniform(0.5, 1.5, n + 1)
+    fit, coeffs = lobatto_fit(d, values)
+    assert len(fit.cos_coeffs) == min(32, (n + 1) // 2) and len(coeffs) == n + 1
+    err = np.max(np.abs(Profile(d, coeffs).evaluate(_lobatto(d, n)) - values))
+    assert err <= (n + 1) * EPS * np.max(values)
+    # the truncated series' residual is its error at those nodes
+    err = np.max(np.abs(fit.evaluate(_lobatto(d, n)) - values))
+    assert fit.fit_residual == pytest.approx(err, rel=1e-10)
+
+
+def test_chop_count_reads_the_length_of_a_resolved_series():
+    values = Profile(2, (1.0, 0.2, 0.03)).evaluate(_lobatto(2, 511))
+    assert chop_count(lobatto_fit(2, values)[1]) == 3
+    # shorter than 17 coefficients: all of them; no nonzero one: one
+    assert chop_count([1.0, 0.5]) == 2 and chop_count(np.zeros(40)) == 1
+    assert chop_count(np.ones(40)) == 40  # no plateau: unresolved
 
 
 def test_scaled_profile():
