@@ -718,7 +718,7 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
         raise ValueError("triple and foliation disagree on d")
 
     def lift(x, k):  # the images, and their differentials for k = 1
-        if np.ndim(x) != 2:  # _polar gives a point floats
+        if np.ndim(x) != 2:  # _polar would give a 1-D point floats
             raise ValueError(f"the lifted map takes (m, {m.n}) rows, not {np.shape(x)}")
         r, u, p, t = _polar(m, x)
         _require_interior(m, t, LIFT_FOCAL_GUARD)
