@@ -26,6 +26,10 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   norm per call;
 - `bump_profile(3, GLUE_HUMPS)`, the fit of that glue base: 8193 samples to
   96 terms;
+- `build_h_from_theta` of the linear map (1.3, 0.8) on Profile(2, (1, 0.2)),
+  anchored as perfbench's isometry-lift anchors it (h = f / (a^2 cos^2 t0 +
+  b^2 sin^2 t0) at t0 = pi/4), at its default grid: the build of every
+  `isometry solve` and lift-linear op;
 - in-process `isonorm.cli.main(["isometry", "check", "--triple", path])`,
   its report discarded, where path holds that solved Legendre triple;
 - `glue_construct` alone on the reused 96-term base (the glue row above
@@ -126,7 +130,7 @@ import numpy as np  # noqa: E402
 import hostspeed  # noqa: E402
 import isonorm  # noqa: E402
 from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
-                     IsometryTriple, PlanarNorm, Profile, Sector,
+                     IsometryTriple, PlanarNorm, Profile, Sector, ThetaMap,
                      build_h_from_theta, bump_profile, cartan3,
                      check_d_property, check_hessian_isometry, dual_profile,
                      fd_fundamental_tensor, fd_indicatrix_laplacian_t,
@@ -144,6 +148,7 @@ GLUE_BREAK = 0.52
 GLUE_BAND = 0.02
 LIFT_SAMPLES = 20
 DUAL_SCALES = (0.5, 2.0, 3.0)
+LINEAR = (1.3, 0.8)  # isometry_gallery.py's linear theta map
 # field-sweep's models, each with one of its curved profiles
 FIELD_MODELS = {"d1:3": (0.5225, 0.3, 0.0225), "d2:4:2": (1.0, 0.4),
                 "d2:8:3": (1.0, 0.4), "cartan3": (0.5, 0.05)}
@@ -189,6 +194,14 @@ def _solved_triple() -> IsometryTriple:
     f0, f1 = f.jet(t0, 1)
     h = build_h_from_theta(f, legendre_map_tag(), t0, f0 / (4.0 * f0 * f0 + f1 * f1))
     return IsometryTriple(f=f, h=h, theta=legendre_map_tag())
+
+
+def _linear_build(f):
+    """h of the linear map LINEAR on f, anchored as isometry-lift does."""
+    (a, b), t0 = LINEAR, math.pi / (2 * f.d)
+    tm = ThetaMap(kind="linear", params=LINEAR)
+    h0 = f.evaluate(t0, 0) / (a * a * math.cos(t0) ** 2 + b * b * math.sin(t0) ** 2)
+    return build_h_from_theta(f, tm, t0, h0)
 
 
 def _triple_json_round_trip(tr):
@@ -292,6 +305,8 @@ def rows(tmp: str):
                 dual_profile, lambda: PlanarNorm(Profile(2, (1.0, 0.5)))))
     out.append(("bump_profile(3, GLUE_HUMPS), the 96-term glue base's fit",
                 lambda humps: bump_profile(3, humps), lambda: GLUE_HUMPS))
+    out.append(("build_h_from_theta, linear:1.3:0.8 on Profile(2, (1, 0.2))",
+                _linear_build, lambda: Profile(2, (1.0, 0.2))))
     triple_path = os.path.join(tmp, "triple.json")
     save_triple(triple, triple_path)
     out.append(("cli.main isometry check in-process, solved Legendre triple on "

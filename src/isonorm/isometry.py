@@ -36,8 +36,7 @@ from .planar import (DualProfile, PlanarNorm, _sin_cos, _unwrap_to,
                      fundamental_tensor, legendre_num_den, legendre_ode_rhs,
                      theta_legendre, theta_scaled)
 from .profile import (Profile, SectorProfile, as_angle, gap_from_jet, json_field,
-                      lobatto_fit, profile_from_json_dict, require_minkowski,
-                      sampled_profile)
+                      lobatto_fit, profile_from_json_dict, require_minkowski)
 
 THETA_KINDS = ("identity", "linear", "legendre", "scaled-legendre",
                "sampled", "piecewise")
@@ -387,11 +386,12 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
                        grid_size: int = 2048) -> Profile:
     """Integrate the k=0 dihedral equation for log h along theta(t).
 
-    Anchored by h(theta(theta0)) = h0; the result is sampled at the theta
-    images and fitted back to a symmetric profile.
+    Anchored by h(theta(theta0)) = h0.  log h is read at the Lobatto nodes
+    np.linspace(0, pi/d, grid_size + 1) (`_lobatto_log_h`) and h there takes
+    one DCT (`lobatto_fit`), whose `fit_residual` is its error at the nodes.
     """
-    if h0 <= 0:
-        raise ValueError("h0 must be positive")
+    if not 0.0 < h0 < math.inf:  # NaN and inf fail too
+        raise ValueError(f"h0 must be a positive finite number, got {h0!r}")
     if grid_size < 4:  # each half-grid needs 3 points for Simpson's rule
         raise ValueError(f"grid_size must be >= 4, got {grid_size}")
     d = f.d
@@ -399,7 +399,7 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
     if not (lo < theta0 < hi):
         raise ValueError("theta0 must be interior to the sector")
 
-    def integrand(ts):  # the integrand on ts, and theta there
+    def integrand(ts):  # the integrand on ts, and theta and theta' there
         th, thp = theta_jet(theta, f, ts, 1)
         f0, f1 = f.jet(ts, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -416,19 +416,43 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
             for i in sick:
                 near = healthy[np.argsort(np.abs(ts[healthy] - ts[i]))[:5]]
                 vals[i] = np.polyfit(ts[near] - ts[i], vals[near], 2)[-1]
-        return vals, th
+        return vals, th, thp
 
     half = grid_size // 2
     t_fwd = np.linspace(theta0, hi, half + 1)
     t_bwd = np.linspace(lo, theta0, half + 1)
-    (v_fwd, th_fwd), (v_bwd, th_bwd) = integrand(t_fwd), integrand(t_bwd)
+    (v_fwd, th_fwd, p_fwd), (v_bwd, th_bwd, p_bwd) = integrand(t_fwd), integrand(t_bwd)
     log_fwd = _cumulative_simpson(v_fwd, t_fwd)
     log_bwd = _cumulative_simpson(v_bwd, t_bwd)
     log_bwd -= log_bwd[-1]          # re-anchor at theta0
     logs = np.concatenate([log_bwd, log_fwd[1:]]) + math.log(h0)
     if not np.all(np.isfinite(logs)) or np.max(np.abs(logs)) > 50:
         raise ValueError("log h blew up along the integration: invalid theta map")
-    return sampled_profile(d, np.concatenate([th_bwd, th_fwd[1:]]), np.exp(logs))
+    th = np.concatenate([th_bwd, th_fwd[1:]])
+    slope = np.concatenate([v_bwd / p_bwd, (v_fwd / p_fwd)[1:]])  # d log h / d theta
+    return lobatto_fit(d, np.exp(_lobatto_log_h(d, grid_size, th, logs, slope)))[0]
+
+
+def _lobatto_log_h(d: int, n: int, th, logs, slope) -> np.ndarray:
+    """log h at np.linspace(0, pi/d, n + 1) from its values and slopes at the
+    increasing th: the cubic Hermite interpolant inside, and past each end
+    sample, as h is even about 0 and pi/d, the quadratic in (theta - end)^2
+    through the two end samples with the end slope."""
+    nodes = np.linspace(0.0, math.pi / d, n + 1)
+    i = np.clip(np.searchsorted(th, nodes) - 1, 0, len(th) - 2)
+    w = th[i + 1] - th[i]
+    s = (nodes - th[i]) / w
+    out = (logs[i] + s * (w * slope[i] + s * (
+        3 * (logs[i + 1] - logs[i]) - w * (2 * slope[i] + slope[i + 1])
+        + s * (2 * (logs[i] - logs[i + 1]) + w * (slope[i] + slope[i + 1])))))
+    for end, at, edge in ((nodes < th[0], [0, 1], 0.0),
+                          (nodes > th[-1], [-1, -2], math.pi / d)):
+        (u0, u1), (l0, l1) = (th[at] - edge) ** 2, logs[at]
+        b0 = slope[at[0]] / (2 * (th[at[0]] - edge))  # d log h / du at u0
+        c = ((l1 - l0) / (u1 - u0) - b0) / (u1 - u0)
+        u = (nodes[end] - edge) ** 2
+        out[end] = l0 + (u - u0) * (b0 + c * (u - u0))
+    return out
 
 
 # --- pointwise metric checks -------------------------------------------------

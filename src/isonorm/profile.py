@@ -7,11 +7,11 @@ norms F = r*sqrt(2 f(t)); the strong-convexity criterion for such a norm is
     gap(t) = 2 f f'' - (f')^2 + 4 f^2 > 0   and   f > 0.
 
 Numerically produced profiles (phi-constructions, fitted duals, solved
-targets, bump bases) are fit to the same cosine basis, by one DCT where the
-samples lie on the Lobatto grid of q = cos(d t) (`lobatto_fit`) and by
-`lstsq` only off it (`fit_cosine_series`): such a profile is its
-series plus the fit's `fit_residual`, which JSON stores next to
-`cos_coeffs`.  All three profile kinds
+targets, bump bases) are fit to the same cosine basis by one DCT of their
+values on the Lobatto grid of q = cos(d t) (`lobatto_fit`); `lstsq`
+(`fit_cosine_series`) serves only the legacy "sampled" JSON kind.  Such a
+profile is its series plus the fit's `fit_residual`, which JSON stores next
+to `cos_coeffs`.  All three profile kinds
 (`Profile`, `SectorProfile` and planar's exact `DualProfile`) answer
 `jet(t, k)`: (f, f', ..., f^(k)) at t from one evaluation, of which
 `evaluate(t, order)` is one entry, bit for bit; each row of an array of
@@ -348,8 +348,8 @@ def require_minkowski(p, what: str) -> None:
 def fit_cosine_series(d: int, ts, values, max_terms: int = FIT_MAX_TERMS):
     """Least-squares fit of values(ts) in the basis cos(j*d*t), j < max_terms.
 
-    Returns (coefficients, max_abs_residual).  ts need not be uniform; for
-    samples on the Lobatto grid, `lobatto_fit` takes one DCT instead.
+    Returns (coefficients, max_abs_residual).  ts need not be uniform; only
+    the legacy "sampled" JSON kind needs that, every other fit is `lobatto_fit`.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -788,6 +788,18 @@ def test_isometry_solve_short_grid_fails_cleanly(capfd, profiles, grid):
     assert err == f"isonorm: error: grid_size must be >= 4, got {grid}\n"
 
 
+@pytest.mark.parametrize("h0", ("nan", "inf", "0", "-1"))
+def test_isometry_solve_names_an_anchor_that_is_not_positive_finite(
+        capfd, profiles, h0):
+    # a NaN or infinite anchor is a bad input, not a bad theta map
+    code = main(["isometry", "solve", "--profile", profiles["ellipse"],
+                 "--theta", "legendre", "--h0", h0])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"isonorm: error: h0 must be a positive finite number, "
+                   f"got {float(h0)!r}\n")
+
+
 def test_isometry_solve_smallest_grid_runs(capsys, profiles):
     code, rep = run_json(capsys, "isometry", "solve",
                          "--profile", profiles["ellipse"],

@@ -29,7 +29,8 @@ from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                               triple_to_json_dict)
 from isonorm.planar import (DualProfile, PlanarNorm, fundamental_tensor,
                             indicatrix_point, legendre_map, theta_legendre)
-from isonorm.profile import Profile, SectorProfile, load_profile, save_profile
+from isonorm.profile import (Profile, SectorProfile, load_profile, lobatto_fit,
+                             sampled_profile, save_profile)
 
 ELLIPSE = Profile(2, (1.0, 0.2))
 WOBBLE3 = Profile(3, (0.5, 0.02, 0.005))
@@ -439,11 +440,11 @@ def test_build_h_scale_equivariant(lam):
             lam * base.evaluate(t, 0), rel=1e-10)
 
 
-def _two_call_build_h(f, theta, theta0, h0, grid_size=2048):
-    """build_h_from_theta as it was when it took theta on the whole grid
-    from a second theta_jet call, after the integrand's."""
-    d = f.d
-    lo, hi = isometry.INTERIOR_GUARD, math.pi / d - isometry.INTERIOR_GUARD
+def _two_call_samples(f, theta, theta0, h0, grid_size):
+    """(ts, log h, integrand values) of build_h_from_theta's integration on
+    its whole t grid; this integrand hands no theta on, so a caller takes
+    theta from a theta_jet call of its own."""
+    lo, hi = isometry.INTERIOR_GUARD, math.pi / f.d - isometry.INTERIOR_GUARD
 
     def integrand(ts):
         th, thp = theta_jet(theta, f, ts, 1)
@@ -463,13 +464,30 @@ def _two_call_build_h(f, theta, theta0, h0, grid_size=2048):
     half = grid_size // 2
     t_fwd = np.linspace(theta0, hi, half + 1)
     t_bwd = np.linspace(lo, theta0, half + 1)
-    log_fwd = _cumulative_simpson(integrand(t_fwd), t_fwd)
-    log_bwd = _cumulative_simpson(integrand(t_bwd), t_bwd)
+    v_fwd, v_bwd = integrand(t_fwd), integrand(t_bwd)
+    log_fwd = _cumulative_simpson(v_fwd, t_fwd)
+    log_bwd = _cumulative_simpson(v_bwd, t_bwd)
     log_bwd -= log_bwd[-1]
     logs = np.concatenate([log_bwd, log_fwd[1:]]) + math.log(h0)
-    ts_all = np.concatenate([t_bwd, t_fwd[1:]])
-    th_all = theta_jet(theta, f, ts_all, 0)[0]
-    return isometry.sampled_profile(d, th_all, np.exp(logs))
+    return (np.concatenate([t_bwd, t_fwd[1:]]), logs,
+            np.concatenate([v_bwd, v_fwd[1:]]))
+
+
+def _two_call_build_h(f, theta, theta0, h0, grid_size=2048):
+    """build_h_from_theta with theta and theta' on the whole grid from a
+    second theta_jet call, after the integrand's."""
+    ts, logs, vals = _two_call_samples(f, theta, theta0, h0, grid_size)
+    th, thp = theta_jet(theta, f, ts, 1)
+    log_h = isometry._lobatto_log_h(f.d, grid_size, th, logs, vals / thp)
+    return lobatto_fit(f.d, np.exp(log_h))[0]
+
+
+def _lstsq_build_h(f, theta, theta0, h0, grid_size=2048):
+    """The build as it was before it read log h at Lobatto nodes: the
+    integrated samples at theta(t) fitted by lstsq (`sampled_profile`), the
+    reference of the accuracy tests."""
+    ts, logs, _ = _two_call_samples(f, theta, theta0, h0, grid_size)
+    return sampled_profile(f.d, theta_jet(theta, f, ts, 0)[0], np.exp(logs))
 
 
 @pytest.mark.parametrize("kind", isometry.THETA_KINDS)
@@ -493,6 +511,79 @@ def test_build_h_takes_theta_from_the_integrand_with_the_bits_of_two_calls(kind)
 def test_build_h_rejects_nonpositive_anchor():
     with pytest.raises(ValueError):
         build_h_from_theta(ELLIPSE, identity_map(), 0.7, 0.0)
+
+
+@pytest.mark.parametrize("h0", (0.0, -1.0, math.nan, math.inf, -math.inf))
+def test_build_h_names_an_anchor_that_is_not_positive_finite(h0):
+    # NaN and inf once passed `h0 <= 0` and were blamed on the theta map
+    with pytest.raises(ValueError, match=re.escape(
+            f"h0 must be a positive finite number, got {h0!r}")):
+        build_h_from_theta(ELLIPSE, identity_map(), 0.7, h0)
+
+
+def _legendre_anchor(f, t0):
+    f0, f1 = f.jet(t0, 1)
+    return f0 / (4 * f0 * f0 + f1 * f1)
+
+
+def _assert_near_reference(h, ref, exact_err):
+    """The Lobatto build h is within 2x the lstsq build ref's error, and
+    within perfbench's FIT_FACTOR * fit_residual + FIT_FLOOR of the truth;
+    exact_err maps a profile to its max error."""
+    err = exact_err(h)
+    assert err <= 2.0 * exact_err(ref) + 1e-15
+    assert err <= 10.0 * h.fit_residual + 1e-12
+
+
+@given(st.sampled_from((1, 2, 3)), st.floats(-0.95, 0.95))
+@settings(max_examples=25, deadline=None)
+def test_build_h_legendre_matches_the_exact_dual_as_the_lstsq_build(d, frac):
+    bound = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0}[d]
+    f = Profile(d, (1.0, frac * bound))
+    t0 = math.pi / (2 * d)
+    ths = np.linspace(0.0, math.pi / d, 1001)
+    exact = DualProfile(f).evaluate(ths)
+    h0 = _legendre_anchor(f, t0)
+    _assert_near_reference(
+        build_h_from_theta(f, legendre_map_tag(), t0, h0),
+        _lstsq_build_h(f, legendre_map_tag(), t0, h0),
+        lambda p: np.max(np.abs(p.evaluate(ths) - exact)))
+
+
+@pytest.mark.parametrize("grid_size", (4, 101))
+def test_build_h_grid_sizes_match_the_exact_dual_as_the_lstsq_build(grid_size):
+    # N + 1 Lobatto nodes give min(32, (N + 1) // 2) terms, for odd N too
+    t0 = math.pi / 4
+    ths = np.linspace(0.0, math.pi / 2, 1001)
+    exact = DualProfile(ELLIPSE).evaluate(ths)
+    h0 = _legendre_anchor(ELLIPSE, t0)
+    h = build_h_from_theta(ELLIPSE, legendre_map_tag(), t0, h0, grid_size)
+    assert len(h.cos_coeffs) == min(32, (grid_size + 1) // 2)
+    _assert_near_reference(
+        h, _lstsq_build_h(ELLIPSE, legendre_map_tag(), t0, h0, grid_size),
+        lambda p: np.max(np.abs(p.evaluate(ths) - exact)))
+
+
+@pytest.mark.parametrize("f", (Profile(1, (0.55, 0.04, 0.01)), ELLIPSE, WOBBLE3))
+def test_build_h_identity_map_gives_f_as_the_lstsq_build(f):
+    t0 = math.pi / (2 * f.d)
+    ths = np.linspace(0.0, math.pi / f.d, 1001)
+    _assert_near_reference(
+        build_h_from_theta(f, identity_map(), t0, f.evaluate(t0, 0)),
+        _lstsq_build_h(f, identity_map(), t0, f.evaluate(t0, 0)),
+        lambda p: np.max(np.abs(p.evaluate(ths) - f.evaluate(ths))))
+
+
+@pytest.mark.parametrize("f", (Profile(1, (0.55, 0.04, 0.01)), ELLIPSE))
+def test_build_h_linear_map_meets_its_samples_as_the_lstsq_build(f):
+    # h of a linear map is its integrated samples; the map takes pi/d to
+    # pi/d, as an equivariant map must, only for d <= 2
+    t0, tm = math.pi / (2 * f.d), ThetaMap(kind="linear", params=(1.3, 0.8))
+    ts, logs, _ = _two_call_samples(f, tm, t0, 1.0, 2048)
+    th = theta_jet(tm, f, ts, 0)[0]
+    _assert_near_reference(
+        build_h_from_theta(f, tm, t0, 1.0), _lstsq_build_h(f, tm, t0, 1.0),
+        lambda p: np.max(np.abs(p.evaluate(th) - np.exp(logs))))
 
 
 # --------------------------------------------------------- isometry checks

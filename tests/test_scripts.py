@@ -11,7 +11,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # sha256 of report_digest.py's 84 lines (its whole output)
-REPORT_DIGEST_SHA256 = "4d0c2ae020cf888027caa959931c9cca93ad4ed6a1432544498538a248f8b085"
+REPORT_DIGEST_SHA256 = "0caccfc113a9df7819ffd0c7b7a48d73286e192470dcab0874e6075465e1913f"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -76,8 +76,9 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 40 and len(set(names)) == 40
+    assert len(names) == 41 and len(set(names)) == 41
     assert {"check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
+            "build_h_from_theta, linear:1.3:0.8 on Profile(2, (1, 0.2))",
             "one 20-point riemann_fd call, 4 points on each of 5 leaves of "
             "cartan3, Profile(3, (0.5, 0.05))",
             "1000 one-angle jet(t, 2) calls, Profile(2, (1, 0.5))",
@@ -122,9 +123,10 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     assert [line.split(" ", 2)[2] for line in runs[0]] == [
         " ".join(argv) for argv in scope["argvs"]()]
     assert all(re.fullmatch(r"[0-9a-f]{64} \d+ \S.*", line) for line in runs[0])
-    # recorded when the fits on Lobatto grids became one DCT (`lobatto_fit`),
-    # a called-out change of fitted coefficients: the two `dual` lines (which
-    # also gained `terms_needed`) and the two glue lines moved, no exit code
+    # recorded when build_h_from_theta read log h at the Lobatto nodes of
+    # theta and fitted it by one DCT (`lobatto_fit`), a called-out change of
+    # solved h: the four `isometry solve` lines and the `isometry check`
+    # lines of their triples moved, no exit code
     assert len(runs[0]) == 84
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256
