@@ -30,6 +30,8 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   anchored as perfbench's isometry-lift anchors it (h = f / (a^2 cos^2 t0 +
   b^2 sin^2 t0) at t0 = pi/4), at its default grid: the build of every
   `isometry solve` and lift-linear op;
+- `is_minkowski` on that solved h, 32 terms, cold: the check of every
+  lift-linear op's `InducedNorm` of h;
 - in-process `isonorm.cli.main(["isometry", "check", "--triple", path])`,
   its report discarded, where path holds that solved Legendre triple;
 - `glue_construct` alone on the reused 96-term base (the glue row above
@@ -307,6 +309,9 @@ def rows(tmp: str):
                 lambda humps: bump_profile(3, humps), lambda: GLUE_HUMPS))
     out.append(("build_h_from_theta, linear:1.3:0.8 on Profile(2, (1, 0.2))",
                 _linear_build, lambda: Profile(2, (1.0, 0.2))))
+    out.append(("is_minkowski cold, 32-term solved h, linear:1.3:0.8 on "
+                "Profile(2, (1, 0.2))", is_minkowski,
+                copy(_linear_build(Profile(2, (1.0, 0.2))))))
     triple_path = os.path.join(tmp, "triple.json")
     save_triple(triple, triple_path)
     out.append(("cli.main isometry check in-process, solved Legendre triple on "

@@ -429,6 +429,9 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
     if not np.all(np.isfinite(logs)) or np.max(np.abs(logs)) > 50:
         raise ValueError("log h blew up along the integration: invalid theta map")
     th = np.concatenate([th_bwd, th_fwd[1:]])
+    if not np.all(np.diff(th) > 0):  # the Lobatto nodes are read by searchsorted
+        raise ValueError("theta does not increase along the integration: invalid "
+                         "theta map, or a Legendre map of an invalid profile")
     slope = np.concatenate([v_bwd / p_bwd, (v_fwd / p_fwd)[1:]])  # d log h / d theta
     return lobatto_fit(d, np.exp(_lobatto_log_h(d, grid_size, th, logs, slope)))[0]
 

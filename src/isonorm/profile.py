@@ -20,8 +20,8 @@ angles, flat or a column, has the bits of its one-angle call.  A
 series, a rotation table), so every caller goes the same way in.
 `is_minkowski` is exact: it reads f and the gap from `jet` at the piece ends
 and at each kind's `stationary_angles()`, the only other places their minima
-can lie.  Both the report and a `Profile`'s angles are computed once per
-object and reused.
+can lie; a long series solves for the roots of f only when f may vanish.
+The report and each of a `Profile`'s root sets are computed once and kept.
 """
 
 from __future__ import annotations
@@ -98,29 +98,37 @@ class Profile:
     def stationary_angles(self) -> np.ndarray:
         """Angles in [0, pi/d] where f, f' or f''' + 4 f' may vanish: in
         q = cos(d t), f is the Chebyshev series phi(q) with coefficients c_j,
-        f' = -d sin(d t) phi'(q), and f''' + 4 f' is the f' of the series with
+        f' = -d sin(d t) phi'(q), and f''' + 4 f' is the f' of psi(q) with
         coefficients c_j ((j d)^2 - 4); t = arccos(q)/d over the real parts,
-        clipped to [-1, 1], of the roots of phi, phi' and that derivative.
-        Computed once per profile object; the array is read-only.  A series
-        of at most CLENSHAW_MAX_TERMS terms takes numpy's steps written out
-        (`_short_chebder`, `_short_roots`), a longer one numpy's functions."""
+        clipped to [-1, 1], of the roots of phi, phi' and psi'.  Computed
+        once per object; the array is read-only.  A series of at most
+        CLENSHAW_MAX_TERMS terms takes numpy's steps written out, a longer
+        one `_root_angles`: `is_minkowski` solves for phi's only if f may vanish."""
         if "_angles" not in self.__dict__:
             c = self.cos_coeffs
             if len(c) <= CLENSHAW_MAX_TERMS:
                 c4 = tuple(v * ((j * self.d) ** 2 - 4.0) for j, v in enumerate(c))
                 q = [v for s in (c, _short_chebder(c), _short_chebder(c4))
                      for v in _short_roots(s)]
+                angles = np.arccos(np.clip(np.array(q, dtype=float), -1.0, 1.0)) / self.d
             else:
-                c = np.asarray(c)
-                freq = np.arange(len(c)) * self.d
-                # trailing c_j below eps * max|c| overflow the companion matrix
-                q = np.concatenate([
-                    chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
-                    for s in (c, chebder(c), chebder(c * (freq ** 2 - 4.0)))])
-            angles = np.arccos(np.clip(np.array(q, dtype=float), -1.0, 1.0)) / self.d
+                angles = np.concatenate([self._root_angles(i) for i in range(3)])
             angles.flags.writeable = False
             object.__setattr__(self, "_angles", angles)
         return self._angles
+
+    def _root_angles(self, i: int) -> np.ndarray:
+        """Angles of a long series' roots of phi, phi' or psi' (i = 0, 1, 2),
+        by numpy's functions: one companion-matrix solve each, once per object."""
+        roots = self.__dict__.setdefault("_roots", {})
+        if i not in roots:
+            s = np.asarray(self.cos_coeffs)
+            if i:
+                s = chebder(s * ((np.arange(len(s)) * self.d) ** 2 - 4.0) if i == 2 else s)
+            # trailing c_j below eps * max|c| overflow the companion matrix
+            q = chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
+            roots[i] = np.arccos(np.clip(q, -1.0, 1.0)) / self.d
+        return roots[i]
 
     @property
     def kind(self) -> str:
@@ -303,22 +311,29 @@ def _candidates(p, lo: float, hi: float) -> np.ndarray:
         return np.hstack([_candidates(piece, max(a, lo), min(b, hi))
                           for piece, a, b in zip(p.pieces, ends, ends[1:])
                           if max(a, lo) < min(b, hi)])
-    # np.unique's values, by its steps, without the numpy.ma import it makes
-    t = np.sort(np.clip(np.append(p.stationary_angles(), (lo, hi)), lo, hi))
-    t = t[np.append(True, t[1:] != t[:-1])]
-    f0, f1, f2 = p.jet(t, 2)
+    sets = [p.stationary_angles]
+    if isinstance(p, Profile) and len(p.cos_coeffs) > CLENSHAW_MAX_TERMS:
+        sets.insert(0, lambda: np.append(p._root_angles(1), p._root_angles(2)))
+    for angles in sets:
+        # np.unique's values, by its steps, without the numpy.ma import it makes
+        t = np.sort(np.clip(np.append(angles(), (lo, hi)), lo, hi))
+        t = t[np.append(True, t[1:] != t[:-1])]
+        f0, f1, f2 = p.jet(t, 2)
+        if np.min(f0) > VALIDITY_MARGIN:
+            break
     return np.array([t, f0, gap_from_jet(f0, f1, f2)])
 
 
 def is_minkowski(p) -> ValidityReport:
     """Check f > 0 and gap > 0 on [0, pi/d], exactly: on a smooth piece both
     reach their minima at a piece end or where f' or gap' = 2 f (f''' + 4 f')
-    vanishes, and there the values come from `jet`.  "valid" needs both
-    minima above 1e-9; a sign flip below -1e-9 is "invalid"; anything
-    pinched in between is reported as "marginal" rather than guessed.
-    Profiles are frozen, so the report is computed once per profile object
-    and kept on it; `replace` and `scaled` build objects checked afresh.
-    """
+    vanishes, and there the values come from `jet`; a long series solves for
+    phi's roots only when f may vanish, not above 1e-9 at the other angles.
+    "valid" needs both minima above 1e-9; a sign flip below -1e-9 is
+    "invalid"; anything pinched in between is reported as "marginal" rather
+    than guessed.  Profiles are frozen, so the report is computed once per
+    profile object and kept on it; `replace` and `scaled` build objects
+    checked afresh."""
     if "_validity" in p.__dict__:
         return p._validity
     ts, fs, gaps = _candidates(p, 0.0, math.pi / p.d)

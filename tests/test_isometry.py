@@ -494,18 +494,32 @@ def _lstsq_build_h(f, theta, theta0, h0, grid_size=2048):
 def test_build_h_takes_theta_from_the_integrand_with_the_bits_of_two_calls(kind):
     for f in (Profile(1, (0.55, 0.04, 0.01)), ELLIPSE, WOBBLE3):
         end = math.pi / f.d
-        grid = np.linspace(0.0, end, 9)
+        grid, rest = np.linspace(0.0, end, 9), np.linspace(end / 3, end, 7)
         tm = {"identity": identity_map(), "legendre": legendre_map_tag(),
               "linear": ThetaMap(kind="linear", params=(1.3, 0.8)),
               "scaled-legendre": ThetaMap(kind="scaled-legendre", params=(1.3, 0.8)),
               "sampled": ThetaMap(kind="sampled", grid=tuple(grid),
                                   values=tuple(theta_legendre(f, grid))),
+              # Legendre, then monotone cubics through its values: pieces that meet
               "piecewise": ThetaMap(kind="piecewise", pieces=(
-                  (0.0, end / 3, identity_map()),
-                  (end / 3, end, ThetaMap(kind="linear", params=(1.3, 0.8)))))}[kind]
+                  (0.0, end / 3, legendre_map_tag()),
+                  (end / 3, end, ThetaMap(kind="sampled", grid=tuple(rest),
+                                          values=tuple(theta_legendre(f, rest))))))}[kind]
         t0 = end / 2  # on d = 1 the identity's theta hits pi/2 there
         h = build_h_from_theta(f, tm, t0, f.evaluate(t0, 0))
         assert h == _two_call_build_h(f, tm, t0, f.evaluate(t0, 0)), f
+
+
+@pytest.mark.parametrize("f, tm", [
+    (ELLIPSE, ThetaMap(kind="piecewise", pieces=(
+        (0.0, math.pi / 6, identity_map()),   # theta drops by 0.18 at pi/6
+        (math.pi / 6, math.pi / 2, ThetaMap(kind="linear", params=(1.3, 0.8)))))),
+    (Profile(2, (1.0, 2.0)), legendre_map_tag()),   # f < 0: theta turns back
+], ids=["discontinuous-piecewise", "legendre-of-invalid-f"])
+def test_build_h_rejects_a_theta_that_does_not_increase(f, tm):
+    with pytest.raises(ValueError, match="theta does not increase along the "
+                                         "integration: invalid theta map"):
+        build_h_from_theta(f, tm, math.pi / 4, 1.0)
 
 
 def test_build_h_rejects_nonpositive_anchor():

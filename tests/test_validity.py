@@ -17,8 +17,9 @@ from isonorm.foliation import cartan3
 from isonorm.hessian import InducedNorm
 from isonorm.isometry import Sector, bump_profile, glue_construct
 from isonorm.planar import DualProfile, theta_legendre
-from isonorm.profile import (ALLOWED_D, VALIDITY_MARGIN, Profile, SectorProfile,
-                             gap_from_jet, is_minkowski, save_profile)
+from isonorm.profile import (ALLOWED_D, EPS, VALIDITY_MARGIN, Profile,
+                             SectorProfile, gap_from_jet, is_minkowski,
+                             save_profile)
 
 # validity bound on |b| for c0 (1 + b cos(d t)): 1, then 2 / (d^2 - 2) from d = 2
 B_BOUND = {1: 1.0, 2: 1.0, 3: 2.0 / 7.0, 4: 1.0 / 7.0, 6: 1.0 / 17.0}
@@ -268,3 +269,91 @@ def test_candidates_equal_np_unique_for_every_d(d, c0, share, c2, at, dual_share
         with mock.patch.object(profile_module, "_candidates", _unique_candidates):
             want_report = is_minkowski(ref)
         assert repr(is_minkowski(p)) == repr(want_report), p
+
+
+# ------------------------------- phi's roots only where a long f may vanish
+
+def _long_profile(d, tail, c0_offset, lo, hi):
+    """c0 + tail, c0 chosen so that min f on [lo, hi] is about c0_offset."""
+    low = _unique_candidates(Profile(d, (0.0, *tail)), lo, hi)[1].min()
+    return Profile(d, (c0_offset - low, *tail))
+
+
+_tails = st.tuples(st.integers(4, 48), st.floats(0.5, 3.0), st.floats(1e-4, 1.0),
+                   st.randoms(use_true_random=False)).map(
+    lambda a: [a[2] * a[3].uniform(-1.0, 1.0) / j ** a[1] for j in range(1, a[0])])
+_offsets = st.one_of(st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3),
+                     st.floats(-1e-9, 1e-9))   # valid, invalid, f touching zero
+
+
+@given(st.sampled_from(ALLOWED_D), _tails, _offsets, _tails, _offsets,
+       st.floats(0.05, 0.95))
+@example(2, [0.3, 0.05, 0.01], 1e-9, [0.3, 0.05, 0.01], -1e-9, 0.5)
+# the gap's minimum, -f'^2, lies at a root of phi
+@example(1, [-0.896652121761208, 0.1637975819296052, 0.06949992075928361],
+         -0.030289971465515597, [0.0] * 3, 1.0, 0.5)
+# phi's roots that the skip leaves out lie on f's minimum on the second piece
+@example(1, [0.0] * 3, 1.0, [0.6796875, 0.20094538410672394, 9.61481343191782e-17],
+         1.0, 0.5)
+@example(1, [0.0] * 3, 1.0, [0.0, 0.0, -1.0 / 3.0, -0.25], 1e-9, 0.5)
+@settings(max_examples=120, deadline=None)
+def test_skipping_phi_roots_keeps_the_full_candidate_report(d, tail, offset,
+                                                            tail2, offset2, at):
+    brk = at * math.pi / d
+
+    def kinds():   # a plain long series, and long pieces each shifted on its own piece
+        yield _long_profile(d, tail, offset, 0.0, math.pi / d)
+        yield SectorProfile(d, (brk,), (_long_profile(d, tail, offset, 0.0, brk),
+                                        _long_profile(d, tail2, offset2, brk, math.pi / d)))
+
+    for p, ref in zip(kinds(), kinds()):
+        with mock.patch.object(profile_module, "_candidates", _unique_candidates):
+            want = is_minkowski(ref)
+        got = is_minkowski(p)
+        if repr(got) == repr(want):
+            continue
+        # a complex pair of phi's roots whose real part is a root of phi' sits
+        # on f's minimum (phi nearly a quadratic, or f nearly touching zero):
+        # there f differs from its value at the phi' root by rounding only
+        tol = 4.0 * EPS * max(sum(map(abs, q.cos_coeffs))
+                              for q in getattr(p, "pieces", (p,)))
+        assert (got.min_gap, got.argmin) == (want.min_gap, want.argmin), p
+        assert want.min_f < got.min_f <= want.min_f + tol, p
+        assert (got.status == want.status
+                or abs(want.min_f - VALIDITY_MARGIN) <= tol), p
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The length of every series whose roots `chebroots` finds."""
+    seen, chebroots = [], profile_module.chebroots
+    monkeypatch.setattr(profile_module, "chebroots",
+                        lambda s: seen.append(len(s)) or chebroots(s))
+    return seen
+
+
+LONG_VALID = (1.0, 0.1, 0.02, 0.005, 0.001)
+
+
+@pytest.mark.parametrize("d, coeffs, count", [
+    (2, LONG_VALID, 2),
+    (3, bump_profile(3, GLUE_BASE_HUMPS).cos_coeffs, 2),
+    (1, (1.0, 1.0, 0.0, 0.0), 3),            # f = 1 + cos t touches 0 at pi
+    (2, (0.2, 0.5, 0.1, 0.05), 3),           # f < 0
+], ids=["valid-5-terms", "glue-base", "touching", "negative"])
+def test_a_long_series_solves_for_phi_only_where_f_may_vanish(solves, d, coeffs,
+                                                              count):
+    rep = is_minkowski(Profile(d, coeffs))
+    assert len(solves) == count, rep
+    assert rep.valid == (count == 2)
+
+
+def test_stationary_angles_after_validation_add_the_phi_solve(solves):
+    fresh = Profile(2, LONG_VALID).stationary_angles()
+    solves.clear()
+    p = Profile(2, LONG_VALID)
+    is_minkowski(p)
+    angles = p.stationary_angles()
+    assert solves == [4, 4, 5]   # phi' and psi', then phi
+    assert angles.tobytes() == fresh.tobytes()
+    assert p.stationary_angles() is angles and len(solves) == 3
