@@ -305,7 +305,8 @@ class ValidityReport:
 
 def _candidates(p, lo: float, hi: float) -> np.ndarray:
     """Rows (t, f, gap) from each smooth piece's own jet at its ends and
-    stationary angles in [lo, hi]; sectors split at their breaks."""
+    stationary angles in [lo, hi]; sectors split at their breaks.  A long
+    series leaves out phi's roots if f > VALIDITY_MARGIN at the rest: no zero."""
     if isinstance(p, SectorProfile):
         ends = (0.0, *p.breaks, math.pi / p.d)
         return np.hstack([_candidates(piece, max(a, lo), min(b, hi))
@@ -328,7 +329,7 @@ def is_minkowski(p) -> ValidityReport:
     """Check f > 0 and gap > 0 on [0, pi/d], exactly: on a smooth piece both
     reach their minima at a piece end or where f' or gap' = 2 f (f''' + 4 f')
     vanishes, and there the values come from `jet`; a long series solves for
-    phi's roots only when f may vanish, not above 1e-9 at the other angles.
+    phi's roots only if f is at most 1e-9 at the ends and the other roots.
     "valid" needs both minima above 1e-9; a sign flip below -1e-9 is
     "invalid"; anything pinched in between is reported as "marginal" rather
     than guessed.  Profiles are frozen, so the report is computed once per
