@@ -346,13 +346,14 @@ def rows(tmp: str):
     out.append(("cli.main isoparametric-check --model d2:8:3 in-process, "
                 "Profile(2, (1, 0.2))", _cli_isoparametric_check,
                 lambda: ellipse_path))
-    chart_norm = InducedNorm(cartan3(), Profile(3, (0.5, 0.02)))
+    indicatrix_norm = InducedNorm(cartan3(), Profile(3, (0.5, 0.02)))
     leaves = np.repeat(np.linspace(0.3, math.pi / 3 - 0.3, 5), 3)
-    chart_points = random_leaf_points(cartan3(), leaves, len(leaves), seed=0)
+    indicatrix_points = random_leaf_points(cartan3(), leaves, len(leaves), seed=0)
     out.append(("15 one-point fd_indicatrix_laplacian_t calls, cartan3, "
                 "Profile(3, (0.5, 0.02))",
-                lambda us: [fd_indicatrix_laplacian_t(chart_norm, u) for u in us],
-                lambda: chart_points))
+                lambda us: [fd_indicatrix_laplacian_t(indicatrix_norm, u)
+                            for u in us],
+                lambda: indicatrix_points))
     field = _field_points()
     calls = {"shape_spectrum": lambda nm, u: shape_spectrum(nm.foliation, u),
              "riemann_fd": riemann_fd,

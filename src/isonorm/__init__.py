@@ -22,9 +22,8 @@ _HOME = {name: module for module, names in (
     ("planar", "DualProfile PlanarNorm dual_profile fundamental_tensor "
      "indicatrix_point legendre_map theta_legendre"),
     ("foliation", "DEFAULT_FOCAL_GUARD FocalProximityError FoliationModel "
-     "cartan3 d1 d2 focal_dimensions multiplicities normal_geodesic "
-     "normal_plane_basis parse_model random_leaf_points shape_spectrum "
-     "t_coord unit_w"),
+     "cartan3 d1 d2 focal_dimensions multiplicities normal_plane_basis "
+     "parse_model random_leaf_points shape_spectrum t_coord unit_w"),
     ("hessian", "InducedNorm closed_frame_matrix energy fd_fundamental_tensor "
      "fd_indicatrix_laplacian_t fd_indicatrix_operators frame_basis "
      "frame_components indicatrix_grad_t_norm indicatrix_laplacian_t "

@@ -275,18 +275,6 @@ def normal_plane_basis(m: FoliationModel, x,
     return NormalPlane(v1=c * u - s * w, v2=s * u + c * w, w=w)
 
 
-def normal_geodesic(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
-    """Arc-length parametrization gamma(s) of the normal geodesic through x,
-    with t(gamma(s)) following the dihedral fold of s and gamma(t(x)) = x/|x|.
-    For an (m, n) array of rows x, s is a column: one parameter per row."""
-    basis = normal_plane_basis(m, x, delta)
-
-    def gamma(s):
-        return np.cos(s) * basis.v1 + np.sin(s) * basis.v2
-
-    return gamma
-
-
 def multiplicities(m: FoliationModel) -> tuple[tuple[int, int], ...]:
     """Pairs (k, m_k) with m_k > 0: multiplicity of eigenvalue cot(t + k pi/d)."""
     if m.d == 1:

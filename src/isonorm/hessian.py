@@ -2,13 +2,13 @@
 
 The Hessian metric g = Hess(E), E = F^2/2, is evaluated in closed form
 (`closed_fundamental_tensor`) wherever g itself is needed, the indicatrix
-chart included; each row set takes one polar pass of the foliation, whose
-p(u) the normal w and the shape operator share.  `fd_fundamental_tensor`
+operators included; each row set takes one polar pass of the foliation,
+whose p(u) the normal w and the shape operator share.  `fd_fundamental_tensor`
 differences E instead and stays the independent oracle of G; `energy` maps
 an (m, n) array of points to their m values, so its stencil evaluates the
 whole lattice in one call (see fd.py).
-The only FD left in the indicatrix chart is the outer divergence difference
-of the Laplacian.
+On the indicatrix S_F the Laplacian of t is the ambient one of g, so the
+only FD left there is the outer divergence difference of that Laplacian.
 
 Curvature note: for a Hessian metric the Riemann tensor depends only on g
 and T = dg, the third derivatives of the potential (Shima, The Geometry of
@@ -21,7 +21,6 @@ with T one central difference of the exact g, and g^{-1} T_i formed first.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,19 +30,18 @@ import numpy as np
 from .fd import hessian_fd
 from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape,
                         _polar, _radius, _require_interior, _shape_operator,
-                        _sphere_tangent_basis, _sqnorm, _sqnorm_or_inf, _unit_w,
-                        multiplicities, t_coord)
+                        _sqnorm_or_inf, _unit_w, multiplicities, t_coord)
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
-INDICATRIX_STEP = 3e-4
+INDICATRIX_STEP = 1e-4
 
 
 @dataclass(frozen=True)
 class InducedNorm:
     """F = r sqrt(2 f(t)) on a foliation.  Only a plain `Profile` is checked:
-    a glued h (new scaled copies of its base and dual) would cost ~19 ms to
-    check on the 96-term cartan3 base, as much as its glue and lift check."""
+    a glued h (new scaled copies of its base and dual) would cost ~12 ms to
+    check on the 96-term cartan3 base, twice its glue and lift check."""
     foliation: FoliationModel
     profile: Profile
 
@@ -261,101 +259,50 @@ def indicatrix_laplacian_t(nm: InducedNorm, t: float) -> float:
 
 # --- FD counterparts on the indicatrix -------------------------------------
 #
-# The indicatrix is parametrized over the unit sphere through a normal-
-# coordinate chart z -> u(z) around a base direction.  The metric (the closed
-# G), the chart Jacobian and dt are closed-form; the only finite difference
-# is the outer divergence difference of the Laplacian, so the chart stays an
-# independent check of indicatrix_laplacian_t.
-
-
-def _chart_points(U0: np.ndarray, V: np.ndarray, Z: np.ndarray):
-    """u(z) = cos|z| u0 + sin|z| V^T z / |z| and du/dz_a, u (k, n) and du
-    (k, n, n-1), at the k rows of Z (k, n-1) around U0 (k, n) with bases V
-    (k, n-1, n); (u0, V^T) where |z| < 1e-14.  cos, sin and |z|^2 are libm's
-    per row (Python's **, not numpy's square), as one row at a time had them."""
-    zeta = np.sqrt(_sqnorm(Z))
-    live = zeta >= 1e-14
-    zeta = np.where(live, zeta, 1.0)
-    cos, sin, sq = np.array([(math.cos(v), math.sin(v), v ** 2)
-                             for v in zeta.tolist()]).reshape(-1, 3).T
-    VT = np.swapaxes(V, 1, 2)
-    vz = (VT @ Z[:, :, None])[:, :, 0]
-    u = cos[:, None] * U0 + (sin / zeta)[:, None] * vz
-    coeff = cos / zeta - sin / sq
-    za = Z / zeta[:, None]
-    du = (U0[:, :, None] * (-sin[:, None] * za)[:, None, :]
-          + vz[:, :, None] * (coeff[:, None] * za)[:, None, :]
-          + (sin / zeta)[:, None, None] * VT)
-    return (np.where(live[:, None], u, U0),
-            np.where(live[:, None, None], du, VT))
-
-
-def _indicatrix_chart_data(nm: InducedNorm, U0: np.ndarray, V: np.ndarray,
-                           Z: np.ndarray):
-    """(metric, dt-components, sqrt(det)) of the induced chart metric at the
-    k rows of the chart offsets Z (k, n-1) around the base directions U0
-    (k, n) with tangent bases V (k, n-1, n), stacked; one jet, one
-    closed_fundamental_tensor and two polar passes (one in the tensor) serve
-    all rows, each handing its p on, and each row keeps its one-point bits."""
-    u, du = _chart_points(U0, V, Z)
-    _, v, p, t = _polar(nm.foliation, u)
-    f0, f1 = nm.profile.jet(t, 1)
-    w = _unit_w(nm.foliation, v, t, p)
-    dt = (np.swapaxes(du, 1, 2) @ w[..., None])[..., 0]  # chart components of grad t
-    rho = 1.0 / np.sqrt(2.0 * f0)
-    drho = (-f1 * rho / (2.0 * f0))[:, None] * dt
-    X = rho[:, None] * u
-    J = rho[:, None, None] * du + u[:, :, None] * drho[:, None, :]
-    ghat = np.swapaxes(J, 1, 2) @ closed_fundamental_tensor(nm, X) @ J
-    return ghat, dt, np.sqrt(np.linalg.det(ghat))
-
-
-@functools.cache
-def _chart_stencil(na: int):
-    """(Z, axis, coef) of the fourth-order stencil in na chart axes: the
-    offsets Z, the base point first, then 4 per axis; each offset's axis
-    (axis a outer, the stencil inner) and its weight.  Built once per na,
-    read-only."""
-    axis = np.repeat(np.arange(na), 4)
-    coef = np.tile([-1.0, 8.0, -8.0, 1.0], na)
-    Z = np.zeros((1 + 4 * na, na))
-    Z[1 + np.arange(4 * na), axis] = (np.tile([2.0, 1.0, -1.0, -2.0], na)
-                                      * INDICATRIX_STEP)
-    for a in (Z, axis, coef):
-        a.flags.writeable = False
-    return Z, axis, coef
+# E is 2-homogeneous, so g_x(x, .) = dE_x and T(x, ., .) = 0 (Shima, 2007):
+# the g-normal of S_F is x/F, and grad_x x = x since Gamma(x, x) = 0.  t is
+# constant along x/F, so on S_F its Laplacian and squared gradient norm are
+# the ambient ones of g in the coordinates of R^n, with dt = w/r.  The only
+# finite difference is the outer divergence difference of the Laplacian, so
+# this stays an independent check of indicatrix_laplacian_t.
 
 
 def fd_indicatrix_operators(nm: InducedNorm, u0):
     """FD squared norm of grad t and FD Laplacian of t on the indicatrix at
     direction u0, or at each row of a (k, n) array (then two (k,) arrays).
 
-    The grad norm is read at the chart's base point.  The Laplacian differences
-    the flux sqrt(det g) g^{ab} dt/dz^b with a fourth-order stencil of step
-    INDICATRIX_STEP: the chart (and hence the truncation error of a low-order
-    difference) depends on the base point, which would otherwise show up as
-    spurious position dependence of an isoparametric invariant.  The base
-    points and their 4(n-1) stencil points, k(4n-3) rows, take one chart call,
-    so two polar passes (t_coord's) in all.  A (0, n) array gives two empty
+    At the point x = u / sqrt(2 f(t)) of S_F over u0, the grad norm is
+    dt . G^-1 dt, and the Laplacian (1/sqrt det G) d_i(sqrt det G G^ij d_j t)
+    differences the flux with a fourth-order stencil of step
+    INDICATRIX_STEP |x| along each axis.  The base points and their 4n
+    stencil points, k(4n+1) rows, take one closed_fundamental_tensor call and
+    one polar pass for dt, after one polar pass of the input rows; each row
+    has the bits of its one-point call.  A (0, n) array gives two empty
     arrays.
     """
     u0 = np.asarray(u0, dtype=float)
-    rows = np.atleast_2d(u0)
-    U = rows / _radius(nm.foliation, rows)[:, None]  # t_coord's errors first
-    k, na = len(rows), nm.foliation.n - 1
-    V = np.array([_sphere_tangent_basis(u) for u in U]).reshape(k, na, na + 1)
-    Z, axis, coef = _chart_stencil(na)
-    ghat, dt, sdet = (a.reshape((k, len(Z)) + a.shape[1:])
-                      for a in _indicatrix_chart_data(
-                          nm, np.repeat(U, len(Z), 0), np.repeat(V, len(Z), 0),
-                          np.tile(Z, (k, 1))))
-    sol = np.linalg.solve(ghat, dt[..., None])[..., 0]  # g^{ab} dt/dz^b
+    _, u, _, t = _polar(nm.foliation, np.atleast_2d(u0))
+    k, n = u.shape
+    rho = 1.0 / np.sqrt(2.0 * nm.profile.evaluate(t, 0))  # |x| on S_F
+    h = INDICATRIX_STEP * rho
+    # the base, then steps 2, 1, -1, -2 along each axis in turn
+    offsets = np.vstack([np.zeros(n),
+                         np.kron(np.eye(n), [[2.0], [1.0], [-1.0], [-2.0]])])
+    X = ((rho[:, None] * u)[:, None] + h[:, None, None] * offsets).reshape(-1, n)
+    r, v, p, tx = _polar(nm.foliation, X)
+    dt = _unit_w(nm.foliation, v, tx, p) / r[:, None]
+    G = closed_fundamental_tensor(nm, X)
+    sol = np.linalg.solve(G, dt[..., None])[..., 0]  # G^ij d_j t
+    sdet = np.sqrt(np.linalg.det(G))
+    dt, sol, sdet = (a.reshape((k, 1 + 4 * n) + a.shape[1:])
+                     for a in (dt, sol, sdet))
     grad = (dt[:, 0, None, :] @ sol[:, 0, :, None])[:, 0, 0]
-    flux = (sdet[..., None] * sol)[:, 1 + np.arange(4 * na), axis]
-    total = 0.0
-    for c, column in zip(coef, flux.T):
-        total = total + c * column / (12.0 * INDICATRIX_STEP)
-    lap = total / sdet[:, 0]
+    # flux component i at the four rows along axis i, (k, 4, n)
+    flux = np.diagonal((sdet[..., None] * sol)[:, 1:].reshape(k, n, 4, n),
+                       axis1=1, axis2=3)
+    div = ((8.0 * (flux[:, 1] - flux[:, 2]) - (flux[:, 0] - flux[:, 3]))
+           / (12.0 * h[:, None]))
+    lap = div.sum(axis=1) / sdet[:, 0]
     return (float(grad[0]), float(lap[0])) if u0.ndim == 1 else (grad, lap)
 
 

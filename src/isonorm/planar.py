@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .profile import (FIT_MAX_TERMS, Profile, as_angle, dihedral_fold,
-                      gap_from_jet, is_minkowski, lobatto_fit,
+from .profile import (CLENSHAW_MAX_TERMS, FIT_MAX_TERMS, Profile, as_angle,
+                      dihedral_fold, gap_from_jet, is_minkowski, lobatto_fit,
                       require_minkowski)
 
 # the exact dual's Legendre-angle solve (see DualProfile)
@@ -221,8 +221,14 @@ class DualProfile:
 
     def stationary_angles(self) -> np.ndarray:
         """theta_legendre of the base's angles, as (h o theta)' =
-        -s f' gap_f / (4f^2 + f'^2)^2 and gap_h(theta(t)) = s^2 / gap_f(t)."""
-        return theta_legendre(self.base, self.base.stationary_angles())
+        -s f' gap_f / (4f^2 + f'^2)^2 and gap_h(theta(t)) = s^2 / gap_f(t).
+        A valid base has f > 0, so a long series base gives only the roots of
+        phi' and psi' (`Profile._root_angles`) that its own check solved for,
+        not the companion solve of phi's."""
+        b = self.base
+        if isinstance(b, Profile) and len(b.cos_coeffs) > CLENSHAW_MAX_TERMS:
+            return theta_legendre(b, np.append(b._root_angles(1), b._root_angles(2)))
+        return theta_legendre(b, b.stationary_angles())
 
     def _invert_theta(self, theta):
         """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta a

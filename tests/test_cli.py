@@ -637,8 +637,9 @@ def test_isoparametric_check_draws_every_leaf_at_once(capsys, profiles, leaf_dra
 
 @pytest.mark.parametrize("seed", range(10))
 def test_isoparametric_check_default_d2_8_3_exits_0(capsys, profiles, seed):
-    # the paper's N_t is isoparametric: with the closed G in the chart the
-    # default check confirms it, every residual far inside its ok bound
+    # the paper's N_t is isoparametric: with the closed G in the ambient
+    # Laplacian the default check confirms it, every residual far inside its
+    # ok bound
     code, rep = run_json(capsys, "isoparametric-check", "--profile",
                          profiles["ellipse"], "--model", "d2:8:3",
                          "--seed", str(seed))

@@ -8,9 +8,9 @@ import pytest
 from isonorm import foliation
 from isonorm.foliation import (FocalProximityError, _poly, cartan3, d1, d2,
                                focal_dimensions, multiplicities,
-                               normal_geodesic, normal_plane_basis,
-                               parse_model, random_leaf_points,
-                               shape_spectrum, t_coord, unit_w)
+                               normal_plane_basis, parse_model,
+                               random_leaf_points, shape_spectrum, t_coord,
+                               unit_w)
 from isonorm.hessian import InducedNorm, energy, frame_basis, value
 from isonorm.profile import Profile
 
@@ -148,11 +148,14 @@ def test_normal_geodesic_passes_through_x():
     for m in MODELS:
         t = 0.45
         x = random_leaf_points(m, t, 1, seed=3)[0]
-        gamma = normal_geodesic(m, x)
-        assert np.allclose(gamma(t), x, atol=1e-10)
-        # the circle stays a normal geodesic: t(gamma(s)) = s
+        basis = normal_plane_basis(m, x)
+        assert np.allclose(math.cos(t) * basis.v1 + math.sin(t) * basis.v2, x,
+                           atol=1e-10)
+        # the circle gamma(s) = cos s v1 + sin s v2 is a normal geodesic:
+        # t(gamma(s)) = s
         for s in (0.2, 0.6, 0.9):
-            assert t_coord(m, gamma(s)).t == pytest.approx(s, abs=1e-9)
+            gamma = math.cos(s) * basis.v1 + math.sin(s) * basis.v2
+            assert t_coord(m, gamma).t == pytest.approx(s, abs=1e-9)
 
 
 def test_normal_plane_basis_orthonormal():

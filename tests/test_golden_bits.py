@@ -339,7 +339,7 @@ FIELD_DIGESTS = {
         "fd_fundamental_tensor":
             "96db176d3de712a689ef554c39444d6c4ba24e4c80fe06b8df5ddb80ea320121",
         "fd_indicatrix_operators":
-            "3cdf8bb6296ba0d71e132d532e39f41035a259652f29869e4be831f2eae8d7af",
+            "fd4e0db8be065961a5c0048ec67497a7ff38aecf79c4b2e22a949933ada2d5cd",
         "frame_components":
             "4c2a81a8e2071ad5ddb91978aaca7f032a9708f3288d155b3cbd4c532fd31a8b",
         "normal_plane_basis":
@@ -361,7 +361,7 @@ FIELD_DIGESTS = {
         "fd_fundamental_tensor":
             "2d34733bf65f5602cd42824860fc76466a35af0f148b0856c0d50cc0cb1a7f7e",
         "fd_indicatrix_operators":
-            "b4b46152a6e45d037a0fe443f57142a98dd59ed79227d64cb3e4b4a784143121",
+            "6b76ff4d6f69fb6156797bc31cb9d9d8a03def06db0b4cec5ff09f13e4b00e6d",
         "frame_components":
             "3f1b055e631f9934d90919d43012868718b26370243c50c1072ccf5d35f651df",
         "normal_plane_basis":
@@ -383,7 +383,7 @@ FIELD_DIGESTS = {
         "fd_fundamental_tensor":
             "973d60c761b1f2d45277a85d22805bb6e4cf9240575bc2e0aaa2c35e174d990e",
         "fd_indicatrix_operators":
-            "66ca41d55e6555afded8de14bcfa74a788c5672150355564d83edcd25cda69e2",
+            "dfc641edee39852cf1180dbe944e159afc6d5ed9500bd79f5fb4d579ed8fe2ef",
         "frame_components":
             "0728875be10fda63a947cc67af98059141403b94141290ca0df6808852396c9f",
         "normal_plane_basis":
@@ -405,7 +405,7 @@ FIELD_DIGESTS = {
         "fd_fundamental_tensor":
             "4a68ccadddc3b2abbc49dba5e794f054ac0b8cf1b5f26ea5a0b4c3f5e6b922b5",
         "fd_indicatrix_operators":
-            "6dec4d41e2f68df3a83fb0eb42ebf97e001f9d5facaa821178c5f46a2dbb5826",
+            "b59daf8d3f1afc2895d2ab4231722d5dc47c437c94e37c44ef14f9407d1c19ad",
         "frame_components":
             "845f31d4bfa31ee30d23fe63b62be2b69049d63fb01949339bf7cfdbaba6ac45",
         "normal_plane_basis":

@@ -10,8 +10,7 @@ from isonorm import cli, foliation, hessian
 from fd_oracles import third_tensor_fd
 from isonorm.fd import hessian_fd
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
-                               _sphere_tangent_basis, cartan3, d1, d2,
-                               parse_model, random_leaf_points,
+                               cartan3, d1, d2, parse_model, random_leaf_points,
                                shape_spectrum, t_coord, unit_w)
 from isonorm.hessian import (InducedNorm, closed_frame_matrix,
                              closed_fundamental_tensor,
@@ -312,7 +311,7 @@ def test_fd_indicatrix_operators_match_closed():
 
 
 def test_fd_laplacian_xi_independent():
-    # two different leaf points, same t: the chart-based value must agree
+    # two different leaf points, same t: the FD values must agree
     nm = _norm(cartan3(), Profile(3, (0.5, 0.02)))
     t = 0.5
     us = random_leaf_points(nm.foliation, t, 2, seed=7)
@@ -320,54 +319,32 @@ def test_fd_laplacian_xi_independent():
     assert abs(vals[0] - vals[1]) < 1e-5
 
 
-def _one_point_chart_point(u0, V, z):
-    zeta = float(np.linalg.norm(z))
-    if zeta < 1e-14:
-        return u0.copy(), V.T.copy()
-    vz = V.T @ z
-    u = math.cos(zeta) * u0 + (math.sin(zeta) / zeta) * vz
-    du = np.empty((len(u0), len(V)))
-    coeff = (math.cos(zeta) / zeta - math.sin(zeta) / zeta ** 2)
-    for a in range(len(V)):
-        du[:, a] = (-math.sin(zeta) * (z[a] / zeta) * u0
-                    + coeff * (z[a] / zeta) * vz
-                    + (math.sin(zeta) / zeta) * V[a])
-    return u, du
-
-
-def _one_point_chart_data(nm, u0, V, z):
-    """Reference for the stacked chart data: one offset z, one point per
-    call of t_coord, jet, unit_w and closed_fundamental_tensor."""
-    m = nm.foliation
-    u, du = _one_point_chart_point(u0, V, z)
-    t = t_coord(m, u).t
-    f0, f1 = nm.profile.jet(t, 1)
-    w = unit_w(m, u)
-    dt = du.T @ w
-    rho = 1.0 / math.sqrt(2.0 * f0)
-    drho = -f1 * rho / (2.0 * f0) * dt
-    X = rho * u
-    J = rho * du + np.outer(u, drho)
-    ghat = J.T @ closed_fundamental_tensor(nm, X) @ J
-    return ghat, dt, math.sqrt(float(np.linalg.det(ghat)))
-
-
 def _one_point_operators(nm, u0):
+    """Reference for the stacked operators: the ambient formulas, one point
+    and one stencil row per call of t_coord, jet, unit_w and
+    closed_fundamental_tensor."""
+    m = nm.foliation
     u0 = np.asarray(u0, dtype=float)
-    u0 = u0 / np.linalg.norm(u0)
-    V = _sphere_tangent_basis(u0)
-    na, step = len(V), hessian.INDICATRIX_STEP
-    ghat, dt, sdet0 = _one_point_chart_data(nm, u0, V, np.zeros(na))
-    grad = float(dt @ np.linalg.solve(ghat, dt))
-    total = 0.0
-    for a in range(na):
-        for coef, mult in ((-1.0, 2.0), (8.0, 1.0), (-8.0, -1.0), (1.0, -2.0)):
-            z = np.zeros(na)
-            z[a] = mult * step
-            ghat, dt, sdet = _one_point_chart_data(nm, u0, V, z)
-            flux = sdet * np.linalg.solve(ghat, dt)
-            total += coef * flux[a] / (12.0 * step)
-    return grad, float(total / sdet0)
+    r, t = t_coord(m, u0)
+    rho = 1.0 / math.sqrt(2.0 * nm.profile.evaluate(t, 0))
+    x, h = rho * (u0 / r), hessian.INDICATRIX_STEP * rho
+
+    def flux(y):
+        G = closed_fundamental_tensor(nm, y)
+        dt = unit_w(m, y) / t_coord(m, y).r
+        return dt, math.sqrt(float(np.linalg.det(G))), np.linalg.solve(G, dt)
+
+    dt, sdet0, sol = flux(x)
+    div = []
+    for a in range(m.n):
+        f = {}
+        for mult in (2.0, 1.0, -1.0, -2.0):
+            y = x.copy()
+            y[a] += mult * h
+            _, sdet, sol_y = flux(y)
+            f[mult] = sdet * sol_y[a]
+        div.append((8.0 * (f[1.0] - f[-1.0]) - (f[2.0] - f[-2.0])) / (12.0 * h))
+    return float(dt @ sol), float(np.sum(div) / sdet0)
 
 
 MODEL_PROFILES = [
@@ -380,33 +357,10 @@ MODEL_PROFILES = [
 MODEL_IDS = ["d1:3", "d2:4:2", "d2:8:3", "cartan3", "d2:4:2-dual"]
 
 
-@pytest.mark.parametrize("model", [m for m, _ in MODEL_PROFILES[:4]],
-                         ids=MODEL_IDS[:4])
-def test_chart_points_have_the_one_point_bits(model):
-    # the stencil's offsets, one nonzero entry each, give the bits of the
-    # one-row reference; an offset along several axes agrees to rounding
-    U0 = random_leaf_points(model, 0.4, 3, seed=11)
-    na, h = model.n - 1, hessian.INDICATRIX_STEP
-    Z = np.concatenate([np.zeros((1, na))]
-                       + [c * h * np.eye(na) for c in (1.0, -1.0, 2.0, -2.0)])
-    Z = np.concatenate([Z, np.full((1, na), h), 1e-15 * np.eye(1, na)])
-    U, Z = np.repeat(U0, len(Z), 0), np.tile(Z, (len(U0), 1))
-    V = np.array([_sphere_tangent_basis(u) for u in U])
-    u, du = hessian._chart_points(U, V, Z)
-    assert u.shape == (len(U), model.n) and du.shape == (len(U), model.n, na)
-    for i, z in enumerate(Z):
-        u1, du1 = _one_point_chart_point(U[i], V[i], z)
-        if np.count_nonzero(z) > 1:
-            assert np.max(np.abs(u[i] - u1)) < 1e-15
-            assert np.max(np.abs(du[i] - du1)) < 1e-15
-        else:
-            assert np.array_equal(u[i], u1) and np.array_equal(du[i], du1)
-
-
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
-def test_fd_indicatrix_chart_keeps_one_point_bits(model, profile):
-    # all points and their chart rows are evaluated in one pass; every value
-    # must be the one the per-point, per-row loop gives, to the last bit
+def test_fd_indicatrix_operators_keep_one_point_bits(model, profile):
+    # all points and their stencil rows are evaluated in one pass; every
+    # value must be the one the per-point, per-row loop gives, to the last bit
     nm = _norm(model, profile)
     hi = math.pi / model.d - 0.3
     us = np.concatenate([random_leaf_points(model, float(t), 2, seed=20 + i)
@@ -422,17 +376,19 @@ def test_fd_indicatrix_chart_keeps_one_point_bits(model, profile):
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES[:4], ids=MODEL_IDS[:4])
 def test_fd_indicatrix_laplacian_near_the_focal_ends(model, profile):
     # the closed G leaves only the outer difference's truncation error, so
-    # the chart holds at the 0.02 leaf margin that the commands draw from
+    # the ambient Laplacian holds at the 0.02 leaf margin that the commands
+    # draw from
     nm = _norm(model, profile)
     t = DEFAULT_FOCAL_GUARD + 0.02
     for t in (t, math.pi / model.d - t):
         us = random_leaf_points(model, t, 3, seed=5)
         _, laps = fd_indicatrix_operators(nm, us)
-        assert np.max(np.abs(laps - indicatrix_laplacian_t(nm, t))) < 1e-6
+        assert np.max(np.abs(laps - indicatrix_laplacian_t(nm, t))) < 2e-9
 
 
 def test_fd_indicatrix_operators_make_two_polar_passes(monkeypatch):
-    # one for the chart rows, one inside their closed G
+    # one of the input rows, then two of their stencil rows: one for dt and
+    # one inside their closed G
     model, profile = MODEL_PROFILES[2]
     us = random_leaf_points(model, 0.6, 2, seed=4)
     calls = []
@@ -441,7 +397,7 @@ def test_fd_indicatrix_operators_make_two_polar_passes(monkeypatch):
                             lambda m, x, one=module._polar:
                             calls.append(len(x)) or one(m, x))
     fd_indicatrix_operators(_norm(model, profile), us)
-    assert calls == [2 * (4 * model.n - 3)] * 2
+    assert calls == [2] + [2 * (4 * model.n + 1)] * 2
 
 
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
@@ -495,7 +451,7 @@ def test_isoparametric_check_makes_one_chart_call(monkeypatch, tmp_path,
                      "--model", "d2:8:3"])
     capsys.readouterr()
     assert code == 0
-    # 5 leaves x 3 points, each the base and 4(n - 1) stencil rows, n = 8
-    assert closed_rows == [5 * 3 * 29]
+    # 5 leaves x 3 points, each the base and 4n stencil rows, n = 8
+    assert closed_rows == [5 * 3 * 33]
     assert energy_calls == []
 

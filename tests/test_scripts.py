@@ -11,7 +11,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # sha256 of report_digest.py's 84 lines (its whole output)
-REPORT_DIGEST_SHA256 = "0caccfc113a9df7819ffd0c7b7a48d73286e192470dcab0874e6075465e1913f"
+REPORT_DIGEST_SHA256 = "c945883c0b7742f22d6d6322eb2fc4a653ce4a5c30b92d7c5fdb7275c4632088"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -125,10 +125,9 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     assert [line.split(" ", 2)[2] for line in runs[0]] == [
         " ".join(argv) for argv in scope["argvs"]()]
     assert all(re.fullmatch(r"[0-9a-f]{64} \d+ \S.*", line) for line in runs[0])
-    # recorded when build_h_from_theta read log h at the Lobatto nodes of
-    # theta and fitted it by one DCT (`lobatto_fit`), a called-out change of
-    # solved h: the four `isometry solve` lines and the `isometry check`
-    # lines of their triples moved, no exit code
+    # recorded when the FD Laplacian of t on the indicatrix became the
+    # ambient one of the Hessian metric, a called-out change of FD values:
+    # the eight `isoparametric-check` lines moved, no exit code
     assert len(runs[0]) == 84
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256

@@ -348,6 +348,20 @@ def test_a_long_series_solves_for_phi_only_where_f_may_vanish(solves, d, coeffs,
     assert rep.valid == (count == 2)
 
 
+def test_an_exact_duals_check_solves_nothing_after_its_bases(solves):
+    # a valid base has f > 0, so the dual maps only the phi' and psi' roots
+    # that the base's own check found, and never solves for phi's
+    base = Profile(3, bump_profile(3, GLUE_BASE_HUMPS).cos_coeffs)
+    solves.clear()
+    rep = is_minkowski(DualProfile(base))
+    assert rep.valid and solves == [95, 95]
+    # a sector base has no series of its own: the dual maps all its angles
+    sector = SectorProfile(2, (0.7,), (Profile(2, (1.0, 0.15, 0.01)),
+                                       Profile(2, (1.0, 0.1))))
+    assert len(DualProfile(sector).stationary_angles()) == 6
+    assert is_minkowski(DualProfile(sector)).valid
+
+
 def test_stationary_angles_after_validation_add_the_phi_solve(solves):
     fresh = Profile(2, LONG_VALID).stationary_angles()
     solves.clear()
