@@ -7,11 +7,11 @@ for `--help`).  The runs go in-process, in that order, in a new temporary
 working directory that holds the input files under relative names, so the
 paths a report echoes in its `inputs` are the same on every run.  The list
 covers `--help` of every command and subcommand, every subcommand on the
-four foliation models with seeds 0 and 1, planar and model `sample`, a
-stored triple whose f is not a Minkowski profile, stored triples with a
-sampled and a piecewise theta map (so every theta kind is checked and
-classified), and profile JSON whose `cos_coeffs` or `fit_residual` is not a
-number.
+four foliation models with seeds 0 and 1, `tensor` off the unit sphere,
+planar and model `sample`, a stored triple whose f is not a Minkowski
+profile, stored triples with a sampled and a piecewise theta map (so every
+theta kind is checked and classified), and profile JSON whose `cos_coeffs`
+or `fit_residual` is not a number.
 
 Whether a change moves a report byte is then a diff of two runs:
 
@@ -98,6 +98,8 @@ def argvs() -> list[list[str]]:
                             "--seed", seed])
             out.append(["sample", "--profile", profile, "--model", model,
                         "--seed", seed])
+    out.append(["tensor", "--profile", "ellipse.json", "--model", "d2:4:2",
+                "--seed", "0", "--r", "0.37"])
     for seed in ("0", "1"):
         out.append(["sample", "--profile", "ellipse.json", "--seed", seed])
     out.append(["sample", "--profile", "wobble3.json", "--format", "csv"])

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-# sha256 of report_digest.py's 84 lines (its whole output)
-REPORT_DIGEST_SHA256 = "c945883c0b7742f22d6d6322eb2fc4a653ce4a5c30b92d7c5fdb7275c4632088"
+# sha256 of report_digest.py's 85 lines (its whole output)
+REPORT_DIGEST_SHA256 = "0dadcf2067fee9bdcdb9e81d539cf54d39f92137bdd37da64ba59e471268bdc3"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -127,7 +127,8 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     assert all(re.fullmatch(r"[0-9a-f]{64} \d+ \S.*", line) for line in runs[0])
     # recorded when the FD Laplacian of t on the indicatrix became the
     # ambient one of the Hessian metric, a called-out change of FD values:
-    # the eight `isoparametric-check` lines moved, no exit code
-    assert len(runs[0]) == 84
+    # the eight `isoparametric-check` lines moved, no exit code; the 85th
+    # line, `tensor --r 0.37`, pins the r scaling of the frame
+    assert len(runs[0]) == 85
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256
