@@ -26,8 +26,7 @@ _HOME = {name: module for module, names in (
      "parse_model random_leaf_points shape_spectrum t_coord unit_w"),
     ("hessian", "InducedNorm closed_frame_matrix energy fd_fundamental_tensor "
      "fd_indicatrix_laplacian_t fd_indicatrix_operators frame_basis "
-     "frame_components indicatrix_grad_t_norm indicatrix_laplacian_t "
-     "riemann_fd"),
+     "indicatrix_grad_t_norm indicatrix_laplacian_t riemann_fd"),
     ("isometry", "Decomposition IsometryTriple Sector ThetaMap "
      "build_h_from_theta bump_profile check_d_property check_hessian_isometry "
      "classify_sectors glue_construct identity_map integrate_branch "

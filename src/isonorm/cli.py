@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
                         focal_dimensions, multiplicities, parse_model,
-                        random_leaf_points, shape_spectrum)
+                        random_leaf_points, shape_spectrum, t_coord)
 from .profile import chop_count, is_minkowski, json_field, load_profile
 
 EXIT_BY_STATUS = {"ok": 0, "marginal": 2, "failed": 1}
@@ -128,7 +128,7 @@ def cmd_dual(args):
 
 def cmd_tensor(args):
     from .hessian import (InducedNorm, closed_frame_matrix,
-                          fd_fundamental_tensor, frame_basis, frame_components)
+                          fd_fundamental_tensor, frame_basis)
     p = load_profile(args.profile)
     m = parse_model(args.model)
     nm = InducedNorm(m, p)
@@ -139,9 +139,11 @@ def cmd_tensor(args):
     x = args.r * u
     spec = shape_spectrum(m, u, delta=args.delta)
     fd = fd_fundamental_tensor(nm, x)
-    frame = frame_components(nm, x, spec)
     basis = frame_basis(nm, x, spec)
     closed = closed_frame_matrix(nm, x, spec)
+    r = t_coord(m, x).r
+    # each entry's eigenspace starts at this frame index
+    starts = np.cumsum([2] + [entry.multiplicity for entry in spec])[:-1]
     projected = basis.T @ fd.matrix @ basis
     frame_error = float(np.max(np.abs(projected - closed)))
     residuals = {"frame_error": frame_error}
@@ -151,10 +153,10 @@ def cmd_tensor(args):
     results = {
         "eigenvalues": [float(e) for e in fd.eigenvalues],
         "positive_definite": bool(fd.positive_definite),
-        "g_rr": float(frame.g_rr),
-        "g_rt": float(frame.g_rt),
-        "g_tt": float(frame.g_tt),
-        "tangential_factors": [float(c) for c in frame.tangential_factors],
+        "g_rr": float(closed[0, 0]),
+        "g_rt": float(r * closed[0, 1]),
+        "g_tt": float(r * r * closed[1, 1]),
+        "tangential_factors": [float(closed[i, i]) for i in starts],
     }
     return results, residuals, status
 

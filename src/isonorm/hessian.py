@@ -116,30 +116,6 @@ def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
     return G if x.ndim == 2 else G[0]
 
 
-class FrameComponents(NamedTuple):
-    g_rr: float
-    g_rt: float
-    g_tt: float
-    tangential_factors: tuple[float, ...]
-
-
-def frame_components(nm: InducedNorm, x, spectrum) -> FrameComponents:
-    """Closed-form metric components in the adapted frame at x.
-
-    g(d_r, d_r) = 2f,  g(d_r, d_t) = r f',  g(d_t, d_t) = r^2 (f'' + 2f);
-    for each shape eigenvalue kappa, the leaf direction carries the ratio
-    g(v, v) / g_euclid(v, v) = 2f + kappa f'.  Factors are aligned with the
-    given spectrum entries.
-    """
-    x = np.asarray(x, dtype=float)
-    r, t = t_coord(nm.foliation, x)
-    f0, f1, f2 = nm.profile.jet(t, 2)
-    factors = tuple(2.0 * f0 + entry.kappa * f1 for entry in spectrum)
-    return FrameComponents(g_rr=2.0 * f0, g_rt=r * f1,
-                           g_tt=r * r * (f2 + 2.0 * f0),
-                           tangential_factors=factors)
-
-
 def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
     """Columns: radial u, t-direction w, then shape eigenvectors."""
     _, u, p, t = _polar(nm.foliation, x)
@@ -151,16 +127,16 @@ def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
 
 
 def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
-    """Expected projected metric matrix in the frame_basis (unit vectors)."""
-    comps = frame_components(nm, x, spectrum)
-    r = float(_radius(nm.foliation, np.asarray(x, dtype=float)))
-    n = nm.foliation.n
-    M = np.zeros((n, n))
-    M[0, 0] = comps.g_rr
-    M[0, 1] = M[1, 0] = comps.g_rt / r
-    M[1, 1] = comps.g_tt / (r * r)
-    M[2:, 2:] = np.diag(np.repeat(comps.tangential_factors,
-                                  [entry.multiplicity for entry in spectrum]))
+    """The closed Hessian metric in the frame_basis (unit vectors), the one
+    copy of the frame formulas: 2f on u, f'' + 2f on w, f' between them,
+    and 2f + kappa f' on each shape eigenspace of the spectrum, in its order.
+    On the coordinate fields, g(d_r, d_t) = r f' and g(d_t, d_t) =
+    r^2 (f'' + 2f)."""
+    f0, f1, f2 = nm.profile.jet(t_coord(nm.foliation, x).t, 2)
+    M = np.diag([2.0 * f0, f2 + 2.0 * f0, *np.repeat(
+        [2.0 * f0 + entry.kappa * f1 for entry in spectrum],
+        [entry.multiplicity for entry in spectrum])])
+    M[0, 1] = M[1, 0] = f1
     return M
 
 

@@ -25,9 +25,10 @@ import pytest
 from isonorm.foliation import (normal_plane_basis, parse_model,
                                random_leaf_points, shape_spectrum, t_coord,
                                unit_w)
-from isonorm.hessian import (InducedNorm, closed_fundamental_tensor, energy,
+from isonorm.hessian import (InducedNorm, closed_frame_matrix,
+                             closed_fundamental_tensor, energy,
                              fd_fundamental_tensor, fd_indicatrix_operators,
-                             frame_components, riemann_fd)
+                             riemann_fd)
 from isonorm.isometry import (IsometryTriple, bump_profile, legendre_map_tag,
                               ode_residuals, theta_jet)
 from isonorm.planar import DualProfile, legendre_num_den
@@ -321,7 +322,8 @@ def test_stationary_angles_of_random_profiles_keep_their_recorded_bits():
 # FIELD_SEED's leaf points (one on each of 5 leaves in [0.3, pi/d - 0.3],
 # scaled by FIELD_RADII), as one row and as the 5-row array, with each of
 # perfbench field-sweep's profiles of the model; the one-point functions
-# (shape_spectrum, frame_components) take each row in turn.
+# (shape_spectrum, and closed_frame_matrix read as `tensor` reads it, under
+# its old name frame_components) take each row in turn.
 FIELD_SEED = 2027
 FIELD_RADII = (1.0, 0.75, 1.5, 2.0, 0.3)
 FIELD_PROFILES = {
@@ -445,7 +447,11 @@ def _field_digests(spec):
     for coeffs in FIELD_PROFILES[spec]:
         nm = InducedNorm(m, Profile(m.d, coeffs))
         for x, spectrum in zip(xs, spectra):
-            put("frame_components", *frame_components(nm, x, spectrum))
+            # tensor's report fields: g_rr, g_rt, g_tt, tangential_factors
+            M, r = closed_frame_matrix(nm, x, spectrum), t_coord(m, x).r
+            starts = np.cumsum([2] + [e.multiplicity for e in spectrum])[:-1]
+            put("frame_components", M[0, 0], r * M[0, 1], r * r * M[1, 1],
+                [M[i, i] for i in starts])
         for x in (xs[0], xs):
             put("closed_fundamental_tensor", closed_fundamental_tensor(nm, x))
             put("riemann_fd", *riemann_fd(nm, x)[:2])

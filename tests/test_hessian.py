@@ -1,5 +1,6 @@
 """Induced norms on R^n: frame formulas, curvature, indicatrix operators."""
 
+import json
 import math
 import warnings
 
@@ -16,7 +17,7 @@ from isonorm.hessian import (InducedNorm, closed_frame_matrix,
                              closed_fundamental_tensor,
                              energy, fd_fundamental_tensor,
                              fd_indicatrix_laplacian_t, fd_indicatrix_operators,
-                             frame_basis, frame_components,
+                             frame_basis,
                              indicatrix_grad_t_norm, indicatrix_laplacian_t,
                              riemann_fd, value)
 from isonorm.planar import DualProfile
@@ -69,15 +70,19 @@ def test_profile_model_d_mismatch():
 
 # ------------------------------------------------------------------ frame
 
-def test_frame_components_frozen():
-    nm = _norm(d2(4, 2), ELLIPSE_D2)
-    x = random_leaf_points(nm.foliation, math.pi / 4, 1, seed=0)[0]
-    fc = frame_components(nm, x, shape_spectrum(nm.foliation, x))
-    assert fc.g_rr == pytest.approx(2.0, abs=1e-10)
-    assert fc.g_rt == pytest.approx(-0.4, abs=1e-10)
-    assert fc.g_tt == pytest.approx(2.0, abs=1e-10)
-    assert sorted(fc.tangential_factors) == pytest.approx([1.6, 2.4],
-                                                          abs=1e-6)
+def test_tensor_reports_the_frame_on_the_coordinate_fields(capsys, tmp_path):
+    # f = 1 + 0.2 cos 2t at t = pi/4: f = 1, f' = -0.4, f'' = 0, and the
+    # leaf's shape eigenvalues are cot(pi/4) = 1 and cot(3 pi/4) = -1
+    save_profile(ELLIPSE_D2, tmp_path / "f.json")
+    assert cli.main(["tensor", "--profile", str(tmp_path / "f.json"),
+                     "--model", "d2:4:2", "--t", str(math.pi / 4),
+                     "--r", "1.3"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["g_rr"] == pytest.approx(2.0, abs=1e-10)
+    assert res["g_rt"] == pytest.approx(-0.4 * 1.3, abs=1e-10)
+    assert res["g_tt"] == pytest.approx(2.0 * 1.69, abs=1e-10)
+    assert sorted(res["tangential_factors"]) == pytest.approx([1.6, 2.4],
+                                                              abs=1e-6)
 
 
 @pytest.mark.parametrize("model,profile", [
