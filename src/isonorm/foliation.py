@@ -301,24 +301,6 @@ class ShapeEigen(NamedTuple):
     basis: np.ndarray      # orthonormal eigenvectors, shape (mult, n)
 
 
-def _sphere_tangent_basis(*vs: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the complement of the orthonormal
-    vectors vs: the tangent space u^perp for (u,), the leaf's for (u, w)."""
-    n = len(vs[0])
-    basis = list(vs)
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        for b in basis:
-            v = v - np.dot(v, b) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            basis.append(v / norm)
-        if len(basis) == n:
-            break
-    return np.array(basis[len(vs):])
-
-
 def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
     """S = -P (Hess p - d p I) P / (d sin dt), P = I - u u^T - w w^T, at each
     row of the unit (k, n) array u, with p = p(u): the leaf's shape operator
@@ -332,17 +314,17 @@ def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
 
 def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     """Shape-operator spectrum of the leaf through x: S (_shape_operator) on
-    a leaf basis.  Its eigenvalues cot(t + k pi/d) decrease in k, so sorted
+    a leaf basis, from one polar pass of x.  Its eigenvalues cot(t + k pi/d) decrease in k, so sorted
     they fall to the k of multiplicities(m) in turn; RuntimeError if one is
     not its cot(t + k pi/d)."""
-    x = np.asarray(x, dtype=float)
-    u = x / _radius(m, x)  # t_coord's errors, before x / |x| can warn
-    _, v, p, t = _polar(m, u)
+    _, u, p, t = _polar(m, x)
     _require_interior(m, t, delta)
-    w = _unit_w(m, v, t, p)
-    leaf = _sphere_tangent_basis(u, w)
-    # S at u itself, whose p is not that of the pass's v = u / |u|
-    S = _shape_operator(m, u[None], np.array([t]), w[None], _poly(m, u[None]))[0]
+    w = _unit_w(m, u, t, p)
+    # the leaf basis: the eigenvalue-1 eigenvectors of the projector onto
+    # the leaf, which eigh puts after its two zero eigenvalues
+    leaf = np.linalg.eigh(np.eye(m.n) - np.outer(u, u)
+                          - np.outer(w, w))[1][:, 2:].T
+    S = _shape_operator(m, u[None], np.array([t]), w[None], p[None])[0]
     evals, evecs = np.linalg.eigh(leaf @ S @ leaf.T)
     out, i = [], len(evals)  # eigh sorts ascending: walk from the top
     for k, mk in multiplicities(m):

@@ -119,14 +119,16 @@ def test_t_coord_rejects_the_origin():
 
 
 def test_shape_spectrum_makes_one_polar_pass(monkeypatch):
-    # t_coord's pass; S then takes p of u = x/|x|, not of the pass's u/|u|
+    # t_coord's pass of x, whose u and p the normal w and S both take
     m = d2(8, 3)
-    x = random_leaf_points(m, 0.6, 1, seed=3)[0]
-    calls, one = [], foliation._polar
-    monkeypatch.setattr(foliation, "_polar",
-                        lambda m, x: calls.append(1) or one(m, x))
+    x = 1.7 * random_leaf_points(m, 0.6, 1, seed=3)[0]
+    calls = []
+    for name in ("_polar", "_poly"):
+        one = getattr(foliation, name)
+        monkeypatch.setattr(foliation, name, lambda m, x, one=one, name=name:
+                            calls.append(name) or one(m, x))
     shape_spectrum(m, x)
-    assert len(calls) == 1
+    assert calls == ["_polar", "_poly"]
 
 
 # ------------------------------------------------------------------ frames

@@ -11,7 +11,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # sha256 of report_digest.py's 85 lines (its whole output)
-REPORT_DIGEST_SHA256 = "0dadcf2067fee9bdcdb9e81d539cf54d39f92137bdd37da64ba59e471268bdc3"
+REPORT_DIGEST_SHA256 = "1714df03d9fa63f1b6e633632bf12f83925f423d95d2b785ed9060c823194e22"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -128,7 +128,9 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     # recorded when the FD Laplacian of t on the indicatrix became the
     # ambient one of the Hessian metric, a called-out change of FD values:
     # the eight `isoparametric-check` lines moved, no exit code; the 85th
-    # line, `tensor --r 0.37`, pins the r scaling of the frame
+    # line, `tensor --r 0.37`, pins the r scaling of the frame.  Re-recorded
+    # when shape_spectrum's leaf basis came from eigh of the leaf projector:
+    # 7 of the 9 `tensor` lines moved in their last bits, no exit code
     assert len(runs[0]) == 85
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256
