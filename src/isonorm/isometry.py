@@ -533,19 +533,13 @@ class Decomposition:
         return x - (Q @ (Q.T @ x[..., None]))[..., 0]
 
 
-def _d_residuals(norm1, norm2, phi: Callable, dec: Decomposition, X) -> np.ndarray:
-    """g1_x(x'', x) - g2_y(y'', y), y = Phi x, at each row x of X, from one
-    phi call and stacked products (as _sqnorm forms |x|^2)."""
+def d_residuals(norm1, norm2, phi: Callable, dec: Decomposition, X) -> np.ndarray:
+    """The signed (d)-property residual g1_x(x'', x) - g2_y(y'', y),
+    y = Phi x, at each row x of the (m, n) array X, from one phi call and
+    stacked products (as _sqnorm forms |x|^2)."""
     form = lambda norm, x: (dec.project_out(x)[:, None] @ _tensor_at(norm, x)
                             @ x[:, :, None])[:, 0, 0]
     return form(norm1, X) - form(norm2, np.asarray(phi(X), dtype=float))
-
-
-def d_residual_signed(norm1, norm2, phi: Callable, dec: Decomposition,
-                      x) -> float:
-    """g1_x(x'', x) - g2_{Phi x}((Phi x)'', Phi x) for the decomposition."""
-    X = np.asarray(x, dtype=float)[None]
-    return float(_d_residuals(norm1, norm2, phi, dec, X)[0])
 
 
 class DPropertyCheck(NamedTuple):
@@ -554,8 +548,8 @@ class DPropertyCheck(NamedTuple):
 
 def check_d_property(norm1, norm2, phi: Callable, dec: Decomposition,
                      samples: int = 20, seed: int = 0) -> DPropertyCheck:
-    """Max over samples of |d_residual_signed|, from one phi call."""
-    res = _d_residuals(norm1, norm2, phi, dec, _sample_points(norm1, samples, seed))
+    """Max over samples of |d_residuals|, from one phi call."""
+    res = d_residuals(norm1, norm2, phi, dec, _sample_points(norm1, samples, seed))
     return DPropertyCheck(max_residual=float(np.max(np.abs(res))))
 
 

@@ -173,7 +173,7 @@ def test_criterion_5_d_property():
                            samples=12)
     assert rot.max_residual > 1e-3
 
-    from isonorm.isometry import d_residual_signed
+    from isonorm.isometry import d_residuals
     tr = IsometryTriple(f=f, h=f, theta=identity_map())
     id_err = 0.0
     ts = np.linspace(0.1, math.pi / 2 - 0.1, 9)
@@ -182,7 +182,7 @@ def test_criterion_5_d_property():
         dec = Decomposition(angle=-k * math.pi / f.d)
         for i, t in enumerate(ts):
             x = indicatrix_point(nm, float(t))
-            lhs = d_residual_signed(nm, nm, lambda X: X, dec, x)
+            lhs = d_residuals(nm, nm, lambda X: X, dec, x[None])[0]
             rhs = 2.0 * f.evaluate(float(t), 0) * ode[k + 1, i]
             id_err = max(id_err, abs(lhs - rhs))
     assert id_err < 1e-8

@@ -20,9 +20,9 @@ from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                               _cumulative_simpson, _pchip, build_h_from_theta,
                               bump_profile, check_d_property,
                               check_hessian_isometry, classify_sectors,
-                              d_residual_signed,
-                              glue_construct, identity_map, integrate_branch,
-                              legendre_map_tag, lift_to_nd, ode_residuals,
+                              d_residuals, glue_construct, identity_map,
+                              integrate_branch, legendre_map_tag, lift_to_nd,
+                              ode_residuals,
                               planar_lift_map, quadratic_and_roots,
                               theta_from_json_dict, theta_to_json_dict,
                               theta_jet, triple_from_json_dict,
@@ -720,7 +720,7 @@ def test_signed_residual_equals_ode_residual():
         dec = Decomposition(angle=-k * math.pi / f.d)
         for i, t in enumerate(ts):
             x = indicatrix_point(nm, t)
-            lhs = d_residual_signed(nm, nm, phi, dec, x)
+            lhs = d_residuals(nm, nm, phi, dec, x[None])[0]
             rhs = 2.0 * f.evaluate(t, 0) * ode[k + 1, i]
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
@@ -1112,7 +1112,7 @@ def test_induced_norm_paths_make_no_energy_call(spec, lift_triples,
     dec = Decomposition(vprime=np.eye(m.n)[:, :2])
     check_hessian_isometry(nm1, nm2, phi, samples=3)
     check_d_property(nm1, nm2, phi, dec, samples=3)
-    d_residual_signed(nm1, nm2, phi, dec, 1.2 * u)
+    d_residuals(nm1, nm2, phi, dec, 1.2 * u[None])
     riemann_fd(nm1, u)
     riemann_fd(nm2, u)
     shape_spectrum(m, u)
