@@ -314,9 +314,9 @@ def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
 
 def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     """Shape-operator spectrum of the leaf through x: S (_shape_operator) on
-    a leaf basis, from one polar pass of x.  Its eigenvalues cot(t + k pi/d) decrease in k, so sorted
-    they fall to the k of multiplicities(m) in turn; RuntimeError if one is
-    not its cot(t + k pi/d)."""
+    a leaf basis, from one polar pass of x.  Its eigenvalues cot(t + k pi/d)
+    decrease in k, so sorted they fall to the k of multiplicities(m) in
+    turn; RuntimeError if one is not its cot(t + k pi/d)."""
     _, u, p, t = _polar(m, x)
     _require_interior(m, t, delta)
     w = _unit_w(m, u, t, p)
