@@ -348,7 +348,7 @@ def cmd_sample(args):
         ts = rng.uniform(0.0, 2.0 * math.pi, args.count)
         X = indicatrix_point(nm, ts)
         r = np.hypot(X[:, 0], X[:, 1])
-        F = [planar_value(nm, x) for x in X]
+        F = planar_value(nm, X)
     rows = np.column_stack([ts, r, X]).tolist()
     norm_err = np.max(np.abs(np.subtract(F, 1.0)))
     dim = X.shape[1]

@@ -211,6 +211,14 @@ def _polar(m: FoliationModel, x):
         np.maximum(p, -1.0), 1.0).tolist()]) / m.d
 
 
+def _point_polar(m: FoliationModel, x, what: str):
+    """_polar of one point; for rows or any other shape a ValueError that
+    names the point's shape, as the frame functions (`what`) take no rows."""
+    if np.shape(x) != (m.n,):
+        raise ValueError(f"{what} takes one point of shape ({m.n},), not {np.shape(x)}")
+    return _polar(m, x)
+
+
 def t_coord(m: FoliationModel, x) -> RT:
     """Polar data (r, t) of x: r = |x|, t = arccos(p(x/r)) / d in [0, pi/d].
 
@@ -317,7 +325,7 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     a leaf basis, from one polar pass of x.  Its eigenvalues cot(t + k pi/d)
     decrease in k, so sorted they fall to the k of multiplicities(m) in
     turn; RuntimeError if one is not its cot(t + k pi/d)."""
-    _, u, p, t = _polar(m, x)
+    _, u, p, t = _point_polar(m, x, "shape_spectrum")
     _require_interior(m, t, delta)
     w = _unit_w(m, u, t, p)
     # the leaf basis: the eigenvalue-1 eigenvectors of the projector onto

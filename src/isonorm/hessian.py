@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import hessian_fd
-from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape,
+from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape, _point_polar,
                         _polar, _radius, _require_interior, _shape_operator,
                         _sqnorm_or_inf, _unit_w, multiplicities, t_coord)
 from .profile import Profile, gap_from_jet, require_minkowski
@@ -40,8 +40,8 @@ INDICATRIX_STEP = 1e-4
 @dataclass(frozen=True)
 class InducedNorm:
     """F = r sqrt(2 f(t)) on a foliation.  Only a plain `Profile` is checked:
-    a glued h (new scaled copies of its base and dual) would cost ~12 ms to
-    check on the 96-term cartan3 base, twice its glue and lift check."""
+    a glued h (new scaled copies of its base and dual) takes ~6 ms to check
+    on the 96-term cartan3 base, over twice its glue and lift check (2.5 ms)."""
     foliation: FoliationModel
     profile: Profile
 
@@ -91,7 +91,6 @@ def fd_fundamental_tensor(nm: InducedNorm, x) -> TensorResult:
     x = np.asarray(x, dtype=float)
     r = _radius(nm.foliation, x)  # t_coord's errors, before the stencil can warn
     G = hessian_fd(lambda p: energy(nm, p), x, step=TENSOR_STEP_SCALE * r)
-    G = 0.5 * (G + np.swapaxes(G, -1, -2))
     evals = np.linalg.eigvalsh(G)
     pd = evals[..., 0] > 0.0
     return TensorResult(matrix=G, eigenvalues=evals,
@@ -118,12 +117,9 @@ def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
 
 def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
     """Columns: radial u, t-direction w, then shape eigenvectors."""
-    _, u, p, t = _polar(nm.foliation, x)
-    cols = [u, _unit_w(nm.foliation, u, t, p)]
-    for entry in spectrum:
-        for vec in entry.basis:
-            cols.append(vec)
-    return np.array(cols).T
+    _, u, p, t = _point_polar(nm.foliation, x, "frame_basis")
+    return np.array([u, _unit_w(nm.foliation, u, t, p),
+                     *(vec for entry in spectrum for vec in entry.basis)]).T
 
 
 def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
@@ -132,7 +128,8 @@ def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
     and 2f + kappa f' on each shape eigenspace of the spectrum, in its order.
     On the coordinate fields, g(d_r, d_t) = r f' and g(d_t, d_t) =
     r^2 (f'' + 2f)."""
-    f0, f1, f2 = nm.profile.jet(t_coord(nm.foliation, x).t, 2)
+    t = _point_polar(nm.foliation, x, "closed_frame_matrix")[3]
+    f0, f1, f2 = nm.profile.jet(t, 2)
     M = np.diag([2.0 * f0, f2 + 2.0 * f0, *np.repeat(
         [2.0 * f0 + entry.kappa * f1 for entry in spectrum],
         [entry.multiplicity for entry in spectrum])])

@@ -13,9 +13,10 @@ branch maps across bands where the base profile is round produces the
 piecewise constructions checked by classify_sectors.
 
 A map `phi` handed to the metric checks takes rows, like `fun` in fd.py: an
-(m, n) array of points in, their (m, n) images out.  lift_to_nd's and
-planar_lift_map's maps, project_out, planar `fundamental_tensor` and
-`ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
+(m, n) array of points in, their (m, n) images out.  lift_to_nd's map,
+planar_lift_map's (Phi on a normal plane, theta extended past [0, pi/d] by
+the profiles' fold, `dihedral_fold`), project_out, planar `fundamental_tensor`
+and `ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
 lift_to_nd's map also carries its exact differential, `phi.jacobian`, which
 check_hessian_isometry takes where it differences any other map.
 """
@@ -32,11 +33,11 @@ import numpy as np
 
 from .foliation import (FoliationModel, _polar, _require_interior,
                         _shape_operator, _sqnorm, _unit_w, random_leaf_points)
-from .planar import (DualProfile, PlanarNorm, _sin_cos, _unwrap_to,
-                     fundamental_tensor, legendre_num_den, legendre_ode_rhs,
-                     theta_legendre, theta_scaled)
-from .profile import (Profile, SectorProfile, as_angle, gap_from_jet, json_field,
-                      lobatto_fit, profile_from_json_dict, require_minkowski)
+from .planar import (DualProfile, PlanarNorm, _plane_polar, _sin_cos,
+                     _unwrap_to, fundamental_tensor, legendre_num_den,
+                     legendre_ode_rhs, theta_legendre, theta_scaled)
+from .profile import (Profile, SectorProfile, as_angle, dihedral_fold, gap_from_jet,
+                      json_field, lobatto_fit, profile_from_json_dict, require_minkowski)
 
 THETA_KINDS = ("identity", "linear", "legendre", "scaled-legendre",
                "sampled", "piecewise")
@@ -764,36 +765,19 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
     return phi
 
 
-def _fold_theta(tm: ThetaMap, f: Profile, t: np.ndarray) -> np.ndarray:
-    """Equivariant extension of theta from the principal sector to all of R.
-
-    theta commutes with the dihedral action, so even-numbered sectors are
-    translates of the principal one and odd-numbered sectors are its
-    reflections: theta(2 pi/d - t) = 2 pi/d - theta(t).  (dihedral_fold
-    rounds the sector base differently, which moves the last bits here.)
-    """
-    period = math.pi / f.d
-    j = np.floor(t / period)
-    tau = t - j * period
-    odd = j % 2 == 1
-    th = np.where(tau < 1e-12, j * period, (j + 1) * period)
-    inner = (tau >= 1e-12) & (period - tau >= 1e-12)
-    j, odd, tau = j[inner], odd[inner], tau[inner]
-    sub = theta_jet(tm, f, np.where(odd, period - tau, tau), 0)[0]
-    th[inner] = np.where(odd, (j + 1) * period - sub, j * period + sub)
-    return th
-
-
 def planar_lift_map(tr: IsometryTriple) -> Callable:
-    """The planar realization x -> r sqrt(f/h(theta)) (cos theta, sin theta),
-    extended equivariantly to the full circle; it maps an (m, 2) array of
-    points to their images."""
+    """Phi on a normal plane, x -> r sqrt(f/h(theta)) (cos theta, sin theta),
+    on an (m, 2) array of points.  theta commutes with the dihedral group:
+    with (tau, s) = dihedral_fold(t, d), theta(t) = t + s (theta(tau) - tau),
+    and theta(t) = t at the sector ends (a sampled map's end cubic may not)."""
 
     def phi(x):
-        x = np.asarray(x, dtype=float)
-        r = np.sqrt(_sqnorm(x))
-        t = np.array([math.atan2(b, a) for a, b in x.tolist()])
-        th = _fold_theta(tr.theta, tr.f, t)
+        _, r, t = _plane_polar(np.asarray(x, dtype=float))
+        tau, s = dihedral_fold(t, tr.f.d)
+        inner = (tau >= 1e-12) & (math.pi / tr.f.d - tau >= 1e-12)
+        turn = np.zeros_like(tau)
+        turn[inner] = theta_jet(tr.theta, tr.f, tau[inner], 0)[0] - tau[inner]
+        th = t + s * turn
         scale = r * np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
         return scale[:, None] * np.column_stack([np.cos(th), np.sin(th)])
 

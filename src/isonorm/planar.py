@@ -29,19 +29,26 @@ class PlanarNorm:
     def __post_init__(self):
         require_minkowski(self.profile, "profile is not a Minkowski norm profile")
 
-    @property
-    def d(self) -> int:
-        return self.profile.d
+
+def _plane_polar(x):
+    """(rows, r, t) of a point or an (m, 2) array x: its (m, 2) rows, and
+    each row's radius and polar angle by math.hypot and math.atan2 (numpy's
+    can differ in the last bit)."""
+    rows = np.atleast_2d(x)
+    pts = rows.tolist()
+    return (rows, np.array([math.hypot(a, b) for a, b in pts]),
+            np.array([math.atan2(b, a) for a, b in pts]))
 
 
-def value(nm: PlanarNorm, x) -> float:
-    """F(x) = r*sqrt(2 f(t)); 0 at the origin."""
+def value(nm: PlanarNorm, x):
+    """F(x) = r*sqrt(2 f(t)) at a point (a float) or at each row of an
+    (m, 2) array; 0 at the origin, where f is not evaluated."""
     x = np.asarray(x, dtype=float)
-    r = math.hypot(x[0], x[1])
-    if r == 0.0:
-        return 0.0
-    t = math.atan2(x[1], x[0])
-    return r * math.sqrt(2.0 * nm.profile.evaluate(t, 0))
+    _, r, t = _plane_polar(x)
+    F, live = np.zeros_like(r), r != 0.0
+    if live.any():
+        F[live] = r[live] * np.sqrt(2.0 * nm.profile.evaluate(t[live], 0))
+    return float(F[0]) if x.ndim == 1 else F
 
 
 def fundamental_tensor(nm: PlanarNorm, x) -> np.ndarray:
@@ -49,14 +56,13 @@ def fundamental_tensor(nm: PlanarNorm, x) -> np.ndarray:
     point or at each row of an (m, 2) array, shape (m, 2, 2).
 
     In the orthonormal frame (e_r, e_t) the matrix is
-    [[2f, f'], [f', f'' + 2f]]; rotate back by the polar angle (math.atan2
-    per row, as legendre_map).
+    [[2f, f'], [f', f'' + 2f]]; rotate back by the polar angle.
     """
     x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x).tolist()
-    if not all(math.hypot(a, b) for a, b in rows):
+    _, r, t = _plane_polar(x)
+    if not r.all():
         raise ValueError("fundamental tensor undefined at the origin")
-    t = np.array([math.atan2(b, a) for a, b in rows])[:, None, None]
+    t = t[:, None, None]
     f0, f1, f2 = nm.profile.jet(t, 2)
     frame = np.block([[2.0 * f0, f1], [f1, f2 + 2.0 * f0]])
     c, s = np.cos(t), np.sin(t)
@@ -67,13 +73,12 @@ def fundamental_tensor(nm: PlanarNorm, x) -> np.ndarray:
 
 def legendre_map(nm: PlanarNorm, x) -> np.ndarray:
     """Gradient of E at x: 2f * x + f' * r * e_t, at one point or at each
-    row of an (m, 2) array (math.atan2: numpy's can differ in the last bit)."""
+    row of an (m, 2) array."""
     x = np.asarray(x, dtype=float)
-    rows = np.atleast_2d(x)
-    r = np.array([math.hypot(a, b) for a, b in rows.tolist()])
+    rows, r, t = _plane_polar(x)
     if not r.all():
         raise ValueError("gradient map undefined at the origin")
-    t = np.array([math.atan2(b, a) for a, b in rows.tolist()])[:, None]
+    t = t[:, None]
     f0, f1 = nm.profile.jet(t, 1)
     y = 2.0 * f0 * rows + f1 * r[:, None] * np.hstack([-np.sin(t), np.cos(t)])
     return y[0] if x.ndim == 1 else y
@@ -164,10 +169,10 @@ def _dual_fit(nm: PlanarNorm, grid_size: int, max_terms: int | None):
     """(dual_profile, all grid_size coefficients of the interpolant)."""
     if grid_size < 128:
         raise ValueError("grid_size must be >= 128")
-    ts = np.linspace(0.0, math.pi / nm.d, 2 * grid_size - 1)
+    ts = np.linspace(0.0, math.pi / nm.profile.d, 2 * grid_size - 1)
     indicatrix_point(nm, ts)  # names the angle where f <= 0
     h = DualProfile(nm.profile).evaluate(ts)
-    fit, coeffs = lobatto_fit(nm.d, h[::2], FIT_MAX_TERMS if max_terms is None
+    fit, coeffs = lobatto_fit(nm.profile.d, h[::2], FIT_MAX_TERMS if max_terms is None
                               else max_terms)
     mid_err = float(np.max(np.abs(fit.evaluate(ts[1::2]) - h[1::2])))
     return replace(fit, fit_residual=max(fit.fit_residual, mid_err)), coeffs
@@ -210,14 +215,6 @@ class DualProfile:
     @property
     def d(self) -> int:
         return self.base.d
-
-    @property
-    def kind(self) -> str:
-        return "dual"
-
-    @property
-    def fit_residual(self) -> float:
-        return 0.0
 
     def stationary_angles(self) -> np.ndarray:
         """theta_legendre of the base's angles, as (h o theta)' =

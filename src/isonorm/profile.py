@@ -130,10 +130,6 @@ class Profile:
             roots[i] = np.arccos(np.clip(q, -1.0, 1.0)) / self.d
         return roots[i]
 
-    @property
-    def kind(self) -> str:
-        return "cosine"
-
     def scaled(self, factor: float) -> "Profile":
         """The profile factor*f (coefficient-wise, exact)."""
         return replace(self, cos_coeffs=tuple(factor * c for c in self.cos_coeffs),
@@ -485,14 +481,6 @@ class SectorProfile:
             if not ends[i] < b < ends[-1]:
                 raise ValueError(f"sector profile break {i} is {b!r}: breaks must be "
                                  f"finite, strictly increasing and inside (0, pi/{self.d})")
-
-    @property
-    def kind(self) -> str:
-        return "sector"
-
-    @property
-    def fit_residual(self) -> float:
-        return max(p.fit_residual for p in self.pieces)
 
     def evaluate(self, t, order: int = 0):
         return self.jet(t, order)[order]

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 
-from isonorm.fd import hessian_fd
 from isonorm.foliation import (cartan3, d1, d2, random_leaf_points,
                                shape_spectrum)
 from isonorm.hessian import (InducedNorm, closed_frame_matrix,

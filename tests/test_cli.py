@@ -16,8 +16,8 @@ from isonorm import cli, hessian
 from isonorm.cli import EXIT_BY_STATUS, _status_from, main
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, parse_model,
                                random_leaf_points, t_coord)
-from isonorm.isometry import (IsometryTriple, Sector, bump_profile,
-                              glue_construct, identity_map, save_triple)
+from isonorm.isometry import (IsometryTriple, bump_profile, identity_map,
+                              save_triple)
 from isonorm.planar import PlanarNorm, indicatrix_point
 from isonorm.profile import Profile, profile_from_json_dict, save_profile
 

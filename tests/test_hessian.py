@@ -435,6 +435,20 @@ def test_geometry_entry_points_raise_the_origin_error_without_a_warning():
             fd_indicatrix_operators(nm, np.eye(2, model.n) * [[1.0], [0.0]])
 
 
+def test_frame_functions_name_the_one_point_shape_given_rows():
+    # rows ended in numpy's broadcast or "inhomogeneous shape" errors
+    model, profile = MODEL_PROFILES[1]
+    nm = _norm(model, profile)
+    X = random_leaf_points(model, 0.4, 3, seed=0)
+    spec = shape_spectrum(model, X[0])
+    for call in (lambda x: shape_spectrum(model, x),
+                 lambda x: frame_basis(nm, x, spec),
+                 lambda x: closed_frame_matrix(nm, x, spec)):
+        for bad in (X, X[:1], X[0, :-1]):
+            with pytest.raises(ValueError, match=r"one point of shape \(4,\)"):
+                call(bad)
+
+
 def test_fd_indicatrix_operators_take_no_rows():
     model, profile = MODEL_PROFILES[3]
     grads, laps = fd_indicatrix_operators(_norm(model, profile),

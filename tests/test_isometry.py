@@ -950,6 +950,22 @@ def test_lifts_map_rows_with_the_bits_of_one_row_calls(spec, lift_triples):
         assert np.array_equal(phi2(P), [phi2(p[None])[0] for p in P]), name
 
 
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_planar_lift_is_dihedrally_equivariant(d, lift_triples):
+    # phi(g P) = g phi(P) for the rotation by 2 pi/d, the reflection
+    # (x, y) -> (x, -y) and their product, off the principal sector too
+    a = np.random.default_rng(d).uniform(-2.0 * math.pi, 2.0 * math.pi, 200)
+    P = 1.1 * np.stack([np.cos(a), np.sin(a)], axis=-1)
+    c, s = math.cos(2.0 * math.pi / d), math.sin(2.0 * math.pi / d)
+    rot, ref = np.array([[c, -s], [s, c]]), np.diag([1.0, -1.0])
+    for name in ("identity", "legendre", "linear", "glued"):
+        phi = planar_lift_map(lift_triples[d][name])
+        Y = phi(P)
+        for g in (rot, ref, rot @ ref):
+            err = np.linalg.norm(phi(P @ g.T) - Y @ g.T, axis=1)
+            assert np.max(err / np.linalg.norm(Y, axis=1)) <= 4e-15, name
+
+
 def test_lift_names_a_one_point_input(lift_triples):
     # a 1-D point ended in numpy's IndexError on _polar's float radius
     m = parse_model("d2:4:2")

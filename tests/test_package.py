@@ -1,8 +1,10 @@
 """The package namespace: every public name, imported from its home module
-on first access."""
+on first access; and no source file imports a name it does not use."""
 
+import ast
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -41,3 +43,24 @@ def test_import_isonorm_alone_imports_no_submodule():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _unused_imports(path):
+    """(line, name) of each name an import binds that no Name node reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {(a.asname or a.name.split(".")[0]): node.lineno
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    found = [f"{path.relative_to(root)}:{line}: {name}"
+             for d in ("src/isonorm", "scripts", "tests")
+             for path in sorted((root / d).rglob("*.py"))
+             for line, name in _unused_imports(path)]
+    assert not found, "unused imports:\n" + "\n".join(found)

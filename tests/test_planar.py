@@ -44,6 +44,23 @@ def test_value_homogeneous():
     assert value(ELLIPSE, 2.5 * x) == pytest.approx(2.5 * value(ELLIPSE, x))
 
 
+def test_value_rows_have_the_bits_of_one_point_calls():
+    X = np.random.default_rng(5).standard_normal((40, 2))
+    X[7] = 0.0
+    base = Profile(2, (1.0, 0.15, 0.01))
+    sector = SectorProfile(2, (0.7,), (base, Profile(2, (1.0, 0.1))))
+    long = Profile(2, (1.0, 0.15, 0.01, 0.004, 0.001))
+    for p in (base, long, sector, DualProfile(base)):
+        nm = PlanarNorm(p)
+        F = value(nm, X)
+        assert F.shape == (40,) and F[7] == 0.0
+        one = [value(nm, x) for x in X]
+        assert all(type(v) is float for v in one)
+        assert np.array_equal(F, one), type(p).__name__
+        assert value(nm, np.zeros(2)) == 0.0
+        assert np.array_equal(value(nm, np.zeros((3, 2))), np.zeros(3))
+
+
 def test_invalid_profile_rejected():
     with pytest.raises(ValueError):
         PlanarNorm(Profile(2, (1.0, 1.1)))
@@ -82,7 +99,7 @@ def test_tensor_rows_have_the_bits_of_one_point_calls():
         nm = PlanarNorm(p)
         G = fundamental_tensor(nm, X)
         assert G.shape == (40, 2, 2)
-        assert np.array_equal(G, [fundamental_tensor(nm, x) for x in X]), p.kind
+        assert np.array_equal(G, [fundamental_tensor(nm, x) for x in X]), type(p).__name__
     with pytest.raises(ValueError, match="origin"):
         fundamental_tensor(ELLIPSE, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
