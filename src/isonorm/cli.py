@@ -416,7 +416,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("dual", help="planar dual profile via the gradient map")
     sp.add_argument("--profile", required=True)
     sp.add_argument("--grid", type=int, default=512)
-    sp.add_argument("--terms", type=int, default=None)
+    sp.add_argument("--terms", type=_count, default=None)
     sp.set_defaults(func=cmd_dual)
 
     sp = sub.add_parser("tensor",

@@ -98,12 +98,13 @@ def parse_model(spec: str) -> FoliationModel:
 def _sqnorm(x: np.ndarray):
     """|x|^2 of a point (a numpy scalar), or of each row of an (m, n)
     array, by one dot product per point (a matrix product of the rows would
-    round otherwise).  A point takes np.vdot, the same dot product without
-    matmul's floating-point checks: a third of its cost, and no overflow
-    warning."""
+    round otherwise).  An overflow reads as inf, unwarned, so that a caller's
+    named error comes first: a point takes np.vdot, matmul's dot product
+    without its floating-point checks (a third of its cost), rows an errstate."""
     if x.ndim == 1:
         return np.vdot(x, x)
-    return (x[..., None, :] @ x[..., :, None]).T[0, 0]
+    with np.errstate(over="ignore"):
+        return (x[..., None, :] @ x[..., :, None]).T[0, 0]
 
 
 def _poly(m: FoliationModel, u: np.ndarray):
@@ -167,21 +168,11 @@ def _check_shape(m: FoliationModel, x: np.ndarray) -> None:
         raise ValueError(f"x has shape {x.shape}, not ({m.n},) or (m, {m.n})")
 
 
-def _sqnorm_or_inf(x: np.ndarray):
-    """_sqnorm with an overflow read as inf and not warned of, so that the
-    caller's named error comes first: a point's vdot never warns, and only
-    rows take an errstate."""
-    if x.ndim == 1:
-        return _sqnorm(x)
-    with np.errstate(over="ignore"):
-        return _sqnorm(x)
-
-
 def _radius(m: FoliationModel, x: np.ndarray):
     """|x| as t_coord takes it; ValueError unless x is a point or rows of
     the model's n, each with a finite, nonzero |x|."""
     _check_shape(m, x)
-    r = np.sqrt(_sqnorm_or_inf(x))
+    r = np.sqrt(_sqnorm(x))
     # a point's r is a numpy scalar, whose Python comparison is the cheapest
     if not (0.0 < r < math.inf if x.ndim == 1
             else ((0.0 < r) & (r < math.inf)).all()):

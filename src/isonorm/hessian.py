@@ -30,7 +30,7 @@ import numpy as np
 from .fd import hessian_fd
 from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape, _point_polar,
                         _polar, _radius, _require_interior, _shape_operator,
-                        _sqnorm_or_inf, _unit_w, multiplicities, t_coord)
+                        _sqnorm, _unit_w, multiplicities, t_coord)
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
@@ -65,7 +65,7 @@ def energy(nm: InducedNorm, x):
     x = np.asarray(x, dtype=float)
     _check_shape(nm.foliation, x)  # t_coord's, which origin rows skip
     rows = np.atleast_2d(x)
-    r2 = np.atleast_1d(_sqnorm_or_inf(x))  # an overflow gets t_coord's error
+    r2 = np.atleast_1d(_sqnorm(x))  # an overflow gets t_coord's error
     E = np.zeros(len(rows))
     live = r2 != 0.0
     if live.any():
@@ -157,13 +157,12 @@ def riemann_fd(nm: InducedNorm, x,
     it, and no other bound decides.
     """
     x = np.asarray(x, dtype=float)
-    r, t = t_coord(nm.foliation, x)  # its errors come before x / |x| can warn
+    _, u, _, t = _polar(nm.foliation, x)  # u = x / |x| and t, from one pass
     _require_interior(nm.foliation, t, delta)
-    rows, r = np.atleast_2d(x), np.atleast_1d(r)
+    u = np.atleast_2d(u)
 
-    k, n, h = len(rows), nm.foliation.n, TENSOR_STEP_SCALE
+    k, n, h = len(u), nm.foliation.n, TENSOR_STEP_SCALE
     E = h * np.eye(n)
-    u = rows / r[:, None]
     stencil = u[:, None] + np.concatenate([np.zeros((1, n)), E, -E])
     Gs = closed_fundamental_tensor(nm, stencil.reshape(-1, n))
     Gs = Gs.reshape(k, 2 * n + 1, n, n)

@@ -27,6 +27,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,8 +37,9 @@ from .foliation import (FoliationModel, _polar, _require_interior,
 from .planar import (DualProfile, PlanarNorm, _plane_polar, _sin_cos,
                      _unwrap_to, fundamental_tensor, legendre_num_den,
                      legendre_ode_rhs, theta_legendre, theta_scaled)
-from .profile import (Profile, SectorProfile, as_angle, dihedral_fold, gap_from_jet,
-                      json_field, lobatto_fit, profile_from_json_dict, require_minkowski)
+from .profile import (Profile, SectorProfile, _piece_jets, as_angle, dihedral_fold,
+                      gap_from_jet, json_field, lobatto_fit, profile_from_json_dict,
+                      require_minkowski)
 
 THETA_KINDS = ("identity", "linear", "legendre", "scaled-legendre",
                "sampled", "piecewise")
@@ -133,13 +135,9 @@ def theta_jet(tm: ThetaMap, f: Profile, t, k: int):
             out = [_pchip(np.asarray(tm.grid), np.asarray(tm.values), t_arr, order)
                    for order in range(k + 1)]
         else:  # piecewise: a piece's hi belongs to the next piece, as in SectorProfile
-            idx = np.searchsorted([hi for _, hi, _ in tm.pieces[:-1]], t_arr,
-                                  side="right")
-            out = np.empty((k + 1,) + t_arr.shape)
-            for i, (_, _, sub) in enumerate(tm.pieces):
-                mask = idx == i
-                if mask.any():
-                    out[:, mask] = theta_jet(sub, f, t_arr[mask], k)
+            out = _piece_jets([hi for _, hi, _ in tm.pieces[:-1]],
+                              [partial(theta_jet, sub, f) for _, _, sub in tm.pieces],
+                              t_arr, k)
         if scalar:
             out = [float(v[0]) for v in out]
     return tuple(out[:k + 1])

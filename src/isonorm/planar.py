@@ -33,8 +33,10 @@ class PlanarNorm:
 def _plane_polar(x):
     """(rows, r, t) of a point or an (m, 2) array x: its (m, 2) rows, and
     each row's radius and polar angle by math.hypot and math.atan2 (numpy's
-    can differ in the last bit)."""
+    can differ in the last bit); a ValueError if any row is not finite."""
     rows = np.atleast_2d(x)
+    if not np.isfinite(rows).all():
+        raise ValueError("t undefined: x is not finite")
     pts = rows.tolist()
     return (rows, np.array([math.hypot(a, b) for a, b in pts]),
             np.array([math.atan2(b, a) for a, b in pts]))

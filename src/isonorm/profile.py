@@ -9,7 +9,7 @@ norms F = r*sqrt(2 f(t)); the strong-convexity criterion for such a norm is
 Numerically produced profiles (phi-constructions, fitted duals, solved
 targets, bump bases) are fit to the same cosine basis by one DCT of their
 values on the Lobatto grid of q = cos(d t) (`lobatto_fit`); `lstsq`
-(`fit_cosine_series`) serves only the legacy "sampled" JSON kind.  Such a
+(`sampled_profile`) serves only the legacy "sampled" JSON kind.  Such a
 profile is its series plus the fit's `fit_residual`, which JSON stores next
 to `cos_coeffs`.  All three profile kinds
 (`Profile`, `SectorProfile` and planar's exact `DualProfile`) answer
@@ -357,26 +357,14 @@ def require_minkowski(p, what: str) -> None:
                          f"min_gap={report.min_gap:.3g})")
 
 
-def fit_cosine_series(d: int, ts, values, max_terms: int = FIT_MAX_TERMS):
-    """Least-squares fit of values(ts) in the basis cos(j*d*t), j < max_terms.
-
-    Returns (coefficients, max_abs_residual).  ts need not be uniform; only
-    the legacy "sampled" JSON kind needs that, every other fit is `lobatto_fit`.
-    """
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n_terms = min(max_terms, max(1, len(ts) // 2))
-    design = np.cos(np.multiply.outer(ts, np.arange(n_terms) * d))
-    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
-    resid = float(np.max(np.abs(design @ coeffs - values)))
-    return coeffs, resid
-
-
 def lobatto_fit(d: int, values, max_terms: int = FIT_MAX_TERMS):
     """(profile, coeffs) of values at np.linspace(0, pi/d, N + 1), the Lobatto
     points of q = cos(d t): all N + 1 coeffs of the interpolant are one DCT-I
-    (Trefethen, ATAP, ch. 3), and the profile keeps `fit_cosine_series`' term
-    count and its error at the samples, by one irfft, as `fit_residual`."""
+    (Trefethen, ATAP, ch. 3), and the profile keeps `sampled_profile`'s term
+    count and its error at the samples, by one irfft, as `fit_residual`;
+    a ValueError if max_terms is below 1."""
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     v = np.asarray(values, dtype=float)
     n, n_terms = len(v) - 1, min(max_terms, max(1, len(v) // 2))
     spec = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real  # even extension
@@ -407,9 +395,15 @@ def chop_count(coeffs) -> int:
 
 
 def sampled_profile(d: int, ts, values, max_terms: int = FIT_MAX_TERMS) -> Profile:
-    """The cosine series fit to (ts, values), with the fit's max abs error
-    at the samples as its `fit_residual`; the samples are not kept."""
-    coeffs, resid = fit_cosine_series(d, ts, values, max_terms)
+    """Least-squares fit of values(ts) in the basis cos(j*d*t), j < max_terms,
+    its max abs error at the samples as `fit_residual`; ts need not be uniform
+    (the legacy "sampled" JSON kind's need: every other fit is `lobatto_fit`)."""
+    ts = np.asarray(ts, dtype=float)
+    values = np.asarray(values, dtype=float)
+    n_terms = min(max_terms, max(1, len(ts) // 2))
+    design = np.cos(np.multiply.outer(ts, np.arange(n_terms) * d))
+    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
+    resid = float(np.max(np.abs(design @ coeffs - values)))
     return Profile(d, tuple(coeffs), fit_residual=resid)
 
 
@@ -455,6 +449,19 @@ def dihedral_fold(t, d: int):
     return np.where(upper, period - tau, tau), np.where(upper, -sign, sign)
 
 
+def _piece_jets(breaks, jets, t: np.ndarray, k: int) -> np.ndarray:
+    """(k + 1, *t.shape) array of jets[i](t[piece i], k), piece i from
+    breaks[i - 1] to breaks[i]: the piece lookup of sector profiles and
+    piecewise theta maps, where a break belongs to the piece on its right."""
+    idx = np.searchsorted(breaks, t, side="right")
+    out = np.empty((k + 1,) + t.shape)
+    for i, jet in enumerate(jets):
+        mask = idx == i
+        if mask.any():
+            out[:, mask] = jet(t[mask], k)
+    return out
+
+
 @dataclass(frozen=True)
 class SectorProfile:
     """Profile assembled from per-sector pieces on the fundamental interval.
@@ -490,14 +497,7 @@ class SectorProfile:
         _check_order(k)
         t = np.asarray(t, dtype=float)
         tau, sign = dihedral_fold(t.reshape(-1), self.d)
-        # side="right" so that a break angle belongs to the piece on its
-        # right, matching the convention of piecewise theta maps
-        idx = np.searchsorted(self.breaks, tau, side="right")
-        out = np.empty((k + 1, tau.size))
-        for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if mask.any():
-                out[:, mask] = piece.jet(tau[mask], k)
+        out = _piece_jets(self.breaks, [p.jet for p in self.pieces], tau, k)
         out *= sign ** np.arange(k + 1)[:, None]
         return tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
                      for v in out)

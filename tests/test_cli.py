@@ -756,6 +756,18 @@ def test_count_below_one_is_a_usage_error(capfd, profiles, argv, value):
     assert f"error: argument {argv[-2]}: must be at least 1, got {value}" in err
 
 
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_dual_terms_below_one_is_a_usage_error(capfd, profiles, terms):
+    # -1 reached the fit's slice: a 511-term dual with fit_residual 0.3125
+    argv = ["dual", "--profile", profiles["ellipse"], "--terms", terms]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert f"error: argument --terms: must be at least 1, got {terms}" in err
+
+
 def test_xi_count_of_one_is_a_usage_error(capfd, profiles):
     # xi_spread compares the points of a leaf: with one point it read 0 and
     # the report said "isoparametric": true having compared nothing

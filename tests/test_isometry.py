@@ -182,6 +182,36 @@ def test_piecewise_theta_bound_that_is_not_finite_is_named(bounds, named):
         ThetaMap(kind="piecewise", pieces=pieces)
 
 
+BREAKS = (0.5, 1.1)
+SECTOR = SectorProfile(2, BREAKS, (Profile(2, (1.0, 0.2)), Profile(2, (1.1, 0.1)),
+                                   Profile(2, (0.9, 0.3, 0.01))))
+PIECE_THETAS = (identity_map(), ThetaMap(kind="linear", params=(1.3, 0.8)),
+                legendre_map_tag())
+PIECEWISE = ThetaMap(kind="piecewise", pieces=tuple(
+    zip((0.0, *BREAKS), (*BREAKS, math.pi / 2), PIECE_THETAS)))
+
+
+@pytest.mark.parametrize("kind", ["sector-profile", "piecewise-theta"])
+def test_a_break_belongs_to_the_piece_on_its_right(kind):
+    # sector profiles and piecewise theta maps pick pieces by one lookup
+    if kind == "sector-profile":
+        jet, pieces = SECTOR.jet, [p.jet for p in SECTOR.pieces]
+    else:
+        jet = lambda t, k: theta_jet(PIECEWISE, ELLIPSE, t, k)  # noqa: E731
+        pieces = [lambda t, k, sub=sub: theta_jet(sub, ELLIPSE, t, k)
+                  for sub in PIECE_THETAS]
+    ts = np.array([0.3, BREAKS[0], 0.8, BREAKS[1], 1.4])
+    owners = [0, 1, 1, 2, 2]
+    rows = jet(ts, 1)
+    for i, (t, owner) in enumerate(zip(ts.tolist(), owners)):
+        one = jet(t, 1)
+        assert [type(v) for v in one] == [float, float]
+        assert [v.hex() for v in one] == [float(row[i]).hex() for row in rows]
+        assert one == pieces[owner](t, 1)
+        if t in BREAKS:  # the pieces differ there, so the owner is seen
+            assert one != pieces[owner - 1](t, 1)
+
+
 # ------------------------------------------------------------ ODE residuals
 
 def test_identity_triple_residuals_vanish():

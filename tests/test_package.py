@@ -64,3 +64,52 @@ def test_no_unused_imports():
              for path in sorted((root / d).rglob("*.py"))
              for line, name in _unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _resolve(module: str, name: str):
+    """module.name: an attribute of the module, else its submodule; None
+    when neither exists."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return getattr(mod, name)
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return None
+
+
+def _isonorm_names(path):
+    """(line, module, name) of each isonorm name a file reaches: the names
+    of its `from isonorm... import`s, and each attribute it reads off a
+    name such an import (or `import isonorm`) binds to a module."""
+    tree = ast.parse(path.read_text(), str(path))
+    reached, modules = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "isonorm"):
+            for a in node.names:
+                reached.append((node.lineno, node.module, a.name))
+                obj = _resolve(node.module, a.name)
+                if isinstance(obj, type(ast)):
+                    modules[a.asname or a.name] = obj.__name__
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names
+                           if a.name == "isonorm")
+    reached += [(n.lineno, modules[n.value.id], n.attr) for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                and isinstance(n.value, ast.Name) and n.value.id in modules]
+    return reached
+
+
+def test_every_isonorm_name_perfbench_and_scripts_reach_exists():
+    # Tier-1 does not collect perfbench: a removed or renamed name would
+    # first show up as a failed benchmark run
+    root = pathlib.Path(__file__).resolve().parents[1]
+    reached = {(f"{path.relative_to(root)}:{line}", module, name)
+               for d in ("perfbench", "scripts")
+               for path in sorted((root / d).glob("*.py"))
+               for line, module, name in _isonorm_names(path)}
+    missing = [f"{where}: {module}.{name}" for where, module, name in sorted(reached)
+               if _resolve(module, name) is None]
+    assert not missing, "missing isonorm names:\n" + "\n".join(missing)
+    assert len(reached) > 100  # the scan saw the imports and the attributes

@@ -14,8 +14,9 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             fundamental_tensor, indicatrix_point,
                             legendre_map, legendre_ode_rhs, theta_legendre,
                             theta_scaled, value)
-from isonorm.isometry import (IsometryTriple, ThetaMap, bump_profile,
-                              legendre_map_tag, ode_residuals, theta_jet)
+from isonorm.isometry import (IsometryTriple, ThetaMap, bump_profile, identity_map,
+                              legendre_map_tag, ode_residuals, planar_lift_map,
+                              theta_jet)
 from isonorm.cli import _status_from
 from isonorm.profile import (ALLOWED_D, Profile, SectorProfile, chop_count,
                              dihedral_fold, is_minkowski, lobatto_fit,
@@ -59,6 +60,33 @@ def test_value_rows_have_the_bits_of_one_point_calls():
         assert np.array_equal(F, one), type(p).__name__
         assert value(nm, np.zeros(2)) == 0.0
         assert np.array_equal(value(nm, np.zeros((3, 2))), np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [[math.inf, 1.0], [math.nan, 1.0],
+                                 [[0.3, -0.7], [1.0, math.inf], [0.0, 0.0]]],
+                         ids=["inf", "nan", "rows-with-one-bad-row"])
+def test_planar_entry_points_name_a_point_that_is_not_finite(bad):
+    # value gave inf, legendre_map and the lift NaN with a RuntimeWarning,
+    # fundamental_tensor a finite matrix; now the error of foliation's t_coord
+    base = Profile(2, (1.0, 0.15, 0.01))
+    sector = SectorProfile(2, (0.7,), (base, Profile(2, (1.0, 0.1))))
+    long = Profile(2, (1.0, 0.15, 0.01, 0.004, 0.001))
+    for p in (base, long, sector, DualProfile(base)):
+        nm = PlanarNorm(p)
+        lift = planar_lift_map(IsometryTriple(f=p, h=p, theta=identity_map()))
+        for fun in (lambda x: value(nm, x), lambda x: fundamental_tensor(nm, x),
+                    lambda x: legendre_map(nm, x), lift):
+            with pytest.raises(ValueError, match="^t undefined: x is not finite$"):
+                fun(np.array(bad))
+
+
+@pytest.mark.parametrize("max_terms", [0, -1])
+def test_dual_fit_rejects_max_terms_below_one(max_terms):
+    # -1 sliced off the last DCT coefficient: a 511-term dual came back
+    with pytest.raises(ValueError, match="max_terms must be at least 1"):
+        dual_profile(PlanarNorm(Profile(2, (1.0, 0.2))), max_terms=max_terms)
+    with pytest.raises(ValueError, match="max_terms"):
+        lobatto_fit(2, np.ones(9), max_terms)
 
 
 def test_invalid_profile_rejected():

@@ -19,7 +19,7 @@ from isonorm.isometry import bump_profile
 from isonorm.planar import DualProfile, PlanarNorm, dual_profile
 from isonorm.profile import (ALLOWED_D, CLENSHAW_MAX_TERMS, EPS, Profile,
                              SectorProfile, chop_count,
-                             dihedral_fold, fit_cosine_series, from_phi,
+                             dihedral_fold, from_phi,
                              gap_from_jet,
                              is_minkowski, load_profile, lobatto_fit,
                              profile_from_json_dict, sampled_profile,
@@ -434,10 +434,10 @@ def _lobatto(d, n):
     ids=["3-term", "exact-dual-d1"])
 def test_lobatto_fit_matches_lstsq_on_converged_series(d, values):
     fit, coeffs = lobatto_fit(d, values)
-    want, resid = fit_cosine_series(d, _lobatto(d, 511), values)
-    assert len(fit.cos_coeffs) == len(want) == 32 and len(coeffs) == 512
-    assert np.max(np.abs(np.array(fit.cos_coeffs) - want)) <= 4 * EPS
-    assert fit.fit_residual <= 4 * EPS and resid < 1e-14
+    want = sampled_profile(d, _lobatto(d, 511), values)
+    assert len(fit.cos_coeffs) == len(want.cos_coeffs) == 32 and len(coeffs) == 512
+    assert np.max(np.abs(np.array(fit.cos_coeffs) - want.cos_coeffs)) <= 4 * EPS
+    assert fit.fit_residual <= 4 * EPS and want.fit_residual < 1e-14
     assert fit.cos_coeffs == tuple(coeffs[:32])
 
 
@@ -508,10 +508,10 @@ def test_json_old_sampled_format_still_loads(stored):
     data = {"d": 2, "kind": "sampled", "grid": ts.tolist(), "values": vals.tolist()}
     if stored is not None:
         data["fit_residual"] = stored
-    coeffs, resid = fit_cosine_series(2, ts, vals)
+    fit = sampled_profile(2, ts, vals)
     q = profile_from_json_dict(data)
-    assert q.cos_coeffs == tuple(coeffs) and len(coeffs) == 32
-    assert q.fit_residual == max(stored or 0.0, resid) and resid > 0
+    assert q.cos_coeffs == fit.cos_coeffs and len(fit.cos_coeffs) == 32
+    assert q.fit_residual == max(stored or 0.0, fit.fit_residual) and fit.fit_residual > 0
     with pytest.raises(ValueError, match="fit_residual"):
         profile_from_json_dict(dict(data, fit_residual=-1.0))
 
