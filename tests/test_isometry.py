@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -197,9 +198,8 @@ def test_a_break_belongs_to_the_piece_on_its_right(kind):
     if kind == "sector-profile":
         jet, pieces = SECTOR.jet, [p.jet for p in SECTOR.pieces]
     else:
-        jet = lambda t, k: theta_jet(PIECEWISE, ELLIPSE, t, k)  # noqa: E731
-        pieces = [lambda t, k, sub=sub: theta_jet(sub, ELLIPSE, t, k)
-                  for sub in PIECE_THETAS]
+        jet = partial(theta_jet, PIECEWISE, ELLIPSE)
+        pieces = [partial(theta_jet, sub, ELLIPSE) for sub in PIECE_THETAS]
     ts = np.array([0.3, BREAKS[0], 0.8, BREAKS[1], 1.4])
     owners = [0, 1, 1, 2, 2]
     rows = jet(ts, 1)

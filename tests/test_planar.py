@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -74,8 +75,8 @@ def test_planar_entry_points_name_a_point_that_is_not_finite(bad):
     for p in (base, long, sector, DualProfile(base)):
         nm = PlanarNorm(p)
         lift = planar_lift_map(IsometryTriple(f=p, h=p, theta=identity_map()))
-        for fun in (lambda x: value(nm, x), lambda x: fundamental_tensor(nm, x),
-                    lambda x: legendre_map(nm, x), lift):
+        for fun in (partial(value, nm), partial(fundamental_tensor, nm),
+                    partial(legendre_map, nm), lift):
             with pytest.raises(ValueError, match="^t undefined: x is not finite$"):
                 fun(np.array(bad))
 
