@@ -467,11 +467,11 @@ class SectorProfile:
     """Profile assembled from per-sector pieces on the fundamental interval.
 
     `breaks` are the switch angles inside (0, pi/d); piece i is used on
-    [breaks[i-1], breaks[i]].  Evaluation folds t into [0, pi/d] by dihedral
-    symmetry first, so the assembled function is automatically even and
-    2*pi/d periodic.  Pieces are full Profiles (globally defined); continuity
-    across switch angles is the constructor's responsibility and is checked
-    numerically by the glue code, not here.
+    [breaks[i-1], breaks[i]) (`_piece_jets`).  Evaluation folds t into
+    [0, pi/d] by dihedral symmetry first, so the assembled function is
+    automatically even and 2*pi/d periodic.  Pieces are full Profiles
+    (globally defined); continuity across switch angles is the constructor's
+    responsibility and is checked numerically by the glue code, not here.
     """
 
     d: int

@@ -3,6 +3,7 @@ on first access; and no source file imports a name it does not use."""
 
 import ast
 import importlib
+import inspect
 import os
 import pathlib
 import subprocess
@@ -90,7 +91,7 @@ def _isonorm_names(path):
             for a in node.names:
                 reached.append((node.lineno, node.module, a.name))
                 obj = _resolve(node.module, a.name)
-                if isinstance(obj, type(ast)):
+                if inspect.ismodule(obj):
                     modules[a.asname or a.name] = obj.__name__
         elif isinstance(node, ast.Import):
             modules.update((a.asname or a.name, a.name) for a in node.names
