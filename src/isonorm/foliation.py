@@ -13,8 +13,8 @@ has shape-operator eigenvalues cot(t + k pi/d), k = 0..d-1.
 The spherical coordinates of a point all come from p at u = x/|x| (Muenzner,
 Math. Ann. 251, 1980): t = arccos(p)/d, the unit normal
 w = -grad_S p / (d sin dt) and the shape operator from Hess p.  One polar
-pass per row set (`_polar`, behind t_coord) evaluates p, and the normal and
-the shape operator take that p from their caller.
+pass per row set (`_polar`, behind t_coord) evaluates p; `_frame` adds w
+and the focal guard, and the shape operator takes that p from its caller.
 """
 
 from __future__ import annotations
@@ -98,13 +98,12 @@ def parse_model(spec: str) -> FoliationModel:
 def _sqnorm(x: np.ndarray):
     """|x|^2 of a point (a numpy scalar), or of each row of an (m, n)
     array, by one dot product per point (a matrix product of the rows would
-    round otherwise).  An overflow reads as inf, unwarned, so that a caller's
-    named error comes first: a point takes np.vdot, matmul's dot product
-    without its floating-point checks (a third of its cost), rows an errstate."""
+    round otherwise).  A point takes np.vdot, matmul's dot product without its
+    floating-point checks (a third of its cost), so an overflow reads as inf,
+    unwarned; rows warn, so _radius and hessian.energy take them under an errstate."""
     if x.ndim == 1:
         return np.vdot(x, x)
-    with np.errstate(over="ignore"):
-        return (x[..., None, :] @ x[..., :, None]).T[0, 0]
+    return (x[..., None, :] @ x[..., :, None]).T[0, 0]
 
 
 def _poly(m: FoliationModel, u: np.ndarray):
@@ -172,7 +171,8 @@ def _radius(m: FoliationModel, x: np.ndarray):
     """|x| as t_coord takes it; ValueError unless x is a point or rows of
     the model's n, each with a finite, nonzero |x|."""
     _check_shape(m, x)
-    r = np.sqrt(_sqnorm(x))
+    with np.errstate(over="ignore"):
+        r = np.sqrt(_sqnorm(x))
     # a point's r is a numpy scalar, whose Python comparison is the cheapest
     if not (0.0 < r < math.inf if x.ndim == 1
             else ((0.0 < r) & (r < math.inf)).all()):
@@ -202,14 +202,6 @@ def _polar(m: FoliationModel, x):
         np.maximum(p, -1.0), 1.0).tolist()]) / m.d
 
 
-def _point_polar(m: FoliationModel, x, what: str):
-    """_polar of one point; for rows or any other shape a ValueError that
-    names the point's shape, as the frame functions (`what`) take no rows."""
-    if np.shape(x) != (m.n,):
-        raise ValueError(f"{what} takes one point of shape ({m.n},), not {np.shape(x)}")
-    return _polar(m, x)
-
-
 def t_coord(m: FoliationModel, x) -> RT:
     """Polar data (r, t) of x: r = |x|, t = arccos(p(x/r)) / d in [0, pi/d].
 
@@ -235,8 +227,7 @@ def unit_w(m: FoliationModel, x) -> np.ndarray:
     exactly unit because t is an arc-length (isoparametric) parameter.  x is
     one point or an (m, n) array of rows, as in t_coord.
     """
-    _, u, p, t = _polar(m, x)
-    return _unit_w(m, u, t, p)
+    return _frame(m, x)[4]
 
 
 def _unit_w(m: FoliationModel, u: np.ndarray, t, p) -> np.ndarray:
@@ -250,13 +241,27 @@ def _unit_w(m: FoliationModel, u: np.ndarray, t, p) -> np.ndarray:
 
 
 def _require_interior(m: FoliationModel, t, delta: float) -> None:
-    """FocalProximityError unless t (a float or an array) lies in
-    (delta, pi/d - delta); a NaN t or delta is outside too."""
+    """FocalProximityError unless t (a float or an array) lies in (delta,
+    pi/d - delta), a NaN t outside too; first for a negative or NaN delta."""
+    if not delta >= 0.0:
+        raise FocalProximityError(f"delta={delta} must be at least 0")
     hi = math.pi / m.d - delta
     near = [v for v in np.atleast_1d(t).tolist() if not delta < v < hi]
     if near:
         raise FocalProximityError(f"t={near[0]:.4f} inside the focal guard band"
                                   f" (delta={delta}, pi/d={math.pi / m.d:.4f})")
+
+
+def _frame(m: FoliationModel, x, delta=None, what=None):
+    """(r, u, p, t, w = unit_w) of a point or rows from one polar pass, with
+    the focal guard of a delta before w; `what` names a caller that takes one
+    point, and anything else gets a ValueError that names its shape."""
+    if what is not None and np.shape(x) != (m.n,):
+        raise ValueError(f"{what} takes one point of shape ({m.n},), not {np.shape(x)}")
+    r, u, p, t = _polar(m, x)
+    if delta is not None:
+        _require_interior(m, t, delta)
+    return r, u, p, t, _unit_w(m, u, t, p)
 
 
 def normal_plane_basis(m: FoliationModel, x,
@@ -267,9 +272,7 @@ def normal_plane_basis(m: FoliationModel, x,
     with gamma(t) = u; v1 sits on the focal set M_0.  x is one point or an
     (m, n) array of rows (v1, v2 and w are then rows too).
     """
-    _, u, p, t = _polar(m, x)
-    _require_interior(m, t, delta)
-    w = _unit_w(m, u, t, p)
+    _, u, _, t, w = _frame(m, x, delta)
     c, s = np.cos(t)[..., None], np.sin(t)[..., None]
     return NormalPlane(v1=c * u - s * w, v2=s * u + c * w, w=w)
 
@@ -285,12 +288,12 @@ def multiplicities(m: FoliationModel) -> tuple[tuple[int, int], ...]:
 
 
 def focal_dimensions(m: FoliationModel) -> tuple[int, int]:
-    """(dim M_0, dim M_{pi/d})."""
-    if m.d == 1:
-        return (0, 0)
-    if m.d == 2:
-        return (m.k - 1, m.n - m.k - 1)
-    return (2, 2)
+    """(dim M_0, dim M_{pi/d}) = (n - 2 - m_0, n - 2 - m_{d-1}): as t -> 0
+    the leaf collapses its k = 0 eigenspace (cot t blows up) onto M_0, as
+    t -> pi/d its k = d - 1 one (Muenzner, Math. Ann. 251, 1980); a k
+    missing from multiplicities(m) has m_k = 0."""
+    mult = dict(multiplicities(m))
+    return m.n - 2 - mult.get(0, 0), m.n - 2 - mult.get(m.d - 1, 0)
 
 
 class ShapeEigen(NamedTuple):
@@ -316,9 +319,7 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     a leaf basis, from one polar pass of x.  Its eigenvalues cot(t + k pi/d)
     decrease in k, so sorted they fall to the k of multiplicities(m) in
     turn; RuntimeError if one is not its cot(t + k pi/d)."""
-    _, u, p, t = _point_polar(m, x, "shape_spectrum")
-    _require_interior(m, t, delta)
-    w = _unit_w(m, u, t, p)
+    _, u, p, t, w = _frame(m, x, delta, "shape_spectrum")
     # the leaf basis: the eigenvalue-1 eigenvectors of the projector onto
     # the leaf, which eigh puts after its two zero eigenvalues
     leaf = np.linalg.eigh(np.eye(m.n) - np.outer(u, u)
@@ -348,12 +349,16 @@ def random_leaf_points(m: FoliationModel, t, count: int,
     t is one leaf parameter for every point or a 1-D array of `count`, one
     per point.  Draws random normal planes (via random sphere points with
     leaf parameter more than delta from both focal values) and walks each
-    point's normal geodesic to its own t.  Raises FocalProximityError when
-    delta leaves no such parameter (delta NaN or >= pi/(2d)) or when
+    point's normal geodesic to its own t.  Raises FocalProximityError, before
+    t is checked, for a delta negative, NaN or >= pi/(2d), and when
     LEAF_DRAWS_PER_POINT * count draws do not yield count points.
     """
     if count < 0:
         raise ValueError(f"count must be at least 0, got {count}")
+    if not 0.0 <= delta < math.pi / (2 * m.d):
+        raise FocalProximityError(
+            f"delta={delta} must be in [0, pi/(2d)) = [0, {math.pi / (2 * m.d):.4f})"
+            f" to guard and leave a leaf parameter away from both focal values")
     t = np.asarray(t, dtype=float)
     if t.ndim and t.shape != (count,):
         raise ValueError(f"t must be one leaf parameter or {count}, "
@@ -361,10 +366,6 @@ def random_leaf_points(m: FoliationModel, t, count: int,
     t = np.full(count, t)
     if not ((0.0 < t) & (t < math.pi / m.d)).all():
         raise ValueError("t must be an interior leaf parameter")
-    if not delta < math.pi / (2 * m.d):
-        raise FocalProximityError(
-            f"delta={delta} leaves no leaf parameter away from both focal "
-            f"values: it must be below pi/(2d) = {math.pi / (2 * m.d):.4f}")
     rng = np.random.default_rng(seed)
     limit = LEAF_DRAWS_PER_POINT * count
     y, drawn = np.empty((0, m.n)), 0

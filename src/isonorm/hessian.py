@@ -2,11 +2,11 @@
 
 The Hessian metric g = Hess(E), E = F^2/2, is evaluated in closed form
 (`closed_fundamental_tensor`) wherever g itself is needed, the indicatrix
-operators included; each row set takes one polar pass of the foliation,
-whose p(u) the normal w and the shape operator share.  `fd_fundamental_tensor`
-differences E instead and stays the independent oracle of G; `energy` maps
-an (m, n) array of points to their m values, so its stencil evaluates the
-whole lattice in one call (see fd.py).
+operators included; each row set takes one frame of the foliation
+(`foliation._frame`: one polar pass and w), whose p(u) the shape operator
+shares.  `fd_fundamental_tensor` differences E instead and stays the
+independent oracle of G; `energy` maps an (m, n) array of points to their m
+values, so its stencil evaluates the whole lattice in one call (see fd.py).
 On the indicatrix S_F the Laplacian of t is the ambient one of g, so the
 only FD left there is the outer divergence difference of that Laplacian.
 
@@ -28,9 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import hessian_fd
-from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape, _point_polar,
+from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape, _frame,
                         _polar, _radius, _require_interior, _shape_operator,
-                        _sqnorm, _unit_w, multiplicities, t_coord)
+                        _sqnorm, multiplicities, t_coord)
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
@@ -65,7 +65,8 @@ def energy(nm: InducedNorm, x):
     x = np.asarray(x, dtype=float)
     _check_shape(nm.foliation, x)  # t_coord's, which origin rows skip
     rows = np.atleast_2d(x)
-    r2 = np.atleast_1d(_sqnorm(x))  # an overflow gets t_coord's error
+    with np.errstate(over="ignore"):  # an overflow gets t_coord's error
+        r2 = np.atleast_1d(_sqnorm(x))
     E = np.zeros(len(rows))
     live = r2 != 0.0
     if live.any():
@@ -101,12 +102,11 @@ def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
     """Hessian of E at x in closed form, from jet(t, 2) alone:
     G = 2f I + f' (u w^T + w u^T + S) + f'' w w^T, with u = x/|x|, w = unit_w
     and S the leaf's shape operator.  x is one point or a (k, n) array of
-    rows, each with the bits of its one-row call; one polar pass gives u, t
-    and the p that w and S take, so p is evaluated once per row set.
+    rows, each with the bits of its one-row call; one frame (_frame) gives
+    u, t, w and the p that S takes, so p is evaluated once per row set.
     FocalProximityError on a focal cone, where w degenerates."""
     x = np.asarray(x, dtype=float)
-    _, u, p, t = _polar(nm.foliation, np.atleast_2d(x))
-    w = _unit_w(nm.foliation, u, t, p)
+    _, u, p, t, w = _frame(nm.foliation, np.atleast_2d(x))
     f0, f1, f2 = (f[:, None, None] for f in nm.profile.jet(t, 2))
     uw = u[:, :, None] * w[:, None, :]
     G = (2.0 * f0 * np.eye(nm.foliation.n) + f2 * (w[:, :, None] * w[:, None, :])
@@ -117,9 +117,8 @@ def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
 
 def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
     """Columns: radial u, t-direction w, then shape eigenvectors."""
-    _, u, p, t = _point_polar(nm.foliation, x, "frame_basis")
-    return np.array([u, _unit_w(nm.foliation, u, t, p),
-                     *(vec for entry in spectrum for vec in entry.basis)]).T
+    _, u, _, _, w = _frame(nm.foliation, x, what="frame_basis")
+    return np.array([u, w, *(vec for entry in spectrum for vec in entry.basis)]).T
 
 
 def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
@@ -127,8 +126,8 @@ def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
     copy of the frame formulas: 2f on u, f'' + 2f on w, f' between them,
     and 2f + kappa f' on each shape eigenspace of the spectrum, in its order.
     On the coordinate fields, g(d_r, d_t) = r f' and g(d_t, d_t) =
-    r^2 (f'' + 2f)."""
-    t = _point_polar(nm.foliation, x, "closed_frame_matrix")[3]
+    r^2 (f'' + 2f); FocalProximityError on a focal cone, which has no frame."""
+    t = _frame(nm.foliation, x, what="closed_frame_matrix")[3]
     f0, f1, f2 = nm.profile.jet(t, 2)
     M = np.diag([2.0 * f0, f2 + 2.0 * f0, *np.repeat(
         [2.0 * f0 + entry.kappa * f1 for entry in spectrum],
@@ -261,8 +260,8 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
     offsets = np.vstack([np.zeros(n),
                          np.kron(np.eye(n), [[2.0], [1.0], [-1.0], [-2.0]])])
     X = ((rho[:, None] * u)[:, None] + h[:, None, None] * offsets).reshape(-1, n)
-    r, v, p, tx = _polar(nm.foliation, X)
-    dt = _unit_w(nm.foliation, v, tx, p) / r[:, None]
+    r, _, _, _, w = _frame(nm.foliation, X)
+    dt = w / r[:, None]
     G = closed_fundamental_tensor(nm, X)
     sol = np.linalg.solve(G, dt[..., None])[..., 0]  # G^ij d_j t
     sdet = np.sqrt(np.linalg.det(G))

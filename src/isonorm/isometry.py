@@ -32,8 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .foliation import (FoliationModel, _polar, _require_interior,
-                        _shape_operator, _sqnorm, _unit_w, random_leaf_points)
+from .foliation import (FoliationModel, _frame, _shape_operator, _sqnorm,
+                        random_leaf_points)
 from .planar import (DualProfile, PlanarNorm, _plane_polar, _sin_cos,
                      _unwrap_to, fundamental_tensor, legendre_num_den,
                      legendre_ode_rhs, theta_legendre, theta_scaled)
@@ -76,8 +76,9 @@ class ThetaMap:
         if self.kind not in THETA_KINDS:
             raise ValueError(f"unknown theta kind {self.kind!r}")
         if self.kind in ("linear", "scaled-legendre"):
-            if len(self.params) != 2 or min(self.params) <= 0:
-                raise ValueError(f"{self.kind} needs two positive parameters")
+            if len(self.params) != 2 or not all(0 < v < math.inf for v in self.params):
+                raise ValueError(f"{self.kind} theta needs two positive finite "
+                                 f"parameters, got {self.params!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.kind == "sampled":
             g = np.asarray(self.grid, dtype=float)
@@ -738,11 +739,9 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
         raise ValueError("triple and foliation disagree on d")
 
     def lift(x, k):  # the images, and their differentials for k = 1
-        if np.ndim(x) != 2:  # _polar would give a 1-D point floats
+        if np.ndim(x) != 2:  # _frame would give a 1-D point floats
             raise ValueError(f"the lifted map takes (m, {m.n}) rows, not {np.shape(x)}")
-        r, u, p, t = _polar(m, x)
-        _require_interior(m, t, LIFT_FOCAL_GUARD)
-        w = _unit_w(m, u, t, p)
+        r, u, p, t, w = _frame(m, x, LIFT_FOCAL_GUARD)
         th = theta_jet(tr.theta, tr.f, t, k)
         fj, hj = tr.f.jet(t, k), tr.h.jet(th[0], k)
         rho = np.sqrt(fj[0] / hj[0])

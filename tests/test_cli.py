@@ -549,6 +549,26 @@ def test_nan_focal_guard_is_named(capsys, profiles, argv):
     assert len(lines) == 1 and lines[0].startswith("isonorm: error: delta=nan ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["tensor", "--model", "d2:4:2"],
+    ["tensor", "--model", "d2:4:2", "--t", "0.5"],
+    ["curvature", "--model", "d2:4:2"],
+    ["isoparametric-check", "--model", "d2:4:2"],
+    ["sample", "--model", "d2:4:2"],
+], ids=lambda argv: "-".join(argv[:1] + argv[3:]).replace("--", ""))
+def test_negative_focal_guard_is_named(capsys, profiles, argv):
+    # a negative delta guards nothing: `tensor` exited 0 with status ok, and
+    # the others ended in "t must be an interior leaf parameter"
+    code = main([argv[0], "--profile", profiles["ellipse"], *argv[1:],
+                 "--delta", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "isonorm: error: delta=-1.0 must be in [0, pi/(2d)) = [0, 0.7854)")
+
+
 # --------------------------------------------------------------- curvature
 
 def test_curvature_flat_round(capsys, profiles):
@@ -811,6 +831,34 @@ def test_isometry_solve_names_an_anchor_that_is_not_positive_finite(
     assert code == 1 and out == ""
     assert err == (f"isonorm: error: h0 must be a positive finite number, "
                    f"got {float(h0)!r}\n")
+
+
+@pytest.mark.parametrize("theta", ("linear:1:nan", "linear:1:inf",
+                                   "scaled-legendre:nan:1"))
+def test_isometry_solve_names_a_theta_parameter_that_is_not_finite(
+        capfd, profiles, theta):
+    # these ended in "non-finite angle", "log h blew up" and the h0 error,
+    # none of which names the map
+    kind, a, b = theta.split(":")
+    code = main(["isometry", "solve", "--profile", profiles["ellipse"],
+                 "--theta", theta])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"isonorm: error: {kind} theta needs two positive finite "
+                   f"parameters, got {(float(a), float(b))!r}\n")
+
+
+def test_isometry_check_names_a_theta_parameter_that_is_not_finite(capfd, tmp_path):
+    # JSON reads 1e999 as inf, which the map took
+    path = tmp_path / "triple.json"
+    path.write_text('{"f": {"d": 2, "cos_coeffs": [0.5]}, "h": {"d": 2, '
+                    '"cos_coeffs": [0.5]}, "theta": {"kind": "linear", "a": 1.0, '
+                    '"b": 1e999}}')
+    code = main(["isometry", "check", "--triple", str(path)])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == ("isonorm: error: linear theta needs two positive finite "
+                   "parameters, got (1.0, inf)\n")
 
 
 def test_isometry_solve_smallest_grid_runs(capsys, profiles):

@@ -1,6 +1,7 @@
 """Foliation models: leaf coordinates, frames, shape spectra, sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from isonorm.foliation import (FocalProximityError, _poly, cartan3, d1, d2,
                                normal_plane_basis, parse_model,
                                random_leaf_points, shape_spectrum, t_coord,
                                unit_w)
-from isonorm.hessian import InducedNorm, energy, frame_basis, value
+from isonorm.hessian import InducedNorm, energy, frame_basis, riemann_fd, value
 from isonorm.profile import Profile
 
 MODELS = (d1(3), d2(4, 2), cartan3())
@@ -43,12 +44,16 @@ def test_multiplicity_sum_is_leaf_dimension():
 
 
 def test_focal_dimensions():
-    # dim M_k = n - 2 - m_k
-    for m in MODELS:
-        mult = dict(multiplicities(m))
-        d0, d1_ = focal_dimensions(m)
-        assert d0 == m.n - 2 - mult[0]
-        assert d1_ == m.n - 2 - mult[max(mult)]
+    # dim M_0 = n - 2 - m_0 and dim M_{pi/d} = n - 2 - m_{d-1} give the
+    # known table: points for d = 1, the spheres S^{k-1} and S^{n-k-1} for
+    # d = 2 and the Veronese surfaces for the Cartan cubic
+    models = ([d1(n) for n in range(3, 11)]
+              + [d2(n, k) for n in range(4, 11) for k in range(1, n)]
+              + [cartan3()])
+    for m in models:
+        table = ((m.k - 1, m.n - m.k - 1) if m.d == 2
+                 else (0, 0) if m.d == 1 else (2, 2))
+        assert focal_dimensions(m) == table, m.describe()
 
 
 # ----------------------------------------------------------------- t_coord
@@ -287,3 +292,35 @@ def test_focal_proximity_guard():
     x = np.zeros(5); x[0] = 1.0  # the t=0 focal leaf itself
     with pytest.raises(FocalProximityError):
         normal_plane_basis(m, x)
+
+
+@pytest.mark.parametrize("m", MODELS, ids=lambda m: m.describe())
+def test_a_point_on_a_focal_set_gets_the_guard_band_error(m):
+    # the frame's guard comes before w, which degenerates there with an
+    # error that names no guard
+    e = np.eye(m.n)
+    # t = 0 at e_1 on every model, and t = pi/d at -e_1 (d odd) or e_n (d = 2)
+    for x in (e[0], e[-1] if m.d == 2 else -e[0]):
+        for call in (lambda x: normal_plane_basis(m, x),
+                     lambda x: normal_plane_basis(m, np.array([x, x])),
+                     lambda x: shape_spectrum(m, 1.7 * x)):
+            with pytest.raises(FocalProximityError, match="inside the focal guard band"):
+                call(x)
+
+
+@pytest.mark.parametrize("delta", [-1.0, -1e-3, math.nan])
+def test_a_negative_or_nan_focal_guard_is_named(delta):
+    # a negative delta widens the guard band past the focal values: random
+    # leaf points were drawn with it, or the check of t spoke first
+    m = d2(4, 2)
+    with pytest.raises(FocalProximityError,
+                       match=re.escape(f"delta={delta} must be in [0, pi/(2d))")):
+        random_leaf_points(m, 5.0, 1, delta=delta)
+    x = random_leaf_points(m, 0.6, 2, seed=1)
+    nm = InducedNorm(m, Profile(2, (1.0, 0.2)))
+    for call in (lambda: normal_plane_basis(m, x, delta),
+                 lambda: shape_spectrum(m, x[0], delta),
+                 lambda: riemann_fd(nm, x, delta)):
+        with pytest.raises(FocalProximityError,
+                           match=re.escape(f"delta={delta} must be at least 0")):
+            call()

@@ -449,6 +449,17 @@ def test_frame_functions_name_the_one_point_shape_given_rows():
                 call(bad)
 
 
+@pytest.mark.parametrize("model,profile", MODEL_PROFILES[:4], ids=MODEL_IDS[:4])
+def test_frame_functions_raise_on_a_focal_cone(model, profile):
+    # no frame exists where w degenerates: frame_basis raised there, while
+    # closed_frame_matrix returned a matrix
+    nm = _norm(model, profile)
+    x = 1.3 * np.eye(model.n)[0]  # t = 0 on every model
+    for call in (frame_basis, closed_frame_matrix):
+        with pytest.raises(FocalProximityError, match="degenerates on the focal set"):
+            call(nm, x, [])
+
+
 def test_fd_indicatrix_operators_take_no_rows():
     model, profile = MODEL_PROFILES[3]
     grads, laps = fd_indicatrix_operators(_norm(model, profile),

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isonorm import hessian, isometry
-from isonorm.foliation import (parse_model, random_leaf_points, shape_spectrum,
-                               t_coord)
+from isonorm.foliation import (FocalProximityError, parse_model,
+                               random_leaf_points, shape_spectrum, t_coord)
 from isonorm.hessian import (InducedNorm, closed_fundamental_tensor,
                              fd_fundamental_tensor, riemann_fd)
 from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
@@ -57,6 +57,19 @@ def test_theta_kind_validation():
     with pytest.raises(ValueError):
         ThetaMap(kind="sampled", grid=(0.0, 0.1, 0.05, 0.2),
                  values=(0.0, 0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("kind", ["linear", "scaled-legendre"])
+@pytest.mark.parametrize("a,b", [("1.0", "NaN"), ("1.0", "1e999"), ("-1e999", "1.0")])
+def test_theta_parameters_must_be_finite(kind, a, b):
+    # such a map was built, and theta_jet then returned NaN with no error;
+    # JSON reads 1e999 as inf
+    params = (float(a), float(b))
+    msg = re.escape(f"{kind} theta needs two positive finite parameters, got {params}")
+    with pytest.raises(ValueError, match=msg):
+        ThetaMap(kind=kind, params=params)
+    with pytest.raises(ValueError, match=msg):
+        theta_from_json_dict(json.loads(f'{{"kind": "{kind}", "a": {a}, "b": {b}}}'))
 
 
 def test_theta_identity_and_linear():
@@ -994,6 +1007,17 @@ def test_planar_lift_is_dihedrally_equivariant(d, lift_triples):
         for g in (rot, ref, rot @ ref):
             err = np.linalg.norm(phi(P @ g.T) - Y @ g.T, axis=1)
             assert np.max(err / np.linalg.norm(Y, axis=1)) <= 4e-15, name
+
+
+@pytest.mark.parametrize("spec", LIFT_MODELS)
+def test_lift_of_a_point_on_a_focal_set_gets_the_guard_band_error(spec, lift_triples):
+    # the lift's guard comes before w, which degenerates there
+    m = parse_model(spec)
+    x = 1.2 * np.eye(m.n)[:1]  # t = 0 on every model
+    phi = lift_to_nd(lift_triples[m.d]["legendre"], m)
+    for call in (phi, phi.jacobian):
+        with pytest.raises(FocalProximityError, match="inside the focal guard band"):
+            call(x)
 
 
 def test_lift_names_a_one_point_input(lift_triples):

@@ -67,6 +67,31 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def _calls(tree, name):
+    """The enclosing function (None at module level) of each call of `name`,
+    a bare name or an attribute, in a parsed module."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append(where)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_normal_w_is_formed_only_in_the_frame():
+    # every frame takes w from foliation._frame, whose focal guard comes first
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "isonorm"
+    calls = [(path.name, where) for path in sorted(root.glob("*.py"))
+             for where in _calls(ast.parse(path.read_text()), "_unit_w")]
+    assert calls == [("foliation.py", "_frame")]
+
+
 def _resolve(module: str, name: str):
     """module.name: an attribute of the module, else its submodule; None
     when neither exists."""

@@ -18,7 +18,6 @@ from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
 from isonorm.isometry import (IsometryTriple, ThetaMap, bump_profile, identity_map,
                               legendre_map_tag, ode_residuals, planar_lift_map,
                               theta_jet)
-from isonorm.cli import _status_from
 from isonorm.profile import (ALLOWED_D, Profile, SectorProfile, chop_count,
                              dihedral_fold, is_minkowski, lobatto_fit,
                              profile_from_json_dict, sampled_profile)
@@ -315,22 +314,21 @@ def test_dual_profile_residual_survives_json():
 @example(1, 0.99)
 @example(2, -0.99)
 @example(3, 0.99)
+@example(6, 0.6690751080990951)  # errors 1.032e-8 and 9.88e-9, about `dual`'s 1e-8
 @settings(max_examples=30, deadline=None)
 def test_dual_profile_dct_fit_is_as_good_as_lstsq(d, share):
-    # every d, up to 0.99 of the bound: the DCT's residual at the samples is
-    # at most twice lstsq's, and `dual`'s fit status under its tolerance,
-    # the odd points included, is the one the lstsq fit had
+    # every d, up to 0.99 of the bound: the DCT's error is at most twice
+    # lstsq's, at the samples and with the odd points included (a status
+    # equality failed where the two fell on either side of an ok bound)
     p = Profile(d, (1.0, share * B_BOUND[d]))
     ts = np.linspace(0.0, math.pi / d, 1023)
     h = DualProfile(p).evaluate(ts)
     dct, lstsq = lobatto_fit(d, h[::2])[0], sampled_profile(d, ts[::2], h[::2])
     assert dct.fit_residual <= 2.0 * lstsq.fit_residual + 1e-15
-    status = [_status_from({"fit_residual": max(
-        q.fit_residual, np.max(np.abs(q.evaluate(ts[1::2]) - h[1::2])))})
-        for q in (dct, lstsq)]
-    assert status[0] == status[1]
-    assert dual_profile(PlanarNorm(p)).fit_residual == max(
-        dct.fit_residual, np.max(np.abs(dct.evaluate(ts[1::2]) - h[1::2])))
+    err = [max(q.fit_residual, np.max(np.abs(q.evaluate(ts[1::2]) - h[1::2])))
+           for q in (dct, lstsq)]
+    assert err[0] <= 2.0 * err[1] + 1e-15
+    assert dual_profile(PlanarNorm(p)).fit_residual == err[0]
 
 
 @pytest.mark.parametrize("b", [0.2, -0.6, 0.95])
