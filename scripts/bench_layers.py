@@ -61,10 +61,12 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   Profile(3, (0.5, 0.02)), 3 points on each of 5 leaves in
   [0.3, pi/3 - 0.3] (the path of perfbench's field-sweep);
 - 20 one-point `shape_spectrum`, `riemann_fd`, `t_coord`,
-  `closed_fundamental_tensor` and `fd_fundamental_tensor` calls, one row
-  each: one point on each of 5 leaves in [0.3, pi/d - 0.3] of each of
+  `closed_fundamental_tensor`, `fd_fundamental_tensor`, `frame_basis`,
+  `closed_frame_matrix` and `fd_indicatrix_operators` calls, one row each:
+  one point on each of 5 leaves in [0.3, pi/d - 0.3] of each of
   field-sweep's models d1:3, d2:4:2, d2:8:3 and cartan3, with a curved
-  profile of field-sweep's for the norm's rows;
+  profile of field-sweep's for the norm's rows (the frame functions take
+  the point's shape spectrum, computed untimed);
 - a cold `InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005)))`: a new
   three-term profile per call, its kernel built and its validity checked,
   as each field-sweep op builds its norm;
@@ -143,7 +145,9 @@ from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      shape_spectrum, t_coord, theta_legendre,
                      triple_from_json_dict, triple_to_json_dict)
 from isonorm.cli import main as cli_main  # noqa: E402
-from isonorm.hessian import closed_fundamental_tensor  # noqa: E402
+from isonorm.hessian import (closed_frame_matrix,  # noqa: E402
+                             closed_fundamental_tensor, fd_indicatrix_operators,
+                             frame_basis)
 
 GLUE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]  # isometry_gallery.py's glue base
 GLUE_BREAK = 0.52
@@ -270,13 +274,15 @@ def _legendre_branch(f):
 
 
 def _field_points():
-    """(norm, point) pairs: one point on each of 5 leaves per field model."""
+    """(norm, point, shape spectrum) triples: one point on each of 5 leaves
+    per field model."""
     out = []
     for spec, coeffs in FIELD_MODELS.items():
         m = parse_model(spec)
         nm = InducedNorm(m, Profile(m.d, coeffs))
         leaves = np.linspace(0.3, math.pi / m.d - 0.3, 5)
-        out += [(nm, u) for u in random_leaf_points(m, leaves, 5, seed=0)]
+        out += [(nm, u, shape_spectrum(m, u))
+                for u in random_leaf_points(m, leaves, 5, seed=0)]
     return out
 
 
@@ -355,15 +361,19 @@ def rows(tmp: str):
                             for u in us],
                 lambda: indicatrix_points))
     field = _field_points()
-    calls = {"shape_spectrum": lambda nm, u: shape_spectrum(nm.foliation, u),
-             "riemann_fd": riemann_fd,
-             "t_coord": lambda nm, u: t_coord(nm.foliation, u),
-             "closed_fundamental_tensor": closed_fundamental_tensor,
-             "fd_fundamental_tensor": fd_fundamental_tensor}
+    calls = {"shape_spectrum": lambda nm, u, _: shape_spectrum(nm.foliation, u),
+             "riemann_fd": lambda nm, u, _: riemann_fd(nm, u),
+             "t_coord": lambda nm, u, _: t_coord(nm.foliation, u),
+             "closed_fundamental_tensor":
+                 lambda nm, u, _: closed_fundamental_tensor(nm, u),
+             "fd_fundamental_tensor": lambda nm, u, _: fd_fundamental_tensor(nm, u),
+             "frame_basis": frame_basis, "closed_frame_matrix": closed_frame_matrix,
+             "fd_indicatrix_operators":
+                 lambda nm, u, _: fd_indicatrix_operators(nm, u)}
     for name, call in calls.items():
         out.append((f"20 one-point {name} calls, 5 leaves of each of d1:3, "
                     "d2:4:2, d2:8:3, cartan3",
-                    lambda pts, call=call: [call(nm, u) for nm, u in pts],
+                    lambda pts, call=call: [call(*pt) for pt in pts],
                     lambda: field))
     out.append(("InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005))) cold, "
                 "a new profile per call",

@@ -9,18 +9,36 @@ operations, in the same order, as evaluating one point at a time.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
-def _lattice(fun, x, step, *groups) -> list[np.ndarray]:
-    """fun at x + step * offset for every row of the (k, n) groups of
-    distinct integer offsets, from one call; one array of values per group.
-    Base points x (..., n) with steps (...) give values (..., k)."""
-    pts = x[..., None, :] + np.multiply.outer(step, np.concatenate(groups))
+@functools.cache
+def _arrays(n: int, d: int = 1, k: int | None = None) -> dict:
+    """The package's read-only constant arrays of dimension n, built once: I_n,
+    Hess p of a d <= 2 model of split k, the stencils of riemann_fd ([0; I; -I])
+    and fd_indicatrix_operators in units of their step, and hessian_fd's."""
+    e, eye = np.eye(n, dtype=int), np.eye(n)
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # triu_indices(n, 1)
+    groups = (0 * e[:1], e, -e, e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j])
+    out = {"eye": eye, "pairs": np.array([i, j]), "lattice": np.concatenate(groups),
+           "hess_p": eye * (np.where(np.arange(n) < k, 2.0, -2.0) if d == 2 else 0.0),
+           "axes": np.concatenate([np.zeros((1, n)), eye, -eye]),
+           "indicatrix": np.vstack([np.zeros(n), np.kron(eye, [[2.0], [1.0], [-1.0], [-2.0]])])}
+    for a in out.values():
+        a.flags.writeable = False
+    return dict(out, ends=tuple(np.cumsum([len(g) for g in groups]).tolist()))
+
+
+def _lattice(fun, x, step, offsets, ends) -> list[np.ndarray]:
+    """fun at x + step * offset for every row of the (k, n) offsets, from one
+    call; one array of values per group of rows, each ending at its entry of
+    ends.  Base points x (..., n) with steps (...) give values (..., k)."""
+    pts = x[..., None, :] + np.multiply.outer(step, offsets)
     values = np.asarray(fun(pts.reshape(-1, x.shape[-1])),
                         dtype=float).reshape(pts.shape[:-1])
-    ends = np.cumsum([len(g) for g in groups])
-    return [values[..., end - len(g):end] for g, end in zip(groups, ends)]
+    return [values[..., start:end] for start, end in zip((0,) + ends, ends)]
 
 
 def hessian_fd(fun, x, step: float = 1e-4) -> np.ndarray:
@@ -28,11 +46,9 @@ def hessian_fd(fun, x, step: float = 1e-4) -> np.ndarray:
     array x with a step per row (shape (k,)): then (k, n, n)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    e = np.eye(n, dtype=int)
-    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # triu_indices(n, 1)
-    f0, up, down, pp, pm, mp, mm = _lattice(
-        fun, x, step, 0 * e[:1], e, -e,
-        e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j])
+    c = _arrays(n)
+    i, j = c["pairs"]
+    f0, up, down, pp, pm, mp, mm = _lattice(fun, x, step, c["lattice"], c["ends"])
     h2 = np.square(step)[..., None]
     H = np.empty(x.shape + (n,))
     H[..., np.arange(n), np.arange(n)] = (up - 2.0 * f0 + down) / h2

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fd import _arrays
 from .profile import _pow
 
 SQ3 = math.sqrt(3.0)
@@ -147,8 +148,7 @@ def _hess_poly(m: FoliationModel, u) -> np.ndarray:
     """Hess p at each row of a (k, n) array, shape (k, n, n): zero for
     d = 1, constant for d = 2 and linear in u for the Cartan cubic."""
     if m.d < 3:
-        diag = np.where(np.arange(m.n) < m.k, 2.0, -2.0) if m.d == 2 else 0.0
-        return np.broadcast_to(np.eye(m.n) * diag, u.shape + u.shape[-1:])
+        return np.broadcast_to(_arrays(m.n, m.d, m.k)["hess_p"], u.shape + u.shape[-1:])
     a, b, x, y, z = 3.0 * u.T
     s, o = SQ3, 0.0 * a
     # symmetric, so .T only moves the row axis first
@@ -311,7 +311,7 @@ def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
     row of the unit (k, n) array u, with p = p(u): the leaf's shape operator
     (the spherical Hessian of t on the leaf), with eigenvalues
     cot(t + k pi/d) there."""
-    eye = np.eye(m.n)
+    eye = _arrays(m.n)["eye"]
     P = eye - u[:, :, None] * u[:, None, :] - w[:, :, None] * w[:, None, :]
     H = _hess_poly(m, u) - (m.d * p)[:, None, None] * eye
     return -(P @ H @ P) / (m.d * np.sin(m.d * t))[:, None, None]
@@ -325,7 +325,7 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     _, u, p, t, w = _frame(m, x, delta, "shape_spectrum")
     # the leaf basis: the eigenvalue-1 eigenvectors of the projector onto
     # the leaf, which eigh puts after its two zero eigenvalues
-    leaf = np.linalg.eigh(np.eye(m.n) - np.outer(u, u)
+    leaf = np.linalg.eigh(_arrays(m.n)["eye"] - np.outer(u, u)
                           - np.outer(w, w))[1][:, 2:].T
     S = _shape_operator(m, u[None], np.array([t]), w[None], p[None])[0]
     evals, evecs = np.linalg.eigh(leaf @ S @ leaf.T)

@@ -1,12 +1,12 @@
 """Norms on R^n induced by an isoparametric foliation: F = r*sqrt(2 f(t)).
 
 The Hessian metric g = Hess(E), E = F^2/2, is evaluated in closed form
-(`closed_fundamental_tensor`) wherever g itself is needed, the indicatrix
-operators included; each row set takes one frame of the foliation
-(`foliation._frame`: one polar pass and w), whose p(u) the shape operator
-shares.  `fd_fundamental_tensor` differences E instead and stays the
-independent oracle of G; `energy` maps an (m, n) array of points to their m
-values, so its stencil evaluates the whole lattice in one call (see fd.py).
+wherever g itself is needed, from one frame of the foliation per row set
+(`foliation._frame`: one polar pass and w), which its caller builds and
+whose p(u) the shape operator shares; the indicatrix operators' stencil
+rows take one frame for both dt and g (`_closed_tensor`).  The FD
+`fd_fundamental_tensor` differences E and stays the independent oracle of
+G; `energy` maps (m, n) rows to m values, so its stencil takes one call.
 On the indicatrix S_F the Laplacian of t is the ambient one of g, so the
 only FD left there is the outer divergence difference of that Laplacian.
 
@@ -27,10 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fd import hessian_fd
-from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape, _frame,
-                        _polar, _radius, _require_interior, _shape_operator,
-                        _sqnorm, multiplicities, t_coord)
+from .fd import _arrays, hessian_fd
+from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
+                        _check_shape, _frame, _polar, _radius, _require_interior,
+                        _shape_operator, _sqnorm, multiplicities, t_coord)
 from .profile import Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
@@ -64,13 +64,15 @@ def energy(nm: InducedNorm, x):
     array; every row gets the bits of its one-point call."""
     x = np.asarray(x, dtype=float)
     _check_shape(nm.foliation, x)  # t_coord's, which origin rows skip
-    rows = np.atleast_2d(x)
-    with np.errstate(over="ignore"):  # an overflow gets t_coord's error
+    if x.ndim == 1:  # a point's np.vdot does not warn; an errstate costs it ~1 us
         r2 = np.atleast_1d(_sqnorm(x))
-    E = np.zeros(len(rows))
+    else:
+        with np.errstate(over="ignore"):  # an overflow gets t_coord's error
+            r2 = _sqnorm(x)
+    E = np.zeros(len(r2))
     live = r2 != 0.0
     if live.any():
-        t = t_coord(nm.foliation, rows[live]).t
+        t = t_coord(nm.foliation, np.atleast_2d(x)[live]).t
         E[live] = r2[live] * nm.profile.evaluate(t, 0)
     return float(E[0]) if x.ndim == 1 else E
 
@@ -106,13 +108,17 @@ def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
     u, t, w and the p that S takes, so p is evaluated once per row set.
     FocalProximityError on a focal cone, where w degenerates."""
     x = np.asarray(x, dtype=float)
-    _, u, p, t, w = _frame(nm.foliation, np.atleast_2d(x))
+    G = _closed_tensor(nm, _frame(nm.foliation, np.atleast_2d(x)))
+    return G if x.ndim == 2 else G[0]
+
+
+def _closed_tensor(nm: InducedNorm, frame) -> np.ndarray:
+    """closed_fundamental_tensor at the rows of a frame, _frame's tuple."""
+    m, (_, u, p, t, w) = nm.foliation, frame
     f0, f1, f2 = (f[:, None, None] for f in nm.profile.jet(t, 2))
     uw = u[:, :, None] * w[:, None, :]
-    G = (2.0 * f0 * np.eye(nm.foliation.n) + f2 * (w[:, :, None] * w[:, None, :])
-         + f1 * (uw + np.swapaxes(uw, 1, 2)
-                 + _shape_operator(nm.foliation, u, t, w, p)))
-    return G if x.ndim == 2 else G[0]
+    return (2.0 * f0 * _arrays(m.n)["eye"] + f2 * (w[:, :, None] * w[:, None, :])
+            + f1 * (uw + np.swapaxes(uw, 1, 2) + _shape_operator(m, u, t, w, p)))
 
 
 def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
@@ -127,7 +133,12 @@ def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
     and 2f + kappa f' on each shape eigenspace of the spectrum, in its order.
     On the coordinate fields, g(d_r, d_t) = r f' and g(d_t, d_t) =
     r^2 (f'' + 2f); FocalProximityError on a focal cone, which has no frame."""
-    t = _frame(nm.foliation, x, what="closed_frame_matrix")[3]
+    m, shape = nm.foliation, np.shape(x)
+    if shape != (m.n,):  # _frame's errors, without forming w
+        raise ValueError(f"closed_frame_matrix takes one point of shape ({m.n},), not {shape}")
+    t = _polar(m, x)[3]
+    if np.sin(m.d * t) < 1e-12:
+        raise FocalProximityError("t direction degenerates on the focal set")
     f0, f1, f2 = nm.profile.jet(t, 2)
     M = np.diag([2.0 * f0, f2 + 2.0 * f0, *np.repeat(
         [2.0 * f0 + entry.kappa * f1 for entry in spectrum],
@@ -161,8 +172,7 @@ def riemann_fd(nm: InducedNorm, x,
     u = np.atleast_2d(u)
 
     k, n, h = len(u), nm.foliation.n, TENSOR_STEP_SCALE
-    E = h * np.eye(n)
-    stencil = u[:, None] + np.concatenate([np.zeros((1, n)), E, -E])
+    stencil = u[:, None] + h * _arrays(n)["axes"]
     Gs = closed_fundamental_tensor(nm, stencil.reshape(-1, n))
     Gs = Gs.reshape(k, 2 * n + 1, n, n)
     G, T = Gs[:, 0], (Gs[:, 1:n + 1] - Gs[:, n + 1:]) / (2.0 * h)
@@ -246,9 +256,9 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
     dt . G^-1 dt, and the Laplacian (1/sqrt det G) d_i(sqrt det G G^ij d_j t)
     differences the flux with a fourth-order stencil of step
     INDICATRIX_STEP |x| along each axis.  The base points and their 4n
-    stencil points, k(4n+1) rows, take one closed_fundamental_tensor call and
-    one polar pass for dt, after one polar pass of the input rows; each row
-    has the bits of its one-point call.  A (0, n) array gives two empty
+    stencil points, k(4n+1) rows, take one frame (_frame), which gives dt
+    and the closed G, after one polar pass of the input rows; each row has
+    the bits of its one-point call.  A (0, n) array gives two empty
     arrays.
     """
     u0 = np.asarray(u0, dtype=float)
@@ -256,13 +266,10 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
     k, n = u.shape
     rho = 1.0 / np.sqrt(2.0 * nm.profile.evaluate(t, 0))  # |x| on S_F
     h = INDICATRIX_STEP * rho
-    # the base, then steps 2, 1, -1, -2 along each axis in turn
-    offsets = np.vstack([np.zeros(n),
-                         np.kron(np.eye(n), [[2.0], [1.0], [-1.0], [-2.0]])])
-    X = ((rho[:, None] * u)[:, None] + h[:, None, None] * offsets).reshape(-1, n)
-    r, _, _, _, w = _frame(nm.foliation, X)
-    dt = w / r[:, None]
-    G = closed_fundamental_tensor(nm, X)
+    X = (rho[:, None] * u)[:, None] + h[:, None, None] * _arrays(n)["indicatrix"]
+    frame = _frame(nm.foliation, X.reshape(-1, n))
+    dt = frame[4] / frame[0][:, None]
+    G = _closed_tensor(nm, frame)
     sol = np.linalg.solve(G, dt[..., None])[..., 0]  # G^ij d_j t
     sdet = np.sqrt(np.linalg.det(G))
     dt, sol, sdet = (a.reshape((k, 1 + 4 * n) + a.shape[1:])

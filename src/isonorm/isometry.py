@@ -79,6 +79,8 @@ class ThetaMap:
             if len(self.params) != 2 or not all(0 < v < math.inf for v in self.params):
                 raise ValueError(f"{self.kind} theta needs two positive finite "
                                  f"parameters, got {self.params!r}")
+        elif self.params:  # legendre would read them as scaled-legendre's
+            raise ValueError(f"{self.kind} theta takes no parameters, got {self.params!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.kind == "sampled":
             g = np.asarray(self.grid, dtype=float)

@@ -18,10 +18,11 @@ def third_tensor_fd(fun, x, step: float = 1e-3) -> np.ndarray:
     i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # triu_indices(n, 1)
     a, b, c = np.array(list(combinations(range(n), 3)), dtype=int).reshape(-1, 3).T
     two, three = list(product((1, -1), repeat=2)), list(product((1, -1), repeat=3))
+    groups = (2 * e, e, -e, -2 * e, *(s * e[i] + t * e[j] for s, t in two),
+              *(s * e[a] + t * e[b] + u * e[c] for s, t, u in three))
     up2, up, down, down2, *v = _lattice(
-        fun, x, step, 2 * e, e, -e, -2 * e,
-        *(s * e[i] + t * e[j] for s, t in two),
-        *(s * e[a] + t * e[b] + u * e[c] for s, t, u in three))
+        fun, x, step, np.concatenate(groups),
+        tuple(np.cumsum([len(g) for g in groups]).tolist()))
     h3 = step ** 3
     T = np.empty((n, n, n))
     k = np.arange(n)

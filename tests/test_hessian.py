@@ -9,7 +9,7 @@ import pytest
 
 from isonorm import cli, foliation, hessian
 from fd_oracles import third_tensor_fd
-from isonorm.fd import hessian_fd
+from isonorm.fd import _arrays, hessian_fd
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
                                cartan3, d1, d2, parse_model, random_leaf_points,
                                shape_spectrum, t_coord, unit_w)
@@ -392,8 +392,8 @@ def test_fd_indicatrix_laplacian_near_the_focal_ends(model, profile):
 
 
 def test_fd_indicatrix_operators_make_two_polar_passes(monkeypatch):
-    # one of the input rows, then two of their stencil rows: one for dt and
-    # one inside their closed G
+    # one of the input rows, then one of their stencil rows, whose frame
+    # gives both dt and the closed G
     model, profile = MODEL_PROFILES[2]
     us = random_leaf_points(model, 0.6, 2, seed=4)
     calls = []
@@ -402,7 +402,7 @@ def test_fd_indicatrix_operators_make_two_polar_passes(monkeypatch):
                             lambda m, x, one=module._polar:
                             calls.append(len(x)) or one(m, x))
     fd_indicatrix_operators(_norm(model, profile), us)
-    assert calls == [2] + [2 * (4 * model.n + 1)] * 2
+    assert calls == [2, 2 * (4 * model.n + 1)]
 
 
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
@@ -460,6 +460,77 @@ def test_frame_functions_raise_on_a_focal_cone(model, profile):
             call(nm, x, [])
 
 
+@pytest.mark.parametrize("model,profile", MODEL_PROFILES[:4], ids=MODEL_IDS[:4])
+def test_closed_frame_matrix_reads_t_alone(monkeypatch, model, profile):
+    # it formed w only for the focal cone's error, which sin(d t) gives
+    # alone (one-point call on d2:8:3 11 -> 18.5 us with w)
+    nm = _norm(model, profile)
+    x = 1.7 * random_leaf_points(model, 0.4, 2, seed=8)
+    spec = shape_spectrum(model, x[0])
+    monkeypatch.setattr(foliation, "_unit_w", lambda *a: pytest.fail("formed w"))
+    M = closed_frame_matrix(nm, x[0], spec)
+    f0, f1, f2 = profile.jet(t_coord(model, x[0]).t, 2)
+    assert (M[0, 0], M[0, 1], M[1, 0], M[1, 1]) == (2.0 * f0, f1, f1, f2 + 2.0 * f0)
+    with pytest.raises(FocalProximityError) as err:
+        closed_frame_matrix(nm, 1.3 * np.eye(model.n)[0], [])
+    assert str(err.value) == "t direction degenerates on the focal set"
+    with pytest.raises(ValueError) as err:
+        closed_frame_matrix(nm, x, spec)
+    assert str(err.value) == (f"closed_frame_matrix takes one point of shape "
+                              f"({model.n},), not (2, {model.n})")
+
+
+def test_energy_takes_an_errstate_for_rows_only(monkeypatch):
+    # a point's np.vdot cannot warn, and an errstate costs ~1 us; its t
+    # still comes from t_coord's row pass, which takes one
+    nm = _norm(d2(4, 2), ELLIPSE_D2)
+    X = random_leaf_points(nm.foliation, 0.5, 2, seed=1)
+    entered, errstate = [], np.errstate
+    monkeypatch.setattr(np, "errstate",
+                        lambda **kw: entered.append(kw) or errstate(**kw))
+    for x, want in ((X[0], 1), (X, 2)):
+        entered.clear()
+        energy(nm, x)
+        assert entered == [{"over": "ignore"}] * want
+
+
+@pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
+def test_closed_tensor_of_a_frame_has_the_bits_of_its_rows(model, profile):
+    nm = _norm(model, profile)
+    X = 1.7 * random_leaf_points(model, 0.6, 4, seed=6)
+    G = closed_fundamental_tensor(nm, X)
+    assert G.tobytes() == hessian._closed_tensor(nm, foliation._frame(model, X)).tobytes()
+    assert [g.tobytes() for g in G] == [closed_fundamental_tensor(nm, x).tobytes()
+                                        for x in X]
+
+
+def test_dimension_arrays_are_built_once_read_only_and_per_dimension():
+    # keyed on the ints n, d and k alone; a writable shared array would let
+    # one caller change every later frame of its dimension
+    built = {m.describe(): _arrays(m.n, m.d, m.k)
+             for m in (d1(3), d2(4, 2), d2(8, 3), cartan3())}
+    for spec, arrays in built.items():
+        m = parse_model(spec)
+        assert arrays is _arrays(m.n, m.d, m.k)
+        for name, a in arrays.items():
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+        assert arrays["eye"].tolist() == np.eye(m.n).tolist()
+        assert arrays["axes"].shape == (2 * m.n + 1, m.n)
+        assert arrays["indicatrix"].shape == (4 * m.n + 1, m.n)
+    assert built["d2:4:2"]["hess_p"].diagonal().tolist() == [2.0, 2.0, -2.0, -2.0]
+    assert built["d2:8:3"]["hess_p"].diagonal().tolist() == [2.0] * 3 + [-2.0] * 5
+    assert not built["d1:3"]["hess_p"].any()
+    # a model of another n gets its own arrays, and its frames their shape
+    assert built["d2:4:2"]["eye"] is not built["d2:8:3"]["eye"]
+    for model, profile in MODEL_PROFILES[1:3]:
+        X = random_leaf_points(model, 0.6, 2, seed=6)
+        assert closed_fundamental_tensor(_norm(model, profile), X).shape == (
+            2, model.n, model.n)
+
+
 def test_fd_indicatrix_operators_take_no_rows():
     model, profile = MODEL_PROFILES[3]
     grads, laps = fd_indicatrix_operators(_norm(model, profile),
@@ -470,9 +541,10 @@ def test_fd_indicatrix_operators_take_no_rows():
 def test_isoparametric_check_makes_one_chart_call(monkeypatch, tmp_path,
                                                    capsys):
     closed_rows, energy_calls = [], []
-    closed, one_energy = hessian.closed_fundamental_tensor, hessian.energy
-    monkeypatch.setattr(hessian, "closed_fundamental_tensor",
-                        lambda nm, X: closed_rows.append(len(X)) or closed(nm, X))
+    closed, one_energy = hessian._closed_tensor, hessian.energy
+    monkeypatch.setattr(hessian, "_closed_tensor",
+                        lambda nm, frame: closed_rows.append(len(frame[1]))
+                        or closed(nm, frame))
     monkeypatch.setattr(hessian, "energy",
                         lambda nm, x: energy_calls.append(len(x))
                         or one_energy(nm, x))

@@ -72,6 +72,28 @@ def test_theta_parameters_must_be_finite(kind, a, b):
         theta_from_json_dict(json.loads(f'{{"kind": "{kind}", "a": {a}, "b": {b}}}'))
 
 
+@pytest.mark.parametrize("kind", ["identity", "legendre", "sampled", "piecewise"])
+@pytest.mark.parametrize("params", [(2.0, 0.5), (1.0, math.nan)])
+def test_theta_kinds_without_parameters_reject_them(kind, params):
+    # a legendre map read them as a scaled-legendre one (theta 0.0908, not
+    # 0.3493), and (1.0, nan) made theta_jet return (nan, nan)
+    msg = re.escape(f"{kind} theta takes no parameters, got {params}")
+    with pytest.raises(ValueError, match=msg):
+        ThetaMap(kind=kind, params=params)
+
+
+def test_a_legendre_map_keeps_its_theta_through_json():
+    # a saved legendre map carries no a/b, so one built with params (read as
+    # scaled-legendre's) had theta 0.0908, and 0.3493 once loaded
+    f = Profile(2, (1.0, 0.2))
+    with pytest.raises(ValueError, match="legendre theta takes no parameters"):
+        ThetaMap(kind="legendre", params=(2.0, 0.5))
+    for tm in (legendre_map_tag(), ThetaMap(kind="scaled-legendre", params=(2.0, 0.5))):
+        back = theta_from_json_dict(json.loads(json.dumps(theta_to_json_dict(tm))))
+        assert back == tm and theta_jet(back, f, 0.5, 1) == theta_jet(tm, f, 0.5, 1)
+    assert theta_jet(legendre_map_tag(), f, 0.5, 0)[0] == pytest.approx(0.3493, abs=1e-4)
+
+
 def test_theta_identity_and_linear():
     f = ELLIPSE
     assert theta_jet(identity_map(), f, 0.37, 0)[0] == pytest.approx(0.37)
