@@ -15,15 +15,13 @@ import numpy as np
 
 
 @functools.cache
-def _arrays(n: int, d: int = 1, k: int | None = None) -> dict:
-    """The package's read-only constant arrays of dimension n, built once: I_n,
-    Hess p of a d <= 2 model of split k, the stencils of riemann_fd ([0; I; -I])
-    and fd_indicatrix_operators in units of their step, and hessian_fd's."""
+def _arrays(n: int) -> dict:
+    """Read-only arrays of dimension n, built once: I_n, riemann_fd's and the
+    indicatrix stencils in units of their step, and hessian_fd's lattice."""
     e, eye = np.eye(n, dtype=int), np.eye(n)
     i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # triu_indices(n, 1)
     groups = (0 * e[:1], e, -e, e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j])
     out = {"eye": eye, "pairs": np.array([i, j]), "lattice": np.concatenate(groups),
-           "hess_p": eye * (np.where(np.arange(n) < k, 2.0, -2.0) if d == 2 else 0.0),
            "axes": np.concatenate([np.zeros((1, n)), eye, -eye]),
            "indicatrix": np.vstack([np.zeros(n), np.kron(eye, [[2.0], [1.0], [-1.0], [-2.0]])])}
     for a in out.values():

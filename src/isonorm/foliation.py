@@ -148,7 +148,8 @@ def _hess_poly(m: FoliationModel, u) -> np.ndarray:
     """Hess p at each row of a (k, n) array, shape (k, n, n): zero for
     d = 1, constant for d = 2 and linear in u for the Cartan cubic."""
     if m.d < 3:
-        return np.broadcast_to(_arrays(m.n, m.d, m.k)["hess_p"], u.shape + u.shape[-1:])
+        diag = np.where(np.arange(m.n) < m.k, 2.0, -2.0) if m.d == 2 else 0.0
+        return np.broadcast_to(_arrays(m.n)["eye"] * diag, u.shape + u.shape[-1:])
     a, b, x, y, z = 3.0 * u.T
     s, o = SQ3, 0.0 * a
     # symmetric, so .T only moves the row axis first
@@ -190,10 +191,13 @@ class RT(NamedTuple):
     t: float
 
 
-def _polar(m: FoliationModel, x):
+def _polar(m: FoliationModel, x, what=None):
     """The polar pass of t_coord: (r, u, p, t) with u = x / r and p = p(u)
     unclipped, which _unit_w and _shape_operator take from their caller, so
-    that p is evaluated once per row set.  r and t as t_coord gives them."""
+    that p is evaluated once per row set.  r and t as t_coord gives them; a
+    ValueError for any shape but a point's if `what` names a one-point caller."""
+    if what is not None and np.shape(x) != (m.n,):
+        raise ValueError(f"{what} takes one point of shape ({m.n},), not {np.shape(x)}")
     x = np.asarray(x, dtype=float)
     r = _radius(m, x)
     u = x / r[..., None]
@@ -235,12 +239,18 @@ def unit_w(m: FoliationModel, x) -> np.ndarray:
 
 def _unit_w(m: FoliationModel, u: np.ndarray, t, p) -> np.ndarray:
     """unit_w at the unit point or rows u, with their t and p = p(u)."""
-    s = np.sin(m.d * t)
-    if (s < 1e-12).any():
-        raise FocalProximityError("t direction degenerates on the focal set")
+    s = _focal_sin(m, t)
     # one column per point, so that a point's s and p stay numpy scalars
     grad_sphere = _grad_poly(m, u) - (m.d * p) * u.T
     return np.ascontiguousarray((-grad_sphere / (m.d * s)).T)
+
+
+def _focal_sin(m: FoliationModel, t):
+    """sin(d t); FocalProximityError where it is below 1e-12 (a focal cone)."""
+    s = np.sin(m.d * t)
+    if (s < 1e-12).any():
+        raise FocalProximityError("t direction degenerates on the focal set")
+    return s
 
 
 def _require_interior(m: FoliationModel, t, delta: float) -> None:
@@ -256,12 +266,9 @@ def _require_interior(m: FoliationModel, t, delta: float) -> None:
 
 
 def _frame(m: FoliationModel, x, delta=None, what=None):
-    """(r, u, p, t, w = unit_w) of a point or rows from one polar pass, with
-    the focal guard of a delta before w; `what` names a caller that takes one
-    point, and anything else gets a ValueError that names its shape."""
-    if what is not None and np.shape(x) != (m.n,):
-        raise ValueError(f"{what} takes one point of shape ({m.n},), not {np.shape(x)}")
-    r, u, p, t = _polar(m, x)
+    """(r, u, p, t, w = unit_w) of a point or rows from one polar pass
+    (_polar, which takes `what`), with the focal guard of a delta before w."""
+    r, u, p, t = _polar(m, x, what)
     if delta is not None:
         _require_interior(m, t, delta)
     return r, u, p, t, _unit_w(m, u, t, p)

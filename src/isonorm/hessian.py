@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import _arrays, hessian_fd
-from .foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError, FoliationModel,
-                        _check_shape, _frame, _polar, _radius, _require_interior,
+from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape,
+                        _focal_sin, _frame, _polar, _radius, _require_interior,
                         _shape_operator, _sqnorm, multiplicities, t_coord)
 from .profile import Profile, gap_from_jet, require_minkowski
 
@@ -64,15 +64,13 @@ def energy(nm: InducedNorm, x):
     array; every row gets the bits of its one-point call."""
     x = np.asarray(x, dtype=float)
     _check_shape(nm.foliation, x)  # t_coord's, which origin rows skip
-    if x.ndim == 1:  # a point's np.vdot does not warn; an errstate costs it ~1 us
+    rows = np.atleast_2d(x)
+    with np.errstate(over="ignore"):  # an overflow gets t_coord's error
         r2 = np.atleast_1d(_sqnorm(x))
-    else:
-        with np.errstate(over="ignore"):  # an overflow gets t_coord's error
-            r2 = _sqnorm(x)
-    E = np.zeros(len(r2))
+    E = np.zeros(len(rows))
     live = r2 != 0.0
     if live.any():
-        t = t_coord(nm.foliation, np.atleast_2d(x)[live]).t
+        t = t_coord(nm.foliation, rows[live]).t
         E[live] = r2[live] * nm.profile.evaluate(t, 0)
     return float(E[0]) if x.ndim == 1 else E
 
@@ -133,12 +131,8 @@ def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
     and 2f + kappa f' on each shape eigenspace of the spectrum, in its order.
     On the coordinate fields, g(d_r, d_t) = r f' and g(d_t, d_t) =
     r^2 (f'' + 2f); FocalProximityError on a focal cone, which has no frame."""
-    m, shape = nm.foliation, np.shape(x)
-    if shape != (m.n,):  # _frame's errors, without forming w
-        raise ValueError(f"closed_frame_matrix takes one point of shape ({m.n},), not {shape}")
-    t = _polar(m, x)[3]
-    if np.sin(m.d * t) < 1e-12:
-        raise FocalProximityError("t direction degenerates on the focal set")
+    t = _polar(nm.foliation, x, "closed_frame_matrix")[3]
+    _focal_sin(nm.foliation, t)  # _frame's error, without forming w
     f0, f1, f2 = nm.profile.jet(t, 2)
     M = np.diag([2.0 * f0, f2 + 2.0 * f0, *np.repeat(
         [2.0 * f0 + entry.kappa * f1 for entry in spectrum],

@@ -130,8 +130,8 @@ def test_shape_spectrum_makes_one_polar_pass(monkeypatch):
     calls = []
     for name in ("_polar", "_poly"):
         one = getattr(foliation, name)
-        monkeypatch.setattr(foliation, name, lambda m, x, one=one, name=name:
-                            calls.append(name) or one(m, x))
+        monkeypatch.setattr(foliation, name, lambda m, x, *a, one=one, name=name:
+                            calls.append(name) or one(m, x, *a))
     shape_spectrum(m, x)
     assert calls == ["_polar", "_poly"]
 
