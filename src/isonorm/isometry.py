@@ -28,18 +28,19 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .foliation import (FoliationModel, _frame, _shape_operator, _sqnorm,
-                        random_leaf_points)
 from .planar import (DualProfile, PlanarNorm, _plane_polar, _sin_cos,
                      _unwrap_to, fundamental_tensor, legendre_num_den,
                      legendre_ode_rhs, theta_legendre, theta_scaled)
 from .profile import (Profile, SectorProfile, _piece_jets, as_angle, dihedral_fold,
                       gap_from_jet, json_field, lobatto_fit, profile_from_json_dict,
                       require_minkowski)
+
+if TYPE_CHECKING:  # the foliation layer loads where a lift or check runs
+    from .foliation import FoliationModel
 
 THETA_KINDS = ("identity", "linear", "legendre", "scaled-legendre",
                "sampled", "piecewise")
@@ -483,6 +484,7 @@ def _sample_points(norm, samples: int, seed: int) -> np.ndarray:
                        (samples, 2)).T
     if planar:
         return r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+    from .foliation import random_leaf_points
     return r[:, None] * random_leaf_points(norm.foliation, t, samples,
                                            seed=int(rng.integers(2 ** 31)))
 
@@ -505,6 +507,7 @@ def check_hessian_isometry(norm1, norm2, phi: Callable,
     if hasattr(phi, "jacobian"):
         Y, J = phi.jacobian(X)
     else:
+        from .foliation import _sqnorm
         k, n = X.shape
         step = JACOBIAN_STEP * np.sqrt(_sqnorm(X))[:, None, None]
         E = step * np.eye(n)
@@ -608,6 +611,8 @@ def glue_construct(f_base: Profile, sectors, band_width: float = DEFAULT_BAND_WI
     sector boundary; the assembled theta and h switch pieces at the band
     centers and stay smooth because both pieces coincide on the whole band.
     """
+    if not (band_width > 0 and math.isfinite(band_width)):
+        raise ValueError(f"band_width must be positive and finite, got {band_width}")
     if not isinstance(sectors, (list, tuple)):
         raise ValueError(f"sectors must be a list, got {sectors!r}")
     sectors = tuple(_sector(i, s) for i, s in enumerate(sectors))
@@ -698,6 +703,8 @@ def classify_sectors(tr: IsometryTriple, grid: int = 512,
                      tol: float = CLASSIFY_TOL) -> list[SectorLabel]:
     """Label maximal runs of t where theta matches the identity, the
     Legendre closed form, or neither (Transition)."""
+    if not (tol > 0 and math.isfinite(tol)):  # else no t, or every t, would match
+        raise ValueError(f"classify tol must be positive and finite, got {tol}")
     d = tr.f.d
     ts = np.linspace(INTERIOR_GUARD, math.pi / d - INTERIOR_GUARD, grid)
     th = theta_jet(tr.theta, tr.f, ts, 0)[0]
@@ -737,6 +744,7 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
     rho' = (rho/2)(f'/f - theta' h'(theta)/h(theta)).  So dPhi x = Phi(x), and
     dPhi scales E_k, the eigenspace of S at cot(t + k pi/d), by
     rho sin(theta + k pi/d) / sin(t + k pi/d)."""
+    from .foliation import _frame, _shape_operator
     if tr.f.d != m.d:
         raise ValueError("triple and foliation disagree on d")
 

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebroots
-from numpy.polynomial.polyutils import trimcoef
 
 ALLOWED_D = (1, 2, 3, 4, 6)
 FIT_MAX_TERMS = 32
@@ -122,6 +120,8 @@ class Profile:
         by numpy's functions: one companion-matrix solve each, once per object."""
         roots = self.__dict__.setdefault("_roots", {})
         if i not in roots:
+            from numpy.polynomial.chebyshev import chebder, chebroots
+            from numpy.polynomial.polyutils import trimcoef
             s = np.asarray(self.cos_coeffs)
             if i:
                 s = chebder(s * ((np.arange(len(s)) * self.d) ** 2 - 4.0) if i == 2 else s)
@@ -163,6 +163,7 @@ def _short_roots(s: tuple) -> list:
     while len(s) > 1 and not abs(s[-1]) > tol:
         s = s[:-1]
     if len(s) == 3:
+        from numpy.polynomial.chebyshev import chebroots
         return chebroots(s).real.tolist()
     return [-s[0] / s[1]] if len(s) == 2 else []
 

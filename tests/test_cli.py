@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import isonorm
-from isonorm import cli, hessian
+from isonorm import cli, foliation, hessian
 from isonorm.cli import EXIT_BY_STATUS, _status_from, main
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, parse_model,
                                random_leaf_points, t_coord)
@@ -34,6 +34,7 @@ def profiles(tmp_path):
         "bad": Profile(2, (1.0, 1.1)),
         "pinched": Profile(1, (0.75, 1.0, 0.25)),  # (1 + cos t)^2 / 2
         "wobble3": Profile(3, (0.5, 0.02)),
+        "tilted1": Profile(1, (1.0, 0.3)),
         # a gap dip at t = pi/2 narrower than a 1024-point grid's spacing
         "exhibit": Profile(1, (1.0, 0.0, -0.01) + (0.0,) * 61 + (4.837e-4,)),
     }.items():
@@ -408,23 +409,32 @@ def test_missing_status_rule_is_not_a_user_error(capsys, monkeypatch,
     assert "isonorm: error:" not in capsys.readouterr().err
 
 
+# the foliation layer, and numpy's polynomial package (a companion solve)
+FOLIATION = {"isonorm.foliation", "isonorm.fd"}
+POLYNOMIAL = {"numpy.polynomial", "numpy.polynomial.chebyshev"}
 # Command groups, each run in one fresh process, and the modules that none
 # of its commands may load: a command imports only what it runs
 IMPORT_GROUPS = [
-    ([["validate", "--profile", "{ellipse}"],
-      ["foliation", "info", "--model", "cartan3"]],
-     {"isonorm.planar", "isonorm.hessian", "isonorm.isometry", "numpy.ma"}),
-    ([["dual", "--profile", "{ellipse}"]], {"isonorm.hessian", "isonorm.isometry"}),
+    ([["validate", "--profile", "{ellipse}"]],
+     {"isonorm.planar", "isonorm.hessian", "isonorm.isometry", "numpy.ma",
+      *FOLIATION, *POLYNOMIAL}),
+    ([["foliation", "info", "--model", "cartan3"]],
+     {"isonorm.planar", "isonorm.hessian", "isonorm.isometry", "numpy.ma",
+      *POLYNOMIAL}),
+    ([["dual", "--profile", "{ellipse}"]],
+     {"isonorm.hessian", "isonorm.isometry", *FOLIATION}),
     ([["tensor", "--profile", "{ellipse}", "--model", "d2:4:2"],
       ["curvature", "--profile", "{ellipse}", "--model", "d2:4:2"],
       ["isoparametric-check", "--profile", "{ellipse}", "--model", "d2:4:2"],
       ["sample", "--profile", "{ellipse}", "--model", "d2:4:2"]],
      {"isonorm.isometry"}),
-    ([["isometry", "check", "--triple", "{triple}"]], {"isonorm.hessian"}),
     ([["isometry", "solve", "--profile", "{ellipse}", "--theta", "legendre"],
-      ["isometry", "classify", "--triple", "{triple}"],
-      ["isometry", "glue", "--profile", "{bump}", "--sectors", "{sectors}"],
-      ["sample", "--profile", "{ellipse}"]], set()),
+      ["isometry", "check", "--triple", "{triple}"],
+      ["isometry", "classify", "--triple", "{triple}"]],
+     {"isonorm.hessian", *FOLIATION, *POLYNOMIAL}),
+    ([["isometry", "glue", "--profile", "{bump}", "--sectors", "{sectors}"]],
+     {"isonorm.hessian", *FOLIATION}),
+    ([["sample", "--profile", "{ellipse}"]], set()),
 ]
 
 
@@ -511,6 +521,20 @@ def test_tensor_focal_guard_too_wide_exits_1(capsys, profiles):
     assert code == 1
     assert captured.out == ""
     assert "delta=0.6" in captured.err
+
+
+@pytest.mark.parametrize("model,profile", [("d1:3", "tilted1"), ("cartan3", "wobble3")])
+@pytest.mark.parametrize("radius", ["-1", "0", "nan", "inf"])
+def test_tensor_names_a_radius_that_is_not_positive_finite(capfd, profiles,
+                                                          model, profile, radius):
+    # p(-u) = -p(u) for odd d: --r -1 on d1:3 at t = 0.5 reported the tensor
+    # of the leaf pi - 0.5 (g_rr 1.4735, 2.5265 at --r 1) and echoed t = 0.5
+    code = main(["tensor", "--model", model, "--profile", profiles[profile],
+                 "--t", "0.5", "--r", radius])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"isonorm: error: --r must be positive and finite, "
+                   f"got {float(radius)!r}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -619,14 +643,15 @@ def test_curvature_takes_no_flatness_bound(capfd, profiles):
 
 @pytest.fixture
 def leaf_draws(monkeypatch):
-    """The point counts of every random_leaf_points call the CLI makes."""
+    """The point counts of every random_leaf_points call the CLI makes
+    (each command imports it from foliation when it runs)."""
     calls = []
 
     def counted(m, t, count, **kw):
         calls.append(count)
         return random_leaf_points(m, t, count, **kw)
 
-    monkeypatch.setattr(cli, "random_leaf_points", counted)
+    monkeypatch.setattr(foliation, "random_leaf_points", counted)
     return calls
 
 
@@ -751,6 +776,22 @@ def test_isometry_solve_check_classify_flow(capsys, profiles, tmp_path):
     assert code == 0
     sectors = rep["results"]["sectors"]
     assert len(sectors) == 1 and sectors[0]["label"] == "legendre"
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
+def test_isometry_classify_names_a_tol_that_is_not_positive_finite(
+        capfd, profiles, tmp_path, tol):
+    # NaN ended in a traceback (the report's JSON rejects it), and 0 or -1
+    # exited 0 with the whole sector labelled "transition"
+    triple_path = str(tmp_path / "triple.json")
+    assert main(["isometry", "solve", "--profile", profiles["ellipse"],
+                 "--theta", "legendre", "--out", triple_path]) == 0
+    capfd.readouterr()
+    code = main(["isometry", "classify", "--triple", triple_path, "--tol", tol])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"isonorm: error: classify tol must be positive and "
+                   f"finite, got {float(tol)!r}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -962,6 +1003,25 @@ def test_isometry_glue_sectors_that_meet_within_tolerance(capsys, tmp_path):
         assert code == 0
         band_residuals.append(rep["residuals"]["band_residual"])
     assert band_residuals[0] == band_residuals[1] < 1e-6
+
+
+@pytest.mark.parametrize("band", ["0", "-0.02", "nan", "inf"])
+def test_isometry_glue_names_a_band_width_that_is_not_positive_finite(
+        capfd, tmp_path, band):
+    # 0 and -0.02 exited 0 with the roundness check shrunk to the break
+    # point, and NaN failed as a "non-finite angle" naming no option
+    base_path = tmp_path / "base.json"
+    save_profile(bump_profile(2, humps=[(0.5, 0.4)]), base_path)
+    sectors_path = tmp_path / "sectors.json"
+    sectors_path.write_text(json.dumps([
+        {"lo": 0.0, "hi": 0.9, "mode": "scale"},
+        {"lo": 0.9, "hi": math.pi / 2, "mode": "legendre-scale"}]))
+    code = main(["isometry", "glue", "--profile", str(base_path),
+                 "--sectors", str(sectors_path), "--band-width", band])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == (f"isonorm: error: band_width must be positive and finite, "
+                   f"got {float(band)!r}\n")
 
 
 GOOD_SECTOR = {"lo": 0.0, "hi": 0.9, "mode": "scale"}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isonorm import hessian, isometry
+from isonorm import foliation, hessian, isometry
 from isonorm.foliation import (FocalProximityError, parse_model,
                                random_leaf_points, shape_spectrum, t_coord)
 from isonorm.hessian import (InducedNorm, closed_fundamental_tensor,
@@ -728,7 +728,7 @@ def test_induced_sample_points_are_one_leaf_draw(spec, monkeypatch):
         calls.append(args[2])
         return random_leaf_points(*args, **kw)
 
-    monkeypatch.setattr(isometry, "random_leaf_points", counted)
+    monkeypatch.setattr(foliation, "random_leaf_points", counted)
     X = isometry._sample_points(InducedNorm(m, Profile(m.d, (1.0,))), 20, seed=9)
     assert calls == [20]
     # (t, r) of each sample in one draw, then the leaf points from its stream

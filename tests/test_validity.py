@@ -7,6 +7,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import numpy.polynomial.chebyshev as chebyshev
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -325,9 +326,10 @@ def test_skipping_phi_roots_keeps_the_full_candidate_report(d, tail, offset,
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The length of every series whose roots `chebroots` finds."""
-    seen, chebroots = [], profile_module.chebroots
-    monkeypatch.setattr(profile_module, "chebroots",
+    """The length of every series whose roots `chebroots` finds (profile
+    imports it from numpy's chebyshev module where it solves)."""
+    seen, chebroots = [], chebyshev.chebroots
+    monkeypatch.setattr(chebyshev, "chebroots",
                         lambda s: seen.append(len(s)) or chebroots(s))
     return seen
 
