@@ -10,8 +10,9 @@ covers `--help` of every command and subcommand, every subcommand on the
 four foliation models with seeds 0 and 1, `tensor` off the unit sphere,
 planar and model `sample`, a stored triple whose f is not a Minkowski
 profile, stored triples with a sampled and a piecewise theta map (so every
-theta kind is checked and classified), and profile JSON whose `cos_coeffs`
-or `fit_residual` is not a number.
+theta kind is checked and classified), profile JSON whose `cos_coeffs`
+or `fit_residual` is not a number, and, last, `validate` of a marginal and
+an invalid three-term profile and of an exact dual.
 
 Whether a change moves a report byte is then a diff of two runs:
 
@@ -40,6 +41,8 @@ PROFILES = {
     "wobble3.json": Profile(3, (0.5, 0.02)),
     "not_minkowski.json": Profile(2, (1.0, 1.5)),
     "glue_base.json": bump_profile(2, humps=[(0.5, 0.4)]),
+    "pinched.json": Profile(1, (0.75, 1.0, 0.25)),  # (1 + cos t)^2 / 2
+    "negative3.json": Profile(2, (0.2, 0.5, 0.1)),
 }
 MODELS = (("d1:3", "d1.json"), ("d2:4:2", "ellipse.json"),
           ("d2:8:3", "ellipse.json"), ("cartan3", "wobble3.json"))
@@ -74,6 +77,8 @@ OTHER_INPUTS = {
             {"lo": 0.0, "hi": 0.8, "map": {"kind": "identity"}},
             {"lo": 0.8, "hi": math.pi / 2,
              "map": {"kind": "linear", "a": 1.0, "b": 1.2}}]}},
+    "dual.json": {"kind": "dual", "base": PROFILES["d1.json"].to_json_dict(),
+                  "scale": 0.5},
     **MALFORMED,
 }
 
@@ -116,6 +121,8 @@ def argvs() -> list[list[str]]:
                    "sampled_theta_triple.json", "piecewise_theta_triple.json"):
         out.append(["isometry", "check", "--triple", triple])
         out.append(["isometry", "classify", "--triple", triple])
+    for name in ("pinched.json", "negative3.json", "dual.json"):
+        out.append(["validate", "--profile", name])
     return out
 
 

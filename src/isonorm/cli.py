@@ -31,8 +31,9 @@ STATUS_BY_VALIDITY = {"valid": "ok", "marginal": "marginal", "invalid": "failed"
 NOT_INPUTS = ("func", "command", "subcommand", "degrees", "out")
 
 # Per-residual thresholds (within -> ok, within 'marginal' bound -> marginal,
-# beyond -> failed).  Keyed by residual name as it appears in the report, so
-# that every emitted residual takes part in the exit-status decision.
+# beyond -> failed), by the report's name of each residual `_status_from` reads.
+# `validate` (min_f, min_gap) takes its status from the validity verdict and
+# `curvature` (max_abs_component, noise_floor) from its noise-floor rule.
 TOLERANCES = {
     "frame_error": (1e-5, 1e-3),
     "grad_error": (1e-4, 1e-3),

@@ -571,10 +571,10 @@ class Sector:
     def __post_init__(self):
         if self.mode not in ("scale", "legendre-scale"):
             raise ValueError(f"unknown sector mode {self.mode!r}")
-        if self.scale <= 0:
-            raise ValueError("sector scale must be positive")
-        if self.hi <= self.lo:
-            raise ValueError("empty sector interval")
+        if not 0 < self.scale < math.inf:  # a NaN fails both tests
+            raise ValueError(f"sector scale must be positive and finite, got {self.scale}")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"sector [{self.lo}, {self.hi}] must be finite and non-empty")
 
 
 def _sector(i: int, s) -> Sector:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .profile import (CLENSHAW_MAX_TERMS, FIT_MAX_TERMS, Profile, as_angle,
+from .profile import (FIT_MAX_TERMS, Profile, _candidates, as_angle,
                       dihedral_fold, gap_from_jet, is_minkowski, lobatto_fit,
                       require_minkowski)
 
@@ -207,8 +207,8 @@ class DualProfile:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:  # a NaN fails too
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         rep = is_minkowski(self.base)
         if not rep.valid:
             raise ValueError(f"dual needs a valid profile ({rep.status}: "
@@ -219,15 +219,11 @@ class DualProfile:
         return self.base.d
 
     def stationary_angles(self) -> np.ndarray:
-        """theta_legendre of the base's angles, as (h o theta)' =
-        -s f' gap_f / (4f^2 + f'^2)^2 and gap_h(theta(t)) = s^2 / gap_f(t).
-        A valid base has f > 0, so a long series base gives only the roots of
-        phi' and psi' (`Profile._root_angles`) that its own check solved for,
-        not the companion solve of phi's."""
-        b = self.base
-        if isinstance(b, Profile) and len(b.cos_coeffs) > CLENSHAW_MAX_TERMS:
-            return theta_legendre(b, np.append(b._root_angles(1), b._root_angles(2)))
-        return theta_legendre(b, b.stationary_angles())
+        """theta_legendre of the base's candidate angles, as (h o theta)' =
+        -s f' gap_f / (4f^2 + f'^2)^2 and gap_h(theta(t)) = s^2 / gap_f(t):
+        a valid base has f > 0, so `_candidates` gives the angles its own
+        check used, without phi's roots, for any kind of base."""
+        return theta_legendre(self.base, _candidates(self.base, 0.0, math.pi / self.d)[0])
 
     def _invert_theta(self, theta):
         """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta a

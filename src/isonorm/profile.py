@@ -19,8 +19,8 @@ angles, flat or a column, has the bits of its one-angle call.  A
 `Profile`'s jet is the kernel it binds (Clenshaw's sum or, for a long
 series, a rotation table), so every caller goes the same way in.
 `is_minkowski` is exact: it reads f and the gap from `jet` at the piece ends
-and at each kind's `stationary_angles()`, the only other places their minima
-can lie; a long series solves for the roots of f only when f may vanish.
+and at each smooth piece's `stationary_angles()`, the only other places their minima
+can lie; a series solves for the roots of f only where f may vanish.
 The report and each of a `Profile`'s root sets are computed once and kept.
 """
 
@@ -97,36 +97,32 @@ class Profile:
         """Angles in [0, pi/d] where f, f' or f''' + 4 f' may vanish: in
         q = cos(d t), f is the Chebyshev series phi(q) with coefficients c_j,
         f' = -d sin(d t) phi'(q), and f''' + 4 f' is the f' of psi(q) with
-        coefficients c_j ((j d)^2 - 4); t = arccos(q)/d over the real parts,
-        clipped to [-1, 1], of the roots of phi, phi' and psi'.  Computed
-        once per object; the array is read-only.  A series of at most
-        CLENSHAW_MAX_TERMS terms takes numpy's steps written out, a longer
-        one `_root_angles`: `is_minkowski` solves for phi's only if f may vanish."""
+        coefficients c_j ((j d)^2 - 4): `_root_angles`' sets for phi, phi'
+        and psi', in that order.  Computed once per object; read-only."""
         if "_angles" not in self.__dict__:
-            c = self.cos_coeffs
-            if len(c) <= CLENSHAW_MAX_TERMS:
-                c4 = tuple(v * ((j * self.d) ** 2 - 4.0) for j, v in enumerate(c))
-                q = [v for s in (c, _short_chebder(c), _short_chebder(c4))
-                     for v in _short_roots(s)]
-                angles = np.arccos(np.clip(np.array(q, dtype=float), -1.0, 1.0)) / self.d
-            else:
-                angles = np.concatenate([self._root_angles(i) for i in range(3)])
+            angles = np.concatenate([self._root_angles(i) for i in range(3)])
             angles.flags.writeable = False
             object.__setattr__(self, "_angles", angles)
         return self._angles
 
     def _root_angles(self, i: int) -> np.ndarray:
-        """Angles of a long series' roots of phi, phi' or psi' (i = 0, 1, 2),
-        by numpy's functions: one companion-matrix solve each, once per object."""
+        """t = arccos(q)/d over the real parts q, clipped to [-1, 1], of the
+        roots of phi, phi' or psi' (i = 0, 1, 2), once per object: numpy's
+        steps written out for at most CLENSHAW_MAX_TERMS terms, else numpy's
+        functions, one companion-matrix solve each."""
         roots = self.__dict__.setdefault("_roots", {})
         if i not in roots:
-            from numpy.polynomial.chebyshev import chebder, chebroots
-            from numpy.polynomial.polyutils import trimcoef
-            s = np.asarray(self.cos_coeffs)
-            if i:
-                s = chebder(s * ((np.arange(len(s)) * self.d) ** 2 - 4.0) if i == 2 else s)
-            # trailing c_j below eps * max|c| overflow the companion matrix
-            q = chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
+            c = self.cos_coeffs
+            if i == 2:
+                c = tuple(v * ((j * self.d) ** 2 - 4.0) for j, v in enumerate(c))
+            if len(c) <= CLENSHAW_MAX_TERMS:
+                q = np.array(_short_roots(_short_chebder(c) if i else c), dtype=float)
+            else:
+                from numpy.polynomial.chebyshev import chebder, chebroots
+                from numpy.polynomial.polyutils import trimcoef
+                s = chebder(c) if i else np.asarray(c)
+                # trailing c_j below eps * max|c| overflow the companion matrix
+                q = chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
             roots[i] = np.arccos(np.clip(q, -1.0, 1.0)) / self.d
         return roots[i]
 
@@ -302,15 +298,15 @@ class ValidityReport:
 
 def _candidates(p, lo: float, hi: float) -> np.ndarray:
     """Rows (t, f, gap) from each smooth piece's own jet at its ends and
-    stationary angles in [lo, hi]; sectors split at their breaks.  A long
-    series leaves out phi's roots if f > VALIDITY_MARGIN at the rest: no zero."""
+    stationary angles in [lo, hi]; sectors split at their breaks.  A series
+    leaves out phi's roots if f > VALIDITY_MARGIN at the rest: no zero."""
     if isinstance(p, SectorProfile):
         ends = (0.0, *p.breaks, math.pi / p.d)
         return np.hstack([_candidates(piece, max(a, lo), min(b, hi))
                           for piece, a, b in zip(p.pieces, ends, ends[1:])
                           if max(a, lo) < min(b, hi)])
     sets = [p.stationary_angles]
-    if isinstance(p, Profile) and len(p.cos_coeffs) > CLENSHAW_MAX_TERMS:
+    if isinstance(p, Profile):
         sets.insert(0, lambda: np.append(p._root_angles(1), p._root_angles(2)))
     for angles in sets:
         # np.unique's values, by its steps, without the numpy.ma import it makes
@@ -325,7 +321,7 @@ def _candidates(p, lo: float, hi: float) -> np.ndarray:
 def is_minkowski(p) -> ValidityReport:
     """Check f > 0 and gap > 0 on [0, pi/d], exactly: on a smooth piece both
     reach their minima at a piece end or where f' or gap' = 2 f (f''' + 4 f')
-    vanishes, and there the values come from `jet`; a long series solves for
+    vanishes, and there the values come from `jet`; a series solves for
     phi's roots only if f is at most 1e-9 at the ends and the other roots.
     "valid" needs both minima above 1e-9; a sign flip below -1e-9 is
     "invalid"; anything pinched in between is reported as "marginal" rather
@@ -502,10 +498,6 @@ class SectorProfile:
         out *= sign ** np.arange(k + 1)[:, None]
         return tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
                      for v in out)
-
-    def stationary_angles(self) -> np.ndarray:
-        """The breaks and every piece's angles (for an exact dual's base)."""
-        return np.hstack([self.breaks, *(p.stationary_angles() for p in self.pieces)])
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "kind": "sector", "breaks": list(self.breaks),

@@ -35,6 +35,7 @@ def profiles(tmp_path):
         "pinched": Profile(1, (0.75, 1.0, 0.25)),  # (1 + cos t)^2 / 2
         "wobble3": Profile(3, (0.5, 0.02)),
         "tilted1": Profile(1, (1.0, 0.3)),
+        "cos3": Profile(2, (1.0, 0.1, 0.02)),
         # a gap dip at t = pi/2 narrower than a 1024-point grid's spacing
         "exhibit": Profile(1, (1.0, 0.0, -0.01) + (0.0,) * 61 + (4.837e-4,)),
     }.items():
@@ -227,10 +228,13 @@ def test_validate_dual_of_a_marginal_base_is_a_clean_error(capfd, tmp_path):
     {"d": 2, "kind": "cosine", "cos_coeffs": [1.0], "fit_residual": math.nan},
     {"d": 2, "kind": "cosine", "cos_coeffs": [[1.0]]},
     {"d": 2, "kind": "cosine", "cos_coeffs": 1.0},
-    {"d": 2, "kind": "cosine", "cos_coeffs": [1.0], "fit_residual": [0.1]}])
+    {"d": 2, "kind": "cosine", "cos_coeffs": [1.0], "fit_residual": [0.1]},
+    {"kind": "dual", "base": {"d": 2, "cos_coeffs": [1.0, 0.2]}, "scale": math.nan},
+    {"kind": "dual", "base": {"d": 2, "cos_coeffs": [1.0, 0.2]}, "scale": math.inf}])
 def test_non_finite_profile_is_a_clean_error(capfd, tmp_path, profile):
-    # a NaN coefficient was "marginal" and then broke the report's JSON; a
-    # list in place of a number was a TypeError traceback
+    # a NaN coefficient was "marginal" and then broke the report's JSON, as
+    # a NaN or infinite dual scale did; a list in place of a number was a
+    # TypeError traceback
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(profile))  # writes NaN / Infinity
     code = main(["validate", "--profile", str(path)])
@@ -415,7 +419,7 @@ POLYNOMIAL = {"numpy.polynomial", "numpy.polynomial.chebyshev"}
 # Command groups, each run in one fresh process, and the modules that none
 # of its commands may load: a command imports only what it runs
 IMPORT_GROUPS = [
-    ([["validate", "--profile", "{ellipse}"]],
+    ([["validate", "--profile", "{ellipse}"], ["validate", "--profile", "{cos3}"]],
      {"isonorm.planar", "isonorm.hessian", "isonorm.isometry", "numpy.ma",
       *FOLIATION, *POLYNOMIAL}),
     ([["foliation", "info", "--model", "cartan3"]],
@@ -1041,9 +1045,19 @@ GOOD_SECTOR = {"lo": 0.0, "hi": 0.9, "mode": "scale"}
     (3, "sectors must be a list,"),
     ([GOOD_SECTOR, {"lo": 0.9, "hi": math.pi / 2, "mode": "foo"}],
      "sectors entry 1 is invalid: unknown sector mode 'foo'"),
+    # json.load reads NaN and Infinity: a NaN scale ended in a traceback,
+    # and a lone sector from lo = NaN glued and exited 0
+    ([{**GOOD_SECTOR, "scale": math.nan}, GOOD_SECTOR],
+     "sectors entry 0 is invalid: sector scale must be positive and finite, got nan"),
+    ([{**GOOD_SECTOR, "scale": math.inf}, GOOD_SECTOR],
+     "sectors entry 0 is invalid: sector scale must be positive and finite, got inf"),
+    ([{"lo": math.nan, "hi": math.pi / 2, "mode": "scale"}],
+     f"sectors entry 0 is invalid: sector [nan, {math.pi / 2}] must be finite"),
+    ([GOOD_SECTOR, {"lo": 0.9, "hi": math.inf, "mode": "scale"}],
+     "sectors entry 1 is invalid: sector [0.9, inf] must be finite"),
 ], ids=["missing-mode", "unknown-key", "not-an-object", "lo-not-a-number",
         "scale-not-a-number", "mode-not-a-string", "sectors-not-a-list",
-        "unknown-mode"])
+        "unknown-mode", "scale-nan", "scale-inf", "lo-nan", "hi-inf"])
 def test_isometry_glue_bad_sector_is_named(capfd, tmp_path, sectors, named):
     base_path = tmp_path / "base.json"
     save_profile(bump_profile(2, humps=[(0.5, 0.4)]), base_path)

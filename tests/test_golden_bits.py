@@ -32,7 +32,7 @@ from isonorm.hessian import (InducedNorm, closed_frame_matrix,
 from isonorm.isometry import (IsometryTriple, bump_profile, legendre_map_tag,
                               ode_residuals, theta_jet)
 from isonorm.planar import DualProfile, legendre_num_den
-from isonorm.profile import Profile
+from isonorm.profile import Profile, is_minkowski
 
 # (d, (c0, c1), t, ode_residuals, DualProfile.jet(t, 2), theta_jet(t, 1))
 GOLDEN = [
@@ -314,6 +314,259 @@ def test_stationary_angles_of_random_profiles_keep_their_recorded_bits():
     for p in profiles:
         h.update(" ".join(_hex(p.stationary_angles())).encode() + b"\n")
     assert h.hexdigest() == STATIONARY_DIGEST
+
+
+# --- is_minkowski reports of short series ----------------------------------
+# Recorded at commit 07063c8, before every series length went through one
+# candidate rule: min_f, min_gap and argmin as hex, and the status, of
+# `is_minkowski` on profiles of 1 to 3 terms for every d: valid; marginal (at
+# the validity bound, scaled down to about 1e-12, or f touching zero);
+# invalid (f or the gap negative); c1 = 0; and a complex pair of phi's roots
+# whose real part lies inside or outside [-1, 1].  Each valid profile's
+# exact dual has a row of its own.
+VALIDITY_REPORTS = [
+    (1, (0.5,), 'profile',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (1, (0.5,), 'dual',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (1, (0.0,), 'profile',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', 'marginal'),
+    (1, (-0.5,), 'profile',
+     '-0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'invalid'),
+    (1, (1.0, 0.5), 'profile',
+     '0x1.0000000000000p-1', '0x1.8000000000000p+0', '0x1.921fb54442d18p+1', 'valid'),
+    (1, (1.0, 0.5), 'dual',
+     '0x1.5555555555555p-3', '0x1.1111111111111p-3', '0x0.0p+0', 'valid'),
+    (1, (1.0, 1.0), 'profile',
+     '0x0.0p+0', '-0x1.377ce858a5d48p-106', '0x1.921fb54442d18p+1', 'marginal'),
+    (1, (1.0, 1.5), 'profile',
+     '-0x1.0000000000000p-1', '-0x1.3fffffffffffep+0', '0x1.267791e35f0c4p+1', 'invalid'),
+    (1, (1.0, 0.0), 'profile',
+     '0x1.0000000000000p+0', '0x1.0000000000000p+2', '0x0.0p+0', 'valid'),
+    (1, (1.0, 0.0), 'dual',
+     '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x0.0p+0', 'valid'),
+    (1, (0.8, 0.4, 0.3), 'profile',
+     '0x1.bbbbbbbbbbbbdp-2', '0x1.ae147ae147ae0p-1', '0x1.921fb54442d18p+1', 'valid'),
+    (1, (0.8, 0.4, 0.3), 'dual',
+     '0x1.5555555555555p-3', '0x1.e79e79e79e79ep-3', '0x0.0p+0', 'valid'),
+    (1, (8e-13, 4e-13, 3e-13), 'profile',
+     '0x1.e7e3d464f95b7p-42', '0x1.03f7a8112b547p-80', '0x1.921fb54442d18p+1', 'marginal'),
+    (1, (1.0, 0.5, 1.5), 'profile',
+     '-0x1.0aaaaaaaaaaabp-1', '-0x1.8000000000000p+2', '0x1.921fb54442d18p+1', 'invalid'),
+    (1, (0.2, 0.5, 0.1), 'profile',
+     '-0x1.9999999999999p-3', '-0x1.4b6d8342d3020p-3', '0x1.cab462a8115dbp+0', 'invalid'),
+    (1, (1.0, 0.0, 0.3), 'profile',
+     '0x1.6666666666666p-1', '0x1.d1eb851eb851ep+1', '0x1.921fb54442d18p+0', 'valid'),
+    (1, (1.0, 0.0, 0.3), 'dual',
+     '0x1.89d89d89d89d8p-3', '0x1.1951951951950p-2', '0x0.0p+0', 'valid'),
+    (1, (1.0, 0.0, -0.3), 'profile',
+     '0x1.6666666666666p-1', '0x1.d1eb851eb851ep+1', '0x0.0p+0', 'valid'),
+    (1, (1.0, 0.0, -0.3), 'dual',
+     '0x1.89d89d89d89d8p-3', '0x1.1951951951950p-2', '0x1.921fb54442d18p+0', 'valid'),
+    (1, (1.0, 0.1, 0.4), 'profile',
+     '0x1.3199999999999p-1', '0x1.6e147ae147ae5p+1', '0x1.921fb54442d18p+1', 'valid'),
+    (1, (1.0, 0.1, 0.4), 'dual',
+     '0x1.5555555555555p-3', '0x1.0690690690691p-2', '0x0.0p+0', 'valid'),
+    (1, (1.0, -0.3, 0.2), 'profile',
+     '0x1.7ccccccccccccp-1', '0x1.2b851eb851ebap+1', '0x0.0p+0', 'valid'),
+    (1, (1.0, -0.3, 0.2), 'dual',
+     '0x1.5555555555555p-3', '0x1.674c59d31674cp-3', '0x1.921fb54442d18p+1', 'valid'),
+    (2, (0.5,), 'profile',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (2, (0.5,), 'dual',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (2, (0.0,), 'profile',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', 'marginal'),
+    (2, (-0.5,), 'profile',
+     '-0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'invalid'),
+    (2, (1.0, 0.5), 'profile',
+     '0x1.0000000000000p-1', '0x1.8000000000000p+1', '0x0.0p+0', 'valid'),
+    (2, (1.0, 0.5), 'dual',
+     '0x1.5555555555555p-3', '0x1.5555555555555p-2', '0x0.0p+0', 'valid'),
+    (2, (1.0, 1.0), 'profile',
+     '0x0.0p+0', '-0x1.377ce858a5d48p-104', '0x1.921fb54442d18p+0', 'marginal'),
+    (2, (1.0, 1.5), 'profile',
+     '-0x1.0000000000000p-1', '-0x1.4000000000000p+2', '0x0.0p+0', 'invalid'),
+    (2, (1.0, 0.0), 'profile',
+     '0x1.0000000000000p+0', '0x1.0000000000000p+2', '0x0.0p+0', 'valid'),
+    (2, (1.0, 0.0), 'dual',
+     '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x0.0p+0', 'valid'),
+    (2, (0.8, 0.4, 0.04285714285714285), 'profile',
+     '0x1.c57c57c57c57cp-2', '0x1.fd130463796b0p-2', '0x0.0p+0', 'valid'),
+    (2, (0.8, 0.4, 0.04285714285714285), 'dual',
+     '0x1.9bf43ad9bf43bp-3', '0x1.7c77934b8cc5dp-2', '0x1.328d0fe33647ap-2', 'valid'),
+    (2, (8e-13, 4e-13, 4.285714285714285e-14), 'profile',
+     '0x1.f29ce180830ebp-42', '0x1.33b76e1ec5928p-81', '0x0.0p+0', 'marginal'),
+    (2, (1.0, 0.5, 0.21428571428571427), 'profile',
+     '0x1.479e79e79e79ep-1', '-0x1.b6db6db6db6dcp+2', '0x0.0p+0', 'invalid'),
+    (2, (0.2, 0.5, 0.1), 'profile',
+     '-0x1.9999999999999p-3', '-0x1.999999999999ap+1', '0x0.0p+0', 'invalid'),
+    (2, (1.0, 0.0, 0.04285714285714285), 'profile',
+     '0x1.ea0ea0ea0ea0fp-1', '0x1.75c28f5c28f5ap+1', '0x0.0p+0', 'valid'),
+    (2, (1.0, 0.0, 0.04285714285714285), 'dual',
+     '0x1.eaf57abd5eaf7p-3', '0x1.9b7b2680bc1afp-3', '0x1.921fb54442d18p-1', 'valid'),
+    (2, (1.0, 0.0, -0.04285714285714285), 'profile',
+     '0x1.ea0ea0ea0ea0ep-1', '0x1.75c28f5c28f5dp+1', '0x1.921fb54442d18p-1', 'valid'),
+    (2, (1.0, 0.0, -0.04285714285714285), 'dual',
+     '0x1.eaf57abd5eaf6p-3', '0x1.9b7b2680bc1b2p-3', '0x0.0p+0', 'valid'),
+    (2, (1.0, 0.014285714285714285, 0.05714285714285714), 'profile',
+     '0x1.e283a83a83a83p-1', '0x1.414e5e0a72f04p+1', '0x0.0p+0', 'valid'),
+    (2, (1.0, 0.014285714285714285, 0.05714285714285714), 'dual',
+     '0x1.ddddddddddddep-3', '0x1.83f052f8ad3a2p-3', '0x1.8a5debae404f8p-1', 'valid'),
+    (2, (1.0, -0.3, 0.02857142857142857), 'profile',
+     '0x1.7507507507507p-1', '0x1.541d41d41d420p+1', '0x1.921fb54442d18p+0', 'valid'),
+    (2, (1.0, -0.3, 0.02857142857142857), 'dual',
+     '0x1.8160581605815p-3', '0x1.dbf67b1204c2ap-3', '0x1.15bdfb834aa9dp+0', 'valid'),
+    (3, (0.5,), 'profile',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (3, (0.5,), 'dual',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (3, (0.0,), 'profile',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', 'marginal'),
+    (3, (-0.5,), 'profile',
+     '-0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'invalid'),
+    (3, (1.0, 0.14285714285714285), 'profile',
+     '0x1.b6db6db6db6dcp-1', '0x1.2492492492492p+1', '0x0.0p+0', 'valid'),
+    (3, (1.0, 0.14285714285714285), 'dual',
+     '0x1.c000000000000p-3', '0x1.8e38e38e38e37p-3', '0x1.0c152382d7365p+0', 'valid'),
+    (3, (1.0, 0.2857142857142857), 'profile',
+     '0x1.6db6db6db6db7p-1', '0x0.0p+0', '0x0.0p+0', 'marginal'),
+    (3, (1.0, 0.42857142857142855), 'profile',
+     '0x1.2492492492492p-1', '-0x1.6db6db6db6db4p+1', '0x0.0p+0', 'invalid'),
+    (3, (1.0, 0.0), 'profile',
+     '0x1.0000000000000p+0', '0x1.0000000000000p+2', '0x0.0p+0', 'valid'),
+    (3, (1.0, 0.0), 'dual',
+     '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x0.0p+0', 'valid'),
+    (3, (0.8, 0.11428571428571428, 0.01764705882352941), 'profile',
+     '0x1.681efa681efa7p-1', '0x1.7db83be41ea20p-2', '0x0.0p+0', 'valid'),
+    (3, (0.8, 0.11428571428571428, 0.01764705882352941), 'dual',
+     '0x1.12b2ab4840a28p-2', '0x1.29f8f770c735cp-2', '0x1.b3f748abbcc6ep-2', 'valid'),
+    (3, (8e-13, 1.1428571428571427e-13, 1.764705882352941e-14), 'profile',
+     '0x1.8bf50d6d95407p-41', '0x1.cd7883904a0b8p-82', '0x0.0p+0', 'marginal'),
+    (3, (1.0, 0.14285714285714285, 0.08823529411764705), 'profile',
+     '0x1.c40553b1bc2f2p-1', '-0x1.3b28dfbb28dfap+2', '0x0.0p+0', 'invalid'),
+    (3, (0.2, 0.5, 0.1), 'profile',
+     '-0x1.9999999999999p-3', '-0x1.4cccccccccccep+3', '0x0.0p+0', 'invalid'),
+    (3, (1.0, 0.0, 0.01764705882352941), 'profile',
+     '0x1.f6f6f6f6f6f6fp-1', '0x1.6cb986531fecfp+1', '0x0.0p+0', 'valid'),
+    (3, (1.0, 0.0, 0.01764705882352941), 'dual',
+     '0x1.f71f133caba71p-3', '0x1.90ebd6056c9a2p-3', '0x1.0c152382d7365p-1', 'valid'),
+    (3, (1.0, 0.0, -0.01764705882352941), 'profile',
+     '0x1.f6f6f6f6f6f70p-1', '0x1.6cb986531feccp+1', '0x1.0c152382d7365p-1', 'valid'),
+    (3, (1.0, 0.0, -0.01764705882352941), 'dual',
+     '0x1.f71f133caba73p-3', '0x1.90ebd6056c9a4p-3', '0x0.0p+0', 'valid'),
+    (3, (1.0, 0.0058823529411764705, 0.023529411764705882), 'profile',
+     '0x1.f3dbdbdbdbdbdp-1', '0x1.3162534435263p+1', '0x0.0p+0', 'valid'),
+    (3, (1.0, 0.0058823529411764705, 0.023529411764705882), 'dual',
+     '0x1.f15f15f15f15ep-3', '0x1.76875f56b1a38p-3', '0x1.09d87feb21216p-1', 'valid'),
+    (3, (1.0, -0.0857142857142857, 0.011764705882352941), 'profile',
+     '0x1.da2347da2347ep-1', '0x1.18f46218f4623p+1', '0x1.0c152382d7365p+0', 'valid'),
+    (3, (1.0, -0.0857142857142857, 0.011764705882352941), 'dual',
+     '0x1.d286139a12089p-3', '0x1.aaef365a1fdd3p-3', '0x1.11c0d2952c666p-1', 'valid'),
+    (4, (0.5,), 'profile',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (4, (0.5,), 'dual',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (4, (0.0,), 'profile',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', 'marginal'),
+    (4, (-0.5,), 'profile',
+     '-0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'invalid'),
+    (4, (1.0, 0.07142857142857142), 'profile',
+     '0x1.db6db6db6db6ep-1', '0x1.1249249249249p+1', '0x0.0p+0', 'valid'),
+    (4, (1.0, 0.07142857142857142), 'dual',
+     '0x1.ddddddddddddep-3', '0x1.6f96f96f96f96p-3', '0x1.921fb54442d18p-1', 'valid'),
+    (4, (1.0, 0.14285714285714285), 'profile',
+     '0x1.b6db6db6db6dcp-1', '0x0.0p+0', '0x0.0p+0', 'marginal'),
+    (4, (1.0, 0.21428571428571427), 'profile',
+     '0x1.9249249249249p-1', '-0x1.36db6db6db6dap+1', '0x0.0p+0', 'invalid'),
+    (4, (1.0, 0.0), 'profile',
+     '0x1.0000000000000p+0', '0x1.0000000000000p+2', '0x0.0p+0', 'valid'),
+    (4, (1.0, 0.0), 'dual',
+     '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x0.0p+0', 'valid'),
+    (4, (0.8, 0.05714285714285714, 0.009677419354838708), 'profile',
+     '0x1.814c35cb9eca8p-1', '0x1.630cb19e81f58p-2', '0x0.0p+0', 'valid'),
+    (4, (0.8, 0.05714285714285714, 0.009677419354838708), 'dual',
+     '0x1.27550fa6b846cp-2', '0x1.1db4f61fc5108p-2', '0x1.6bef606414e57p-2', 'valid'),
+    (4, (8e-13, 5.714285714285714e-14, 9.677419354838709e-15), 'profile',
+     '0x1.a7a3a8f394e98p-41', '0x1.ad3a863db79d8p-82', '0x0.0p+0', 'marginal'),
+    (4, (1.0, 0.07142857142857142, 0.04838709677419355), 'profile',
+     '0x1.e07a3de84b0d9p-1', '-0x1.1eac3d587ab10p+2', '0x0.0p+0', 'invalid'),
+    (4, (0.2, 0.5, 0.1), 'profile',
+     '-0x1.9999999999999p-3', '-0x1.47ae147ae147bp+4', '0x0.0p+0', 'invalid'),
+    (4, (1.0, 0.0, 0.009677419354838708), 'profile',
+     '0x1.fb0b8fb0b8fb1p-1', '0x1.69de4e9de4e9cp+1', '0x0.0p+0', 'valid'),
+    (4, (1.0, 0.0, 0.009677419354838708), 'dual',
+     '0x1.fb17b8068b0abp-3', '0x1.8db1df4951248p-3', '0x1.921fb54442d18p-2', 'valid'),
+    (4, (1.0, 0.0, -0.009677419354838708), 'profile',
+     '0x1.fb0b8fb0b8fb0p-1', '0x1.69de4e9de4ea0p+1', '0x1.921fb54442d18p-2', 'valid'),
+    (4, (1.0, 0.0, -0.009677419354838708), 'dual',
+     '0x1.fb17b8068b0a9p-3', '0x1.8db1df4951248p-3', '0x0.0p+0', 'valid'),
+    (4, (1.0, 0.0032258064516129032, 0.012903225806451613), 'profile',
+     '0x1.f957891578915p-1', '0x1.2c6836215a17cp+1', '0x0.0p+0', 'valid'),
+    (4, (1.0, 0.0032258064516129032, 0.012903225806451613), 'dual',
+     '0x1.f7df7df7df7e0p-3', '0x1.727958e2d1b02p-3', '0x1.8ff84f9e9d401p-2', 'valid'),
+    (4, (1.0, -0.04285714285714285, 0.0064516129032258064), 'profile',
+     '0x1.ed5c411ee8a43p-1', '0x1.0c9f7fa565b15p+1', '0x1.921fb54442d18p-1', 'valid'),
+    (4, (1.0, -0.04285714285714285, 0.0064516129032258064), 'dual',
+     '0x1.e7f0b5af46b7ap-3', '0x1.a13a54faea19cp-3', '0x1.7ee201f242638p-2', 'valid'),
+    (6, (0.5,), 'profile',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (6, (0.5,), 'dual',
+     '0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'valid'),
+    (6, (0.0,), 'profile',
+     '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', 'marginal'),
+    (6, (-0.5,), 'profile',
+     '-0x1.0000000000000p-1', '0x1.0000000000000p+0', '0x0.0p+0', 'invalid'),
+    (6, (1.0, 0.029411764705882353), 'profile',
+     '0x1.f0f0f0f0f0f0fp-1', '0x1.0787878787878p+1', '0x0.0p+0', 'valid'),
+    (6, (1.0, 0.029411764705882353), 'dual',
+     '0x1.f15f15f15f160p-3', '0x1.5fad40a57eb50p-3', '0x1.0c152382d7365p-1', 'valid'),
+    (6, (1.0, 0.058823529411764705), 'profile',
+     '0x1.e1e1e1e1e1e1ep-1', '0x1.0000000000000p-50', '0x0.0p+0', 'marginal'),
+    (6, (1.0, 0.08823529411764705), 'profile',
+     '0x1.d2d2d2d2d2d2dp-1', '-0x1.1696969696966p+1', '0x0.0p+0', 'invalid'),
+    (6, (1.0, 0.0), 'profile',
+     '0x1.0000000000000p+0', '0x1.0000000000000p+2', '0x0.0p+0', 'valid'),
+    (6, (1.0, 0.0), 'dual',
+     '0x1.0000000000000p-2', '0x1.0000000000000p-2', '0x0.0p+0', 'valid'),
+    (6, (0.8, 0.023529411764705882, 0.004225352112676056), 'profile',
+     '0x1.8fb760d7d4393p-1', '0x1.530c60bff0420p-2', '0x0.0p+0', 'valid'),
+    (6, (0.8, 0.023529411764705882, 0.004225352112676056), 'dual',
+     '0x1.3545353816c0dp-2', '0x1.16e63fea9071ep-2', '0x1.007591a360f32p-2', 'valid'),
+    (6, (8e-13, 2.3529411764705884e-14, 4.225352112676056e-15), 'profile',
+     '0x1.b77e246c05f79p-41', '0x1.99e261e0303c8p-82', '0x0.0p+0', 'marginal'),
+    (6, (1.0, 0.029411764705882353, 0.02112676056338028), 'profile',
+     '0x1.f29004754b161p-1', '-0x1.0cf017c13834ap+2', '0x0.0p+0', 'invalid'),
+    (6, (0.2, 0.5, 0.1), 'profile',
+     '-0x1.9999999999999p-3', '-0x1.8a3d70a3d70a4p+5', '0x0.0p+0', 'invalid'),
+    (6, (1.0, 0.0, 0.004225352112676056), 'profile',
+     '0x1.fdd62cb5b9546p-1', '0x1.67ea13e731782p+1', '0x0.0p+0', 'valid'),
+    (6, (1.0, 0.0, 0.004225352112676056), 'dual',
+     '0x1.fdd88141b499cp-3', '0x1.8b84714eaf883p-3', '0x1.0c152382d7365p-2', 'valid'),
+    (6, (1.0, 0.0, -0.004225352112676056), 'profile',
+     '0x1.fdd62cb5b9546p-1', '0x1.67ea13e731782p+1', '0x1.0c152382d7365p-2', 'valid'),
+    (6, (1.0, 0.0, -0.004225352112676056), 'dual',
+     '0x1.fdd88141b499cp-3', '0x1.8b84714eaf883p-3', '0x0.0p+0', 'valid'),
+    (6, (1.0, 0.0014084507042253522, 0.005633802816901409), 'profile',
+     '0x1.fd17cc1431096p-1', '0x1.290494a7578fap+1', '0x0.0p+0', 'valid'),
+    (6, (1.0, 0.0014084507042253522, 0.005633802816901409), 'dual',
+     '0x1.fc6b699f5423dp-3', '0x1.6fbfae7594066p-3', '0x1.0b2a12b5bc7f8p-2', 'valid'),
+    (6, (1.0, -0.01764705882352941, 0.0028169014084507044), 'profile',
+     '0x1.f8682e7dd0becp-1', '0x1.053d2047f1685p+1', '0x1.0c152382d7365p-1', 'valid'),
+    (6, (1.0, -0.01764705882352941, 0.0028169014084507044), 'dual',
+     '0x1.f5bb895d02793p-3', '0x1.9b89c51fad7dcp-3', '0x1.e9ec1d5b8a7c1p-3', 'valid'),
+    (1, (0.75, 1.0, 0.25), 'profile',
+     '0x0.0p+0', '0x0.0p+0', '0x1.921fb54442d18p+1', 'marginal'),
+]
+
+
+@pytest.mark.parametrize("row", VALIDITY_REPORTS, ids=lambda row: f"d{row[0]}-"
+                         f"{row[1]}-{row[2]}")
+def test_validity_reports_of_short_series_keep_their_recorded_bits(row):
+    d, coeffs, kind, *golden = row
+    p = Profile(d, coeffs)
+    rep = is_minkowski(DualProfile(p) if kind == "dual" else p)
+    assert [*_hex([rep.min_f, rep.min_gap, rep.argmin]), rep.status] == golden
 
 
 # --- The field path ---------------------------------------------------------

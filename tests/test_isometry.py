@@ -840,6 +840,20 @@ def test_glue_single_legendre_sector_is_legendre_triple():
     assert np.max(np.abs(ode_residuals(res.triple, ts))) < 1e-9
 
 
+@pytest.mark.parametrize("lo, hi, scale", [
+    (0.0, 1.0, 0.0), (0.0, 1.0, -1.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+    (math.nan, 1.0, 1.0), (0.0, math.nan, 1.0), (-math.inf, 1.0, 1.0),
+    (0.0, math.inf, 1.0), (1.0, 1.0, 1.0), (1.0, 0.5, 1.0)])
+def test_sector_needs_a_positive_finite_scale_and_a_finite_interval(lo, hi, scale):
+    # a NaN passed the tests scale <= 0 and hi <= lo
+    bad_scale = not 0 < scale < math.inf
+    match = (f"sector scale must be positive and finite, got {scale}" if bad_scale
+             else re.escape(f"sector [{lo}, {hi}] must be finite and non-empty"))
+    for mode in ("scale", "legendre-scale"):
+        with pytest.raises(ValueError, match=match):
+            Sector(lo, hi, mode, scale)
+
+
 def test_glue_rejects_coverage_gap():
     base = bump_profile(2, humps=[(0.7, 0.4)])
     with pytest.raises(ValueError):

@@ -641,3 +641,12 @@ def test_indicatrix_points_have_unit_norm():
         x = indicatrix_point(ELLIPSE, float(t))
         assert value(ELLIPSE, x) == pytest.approx(1.0, abs=1e-12)
 
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_exact_dual_needs_a_positive_finite_scale(scale):
+    # a NaN passed the test scale <= 0, and +inf passed it too
+    match = f"scale must be positive and finite, got {scale}"
+    with pytest.raises(ValueError, match=match):
+        DualProfile(Profile(2, (1.0, 0.2)), scale)
+    with pytest.raises(ValueError, match=match):
+        DualProfile(Profile(2, (1.0, 0.2))).scaled(scale)

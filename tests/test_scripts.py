@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-# sha256 of report_digest.py's 85 lines (its whole output)
-REPORT_DIGEST_SHA256 = "1714df03d9fa63f1b6e633632bf12f83925f423d95d2b785ed9060c823194e22"
+# sha256 of report_digest.py's 88 lines (its whole output)
+REPORT_DIGEST_SHA256 = "9b7027ea9e77981eff89717aa0cfef5eb51b9375b1f642de84cf5b92b9c2c826"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -127,10 +127,13 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     assert all(re.fullmatch(r"[0-9a-f]{64} \d+ \S.*", line) for line in runs[0])
     # recorded when the FD Laplacian of t on the indicatrix became the
     # ambient one of the Hessian metric, a called-out change of FD values:
-    # the eight `isoparametric-check` lines moved, no exit code; the 85th
-    # line, `tensor --r 0.37`, pins the r scaling of the frame.  Re-recorded
+    # the eight `isoparametric-check` lines moved, no exit code; the line
+    # of `tensor --r 0.37` pins the r scaling of the frame.  Re-recorded
     # when shape_spectrum's leaf basis came from eigh of the leaf projector:
-    # 7 of the 9 `tensor` lines moved in their last bits, no exit code
-    assert len(runs[0]) == 85
+    # 7 of the 9 `tensor` lines moved in their last bits, no exit code.
+    # Re-pinned when three `validate` lines (a marginal and an invalid
+    # three-term profile, an exact dual) were appended; the first 85 kept
+    # their sha256, 1714df03...
+    assert len(runs[0]) == 88
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256
