@@ -222,7 +222,7 @@ def _cli_check(path):
 def _planar_d_property(f):
     tr = IsometryTriple(f=f, h=DualProfile(f), theta=legendre_map_tag())
     return check_d_property(PlanarNorm(f), PlanarNorm(tr.h), planar_lift_map(tr),
-                            Decomposition(angle=0.0), samples=LIFT_SAMPLES)
+                            Decomposition(vprime=(1.0, 0.0)), samples=LIFT_SAMPLES)
 
 
 def _cartan_lift():

@@ -58,10 +58,11 @@ def triple_row(label, tr, model, samples, seed):
 
     pf, ph = PlanarNorm(tr.f), PlanarNorm(tr.h)
     phi2 = planar_lift_map(tr)
+    splits = (-k * math.pi / tr.f.d for k in range(tr.f.d))
     d_res = max(check_d_property(pf, ph, phi2,
-                                 Decomposition(angle=-k * math.pi / tr.f.d),
+                                 Decomposition(vprime=(math.cos(a), math.sin(a))),
                                  samples=10).max_residual
-                for k in range(tr.f.d))
+                for a in splits)
     print(f"{label:<34} {ode_max:>9.2e} {chk.max_metric_residual:>9.2e} "
           f"{d_res:>9.2e}")
 

@@ -11,8 +11,10 @@ four foliation models with seeds 0 and 1, `tensor` off the unit sphere,
 planar and model `sample`, a stored triple whose f is not a Minkowski
 profile, stored triples with a sampled and a piecewise theta map (so every
 theta kind is checked and classified), profile JSON whose `cos_coeffs`
-or `fit_residual` is not a number, and, last, `validate` of a marginal and
-an invalid three-term profile and of an exact dual.
+or `fit_residual` is not a number, `validate` of a marginal and an invalid
+three-term profile and of an exact dual, and, last, the focal guard: planar
+`sample` with a `--delta` its report echoes, and a `--delta` too wide for
+`curvature` and one negative for `tensor`, both error exits.
 
 Whether a change moves a report byte is then a diff of two runs:
 
@@ -123,6 +125,11 @@ def argvs() -> list[list[str]]:
         out.append(["isometry", "classify", "--triple", triple])
     for name in ("pinched.json", "negative3.json", "dual.json"):
         out.append(["validate", "--profile", name])
+    out.append(["sample", "--profile", "ellipse.json", "--delta", "0.2"])
+    out.append(["curvature", "--profile", "ellipse.json", "--model", "d2:4:2",
+                "--delta", "0.9"])
+    out.append(["tensor", "--profile", "ellipse.json", "--model", "d2:4:2",
+                "--t", "0.5", "--delta", "-1"])
     return out
 
 

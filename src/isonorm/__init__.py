@@ -16,14 +16,14 @@ __version__ = "0.1.0"
 
 # each public name, by the module that defines it
 _HOME = {name: module for module, names in (
-    ("profile", "Profile SectorProfile ValidityReport dihedral_fold from_phi "
-     "is_minkowski load_profile profile_from_json_dict sampled_profile "
-     "save_profile"),
+    ("profile", "DEFAULT_FOCAL_GUARD Profile SectorProfile ValidityReport "
+     "dihedral_fold from_phi is_minkowski load_profile profile_from_json_dict "
+     "sampled_profile save_profile"),
     ("planar", "DualProfile PlanarNorm dual_profile fundamental_tensor "
      "indicatrix_point legendre_map theta_legendre"),
-    ("foliation", "DEFAULT_FOCAL_GUARD FocalProximityError FoliationModel "
-     "cartan3 d1 d2 focal_dimensions multiplicities normal_plane_basis "
-     "parse_model random_leaf_points shape_spectrum t_coord unit_w"),
+    ("foliation", "FocalProximityError FoliationModel cartan3 d1 d2 "
+     "focal_dimensions multiplicities normal_plane_basis parse_model "
+     "random_leaf_points shape_spectrum t_coord unit_w"),
     ("hessian", "InducedNorm closed_frame_matrix energy fd_fundamental_tensor "
      "fd_indicatrix_laplacian_t fd_indicatrix_operators frame_basis "
      "indicatrix_grad_t_norm indicatrix_laplacian_t riemann_fd"),

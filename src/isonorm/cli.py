@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .profile import chop_count, is_minkowski, json_field, load_profile
+from .profile import (DEFAULT_FOCAL_GUARD, chop_count, is_minkowski,
+                      json_field, load_profile)
 
 EXIT_BY_STATUS = {"ok": 0, "marginal": 2, "failed": 1}
 USAGE_EXIT = 64
@@ -434,7 +435,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--t", type=float, default=None)
     sp.add_argument("--r", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_tensor)
 
     sp = sub.add_parser("curvature",
@@ -445,7 +446,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--t", type=float, default=None)
     sp.add_argument("--samples", type=_count, default=4)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_curvature)
 
     sp = sub.add_parser("isoparametric-check",
@@ -457,7 +458,7 @@ def build_parser() -> _Parser:
     # xi_spread compares the points of a leaf: one point compares nothing
     sp.add_argument("--xi-count", type=lambda text: _count(text, 2), default=3)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_isoparametric_check)
 
     iso = sub.add_parser("isometry", help="isometry triple tool chain")
@@ -503,7 +504,7 @@ def build_parser() -> _Parser:
                     help="omit for the planar norm of the profile")
     sp.add_argument("--count", type=_count, default=16)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--delta", type=float, default=None)
+    sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_sample)
 
@@ -526,9 +527,6 @@ def main(argv=None) -> int:
     # the parser is built once, so look the command up when it runs: one
     # replaced since then (a test's monkeypatch) is the one that runs
     command = globals()[args.func.__name__]
-    if "delta" in args and args.delta is None:  # --delta's default, echoed
-        from .foliation import DEFAULT_FOCAL_GUARD  # in the report's inputs
-        args.delta = DEFAULT_FOCAL_GUARD
     try:
         results, residuals, status, *rendered = command(args)
     except (ValueError, OSError) as exc:

@@ -26,10 +26,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import _arrays
-from .profile import _pow
+from .profile import DEFAULT_FOCAL_GUARD, _pow
 
 SQ3 = math.sqrt(3.0)
-DEFAULT_FOCAL_GUARD = 0.05
 # random_leaf_points gives up after this many sphere draws per point wanted
 LEAF_DRAWS_PER_POINT = 1000
 
@@ -253,11 +252,17 @@ def _focal_sin(m: FoliationModel, t):
     return s
 
 
+def _check_guard(m: FoliationModel, delta: float) -> None:
+    """FocalProximityError unless the focal guard delta is in [0, pi/(2d))."""
+    if not 0.0 <= delta < math.pi / (2 * m.d):  # a NaN fails it too
+        raise FocalProximityError(
+            f"delta={delta} must be in [0, pi/(2d)) = [0, {math.pi / (2 * m.d):.4f})")
+
+
 def _require_interior(m: FoliationModel, t, delta: float) -> None:
     """FocalProximityError unless t (a float or an array) lies in (delta,
-    pi/d - delta), a NaN t outside too; first for a negative or NaN delta."""
-    if not delta >= 0.0:
-        raise FocalProximityError(f"delta={delta} must be at least 0")
+    pi/d - delta), a NaN t outside too; first for a delta _check_guard rejects."""
+    _check_guard(m, delta)
     hi = math.pi / m.d - delta
     near = [v for v in np.atleast_1d(t).tolist() if not delta < v < hi]
     if near:
@@ -365,9 +370,7 @@ def random_leaf_points(m: FoliationModel, t, count: int,
     """
     if count < 0:
         raise ValueError(f"count must be at least 0, got {count}")
-    if not 0.0 <= delta < math.pi / (2 * m.d):
-        raise FocalProximityError(
-            f"delta={delta} must be in [0, pi/(2d)) = [0, {math.pi / (2 * m.d):.4f})")
+    _check_guard(m, delta)
     t = np.asarray(t, dtype=float)
     if t.ndim and t.shape != (count,):
         raise ValueError(f"t must be one leaf parameter or {count}, "

@@ -28,10 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import _arrays, hessian_fd
-from .foliation import (DEFAULT_FOCAL_GUARD, FoliationModel, _check_shape,
-                        _focal_sin, _frame, _polar, _radius, _require_interior,
-                        _shape_operator, _sqnorm, multiplicities, t_coord)
-from .profile import Profile, gap_from_jet, require_minkowski
+from .foliation import (FoliationModel, _check_shape, _focal_sin, _frame,
+                        _polar, _radius, _require_interior, _shape_operator,
+                        _sqnorm, multiplicities, t_coord)
+from .profile import DEFAULT_FOCAL_GUARD, Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
 INDICATRIX_STEP = 1e-4

@@ -19,6 +19,8 @@ the profiles' fold, `dihedral_fold`), project_out, planar `fundamental_tensor`
 and `ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
 lift_to_nd's map also carries its exact differential, `phi.jacobian`, which
 check_hessian_isometry takes where it differences any other map.
+check_d_property splits R^n = V' + V'' by one orthonormal basis of V'
+(`Decomposition`): a unit vector, (cos a, sin a) in the plane, or k columns.
 """
 
 from __future__ import annotations
@@ -523,18 +525,34 @@ def check_hessian_isometry(norm1, norm2, phi: Callable,
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Orthogonal splitting: planar via the angle of V', or an explicit
-    orthonormal basis matrix for the V' factor in higher dimensions."""
+    """Orthogonal splitting R^n = V' + V'' by one orthonormal basis Q of V':
+    a unit vector ((cos a, sin a) for the plane's V' at angle a) or n x k
+    orthonormal columns, 1 <= k <= n - 1, kept as the tuple of Q's n rows.
+    A ValueError names a Q not finite, of another k or not orthonormal."""
 
-    angle: float | None = None
-    vprime: tuple | None = None
+    vprime: tuple
+
+    def __post_init__(self):
+        try:
+            Q = np.asarray(self.vprime, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"vprime must be a vector or an (n, k) array of "
+                             f"numbers, got {self.vprime!r}") from None
+        if Q.ndim == 1:  # a single vector is one column
+            Q = Q[:, None]
+        if Q.ndim != 2 or not 1 <= Q.shape[1] < Q.shape[0]:
+            raise ValueError(f"vprime of shape {np.shape(self.vprime)} is not "
+                             f"an (n, k) basis with 1 <= k <= n - 1")
+        if not np.isfinite(Q).all():
+            raise ValueError(f"vprime has a non-finite entry: {Q.tolist()}")
+        if np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() > 1e-12:
+            raise ValueError(f"vprime's columns are not orthonormal: {Q.tolist()}")
+        object.__setattr__(self, "vprime", tuple(map(tuple, Q.tolist())))
 
     def project_out(self, x: np.ndarray) -> np.ndarray:
         """Component of each row of x orthogonal to V' (that is, x''), by
         one product per row, as for a single point."""
-        Q = np.asarray(self.vprime if self.angle is None else
-                       [math.cos(self.angle), math.sin(self.angle)], dtype=float)
-        Q = Q.reshape(len(Q), -1)  # a single vector is one column
+        Q = np.array(self.vprime)
         return x - (Q @ (Q.T @ x[..., None]))[..., 0]
 
 

@@ -38,6 +38,7 @@ VALIDITY_MARGIN = 1e-9
 MAX_DERIV_ORDER = 3
 EPS = np.finfo(float).eps
 PHI_GRID = 512  # from_phi's sample grid
+DEFAULT_FOCAL_GUARD = 0.05  # the leaf layers' focal guard and --delta's default
 # Series of up to this many terms are summed by Clenshaw's recurrence in
 # q = cos(d t), longer ones by a rotation table: Clenshaw takes a few array
 # operations per term and order, the table one complex product per term and

@@ -162,14 +162,14 @@ def test_criterion_5_d_property():
     phi = lambda X: legendre_map(nm, X)
     leg_worst = 0.0
     for c in np.linspace(0.0, math.pi, 8):
-        res = check_d_property(nm, dual_nm, phi, Decomposition(angle=float(c)),
-                               samples=12)
+        dec = Decomposition(vprime=(math.cos(c), math.sin(c)))
+        res = check_d_property(nm, dual_nm, phi, dec, samples=12)
         leg_worst = max(leg_worst, res.max_residual)
     assert leg_worst < 1e-6
 
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    rot = check_d_property(nm, nm, lambda X: X @ R.T, Decomposition(angle=0.0),
-                           samples=12)
+    rot = check_d_property(nm, nm, lambda X: X @ R.T,
+                           Decomposition(vprime=(1.0, 0.0)), samples=12)
     assert rot.max_residual > 1e-3
 
     from isonorm.isometry import d_residuals
@@ -178,7 +178,8 @@ def test_criterion_5_d_property():
     ts = np.linspace(0.1, math.pi / 2 - 0.1, 9)
     ode = ode_residuals(tr, ts)
     for k in range(f.d):
-        dec = Decomposition(angle=-k * math.pi / f.d)
+        a = -k * math.pi / f.d
+        dec = Decomposition(vprime=(math.cos(a), math.sin(a)))
         for i, t in enumerate(ts):
             x = indicatrix_point(nm, float(t))
             lhs = d_residuals(nm, nm, lambda X: X, dec, x[None])[0]

@@ -1,5 +1,6 @@
 """CLI: exit codes, report envelope, schema conformance, determinism."""
 
+import inspect
 import json
 import math
 import os
@@ -14,12 +15,13 @@ import pytest
 import isonorm
 from isonorm import cli, foliation, hessian
 from isonorm.cli import EXIT_BY_STATUS, _status_from, main
-from isonorm.foliation import (DEFAULT_FOCAL_GUARD, parse_model,
-                               random_leaf_points, t_coord)
-from isonorm.isometry import (IsometryTriple, bump_profile, identity_map,
+from isonorm.foliation import parse_model, random_leaf_points, t_coord
+from isonorm.isometry import (CLASSIFY_TOL, IsometryTriple, build_h_from_theta,
+                              bump_profile, classify_sectors, identity_map,
                               save_triple)
-from isonorm.planar import PlanarNorm, indicatrix_point
-from isonorm.profile import Profile, profile_from_json_dict, save_profile
+from isonorm.planar import PlanarNorm, dual_profile, indicatrix_point
+from isonorm.profile import (DEFAULT_FOCAL_GUARD, Profile,
+                             profile_from_json_dict, save_profile)
 
 SCHEMA = json.loads(resources.files("isonorm")
                     .joinpath("schemas/report.schema.json").read_text())
@@ -132,6 +134,23 @@ def test_main_reuses_one_parser_and_repeats_its_output(capsys, profiles):
     with pytest.raises(SystemExit):
         main(["isometry", "check"])
     assert capsys.readouterr().err == errors[1]
+
+
+def test_option_defaults_are_the_library_defaults_they_copy():
+    # the parser keeps these as literals so that it loads neither planar nor
+    # isometry at start-up; they must not drift from the library's own
+    parse = lambda *argv: vars(cli.build_parser().parse_args(argv))
+    default = lambda fun, name: inspect.signature(fun).parameters[name].default
+    classify = parse("isometry", "classify", "--triple", "t.json")
+    assert classify["tol"] == CLASSIFY_TOL == default(classify_sectors, "tol")
+    assert classify["grid"] == default(classify_sectors, "grid")
+    solve = parse("isometry", "solve", "--profile", "p.json", "--theta", "identity")
+    assert solve["grid"] == default(build_h_from_theta, "grid_size")
+    dual = parse("dual", "--profile", "p.json")
+    assert dual["grid"] == default(dual_profile, "grid_size")
+    for command in ("tensor", "curvature", "isoparametric-check", "sample"):
+        guarded = parse(command, "--profile", "p.json", "--model", "d2:4:2")
+        assert guarded["delta"] == DEFAULT_FOCAL_GUARD, command
 
 
 def test_missing_file_exits_1(capsys):
@@ -438,7 +457,9 @@ IMPORT_GROUPS = [
      {"isonorm.hessian", *FOLIATION, *POLYNOMIAL}),
     ([["isometry", "glue", "--profile", "{bump}", "--sectors", "{sectors}"]],
      {"isonorm.hessian", *FOLIATION}),
-    ([["sample", "--profile", "{ellipse}"]], set()),
+    # planar: --delta's default comes with the parser, not the foliation layer
+    ([["sample", "--profile", "{ellipse}"]],
+     {"isonorm.hessian", "isonorm.isometry", *FOLIATION}),
 ]
 
 

@@ -308,19 +308,19 @@ def test_a_point_on_a_focal_set_gets_the_guard_band_error(m):
                 call(x)
 
 
-@pytest.mark.parametrize("delta", [-1.0, -1e-3, math.nan])
+@pytest.mark.parametrize("delta", [-1.0, -1e-3, math.nan, math.pi / 4, 0.9])
 def test_a_negative_or_nan_focal_guard_is_named(delta):
-    # a negative delta widens the guard band past the focal values: random
-    # leaf points were drawn with it, or the check of t spoke first
+    # a negative delta widens the guard band past the focal values, one of
+    # pi/(2d) = pi/4 or more closes it: each entry point names the guard
+    # with one message before it draws a point or checks a t
     m = d2(4, 2)
-    with pytest.raises(FocalProximityError,
-                       match=re.escape(f"delta={delta} must be in [0, pi/(2d))")):
+    message = re.escape(f"delta={delta} must be in [0, pi/(2d)) = [0, 0.7854)")
+    with pytest.raises(FocalProximityError, match=message):
         random_leaf_points(m, 5.0, 1, delta=delta)
     x = random_leaf_points(m, 0.6, 2, seed=1)
     nm = InducedNorm(m, Profile(2, (1.0, 0.2)))
     for call in (lambda: normal_plane_basis(m, x, delta),
                  lambda: shape_spectrum(m, x[0], delta),
                  lambda: riemann_fd(nm, x, delta)):
-        with pytest.raises(FocalProximityError,
-                           match=re.escape(f"delta={delta} must be at least 0")):
+        with pytest.raises(FocalProximityError, match=message):
             call()

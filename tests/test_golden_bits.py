@@ -29,9 +29,10 @@ from isonorm.hessian import (InducedNorm, closed_frame_matrix,
                              closed_fundamental_tensor, energy,
                              fd_fundamental_tensor, fd_indicatrix_operators,
                              riemann_fd)
-from isonorm.isometry import (IsometryTriple, bump_profile, legendre_map_tag,
+from isonorm.isometry import (Decomposition, IsometryTriple, bump_profile,
+                              check_d_property, legendre_map_tag,
                               ode_residuals, theta_jet)
-from isonorm.planar import DualProfile, legendre_num_den
+from isonorm.planar import DualProfile, PlanarNorm, legendre_num_den
 from isonorm.profile import Profile, is_minkowski
 
 # (d, (c0, c1), t, ode_residuals, DualProfile.jet(t, 2), theta_jet(t, 1))
@@ -719,3 +720,38 @@ def _field_digests(spec):
 @pytest.mark.parametrize("spec", FIELD_PROFILES)
 def test_field_path_keeps_its_recorded_bits(spec):
     assert _field_digests(spec) == FIELD_DIGESTS[spec]
+
+
+# --- (d)-property residuals of a planar pair split by a unit vector --------
+# Recorded at commit cf57fe4, when Decomposition took V' as an angle a:
+# check_d_property(PlanarNorm(f), PlanarNorm(DualProfile(f)), identity,
+# samples=10) for f = Profile(d, (1, 0.2)), d = 1, 2, 3, at the split angles
+# a = -k pi/s of the isometry gallery, s = 1, 2, 3.  The identity is no
+# isometry of f and its dual, so every residual is far from 0; V' is now the
+# unit vector (cos a, sin a), which project_out takes as the same Q.
+D_PROPERTY = [  # (d, s, k, max_residual)
+    (1, 1, 0, '0x1.4e0b101858cfdp+1'),
+    (1, 2, 1, '0x1.224134957e4ccp+0'),
+    (1, 3, 1, '0x1.59b9cf61ecf77p+0'),
+    (1, 3, 2, '0x1.db9f44bc53112p+0'),
+    (2, 1, 0, '0x1.8cb807c3b08a4p+0'),
+    (2, 2, 1, '0x1.924d33081785dp+0'),
+    (2, 3, 1, '0x1.4a99e00752209p+1'),
+    (2, 3, 2, '0x1.31d2fbbfda238p-1'),
+    (3, 1, 0, '0x1.408ad48750856p-1'),
+    (3, 2, 1, '0x1.342a9ca541850p+1'),
+    (3, 3, 1, '0x1.4b1f595a157a0p+1'),
+    (3, 3, 2, '0x1.16c7595fb9532p+0'),
+]
+
+
+@pytest.mark.parametrize("row", D_PROPERTY,
+                         ids=lambda row: f"d{row[0]}-{-row[2]}pi/{row[1]}")
+def test_d_property_of_a_unit_vector_split_keeps_its_recorded_bits(row):
+    d, s, k, want = row
+    f = Profile(d, (1.0, 0.2))
+    a = -k * math.pi / s
+    dec = Decomposition(vprime=(math.cos(a), math.sin(a)))
+    got = check_d_property(PlanarNorm(f), PlanarNorm(DualProfile(f)),
+                           lambda X: X, dec, samples=10).max_residual
+    assert got.hex() == want

@@ -695,7 +695,8 @@ def test_legendre_has_d_property():
     dual_nm = PlanarNorm(DualProfile(ELLIPSE))
     phi = lambda X: legendre_map(nm, X)
     for k in range(ELLIPSE.d):
-        dec = Decomposition(angle=-k * math.pi / ELLIPSE.d)
+        a = -k * math.pi / ELLIPSE.d
+        dec = Decomposition(vprime=(math.cos(a), math.sin(a)))
         res = check_d_property(nm, dual_nm, phi, dec, samples=12)
         assert res.max_residual < 1e-8
 
@@ -704,8 +705,56 @@ def test_rotation_fails_d_property():
     nm = PlanarNorm(ELLIPSE)
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     res = check_d_property(nm, nm, lambda X: X @ R.T,
-                           Decomposition(angle=0.0), samples=12)
+                           Decomposition(vprime=(1.0, 0.0)), samples=12)
     assert res.max_residual > 1e-3
+
+
+def _d_property_of(vprime):
+    """check_d_property of the ellipse's planar norm under a rotation, split
+    by Decomposition(vprime=vprime), built in the call."""
+    nm = PlanarNorm(ELLIPSE)
+    R = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return check_d_property(nm, nm, lambda X: X @ R.T,
+                            Decomposition(vprime=vprime), samples=6).max_residual
+
+
+def test_a_decomposition_needs_a_vprime_with_room_for_vpp():
+    # no V' at all was a TypeError inside project_out; no column, or as
+    # many as n, is a basis of no proper subspace
+    nm = PlanarNorm(ELLIPSE)
+    with pytest.raises(TypeError, match="vprime"):
+        check_d_property(nm, nm, lambda X: X, Decomposition())
+    for vprime in ((), ((),), 1.0, np.eye(2), ((1.0,),)):
+        with pytest.raises(ValueError, match="is not an \\(n, k\\) basis"):
+            _d_property_of(vprime)
+    with pytest.raises(ValueError, match="a vector or an \\(n, k\\) array"):
+        _d_property_of(((1.0, 0.0), (0.0,)))
+
+
+def test_a_decomposition_names_a_non_finite_vprime():
+    # V' at angle nan gave a max_residual of nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _d_property_of((math.cos(math.nan), math.sin(math.nan)))
+
+
+def test_a_decomposition_names_a_vprime_that_is_not_orthonormal():
+    # ((2,), (0,)) projected x = (1, 2) to (-3, 2), not to x'' = (0, 2)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        _d_property_of(((2.0,), (0.0,)))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        _d_property_of(((1.0, 1.0), (0.0, 0.0), (0.0, 0.0)))
+    assert Decomposition(vprime=((1.0,), (0.0,))).project_out(
+        np.array([[1.0, 2.0]])).tolist() == [[0.0, 2.0]]
+
+
+def test_a_decomposition_of_an_array_basis_is_its_tuple_of_rows():
+    # an ndarray vprime left the frozen dataclass unhashable, and == raised
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 1)))[0]
+    dec = Decomposition(vprime=Q)
+    assert dec.vprime == tuple(map(tuple, Q.tolist()))
+    assert dec == Decomposition(vprime=Q.copy()) == Decomposition(vprime=Q[:, 0])
+    assert hash(dec) == hash(Decomposition(vprime=dec.vprime))
+    assert _d_property_of(Q) == _d_property_of(tuple(Q[:, 0]))
 
 
 def test_planar_sample_points_draw_as_the_per_sample_loop():
@@ -749,11 +798,7 @@ def _per_sample_d(norm1, norm2, phi, dec, samples, seed):
         return closed_fundamental_tensor(norm, x)
 
     def x2(x):
-        if dec.angle is not None:
-            u = np.array([math.cos(dec.angle), math.sin(dec.angle)])
-            return x - np.dot(x, u) * u
-        Q = np.asarray(dec.vprime, dtype=float)
-        Q = Q[:, None] if Q.ndim == 1 else Q
+        Q = np.array(dec.vprime)
         return x - Q @ (Q.T @ x)
 
     form = lambda norm, x: float(x2(x) @ tensor(norm, x) @ x)
@@ -767,7 +812,7 @@ def test_planar_check_d_property_has_the_bits_of_the_per_sample_loop():
     for norm2, phi in ((PlanarNorm(DualProfile(ELLIPSE)), lambda X: legendre_map(nm, X)),
                        (nm, lambda X: X @ R.T)):
         for angle in (0.0, -math.pi / 2, 0.3):
-            dec = Decomposition(angle=angle)
+            dec = Decomposition(vprime=(math.cos(angle), math.sin(angle)))
             got = check_d_property(nm, norm2, phi, dec, samples=30, seed=2)
             assert got.max_residual == _per_sample_d(nm, norm2, phi, dec, 30, 2)
 
@@ -782,7 +827,8 @@ def test_signed_residual_equals_ode_residual():
     ts = (0.3, 0.8, 1.2)
     ode = ode_residuals(tr, np.array(ts))
     for k in range(f.d):
-        dec = Decomposition(angle=-k * math.pi / f.d)
+        a = -k * math.pi / f.d
+        dec = Decomposition(vprime=(math.cos(a), math.sin(a)))
         for i, t in enumerate(ts):
             x = indicatrix_point(nm, t)
             lhs = d_residuals(nm, nm, phi, dec, x[None])[0]

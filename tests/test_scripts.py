@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-# sha256 of report_digest.py's 88 lines (its whole output)
-REPORT_DIGEST_SHA256 = "9b7027ea9e77981eff89717aa0cfef5eb51b9375b1f642de84cf5b92b9c2c826"
+# sha256 of report_digest.py's 91 lines (its whole output)
+REPORT_DIGEST_SHA256 = "e54413d20d9a9e6023d9512197eadef4e12c1967ef5d0475ae1fd4bfa8eb207c"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -133,7 +133,9 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     # 7 of the 9 `tensor` lines moved in their last bits, no exit code.
     # Re-pinned when three `validate` lines (a marginal and an invalid
     # three-term profile, an exact dual) were appended; the first 85 kept
-    # their sha256, 1714df03...
-    assert len(runs[0]) == 88
+    # their sha256, 1714df03...  Re-pinned when three focal-guard lines
+    # (planar `sample --delta 0.2`, two error exits) were appended; the
+    # first 88 kept their sha256, 9b7027ea...
+    assert len(runs[0]) == 91
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256
