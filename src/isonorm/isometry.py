@@ -528,7 +528,8 @@ class Decomposition:
     """Orthogonal splitting R^n = V' + V'' by one orthonormal basis Q of V':
     a unit vector ((cos a, sin a) for the plane's V' at angle a) or n x k
     orthonormal columns, 1 <= k <= n - 1, kept as the tuple of Q's n rows.
-    A ValueError names a Q not finite, of another k or not orthonormal."""
+    A ValueError names a Q that is not finite, has k out of that range or is
+    not orthonormal to within 1e-12."""
 
     vprime: tuple
 

@@ -718,7 +718,7 @@ def _d_property_of(vprime):
                             Decomposition(vprime=vprime), samples=6).max_residual
 
 
-def test_a_decomposition_needs_a_vprime_with_room_for_vpp():
+def test_a_decomposition_needs_a_vprime_of_1_to_n_minus_1_columns():
     # no V' at all was a TypeError inside project_out; no column, or as
     # many as n, is a basis of no proper subspace
     nm = PlanarNorm(ELLIPSE)
