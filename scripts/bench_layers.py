@@ -93,9 +93,12 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   at the same angles: the exact dual's float Newton solve and closed-form
   h, h' and h'', without the rest of `ode_residuals`;
 - a fresh `python -m isonorm.cli validate --profile path` process, where
-  path holds Profile(2, (1, 0.5)), and a fresh `python -m isonorm.cli
-  foliation info --model cartan3` process, each its report discarded:
-  interpreter start, the imports the command makes, and the command.  The
+  path holds Profile(2, (1, 0.5)), a fresh `python -m isonorm.cli
+  foliation info --model cartan3` process and a fresh `python -m
+  isonorm.cli isometry check --triple path` process on the solved Legendre
+  triple above, each its report discarded: interpreter start, the imports
+  the command makes, the command and the exit.  `isometry check` computes
+  least of all the commands, so start-up and exit set its time.  The
   process finds isonorm where this script imported it, and writes bytecode
   only where the environment lets it.
 
@@ -410,6 +413,9 @@ def rows(tmp: str):
     out.append(("fresh process python -m isonorm.cli foliation info --model "
                 "cartan3", _fresh_cli,
                 lambda: ["foliation", "info", "--model", "cartan3"]))
+    out.append(("fresh process python -m isonorm.cli isometry check, solved "
+                "Legendre triple on Profile(2, (1, 0.2))", _fresh_cli,
+                lambda: ["isometry", "check", "--triple", triple_path]))
     long_rows = {"is_minkowski cold, 96-term glue base",
                  *(f"DualProfile(f).scaled({k:g}), 96-term glue base"
                    for k in DUAL_SCALES)}

@@ -8,9 +8,23 @@ deterministic: the same argv and input files give byte-identical output,
 with any randomized sampling driven by --seed (default 0).
 
 Angles are radians everywhere; --degrees only adds display fields.
+
+A process (`isonorm`, `python -m isonorm.cli`) enters through `run`, which
+calls `main` with the cyclic garbage collector off (under -m, from before
+numpy loads) and freezes what is left at exit, usage errors too, so the
+interpreter's final collection has nothing to scan.  A process runs one
+command, whose cycles its exit frees anyway, and no report depends on when
+the collector runs.  `main(argv)` leaves the collector alone, as in-process
+callers run many commands.  Either way only the named command's parser is
+built.
 """
 
 from __future__ import annotations
+
+import gc
+
+if __name__ == "__main__":  # one process, one command: see run()
+    gc.disable()
 
 import argparse
 import functools
@@ -71,11 +85,13 @@ def _status_from(residuals: dict) -> str:
 
 def _leaf_range(m, delta: float, margin: float):
     """(delta + margin, pi/d - delta - margin), the leaf parameters a command
-    draws from; FocalProximityError where delta leaves none."""
-    from .foliation import FocalProximityError
+    draws from; FocalProximityError for a delta that foliation's guard rule
+    rejects, or that is in its range but leaves none past the margin."""
+    from .foliation import FocalProximityError, _check_guard
+    _check_guard(m, delta)
     lo = delta + margin
     hi = math.pi / m.d - lo
-    if not lo <= hi:  # a NaN delta leaves none either
+    if lo > hi:
         raise FocalProximityError(
             f"delta={delta} leaves no leaf parameter more than delta + "
             f"{margin:g} from both focal values: it must be at most "
@@ -408,28 +424,37 @@ def _count(text: str, least: int = 1) -> int:
     return n
 
 
+class _Unbuilt:
+    """The stand-in for a command's parser that is not built: drops calls."""
+    __getattr__ = lambda self, name: lambda *args, **kwargs: self
+
+
 @functools.cache
-def build_parser() -> _Parser:
-    """The argument tree, built once per process: parsing leaves it as it
-    was (no option has a mutable default), so `main` reuses it."""
+def build_parser(command: str | None = None) -> _Parser:
+    """The tree of one command (all, for None or a word naming none), built
+    once per command and reused by `main`: no option has a mutable default."""
     parser = _Parser(prog="isonorm", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    sp = sub.add_parser("validate", help="Minkowski validity of a profile")
+    def add_parser(name, **kwargs):  # others keep their name for usage lines
+        if command in (None, name):
+            return sub.add_parser(name, **kwargs)
+        return sub.choices.setdefault(name, _Unbuilt())
+
+    sp = add_parser("validate", help="Minkowski validity of a profile")
     sp.add_argument("--profile", required=True)
     sp.add_argument("--degrees", action="store_true")
     sp.set_defaults(func=cmd_validate)
 
-    sp = sub.add_parser("dual", help="planar dual profile via the gradient map")
+    sp = add_parser("dual", help="planar dual profile via the gradient map")
     sp.add_argument("--profile", required=True)
     sp.add_argument("--grid", type=int, default=512)
     sp.add_argument("--terms", type=_count, default=None)
     sp.set_defaults(func=cmd_dual)
 
-    sp = sub.add_parser("tensor",
-                        help="fundamental tensor vs frame closed forms")
+    sp = add_parser("tensor", help="fundamental tensor vs frame closed forms")
     sp.add_argument("--profile", required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--t", type=float, default=None)
@@ -438,9 +463,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_tensor)
 
-    sp = sub.add_parser("curvature",
-                        help="finite-difference Riemann tensor of the "
-                             "Hessian metric")
+    sp = add_parser("curvature",
+                    help="finite-difference Riemann tensor of the "
+                         "Hessian metric")
     sp.add_argument("--profile", required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--t", type=float, default=None)
@@ -449,9 +474,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_curvature)
 
-    sp = sub.add_parser("isoparametric-check",
-                        help="leaf parameter has xi-independent gradient "
-                             "norm and Laplacian on the indicatrix")
+    sp = add_parser("isoparametric-check",
+                    help="leaf parameter has xi-independent gradient "
+                         "norm and Laplacian on the indicatrix")
     sp.add_argument("--profile", required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--t-count", type=_count, default=5)
@@ -461,7 +486,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--delta", type=float, default=DEFAULT_FOCAL_GUARD)
     sp.set_defaults(func=cmd_isoparametric_check)
 
-    iso = sub.add_parser("isometry", help="isometry triple tool chain")
+    iso = add_parser("isometry", help="isometry triple tool chain")
     isosub = iso.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
 
@@ -498,7 +523,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_isometry_glue)
 
-    sp = sub.add_parser("sample", help="points on the unit sphere of the norm")
+    sp = add_parser("sample", help="points on the unit sphere of the norm")
     sp.add_argument("--profile", required=True)
     sp.add_argument("--model", default=None,
                     help="omit for the planar norm of the profile")
@@ -508,7 +533,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_sample)
 
-    fol = sub.add_parser("foliation", help="foliation model metadata")
+    fol = add_parser("foliation", help="foliation model metadata")
     folsub = fol.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
     sp = folsub.add_parser("info")
@@ -516,14 +541,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--degrees", action="store_true")
     sp.set_defaults(func=cmd_foliation_info)
 
-    return parser
+    return parser if command in (None, *sub.choices) else build_parser()
 
 
 def main(argv=None) -> int:
     """Run one command: its cmd_* returns (results, residuals, status), plus
     the text to print in place of the JSON report (`sample --format csv`)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(*argv[:1]).parse_args(argv)
     # the parser is built once, so look the command up when it runs: one
     # replaced since then (a test's monkeypatch) is the one that runs
     command = globals()[args.func.__name__]
@@ -547,5 +572,14 @@ def main(argv=None) -> int:
     return EXIT_BY_STATUS[status]
 
 
+def run() -> int:
+    """The process entry: `main` with no cyclic GC (see the module docstring)."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

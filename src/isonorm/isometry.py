@@ -560,7 +560,11 @@ class Decomposition:
 def d_residuals(norm1, norm2, phi: Callable, dec: Decomposition, X) -> np.ndarray:
     """The signed (d)-property residual g1_x(x'', x) - g2_y(y'', y),
     y = Phi x, at each row x of the (m, n) array X, from one phi call and
-    stacked products (as _sqnorm forms |x|^2)."""
+    stacked products (as _sqnorm forms |x|^2); a ValueError where V' and
+    the points lie in spaces of different dimension n."""
+    if len(dec.vprime) != np.shape(X)[-1]:
+        raise ValueError(f"vprime lies in R^{len(dec.vprime)}, the points "
+                         f"in R^{np.shape(X)[-1]}")
     form = lambda norm, x: (dec.project_out(x)[:, None] @ _tensor_at(norm, x)
                             @ x[:, :, None])[:, 0, 0]
     return form(norm1, X) - form(norm2, np.asarray(phi(X), dtype=float))

@@ -1,5 +1,7 @@
 """CLI: exit codes, report envelope, schema conformance, determinism."""
 
+import argparse
+import gc
 import inspect
 import json
 import math
@@ -116,9 +118,9 @@ def test_usage_error_exits_64(capsys):
 
 
 def test_main_reuses_one_parser_and_repeats_its_output(capsys, profiles):
-    # the parser is built once per process; a usage error must not leave
-    # state in it that the next call sees
-    assert cli.build_parser() is cli.build_parser()
+    # each command's parser is built once per process; a usage error must
+    # not leave state in it that the next call sees
+    assert cli.build_parser("isometry") is cli.build_parser("isometry")
     argvs = [["validate", "--profile", profiles["ellipse"], "--degrees"],
              ["isometry", "classify", "--triple", "/does/not/exist.json"],
              ["foliation", "info", "--model", "cartan3"]]
@@ -463,11 +465,16 @@ IMPORT_GROUPS = [
 ]
 
 
+def _src_env():
+    """The environment of a subprocess that imports this isonorm."""
+    src = os.path.dirname(os.path.dirname(isonorm.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_import_loads_no_scipy(profiles, tmp_path):
     # scipy is a test extra; every CLI call would pay for importing it
-    src = os.path.dirname(os.path.dirname(isonorm.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = _src_env()
     ellipse = Profile(2, (1.0, 0.2))
     paths = dict(profiles, triple=str(tmp_path / "triple.json"),
                  bump=str(tmp_path / "bump.json"),
@@ -492,6 +499,127 @@ def test_import_loads_no_scipy(profiles, tmp_path):
         loaded = set(json.loads(proc.stdout))
         assert not {m for m in loaded if m.split(".")[0] == "scipy"}, argvs
         assert not loaded & unloaded, argvs
+
+
+# --------------------------------------------------------- process entry
+
+def test_a_process_prints_what_main_prints(capsys, monkeypatch, profiles,
+                                           tmp_path):
+    # `python -m isonorm.cli` runs `run`, which only changes when the
+    # cyclic collector runs: no byte or exit code may move
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    triple = str(tmp_path / "triple.json")
+    ellipse = Profile(2, (1.0, 0.2))
+    save_triple(IsometryTriple(f=ellipse, h=ellipse, theta=identity_map()), triple)
+    for argv, exit_code in (
+            (["validate", "--profile", profiles["ellipse"]], 0),
+            (["isometry", "check", "--triple", triple], 0),
+            (["sample", "--profile", profiles["ellipse"], "--model", "d2:4:2",
+              "--count", "3", "--format", "csv"], 0),
+            (["validate", "--profile", profiles["ellipse"], "--grid", "7"], 64),
+            (["validate", "--profile", "/does/not/exist.json"], 1)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "isonorm.cli", *argv],
+                              env=_src_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert code == exit_code and (out or err), argv
+
+
+def test_the_installed_command_enters_through_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"isonorm": "isonorm.cli:run"}
+
+
+def test_a_process_runs_no_cyclic_collection_and_freezes_at_exit(profiles):
+    # `validate` ran 31 collections from numpy's import on, and the
+    # interpreter's last collection at exit scanned every object: both are
+    # skipped (the compile of cli.py, before its first line runs, may collect)
+    code = ("import gc, json, runpy, sys\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: starts.append(phase)"
+            " if phase == 'start' and 'numpy' in sys.modules else None)\n"
+            "sys.argv = ['isonorm', *json.loads(sys.argv[1])]\n"
+            "try:\n"
+            "    runpy.run_module('isonorm.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(json.dumps([exc.code, 'numpy' in sys.modules, starts,"
+            " gc.isenabled(), gc.get_freeze_count() > 0]), file=sys.stderr)\n")
+    for argv, exit_code in ((["validate", "--profile", profiles["ellipse"]], 0),
+                            (["validate", "--grid", "7"], 64)):
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                              env=_src_env(), capture_output=True, text=True)
+        assert json.loads(proc.stderr.splitlines()[-1]) == [
+            exit_code, True, [], False, True], proc.stderr
+
+
+def test_importing_or_calling_main_leaves_the_collector_alone(capsys, profiles):
+    code = ("import gc, isonorm.cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count())")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.stdout == "True 0\n", proc.stderr
+    frozen = gc.get_freeze_count()
+    assert main(["validate", "--profile", profiles["ellipse"]]) == 0
+    with pytest.raises(SystemExit):
+        main(["validate"])
+    assert gc.isenabled() and gc.get_freeze_count() == frozen
+
+
+def _choices(parser) -> dict:
+    """The parsers of a parser's commands, by name ({} for a leaf)."""
+    return next((action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)), {})
+
+
+def _parser_paths(parser, path=()):
+    """The argv prefix of every parser in a tree: each command and subcommand."""
+    yield path
+    for name, sub in _choices(parser).items():
+        yield from _parser_paths(sub, path + (name,))
+
+
+def test_a_commands_own_parser_gives_the_full_trees_text(capsys, monkeypatch):
+    # each command builds only its own parser; its help, usage errors and
+    # namespaces must be those of the full tree, which --help, --version, an
+    # empty argv and a word naming no command get
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli.build_parser()
+    assert all(cli.build_parser(word) is full
+               for word in ("--help", "-h", "--version", "bogus", "-"))
+    paths = list(_parser_paths(full))
+    assert len(paths) == 1 + 8 + 4 + 1  # isonorm, commands, isometry's, info
+    for name in _choices(full):  # the others are only names
+        own = _choices(cli.build_parser(name))
+        assert list(own) == list(_choices(full))
+        assert [n for n, p in own.items() if isinstance(p, cli._Parser)] == [name]
+    argvs = [[*path, "--help"] for path in paths[1:]] + [
+        ["validate", "--profile", "p.json", "extra"], ["validate"],
+        ["validate", "--profile", "p.json", "--version"],
+        ["isometry"], ["isometry", "bogus"], ["isometry", "check"],
+        ["foliation", "info", "--model", "cartan3", "--x"],
+        ["sample", "--profile", "p.json", "--format", "xml"],
+        ["validate", "--profile", "p.json", "--degrees"],
+        ["isometry", "classify", "--triple", "t.json", "--tol", "1e-3"],
+        ["foliation", "info", "--model", "cartan3"]]
+
+    def parse(parser, argv):
+        try:
+            ns = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            ns = exc.code
+        return ns, capsys.readouterr()
+
+    for argv in argvs:
+        own = parse(cli.build_parser(argv[0]), argv)
+        assert own == parse(full, argv), argv
+        assert own[1].out or own[1].err or isinstance(own[0], dict), argv
 
 
 # ----------------------------------------------------------------- reports
@@ -616,6 +744,38 @@ def test_negative_focal_guard_is_named(capsys, profiles, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
         "isonorm: error: delta=-1.0 must be in [0, pi/(2d)) = [0, 0.7854)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor", "--model", "d2:4:2"],
+    ["tensor", "--model", "d2:4:2", "--t", "0.5"],
+    ["curvature", "--model", "d2:4:2"],
+    ["isoparametric-check", "--model", "d2:4:2"],
+    ["sample", "--model", "d2:4:2"],
+], ids=lambda argv: "-".join(argv[:1] + argv[3:]).replace("--", ""))
+def test_focal_guard_out_of_its_range_has_one_message(capsys, profiles, argv):
+    # every entry point but `tensor --t` said "leaves no leaf parameter more
+    # than delta + 0.02 ..." of a guard that no leaf draw takes
+    code = main([argv[0], "--profile", profiles["ellipse"], *argv[1:],
+                 "--delta", "0.9"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "isonorm: error: delta=0.9 must be in "
+                                   "[0, pi/(2d)) = [0, 0.7854)\n")
+
+
+@pytest.mark.parametrize("command, delta, margin", [
+    ("curvature", "0.77", "0.02"), ("tensor", "0.77", "0.02"),
+    ("isoparametric-check", "0.77", "0.02"), ("sample", "0.74", "0.05")])
+def test_focal_guard_in_range_but_past_the_margin_keeps_its_message(
+        capsys, profiles, command, delta, margin):
+    code = main([command, "--profile", profiles["ellipse"], "--model", "d2:4:2",
+                 "--delta", delta])
+    assert code == 1
+    bound = math.pi / 4 - float(margin)
+    assert capsys.readouterr() == ("", (
+        f"isonorm: error: delta={delta} leaves no leaf parameter more than "
+        f"delta + {margin} from both focal values: it must be at most "
+        f"pi/(2d) - {margin} = {bound:.4f}\n"))
 
 
 # --------------------------------------------------------------- curvature

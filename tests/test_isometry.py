@@ -757,6 +757,16 @@ def test_a_decomposition_of_an_array_basis_is_its_tuple_of_rows():
     assert _d_property_of(Q) == _d_property_of(tuple(Q[:, 0]))
 
 
+def test_a_decomposition_in_another_dimension_is_named():
+    # a planar norm split by a V' in R^3 ended in numpy's "matmul: Input
+    # operand 1 has a mismatch in its core dimension 0", which named neither
+    with pytest.raises(ValueError, match=r"^vprime lies in R\^3, the points in R\^2$"):
+        _d_property_of((1.0, 0.0, 0.0))
+    nm = InducedNorm(parse_model("cartan3"), Profile(3, (0.5, 0.05)))
+    with pytest.raises(ValueError, match=r"^vprime lies in R\^2, the points in R\^5$"):
+        check_d_property(nm, nm, lambda X: X, Decomposition(vprime=(1.0, 0.0)))
+
+
 def test_planar_sample_points_draw_as_the_per_sample_loop():
     for d in (1, 2, 3):
         rng = np.random.default_rng(d)

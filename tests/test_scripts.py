@@ -76,7 +76,7 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 45 and len(set(names)) == 45
+    assert len(names) == 46 and len(set(names)) == 46
     assert {"check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
             "build_h_from_theta, linear:1.3:0.8 on Profile(2, (1, 0.2))",
             "is_minkowski cold, 32-term solved h, linear:1.3:0.8 on "
@@ -94,6 +94,8 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
             "DualProfile(Profile(2, (1, 0.5)))",
             "fresh process python -m isonorm.cli validate, Profile(2, (1, 0.5))",
             "fresh process python -m isonorm.cli foliation info --model cartan3",
+            "fresh process python -m isonorm.cli isometry check, solved "
+            "Legendre triple on Profile(2, (1, 0.2))",
             "20 one-point closed_fundamental_tensor calls, 5 leaves of each of "
             "d1:3, d2:4:2, d2:8:3, cartan3",
             "20 one-point fd_fundamental_tensor calls, 5 leaves of each of "
@@ -102,7 +104,7 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
             "a new profile per call"} <= set(names)
     # the fresh-process rows keep their wall times as measured, unscaled
     fresh = [row for row in bench["rows"] if row["name"].startswith("fresh")]
-    assert len(fresh) == 2 and all(
+    assert len(fresh) == 3 and all(
         row["scaled_ms"] is None and 0 < row["best_ms"] <= row["median_ms"]
         for row in fresh)
     assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0
