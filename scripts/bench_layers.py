@@ -151,6 +151,7 @@ from isonorm.cli import main as cli_main  # noqa: E402
 from isonorm.hessian import (closed_frame_matrix,  # noqa: E402
                              closed_fundamental_tensor, fd_indicatrix_operators,
                              frame_basis)
+from isonorm.planar import legendre_dual_jet  # noqa: E402
 
 GLUE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]  # isometry_gallery.py's glue base
 GLUE_BREAK = 0.52
@@ -200,8 +201,8 @@ def _solved_triple() -> IsometryTriple:
     """`isometry solve --theta legendre` on Profile(2, (1, 0.2))."""
     f = Profile(2, (1.0, 0.2))
     t0 = math.pi / 4
-    f0, f1 = f.jet(t0, 1)
-    h = build_h_from_theta(f, legendre_map_tag(), t0, f0 / (4.0 * f0 * f0 + f1 * f1))
+    h = build_h_from_theta(f, legendre_map_tag(), t0,
+                           legendre_dual_jet(f, t0, 0, 1.0)[0])
     return IsometryTriple(f=f, h=h, theta=legendre_map_tag())
 
 
@@ -217,9 +218,10 @@ def _triple_json_round_trip(tr):
     return triple_from_json_dict(json.loads(json.dumps(triple_to_json_dict(tr))))
 
 
-def _cli_check(path):
+def _cli(argv):
+    """In-process `isonorm.cli.main(argv)`, its report discarded."""
     with contextlib.redirect_stdout(io.StringIO()):
-        return cli_main(["isometry", "check", "--triple", path])
+        return cli_main(argv)
 
 
 def _planar_d_property(f):
@@ -244,24 +246,12 @@ def _d1_identity_lift():
     return nm, nm, lift_to_nd(IsometryTriple(f=f, h=f, theta=identity_map()), m)
 
 
-def _cli_sample(path):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return cli_main(["sample", "--profile", path, "--model", "cartan3",
-                         "--count", "16"])
-
-
 def _one_angle_residuals(tr):
     return [ode_residuals(tr, float(t)) for t in ODE_ANGLES]
 
 
 def _one_angle_jets(p, k: int = 2):
     return [p.jet(t, k) for t in JET_ANGLES]
-
-
-def _cli_isoparametric_check(path):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return cli_main(["isoparametric-check", "--profile", path,
-                         "--model", "d2:8:3"])
 
 
 def _fresh_cli(argv):
@@ -324,7 +314,8 @@ def rows(tmp: str):
     triple_path = os.path.join(tmp, "triple.json")
     save_triple(triple, triple_path)
     out.append(("cli.main isometry check in-process, solved Legendre triple on "
-                "Profile(2, (1, 0.2))", _cli_check, lambda: triple_path))
+                "Profile(2, (1, 0.2))", _cli,
+                lambda: ["isometry", "check", "--triple", triple_path]))
     out.append(("glue_construct, reused 96-term glue base", _glue, lambda: base))
     out.append(("check_d_property, planar exact-dual Legendre triple on "
                 "Profile(2, (1, 0.2))", _planar_d_property,
@@ -341,7 +332,9 @@ def rows(tmp: str):
     profile_path = os.path.join(tmp, "profile.json")
     save_profile(Profile(3, (0.5, 0.05)), profile_path)
     out.append(("cli.main sample --model cartan3 --count 16 in-process, "
-                "Profile(3, (0.5, 0.05))", _cli_sample, lambda: profile_path))
+                "Profile(3, (0.5, 0.05))", _cli,
+                lambda: ["sample", "--profile", profile_path, "--model",
+                         "cartan3", "--count", "16"]))
     dual_triple = IsometryTriple(f=small, h=DualProfile(small),
                                  theta=legendre_map_tag())
     out.append(("256 one-angle ode_residuals calls, exact-dual Legendre triple "
@@ -353,8 +346,9 @@ def rows(tmp: str):
     ellipse_path = os.path.join(tmp, "ellipse.json")
     save_profile(Profile(2, (1.0, 0.2)), ellipse_path)
     out.append(("cli.main isoparametric-check --model d2:8:3 in-process, "
-                "Profile(2, (1, 0.2))", _cli_isoparametric_check,
-                lambda: ellipse_path))
+                "Profile(2, (1, 0.2))", _cli,
+                lambda: ["isoparametric-check", "--profile", ellipse_path,
+                         "--model", "d2:8:3"]))
     indicatrix_norm = InducedNorm(cartan3(), Profile(3, (0.5, 0.02)))
     leaves = np.repeat(np.linspace(0.3, math.pi / 3 - 0.3, 5), 3)
     indicatrix_points = random_leaf_points(cartan3(), leaves, len(leaves), seed=0)

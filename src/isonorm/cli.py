@@ -260,14 +260,11 @@ def _parse_theta(spec: str):
 
 def _default_anchor(f, theta, t0: float) -> float:
     from .isometry import theta_jet
-    # pick the anchor that reproduces the canonical triple for the two
-    # closed-form kinds; otherwise pin h = f at the mapped anchor angle
+    # the two closed-form kinds: the anchor of their canonical triple, the
+    # dual over a b; otherwise pin h = f at the mapped anchor angle
     if theta.kind in ("legendre", "scaled-legendre"):
-        f0, f1 = f.jet(t0, 1)
-        h0 = f0 / (4.0 * f0 * f0 + f1 * f1)
-        if theta.kind == "scaled-legendre":
-            h0 /= theta.params[0] * theta.params[1]
-        return h0
+        from .planar import legendre_dual_jet
+        return legendre_dual_jet(f, t0, 0, 1.0)[0] / math.prod(theta.params)
     th0 = theta_jet(theta, f, t0, 0)[0]
     return float(f.evaluate(th0, 0))
 
@@ -331,13 +328,12 @@ def cmd_isometry_glue(args):
     f_base = load_profile(args.profile)
     with open(args.sectors) as fh:
         spec = json.load(fh)
-    band = args.band_width
     if isinstance(spec, dict):
-        if band is None and "band_width" in spec:
-            band = float(json_field(spec, "band_width", "sectors file", "number"))
+        if extra := sorted(set(spec) - {"sectors"}):
+            raise ValueError(f"sectors file may hold only 'sectors', not {extra}: "
+                             f"the band width comes from --band-width")
         spec = json_field(spec, "sectors", "sectors file")
-    if band is None:
-        band = DEFAULT_BAND_WIDTH
+    band = DEFAULT_BAND_WIDTH if args.band_width is None else args.band_width
     res = glue_construct(f_base, spec, band_width=band)
     if args.out:
         save_triple(res.triple, args.out)
@@ -549,11 +545,8 @@ def main(argv=None) -> int:
     the text to print in place of the JSON report (`sample --format csv`)."""
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(*argv[:1]).parse_args(argv)
-    # the parser is built once, so look the command up when it runs: one
-    # replaced since then (a test's monkeypatch) is the one that runs
-    command = globals()[args.func.__name__]
     try:
-        results, residuals, status, *rendered = command(args)
+        results, residuals, status, *rendered = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"isonorm: error: {exc}", file=sys.stderr)
         return 1

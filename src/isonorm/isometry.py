@@ -152,24 +152,20 @@ def theta_jet(tm: ThetaMap, f: Profile, t, k: int):
 def _pchip(x, y, t, order: int):
     """Monotone cubic Hermite interpolant through (x, y) (Fritsch & Carlson,
     SIAM J. Numer. Anal. 17, 1980), or its derivative (order 1), at t; the end
-    cubics extrapolate.  Each step is scipy's PchipInterpolator's, bit for bit."""
+    cubics extrapolate.  Each step is scipy's PchipInterpolator's, bit for bit,
+    for x and y strictly increasing with >= 4 nodes, as `ThetaMap` requires:
+    every secant is then positive, so scipy's zero slope at a flat run or a
+    sign change, and its cap on the end slopes, never apply."""
     h = np.diff(x)
     m = np.diff(y) / h
-    # inside: weighted harmonic mean of the secants; 0 at a zero or sign change
+    # inside: weighted harmonic mean of the secants
     w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    dk = np.zeros_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+    dk = np.empty_like(y)
+    dk[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
 
-    def edge(h0, h1, m0, m1):  # one-sided three-point slope, kept monotone
+    def edge(h0, h1, m0, m1):  # one-sided three-point slope, 0 if not positive
         e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(e) != np.sign(m0):
-            return 0.0
-        if np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
-            return 3.0 * m0
-        return e
+        return e if e > 0 else 0.0
     dk[0] = edge(h[0], h[1], m[0], m[1])
     dk[-1] = edge(h[-1], h[-2], m[-1], m[-2])
     tt = (dk[:-1] + dk[1:] - 2 * m) / h
@@ -366,11 +362,10 @@ def integrate_branch(f: Profile, branch: str, t0: float, theta0: float,
 
 def _cumulative_simpson(y, x):
     """Integral of the samples y(x) from x[0] to each x[i], starting at 0, by
-    scipy's cumulative_simpson rule for unequal intervals, bit for bit (the
-    trapezoid rule below 3 points)."""
+    scipy's cumulative_simpson rule for unequal intervals, bit for bit, for
+    at least 3 samples: `build_h_from_theta`'s grid_size >= 4 gives each of
+    its two halves that many."""
     dx = np.diff(x)
-    if len(y) < 3:
-        return np.concatenate([[0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)])
 
     def pieces(y, dx):  # each interval by the parabola through it and the next
         x21, x32 = dx[:-1], dx[1:]

@@ -180,6 +180,23 @@ def _dual_fit(nm: PlanarNorm, grid_size: int, max_terms: int | None):
     return replace(fit, fit_residual=max(fit.fit_residual, mid_err)), coeffs
 
 
+def legendre_dual_jet(f: Profile, t, k: int, s: float) -> list:
+    """h, h', ... up to h^(k), k <= 2, of the dual s f^* at theta_legendre(t),
+    in closed form from f's (f, f', f'') at t: with G = 4f^2 + f'^2 =
+    N^2 + D^2, theta_legendre' = gap/G and (f/G)' = -f' gap/G^2, so
+    h = s f/G, h' = -s f'/G and h'' = s (8 f f'^2 - (4f^2 - f'^2) f'')/(G gap).
+    Floats and arrays take the same steps."""
+    jet = f.jet(t, max(k, 1))
+    f0, f1 = jet[0], jet[1]
+    G = 4 * f0 * f0 + f1 * f1
+    out = [s * f0 / G, -s * f1 / G]
+    if k == 2:
+        f2 = jet[2]
+        out.append(s * (8 * f0 * f1 * f1 - (4 * f0 * f0 - f1 * f1) * f2)
+                   / (G * gap_from_jet(f0, f1, f2)))
+    return out[:k + 1]
+
+
 @dataclass(frozen=True)
 class DualProfile:
     """Exact dual profile h with h(theta_legendre(t)) = f/(4f^2 + f'^2).
@@ -193,7 +210,7 @@ class DualProfile:
     step is below NEWTON_TOL or only returns to a bracket end (the residual
     is down to rounding); a point still moving after NEWTON_MAX_STEPS raises
     ValueError rather than return a wrong number.  `jet(t, k)` then forms
-    h, h' and h'' in closed form from the base's jet at that one solve, so
+    h, h' and h'' by `legendre_dual_jet` from the base's jet at that solve, so
     no spectral truncation enters (`dual_profile` fits this to a cosine
     series).  A scalar angle takes the same steps on Python floats (an `if`
     for each `np.where`, numpy's ufuncs for sin, cos and arctan2), so it
@@ -285,25 +302,9 @@ class DualProfile:
         t = as_angle(t)
         scalar = isinstance(t, float)
         tau, sign = dihedral_fold(t if scalar else t.reshape(-1), self.d)
-        out = [v * sign ** m for m, v in
-               enumerate(self._chain(self._invert_theta(tau), k))]
+        out = [v * sign ** m for m, v in enumerate(
+            legendre_dual_jet(self.base, self._invert_theta(tau), k, self.scale))]
         return tuple(out) if scalar else tuple(v.reshape(t.shape) for v in out)
-
-    def _chain(self, t, k: int) -> list:
-        """h, h', ... up to h^(k) at theta_legendre(t), in closed form from
-        the base's (f, f', f''): with G = 4f^2 + f'^2 = N^2 + D^2,
-        theta_legendre' = gap/G and (f/G)' = -f' gap/G^2, so h = s f/G,
-        h' = -s f'/G and h'' = s (8 f f'^2 - (4f^2 - f'^2) f'')/(G gap).
-        Floats and arrays take the same steps."""
-        jet = self.base.jet(t, max(k, 1))
-        s, f0, f1 = self.scale, jet[0], jet[1]
-        G = 4 * f0 * f0 + f1 * f1
-        out = [s * f0 / G, -s * f1 / G]
-        if k == 2:
-            f2 = jet[2]
-            out.append(s * (8 * f0 * f1 * f1 - (4 * f0 * f0 - f1 * f1) * f2)
-                       / (G * gap_from_jet(f0, f1, f2)))
-        return out[:k + 1]
 
     def scaled(self, factor: float) -> "DualProfile":
         return DualProfile(base=self.base, scale=self.scale * factor)

@@ -22,7 +22,7 @@ from isonorm.isometry import (CLASSIFY_TOL, IsometryTriple, build_h_from_theta,
                               bump_profile, classify_sectors, identity_map,
                               save_triple)
 from isonorm.planar import PlanarNorm, dual_profile, indicatrix_point
-from isonorm.profile import (DEFAULT_FOCAL_GUARD, Profile,
+from isonorm.profile import (DEFAULT_FOCAL_GUARD, Profile, is_minkowski,
                              profile_from_json_dict, save_profile)
 
 SCHEMA = json.loads(resources.files("isonorm")
@@ -418,9 +418,15 @@ def test_sector_break_or_theta_bound_out_of_place_is_named(capfd, tmp_path, comm
 def test_internal_key_error_is_not_a_user_error(monkeypatch):
     def broken(args):
         return {}["status"]
+    # a cached parser holds the command it was built with: build it afresh,
+    # and leave none that holds the broken one
+    cli.build_parser.cache_clear()
     monkeypatch.setattr(cli, "cmd_foliation_info", broken)
-    with pytest.raises(KeyError):
-        main(["foliation", "info", "--model", "cartan3"])
+    try:
+        with pytest.raises(KeyError):
+            main(["foliation", "info", "--model", "cartan3"])
+    finally:
+        cli.build_parser.cache_clear()
 
 
 def test_missing_status_rule_is_not_a_user_error(capsys, monkeypatch,
@@ -664,6 +670,23 @@ def test_tensor_ok(capsys, profiles):
     assert rep["results"]["positive_definite"] is True
     assert rep["residuals"]["frame_error"] < 1e-5
     assert rep["results"]["g_rr"] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+def test_tensor_of_a_marginal_profile_is_not_positive_definite(capsys, tmp_path,
+                                                              seed):
+    # gap = 4 (1 - b^2) = 0 everywhere: InducedNorm takes the marginal
+    # profile, the exact tensor is singular, and the FD one's smallest
+    # eigenvalue lands below 0 while it still matches the closed frame
+    p = Profile(2, (1.0, 1.0))
+    assert is_minkowski(p).status == "marginal"
+    path = tmp_path / "marginal.json"
+    save_profile(p, path)
+    code, rep = run_json(capsys, "tensor", "--profile", str(path),
+                         "--model", "d2:4:2", "--seed", seed)
+    assert code == 1 and rep["status"] == "failed"
+    assert rep["results"]["positive_definite"] is False
+    assert rep["residuals"]["frame_error"] <= cli.TOLERANCES["frame_error"][0]
 
 
 def test_tensor_focal_guard_too_wide_exits_1(capsys, profiles):
@@ -1074,6 +1097,25 @@ def test_isometry_solve_names_a_theta_parameter_that_is_not_finite(
                    f"parameters, got {(float(a), float(b))!r}\n")
 
 
+@pytest.mark.parametrize("theta,message", [
+    ("foo", "bad theta spec 'foo' (want identity, legendre, linear:a:b or "
+            "scaled-legendre:a:b)"),
+    ("linear", "bad theta spec 'linear' (want identity, legendre, linear:a:b or "
+               "scaled-legendre:a:b)"),
+    ("linear:1", "bad theta spec 'linear:1': want linear:a:b"),
+    ("scaled-legendre:1:2:3",
+     "bad theta spec 'scaled-legendre:1:2:3': want scaled-legendre:a:b"),
+    ("linear:a:1", "bad theta spec 'linear:a:1': want linear:a:b"),
+], ids=["unknown", "linear-bare", "linear-one-number", "three-numbers",
+        "not-a-number"])
+def test_isometry_solve_names_a_bad_theta_spec(capfd, profiles, theta, message):
+    code = main(["isometry", "solve", "--profile", profiles["ellipse"],
+                 "--theta", theta])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"isonorm: error: {message}\n"
+
+
 def test_isometry_check_names_a_theta_parameter_that_is_not_finite(capfd, tmp_path):
     # JSON reads 1e999 as inf, which the map took
     path = tmp_path / "triple.json"
@@ -1210,6 +1252,32 @@ def test_isometry_glue_names_a_band_width_that_is_not_positive_finite(
 
 
 GOOD_SECTOR = {"lo": 0.0, "hi": 0.9, "mode": "scale"}
+
+
+@pytest.mark.parametrize("spec,message", [
+    # the band width comes from --band-width only: a file's was read once
+    ({"sectors": [GOOD_SECTOR], "band_width": 0.05},
+     "sectors file may hold only 'sectors', not ['band_width']: the band "
+     "width comes from --band-width"),
+    ({"sectors": [GOOD_SECTOR], "colour": "red", "band": 1},
+     "sectors file may hold only 'sectors', not ['band', 'colour']: the band "
+     "width comes from --band-width"),
+    ({"band_width": 0.05},
+     "sectors file may hold only 'sectors', not ['band_width']: the band "
+     "width comes from --band-width"),
+    ({}, "sectors file is missing the field 'sectors'"),
+], ids=["band-width", "two-keys", "band-width-alone", "empty"])
+def test_isometry_glue_sectors_object_holds_only_sectors(capfd, tmp_path, spec,
+                                                         message):
+    base_path = tmp_path / "base.json"
+    save_profile(bump_profile(2, humps=[(0.5, 0.4)]), base_path)
+    sectors_path = tmp_path / "sectors.json"
+    sectors_path.write_text(json.dumps(spec))
+    code = main(["isometry", "glue", "--profile", str(base_path),
+                 "--sectors", str(sectors_path)])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"isonorm: error: {message}\n"
 
 
 @pytest.mark.parametrize("sectors,named", [

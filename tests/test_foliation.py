@@ -32,6 +32,37 @@ def test_parse_model_rejects(bad):
         parse_model(bad)
 
 
+WANT = "(want d1:n, d2:n:k or cartan3)"
+D2_SPLIT = "d=2 needs n >= 4 and a split 1 <= k <= n-1"
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: foliation.FoliationModel(1, 2), "d=1 needs ambient dimension n >= 3"),
+    (lambda: foliation.FoliationModel(1, 3, 1), "d=1 has no split parameter"),
+    (lambda: foliation.FoliationModel(2, 4), D2_SPLIT),
+    (lambda: foliation.FoliationModel(2, 3, 1), D2_SPLIT),
+    (lambda: foliation.FoliationModel(2, 4, 0), D2_SPLIT),
+    (lambda: foliation.FoliationModel(2, 4, 4), D2_SPLIT),
+    (lambda: foliation.FoliationModel(3, 4), "d=3 is the real Cartan case, n = 5"),
+    (lambda: foliation.FoliationModel(3, 5, 1), "d=3 has no split parameter"),
+    (lambda: foliation.FoliationModel(4, 5), "d must be 1, 2 or 3"),
+    (lambda: parse_model("d1:2"),
+     "bad model spec 'd1:2': d=1 needs ambient dimension n >= 3"),
+    (lambda: parse_model("d2:4:4"), f"bad model spec 'd2:4:4': {D2_SPLIT}"),
+    (lambda: parse_model("d1:a"),
+     "bad model spec 'd1:a': invalid literal for int() with base 10: 'a'"),
+    (lambda: parse_model("d2:4"), f"bad model spec 'd2:4' {WANT}"),
+    (lambda: parse_model("d3:5"), f"bad model spec 'd3:5' {WANT}"),
+    (lambda: parse_model("cartan"), f"bad model spec 'cartan' {WANT}"),
+], ids=["d1-small-n", "d1-split", "d2-no-split", "d2-small-n", "d2-split-0",
+        "d2-split-n", "d3-n", "d3-split", "d4", "spec-d1-small-n",
+        "spec-d2-split-n", "spec-not-an-int", "spec-d2-no-split", "spec-d3",
+        "spec-unknown"])
+def test_model_spec_error_is_named(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 def test_multiplicities():
     assert multiplicities(d1(5)) == ((0, 3),)
     assert multiplicities(d2(6, 2)) == ((0, 3), (1, 1))

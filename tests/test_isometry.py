@@ -137,13 +137,11 @@ def test_theta_json_round_trip():
 
 # The numpy monotone cubic and cumulative Simpson rule replace scipy's and
 # must keep their bits; scipy is only a test extra.
+# Only strictly increasing nodes: ThetaMap rejects any others.
 PCHIP_NODES = {
     "four nodes": ((0.0, 0.5, 1.0, 1.5), (0.0, 0.45, 1.05, 1.5)),
-    "flat run": ((0.0, 0.3, 0.5, 0.9, 1.2, 1.4),
-                 (0.0, 0.2, 0.2, 0.2, 0.7, 1.0)),
-    # the first end slope is clipped to 3 times its secant
-    "sign change": ((0.0, 0.2, 0.5, 0.6, 1.0, 1.1),
-                    (0.0, 0.05, -0.4, -0.3, 0.5, 0.45)),
+    # both one-sided end slopes come out negative and are set to 0
+    "zero end slope": ((0.0, 1.0, 1.1, 2.0), (0.0, 0.01, 1.0, 1.01)),
     "uneven monotone": (tuple(np.cumsum(np.linspace(0.05, 0.3, 24) ** 2)),
                         tuple(np.sqrt(np.arange(24.0)))),
 }
@@ -164,7 +162,7 @@ def test_pchip_matches_scipy(name, order):
 
 
 @pytest.mark.parametrize("uniform", (True, False))
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 64, 65))
+@pytest.mark.parametrize("n", (3, 4, 5, 64, 65))  # build_h_from_theta gives >= 3
 def test_cumulative_simpson_matches_scipy(n, uniform):
     integrate = pytest.importorskip("scipy.integrate")
     rng = np.random.default_rng(n)
@@ -1281,3 +1279,56 @@ def test_induced_norm_paths_make_no_energy_call(spec, lift_triples,
     assert calls == []
     fd_fundamental_tensor(nm1, u)
     assert calls == [1 + 2 * m.n * m.n]
+
+
+# -------------------------------------------------------- named input errors
+
+ROUND2 = Profile(2, (0.5,))
+SAMPLED = {"grid": (0.0, 0.5, 1.0, 1.5), "values": (0.0, 0.4, 1.1, 1.5)}
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ThetaMap("sampled", grid=(0.0, 0.5, 1.0), values=(0.0, 0.5, 1.0)),
+     "sampled theta needs matching grid/values, >= 4 nodes"),
+    (lambda: ThetaMap("sampled", grid=SAMPLED["grid"], values=(0.0, 0.4, 1.1)),
+     "sampled theta needs matching grid/values, >= 4 nodes"),
+    (lambda: ThetaMap("sampled", grid=(0.0, 0.5, 0.5, 1.5), values=SAMPLED["values"]),
+     "sampled theta must be strictly increasing"),
+    (lambda: ThetaMap("sampled", grid=SAMPLED["grid"], values=(0.0, 0.4, 0.3, 1.5)),
+     "sampled theta must be strictly increasing"),
+    (lambda: ThetaMap("piecewise"), "piecewise theta needs at least one piece"),
+    (lambda: ThetaMap("piecewise", pieces=((0.0, 1.0, "identity"),)),
+     "pieces must be non-piecewise ThetaMaps"),
+    (lambda: ThetaMap("piecewise", pieces=(
+        (0.0, 1.0, ThetaMap("piecewise", pieces=((0.0, 1.0, identity_map()),))),)),
+     "pieces must be non-piecewise ThetaMaps"),
+    (lambda: theta_jet(identity_map(), ELLIPSE, 0.3, 2),
+     "theta maps support k = 0 and 1 only"),
+    (lambda: glue_construct(ROUND2, []), "need at least one sector"),
+    (lambda: glue_construct(ROUND2, [Sector(0.0, 1.0, "scale")]),
+     "sectors must cover [0, pi/d] to respect the symmetry"),
+    (lambda: glue_construct(ROUND2, [Sector(0.0, 0.5, "scale"),
+                                     Sector(0.6, math.pi / 2, "scale")]),
+     "sector intervals must be contiguous"),
+    (lambda: glue_construct(ROUND2, [Sector(0.0, 0.5, "scale", 1.0),
+                                     Sector(0.5, math.pi / 2, "scale", 2.0)]),
+     "all sector scales must agree for the pieces to glue"),
+    (lambda: build_h_from_theta(ELLIPSE, identity_map(), 0.0, 1.0),
+     "theta0 must be interior to the sector"),
+    (lambda: build_h_from_theta(ELLIPSE, identity_map(), math.pi / 2, 1.0),
+     "theta0 must be interior to the sector"),
+    (lambda: integrate_branch(ELLIPSE, "three", 0.3, 0.3, 0.7),
+     "branch must be 'one' or 'two'"),
+    (lambda: check_hessian_isometry(PlanarNorm(ELLIPSE), PlanarNorm(ELLIPSE),
+                                    lambda x: x, samples=0),
+     "a metric check needs samples >= 1, got 0"),
+    (lambda: lift_to_nd(_identity_triple(ELLIPSE), parse_model("cartan3")),
+     "triple and foliation disagree on d"),
+], ids=["sampled-three-nodes", "sampled-unmatched", "sampled-grid-repeats",
+        "sampled-values-decrease", "piecewise-no-piece", "piece-not-a-map",
+        "piece-piecewise", "theta-order-2", "glue-empty", "glue-not-covering",
+        "glue-not-contiguous", "glue-unequal-scales", "theta0-at-0",
+        "theta0-at-pi-over-d", "branch-unknown", "samples-0", "lift-d"])
+def test_isometry_input_error_is_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -577,6 +577,16 @@ def test_sector_profile_break_out_of_place_is_named(breaks, named):
         SectorProfile(2, breaks, pieces)
 
 
+@pytest.mark.parametrize("pieces,message", [
+    ((Profile(2, (0.5,)),), "need exactly len(breaks)+1 pieces"),
+    ((Profile(2, (0.5,)),) * 3, "need exactly len(breaks)+1 pieces"),
+    ((Profile(2, (0.5,)), Profile(4, (0.5,))), "piece symmetry order mismatch"),
+], ids=["one-piece", "three-pieces", "piece-d"])
+def test_sector_profile_pieces_error_is_named(pieces, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SectorProfile(2, (0.7,), pieces)
+
+
 def test_sector_profile_array_matches_pointwise():
     lo = Profile(2, (0.5, 1e-3, 2e-4))
     hi = Profile(2, (0.5, -1e-3))
