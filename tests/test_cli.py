@@ -676,8 +676,9 @@ def test_tensor_ok(capsys, profiles):
 def test_tensor_of_a_marginal_profile_is_not_positive_definite(capsys, tmp_path,
                                                               seed):
     # gap = 4 (1 - b^2) = 0 everywhere: InducedNorm takes the marginal
-    # profile, the exact tensor is singular, and the FD one's smallest
-    # eigenvalue lands below 0 while it still matches the closed frame
+    # profile and the exact tensor is singular; at these seeds the FD
+    # tensor's smallest eigenvalue, rounding noise about 0, lands below 0
+    # while the tensor still matches the closed frame
     p = Profile(2, (1.0, 1.0))
     assert is_minkowski(p).status == "marginal"
     path = tmp_path / "marginal.json"
