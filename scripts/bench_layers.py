@@ -51,7 +51,11 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   Profile(3, (0.5, 0.05));
 - 256 one-angle `ode_residuals` calls of the exact-dual Legendre triple on
   Profile(2, (1, 0.5)), at the interior angles of a 258-point grid on
-  [0, pi/2] (the loop of perfbench's planar-sweep);
+  [0, pi/2] (the loop of perfbench's planar-sweep), whose h is read in
+  closed form at t;
+- one `ode_residuals` call on those 256 angles in one array, of the triple
+  with h = `DualProfile(Profile(2, (1, 0.5)))` under scaled-legendre:1.2:0.9:
+  a triple whose h is still read by one array Newton solve of the dual;
 - `DualProfile(Profile(2, (1, 0.5))).evaluate` on 256 angles of [0, pi/2]
   in one array;
 - in-process `isonorm.cli.main(["isoparametric-check", "--profile", path,
@@ -90,8 +94,8 @@ wall time as measured, and `scaled_ms` is null.  The rows:
 - `jet(t, 1)` of the 96-term glue base on 512 angles of [0, pi/3] in one
   array, the shape of `classify_sectors`' `theta_legendre`;
 - 1000 one-angle `jet(t, 2)` calls of `DualProfile(Profile(2, (1, 0.5)))`
-  at the same angles: the exact dual's float Newton solve and closed-form
-  h, h' and h'', without the rest of `ode_residuals`;
+  at the same angles: the exact dual's Newton solve of a one-element array
+  and closed-form h, h' and h'', without the rest of `ode_residuals`;
 - a fresh `python -m isonorm.cli validate --profile path` process, where
   path holds Profile(2, (1, 0.5)), a fresh `python -m isonorm.cli
   foliation info --model cartan3` process and a fresh `python -m
@@ -340,6 +344,11 @@ def rows(tmp: str):
     out.append(("256 one-angle ode_residuals calls, exact-dual Legendre triple "
                 "on Profile(2, (1, 0.5))", _one_angle_residuals,
                 lambda: dual_triple))
+    scaled_triple = IsometryTriple(f=small, h=dual_triple.h, theta=ThetaMap(
+        kind="scaled-legendre", params=(1.2, 0.9)))
+    out.append(("ode_residuals, 256 angles in one array, DualProfile h under "
+                "scaled-legendre:1.2:0.9 on Profile(2, (1, 0.5))",
+                lambda tr: ode_residuals(tr, ODE_ANGLES), lambda: scaled_triple))
     out.append(("DualProfile(Profile(2, (1, 0.5))).evaluate, 256 angles in one "
                 "array", lambda h: h.evaluate(DUAL_GRID),
                 lambda: dual_triple.h))

@@ -18,7 +18,8 @@ planar_lift_map's (Phi on a normal plane, theta extended past [0, pi/d] by
 the profiles' fold, `dihedral_fold`), project_out, planar `fundamental_tensor`
 and `ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
 lift_to_nd's map also carries its exact differential, `phi.jacobian`, which
-check_hessian_isometry takes where it differences any other map.
+check_hessian_isometry takes where it differences any other map.  All three
+read h at theta(t) by `_h_at_theta`: the exact Legendre triple solves no angle.
 check_d_property splits R^n = V' + V'' by one orthonormal basis of V'
 (`Decomposition`): a unit vector, (cos a, sin a) in the plane, or k columns.
 """
@@ -34,8 +35,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .planar import (DualProfile, PlanarNorm, _plane_polar, _sin_cos,
-                     _unwrap_to, fundamental_tensor, legendre_num_den,
+from .planar import (DualProfile, PlanarNorm, _plane_polar, _sin_cos, _unwrap_to,
+                     fundamental_tensor, legendre_dual_jet, legendre_num_den,
                      legendre_ode_rhs, theta_legendre, theta_scaled)
 from .profile import (Profile, SectorProfile, _piece_jets, as_angle, dihedral_fold,
                       gap_from_jet, json_field, lobatto_fit, profile_from_json_dict,
@@ -247,10 +248,21 @@ def save_triple(tr: IsometryTriple, path) -> None:
 # --- the ODE system ---------------------------------------------------------
 
 
+def _h_at_theta(tr: IsometryTriple, t, th, k: int):
+    """(h, ..., h^(k)) at th = theta(t): for the exact Legendre triple (theta
+    legendre, h a `DualProfile` of f itself) in closed form at t by
+    `legendre_dual_jet`, with no solve back to t; else h's jet at th."""
+    h = tr.h
+    if tr.theta.kind == "legendre" and isinstance(h, DualProfile) and h.base == tr.f:
+        return legendre_dual_jet(tr.f, t, k, h.scale)
+    return h.jet(th, k)
+
+
 def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     """Left-minus-right of the isometry ODE system at t: length d+1 for a
-    scalar t, which runs on Python floats with the bits of its array row,
-    shape (d+1, m) for a 1-D array of m angles.
+    scalar t, which runs on Python floats, shape (d+1, m) for a 1-D array of
+    m angles.  h at theta(t) is `_h_at_theta`'s, so the exact Legendre
+    triple solves no angle, and any other dual h one array of all m angles.
 
     Entry 0 is the second-order equation linking the curvature data of f
     and h through theta'; entries 1..d are the dihedral first-order
@@ -262,7 +274,7 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     tc = t if isinstance(t, float) else t.reshape(-1, 1)
     th, thp = theta_jet(tr.theta, tr.f, tc, 1)
     f0, f1, f2 = tr.f.jet(tc, 2)
-    h0, h1, h2 = tr.h.jet(th, 2)
+    h0, h1, h2 = _h_at_theta(tr, tc, th, 2)
 
     lhs2 = f2 / (2 * f0) - f1 * f1 / (4 * f0 * f0) + 1.0
     rhs2 = h2 / (2 * h0) - h1 * h1 / (4 * h0 * h0) + 1.0
@@ -759,9 +771,9 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
     Phi.jacobian(X) gives (Phi(X), the (m, n, n) dPhi) from one polar pass:
     dPhi = rho c I + rho s (w u^T + S) + (alpha u + beta w) w^T, S the shape
     operator, alpha = rho' c - rho theta' s, beta = rho' s + rho (theta' - 1) c,
-    rho' = (rho/2)(f'/f - theta' h'(theta)/h(theta)).  So dPhi x = Phi(x), and
-    dPhi scales E_k, the eigenspace of S at cot(t + k pi/d), by
-    rho sin(theta + k pi/d) / sin(t + k pi/d)."""
+    rho' = (rho/2)(f'/f - theta' h'(theta)/h(theta)), h's jet by `_h_at_theta`.
+    So dPhi x = Phi(x), and dPhi scales E_k, the eigenspace of S at
+    cot(t + k pi/d), by rho sin(theta + k pi/d) / sin(t + k pi/d)."""
     from .foliation import _frame, _shape_operator
     if tr.f.d != m.d:
         raise ValueError("triple and foliation disagree on d")
@@ -771,7 +783,7 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
             raise ValueError(f"the lifted map takes (m, {m.n}) rows, not {np.shape(x)}")
         r, u, p, t, w = _frame(m, x, LIFT_FOCAL_GUARD)
         th = theta_jet(tr.theta, tr.f, t, k)
-        fj, hj = tr.f.jet(t, k), tr.h.jet(th[0], k)
+        fj, hj = tr.f.jet(t, k), _h_at_theta(tr, t, th[0], k)
         rho = np.sqrt(fj[0] / hj[0])
         c, s = np.cos(th[0] - t), np.sin(th[0] - t)
         Y = (r * rho)[:, None] * (c[:, None] * u + s[:, None] * w)
@@ -794,7 +806,8 @@ def planar_lift_map(tr: IsometryTriple) -> Callable:
     """Phi on a normal plane, x -> r sqrt(f/h(theta)) (cos theta, sin theta),
     on an (m, 2) array of points.  theta commutes with the dihedral group:
     with (tau, s) = dihedral_fold(t, d), theta(t) = t + s (theta(tau) - tau),
-    and theta(t) = t at the sector ends (a sampled map's end cubic may not)."""
+    and theta(t) = t at the sector ends (a sampled map's end cubic may not);
+    h(theta) by `_h_at_theta`."""
 
     def phi(x):
         _, r, t = _plane_polar(np.asarray(x, dtype=float))
@@ -803,7 +816,7 @@ def planar_lift_map(tr: IsometryTriple) -> Callable:
         turn = np.zeros_like(tau)
         turn[inner] = theta_jet(tr.theta, tr.f, tau[inner], 0)[0] - tau[inner]
         th = t + s * turn
-        scale = r * np.sqrt(tr.f.evaluate(t, 0) / tr.h.evaluate(th, 0))
+        scale = r * np.sqrt(tr.f.evaluate(t, 0) / _h_at_theta(tr, t, th, 0)[0])
         return scale[:, None] * np.column_stack([np.cos(th), np.sin(th)])
 
     return phi

@@ -185,7 +185,8 @@ def legendre_dual_jet(f: Profile, t, k: int, s: float) -> list:
     in closed form from f's (f, f', f'') at t: with G = 4f^2 + f'^2 =
     N^2 + D^2, theta_legendre' = gap/G and (f/G)' = -f' gap/G^2, so
     h = s f/G, h' = -s f'/G and h'' = s (8 f f'^2 - (4f^2 - f'^2) f'')/(G gap).
-    Floats and arrays take the same steps."""
+    Floats and arrays take the same steps.  `DualProfile.jet` reads it at its
+    Newton solve; the exact Legendre triple's ODE residuals and lifts at t."""
     jet = f.jet(t, max(k, 1))
     f0, f1 = jet[0], jet[1]
     G = 4 * f0 * f0 + f1 * f1
@@ -212,9 +213,9 @@ class DualProfile:
     ValueError rather than return a wrong number.  `jet(t, k)` then forms
     h, h' and h'' by `legendre_dual_jet` from the base's jet at that solve, so
     no spectral truncation enters (`dual_profile` fits this to a cosine
-    series).  A scalar angle takes the same steps on Python floats (an `if`
-    for each `np.where`, numpy's ufuncs for sin, cos and arctan2), so it
-    returns floats with the bits of its array row.
+    series).  A scalar angle is solved as a one-element array and returns
+    floats.  A caller that holds t with theta = theta_legendre(t) reads
+    `legendre_dual_jet` at t instead, with no solve (`isometry._h_at_theta`).
     Orders go up to 2 (order 3 would need the base's f''').  The base must
     be a valid Minkowski profile (`is_minkowski`): a marginal one may pinch
     theta_legendre' to zero, where h blows up.
@@ -243,54 +244,35 @@ class DualProfile:
         return theta_legendre(self.base, _candidates(self.base, 0.0, math.pi / self.d)[0])
 
     def _invert_theta(self, theta):
-        """Solve theta_legendre(t) = theta for theta in [0, pi/d], theta a
-        float or a 1-D array, by the same steps on either."""
+        """Solve theta_legendre(t) = theta for a 1-D array theta in [0, pi/d];
+        only the rows idx still move, and ta, lo and hi are theirs."""
         jet = self.base.jet
-        if isinstance(theta, float):  # the array steps below, on floats
-            sin, cos, arctan2 = np.sin, np.cos, np.arctan2
-            t, lo, hi = theta, 0.0, math.pi / self.d
-            for _ in range(NEWTON_MAX_STEPS):
-                f0, f1, f2 = jet(t, 2)
-                N, D = legendre_num_den(f0, f1, float(sin(t)), float(cos(t)))
-                resid = _unwrap_to(t, arctan2(N, D)) - theta
-                gap = gap_from_jet(f0, f1, f2)
-                # where numpy's x / 0 gives a NaN or infinite step
-                step = resid * (N * N + D * D) / gap if gap else math.nan
-                newton = t - step
-                lo, hi = (t if resid < 0 else lo), (t if resid > 0 else hi)
-                tiny = abs(step) < NEWTON_TOL
-                t = newton if tiny or lo <= newton <= hi else 0.5 * (lo + hi)
-                if tiny or t == lo or t == hi:
-                    return t
-            at = theta
-        else:  # only the rows idx still move: ta, lo and hi are theirs
-            out, idx, ta = theta.copy(), np.arange(theta.size), theta
-            lo = np.zeros_like(theta)
-            hi = np.full_like(theta, math.pi / self.d)
-            for _ in range(NEWTON_MAX_STEPS):
-                f0, f1, f2 = jet(ta, 2)
-                N, D = legendre_num_den(f0, f1, *_sin_cos(ta))
-                resid = _unwrap_to(ta, np.arctan2(N, D)) - theta[idx]
-                step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
-                newton = ta - step
-                lo = np.where(resid < 0, ta, lo)
-                hi = np.where(resid > 0, ta, hi)
-                tiny = np.abs(step) < NEWTON_TOL
-                # a NaN or infinite step fails both tests: bisection
-                nxt = np.where(tiny | ((lo <= newton) & (newton <= hi)), newton,
-                               0.5 * (lo + hi))
-                # a step back onto a bracket end means the residual no longer
-                # tells the points apart: where theta_legendre' is small, its
-                # last bit of rounding moves t by more than NEWTON_TOL
-                moving = ~(tiny | (nxt == lo) | (nxt == hi))
-                out[idx] = nxt
-                idx, ta, lo, hi = idx[moving], nxt[moving], lo[moving], hi[moving]
-                if not idx.size:
-                    return out
-            at = theta[idx[0]]
+        out, idx, ta = theta.copy(), np.arange(theta.size), theta
+        lo = np.zeros_like(theta)
+        hi = np.full_like(theta, math.pi / self.d)
+        for _ in range(NEWTON_MAX_STEPS):
+            f0, f1, f2 = jet(ta, 2)
+            N, D = legendre_num_den(f0, f1, *_sin_cos(ta))
+            resid = _unwrap_to(ta, np.arctan2(N, D)) - theta[idx]
+            step = resid * (N * N + D * D) / gap_from_jet(f0, f1, f2)
+            newton = ta - step
+            lo = np.where(resid < 0, ta, lo)
+            hi = np.where(resid > 0, ta, hi)
+            tiny = np.abs(step) < NEWTON_TOL
+            # a NaN or infinite step fails both tests: bisection
+            nxt = np.where(tiny | ((lo <= newton) & (newton <= hi)), newton,
+                           0.5 * (lo + hi))
+            # a step back onto a bracket end means the residual no longer
+            # tells the points apart: where theta_legendre' is small, its
+            # last bit of rounding moves t by more than NEWTON_TOL
+            moving = ~(tiny | (nxt == lo) | (nxt == hi))
+            out[idx] = nxt
+            idx, ta, lo, hi = idx[moving], nxt[moving], lo[moving], hi[moving]
+            if not idx.size:
+                return out
         raise ValueError(
             f"exact dual: Legendre angle inversion did not converge in "
-            f"{NEWTON_MAX_STEPS} steps at theta={float(at):.17g}")
+            f"{NEWTON_MAX_STEPS} steps at theta={float(theta[idx[0]]):.17g}")
 
     def evaluate(self, t, order: int = 0):
         return self.jet(t, order)[order]
@@ -300,11 +282,12 @@ class DualProfile:
         if k not in (0, 1, 2):
             raise ValueError("dual profiles support derivative orders 0..2")
         t = as_angle(t)
-        scalar = isinstance(t, float)
-        tau, sign = dihedral_fold(t if scalar else t.reshape(-1), self.d)
+        tau, sign = dihedral_fold(np.reshape(t, -1), self.d)  # a float: one row
         out = [v * sign ** m for m, v in enumerate(
             legendre_dual_jet(self.base, self._invert_theta(tau), k, self.scale))]
-        return tuple(out) if scalar else tuple(v.reshape(t.shape) for v in out)
+        if isinstance(t, float):
+            return tuple(float(v[0]) for v in out)
+        return tuple(v.reshape(t.shape) for v in out)
 
     def scaled(self, factor: float) -> "DualProfile":
         return DualProfile(base=self.base, scale=self.scale * factor)

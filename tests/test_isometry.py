@@ -1185,6 +1185,46 @@ def test_lift_jacobian_rows_have_the_bits_of_phi_and_of_one_row_calls(
         assert np.array_equal(J, [j[0] for _, j in rows]), name
 
 
+# the exact Legendre lift's profiles per model: mild ones (a five-term series
+# on cartan3), and c0 (1 + b cos(d t)) at 0.99 of the validity bound of b
+LEGENDRE_LIFT_MILD = {"d1:3": [(1.0, 0.5)], "d2:4:2": [(1.0, 0.3)],
+                      "d2:8:3": [(1.0, -0.3, 0.02)],
+                      "cartan3": [(0.5, 0.05), (0.5, 0.02, 0.005, 0.002, 0.0005)]}
+LEGENDRE_LIFT_NEAR_BOUND = {"d1:3": (1.0, 0.99), "d2:4:2": (1.0, -0.99),
+                            "d2:8:3": (1.0, 0.99), "cartan3": (1.0, 0.99 * 2.0 / 7.0)}
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("spec", JACOBIAN_MODELS)
+def test_the_exact_legendre_lift_is_the_gradient_map(spec):
+    # Phi is the Legendre transformation l(x) = grad E1(x) = r (2f u + f' w)
+    # (E1 = r^2 f(t), dt = w/r), it keeps the energy, E2(Phi(x)) = E1(x), and
+    # its differential is grad^2 E1 = G1: the closed forms on R^n, no ODE or FD
+    m = parse_model(spec)
+    near = LEGENDRE_LIFT_NEAR_BOUND[spec]
+    for coeffs in [*LEGENDRE_LIFT_MILD[spec], near]:
+        f = Profile(m.d, coeffs)
+        tr = _legendre_triple(f)
+        X = isometry._sample_points(InducedNorm(m, f), 200, seed=3)
+        Y, J = lift_to_nd(tr, m).jacobian(X)
+        r, u, _, t, w = foliation._frame(m, X)
+        f0, f1 = f.jet(t, 1)
+        grad = r[:, None] * (2 * f0[:, None] * u + f1[:, None] * w)
+        assert np.max(np.abs(Y - grad).max(axis=1)
+                      / np.abs(grad).max(axis=1)) <= 4 * EPS, coeffs
+        G = closed_fundamental_tensor(InducedNorm(m, f), X)
+        assert np.max(np.abs(J - G).max(axis=(1, 2))
+                      / np.abs(G).max(axis=(1, 2))) <= 8 * EPS, coeffs
+        if coeffs == near:
+            # h at the images' own angles is a Newton solve whose error
+            # grows as theta_legendre' = gap/(4f^2 + f'^2) shrinks near the
+            # bound (to ~300 eps here): the energy is checked off it
+            continue
+        ry, ty = t_coord(m, Y)
+        E1 = r * r * f0
+        assert np.max(np.abs(ry * ry * tr.h.evaluate(ty, 0) - E1) / E1) <= 8 * EPS
+
+
 def _per_sample_check(norm1, norm2, phi, samples, seed, fd_step=1e-5):
     """check_hessian_isometry one sample at a time, with two one-point
     closed-form tensors each: a map with a `jacobian` takes one one-row

@@ -13,11 +13,12 @@ from isonorm import planar
 from isonorm.fd import hessian_fd
 from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             fundamental_tensor, indicatrix_point,
-                            legendre_map, legendre_ode_rhs, theta_legendre,
-                            theta_scaled, value)
+                            legendre_dual_jet, legendre_map, legendre_ode_rhs,
+                            theta_legendre, theta_scaled, value)
 from isonorm.isometry import (IsometryTriple, ThetaMap, bump_profile, identity_map,
                               legendre_map_tag, ode_residuals, planar_lift_map,
-                              theta_jet)
+                              theta_jet, triple_from_json_dict,
+                              triple_to_json_dict)
 from isonorm.profile import (ALLOWED_D, Profile, SectorProfile, chop_count,
                              dihedral_fold, is_minkowski, lobatto_fit,
                              profile_from_json_dict, sampled_profile)
@@ -458,22 +459,65 @@ def test_jet_rejects_out_of_range_orders(kind):
             p.jet(ts, k)
 
 
-def test_ode_residuals_inverts_the_dual_once(monkeypatch):
-    calls = []
-    invert = DualProfile._invert_theta
+def _count_solves(monkeypatch) -> list:
+    """The sizes of the angle arrays DualProfile._invert_theta is given."""
+    calls, invert = [], DualProfile._invert_theta
 
     def counted(self, theta):
-        calls.append(np.size(theta))  # a scalar angle arrives as a float
+        calls.append(np.size(theta))
         return invert(self, theta)
 
     monkeypatch.setattr(DualProfile, "_invert_theta", counted)
+    return calls
+
+
+def test_ode_residuals_of_the_exact_legendre_triple_inverts_no_angle(monkeypatch):
+    # h o theta_legendre is f/(4f^2 + f'^2) in closed form at t, so no Newton
+    # solve goes back from theta to the t the caller gave; a triple read back
+    # from JSON has an equal base, and a scaled dual qualifies too
+    calls = _count_solves(monkeypatch)
     tr = IsometryTriple(f=BASE, h=DualProfile(BASE), theta=legendre_map_tag())
+    for triple in (tr, triple_from_json_dict(triple_to_json_dict(tr)),
+                   IsometryTriple(f=BASE, h=DualProfile(BASE, 0.5), theta=tr.theta)):
+        ode_residuals(triple, 0.4)
+        ode_residuals(triple, np.linspace(0.05, math.pi / 2 - 0.05, 33))
+    assert calls == []
+
+
+def test_ode_residuals_of_another_dual_triple_inverts_once(monkeypatch):
+    # under a scaled-Legendre map, h(theta(t)) is read by one solve of all m
+    # angles, not one per angle; a float angle is a one-element solve
+    calls = _count_solves(monkeypatch)
+    tr = IsometryTriple(f=BASE, h=DualProfile(BASE),
+                        theta=ThetaMap(kind="scaled-legendre", params=(1.2, 0.9)))
     ode_residuals(tr, 0.4)
     assert calls == [1]
-    # m angles: one solve for all of them, not one per angle
     calls.clear()
     ode_residuals(tr, np.linspace(0.05, math.pi / 2 - 0.05, 33))
     assert calls == [33]
+
+
+@pytest.mark.parametrize("share", (-0.99, -0.5, 0.5, 0.99))
+@pytest.mark.parametrize("d", ALLOWED_D)
+def test_legendre_dual_jet_is_the_dual_at_theta_legendre(d, share):
+    # the closed form at t against the Newton solve back from theta_legendre(t),
+    # each order's error relative to |h| + |h^(m)|: at most 5.4e-13 measured
+    # (d = 4, b at -0.99 of the bound, h''), where theta_legendre' is small
+    # and one rounding unit of theta moves the solve's t by far more
+    f = Profile(d, (1.3, 1.3 * share * B_BOUND[d]))
+    dual = DualProfile(f, 0.7)
+    ts = np.linspace(-1.0, math.pi / d + 1.0, 201)
+    want = legendre_dual_jet(f, ts, 2, 0.7)
+    got = dual.jet(theta_legendre(f, ts), 2)
+    for m in range(3):
+        err = np.abs(got[m] - want[m]) / (np.abs(want[0]) + np.abs(want[m]))
+        assert np.max(err) <= 2e-12, m
+    for t in ts[::20].tolist():  # a float angle on both sides, floats out
+        want = legendre_dual_jet(f, t, 2, 0.7)
+        got = dual.jet(theta_legendre(f, t), 2)
+        assert all(isinstance(v, float) for v in (*want, *got))
+        for m in range(3):
+            assert abs(got[m] - want[m]) <= 2e-12 * (abs(want[0]) + abs(want[m])), m
 
 
 def test_exact_dual_names_a_scalar_angle_that_does_not_converge(monkeypatch):
@@ -498,9 +542,9 @@ def test_the_array_newton_solve_steps_only_the_rows_still_moving(base, monkeypat
     monkeypatch.setitem(vars(base), "jet", lambda t, k: (calls.append(np.size(t)),
                                                          jet(t, k))[1])
     ones, steps = [], []
-    for theta in thetas.tolist():
+    for theta in thetas:  # one-element solves
         calls.clear()
-        ones.append(dual._invert_theta(theta))
+        ones.append(dual._invert_theta(theta[None])[0])
         steps.append(len(calls))
     calls.clear()
     assert dual._invert_theta(thetas).tobytes() == np.array(ones).tobytes()

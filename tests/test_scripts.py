@@ -76,8 +76,10 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 46 and len(set(names)) == 46
+    assert len(names) == 47 and len(set(names)) == 47
     assert {"check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
+            "ode_residuals, 256 angles in one array, DualProfile h under "
+            "scaled-legendre:1.2:0.9 on Profile(2, (1, 0.5))",
             "build_h_from_theta, linear:1.3:0.8 on Profile(2, (1, 0.2))",
             "is_minkowski cold, 32-term solved h, linear:1.3:0.8 on "
             "Profile(2, (1, 0.2))",
