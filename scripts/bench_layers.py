@@ -57,7 +57,10 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   with h = `DualProfile(Profile(2, (1, 0.5)))` under scaled-legendre:1.2:0.9:
   a triple whose h is still read by one array Newton solve of the dual;
 - `DualProfile(Profile(2, (1, 0.5))).evaluate` on 256 angles of [0, pi/2]
-  in one array;
+  in one array, a new dual per call (a dual keeps its last solve);
+- `evaluate` at orders 0, 1 and 2 on those 256 angles, one after the
+  other, of a new `DualProfile(Profile(2, (1, 0.5)))` per call: the orders
+  of one grid, which share one Newton solve;
 - in-process `isonorm.cli.main(["isoparametric-check", "--profile", path,
   "--model", "d2:8:3"])` with its defaults, its report discarded, where path
   holds Profile(2, (1, 0.2));
@@ -85,8 +88,8 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   of a 1000-point grid on [0, pi], and `jet(t, 2)` on 4096 angles of
   [0, pi] in one array, of that profile, of the 96-term glue base (the
   Clenshaw sum of a short series and the rotation table of a long one) and
-  of `DualProfile(Profile(2, (1, 0.5)))` (one array Newton solve, then h,
-  h' and h'' in closed form);
+  of `DualProfile(Profile(2, (1, 0.5)))` (a new one per call: one array
+  Newton solve, then h, h' and h'' in closed form);
 - 1000 one-angle `jet(t, 3)` calls of Profile(3, (0.5, 0.02, 0.005)) at
   those angles: a three-term kernel to order 3;
 - 1000 one-angle `jet(t, 2)` calls of Profile(3, (0.5, 0.03, 0.01, 0.004))
@@ -350,8 +353,11 @@ def rows(tmp: str):
                 "scaled-legendre:1.2:0.9 on Profile(2, (1, 0.5))",
                 lambda tr: ode_residuals(tr, ODE_ANGLES), lambda: scaled_triple))
     out.append(("DualProfile(Profile(2, (1, 0.5))).evaluate, 256 angles in one "
-                "array", lambda h: h.evaluate(DUAL_GRID),
-                lambda: dual_triple.h))
+                "array", lambda h: h.evaluate(DUAL_GRID), lambda: DualProfile(small)))
+    out.append(("DualProfile(Profile(2, (1, 0.5))).evaluate at orders 0, 1 and 2, "
+                "one 256-angle array", lambda h: [h.evaluate(DUAL_GRID, k)
+                                                  for k in range(3)],
+                lambda: DualProfile(small)))
     ellipse_path = os.path.join(tmp, "ellipse.json")
     save_profile(Profile(2, (1.0, 0.2)), ellipse_path)
     out.append(("cli.main isoparametric-check --model d2:8:3 in-process, "
@@ -404,10 +410,11 @@ def rows(tmp: str):
                 _one_angle_jets, lambda: Profile(3, (0.5, 0.03, 0.01, 0.004))))
     out.append(("jet(t, 1), 512 angles in one array, 96-term glue base",
                 lambda p: p.jet(CLASSIFY_GRID, 1), lambda: base))
-    for what, p in (("Profile(2, (1, 0.5))", small), ("96-term glue base", base),
-                    ("DualProfile(Profile(2, (1, 0.5)))", dual_triple.h)):
+    for what, new in (("Profile(2, (1, 0.5))", lambda: small),
+                      ("96-term glue base", lambda: base),
+                      ("DualProfile(Profile(2, (1, 0.5)))", lambda: DualProfile(small))):
         out.append((f"jet(t, 2), 4096 angles in one array, {what}",
-                    lambda p: p.jet(JET_GRID, 2), lambda p=p: p))
+                    lambda p: p.jet(JET_GRID, 2), new))
     small_path = os.path.join(tmp, "small.json")
     save_profile(small, small_path)
     out.append(("fresh process python -m isonorm.cli validate, "

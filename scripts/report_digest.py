@@ -12,9 +12,11 @@ planar and model `sample`, a stored triple whose f is not a Minkowski
 profile, stored triples with a sampled and a piecewise theta map (so every
 theta kind is checked and classified), profile JSON whose `cos_coeffs`
 or `fit_residual` is not a number, `validate` of a marginal and an invalid
-three-term profile and of an exact dual, and, last, the focal guard: planar
-`sample` with a `--delta` its report echoes, and a `--delta` too wide for
-`curvature` and one negative for `tensor`, both error exits.
+three-term profile and of an exact dual, the focal guard: planar `sample`
+with a `--delta` its report echoes, and a `--delta` too wide for
+`curvature` and one negative for `tensor`, both error exits, and, last,
+`isoparametric-check` of an exact dual on cartan3, which reads the dual's
+third derivative.
 
 Whether a change moves a report byte is then a diff of two runs:
 
@@ -81,6 +83,8 @@ OTHER_INPUTS = {
              "map": {"kind": "linear", "a": 1.0, "b": 1.2}}]}},
     "dual.json": {"kind": "dual", "base": PROFILES["d1.json"].to_json_dict(),
                   "scale": 0.5},
+    "wobble3_dual.json": {"kind": "dual", "scale": 0.5,
+                          "base": PROFILES["wobble3.json"].to_json_dict()},
     **MALFORMED,
 }
 
@@ -130,6 +134,8 @@ def argvs() -> list[list[str]]:
                 "--delta", "0.9"])
     out.append(["tensor", "--profile", "ellipse.json", "--model", "d2:4:2",
                 "--t", "0.5", "--delta", "-1"])
+    out.append(["isoparametric-check", "--profile", "wobble3_dual.json",
+                "--model", "cartan3"])
     return out
 
 

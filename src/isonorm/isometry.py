@@ -18,8 +18,10 @@ planar_lift_map's (Phi on a normal plane, theta extended past [0, pi/d] by
 the profiles' fold, `dihedral_fold`), project_out, planar `fundamental_tensor`
 and `ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
 lift_to_nd's map also carries its exact differential, `phi.jacobian`, which
-check_hessian_isometry takes where it differences any other map.  All three
-read h at theta(t) by `_h_at_theta`: the exact Legendre triple solves no angle.
+check_hessian_isometry takes where it differences any other map.
+`ode_residuals`, lift_to_nd and `build_h_from_theta` read theta, f and h at t
+from one jet of f (`_h_at_theta`); the exact Legendre triple's h is
+closed-form at t, there and in planar_lift_map: no angle is solved.
 check_d_property splits R^n = V' + V'' by one orthonormal basis of V'
 (`Decomposition`): a unit vector, (cos a, sin a) in the plane, or k columns.
 """
@@ -35,8 +37,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .planar import (DualProfile, PlanarNorm, _plane_polar, _sin_cos, _unwrap_to,
-                     fundamental_tensor, legendre_dual_jet, legendre_num_den,
+from .planar import (DualProfile, PlanarNorm, _dual_from_jet, _plane_polar, _sin_cos,
+                     _theta_from_jet, _unwrap_to, fundamental_tensor, legendre_num_den,
                      legendre_ode_rhs, theta_legendre, theta_scaled)
 from .profile import (Profile, SectorProfile, _piece_jets, as_angle, dihedral_fold,
                       gap_from_jet, json_field, lobatto_fit, profile_from_json_dict,
@@ -248,21 +250,33 @@ def save_triple(tr: IsometryTriple, path) -> None:
 # --- the ODE system ---------------------------------------------------------
 
 
-def _h_at_theta(tr: IsometryTriple, t, th, k: int):
-    """(h, ..., h^(k)) at th = theta(t): for the exact Legendre triple (theta
-    legendre, h a `DualProfile` of f itself) in closed form at t by
-    `legendre_dual_jet`, with no solve back to t; else h's jet at th."""
-    h = tr.h
-    if tr.theta.kind == "legendre" and isinstance(h, DualProfile) and h.base == tr.f:
-        return legendre_dual_jet(tr.f, t, k, h.scale)
-    return h.jet(th, k)
+def _h_at_theta(f: Profile, theta: ThetaMap, t, k: int, h=None, hk: int = 0):
+    """(theta's jet to order k, f's jet to k + 1, h's jet to hk at theta(t)
+    or None for no h, (sin t, cos t)) at t, from one jet of f and one sin/cos
+    of t: the Legendre kinds' theta and the exact Legendre triple's h come
+    from them in closed form (`planar._theta_from_jet`, `_dual_from_jet`), so
+    no angle is solved back to t; any other h reads its jet at theta(t)."""
+    fj, sc = f.jet(t, k + 1), _sin_cos(t)
+    if theta.kind in ("legendre", "scaled-legendre"):
+        th = _theta_from_jet(fj, *sc, t, *(theta.params or (1.0, 1.0)), k)
+    else:
+        th = theta_jet(theta, f, t, k)
+    if h is None:
+        return th, fj, None, sc
+    exact = _is_exact_dual(f, theta, h)
+    return th, fj, _dual_from_jet(fj, hk, h.scale) if exact else h.jet(th[0], hk), sc
+
+
+def _is_exact_dual(f: Profile, theta: ThetaMap, h) -> bool:  # JSON triples too
+    return theta.kind == "legendre" and isinstance(h, DualProfile) and h.base == f
 
 
 def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     """Left-minus-right of the isometry ODE system at t: length d+1 for a
     scalar t, which runs on Python floats, shape (d+1, m) for a 1-D array of
-    m angles.  h at theta(t) is `_h_at_theta`'s, so the exact Legendre
-    triple solves no angle, and any other dual h one array of all m angles.
+    m angles.  theta, f and h at t are `_h_at_theta`'s, so the exact
+    Legendre triple solves no angle, and any other dual h one array of all
+    m angles.
 
     Entry 0 is the second-order equation linking the curvature data of f
     and h through theta'; entries 1..d are the dihedral first-order
@@ -272,24 +286,22 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     # m angles go in as a column, against the row of dihedral angles; a
     # scalar stays a float, so every jet runs its float path
     tc = t if isinstance(t, float) else t.reshape(-1, 1)
-    th, thp = theta_jet(tr.theta, tr.f, tc, 1)
-    f0, f1, f2 = tr.f.jet(tc, 2)
-    h0, h1, h2 = _h_at_theta(tr, tc, th, 2)
+    (th, thp), (f0, f1, f2), (h0, h1, h2), sc = _h_at_theta(tr.f, tr.theta, tc, 1, tr.h, 2)
 
     lhs2 = f2 / (2 * f0) - f1 * f1 / (4 * f0 * f0) + 1.0
     rhs2 = h2 / (2 * h0) - h1 * h1 / (4 * h0 * h0) + 1.0
     second = lhs2 - thp * thp * rhs2
 
-    def dihedral(at, ath):  # the entries at t + tau and theta + tau
-        sf, cf = _sin_cos(at)
+    def dihedral(sf, cf, ath):  # the entries at t + tau, of sine sf, and theta + tau
         sh, ch = _sin_cos(ath)
         return (sf * sf + sf * cf * f1 / (2 * f0)) - (sh * sh + sh * ch * h1 / (2 * h0))
     d = tr.f.d
-    if isinstance(t, float):  # one dihedral angle tau = k pi/d at a time
-        return np.array([second] + [dihedral(t + k * math.pi / d, th + k * math.pi / d)
-                                    for k in range(d)])
+    if isinstance(t, float):  # one dihedral angle tau = k pi/d at a time, t's at 0
+        return np.array([second, dihedral(*sc, th)] + [
+            dihedral(*_sin_cos(t + k * math.pi / d), th + k * math.pi / d)
+            for k in range(1, d)])
     tau = np.arange(d) * math.pi / d
-    return np.hstack([second, dihedral(tc + tau, th + tau)]).T
+    return np.hstack([second, dihedral(*_sin_cos(tc + tau), th + tau)]).T
 
 
 # quadratic_and_roots warns about d <= 2 once per process
@@ -412,19 +424,18 @@ def build_h_from_theta(f: Profile, theta: ThetaMap, theta0: float, h0: float,
         raise ValueError("theta0 must be interior to the sector")
 
     def integrand(ts):  # the integrand on ts, and theta and theta' there
-        th, thp = theta_jet(theta, f, ts, 1)
-        f0, f1 = f.jet(ts, 1)
+        (th, thp), (f0, f1, _), _, (sin, cos) = _h_at_theta(f, theta, ts, 1)
+        sth, cth = _sin_cos(th)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rhs = ((2 * np.sin(ts) ** 2 + np.sin(ts) * np.cos(ts) * f1 / f0)
-                   / (np.sin(th) * np.cos(th)) - 2 * np.tan(th))
+            rhs = (2 * sin ** 2 + sin * cos * f1 / f0) / (sth * cth) - 2 * np.tan(th)
             vals = rhs * thp
         # theta = pi/2 (reachable only inside d=1 sectors) is a removable
         # 0/0 of the quotient; rebuild isolated hits from a local quadratic
         # through healthy neighbours (the hit may sit at an array edge, so
         # plain interpolation would clamp).
-        sick = np.flatnonzero(np.abs(np.cos(th)) < 1e-6)
+        sick = np.flatnonzero(np.abs(cth) < 1e-6)
         if sick.size and sick.size < ts.size - 4:
-            healthy = np.flatnonzero(np.abs(np.cos(th)) >= 1e-6)
+            healthy = np.flatnonzero(np.abs(cth) >= 1e-6)
             for i in sick:
                 near = healthy[np.argsort(np.abs(ts[healthy] - ts[i]))[:5]]
                 vals[i] = np.polyfit(ts[near] - ts[i], vals[near], 2)[-1]
@@ -771,7 +782,7 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
     Phi.jacobian(X) gives (Phi(X), the (m, n, n) dPhi) from one polar pass:
     dPhi = rho c I + rho s (w u^T + S) + (alpha u + beta w) w^T, S the shape
     operator, alpha = rho' c - rho theta' s, beta = rho' s + rho (theta' - 1) c,
-    rho' = (rho/2)(f'/f - theta' h'(theta)/h(theta)), h's jet by `_h_at_theta`.
+    rho' = (rho/2)(f'/f - theta' h'(theta)/h(theta)), all by `_h_at_theta`.
     So dPhi x = Phi(x), and dPhi scales E_k, the eigenspace of S at
     cot(t + k pi/d), by rho sin(theta + k pi/d) / sin(t + k pi/d)."""
     from .foliation import _frame, _shape_operator
@@ -782,8 +793,7 @@ def lift_to_nd(tr: IsometryTriple, m: FoliationModel) -> Callable:
         if np.ndim(x) != 2:  # _frame would give a 1-D point floats
             raise ValueError(f"the lifted map takes (m, {m.n}) rows, not {np.shape(x)}")
         r, u, p, t, w = _frame(m, x, LIFT_FOCAL_GUARD)
-        th = theta_jet(tr.theta, tr.f, t, k)
-        fj, hj = tr.f.jet(t, k), _h_at_theta(tr, t, th[0], k)
+        th, fj, hj, _ = _h_at_theta(tr.f, tr.theta, t, k, tr.h, k)
         rho = np.sqrt(fj[0] / hj[0])
         c, s = np.cos(th[0] - t), np.sin(th[0] - t)
         Y = (r * rho)[:, None] * (c[:, None] * u + s[:, None] * w)
@@ -807,7 +817,7 @@ def planar_lift_map(tr: IsometryTriple) -> Callable:
     on an (m, 2) array of points.  theta commutes with the dihedral group:
     with (tau, s) = dihedral_fold(t, d), theta(t) = t + s (theta(tau) - tau),
     and theta(t) = t at the sector ends (a sampled map's end cubic may not);
-    h(theta) by `_h_at_theta`."""
+    h(theta) in closed form at t for the exact Legendre triple."""
 
     def phi(x):
         _, r, t = _plane_polar(np.asarray(x, dtype=float))
@@ -816,7 +826,10 @@ def planar_lift_map(tr: IsometryTriple) -> Callable:
         turn = np.zeros_like(tau)
         turn[inner] = theta_jet(tr.theta, tr.f, tau[inner], 0)[0] - tau[inner]
         th = t + s * turn
-        scale = r * np.sqrt(tr.f.evaluate(t, 0) / _h_at_theta(tr, t, th, 0)[0])
+        fj = tr.f.jet(t, 1)
+        h0 = (_dual_from_jet(fj, 0, tr.h.scale)[0] if _is_exact_dual(tr.f, tr.theta, tr.h)
+              else tr.h.evaluate(th, 0))
+        scale = r * np.sqrt(fj[0] / h0)
         return scale[:, None] * np.column_stack([np.cos(th), np.sin(th)])
 
     return phi

@@ -127,12 +127,16 @@ def theta_scaled(p: Profile, t, a: float, b: float, k: int):
     if k not in (0, 1):
         raise ValueError("theta maps support k = 0 and 1 only")
     t = as_angle(t)
-    jet = p.jet(t, k + 1)
-    num, den = legendre_num_den(jet[0], jet[1], *_sin_cos(t))
+    return _theta_from_jet(p.jet(t, k + 1), *_sin_cos(t), t, a, b, k)
+
+
+def _theta_from_jet(jet, sin, cos, t, a: float, b: float, k: int):
+    """theta_scaled from f's jet to order k + 1 and (sin t, cos t) at t."""
+    num, den = legendre_num_den(jet[0], jet[1], sin, cos)
     theta = _unwrap_to(t, np.arctan2(b * num, a * den))
     if k == 0:
         return (theta,)
-    return theta, a * b * gap_from_jet(*jet) / (a * a * den * den + b * b * num * num)
+    return theta, a * b * gap_from_jet(*jet[:3]) / (a * a * den * den + b * b * num * num)
 
 
 def legendre_ode_rhs(p: Profile, t, theta):
@@ -181,20 +185,32 @@ def _dual_fit(nm: PlanarNorm, grid_size: int, max_terms: int | None):
 
 
 def legendre_dual_jet(f: Profile, t, k: int, s: float) -> list:
-    """h, h', ... up to h^(k), k <= 2, of the dual s f^* at theta_legendre(t),
-    in closed form from f's (f, f', f'') at t: with G = 4f^2 + f'^2 =
-    N^2 + D^2, theta_legendre' = gap/G and (f/G)' = -f' gap/G^2, so
-    h = s f/G, h' = -s f'/G and h'' = s (8 f f'^2 - (4f^2 - f'^2) f'')/(G gap).
-    Floats and arrays take the same steps.  `DualProfile.jet` reads it at its
-    Newton solve; the exact Legendre triple's ODE residuals and lifts at t."""
-    jet = f.jet(t, max(k, 1))
+    """h, h', ... up to h^(k), k <= 3, of the dual s f^* at theta_legendre(t),
+    from one jet of f at t (`_dual_from_jet`); floats and arrays take the
+    same steps.  `DualProfile.jet` reads it at its Newton solve."""
+    return _dual_from_jet(f.jet(t, max(k, 1)), k, s)
+
+
+def _dual_from_jet(jet, k: int, s: float) -> list:
+    """h, ..., h^(k) of s f^* at theta_legendre(t) from f's jet to order
+    max(k, 1) at t, each order by the same steps whatever k is.  G = 4f^2 +
+    f'^2 = N^2 + D^2 and theta_legendre' = gap/G give h = s f/G, h' = -s f'/G,
+    h'' = s P/(G gap), P = 8 f f'^2 - (4f^2 - f'^2) f'', and h''' =
+    s (P' G gap - P (G' gap + G gap'))/(G gap^3), P' = 8 f'^3 + 8 f f' f'' +
+    2 f' f''^2 - (4f^2 - f'^2) f''', G' = 8 f f' + 2 f' f'', gap' = 2 f f''' + 8 f f'."""
     f0, f1 = jet[0], jet[1]
     G = 4 * f0 * f0 + f1 * f1
     out = [s * f0 / G, -s * f1 / G]
-    if k == 2:
-        f2 = jet[2]
-        out.append(s * (8 * f0 * f1 * f1 - (4 * f0 * f0 - f1 * f1) * f2)
-                   / (G * gap_from_jet(f0, f1, f2)))
+    if k >= 2:
+        f2, c = jet[2], 4 * f0 * f0 - f1 * f1
+        P, gap = 8 * f0 * f1 * f1 - c * f2, gap_from_jet(f0, f1, f2)
+        out.append(s * P / (G * gap))
+        if k == 3:
+            f3 = jet[3]
+            dP = 8 * f1 * f1 * f1 + 8 * f0 * f1 * f2 + 2 * f1 * f2 * f2 - c * f3
+            dG, dgap = 8 * f0 * f1 + 2 * f1 * f2, 2 * f0 * f3 + 8 * f0 * f1
+            out.append(s * (dP * G * gap - P * (dG * gap + G * dgap))
+                       / (G * gap * gap * gap))
     return out[:k + 1]
 
 
@@ -210,14 +226,15 @@ class DualProfile:
     the root.  A point stops, and leaves the later steps, once its Newton
     step is below NEWTON_TOL or only returns to a bracket end (the residual
     is down to rounding); a point still moving after NEWTON_MAX_STEPS raises
-    ValueError rather than return a wrong number.  `jet(t, k)` then forms
-    h, h' and h'' by `legendre_dual_jet` from the base's jet at that solve, so
-    no spectral truncation enters (`dual_profile` fits this to a cosine
-    series).  A scalar angle is solved as a one-element array and returns
-    floats.  A caller that holds t with theta = theta_legendre(t) reads
-    `legendre_dual_jet` at t instead, with no solve (`isometry._h_at_theta`).
-    Orders go up to 2 (order 3 would need the base's f''').  The base must
-    be a valid Minkowski profile (`is_minkowski`): a marginal one may pinch
+    ValueError rather than return a wrong number.  `jet(t, k)`, k <= 3, then
+    reads `legendre_dual_jet` at that solve, so no spectral truncation
+    enters (`dual_profile` fits this to a cosine series).  The last solve is
+    kept, read-only, with its folded angles, and a call whose folded angles
+    equal them reuses it; it is no state for `==`, `hash` or pickle.  A
+    scalar angle is solved as a one-element array and returns floats.  A
+    caller that holds t with theta = theta_legendre(t) reads the closed form
+    at t, with no solve (`isometry._h_at_theta`).  The base must be a valid
+    Minkowski profile (`is_minkowski`): a marginal one may pinch
     theta_legendre' to zero, where h blows up.
     """
 
@@ -278,16 +295,25 @@ class DualProfile:
         return self.jet(t, order)[order]
 
     def jet(self, t, k: int):
-        """(h, ..., h^(k)) at t, k <= 2: one fold and one inversion."""
-        if k not in (0, 1, 2):
-            raise ValueError("dual profiles support derivative orders 0..2")
+        """(h, ..., h^(k)) at t, k <= 3: one fold and one inversion, or
+        the last call's where the folded angles are the same."""
+        if k not in (0, 1, 2, 3):
+            raise ValueError("dual profiles support derivative orders 0..3")
         t = as_angle(t)
         tau, sign = dihedral_fold(np.reshape(t, -1), self.d)  # a float: one row
+        last = self.__dict__.get("_solve", (None, None))
+        if not np.array_equal(last[0], tau):  # tau is the fold's own new array
+            last = (tau, self._invert_theta(tau))
+            tau.flags.writeable = last[1].flags.writeable = False
+            object.__setattr__(self, "_solve", last)
         out = [v * sign ** m for m, v in enumerate(
-            legendre_dual_jet(self.base, self._invert_theta(tau), k, self.scale))]
+            legendre_dual_jet(self.base, last[1], k, self.scale))]
         if isinstance(t, float):
             return tuple(float(v[0]) for v in out)
         return tuple(v.reshape(t.shape) for v in out)
+
+    def __getstate__(self):  # pickle and copy leave the last solve behind
+        return {k: v for k, v in vars(self).items() if k != "_solve"}
 
     def scaled(self, factor: float) -> "DualProfile":
         return DualProfile(base=self.base, scale=self.scale * factor)

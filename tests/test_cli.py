@@ -101,6 +101,18 @@ def test_validate_exact_dual_of_an_ellipse(capsys, tmp_path, b, scale):
         scale / (4.0 * (1.0 + abs(b))), rel=1e-13)
 
 
+def test_isoparametric_check_of_an_exact_dual(capsys, tmp_path):
+    # the closed-form Laplacian reads the dual's third derivative; before the
+    # dual had one, the command exited 1
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps({"kind": "dual", "scale": 0.5,
+                                "base": {"d": 3, "cos_coeffs": [0.5, 0.02]}}))
+    code, rep = run_json(capsys, "isoparametric-check", "--profile", str(path),
+                         "--model", "cartan3")
+    assert code == 0 and rep["results"]["isoparametric"] is True
+    assert rep["residuals"]["laplacian_error"] < 1e-8
+
+
 def test_validate_marginal_exits_2(capsys, profiles):
     # profile pinches to zero at the antipode: reported, not guessed
     code, rep = run_json(capsys, "validate", "--profile", profiles["pinched"])

@@ -324,7 +324,26 @@ def test_ode_residuals_takes_one_jet_of_f_for_a_legendre_theta(monkeypatch):
         for t in (0.4, np.linspace(0.05, 1.5, 9)):
             calls.clear()
             ode_residuals(tr, t)
-            assert calls == [2, 2]  # theta and theta' from one, and f's own
+            assert calls == [2]  # theta, theta' and f's own jet from one
+
+
+@pytest.mark.parametrize("theta_kind", ["legendre", "scaled-legendre"])
+def test_lift_takes_one_jet_of_f_for_a_legendre_theta(theta_kind, monkeypatch):
+    # the images (k = 0) and their differentials (k = 1) read theta, f and,
+    # for the exact triple, h from one jet of f at the rows' angles
+    m = parse_model("d2:4:2")
+    h = DualProfile(ROW_F) if theta_kind == "legendre" else ROW_HS["Profile"]
+    tr = IsometryTriple(f=ROW_F, h=h, theta=ROW_THETAS[theta_kind])
+    X = isometry._sample_points(InducedNorm(m, ROW_F), 6, seed=1)
+    calls, kernel = [], ROW_F.jet
+    monkeypatch.setitem(ROW_F.__dict__, "jet",
+                        lambda t, k: (calls.append(k), kernel(t, k))[1])
+    phi = lift_to_nd(tr, m)
+    phi(X)
+    assert calls == [1]
+    calls.clear()
+    phi.jacobian(X)
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("h_kind", sorted(ROW_HS))
@@ -1223,6 +1242,24 @@ def test_the_exact_legendre_lift_is_the_gradient_map(spec):
         ry, ty = t_coord(m, Y)
         E1 = r * r * f0
         assert np.max(np.abs(ry * ry * tr.h.evaluate(ty, 0) - E1) / E1) <= 8 * EPS
+
+
+@pytest.mark.parametrize("spec", JACOBIAN_MODELS)
+def test_the_exact_legendre_lift_is_an_involution(spec):
+    # l2 = grad E2 inverts l1 = Phi: grad E2(Phi(x)) = r (2h u + h' w) at the
+    # images' own frame is x again.  h there is a Newton solve, whose error
+    # grows near the validity bound, so the profiles are the mild ones (at
+    # most 3.7 eps measured)
+    m = parse_model(spec)
+    for coeffs in LEGENDRE_LIFT_MILD[spec]:
+        f = Profile(m.d, coeffs)
+        tr = _legendre_triple(f)
+        X = isometry._sample_points(InducedNorm(m, f), 200, seed=4)
+        ry, uy, _, ty, wy = foliation._frame(m, lift_to_nd(tr, m)(X))
+        h0, h1 = tr.h.jet(ty, 1)
+        back = ry[:, None] * (2 * h0[:, None] * uy + h1[:, None] * wy)
+        err = np.abs(back - X).max(axis=1) / np.abs(X).max(axis=1)
+        assert np.max(err) <= 8 * EPS, coeffs
 
 
 def _per_sample_check(norm1, norm2, phi, samples, seed, fd_step=1e-5):

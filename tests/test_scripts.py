@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-# sha256 of report_digest.py's 91 lines (its whole output)
-REPORT_DIGEST_SHA256 = "e54413d20d9a9e6023d9512197eadef4e12c1967ef5d0475ae1fd4bfa8eb207c"
+# sha256 of report_digest.py's 92 lines (its whole output)
+REPORT_DIGEST_SHA256 = "a3adc69c9e47729d1f5624c66bcc3f478de6ba53efa0a3527dcf1b073ffc51b6"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -76,8 +76,10 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 47 and len(set(names)) == 47
-    assert {"check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
+    assert len(names) == 48 and len(set(names)) == 48
+    assert {"DualProfile(Profile(2, (1, 0.5))).evaluate at orders 0, 1 and 2, "
+            "one 256-angle array",
+            "check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
             "ode_residuals, 256 angles in one array, DualProfile h under "
             "scaled-legendre:1.2:0.9 on Profile(2, (1, 0.5))",
             "build_h_from_theta, linear:1.3:0.8 on Profile(2, (1, 0.2))",
@@ -139,7 +141,10 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     # three-term profile, an exact dual) were appended; the first 85 kept
     # their sha256, 1714df03...  Re-pinned when three focal-guard lines
     # (planar `sample --delta 0.2`, two error exits) were appended; the
-    # first 88 kept their sha256, 9b7027ea...
-    assert len(runs[0]) == 91
+    # first 88 kept their sha256, 9b7027ea...  Re-pinned when the exact
+    # dual's third derivative came in and `isoparametric-check` of an exact
+    # dual on cartan3 (which exited 1 before) was appended; the first 91
+    # kept their sha256, e54413d2...
+    assert len(runs[0]) == 92
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import numpy.polynomial.chebyshev as chebyshev
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isonorm import profile as profile_module
@@ -385,3 +385,29 @@ def test_stationary_angles_after_validation_add_the_phi_solve(solves):
     assert solves == [4, 4, 5]   # phi' and psi', then phi
     assert angles.tobytes() == fresh.tobytes()
     assert p.stationary_angles() is angles and len(solves) == 3
+
+
+@given(st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_the_chern_shen_criterion_agrees_with_is_minkowski_at_d1(tail):
+    # for d = 1, F = r sqrt(2 f(t)) with cos t = x1/r is the (alpha, beta)-norm
+    # alpha phi(beta/alpha), b = |beta| = 1, phi(s) = sqrt(2 f(arccos s)); by
+    # Chern and Shen (Riemann-Finsler Geometry, 2005, sec. 1.1) it is a norm
+    # iff phi > 0 and phi - s phi' + (b^2 - s^2) phi'' > 0 on |s| <= b, a
+    # proof that owes nothing to the (t, f, gap) frame.  2 f(arccos s) is the
+    # Chebyshev series 2 sum c_j T_j(s).  Profiles whose minima lie within
+    # 1e-3 of the bound, relative to their scale, are the marginal band: left out
+    p = Profile(1, (1.0, *tail))
+    g = chebyshev.Chebyshev(2.0 * np.asarray(p.cos_coeffs))
+    s = np.cos(np.linspace(0.0, math.pi, 20001))
+    g0, g1, g2 = g(s), g.deriv(1)(s), g.deriv(2)(s)
+    band = 1e-3
+    assume(abs(g0.min()) > band * g0.max())
+    valid = g0.min() > 0
+    if valid:
+        phi = np.sqrt(g0)
+        dphi, ddphi = g1 / (2 * phi), (2 * g0 * g2 - g1 * g1) / (4 * g0 * phi)
+        crit = phi - s * dphi + (1.0 - s * s) * ddphi
+        assume(abs(crit.min()) > band * phi.max())
+        valid = crit.min() > 0
+    assert is_minkowski(p).status == ("valid" if valid else "invalid")
