@@ -41,7 +41,8 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   `DualProfile`, and `planar_lift_map` of the triple;
 - `check_hessian_isometry` (20 samples) of the cartan3 Legendre lift of
   Profile(3, (0.5, 0.05)): the induced norms of f and of its `DualProfile`,
-  and `lift_to_nd` of the triple, built once;
+  and `lift_to_nd` of the triple, built anew for each call, untimed (the
+  dual keeps its last solve, and each call reads h at the same images);
 - `check_hessian_isometry` (20 samples) of the d1:3 identity lift of
   Profile(1, (1, 0.5)), the norm and the lift built once: the check whose
   time went to differencing the map before the lift carried its exact
@@ -55,7 +56,8 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   closed form at t;
 - one `ode_residuals` call on those 256 angles in one array, of the triple
   with h = `DualProfile(Profile(2, (1, 0.5)))` under scaled-legendre:1.2:0.9:
-  a triple whose h is still read by one array Newton solve of the dual;
+  a triple whose h is still read by one array Newton solve of the dual (a
+  new dual per call, as a dual keeps its last solve);
 - `DualProfile(Profile(2, (1, 0.5))).evaluate` on 256 angles of [0, pi/2]
   in one array, a new dual per call (a dual keeps its last solve);
 - `evaluate` at orders 0, 1 and 2 on those 256 angles, one after the
@@ -327,11 +329,10 @@ def rows(tmp: str):
     out.append(("check_d_property, planar exact-dual Legendre triple on "
                 "Profile(2, (1, 0.2))", _planar_d_property,
                 lambda: Profile(2, (1.0, 0.2))))
-    lift = _cartan_lift()
     out.append(("check_hessian_isometry, cartan3 Legendre lift of "
                 "Profile(3, (0.5, 0.05))",
                 lambda a: check_hessian_isometry(*a, samples=LIFT_SAMPLES, seed=0),
-                lambda: lift))
+                _cartan_lift))
     identity_lift = _d1_identity_lift()
     out.append(("check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
                 lambda a: check_hessian_isometry(*a, samples=LIFT_SAMPLES, seed=0),
@@ -347,11 +348,11 @@ def rows(tmp: str):
     out.append(("256 one-angle ode_residuals calls, exact-dual Legendre triple "
                 "on Profile(2, (1, 0.5))", _one_angle_residuals,
                 lambda: dual_triple))
-    scaled_triple = IsometryTriple(f=small, h=dual_triple.h, theta=ThetaMap(
-        kind="scaled-legendre", params=(1.2, 0.9)))
+    scaled = ThetaMap(kind="scaled-legendre", params=(1.2, 0.9))
     out.append(("ode_residuals, 256 angles in one array, DualProfile h under "
                 "scaled-legendre:1.2:0.9 on Profile(2, (1, 0.5))",
-                lambda tr: ode_residuals(tr, ODE_ANGLES), lambda: scaled_triple))
+                lambda tr: ode_residuals(tr, ODE_ANGLES),
+                lambda: IsometryTriple(f=small, h=DualProfile(small), theta=scaled)))
     out.append(("DualProfile(Profile(2, (1, 0.5))).evaluate, 256 angles in one "
                 "array", lambda h: h.evaluate(DUAL_GRID), lambda: DualProfile(small)))
     out.append(("DualProfile(Profile(2, (1, 0.5))).evaluate at orders 0, 1 and 2, "
