@@ -267,7 +267,7 @@ def _h_at_theta(f: Profile, theta: ThetaMap, t, k: int, h=None, hk: int = 0):
     return th, fj, _dual_from_jet(fj, hk, h.scale) if exact else h.jet(th[0], hk), sc
 
 
-def _is_exact_dual(f: Profile, theta: ThetaMap, h) -> bool:  # JSON triples too
+def _is_exact_dual(f: Profile, theta: ThetaMap, h) -> bool:  # field equality: JSON too
     return theta.kind == "legendre" and isinstance(h, DualProfile) and h.base == f
 
 

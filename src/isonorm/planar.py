@@ -136,7 +136,7 @@ def _theta_from_jet(jet, sin, cos, t, a: float, b: float, k: int):
     theta = _unwrap_to(t, np.arctan2(b * num, a * den))
     if k == 0:
         return (theta,)
-    return theta, a * b * gap_from_jet(*jet[:3]) / (a * a * den * den + b * b * num * num)
+    return theta, a * b * gap_from_jet(*jet) / (a * a * den * den + b * b * num * num)
 
 
 def legendre_ode_rhs(p: Profile, t, theta):
