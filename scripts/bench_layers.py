@@ -54,6 +54,10 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   Profile(2, (1, 0.5)), at the interior angles of a 258-point grid on
   [0, pi/2] (the loop of perfbench's planar-sweep), whose h is read in
   closed form at t;
+- 256 one-angle `ode_residuals` calls at those angles of the
+  linear:1.3:0.8 triple on Profile(2, (1, 0.2)) whose h is its solved
+  32-term series (`build_h_from_theta`, as in the rows above): the path of
+  a triple that is not the exact dual's, whose h reads its own jet;
 - one `ode_residuals` call on those 256 angles in one array, of the triple
   with h = `DualProfile(Profile(2, (1, 0.5)))` under scaled-legendre:1.2:0.9:
   a triple whose h is still read by one array Newton solve of the dual (a
@@ -348,6 +352,12 @@ def rows(tmp: str):
     out.append(("256 one-angle ode_residuals calls, exact-dual Legendre triple "
                 "on Profile(2, (1, 0.5))", _one_angle_residuals,
                 lambda: dual_triple))
+    linear_triple = IsometryTriple(f=Profile(2, (1.0, 0.2)),
+                                   h=_linear_build(Profile(2, (1.0, 0.2))),
+                                   theta=ThetaMap(kind="linear", params=LINEAR))
+    out.append(("256 one-angle ode_residuals calls, linear:1.3:0.8 triple with "
+                "its solved 32-term h on Profile(2, (1, 0.2))", _one_angle_residuals,
+                lambda: linear_triple))
     scaled = ThetaMap(kind="scaled-legendre", params=(1.2, 0.9))
     out.append(("ode_residuals, 256 angles in one array, DualProfile h under "
                 "scaled-legendre:1.2:0.9 on Profile(2, (1, 0.5))",

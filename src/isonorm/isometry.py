@@ -20,8 +20,10 @@ and `ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
 lift_to_nd's map also carries its exact differential, `phi.jacobian`, which
 check_hessian_isometry takes where it differences any other map.
 `ode_residuals`, lift_to_nd and `build_h_from_theta` read theta, f and h at t
-from one jet of f (`_h_at_theta`); the exact Legendre triple's h is
-closed-form at t, there and in planar_lift_map: no angle is solved.
+from one jet of f and one sin/cos of t (`_h_at_theta`); the exact Legendre
+triple's h is closed-form at t, there and in planar_lift_map: no angle is
+solved.  `ode_residuals` of one angle is one pass on floats
+(`_one_angle_residuals`) through the array path's entry functions.
 check_d_property splits R^n = V' + V'' by one orthonormal basis of V'
 (`Decomposition`): a unit vector, (cos a, sin a) in the plane, or k columns.
 """
@@ -132,10 +134,7 @@ def theta_jet(tm: ThetaMap, f: Profile, t, k: int):
     if tm.kind == "identity":
         out = (t, 1.0) if scalar else (t.copy(), np.ones_like(t))
     elif tm.kind == "linear":
-        a, b = tm.params
-        sin, cos = _sin_cos(t)
-        out = (_unwrap_to(t, np.arctan2(b * sin, a * cos)),
-               a * b / (a * a * (cos * cos) + b * b * (sin * sin)))
+        out = _linear_theta(t, *_sin_cos(t), *tm.params)
     elif tm.kind in ("legendre", "scaled-legendre"):
         out = theta_scaled(f, t, *(tm.params or (1.0, 1.0)), k)
     else:
@@ -150,6 +149,13 @@ def theta_jet(tm: ThetaMap, f: Profile, t, k: int):
         if scalar:
             out = [float(v[0]) for v in out]
     return tuple(out[:k + 1])
+
+
+def _linear_theta(t, sin, cos, a: float, b: float):
+    """(theta, theta') of linear(a, b) at t from (sin t, cos t):
+    atan2(b sin t, a cos t), branch-corrected, and ab / (a^2 cos^2 t + b^2 sin^2 t)."""
+    return (_unwrap_to(t, np.arctan2(b * sin, a * cos)),
+            a * b / (a * a * (cos * cos) + b * b * (sin * sin)))
 
 
 def _pchip(x, y, t, order: int):
@@ -253,12 +259,15 @@ def save_triple(tr: IsometryTriple, path) -> None:
 def _h_at_theta(f: Profile, theta: ThetaMap, t, k: int, h=None, hk: int = 0):
     """(theta's jet to order k, f's jet to k + 1, h's jet to hk at theta(t)
     or None for no h, (sin t, cos t)) at t, from one jet of f and one sin/cos
-    of t: the Legendre kinds' theta and the exact Legendre triple's h come
-    from them in closed form (`planar._theta_from_jet`, `_dual_from_jet`), so
-    no angle is solved back to t; any other h reads its jet at theta(t)."""
+    of t: the Legendre kinds' theta, the linear kind's and the exact Legendre
+    triple's h come from them in closed form (`planar._theta_from_jet`,
+    `_linear_theta`, `_dual_from_jet`), so no angle is solved back to t; any
+    other h reads its jet at theta(t)."""
     fj, sc = f.jet(t, k + 1), _sin_cos(t)
     if theta.kind in ("legendre", "scaled-legendre"):
         th = _theta_from_jet(fj, *sc, t, *(theta.params or (1.0, 1.0)), k)
+    elif theta.kind == "linear":
+        th = _linear_theta(t, *sc, *theta.params)[:k + 1]
     else:
         th = theta_jet(theta, f, t, k)
     if h is None:
@@ -268,40 +277,55 @@ def _h_at_theta(f: Profile, theta: ThetaMap, t, k: int, h=None, hk: int = 0):
 
 
 def _is_exact_dual(f: Profile, theta: ThetaMap, h) -> bool:  # field equality: JSON too
-    return theta.kind == "legendre" and isinstance(h, DualProfile) and h.base == f
+    return theta.kind == "legendre" and isinstance(h, DualProfile) and (
+        h.base is f or h.base == f)
+
+
+def _second_entry(fj, hj, thp):
+    """Entry 0 from f's jet at t, h's at theta(t) and theta'(t)."""
+    (f0, f1, f2), (h0, h1, h2) = fj, hj
+    lhs2 = f2 / (2 * f0) - f1 * f1 / (4 * f0 * f0) + 1.0
+    return lhs2 - thp * thp * (h2 / (2 * h0) - h1 * h1 / (4 * h0 * h0) + 1.0)
+
+
+def _dihedral_entry(sf, cf, f0, f1, sh, ch, h0, h1):
+    """Entry 1 + k from sin, cos of t + k pi/d (sf, cf) and theta + k pi/d (sh, ch)."""
+    return (sf * sf + sf * cf * f1 / (2 * f0)) - (sh * sh + sh * ch * h1 / (2 * h0))
 
 
 def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     """Left-minus-right of the isometry ODE system at t: length d+1 for a
-    scalar t, which runs on Python floats, shape (d+1, m) for a 1-D array of
-    m angles.  theta, f and h at t are `_h_at_theta`'s, so the exact
-    Legendre triple solves no angle, and any other dual h one array of all
-    m angles.
+    scalar t (`_one_angle_residuals`), shape (d+1, m) for a 1-D array of m
+    angles.  theta, f and h at t are `_h_at_theta`'s, so the exact Legendre
+    triple solves no angle, and any other dual h one array of all m angles.
 
     Entry 0 is the second-order equation linking the curvature data of f
     and h through theta'; entries 1..d are the dihedral first-order
     equations (one per k).  All vanish iff the triple is a Hessian isometry.
     """
     t = as_angle(t)
-    # m angles go in as a column, against the row of dihedral angles; a
-    # scalar stays a float, so every jet runs its float path
-    tc = t if isinstance(t, float) else t.reshape(-1, 1)
-    (th, thp), (f0, f1, f2), (h0, h1, h2), sc = _h_at_theta(tr.f, tr.theta, tc, 1, tr.h, 2)
+    if isinstance(t, float):
+        return _one_angle_residuals(tr, t)
+    tc = t.reshape(-1, 1)  # m angles as a column, against the row of k pi/d
+    (th, thp), fj, hj, _ = _h_at_theta(tr.f, tr.theta, tc, 1, tr.h, 2)
+    tau = np.arange(tr.f.d) * math.pi / tr.f.d
+    return np.hstack([_second_entry(fj, hj, thp), _dihedral_entry(
+        *_sin_cos(tc + tau), fj[0], fj[1], *_sin_cos(th + tau), hj[0], hj[1])]).T
 
-    lhs2 = f2 / (2 * f0) - f1 * f1 / (4 * f0 * f0) + 1.0
-    rhs2 = h2 / (2 * h0) - h1 * h1 / (4 * h0 * h0) + 1.0
-    second = lhs2 - thp * thp * rhs2
 
-    def dihedral(sf, cf, ath):  # the entries at t + tau, of sine sf, and theta + tau
-        sh, ch = _sin_cos(ath)
-        return (sf * sf + sf * cf * f1 / (2 * f0)) - (sh * sh + sh * ch * h1 / (2 * h0))
-    d = tr.f.d
-    if isinstance(t, float):  # one dihedral angle tau = k pi/d at a time, t's at 0
-        return np.array([second, dihedral(*sc, th)] + [
-            dihedral(*_sin_cos(t + k * math.pi / d), th + k * math.pi / d)
-            for k in range(1, d)])
-    tau = np.arange(d) * math.pi / d
-    return np.hstack([second, dihedral(*_sin_cos(tc + tau), th + tau)]).T
+def _one_angle_residuals(tr: IsometryTriple, t: float) -> np.ndarray:
+    """ode_residuals at one angle in one pass on floats: theta, f, h and
+    sin/cos(t) from `_h_at_theta`, then the array path's entry functions at
+    t + k pi/d and theta + k pi/d (t and theta at k = 0), with its row's bits."""
+    (th, thp), fj, hj, (sf, cf) = _h_at_theta(tr.f, tr.theta, t, 1, tr.h, 2)
+    d, (f0, f1, _), (h0, h1, _), sin, cos = tr.f.d, fj, hj, np.sin, np.cos
+    out = [_second_entry(fj, hj, thp),
+           _dihedral_entry(sf, cf, f0, f1, float(sin(th)), float(cos(th)), h0, h1)]
+    for k in range(1, d):
+        a, b = t + k * math.pi / d, th + k * math.pi / d
+        out.append(_dihedral_entry(float(sin(a)), float(cos(a)), f0, f1,
+                                   float(sin(b)), float(cos(b)), h0, h1))
+    return np.array(out)
 
 
 # quadratic_and_roots warns about d <= 2 once per process

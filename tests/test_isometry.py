@@ -30,8 +30,8 @@ from isonorm.isometry import (Decomposition, IsometryTriple, Sector, ThetaMap,
                               triple_to_json_dict)
 from isonorm.planar import (DualProfile, PlanarNorm, fundamental_tensor,
                             indicatrix_point, legendre_map, theta_legendre)
-from isonorm.profile import (Profile, SectorProfile, load_profile, lobatto_fit,
-                             sampled_profile, save_profile)
+from isonorm.profile import (ALLOWED_D, Profile, SectorProfile, load_profile,
+                             lobatto_fit, sampled_profile, save_profile)
 
 ELLIPSE = Profile(2, (1.0, 0.2))
 WOBBLE3 = Profile(3, (0.5, 0.02, 0.005))
@@ -346,35 +346,82 @@ def test_lift_takes_one_jet_of_f_for_a_legendre_theta(theta_kind, monkeypatch):
     assert calls == [2]
 
 
+def test_a_linear_lift_takes_one_sin_and_cos_of_t(monkeypatch):
+    # theta and theta' of the linear kind come from the sin/cos(t) that the
+    # lift takes for its rows' angles
+    m = parse_model("d2:4:2")
+    tr = IsometryTriple(f=ROW_F, h=ROW_HS["Profile"], theta=ROW_THETAS["linear"])
+    X = isometry._sample_points(InducedNorm(m, ROW_F), 5, seed=1)
+    calls, sin_cos = [], isometry._sin_cos
+    monkeypatch.setattr(isometry, "_sin_cos",
+                        lambda t: (calls.append(np.shape(t)), sin_cos(t))[1])
+    phi = lift_to_nd(tr, m)
+    phi(X)
+    assert calls == [(5,)]
+    calls.clear()
+    phi.jacobian(X)
+    assert calls == [(5,)]
+
+
+def _row_case(d: int):
+    """(f, theta maps, h kinds) of the row-bit tests at order d: ROW_F's
+    family, its sampled and piecewise theta and its sector break moved from
+    [0, pi/2] to [0, pi/d], ROW_F's own at d = 2."""
+    if d == 2:
+        return ROW_F, ROW_THETAS, ROW_HS
+    bound, s = (1.0 if d == 1 else 1.0 / (d * d - 1)), 2.0 / d
+    f, grid = Profile(d, (1.0, 0.45 * bound, 0.03 * bound)), s * ROW_GRID
+    thetas = {**ROW_THETAS, "sampled": ThetaMap(
+        kind="sampled", grid=tuple(grid), values=tuple(grid + 0.01 * np.sin(d * grid))),
+        "piecewise": ThetaMap(kind="piecewise", pieces=(
+            (0.0, 0.7 * s, identity_map()), (0.7 * s, math.pi / d, legendre_map_tag())))}
+    return f, thetas, {
+        "Profile": Profile(d, (0.8, -0.3 * bound)),
+        "SectorProfile": SectorProfile(d, (0.7 * s,), (f.scaled(0.9),
+                                                       Profile(d, (0.5, 0.15 * bound)))),
+        "DualProfile": DualProfile(f)}
+
+
+ROW_CASES = {d: _row_case(d) for d in ALLOWED_D}
+
+
 @pytest.mark.parametrize("h_kind", sorted(ROW_HS))
 @pytest.mark.parametrize("theta_kind", isometry.THETA_KINDS)
-def test_ode_residual_rows_have_the_bits_of_one_angle_calls(theta_kind, h_kind):
-    tr = IsometryTriple(f=ROW_F, h=ROW_HS[h_kind], theta=ROW_THETAS[theta_kind])
-    ts = np.append(np.linspace(0.01, math.pi / 2 - 0.01, 37), 0.7)  # + a break
+@pytest.mark.parametrize("d", ALLOWED_D)
+def test_ode_residual_rows_have_the_bits_of_one_angle_calls(d, theta_kind, h_kind):
+    f, thetas, hs = ROW_CASES[d]
+    tr = IsometryTriple(f=f, h=hs[h_kind], theta=thetas[theta_kind])
+    # + the sector break of the piecewise theta and of the sector h
+    ts = np.append(np.linspace(0.01, math.pi / d - 0.01, 37), 0.7 * (2.0 / d))
     rows = ode_residuals(tr, ts)
-    assert rows.shape == (3, ts.size)
+    assert rows.shape == (d + 1, ts.size)
     assert np.array_equal(rows, np.array([ode_residuals(tr, float(t)) for t in ts]).T)
-    assert ode_residuals(tr, np.array([])).shape == (3, 0)
+    assert ode_residuals(tr, np.array([])).shape == (d + 1, 0)
 
 
 # one angle as a float, a numpy scalar and a 0-d array; the negative ones
 # and those beyond pi/2 go through the fold of h (and of f's jets)
 SCALAR_FORMS = (float, np.float64, np.array)
 FOLD_ANGLES = np.array([-2.9, -0.4, -0.0, 0.0, 0.3, 0.7, 1.2, math.pi / 2, 2.0, 4.4])
-GLUE_BASE_D2 = bump_profile(2, [(0.5, 0.4)])  # a 96-term glue base
-FLOAT_HS = {**ROW_HS, "glue-base-dual": DualProfile(GLUE_BASE_D2)}
+# a 96-term glue base of each order, its hump inside [0, pi/d]
+GLUE_BASES = {d: bump_profile(d, [(min(0.5, math.pi / (2 * d)), 0.4)]) for d in ALLOWED_D}
+GLUE_BASE_D2 = GLUE_BASES[2]  # bump_profile(2, [(0.5, 0.4)])
 
 
-@pytest.mark.parametrize("h_kind", sorted(FLOAT_HS))
+@pytest.mark.parametrize("h_kind", sorted(ROW_HS) + ["glue-base-dual"])
 @pytest.mark.parametrize("theta_kind", isometry.THETA_KINDS)
+@pytest.mark.parametrize("d", ALLOWED_D)
 def test_one_angle_residuals_have_their_row_bits_in_every_scalar_form(
-        theta_kind, h_kind):
-    tr = IsometryTriple(f=ROW_F, h=FLOAT_HS[h_kind], theta=ROW_THETAS[theta_kind])
-    rows = ode_residuals(tr, FOLD_ANGLES).T
+        d, theta_kind, h_kind):
+    f, thetas, hs = ROW_CASES[d]
+    h = DualProfile(GLUE_BASES[d]) if h_kind == "glue-base-dual" else hs[h_kind]
+    tr = IsometryTriple(f=f, h=h, theta=thetas[theta_kind])
+    angles = FOLD_ANGLES * (2.0 / d)  # the same folds of [0, pi/d]
+    rows = ode_residuals(tr, angles).T
     for form in SCALAR_FORMS:
-        for t, row in zip(FOLD_ANGLES.tolist(), rows):
+        for t, row in zip(angles.tolist(), rows):
             one = ode_residuals(tr, form(t))
-            assert one.shape == (3,)
+            assert one.shape == (d + 1,)
             assert [v.hex() for v in one.tolist()] == [v.hex() for v in row.tolist()]
 
 

@@ -76,7 +76,7 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 48 and len(set(names)) == 48
+    assert len(names) == 49 and len(set(names)) == 49
     assert {"DualProfile(Profile(2, (1, 0.5))).evaluate at orders 0, 1 and 2, "
             "one 256-angle array",
             "check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
