@@ -314,9 +314,9 @@ def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
 
 
 def _one_angle_residuals(tr: IsometryTriple, t: float) -> np.ndarray:
-    """ode_residuals at one angle in one pass on floats: theta, f, h and
-    sin/cos(t) from `_h_at_theta`, then the array path's entry functions at
-    t + k pi/d and theta + k pi/d (t and theta at k = 0), with its row's bits."""
+    """ode_residuals at one angle on floats, with its row's bits: `_h_at_theta`,
+    then the entry functions at t + k pi/d and theta + k pi/d (t, theta at k = 0)
+    with `_sin_cos` written out, whose 2d - 1 calls would add 4-14 % at d <= 3."""
     (th, thp), fj, hj, (sf, cf) = _h_at_theta(tr.f, tr.theta, t, 1, tr.h, 2)
     d, (f0, f1, _), (h0, h1, _), sin, cos = tr.f.d, fj, hj, np.sin, np.cos
     out = [_second_entry(fj, hj, thp),

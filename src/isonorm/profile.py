@@ -21,8 +21,7 @@ series, a rotation table), so every caller goes the same way in.
 `is_minkowski` is exact: it reads f and the gap from `jet` at the piece ends
 and at each smooth piece's `stationary_angles()`, the only other places their minima
 can lie; a series solves for the roots of f only where f may vanish.
-The report and each of a `Profile`'s root sets are computed once and kept;
-`scaled` by a power of two takes the root sets along.
+The report and each of a `Profile`'s root sets are computed once and kept.
 """
 
 from __future__ import annotations
@@ -129,20 +128,9 @@ class Profile:
         return roots[i]
 
     def scaled(self, factor: float) -> "Profile":
-        """The profile factor*f (coefficient-wise, exact).  A factor of 2^k
-        scales every step up to each companion matrix exactly, so the stored
-        root sets carry over while no coefficient nears overflow or the
-        subnormals; the validity report, whose minima scale, does not."""
-        out = replace(self, cos_coeffs=tuple(factor * c for c in self.cos_coeffs),
-                      fit_residual=abs(factor) * self.fit_residual)
-        if math.frexp(factor)[0] == 0.5 and all(
-                2.0 ** -900 < abs(c) < 2.0 ** 900 for c in self.cos_coeffs + out.cos_coeffs
-                if c):
-            if "_roots" in self.__dict__:
-                object.__setattr__(out, "_roots", dict(self._roots))
-            if "_angles" in self.__dict__:
-                object.__setattr__(out, "_angles", self._angles)
-        return out
+        """The profile factor*f (coefficient-wise, exact)."""
+        return replace(self, cos_coeffs=tuple(factor * c for c in self.cos_coeffs),
+                       fit_residual=abs(factor) * self.fit_residual)
 
     def to_json_dict(self) -> dict:
         out = {"d": self.d, "kind": "cosine", "cos_coeffs": list(self.cos_coeffs)}

@@ -376,30 +376,6 @@ def test_an_exact_duals_check_solves_nothing_after_its_bases(solves):
     assert is_minkowski(DualProfile(sector)).valid
 
 
-def test_a_power_of_two_multiple_keeps_the_root_angles(solves):
-    # 2^k c_j scales every step up to the companion matrices exactly, so
-    # the roots carry over, with the bits of a fresh object's solve; the
-    # validity report does not, and a factor of 3 solves afresh
-    base = Profile(3, bump_profile(3, GLUE_BASE_HUMPS).cos_coeffs)
-    is_minkowski(base)
-    base.stationary_angles()
-    for k in (1.0, 0.5, 2.0, 0.25):
-        solves.clear()
-        q = base.scaled(k)
-        angles = q.stationary_angles()
-        assert is_minkowski(q).min_gap == k * k * is_minkowski(base).min_gap
-        assert solves == []
-        assert angles.tobytes() == Profile(3, q.cos_coeffs).stationary_angles().tobytes()
-    solves.clear()
-    base.scaled(3.0).stationary_angles()
-    assert solves == [96, 95, 95]
-    # a glued h's scaled piece (scale 1: f_base.scaled(1.0)) reads its base's
-    solves.clear()
-    h = glue_construct(base, [Sector(0.0, 0.52, "scale"),
-                              Sector(0.52, math.pi / 3, "legendre-scale")]).triple.h
-    assert is_minkowski(h).valid and solves == []
-
-
 def test_stationary_angles_after_validation_add_the_phi_solve(solves):
     fresh = Profile(2, LONG_VALID).stationary_angles()
     solves.clear()
