@@ -13,6 +13,9 @@ wall time as measured, and `scaled_ms` is null.  The rows:
 - `is_minkowski` on Profile(2, (1, 0.5)) and on the 96-term cartan3 glue
   base of scripts/isometry_gallery.py, cold (a new, equal profile object per
   call) and warm (the same object again, after one untimed call);
+- `require_minkowski` on that glue base, cold: the pass/fail check of the
+  first glue op of every run (a long series' sampled gate, or the exact
+  report where the gate is absent or undecided);
 - `DualProfile(f).scaled(k)` for three k, f a new copy of that base per call;
 - a glued cartan3 triple on that base and its lift check:
   `glue_construct`, two `InducedNorm`s and `check_hessian_isometry` with 20
@@ -30,8 +33,9 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   anchored as perfbench's isometry-lift anchors it (h = f / (a^2 cos^2 t0 +
   b^2 sin^2 t0) at t0 = pi/4), at its default grid: the build of every
   `isometry solve` and lift-linear op;
-- `is_minkowski` on that solved h, 32 terms, cold: the check of every
-  lift-linear op's `InducedNorm` of h;
+- `is_minkowski` on that solved h, 32 terms, cold, and `require_minkowski`
+  on it, cold: the report, and the check of every lift-linear op's
+  `InducedNorm` of h;
 - in-process `isonorm.cli.main(["isometry", "check", "--triple", path])`,
   its report discarded, where path holds that solved Legendre triple;
 - `glue_construct` alone on the reused 96-term base (the glue row above
@@ -165,6 +169,7 @@ from isonorm.hessian import (closed_frame_matrix,  # noqa: E402
                              closed_fundamental_tensor, fd_indicatrix_operators,
                              frame_basis)
 from isonorm.planar import legendre_dual_jet  # noqa: E402
+from isonorm.profile import require_minkowski  # noqa: E402
 
 GLUE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]  # isometry_gallery.py's glue base
 GLUE_BREAK = 0.52
@@ -195,6 +200,10 @@ def _times(call, setup, repeat: int) -> list:
         call(arg)
         times.append(time.perf_counter() - t0)
     return times
+
+
+def _require(p):
+    return require_minkowski(p, "profile is not a Minkowski norm profile")
 
 
 def _glue(base):
@@ -304,7 +313,8 @@ def rows(tmp: str):
     out = [("is_minkowski cold, Profile(2, (1, 0.5))", is_minkowski, copy(small)),
            ("is_minkowski warm, Profile(2, (1, 0.5))", is_minkowski, lambda: small),
            ("is_minkowski cold, 96-term glue base", is_minkowski, copy(base)),
-           ("is_minkowski warm, 96-term glue base", is_minkowski, lambda: base)]
+           ("is_minkowski warm, 96-term glue base", is_minkowski, lambda: base),
+           ("require_minkowski cold, 96-term glue base", _require, copy(base))]
     for k in DUAL_SCALES:
         out.append((f"DualProfile(f).scaled({k:g}), 96-term glue base",
                     lambda f, k=k: DualProfile(f).scaled(k), copy(base)))
@@ -321,9 +331,11 @@ def rows(tmp: str):
                 lambda humps: bump_profile(3, humps), lambda: GLUE_HUMPS))
     out.append(("build_h_from_theta, linear:1.3:0.8 on Profile(2, (1, 0.2))",
                 _linear_build, lambda: Profile(2, (1.0, 0.2))))
+    solved_h = _linear_build(Profile(2, (1.0, 0.2)))
     out.append(("is_minkowski cold, 32-term solved h, linear:1.3:0.8 on "
-                "Profile(2, (1, 0.2))", is_minkowski,
-                copy(_linear_build(Profile(2, (1.0, 0.2))))))
+                "Profile(2, (1, 0.2))", is_minkowski, copy(solved_h)))
+    out.append(("require_minkowski cold, 32-term solved h, linear:1.3:0.8 on "
+                "Profile(2, (1, 0.2))", _require, copy(solved_h)))
     triple_path = os.path.join(tmp, "triple.json")
     save_triple(triple, triple_path)
     out.append(("cli.main isometry check in-process, solved Legendre triple on "
@@ -438,6 +450,7 @@ def rows(tmp: str):
                 "Legendre triple on Profile(2, (1, 0.2))", _fresh_cli,
                 lambda: ["isometry", "check", "--triple", triple_path]))
     long_rows = {"is_minkowski cold, 96-term glue base",
+                 "require_minkowski cold, 96-term glue base",
                  *(f"DualProfile(f).scaled({k:g}), 96-term glue base"
                    for k in DUAL_SCALES)}
     return [(*row, LONG_ROW_REPEAT if row[0] in long_rows else 1) for row in out]

@@ -39,9 +39,9 @@ INDICATRIX_STEP = 1e-4
 
 @dataclass(frozen=True)
 class InducedNorm:
-    """F = r sqrt(2 f(t)) on a foliation.  Only a plain `Profile` is checked:
-    a glued h (new scaled copies of its base and dual) takes ~6 ms to check
-    on the 96-term cartan3 base, over twice its glue and lift check (2.5 ms)."""
+    """F = r sqrt(2 f(t)) on a foliation.  Only a plain `Profile` is checked,
+    by `require_minkowski`: a long one by its sampled gate, ~0.1 ms for the
+    96-term cartan3 base, whose exact report solves for roots in ~6 ms."""
     foliation: FoliationModel
     profile: Profile
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .profile import (FIT_MAX_TERMS, Profile, _candidates, as_angle,
-                      dihedral_fold, gap_from_jet, is_minkowski, lobatto_fit,
-                      require_minkowski)
+from .profile import (FIT_MAX_TERMS, Profile, _candidates, _certified,
+                      as_angle, dihedral_fold, gap_from_jet, is_minkowski,
+                      lobatto_fit, require_minkowski)
 
 # the exact dual's Legendre-angle solve (see DualProfile)
 NEWTON_TOL = 1e-14
@@ -244,8 +244,8 @@ class DualProfile:
     def __post_init__(self):
         if not 0 < self.scale < math.inf:  # a NaN fails too
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        rep = is_minkowski(self.base)
-        if not rep.valid:
+        rep = None if _certified(self.base) else is_minkowski(self.base)
+        if rep and not rep.valid:  # a certified base needs no report
             raise ValueError(f"dual needs a valid profile ({rep.status}: "
                              f"min_f={rep.min_f:.3g}, min_gap={rep.min_gap:.3g})")
 

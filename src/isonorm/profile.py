@@ -18,10 +18,11 @@ to `cos_coeffs`.  All three profile kinds
 angles, flat or a column, has the bits of its one-angle call.  A
 `Profile`'s jet is the kernel it binds (Clenshaw's sum or, for a long
 series, a rotation table), so every caller goes the same way in.
-`is_minkowski` is exact: it reads f and the gap from `jet` at the piece ends
+`is_minkowski`'s report is exact: it reads f and the gap from `jet` at the piece ends
 and at each smooth piece's `stationary_angles()`, the only other places their minima
-can lie; a series solves for the roots of f only where f may vanish.
-The report and each of a `Profile`'s root sets are computed once and kept.
+can lie; a series solves for the roots of f only where f may vanish.  A pass/fail
+question (`require_minkowski`, `DualProfile`) asks a long series' sampled `_gate`
+first, which solves for nothing.  Reports, verdicts and root sets are kept.
 """
 
 from __future__ import annotations
@@ -347,10 +348,39 @@ def is_minkowski(p) -> ValidityReport:
     return report
 
 
+def _gate(p) -> bool:
+    """Whether samples certify a series of n terms valid, with no roots:
+    f, f', f'' at t_i = i pi/(d N), N = max(256, 8n), by one irfft; between
+    samples g >= min(g_i, g_i+1) - h^2/8 max|g''|, h = pi/(d N), |f''| <= B2,
+    |gap''| <= 2B0B4 + 2B1B3 + 8B0B2 + 8B1^2, B_m = sum (j d)^m |c_j|.  Less
+    2r B0 and 6r G (r = 16 N eps covers the irfft's and the exact jet's
+    rounding; README), True means `is_minkowski` can only say "valid"."""
+    c, d = np.asarray(p.cos_coeffs), p.d
+    N, k = max(256, 8 * len(c)), np.arange(len(c)) * float(d)
+    # f^(m) = Re sum (i k)^m c_k e^(i k t); irfft pads the spectrum to N + 1
+    spec = np.where(k, N, 2 * N) * c * (1j * k) ** np.arange(3)[:, None]
+    f0, f1, f2 = np.fft.irfft(spec, 2 * N)[:, :N + 1]
+    B0, B1, B2, B3, B4 = (float(abs(c) @ k ** m) for m in range(5))
+    r, G = 16 * N * EPS, 2.0 * B0 * B2 + B1 * B1 + 4.0 * B0 * B0
+    h2 = (1.0 + r) * (math.pi / (d * N)) ** 2 / 8.0  # 1 + r: the B_m's rounding
+    return bool(f0.min() - h2 * B2 - 2.0 * r * B0 > VALIDITY_MARGIN and
+                gap_from_jet(f0, f1, f2).min() - 6.0 * r * G - h2 * (
+                    2.0 * B0 * B4 + 2.0 * B1 * B3 + 8.0 * (B0 * B2 + B1 * B1))
+                > VALIDITY_MARGIN)
+
+
+def _certified(p) -> bool:
+    """`_gate`'s verdict on a long plain series with no report, kept on p."""
+    if (isinstance(p, Profile) and len(p.cos_coeffs) > CLENSHAW_MAX_TERMS
+            and not {"_validity", "_gate"} & p.__dict__.keys()):
+        object.__setattr__(p, "_gate", _gate(p))
+    return p.__dict__.get("_gate", False)
+
+
 def require_minkowski(p, what: str) -> None:
     """Raise ValueError, starting with `what`, if is_minkowski calls p invalid."""
-    report = is_minkowski(p)
-    if report.status == "invalid":
+    report = None if _certified(p) else is_minkowski(p)
+    if report and report.status == "invalid":
         raise ValueError(f"{what} (min_f={report.min_f:.3g}, "
                          f"min_gap={report.min_gap:.3g})")
 

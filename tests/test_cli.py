@@ -475,8 +475,9 @@ IMPORT_GROUPS = [
       ["isometry", "check", "--triple", "{triple}"],
       ["isometry", "classify", "--triple", "{triple}"]],
      {"isonorm.hessian", *FOLIATION, *POLYNOMIAL}),
+    # a certified glue base needs no companion solve
     ([["isometry", "glue", "--profile", "{bump}", "--sectors", "{sectors}"]],
-     {"isonorm.hessian", *FOLIATION}),
+     {"isonorm.hessian", *FOLIATION, *POLYNOMIAL}),
     # planar: --delta's default comes with the parser, not the foliation layer
     ([["sample", "--profile", "{ellipse}"]],
      {"isonorm.hessian", "isonorm.isometry", *FOLIATION}),

@@ -3,6 +3,7 @@ dense-grid search with golden-section refinement kept here as the reference."""
 
 import json
 import math
+import random
 import warnings
 from functools import partial
 from unittest import mock
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 from isonorm import profile as profile_module
 from isonorm.cli import main
-from isonorm.foliation import cartan3
+from isonorm.foliation import cartan3, parse_model
 from isonorm.hessian import InducedNorm
-from isonorm.isometry import Sector, bump_profile, glue_construct
+from isonorm.isometry import (Sector, ThetaMap, build_h_from_theta,
+                              bump_profile, glue_construct)
 from isonorm.planar import DualProfile, theta_legendre
 from isonorm.profile import (ALLOWED_D, EPS, VALIDITY_MARGIN, Profile,
                              SectorProfile, gap_from_jet, is_minkowski,
@@ -163,18 +165,29 @@ def checks(monkeypatch):
 GLUE_BASE_HUMPS = [(0.24, 0.4), (0.78, 0.36)]
 
 
-@pytest.mark.parametrize("sectors", [
-    [Sector(0.0, 0.52, "scale"), Sector(0.52, math.pi / 3, "legendre-scale")],
-    [Sector(0.0, 0.52, "scale"), Sector(0.52, math.pi / 3, "scale")],
-], ids=["dual-sector", "scale-only"])
-def test_a_glue_base_is_checked_once_by_glue_ops_and_lifts(checks, sectors):
+@pytest.fixture
+def gates(monkeypatch):
+    """Every profile whose sampled validity gate `_gate` is decided."""
+    seen, gate = [], profile_module._gate
+    monkeypatch.setattr(profile_module, "_gate", lambda p: seen.append(p) or gate(p))
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["legendre-scale", "scale"],
+                         ids=["dual-sector", "scale-only"])
+def test_a_glue_base_is_checked_once_by_glue_ops_and_lifts(gates, checks, solves,
+                                                           mode):
+    # a certified base needs no report: one gate decision, and no candidate
+    # search or companion solve, over two layouts and the lifts' norms
     base = bump_profile(3, GLUE_BASE_HUMPS)
-    tr = glue_construct(base, sectors).triple
+    layout = lambda brk: [Sector(0.0, brk, "scale"), Sector(brk, math.pi / 3, mode)]
+    tr = glue_construct(base, layout(0.52)).triple
     InducedNorm(cartan3(), tr.f)
-    assert [p is base for p in checks] == [True]
-    glue_construct(base, sectors)   # a second layout on the same base
+    assert [p is base for p in gates] == [True]
+    glue_construct(base, layout(0.47))   # a second layout on the same base
     InducedNorm(cartan3(), base)
-    assert [p is base for p in checks] == [True]
+    assert [p is base for p in gates] == [True]
+    assert checks == [] and solves == []
 
 
 def test_scaled_exact_duals_check_their_base_once(checks):
@@ -385,6 +398,82 @@ def test_stationary_angles_after_validation_add_the_phi_solve(solves):
     assert solves == [4, 4, 5]   # phi' and psi', then phi
     assert angles.tobytes() == fresh.tobytes()
     assert p.stationary_angles() is angles and len(solves) == 3
+
+
+# ------------------------------- the sampled gate of a long series' validity
+
+LIFT_MODELS = {1: "d1:3", 2: "d2:4:2", 3: "cartan3"}
+_NEAR_BOUND = st.sampled_from((1.0, -1.0, 1.0 - 1e-6, 1.0 + 1e-6, -1.0 + 1e-6,
+                               -1.0 - 1e-6))
+
+
+def _assert_the_exact_messages(p, rep):
+    """DualProfile, and InducedNorm where a model has p's d, reject p with
+    the messages that the exact report rep of an equal profile gives."""
+    numbers = f"min_f={rep.min_f:.3g}, min_gap={rep.min_gap:.3g}"
+    if not rep.valid:
+        with pytest.raises(ValueError) as err:
+            DualProfile(p)
+        assert str(err.value) == f"dual needs a valid profile ({rep.status}: {numbers})"
+    if rep.status == "invalid" and p.d in LIFT_MODELS:
+        with pytest.raises(ValueError) as err:
+            InducedNorm(parse_model(LIFT_MODELS[p.d]), p)
+        assert str(err.value) == f"profile is not a Minkowski norm profile ({numbers})"
+
+
+# b = share * the validity bound of c0 (1 + b cos(d t)), plus a tail of
+# n - 2 terms; with the tail at most 1e-9, a share of 1 +- 1e-6 lies within
+# 1e-6 of the bound, and a share of +-1 on it (marginal)
+@given(st.sampled_from(ALLOWED_D), st.integers(4, 96), st.floats(0.05, 20.0),
+       st.one_of(st.floats(-1.5, 1.5), _NEAR_BOUND), st.floats(0.5, 3.0),
+       st.sampled_from((0.0, 1e-9, 1e-4, 0.03)), st.randoms(use_true_random=False))
+@example(3, 96, 1.0, 1.0 - 1e-6, 1.0, 0.0, random.Random(0))
+@example(6, 4, 2.0, -1.0 - 1e-6, 1.0, 1e-9, random.Random(1))
+@example(2, 32, 0.5, 0.5, 2.0, 1e-4, random.Random(2))
+@settings(max_examples=80, deadline=None)
+def test_a_certified_long_series_is_valid(d, n, c0, share, decay, tail, rnd):
+    coeffs = (c0, c0 * share * B_BOUND[d],
+              *(c0 * tail * rnd.uniform(-1.0, 1.0) / j ** decay for j in range(2, n)))
+    # the series, a copy too small to clear the margin and its negative
+    for scale in (1.0, 1e-12, -1.0):
+        p = Profile(d, coeffs).scaled(scale)
+        rep = is_minkowski(Profile(d, p.cos_coeffs))   # an equal, unchecked twin
+        if profile_module._certified(p):
+            assert rep.status == "valid", (p, rep)
+        _assert_the_exact_messages(Profile(d, p.cos_coeffs), rep)
+
+
+@given(st.sampled_from(ALLOWED_D), st.floats(-0.3, 0.3))
+@example(2, 0.05)   # the invalid base of the scale-only glue test above
+@example(3, 0.0005)
+@settings(max_examples=20, deadline=None)
+def test_an_invalid_glue_base_gets_the_exact_message(d, amplitude):
+    # one hump on [0.1, 0.5] pi/d and a break in the round stretch after it
+    base = bump_profile(d, [(0.3 * math.pi / d, 0.4 * math.pi / d)], amplitude)
+    rep = is_minkowski(Profile(d, base.cos_coeffs))
+    if profile_module._certified(base):
+        assert rep.status == "valid", rep
+    _assert_the_exact_messages(Profile(d, base.cos_coeffs), rep)
+    brk = 0.75 * math.pi / d
+    sectors = [Sector(0.0, brk, "scale"), Sector(brk, math.pi / d, "scale")]
+    if rep.status != "invalid":
+        glue_construct(Profile(d, base.cos_coeffs), sectors)
+        return
+    with pytest.raises(ValueError) as err:
+        glue_construct(Profile(d, base.cos_coeffs), sectors)
+    assert str(err.value) == (f"profile is not a Minkowski norm profile "
+                              f"(min_f={rep.min_f:.3g}, min_gap={rep.min_gap:.3g})")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("share", [-0.95, 0.0, 0.95])
+def test_the_gate_certifies_the_solved_linear_h_over_the_lifted_range(d, share):
+    # the 32-term h of the linear:1.3:0.8 lift, anchored as the isometry
+    # lifts anchor it, takes the gate instead of two companion solves
+    f, (a, b), t0 = Profile(d, (1.0, share * B_BOUND[d])), (1.3, 0.8), math.pi / (2 * d)
+    h0 = f.evaluate(t0, 0) / (a * a * math.cos(t0) ** 2 + b * b * math.sin(t0) ** 2)
+    h = build_h_from_theta(f, ThetaMap(kind="linear", params=(a, b)), t0, h0)
+    assert len(h.cos_coeffs) == 32 and profile_module._certified(h)
 
 
 @given(st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=4))
