@@ -407,18 +407,26 @@ _NEAR_BOUND = st.sampled_from((1.0, -1.0, 1.0 - 1e-6, 1.0 + 1e-6, -1.0 + 1e-6,
                                -1.0 - 1e-6))
 
 
-def _assert_the_exact_messages(p, rep):
-    """DualProfile, and InducedNorm where a model has p's d, reject p with
-    the messages that the exact report rep of an equal profile gives."""
+def _assert_the_exact_messages(d, coeffs, rep, sectors=None):
+    """`DualProfile`, `InducedNorm` where a model has order d, and, given
+    sectors, `glue_construct` on them, each built on a new Profile(d, coeffs),
+    accept it or reject it with the message of rep, the exact report of an
+    equal profile."""
     numbers = f"min_f={rep.min_f:.3g}, min_gap={rep.min_gap:.3g}"
-    if not rep.valid:
+    norm = (f"profile is not a Minkowski norm profile ({numbers})", rep.status == "invalid")
+    builds = [(DualProfile, (f"dual needs a valid profile ({rep.status}: {numbers})",
+                             not rep.valid))]
+    if d in LIFT_MODELS:
+        builds.append((partial(InducedNorm, parse_model(LIFT_MODELS[d])), norm))
+    if sectors:
+        builds.append((lambda p: glue_construct(p, sectors), norm))
+    for build, (message, rejects) in builds:
+        if not rejects:
+            build(Profile(d, coeffs))
+            continue
         with pytest.raises(ValueError) as err:
-            DualProfile(p)
-        assert str(err.value) == f"dual needs a valid profile ({rep.status}: {numbers})"
-    if rep.status == "invalid" and p.d in LIFT_MODELS:
-        with pytest.raises(ValueError) as err:
-            InducedNorm(parse_model(LIFT_MODELS[p.d]), p)
-        assert str(err.value) == f"profile is not a Minkowski norm profile ({numbers})"
+            build(Profile(d, coeffs))
+        assert str(err.value) == message
 
 
 # b = share * the validity bound of c0 (1 + b cos(d t)), plus a tail of
@@ -440,7 +448,7 @@ def test_a_certified_long_series_is_valid(d, n, c0, share, decay, tail, rnd):
         rep = is_minkowski(Profile(d, p.cos_coeffs))   # an equal, unchecked twin
         if profile_module._certified(p):
             assert rep.status == "valid", (p, rep)
-        _assert_the_exact_messages(Profile(d, p.cos_coeffs), rep)
+        _assert_the_exact_messages(d, p.cos_coeffs, rep)
 
 
 @given(st.sampled_from(ALLOWED_D), st.floats(-0.3, 0.3))
@@ -453,16 +461,9 @@ def test_an_invalid_glue_base_gets_the_exact_message(d, amplitude):
     rep = is_minkowski(Profile(d, base.cos_coeffs))
     if profile_module._certified(base):
         assert rep.status == "valid", rep
-    _assert_the_exact_messages(Profile(d, base.cos_coeffs), rep)
     brk = 0.75 * math.pi / d
-    sectors = [Sector(0.0, brk, "scale"), Sector(brk, math.pi / d, "scale")]
-    if rep.status != "invalid":
-        glue_construct(Profile(d, base.cos_coeffs), sectors)
-        return
-    with pytest.raises(ValueError) as err:
-        glue_construct(Profile(d, base.cos_coeffs), sectors)
-    assert str(err.value) == (f"profile is not a Minkowski norm profile "
-                              f"(min_f={rep.min_f:.3g}, min_gap={rep.min_gap:.3g})")
+    _assert_the_exact_messages(d, base.cos_coeffs, rep, [
+        Sector(0.0, brk, "scale"), Sector(brk, math.pi / d, "scale")])
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -474,6 +475,21 @@ def test_the_gate_certifies_the_solved_linear_h_over_the_lifted_range(d, share):
     h0 = f.evaluate(t0, 0) / (a * a * math.cos(t0) ** 2 + b * b * math.sin(t0) ** 2)
     h = build_h_from_theta(f, ThetaMap(kind="linear", params=(a, b)), t0, h0)
     assert len(h.cos_coeffs) == 32 and profile_module._certified(h)
+
+
+@pytest.mark.parametrize("d", ALLOWED_D)
+def test_a_gap_that_dips_below_zero_between_the_samples_is_not_certified(d):
+    # 1 + s (0.3 cos u - 0.2 cos 2u + 0.1 cos 3u), u = d t, just past the
+    # largest valid s: its gap dips below zero at u = 0.61-0.72 pi, between
+    # the gate's samples, which alone still read a positive gap there
+    tail, lo, hi = (0.3, -0.2, 0.1), 0.0, 8.0
+    series = lambda s: Profile(d, (1.0, *(s * c for c in tail)))
+    for _ in range(60):
+        s = 0.5 * (lo + hi)
+        lo, hi = (s, hi) if is_minkowski(series(s)).valid else (lo, s)
+    p = series(hi * (1.0 + 1e-6))
+    assert is_minkowski(Profile(d, p.cos_coeffs)).status == "invalid"
+    assert not profile_module._certified(p)
 
 
 @given(st.lists(st.floats(-0.6, 0.6), min_size=1, max_size=4))
