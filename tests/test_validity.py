@@ -3,6 +3,7 @@ dense-grid search with golden-section refinement kept here as the reference."""
 
 import json
 import math
+import pickle
 import random
 import warnings
 from functools import partial
@@ -188,6 +189,9 @@ def test_a_glue_base_is_checked_once_by_glue_ops_and_lifts(gates, checks, solves
     InducedNorm(cartan3(), base)
     assert [p is base for p in gates] == [True]
     assert checks == [] and solves == []
+    # the kept verdict is no state: a new equal object pickles and hashes alike
+    fresh = Profile(3, base.cos_coeffs, base.fit_residual)
+    assert (base, hash(base), pickle.dumps(base)) == (fresh, hash(fresh), pickle.dumps(fresh))
 
 
 def test_scaled_exact_duals_check_their_base_once(checks):
