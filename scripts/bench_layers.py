@@ -89,8 +89,9 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   as each field-sweep op builds its norm;
 - one 20-point `riemann_fd` call on cartan3 with that profile,
   Profile(3, (0.5, 0.05)): 4 points on each of 5 leaves in
-  [0.3, pi/3 - 0.3], whose k(2n+1) = 220 stencil rows take one closed-form
-  tensor call;
+  [0.3, pi/3 - 0.3], whose 20 rows take one pass of the exact G and T (a
+  former checkout's 220 finite-difference stencil rows, one closed-form
+  tensor call);
 - `integrate_branch(f, "two", 0.3, theta_legendre(f, 0.3), 0.7)` for
   f = Profile(3, (0.5, 0.05)): 4096 RK4 steps of the Legendre branch, each
   four one-angle jets of f (the paper's two-branch reduction);

@@ -2,10 +2,11 @@
 """Sweep profile families and tabulate where the Hessian metric is flat.
 
 For each foliation model we walk one-parameter families of profiles, take
-the Riemann tensor with `riemann_fd` at four interior leaf points, and print
-the largest component, its largest ratio to `riemann_fd`'s own roundoff
-floor, and the verdict: flat when `riemann_fd` calls every point flat
-(max |R| at or below the floor).  By the paper's Laugwitz theorem the flat
+the Riemann tensor with `riemann_fd` (exact G and T = dG) at four interior
+leaf points, and print the largest component, its largest ratio to
+`riemann_fd`'s rounding floor, and the verdict: flat when `riemann_fd`
+calls every point flat (max |R| at or below the floor); a flat row's R is
+rounding, ~1e-32.  By the paper's Laugwitz theorem the flat
 rows are exactly the quadratic energies: f affine in cos 2t for d=1 and
 d=2, and only the round profile for d=3.  The near-round rays put one term
 1e-6 to 1e-2 off round on d1:3 and cartan3; their R lies far below a fixed
@@ -107,7 +108,7 @@ def main():
     for model, family in sweeps:
         sweep_model(model, family, args.seed)
     print("\nverdict: flat iff riemann_fd calls every point flat, i.e. each max |R|"
-          "\nis at or below its roundoff floor (R/floor <= 1); the quadratic rows"
+          "\nis at or below its rounding floor (R/floor <= 1); the quadratic rows"
           "\nread R/floor below 1e-2, the curved ones above 1e3")
 
 

@@ -35,8 +35,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .profile import (DEFAULT_FOCAL_GUARD, chop_count, is_minkowski,
-                      json_field, load_profile)
+from .profile import (DEFAULT_FOCAL_GUARD, VALIDITY_MARGIN, chop_count,
+                      is_minkowski, json_field, load_profile)
 
 EXIT_BY_STATUS = {"ok": 0, "marginal": 2, "failed": 1}
 USAGE_EXIT = 64
@@ -169,11 +169,13 @@ def cmd_tensor(args):
     frame_error = float(np.max(np.abs(projected - closed)))
     residuals = {"frame_error": frame_error}
     status = _status_from(residuals)
-    if not fd.positive_definite:
-        status = "failed"
+    # validate's margin on the closed G, not the FD sign (noise where G is singular)
+    low = float(np.linalg.eigvalsh(closed)[0])
+    if low <= VALIDITY_MARGIN and status != "failed":
+        status = "marginal" if low >= -VALIDITY_MARGIN else "failed"
     results = {
         "eigenvalues": [float(e) for e in fd.eigenvalues],
-        "positive_definite": bool(fd.positive_definite),
+        "positive_definite": low > VALIDITY_MARGIN,
         "g_rr": float(closed[0, 0]),
         "g_rt": float(r * closed[0, 1]),
         "g_tt": float(r * r * closed[1, 1]),

@@ -19,6 +19,7 @@ and the focal guard, and the shape operator takes that p from its caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -144,11 +145,11 @@ def _grad_poly(m: FoliationModel, u) -> np.ndarray:
 
 
 def _hess_poly(m: FoliationModel, u) -> np.ndarray:
-    """Hess p at each row of a (k, n) array, shape (k, n, n): zero for
-    d = 1, constant for d = 2 and linear in u for the Cartan cubic."""
+    """Hess p at a point, (n, n), or at each row of a (k, n) array: constant
+    for d <= 2 (_fixed_derivative) and linear in u for the Cartan cubic."""
     if m.d < 3:
-        diag = np.where(np.arange(m.n) < m.k, 2.0, -2.0) if m.d == 2 else 0.0
-        return np.broadcast_to(_arrays(m.n)["eye"] * diag, u.shape + u.shape[-1:])
+        H = _fixed_derivative(m)
+        return H if u.ndim == 1 else np.broadcast_to(H, u.shape + u.shape[-1:])
     a, b, x, y, z = 3.0 * u.T
     s, o = SQ3, 0.0 * a
     # symmetric, so .T only moves the row axis first
@@ -159,6 +160,16 @@ def _hess_poly(m: FoliationModel, u) -> np.ndarray:
         [y, -s * y, s * z, a - s * b, s * x],
         [-2.0 * z, o, s * y, s * x, -2.0 * a],
     ]).T
+
+
+@functools.cache
+def _fixed_derivative(m: FoliationModel) -> np.ndarray:
+    """Hess p for d <= 2, D^3 p for the Cartan cubic (Hess p at each axis, as
+    Hess p is linear): the derivative of p no point changes, read-only."""
+    D = (_hess_poly(m, np.eye(m.n)) if m.d == 3 else _arrays(m.n)["eye"]
+         * (np.where(np.arange(m.n) < m.k, 2.0, -2.0) if m.d == 2 else 0.0))
+    D.flags.writeable = False
+    return D
 
 
 def _check_shape(m: FoliationModel, x: np.ndarray) -> None:
@@ -319,14 +330,13 @@ class ShapeEigen(NamedTuple):
 
 
 def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
-    """S = -P (Hess p - d p I) P / (d sin dt), P = I - u u^T - w w^T, at each
-    row of the unit (k, n) array u, with p = p(u): the leaf's shape operator
-    (the spherical Hessian of t on the leaf), with eigenvalues
-    cot(t + k pi/d) there."""
+    """S = -P (Hess p - d p I) P / (d sin dt), P = I - u u^T - w w^T, at the
+    unit point or (k, n) rows u, with p = p(u): the leaf's shape operator
+    (the spherical Hessian of t on the leaf), eigenvalues cot(t + k pi/d)."""
     eye = _arrays(m.n)["eye"]
-    P = eye - u[:, :, None] * u[:, None, :] - w[:, :, None] * w[:, None, :]
-    H = _hess_poly(m, u) - (m.d * p)[:, None, None] * eye
-    return -(P @ H @ P) / (m.d * np.sin(m.d * t))[:, None, None]
+    P = eye - u[..., :, None] * u[..., None, :] - w[..., :, None] * w[..., None, :]
+    H = _hess_poly(m, u) - (m.d * p)[..., None, None] * eye
+    return -(P @ H @ P) / (m.d * np.sin(m.d * t))[..., None, None]
 
 
 def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
@@ -339,7 +349,7 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     # the leaf, which eigh puts after its two zero eigenvalues
     leaf = np.linalg.eigh(_arrays(m.n)["eye"] - np.outer(u, u)
                           - np.outer(w, w))[1][:, 2:].T
-    S = _shape_operator(m, u[None], np.array([t]), w[None], p[None])[0]
+    S = _shape_operator(m, u, t, w, p)
     evals, evecs = np.linalg.eigh(leaf @ S @ leaf.T)
     out, i = [], len(evals)  # eigh sorts ascending: walk from the top
     for k, mk in multiplicities(m):

@@ -16,7 +16,8 @@ Hessian Structures, 2007):
 
     R^l_{kij} = (1/4) g^{la} (T_{jab} g^{bm} T_{mik} - T_{iab} g^{bm} T_{mjk}),
 
-with T one central difference of the exact g, and g^{-1} T_i formed first.
+with g and T exact, from one pass of E = s phi(q) at the point's unit row
+(`_qform_tensors`), and g^{-1} T_i formed first.
 """
 
 from __future__ import annotations
@@ -28,13 +29,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import _arrays, hessian_fd
-from .foliation import (FoliationModel, _check_shape, _focal_sin, _frame,
-                        _polar, _radius, _require_interior, _shape_operator,
-                        _sqnorm, multiplicities, t_coord)
+from .foliation import (FoliationModel, _check_shape, _fixed_derivative,
+                        _focal_sin, _frame, _grad_poly, _hess_poly, _polar,
+                        _radius, _require_interior, _shape_operator, _sqnorm,
+                        multiplicities, t_coord)
 from .profile import DEFAULT_FOCAL_GUARD, Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
 INDICATRIX_STEP = 1e-4
+# riemann_fd's floor over its rounding bound, measured: flat profiles over
+# (delta, pi/d - delta) read up to 1.4 bounds, the exact dual of a base
+# within 0.999 of its validity bound (a jet above rounding) up to 750
+RIEMANN_FLOOR_SCALE = 1024.0
 
 
 @dataclass(frozen=True)
@@ -149,49 +155,71 @@ class CurvatureResult(NamedTuple):
 
 def riemann_fd(nm: InducedNorm, x,
                delta: float = DEFAULT_FOCAL_GUARD) -> CurvatureResult:
-    """Max |R^l_kij| of the Hessian metric at x/|x|, its roundoff floor, and
+    """Max |R^l_kij| of the Hessian metric at x/|x|, its rounding floor, and
     the verdict: flat iff max |R| <= floor.
 
-    G is the closed form, and T_i = d_i G a central difference of it over
-    x +- h e_i, h = TENSOR_STEP_SCALE.  x is one point (floats and a bool) or
-    a (k, n) array of rows (three (k,) arrays); the k(2n+1) stencil rows take
-    one closed_fundamental_tensor call, and each row has the bits of its
-    one-point call.  The floor bounds what rounding alone puts into R, so a
-    flat norm (a quadratic E, by the paper's Laugwitz theorem) reads below
-    it, and no other bound decides.
+    G and T = dG are exact (_qform_tensors), so a flat norm (a quadratic E,
+    by the paper's Laugwitz theorem) reads R at rounding, ~1e-32, below the
+    floor RIEMANN_FLOOR_SCALE |G^-1|^2 dT (dT + 2|T|) (max-abs norms), and
+    no other bound decides.  x is one point (floats and a bool) or a (k, n)
+    array of rows (three (k,) arrays), each with its one-point call's bits.
+    The former FD name stays, as perfbench's field-sweep calls H.riemann_fd.
     """
     x = np.asarray(x, dtype=float)
-    _, u, _, t = _polar(nm.foliation, x)  # u = x / |x| and t, from one pass
+    _, u, p, t = _polar(nm.foliation, x)  # u = x / |x|, p(u) and t, from one pass
     _require_interior(nm.foliation, t, delta)
-    u = np.atleast_2d(u)
-
-    k, n, h = len(u), nm.foliation.n, TENSOR_STEP_SCALE
-    stencil = u[:, None] + h * _arrays(n)["axes"]
-    Gs = closed_fundamental_tensor(nm, stencil.reshape(-1, n))
-    Gs = Gs.reshape(k, 2 * n + 1, n, n)
-    G, T = Gs[:, 0], (Gs[:, 1:n + 1] - Gs[:, n + 1:]) / (2.0 * h)
+    G, T, dT = _qform_tensors(nm, u, p, t)
     Gi = np.linalg.inv(G)
-    C = Gi[:, None] @ T
-    A = C[:, :, None] @ C[:, None]  # A[:, i, j] = g^-1 T_i g^-1 T_j, R = (A^T - A)/4
-    max_abs = 0.25 * np.abs(np.swapaxes(A, 1, 2) - A).max(axis=(1, 2, 3, 4))
-
-    # roundoff floor: a difference of G sees ~eps*|G|/h of noise, and R is
-    # quadratic in T, so the floor is linear in |T| plus a square term.  It
-    # is formed per row in Python floats, whose ** (libm's pow) numpy's
-    # square need not match in the last bit; the 2-norm of Gi is its
-    # largest singular value
-    g_max = np.abs(G).max(axis=(1, 2)).tolist()
-    t_max = np.abs(T).max(axis=(1, 2, 3)).tolist()
-    gi_norm = np.linalg.svd(Gi, compute_uv=False).max(axis=1).tolist()
-    floor = []
-    for g, tm, gi in zip(g_max, t_max, gi_norm):
-        eps_t = 8.0 * np.finfo(float).eps * max(1.0, g) / h
-        floor.append(0.5 * gi ** 2 * (2.0 * tm * eps_t + eps_t ** 2))
-    floor = np.array(floor)
+    C = Gi[..., None, :, :] @ T  # C[..., i, :, :] = g^-1 T_i
+    # A[..., i, j, :, :] = g^-1 T_i g^-1 T_j, R = (A^T - A)/4
+    A = C[..., :, None, :, :] @ C[..., None, :, :, :]
+    max_abs = 0.25 * np.abs(np.swapaxes(A, -3, -4) - A).max(axis=(-4, -3, -2, -1))
+    gi = np.abs(Gi).max(axis=(-2, -1))
+    floor = (RIEMANN_FLOOR_SCALE * gi * gi * dT
+             * (dT + 2.0 * np.abs(T).max(axis=(-3, -2, -1))))
     flat = max_abs <= floor
     if x.ndim == 1:
-        return CurvatureResult(float(max_abs[0]), float(floor[0]), bool(flat[0]))
+        return CurvatureResult(float(max_abs), float(floor), bool(flat))
     return CurvatureResult(max_abs, floor, flat)
+
+
+def _qform_tensors(nm: InducedNorm, u, p, t):
+    """(G, T, dT): G = Hess E, T = dG and T's rounding scale at the unit
+    point or (k, n) rows u, with p = p(u) and t.  E = s phi(q), s = |x|^2,
+    q = p(x) s^(-d/2); at s = 1, with q1 = grad q, G = 2 phi I + 2 phi'
+    (u q1^T + q1 u^T) + phi'' q1 q1^T + phi' Hess q and T = sym(M (x) u +
+    N (x) q1) + phi' D^3 p (sym: over the 3 places of the vector's index),
+    G, M, N in the basis I, Hess p, u q1^T + q1 u^T, q1 q1^T, u u^T.  phi^(m)
+    is the t-jet's (any profile kind) by the chain rule through q = cos dt, a
+    division by (d sin dt)^m: dT = eps J / (d sin dt)^3, J = sum |f^(m)|."""
+    m = nm.foliation
+    d, n = m.d, m.n
+    f0, f1, f2, f3 = nm.profile.jet(t, 3)
+    ds = d * np.sin(d * t)  # -dq/dt
+    phi1 = -f1 / ds
+    phi2 = (f2 + d * p * d * phi1) / (ds * ds)
+    phi3 = (d * d * ds * (3.0 * p * phi2 + phi1) - f3) / (ds * ds * ds)
+    dp, e, z = d * p, 2 - d, 0.0 * phi1
+    V = np.empty(u.shape[:-1] + (2, n))  # the rows u and q1
+    V[..., 0, :] = u
+    q1 = np.subtract(_grad_poly(m, u).T, dp[..., None] * u, out=V[..., 1, :])
+    basis = np.empty(u.shape + (n, 5))
+    basis[..., 0], basis[..., 1] = _arrays(n)["eye"], _hess_poly(m, u)
+    uq = u[..., :, None] * q1[..., None, :]
+    np.add(uq, np.swapaxes(uq, -1, -2), out=basis[..., 2])
+    np.multiply(q1[..., :, None], q1[..., None, :], out=basis[..., 3])
+    np.multiply(u[..., :, None], u[..., None, :], out=basis[..., 4])
+    coef = np.array([  # rows G, M, N
+        [2.0 * f0 - dp * phi1, phi1, e * phi1, phi2, e * dp * phi1],
+        [z, e * phi1, -2.0 * d * phi1, 2.0 * phi2, (d - 1) * (d - 2) * dp * phi1 * (2.0 / 3.0)],
+        [e * phi1 - dp * phi2, phi2, -d * phi2, phi3 / 3.0, e * dp * phi2 + d * (d + 2) * phi1]])
+    GMN = basis.reshape(u.shape[:-1] + (n * n, 5)) @ coef.T
+    X = (GMN[..., 1:] @ V).reshape(u.shape + (n, n))  # M (x) u + N (x) q1
+    if d == 3:  # D^3 p is zero for d <= 2
+        X += np.multiply.outer(phi1 / 3.0, _fixed_derivative(m))
+    dT = np.finfo(float).eps * (abs(f0) + abs(f1) + abs(f2) + abs(f3)) / (ds * ds * ds)
+    return (GMN[..., 0].reshape(u.shape + (n,)),
+            X + np.swapaxes(X, -1, -2) + np.swapaxes(X, -1, -3), dT)
 
 
 def indicatrix_grad_t_norm(nm: InducedNorm, t: float) -> float:

@@ -584,6 +584,8 @@ def test_validity_reports_of_short_series_keep_their_recorded_bits(row):
 # its old name frame_components) take each row in turn.  Those two were
 # re-recorded when shape_spectrum took one polar pass of x and its leaf
 # basis from eigh of the leaf projector: kappa moved in its last bits.
+# riemann_fd's four were re-recorded when it took T exact instead of a
+# central difference of G (R and its floor moved; every other entry kept).
 FIELD_SEED = 2027
 FIELD_RADII = (1.0, 0.75, 1.5, 2.0, 0.3)
 FIELD_PROFILES = {
@@ -607,7 +609,7 @@ FIELD_DIGESTS = {
         "normal_plane_basis":
             "8557a7b418717f0f52409749038bad03e84a0b3f82484e8b194f8f563bf256f0",
         "riemann_fd":
-            "2af6701afad4577500290d06de3b37ba0567d4755bc1ac40b1b2a6478ceba7c3",
+            "5800349865224a4871c03128fe27e4e925a9d8904c6abd4c2ca94f9901757c65",
         "shape_spectrum":
             "432f457f6dc492ea7849723ec56b29ae0414babcd5641e8ac403d736181cd731",
         "t_coord":
@@ -629,7 +631,7 @@ FIELD_DIGESTS = {
         "normal_plane_basis":
             "e5ee5f3a62930e7dae6ccbb3d15e8502a73b16820caa90d1d0658277d804ab25",
         "riemann_fd":
-            "4d08e0204478185b72ae1aaf570203aa21d0e1653c8616665356b7a214b4e517",
+            "a575a13d0d98773d821b28abcd4afb02e5f63b2b0082492ad6e36bc6d0129f7a",
         "shape_spectrum":
             "1fdafe6e237bbce6fb6202eafc9b2d28320f1a5e2a3cd81e1b174353fffba3d7",
         "t_coord":
@@ -651,7 +653,7 @@ FIELD_DIGESTS = {
         "normal_plane_basis":
             "d15b3eecde87a9e441e44b18f817120fea510391719f9eee0c295d4b755721cf",
         "riemann_fd":
-            "b7270a175c8c5039fee221007d967767511a859729b317097b7177744022f384",
+            "e92e936203070282c75d02059716d9cd91de9777c01a4691b9e7932ed7672a09",
         "shape_spectrum":
             "0c1ee40d183ee7bc1231bd62c799d302cec6f64a555d292acf5d6f10c570413d",
         "t_coord":
@@ -673,7 +675,7 @@ FIELD_DIGESTS = {
         "normal_plane_basis":
             "38b0ea6fdd28c051d75103a8f0d479113589ec2f33e8bcd80a2a9eda4b67d42e",
         "riemann_fd":
-            "c111eed4f339eb11cdeb4cefc29ceee8dcd34ec88992d73f6b17295e4e541761",
+            "a94c214c91c7a5352ec04893268116e8db8f81a1f267558d35042f6fd668a906",
         "shape_spectrum":
             "22e2fae1e63a2f0bf43e04c8d1f7cc0b15f098a9bae090f5519fdf9ae5c2812f",
         "t_coord":

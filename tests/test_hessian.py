@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isonorm import cli, foliation, hessian
 from fd_oracles import third_tensor_fd
@@ -21,7 +23,7 @@ from isonorm.hessian import (InducedNorm, closed_frame_matrix,
                              indicatrix_grad_t_norm, indicatrix_laplacian_t,
                              riemann_fd, value)
 from isonorm.planar import DualProfile
-from isonorm.profile import Profile, is_minkowski, save_profile
+from isonorm.profile import Profile, SectorProfile, is_minkowski, save_profile
 
 ELLIPSE_D2 = Profile(2, (1.0, 0.2))
 ELLIPSE_D1 = Profile(1, (1.0, 0.0, 0.2))  # same f(t) = 1 + 0.2 cos 2t
@@ -272,6 +274,130 @@ def test_riemann_fd_rows_raise_the_guard_error_of_their_first_bad_row():
         riemann_fd(_norm(model, ELLIPSE_D2), us)
 
 
+# ------------------------------------------- exact G and T (the q-form)
+
+EXACT_MODELS = (d1(3), d2(4, 2), d2(8, 3), cartan3())
+CURVED = {1: Profile(1, (0.5, 0.03, 0.01)), 2: WAVY_D2, 3: Profile(3, (0.5, 0.02))}
+FLAT = {1: ELLIPSE_D1, 2: ELLIPSE_D2, 3: Profile(3, (0.5,))}
+EPS = np.finfo(float).eps
+
+
+def _kinds(base):
+    """A Profile, its exact dual and a SectorProfile whose second piece is
+    the base scaled, switching at pi/(2d), where no test row lies."""
+    d = base.d
+    return {"profile": base, "dual": DualProfile(base),
+            "sector": SectorProfile(d, (0.5 * math.pi / d,), (base, base.scaled(1.2)))}
+
+
+def _exact(nm, X):
+    """(G, T, dT) of the q-form at the unit rows of X, after one polar pass."""
+    _, u, p, t = foliation._polar(nm.foliation, X)
+    return hessian._qform_tensors(nm, u, p, t)
+
+
+def _rows(model, count=6, seed=8):
+    """Leaf rows at t in [0.15, pi/d - 0.15], none near pi/(2d)."""
+    return random_leaf_points(model, np.linspace(0.15, math.pi / model.d - 0.15, count),
+                              count, seed=seed)
+
+
+@pytest.mark.parametrize("kind", ["profile", "dual", "sector"])
+@pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: m.describe())
+def test_exact_tensors_match_the_closed_g_and_its_central_difference(model, kind):
+    # T against a central difference of closed_fundamental_tensor (step h,
+    # error ~h^2 |d^3 G| + eps |G| / h, ~1e-9 of |G| here); the q-form G
+    # against the frame form, within a few ulps of |G|
+    nm = _norm(model, _kinds(CURVED[model.d])[kind])
+    X = _rows(model)
+    G, T, _ = _exact(nm, X)
+    closed = closed_fundamental_tensor(nm, X)
+    scale = np.abs(closed).max(axis=(1, 2))
+    assert (np.abs(G - closed).max(axis=(1, 2)) <= 16 * EPS * scale).all()
+    h = 1e-5
+    fd = np.stack([(closed_fundamental_tensor(nm, X + h * e)
+                    - closed_fundamental_tensor(nm, X - h * e)) / (2.0 * h)
+                   for e in np.eye(model.n)], axis=1)
+    assert (np.abs(T - fd).max(axis=(1, 2, 3)) <= 1e-8 * scale).all()
+    assert np.abs(T).max() > 1e-3  # curved: T is far from its rounding
+
+
+def test_cartan_third_derivative_is_a_difference_of_its_hessian():
+    # Hess p is linear in u for the Cartan cubic, so a central difference
+    # of it is exact up to rounding
+    m, h = cartan3(), 1e-3
+    u = random_leaf_points(m, 0.4, 1, seed=2)[0]
+    fd = np.stack([(foliation._hess_poly(m, u + h * e) - foliation._hess_poly(m, u - h * e))
+                   / (2.0 * h) for e in np.eye(5)])
+    D3 = foliation._fixed_derivative(m)
+    assert np.abs(D3 - fd).max() < 1e-11
+    assert not D3.flags.writeable and D3 is foliation._fixed_derivative(cartan3())
+    # symmetric in all three indices, as a third derivative is
+    for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+        assert np.array_equal(D3, D3.transpose(axes))
+
+
+@pytest.mark.parametrize("kind", ["profile", "dual", "sector"])
+@pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: m.describe())
+def test_flat_reads_at_its_floor_and_curved_ten_times_above(model, kind):
+    # rows from the focal guard's edges inward: t = delta + 1e-4 is where
+    # the rounding scale eps J / (d sin dt)^3 is largest
+    lo = DEFAULT_FOCAL_GUARD + 1e-4
+    ts = np.array([lo, lo + 0.01, 0.3, 0.6 * math.pi / model.d,
+                   math.pi / model.d - lo - 0.01, math.pi / model.d - lo])
+    X = random_leaf_points(model, ts, len(ts), seed=9)
+    flat = riemann_fd(_norm(model, _kinds(FLAT[model.d])[kind]), X)
+    assert flat.flat.all()
+    assert (flat.max_abs_component <= flat.noise_floor).all()
+    assert flat.max_abs_component.max() < 1e-24
+    curved = riemann_fd(_norm(model, _kinds(CURVED[model.d])[kind]), X)
+    assert (curved.max_abs_component >= 10.0 * curved.noise_floor).all()
+    assert not curved.flat.any()
+
+
+@pytest.mark.parametrize("kind", ["profile", "dual", "sector"])
+@pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: m.describe())
+def test_exact_tensors_of_a_point_have_the_bits_of_its_row(model, kind):
+    nm = _norm(model, _kinds(CURVED[model.d])[kind])
+    X = 1.3 * _rows(model, 4, seed=11)
+    rows = _exact(nm, X)
+    for i, x in enumerate(X):
+        for one, many in zip(_exact(nm, x), rows):
+            assert np.array_equal(one, many[i])
+    res = riemann_fd(nm, X)
+    assert list(zip(*(a.tolist() for a in res))) == [riemann_fd(nm, x) for x in X]
+
+
+# the paper's Laugwitz theorem (n > 2): the Hessian metric is flat iff E is
+# quadratic, i.e. iff the profile's terms are c_0 and, for d = 1, c_2, or for
+# d = 2, c_1; any other term, drawn at |c| >= 1e-3 c_0, curves it well
+# above the floor
+LAUGWITZ_SPECS = ("d1:3", "d1:5", "d2:4:2", "d2:8:3", "d2:5:1", "cartan3")
+
+
+@given(st.sampled_from(LAUGWITZ_SPECS), st.floats(0.2, 3.0),
+       st.lists(st.tuples(st.booleans(), st.floats(1e-3, 0.1), st.booleans(),
+                          st.floats(-0.9, 0.9)), min_size=0, max_size=2),
+       st.integers(0, 2 ** 16))
+@settings(max_examples=150, deadline=None)
+def test_flat_exactly_when_the_energy_is_quadratic(spec, c0, terms, seed):
+    model = parse_model(spec)
+    coeffs = [c0]
+    for j, (on, size, negative, quadratic_size) in enumerate(terms, start=1):
+        if j in QUADRATIC_TERMS[model.d]:
+            coeffs.append(c0 * quadratic_size)
+        else:
+            coeffs.append(c0 * size * (-1.0 if negative else 1.0) if on else 0.0)
+    profile = Profile(model.d, tuple(coeffs))
+    assume(is_minkowski(profile).valid)
+    quadratic = all(c == 0.0 for j, c in enumerate(coeffs)
+                    if j not in QUADRATIC_TERMS[model.d])
+    rng = np.random.default_rng(seed)
+    lo, hi = DEFAULT_FOCAL_GUARD, math.pi / model.d - DEFAULT_FOCAL_GUARD
+    X = random_leaf_points(model, rng.uniform(lo, hi, 3), 3, seed=seed)
+    assert riemann_fd(_norm(model, profile), X).flat.all() == quadratic
+
+
 # ------------------------------------------------- indicatrix t operators
 
 def test_grad_t_norm_frozen():
@@ -502,7 +628,6 @@ def test_dimension_arrays_are_built_once_read_only_and_per_dimension():
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
         assert arrays["eye"].tolist() == np.eye(n).tolist()
-        assert arrays["axes"].shape == (2 * n + 1, n)
         assert arrays["indicatrix"].shape == (4 * n + 1, n)
     # a model of another n gets its own arrays, and its frames their shape
     assert built[4]["eye"] is not built[8]["eye"]

@@ -11,7 +11,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # sha256 of report_digest.py's 92 lines (its whole output)
-REPORT_DIGEST_SHA256 = "a3adc69c9e47729d1f5624c66bcc3f478de6ba53efa0a3527dcf1b073ffc51b6"
+REPORT_DIGEST_SHA256 = "2a65aa5c97774a847e3cf6c02473a8ee91c4dc0a07f8b422febfd65602d2fcb9"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -147,7 +147,9 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     # first 88 kept their sha256, 9b7027ea...  Re-pinned when the exact
     # dual's third derivative came in and `isoparametric-check` of an exact
     # dual on cartan3 (which exited 1 before) was appended; the first 91
-    # kept their sha256, e54413d2...
+    # kept their sha256, e54413d2...  Re-pinned when `curvature` took T
+    # exact instead of a central difference of G: its 8 lines moved (R and
+    # the rounding floor), no exit code; the other 84 kept their bytes.
     assert len(runs[0]) == 92
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256
