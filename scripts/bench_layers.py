@@ -12,7 +12,8 @@ wall time as measured, and `scaled_ms` is null.  The rows:
 
 - `is_minkowski` on Profile(2, (1, 0.5)) and on the 96-term cartan3 glue
   base of scripts/isometry_gallery.py, cold (a new, equal profile object per
-  call) and warm (the same object again, after one untimed call);
+  call) and warm (the same object again, after one untimed call), and cold
+  on Profile(3, (0.5, 0.02, 0.005)), a three-term check on floats;
 - `require_minkowski` on that glue base, cold: the pass/fail check of the
   first glue op of every run (a long series' sampled gate, or the exact
   report where the gate is absent or undecided);
@@ -84,6 +85,9 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   field-sweep's models d1:3, d2:4:2, d2:8:3 and cartan3, with a curved
   profile of field-sweep's for the norm's rows (the frame functions take
   the point's shape spectrum, computed untimed);
+- one one-point `fd_indicatrix_operators` call on d2:8:3 with
+  Profile(2, (1, 0.4)) at the middle one of those leaves, t = pi/4: a
+  point's polar pass and jet on floats, then its 4n+1 stencil rows;
 - a cold `InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005)))`: a new
   three-term profile per call, its kernel built and its validity checked,
   as each field-sweep op builds its norm;
@@ -313,6 +317,8 @@ def rows(tmp: str):
 
     out = [("is_minkowski cold, Profile(2, (1, 0.5))", is_minkowski, copy(small)),
            ("is_minkowski warm, Profile(2, (1, 0.5))", is_minkowski, lambda: small),
+           ("is_minkowski cold, Profile(3, (0.5, 0.02, 0.005))", is_minkowski,
+            copy(Profile(3, (0.5, 0.02, 0.005)))),
            ("is_minkowski cold, 96-term glue base", is_minkowski, copy(base)),
            ("is_minkowski warm, 96-term glue base", is_minkowski, lambda: base),
            ("require_minkowski cold, 96-term glue base", _require, copy(base))]
@@ -411,6 +417,10 @@ def rows(tmp: str):
                     "d2:4:2, d2:8:3, cartan3",
                     lambda pts, call=call: [call(*pt) for pt in pts],
                     lambda: field))
+    nm, u, _ = field[12]  # d2:8:3, the middle leaf t = pi/4
+    out.append(("one one-point fd_indicatrix_operators call, d2:8:3, "
+                "Profile(2, (1, 0.4)), t = pi/4",
+                lambda u: fd_indicatrix_operators(nm, u), lambda: u))
     out.append(("InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005))) cold, "
                 "a new profile per call",
                 lambda c: InducedNorm(cartan3(), Profile(3, c)),

@@ -347,8 +347,8 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
     _, u, p, t, w = _frame(m, x, delta, "shape_spectrum")
     # the leaf basis: the eigenvalue-1 eigenvectors of the projector onto
     # the leaf, which eigh puts after its two zero eigenvalues
-    leaf = np.linalg.eigh(_arrays(m.n)["eye"] - np.outer(u, u)
-                          - np.outer(w, w))[1][:, 2:].T
+    leaf = np.linalg.eigh(_arrays(m.n)["eye"] - u[:, None] * u
+                          - w[:, None] * w)[1][:, 2:].T
     S = _shape_operator(m, u, t, w, p)
     evals, evecs = np.linalg.eigh(leaf @ S @ leaf.T)
     out, i = [], len(evals)  # eigh sorts ascending: walk from the top
@@ -361,7 +361,7 @@ def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
         if not all(abs(v - target) <= tol for v in kappa.tolist()):
             raise RuntimeError(f"shape eigenvalues {kappa} for k={k} are not "
                                f"cot(t + k pi/d) = {target:.6f}")
-        out.append(ShapeEigen(k=k, kappa=float(np.mean(kappa)), multiplicity=mk,
+        out.append(ShapeEigen(k=k, kappa=float(kappa.sum() / mk), multiplicity=mk,
                               basis=evecs[:, i - mk:i].T @ leaf))
         i -= mk
     return out

@@ -46,8 +46,8 @@ RIEMANN_FLOOR_SCALE = 1024.0
 @dataclass(frozen=True)
 class InducedNorm:
     """F = r sqrt(2 f(t)) on a foliation.  Only a plain `Profile` is checked,
-    by `require_minkowski`: a long one by its sampled gate, ~0.1 ms for the
-    96-term cartan3 base, whose exact report solves for roots in ~6 ms."""
+    by `require_minkowski`: one of at most 3 terms by its exact report on
+    floats, ~20 us, a long one by its sampled gate, ~0.1 ms at 96 terms."""
     foliation: FoliationModel
     profile: Profile
 
@@ -73,11 +73,13 @@ def energy(nm: InducedNorm, x):
     rows = np.atleast_2d(x)
     with np.errstate(over="ignore"):  # an overflow gets t_coord's error
         r2 = np.atleast_1d(_sqnorm(x))
-    E = np.zeros(len(rows))
     live = r2 != 0.0
-    if live.any():
-        t = t_coord(nm.foliation, rows[live]).t
-        E[live] = r2[live] * nm.profile.evaluate(t, 0)
+    if live.all():  # no origin row: no mask and no copies
+        E = r2 * nm.profile.evaluate(t_coord(nm.foliation, rows).t, 0)
+    else:
+        E = np.zeros(len(rows))
+        if live.any():
+            E[live] = r2[live] * nm.profile.evaluate(t_coord(nm.foliation, rows[live]).t, 0)
     return float(E[0]) if x.ndim == 1 else E
 
 
@@ -284,11 +286,11 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
     arrays.
     """
     u0 = np.asarray(u0, dtype=float)
-    _, u, _, t = _polar(nm.foliation, np.atleast_2d(u0))
-    k, n = u.shape
-    rho = 1.0 / np.sqrt(2.0 * nm.profile.evaluate(t, 0))  # |x| on S_F
+    _, u, _, t = _polar(nm.foliation, u0)  # a point's, and its jet, on floats
+    rho = np.reshape(1.0 / np.sqrt(2.0 * nm.profile.evaluate(t, 0)), (-1, 1))  # |x| on S_F
+    k, n = len(rho), u.shape[-1]
     h = INDICATRIX_STEP * rho
-    X = (rho[:, None] * u)[:, None] + h[:, None, None] * _arrays(n)["indicatrix"]
+    X = (rho * u)[:, None] + h[:, :, None] * _arrays(n)["indicatrix"]
     frame = _frame(nm.foliation, X.reshape(-1, n))
     dt = frame[4] / frame[0][:, None]
     G = _closed_tensor(nm, frame)
@@ -301,7 +303,7 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
     flux = np.diagonal((sdet[..., None] * sol)[:, 1:].reshape(k, n, 4, n),
                        axis1=1, axis2=3)
     div = ((8.0 * (flux[:, 1] - flux[:, 2]) - (flux[:, 0] - flux[:, 3]))
-           / (12.0 * h[:, None]))
+           / (12.0 * h))
     lap = div.sum(axis=1) / sdet[:, 0]
     return (float(grad[0]), float(lap[0])) if u0.ndim == 1 else (grad, lap)
 

@@ -20,7 +20,8 @@ angles, flat or a column, has the bits of its one-angle call.  A
 series, a rotation table), so every caller goes the same way in.
 `is_minkowski`'s report is exact: it reads f and the gap from `jet` at the piece ends
 and at each smooth piece's `stationary_angles()`, the only other places their minima
-can lie; a series solves for the roots of f only where f may vanish.  A pass/fail
+can lie; a series solves for the roots of f only where f may vanish, and a short
+one (`_short_candidates`) does all of it on floats with the arrays' bits.  A pass/fail
 question (`require_minkowski`, `DualProfile`) asks a long series' sampled `_gate`
 first, which solves for nothing.  Reports, verdicts and root sets are kept.
 """
@@ -107,25 +108,27 @@ class Profile:
             object.__setattr__(self, "_angles", angles)
         return self._angles
 
-    def _root_angles(self, i: int) -> np.ndarray:
+    def _root_angles(self, i: int):
         """t = arccos(q)/d over the real parts q, clipped to [-1, 1], of the
-        roots of phi, phi' or psi' (i = 0, 1, 2), once per object: numpy's
-        steps written out for at most CLENSHAW_MAX_TERMS terms, else numpy's
-        functions, one companion-matrix solve each."""
+        roots of phi, phi' or psi' (i = 0, 1, 2), once per object: for at
+        most CLENSHAW_MAX_TERMS terms a list of floats by numpy's steps
+        written out and numpy's scalar arccos (math.acos differs in the last
+        bit), else an array by numpy's functions, one companion solve each."""
         roots = self.__dict__.setdefault("_roots", {})
         if i not in roots:
             c = self.cos_coeffs
             if i == 2:
                 c = tuple(v * ((j * self.d) ** 2 - 4.0) for j, v in enumerate(c))
             if len(c) <= CLENSHAW_MAX_TERMS:
-                q = np.array(_short_roots(_short_chebder(c) if i else c), dtype=float)
+                roots[i] = [float(np.arccos(min(max(q, -1.0), 1.0))) / self.d
+                            for q in _short_roots(_short_chebder(c) if i else c)]
             else:
                 from numpy.polynomial.chebyshev import chebder, chebroots
                 from numpy.polynomial.polyutils import trimcoef
                 s = chebder(c) if i else np.asarray(c)
                 # trailing c_j below eps * max|c| overflow the companion matrix
                 q = chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
-            roots[i] = np.arccos(np.clip(q, -1.0, 1.0)) / self.d
+                roots[i] = np.arccos(np.clip(q, -1.0, 1.0)) / self.d
         return roots[i]
 
     def scaled(self, factor: float) -> "Profile":
@@ -309,6 +312,14 @@ def _candidates(p, lo: float, hi: float) -> np.ndarray:
                           if max(a, lo) < min(b, hi)])
     sets = [p.stationary_angles]
     if isinstance(p, Profile):
+        B0 = B1 = B2 = 0.0  # _gate's B_m = sum (j d)^m |c_j|
+        for k, a in zip(range(0, len(p.cos_coeffs) * p.d, p.d), map(abs, p.cos_coeffs)):
+            B0, B1, B2 = B0 + a, B1 + a * k, B2 + a * k * k
+        if not math.isfinite(2.0 * B0 * B2 + B1 * B1 + 4.0 * B0 * B0):  # _gate's G
+            raise ValueError("profile coefficients too large: the gap bound 2 B0 B2 + "
+                             "B1^2 + 4 B0^2, B_m = sum (j d)^m |c_j|, overflows")
+        if len(p.cos_coeffs) <= CLENSHAW_MAX_TERMS:
+            return _short_candidates(p, lo, hi)
         sets.insert(0, lambda: np.append(p._root_angles(1), p._root_angles(2)))
     for angles in sets:
         # np.unique's values, by its steps, without the numpy.ma import it makes
@@ -320,11 +331,27 @@ def _candidates(p, lo: float, hi: float) -> np.ndarray:
     return np.array([t, f0, gap_from_jet(f0, f1, f2)])
 
 
+def _short_candidates(p, lo: float, hi: float) -> np.ndarray:
+    """`_candidates` of a series of at most CLENSHAW_MAX_TERMS terms by the
+    array path's steps on floats: the root angles' lists, a sorted set and
+    the float jet, which has its array row's bits."""
+    angles = p._root_angles(1) + p._root_angles(2)
+    for phi in (False, True):  # phi's roots only where f may vanish
+        t = sorted({lo, hi, *(min(max(v, lo), hi)
+                              for v in angles + (p._root_angles(0) if phi else []))})
+        f0, f1, f2 = zip(*(p.jet(v, 2) for v in t))
+        if min(f0) > VALIDITY_MARGIN:
+            break
+    return np.array([t, f0, list(map(gap_from_jet, f0, f1, f2))])
+
+
 def is_minkowski(p) -> ValidityReport:
     """Check f > 0 and gap > 0 on [0, pi/d], exactly: on a smooth piece both
     reach their minima at a piece end or where f' or gap' = 2 f (f''' + 4 f')
     vanishes, and there the values come from `jet`; a series solves for
-    phi's roots only if f is at most 1e-9 at the ends and the other roots.
+    phi's roots only if f is at most 1e-9 at the ends and the other roots; a
+    short one runs on floats (`_short_candidates`), with the arrays' bits.
+    A ValueError if a series' gap bound 2 B0 B2 + B1^2 + 4 B0^2 overflows.
     "valid" needs both minima above 1e-9; a sign flip below -1e-9 is
     "invalid"; anything pinched in between is reported as "marginal" rather
     than guessed.  Profiles are frozen, so the report is computed once per
@@ -333,8 +360,8 @@ def is_minkowski(p) -> ValidityReport:
     if "_validity" in p.__dict__:
         return p._validity
     ts, fs, gaps = _candidates(p, 0.0, math.pi / p.d)
-    i = int(np.argmin(gaps))
-    min_f, min_gap, arg_gap = float(np.min(fs)), float(gaps[i]), ts[i]
+    i = int(gaps.argmin())
+    min_f, min_gap, arg_gap = float(fs.min()), float(gaps[i]), ts[i]
 
     if min_f > VALIDITY_MARGIN and min_gap > VALIDITY_MARGIN:
         status = "valid"

@@ -113,6 +113,17 @@ def test_isoparametric_check_of_an_exact_dual(capsys, tmp_path):
     assert rep["residuals"]["laplacian_error"] < 1e-8
 
 
+def test_validate_of_an_overflowing_profile_is_a_one_line_error(capsys, tmp_path):
+    # a valid profile scaled up: its gap overflows, which read "marginal"
+    # with a NaN min_gap and then failed to print as JSON
+    path = tmp_path / "big.json"
+    save_profile(Profile(2, (1e200, 5e199)), path)
+    assert main(["validate", "--profile", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("isonorm: error: profile coefficients too large: the gap bound")
+
+
 def test_validate_marginal_exits_2(capsys, profiles):
     # profile pinches to zero at the antipode: reported, not guessed
     code, rep = run_json(capsys, "validate", "--profile", profiles["pinched"])

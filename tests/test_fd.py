@@ -180,6 +180,13 @@ def test_energy_is_zero_at_the_origin():
                           [0.0, 4.0 * nm.profile.evaluate(0.0, 0)])
 
 
+@pytest.mark.parametrize("spec", MODELS)
+def test_energy_of_no_rows_is_empty(spec):
+    m = parse_model(spec)
+    nm = InducedNorm(m, Profile(m.d, COEFFS[m.d]))
+    assert energy(nm, np.empty((0, m.n))).shape == (0,)
+
+
 def test_energy_checks_the_shape_of_origin_rows():
     # rows at the origin skip t_coord, so the shape check must come first
     nm = InducedNorm(parse_model("d2:4:2"), Profile(2, COEFFS[2]))

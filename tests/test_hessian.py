@@ -500,6 +500,7 @@ def test_fd_indicatrix_operators_keep_one_point_bits(model, profile):
     for u, g, lap in zip(us, grads, laps):
         assert (g, lap) == _one_point_operators(nm, u)
         assert fd_indicatrix_operators(nm, u) == (g, lap)
+        assert [v.tolist() for v in fd_indicatrix_operators(nm, u[None])] == [[g], [lap]]
         assert fd_indicatrix_laplacian_t(nm, u) == lap
 
 
@@ -517,17 +518,21 @@ def test_fd_indicatrix_laplacian_near_the_focal_ends(model, profile):
 
 
 def test_fd_indicatrix_operators_make_two_polar_passes(monkeypatch):
-    # one of the input rows, then one of their stencil rows, whose frame
-    # gives both dt and the closed G
+    # one of the input rows (a point's on floats), then one of their stencil
+    # rows, whose frame gives both dt and the closed G
     model, profile = MODEL_PROFILES[2]
+    nm, n = _norm(model, profile), model.n
     us = random_leaf_points(model, 0.6, 2, seed=4)
     calls = []
     for module in (hessian, foliation):
         monkeypatch.setattr(module, "_polar",
                             lambda m, x, *a, one=module._polar:
-                            calls.append(len(x)) or one(m, x, *a))
-    fd_indicatrix_operators(_norm(model, profile), us)
-    assert calls == [2, 2 * (4 * model.n + 1)]
+                            calls.append(np.shape(x)) or one(m, x, *a))
+    fd_indicatrix_operators(nm, us)
+    assert calls == [(2, n), (2 * (4 * n + 1), n)]
+    calls.clear()
+    fd_indicatrix_operators(nm, us[0])
+    assert calls == [(n,), (4 * n + 1, n)]
 
 
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)

@@ -76,7 +76,7 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 51 and len(set(names)) == 51
+    assert len(names) == 53 and len(set(names)) == 53
     assert {"DualProfile(Profile(2, (1, 0.5))).evaluate at orders 0, 1 and 2, "
             "one 256-angle array",
             "check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
@@ -86,6 +86,9 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
             "is_minkowski cold, 32-term solved h, linear:1.3:0.8 on "
             "Profile(2, (1, 0.2))",
             "require_minkowski cold, 96-term glue base",
+            "is_minkowski cold, Profile(3, (0.5, 0.02, 0.005))",
+            "one one-point fd_indicatrix_operators call, d2:8:3, "
+            "Profile(2, (1, 0.4)), t = pi/4",
             "require_minkowski cold, 32-term solved h, linear:1.3:0.8 on "
             "Profile(2, (1, 0.2))",
             "one 20-point riemann_fd call, 4 points on each of 5 leaves of "

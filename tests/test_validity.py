@@ -300,6 +300,71 @@ def test_candidates_equal_np_unique_for_every_d(d, c0, share, c2, at, dual_share
         assert repr(is_minkowski(p)) == repr(want_report), p
 
 
+# --------------------------------------- a short series' candidates on floats
+
+@given(st.sampled_from(ALLOWED_D), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+@example(1, [0.5])                # one term: the ends alone
+@example(1, [0.5, 0.0, 0.5])      # f = cos^2 t vanishes at pi/2: phi's roots are read
+@example(4, [2.0, 2.0 / 7.0])     # at the validity bound: marginal
+@example(2, [1.0, 1.0, 0.0])      # f = 1 + cos 2t touches 0 at the bound b = 1
+@settings(max_examples=150, deadline=None)
+def test_short_candidates_on_floats_have_the_array_paths_bits(d, coeffs):
+    # a series of at most three terms takes its candidates on floats; the
+    # reference takes them on arrays with np.unique, as long series do
+    p, ref = Profile(d, coeffs), Profile(d, coeffs)
+    got = profile_module._candidates(p, 0.0, math.pi / d)
+    reference = partial(_unique_candidates, skip_phi=True)
+    assert got.tobytes() == reference(ref, 0.0, math.pi / d).tobytes(), p
+    with mock.patch.object(profile_module, "_candidates", reference):
+        want = is_minkowski(ref)
+    assert repr(is_minkowski(p)) == repr(want), p
+
+
+@pytest.mark.parametrize("coeffs, solves", [((0.5, 0.0, 0.5), 3), ((1.0, 0.5, 0.1), 2),
+                                            ((0.5,), 2)])
+def test_short_candidates_solve_for_phi_only_where_f_may_vanish(coeffs, solves):
+    roots = mock.Mock(wraps=profile_module._short_roots)
+    with mock.patch.object(profile_module, "_short_roots", roots):
+        is_minkowski(Profile(1, coeffs))
+    assert roots.call_count == solves
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=64))
+@example([-1.0, -0.0, 0.0, 0.5, 1.0])
+def test_numpys_scalar_arccos_has_its_array_rows_bits(qs):
+    # the float candidates rely on it; math.acos differs in the last bit
+    got = np.array([float(np.arccos(q)) for q in qs])
+    assert got.tobytes() == np.arccos(np.array(qs)).tobytes()
+
+
+# ------------------------------------------------------ an overflowing gap
+
+BIG = (1e200, 5e199)  # Profile(2, (1, 0.5)) scaled up
+
+
+@pytest.mark.parametrize("p", [
+    Profile(2, BIG), Profile(1, (1e154,)), Profile(1, (1.0, 0.0, 1e154)),
+    Profile(2, BIG + (1e190,) * 3),
+    SectorProfile(2, (0.7,), (Profile(2, (1.0, 0.2)), Profile(2, BIG)))],
+    ids=["two-term", "constant", "three-term", "five-term", "sector"])
+def test_an_overflowing_gap_bound_is_an_error(p):
+    # the gap 2 f f'' - f'^2 + 4 f^2 overflowed to a NaN min_gap, "marginal"
+    with pytest.raises(ValueError, match=r"gap bound .* overflows"):
+        is_minkowski(p)
+
+
+def test_an_overflowing_profile_is_no_norm_and_has_no_dual():
+    for build in (lambda p: InducedNorm(parse_model("d2:4:2"), p), DualProfile):
+        with pytest.raises(ValueError, match=r"gap bound .* overflows"):
+            build(Profile(2, BIG))
+
+
+def test_a_large_profile_below_the_overflow_keeps_its_report():
+    assert is_minkowski(Profile(1, (1e153,))).min_gap == 4e306
+    rep = is_minkowski(Profile(2, (1e150, 5e149)))
+    assert rep.status == "valid" and math.isfinite(rep.min_gap)
+
+
 # ------------------------------- phi's roots only where a long f may vanish
 
 def _long_profile(d, tail, c0_offset, lo, hi):
