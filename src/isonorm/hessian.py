@@ -47,7 +47,7 @@ RIEMANN_FLOOR_SCALE = 1024.0
 class InducedNorm:
     """F = r sqrt(2 f(t)) on a foliation.  Only a plain `Profile` is checked,
     by `require_minkowski`: one of at most 3 terms by its exact report on
-    floats, ~20 us, a long one by its sampled gate, ~0.1 ms at 96 terms."""
+    floats, ~25 us, a long one by its sampled gate, ~0.1 ms at 96 terms."""
     foliation: FoliationModel
     profile: Profile
 
