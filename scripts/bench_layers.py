@@ -87,7 +87,8 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   the point's shape spectrum, computed untimed);
 - one one-point `fd_indicatrix_operators` call on d2:8:3 with
   Profile(2, (1, 0.4)) at the middle one of those leaves, t = pi/4: a
-  point's polar pass and jet on floats, then its 4n+1 stencil rows;
+  point's polar pass on floats, then one q-form pass for G, T, dt and
+  Hess t and two solves with G;
 - a cold `InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005)))`: a new
   three-term profile per call, its kernel built and its validity checked,
   as each field-sweep op builds its norm;
@@ -130,8 +131,9 @@ Only public names are used, so the script also times another checkout:
     PYTHONPATH=../other/src python3 scripts/bench_layers.py --label other
 
 The file records the git commit of the isonorm package that was imported,
-whether its source differs from that commit, and the Python and numpy
-versions.
+whether its source differs from that commit, the Python and numpy versions
+and the three BLAS thread variables the script pins before numpy loads
+(`blas_threads`).
 """
 
 import argparse
@@ -150,8 +152,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # one BLAS thread, as perfbench sets it, before numpy loads
-os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "1"})
+BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                "MKL_NUM_THREADS": "1"}
+os.environ.update(BLAS_THREADS)
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
@@ -514,6 +517,7 @@ def main(argv=None) -> int:
         "src_modified": status != "" if status != "unknown" else None,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREADS},
         "repeat": args.repeat,
         "timing": "best of a row's repeat calls; scaled_ms = best_ms * "
                   f"{hostspeed.REF_S * 1e3:g} ms / mean(probe_ms); fresh-process "

@@ -16,13 +16,12 @@ import numpy as np
 
 @functools.cache
 def _arrays(n: int) -> dict:
-    """Read-only arrays of dimension n, built once: I_n, the indicatrix
-    stencil in units of its step, and hessian_fd's lattice."""
-    e, eye = np.eye(n, dtype=int), np.eye(n)
+    """Read-only arrays of dimension n, built once: I_n and hessian_fd's
+    lattice."""
+    e = np.eye(n, dtype=int)
     i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # triu_indices(n, 1)
     groups = (0 * e[:1], e, -e, e[i] + e[j], e[i] - e[j], e[j] - e[i], -e[i] - e[j])
-    out = {"eye": eye, "pairs": np.array([i, j]), "lattice": np.concatenate(groups),
-           "indicatrix": np.vstack([np.zeros(n), np.kron(eye, [[2.0], [1.0], [-1.0], [-2.0]])])}
+    out = {"eye": np.eye(n), "pairs": np.array([i, j]), "lattice": np.concatenate(groups)}
     for a in out.values():
         a.flags.writeable = False
     return dict(out, ends=tuple(np.cumsum([len(g) for g in groups]).tolist()))

@@ -2,13 +2,12 @@
 
 The Hessian metric g = Hess(E), E = F^2/2, is evaluated in closed form
 wherever g itself is needed, from one frame of the foliation per row set
-(`foliation._frame`: one polar pass and w), which its caller builds and
-whose p(u) the shape operator shares; the indicatrix operators' stencil
-rows take one frame for both dt and g (`_closed_tensor`).  The FD
-`fd_fundamental_tensor` differences E and stays the independent oracle of
-G; `energy` maps (m, n) rows to m values, so its stencil takes one call.
-On the indicatrix S_F the Laplacian of t is the ambient one of g, so the
-only FD left there is the outer divergence difference of that Laplacian.
+(`foliation._frame`: one polar pass and w), whose p(u) the shape operator
+shares.  The FD `fd_fundamental_tensor` differences E and stays the
+independent oracle of G; `energy` maps (m, n) rows to m values, so its
+stencil takes one call.  On the indicatrix S_F the Laplacian and the
+squared gradient norm of t are the ambient ones of g, formed at the point
+from one pass of the q-form (`_qform_tensors`), as curvature is.
 
 Curvature note: for a Hessian metric the Riemann tensor depends only on g
 and T = dg, the third derivatives of the potential (Shima, The Geometry of
@@ -36,7 +35,6 @@ from .foliation import (FoliationModel, _check_shape, _fixed_derivative,
 from .profile import DEFAULT_FOCAL_GUARD, Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
-INDICATRIX_STEP = 1e-4
 # riemann_fd's floor over its rounding bound, measured: flat profiles over
 # (delta, pi/d - delta) read up to 1.4 bounds, the exact dual of a base
 # within 0.999 of its validity bound (a jet above rounding) up to 750
@@ -70,17 +68,19 @@ def energy(nm: InducedNorm, x):
     array; every row gets the bits of its one-point call."""
     x = np.asarray(x, dtype=float)
     _check_shape(nm.foliation, x)  # t_coord's, which origin rows skip
-    rows = np.atleast_2d(x)
+    if x.ndim == 1:  # t_coord's point path and the float jet
+        r2 = _sqnorm(x)  # np.vdot: an overflow reads inf, unwarned
+        return 0.0 if r2 == 0.0 else float(
+            r2 * nm.profile.evaluate(t_coord(nm.foliation, x).t, 0))
     with np.errstate(over="ignore"):  # an overflow gets t_coord's error
-        r2 = np.atleast_1d(_sqnorm(x))
+        r2 = _sqnorm(x)
     live = r2 != 0.0
     if live.all():  # no origin row: no mask and no copies
-        E = r2 * nm.profile.evaluate(t_coord(nm.foliation, rows).t, 0)
-    else:
-        E = np.zeros(len(rows))
-        if live.any():
-            E[live] = r2[live] * nm.profile.evaluate(t_coord(nm.foliation, rows[live]).t, 0)
-    return float(E[0]) if x.ndim == 1 else E
+        return r2 * nm.profile.evaluate(t_coord(nm.foliation, x).t, 0)
+    E = np.zeros(len(x))
+    if live.any():
+        E[live] = r2[live] * nm.profile.evaluate(t_coord(nm.foliation, x[live]).t, 0)
+    return E
 
 
 class TensorResult(NamedTuple):
@@ -113,18 +113,13 @@ def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
     rows, each with the bits of its one-row call; one frame (_frame) gives
     u, t, w and the p that S takes, so p is evaluated once per row set.
     FocalProximityError on a focal cone, where w degenerates."""
-    x = np.asarray(x, dtype=float)
-    G = _closed_tensor(nm, _frame(nm.foliation, np.atleast_2d(x)))
-    return G if x.ndim == 2 else G[0]
-
-
-def _closed_tensor(nm: InducedNorm, frame) -> np.ndarray:
-    """closed_fundamental_tensor at the rows of a frame, _frame's tuple."""
-    m, (_, u, p, t, w) = nm.foliation, frame
+    x, m = np.asarray(x, dtype=float), nm.foliation
+    _, u, p, t, w = _frame(m, np.atleast_2d(x))
     f0, f1, f2 = (f[:, None, None] for f in nm.profile.jet(t, 2))
     uw = u[:, :, None] * w[:, None, :]
-    return (2.0 * f0 * _arrays(m.n)["eye"] + f2 * (w[:, :, None] * w[:, None, :])
-            + f1 * (uw + np.swapaxes(uw, 1, 2) + _shape_operator(m, u, t, w, p)))
+    G = (2.0 * f0 * _arrays(m.n)["eye"] + f2 * (w[:, :, None] * w[:, None, :])
+         + f1 * (uw + np.swapaxes(uw, 1, 2) + _shape_operator(m, u, t, w, p)))
+    return G if x.ndim == 2 else G[0]
 
 
 def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
@@ -170,7 +165,7 @@ def riemann_fd(nm: InducedNorm, x,
     x = np.asarray(x, dtype=float)
     _, u, p, t = _polar(nm.foliation, x)  # u = x / |x|, p(u) and t, from one pass
     _require_interior(nm.foliation, t, delta)
-    G, T, dT = _qform_tensors(nm, u, p, t)
+    G, T, dT = _qform_tensors(nm, u, p, t)[:3]
     Gi = np.linalg.inv(G)
     C = Gi[..., None, :, :] @ T  # C[..., i, :, :] = g^-1 T_i
     # A[..., i, j, :, :] = g^-1 T_i g^-1 T_j, R = (A^T - A)/4
@@ -186,14 +181,18 @@ def riemann_fd(nm: InducedNorm, x,
 
 
 def _qform_tensors(nm: InducedNorm, u, p, t):
-    """(G, T, dT): G = Hess E, T = dG and T's rounding scale at the unit
-    point or (k, n) rows u, with p = p(u) and t.  E = s phi(q), s = |x|^2,
-    q = p(x) s^(-d/2); at s = 1, with q1 = grad q, G = 2 phi I + 2 phi'
-    (u q1^T + q1 u^T) + phi'' q1 q1^T + phi' Hess q and T = sym(M (x) u +
-    N (x) q1) + phi' D^3 p (sym: over the 3 places of the vector's index),
-    G, M, N in the basis I, Hess p, u q1^T + q1 u^T, q1 q1^T, u u^T.  phi^(m)
-    is the t-jet's (any profile kind) by the chain rule through q = cos dt, a
-    division by (d sin dt)^m: dT = eps J / (d sin dt)^3, J = sum |f^(m)|."""
+    """(G, T, dT, dt, Hess t): G = Hess E, T = dG, T's rounding scale and
+    the derivatives of t at the unit point or (k, n) rows u, with p = p(u)
+    and t.  E = s phi(q), s = |x|^2, q = p(x) s^(-d/2); at s = 1, with
+    q1 = grad q, G = 2 phi I + 2 phi' (u q1^T + q1 u^T) + phi'' q1 q1^T +
+    phi' Hess q and T = sym(M (x) u + N (x) q1) + phi' D^3 p (sym: over the
+    3 places of the vector's index), G, M, N and Hess t in the basis I,
+    Hess p, u q1^T + q1 u^T, q1 q1^T, u u^T.  phi^(m) is the t-jet's (any
+    profile kind) by the chain rule through q = cos dt, a division by
+    (d sin dt)^m: dT = eps J / (d sin dt)^3, J = sum |f^(m)|.  t = arccos(q)/d
+    gives dt = -q1 / (d sin dt) and Hess t = -Hess q / (d sin dt) -
+    d^2 p q1 q1^T / (d sin dt)^3, with Hess q = Hess p - d (u q1^T + q1 u^T)
+    - d p I + d (2 - d) p u u^T."""
     m = nm.foliation
     d, n = m.d, m.n
     f0, f1, f2, f3 = nm.profile.jet(t, 3)
@@ -211,17 +210,19 @@ def _qform_tensors(nm: InducedNorm, u, p, t):
     np.add(uq, np.swapaxes(uq, -1, -2), out=basis[..., 2])
     np.multiply(q1[..., :, None], q1[..., None, :], out=basis[..., 3])
     np.multiply(u[..., :, None], u[..., None, :], out=basis[..., 4])
-    coef = np.array([  # rows G, M, N
+    coef = np.array([  # rows G, M, N, Hess t
         [2.0 * f0 - dp * phi1, phi1, e * phi1, phi2, e * dp * phi1],
         [z, e * phi1, -2.0 * d * phi1, 2.0 * phi2, (d - 1) * (d - 2) * dp * phi1 * (2.0 / 3.0)],
-        [e * phi1 - dp * phi2, phi2, -d * phi2, phi3 / 3.0, e * dp * phi2 + d * (d + 2) * phi1]])
+        [e * phi1 - dp * phi2, phi2, -d * phi2, phi3 / 3.0, e * dp * phi2 + d * (d + 2) * phi1],
+        [dp / ds, -1.0 / ds, d / ds, -d * dp / (ds * ds * ds), -e * dp / ds]])
     GMN = basis.reshape(u.shape[:-1] + (n * n, 5)) @ coef.T
-    X = (GMN[..., 1:] @ V).reshape(u.shape + (n, n))  # M (x) u + N (x) q1
+    X = (GMN[..., 1:3] @ V).reshape(u.shape + (n, n))  # M (x) u + N (x) q1
     if d == 3:  # D^3 p is zero for d <= 2
         X += np.multiply.outer(phi1 / 3.0, _fixed_derivative(m))
     dT = np.finfo(float).eps * (abs(f0) + abs(f1) + abs(f2) + abs(f3)) / (ds * ds * ds)
     return (GMN[..., 0].reshape(u.shape + (n,)),
-            X + np.swapaxes(X, -1, -2) + np.swapaxes(X, -1, -3), dT)
+            X + np.swapaxes(X, -1, -2) + np.swapaxes(X, -1, -3), dT,
+            -q1 / ds[..., None], GMN[..., 3].reshape(u.shape + (n,)))
 
 
 def indicatrix_grad_t_norm(nm: InducedNorm, t: float) -> float:
@@ -262,53 +263,41 @@ def indicatrix_laplacian_t(nm: InducedNorm, t: float) -> float:
                        + (2.0 * f0 / gap) * dlogS)
 
 
-# --- FD counterparts on the indicatrix -------------------------------------
+# --- The operators on the indicatrix at a point ---------------------------
 #
 # E is 2-homogeneous, so g_x(x, .) = dE_x and T(x, ., .) = 0 (Shima, 2007):
 # the g-normal of S_F is x/F, and grad_x x = x since Gamma(x, x) = 0.  t is
 # constant along x/F, so on S_F its Laplacian and squared gradient norm are
-# the ambient ones of g in the coordinates of R^n, with dt = w/r.  The only
-# finite difference is the outer divergence difference of the Laplacian, so
-# this stays an independent check of indicatrix_laplacian_t.
+# the ambient ones of g in the coordinates of R^n.  Gamma_ij^k =
+# (1/2) G^kl T_lij for a Hessian metric, so the Laplacian is
+# G^ij d_ij t - (1/2) G^ij d_i t G^kl T_klj, from the q-form pass alone.
 
 
 def fd_indicatrix_operators(nm: InducedNorm, u0):
-    """FD squared norm of grad t and FD Laplacian of t on the indicatrix at
-    direction u0, or at each row of a (k, n) array (then two (k,) arrays).
+    """Squared norm of grad t and Laplacian of t on the indicatrix (S_F, g)
+    at direction u0, or at each row of a (k, n) array (then two (k,) arrays).
 
-    At the point x = u / sqrt(2 f(t)) of S_F over u0, the grad norm is
-    dt . G^-1 dt, and the Laplacian (1/sqrt det G) d_i(sqrt det G G^ij d_j t)
-    differences the flux with a fourth-order stencil of step
-    INDICATRIX_STEP |x| along each axis.  The base points and their 4n
-    stencil points, k(4n+1) rows, take one frame (_frame), which gives dt
-    and the closed G, after one polar pass of the input rows; each row has
-    the bits of its one-point call.  A (0, n) array gives two empty
-    arrays.
+    v = G^-1 dt (a solve) gives |grad t|^2 = dt . v and Delta t =
+    tr G^-1 (Hess t - (1/2) T v), with G, T, dt and Hess t exact at the unit
+    row u (_qform_tensors) after one polar pass.  G and t are 0-homogeneous,
+    so at x = u / sqrt(2 f(t)) on S_F both are those at u times 2f.  Each row
+    has the bits of its one-point call; a (0, n) array gives two empty
+    arrays.  The former FD name stays, as perfbench's field-sweep calls
+    H.fd_indicatrix_laplacian_t and isoparametric-check this function.
     """
     u0 = np.asarray(u0, dtype=float)
-    _, u, _, t = _polar(nm.foliation, u0)  # a point's, and its jet, on floats
-    rho = np.reshape(1.0 / np.sqrt(2.0 * nm.profile.evaluate(t, 0)), (-1, 1))  # |x| on S_F
-    k, n = len(rho), u.shape[-1]
-    h = INDICATRIX_STEP * rho
-    X = (rho * u)[:, None] + h[:, :, None] * _arrays(n)["indicatrix"]
-    frame = _frame(nm.foliation, X.reshape(-1, n))
-    dt = frame[4] / frame[0][:, None]
-    G = _closed_tensor(nm, frame)
-    sol = np.linalg.solve(G, dt[..., None])[..., 0]  # G^ij d_j t
-    sdet = np.sqrt(np.linalg.det(G))
-    dt, sol, sdet = (a.reshape((k, 1 + 4 * n) + a.shape[1:])
-                     for a in (dt, sol, sdet))
-    grad = (dt[:, 0, None, :] @ sol[:, 0, :, None])[:, 0, 0]
-    # flux component i at the four rows along axis i, (k, 4, n)
-    flux = np.diagonal((sdet[..., None] * sol)[:, 1:].reshape(k, n, 4, n),
-                       axis1=1, axis2=3)
-    div = ((8.0 * (flux[:, 1] - flux[:, 2]) - (flux[:, 0] - flux[:, 3]))
-           / (12.0 * h))
-    lap = div.sum(axis=1) / sdet[:, 0]
-    return (float(grad[0]), float(lap[0])) if u0.ndim == 1 else (grad, lap)
+    _, u, p, t = _polar(nm.foliation, u0)  # a point's on floats
+    _focal_sin(nm.foliation, t)  # a focal cone's error, before any division
+    G, T, _, dt, Ht = _qform_tensors(nm, u, p, t)
+    v = np.linalg.solve(G, dt[..., None])
+    A = Ht - 0.5 * (T @ v[..., None, :, :])[..., 0]
+    two_f = 2.0 * nm.profile.evaluate(t, 0)
+    grad = two_f * (dt[..., None, :] @ v)[..., 0, 0]
+    lap = two_f * np.trace(np.linalg.solve(G, A), axis1=-2, axis2=-1)
+    return (float(grad), float(lap)) if u0.ndim == 1 else (grad, lap)
 
 
 def fd_indicatrix_laplacian_t(nm: InducedNorm, u0) -> float:
-    """FD Laplacian of t on the indicatrix at direction u0 (see
+    """Laplacian of t on the indicatrix at direction u0 (see
     fd_indicatrix_operators)."""
     return fd_indicatrix_operators(nm, u0)[1]

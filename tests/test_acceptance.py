@@ -212,7 +212,7 @@ def test_criterion_6_indicatrix_operators():
             spread = max(spread, float(np.ptp(g_fd)), float(np.ptp(l_fd)))
     assert agree < 1e-4
     assert spread < 1e-5
-    _pass(6, f"FD gradient norm/Laplacian agree with closed forms to "
+    _pass(6, f"q-form gradient norm/Laplacian agree with closed forms to "
              f"{agree:.2e} (tol 1e-4), cross-direction spread {spread:.2e} "
              f"(tol 1e-5), 10 t-values x 8 directions, d=1 and d=2")
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fd_oracles import third_tensor_fd
+from isonorm import hessian
 from isonorm.fd import hessian_fd
 from isonorm.foliation import (SQ3, FocalProximityError, parse_model,
                                random_leaf_points, t_coord)
@@ -161,6 +162,27 @@ def test_array_energy_has_the_bits_of_one_point_energy(spec, glued_h):
         assert got.shape == (len(X),), name
         assert np.array_equal(got, [point_energy(nm, x) for x in X]), name
         assert np.array_equal(got, [energy(nm, x) for x in X]), name
+        assert np.array_equal(got, [energy(nm, x[None])[0] for x in X]), name
+
+
+@pytest.mark.parametrize("spec", MODELS)
+def test_one_point_energy_takes_the_point_path(spec, monkeypatch):
+    # one point took the rows path of t_coord (~32 us on d2:8:3 against
+    # ~7.5 us); the origin still reads 0.0 and an overflowing |x|^2 still
+    # raises t_coord's error, without a warning (the suite makes them errors)
+    m = parse_model(spec)
+    nm = InducedNorm(m, Profile(m.d, COEFFS[m.d]))
+    x = 1.3 * random_leaf_points(m, 0.4, 1, seed=2)[0]
+    shapes, one = [], hessian.t_coord
+    monkeypatch.setattr(hessian, "t_coord",
+                        lambda m, y: shapes.append(np.shape(y)) or one(m, y))
+    assert type(energy(nm, x)) is float and shapes == [(m.n,)]
+    assert energy(nm, np.zeros(m.n)) == 0.0 and shapes == [(m.n,)]
+    big = np.zeros(m.n)
+    big[:2] = 1e200  # every entry finite, |x|^2 not
+    for pts in (big, big[None]):
+        with pytest.raises(ValueError, match="x is not finite or .x.\\^2 overflows"):
+            energy(nm, pts)
 
 
 @pytest.mark.parametrize("spec", MODELS)

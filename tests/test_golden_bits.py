@@ -585,7 +585,9 @@ def test_validity_reports_of_short_series_keep_their_recorded_bits(row):
 # re-recorded when shape_spectrum took one polar pass of x and its leaf
 # basis from eigh of the leaf projector: kappa moved in its last bits.
 # riemann_fd's four were re-recorded when it took T exact instead of a
-# central difference of G (R and its floor moved; every other entry kept).
+# central difference of G (R and its floor moved; every other entry kept),
+# and fd_indicatrix_operators' four when it took Delta t and |grad t|^2
+# exact from the q-form pass instead of a difference of the flux.
 FIELD_SEED = 2027
 FIELD_RADII = (1.0, 0.75, 1.5, 2.0, 0.3)
 FIELD_PROFILES = {
@@ -603,7 +605,7 @@ FIELD_DIGESTS = {
         "fd_fundamental_tensor":
             "96db176d3de712a689ef554c39444d6c4ba24e4c80fe06b8df5ddb80ea320121",
         "fd_indicatrix_operators":
-            "fd4e0db8be065961a5c0048ec67497a7ff38aecf79c4b2e22a949933ada2d5cd",
+            "6cfbd2939e270898afac2fa3d95386457fc4e09c668f898f413a5bf24d23a7d1",
         "frame_components":
             "4db22f09d54e1c5abf038dc5b34624527c4ed3168388e08b1ba07a1ed553968c",
         "normal_plane_basis":
@@ -625,7 +627,7 @@ FIELD_DIGESTS = {
         "fd_fundamental_tensor":
             "2d34733bf65f5602cd42824860fc76466a35af0f148b0856c0d50cc0cb1a7f7e",
         "fd_indicatrix_operators":
-            "6b76ff4d6f69fb6156797bc31cb9d9d8a03def06db0b4cec5ff09f13e4b00e6d",
+            "d34a270e8b78db0271b4b87d18fcea9d499d91fdcf12bdfb350244def7fd9f9a",
         "frame_components":
             "a1a8f5c4800a0d479970cc015086f405395b7190f0f8738a7fe08526086539ae",
         "normal_plane_basis":
@@ -647,7 +649,7 @@ FIELD_DIGESTS = {
         "fd_fundamental_tensor":
             "973d60c761b1f2d45277a85d22805bb6e4cf9240575bc2e0aaa2c35e174d990e",
         "fd_indicatrix_operators":
-            "dfc641edee39852cf1180dbe944e159afc6d5ed9500bd79f5fb4d579ed8fe2ef",
+            "0beecaa8e70f953ed816c1f09a91f3da7c78ef3e8cebe10aaad3154c965ed829",
         "frame_components":
             "60e665756eb92760f0d14a146d4882e18b7497eaef337bc2799f0b46c2d50149",
         "normal_plane_basis":
@@ -669,7 +671,7 @@ FIELD_DIGESTS = {
         "fd_fundamental_tensor":
             "4a68ccadddc3b2abbc49dba5e794f054ac0b8cf1b5f26ea5a0b4c3f5e6b922b5",
         "fd_indicatrix_operators":
-            "b59daf8d3f1afc2895d2ab4231722d5dc47c437c94e37c44ef14f9407d1c19ad",
+            "6c5d4f3c813dee8e8e8be0efb7a5e47696e0f97bdbbfdec302922d184021990d",
         "frame_components":
             "0a0308e3134bcb0c56b4f4aa8bd3f8f43478d38f06dc899dff53aaf367d69d3f",
         "normal_plane_basis":

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isonorm import cli, foliation, hessian
-from fd_oracles import third_tensor_fd
+from fd_oracles import indicatrix_operators_fd, third_tensor_fd
 from isonorm.fd import _arrays, hessian_fd
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
                                cartan3, d1, d2, parse_model, random_leaf_points,
-                               shape_spectrum, t_coord, unit_w)
+                               shape_spectrum, t_coord)
 from isonorm.hessian import (InducedNorm, closed_frame_matrix,
                              closed_fundamental_tensor,
                              energy, fd_fundamental_tensor,
@@ -292,7 +292,8 @@ def _kinds(base):
 
 
 def _exact(nm, X):
-    """(G, T, dT) of the q-form at the unit rows of X, after one polar pass."""
+    """(G, T, dT, dt, Hess t) of the q-form at the unit rows of X, after one
+    polar pass."""
     _, u, p, t = foliation._polar(nm.foliation, X)
     return hessian._qform_tensors(nm, u, p, t)
 
@@ -311,7 +312,7 @@ def test_exact_tensors_match_the_closed_g_and_its_central_difference(model, kind
     # against the frame form, within a few ulps of |G|
     nm = _norm(model, _kinds(CURVED[model.d])[kind])
     X = _rows(model)
-    G, T, _ = _exact(nm, X)
+    G, T = _exact(nm, X)[:2]
     closed = closed_fundamental_tensor(nm, X)
     scale = np.abs(closed).max(axis=(1, 2))
     assert (np.abs(G - closed).max(axis=(1, 2)) <= 16 * EPS * scale).all()
@@ -435,46 +436,18 @@ def test_fd_indicatrix_operators_match_closed():
     t = 0.6
     u = random_leaf_points(nm.foliation, t, 1, seed=6)[0]
     grad, lap = fd_indicatrix_operators(nm, u)
-    assert grad == pytest.approx(indicatrix_grad_t_norm(nm, t), abs=1e-6)
-    assert lap == pytest.approx(
-        indicatrix_laplacian_t(nm, t), abs=1e-5)
+    assert grad == pytest.approx(indicatrix_grad_t_norm(nm, t), rel=1e-13)
+    assert lap == pytest.approx(indicatrix_laplacian_t(nm, t), rel=1e-13)
 
 
 def test_fd_laplacian_xi_independent():
-    # two different leaf points, same t: the FD values must agree
+    # two different leaf points, same t: the values must agree, at rounding
+    # now that no difference is taken (the paper: N_t is isoparametric)
     nm = _norm(cartan3(), Profile(3, (0.5, 0.02)))
     t = 0.5
     us = random_leaf_points(nm.foliation, t, 2, seed=7)
     vals = [fd_indicatrix_laplacian_t(nm, u) for u in us]
-    assert abs(vals[0] - vals[1]) < 1e-5
-
-
-def _one_point_operators(nm, u0):
-    """Reference for the stacked operators: the ambient formulas, one point
-    and one stencil row per call of t_coord, jet, unit_w and
-    closed_fundamental_tensor."""
-    m = nm.foliation
-    u0 = np.asarray(u0, dtype=float)
-    r, t = t_coord(m, u0)
-    rho = 1.0 / math.sqrt(2.0 * nm.profile.evaluate(t, 0))
-    x, h = rho * (u0 / r), hessian.INDICATRIX_STEP * rho
-
-    def flux(y):
-        G = closed_fundamental_tensor(nm, y)
-        dt = unit_w(m, y) / t_coord(m, y).r
-        return dt, math.sqrt(float(np.linalg.det(G))), np.linalg.solve(G, dt)
-
-    dt, sdet0, sol = flux(x)
-    div = []
-    for a in range(m.n):
-        f = {}
-        for mult in (2.0, 1.0, -1.0, -2.0):
-            y = x.copy()
-            y[a] += mult * h
-            _, sdet, sol_y = flux(y)
-            f[mult] = sdet * sol_y[a]
-        div.append((8.0 * (f[1.0] - f[-1.0]) - (f[2.0] - f[-2.0])) / (12.0 * h))
-    return float(dt @ sol), float(np.sum(div) / sdet0)
+    assert abs(vals[0] - vals[1]) <= 1e-13 * abs(vals[0])
 
 
 MODEL_PROFILES = [
@@ -487,39 +460,90 @@ MODEL_PROFILES = [
 MODEL_IDS = ["d1:3", "d2:4:2", "d2:8:3", "cartan3", "d2:4:2-dual"]
 
 
+def _operator_rows(model):
+    """Two leaf points on each of 3 leaves in [0.3, pi/d - 0.3]."""
+    hi = math.pi / model.d - 0.3
+    return np.concatenate([random_leaf_points(model, float(t), 2, seed=20 + i)
+                           for i, t in enumerate(np.linspace(0.3, hi, 3))])
+
+
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
 def test_fd_indicatrix_operators_keep_one_point_bits(model, profile):
-    # all points and their stencil rows are evaluated in one pass; every
-    # value must be the one the per-point, per-row loop gives, to the last bit
-    nm = _norm(model, profile)
-    hi = math.pi / model.d - 0.3
-    us = np.concatenate([random_leaf_points(model, float(t), 2, seed=20 + i)
-                         for i, t in enumerate(np.linspace(0.3, hi, 3))])
+    # all points take one q-form pass; every value must be the one its
+    # one-point call gives, to the last bit
+    nm, us = _norm(model, profile), _operator_rows(model)
     grads, laps = fd_indicatrix_operators(nm, us)
     assert grads.shape == laps.shape == (6,)
     for u, g, lap in zip(us, grads, laps):
-        assert (g, lap) == _one_point_operators(nm, u)
         assert fd_indicatrix_operators(nm, u) == (g, lap)
         assert [v.tolist() for v in fd_indicatrix_operators(nm, u[None])] == [[g], [lap]]
         assert fd_indicatrix_laplacian_t(nm, u) == lap
 
 
+@pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
+def test_indicatrix_operators_match_the_fd_flux_oracle(model, profile):
+    # an independent check at FD accuracy: the per-point loop of dt = w/r,
+    # the closed G and a fourth-order difference of the flux, which read
+    # 1.5e-11 of |grad t|^2 at most here; grad t's norm has no difference
+    nm, us = _norm(model, profile), _operator_rows(model)
+    grads, laps = fd_indicatrix_operators(nm, us)
+    for u, g, lap in zip(us, grads, laps):
+        g_fd, lap_fd = indicatrix_operators_fd(nm, u)
+        assert abs(g_fd - g) <= 1e-13 * g
+        assert abs(lap_fd - lap) <= 1e-9 * g
+
+
+@pytest.mark.parametrize("kind", ["profile", "dual", "sector"])
+@pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: m.describe())
+def test_indicatrix_operators_match_the_closed_forms(model, kind):
+    # Delta t and |grad t|^2 from the q-form pass against the frame
+    # volume-element form and 4 f^2 / gap, two closed forms derived apart,
+    # at the rows' own t; they read within 1.0e-14 relative (d2:8:3's dual)
+    nm = _norm(model, _kinds(CURVED[model.d])[kind])
+    X = 1.7 * _rows(model)
+    grads, laps = fd_indicatrix_operators(nm, X)
+    for t, g, lap in zip(t_coord(model, X).t.tolist(), grads, laps):
+        assert abs(g - indicatrix_grad_t_norm(nm, t)) <= 1e-13 * g
+        closed = indicatrix_laplacian_t(nm, t)
+        assert abs(lap - closed) <= 1e-13 * abs(closed)
+
+
+def test_indicatrix_operators_match_the_mpmath_oracle():
+    # 40-digit mpmath.diff of E and t, with each model's p written out
+    # (mp_oracles), at one leaf point per model: within 16 ulps (5.6 read,
+    # d2:8:3's grad norm); the closed forms at the point's t within 64 (24.8
+    # read, cartan3's Laplacian).  The oracle takes ~0.5 s, d2:8:3 0.33 s
+    pytest.importorskip("mpmath")
+    from mp_oracles import indicatrix_operators
+    for model in EXACT_MODELS:
+        profile = CURVED[model.d]
+        nm = _norm(model, profile)
+        u = random_leaf_points(model, 0.37, 1, seed=1)[0]
+        want = indicatrix_operators(model.d, model.k, profile.cos_coeffs, u)
+        t = t_coord(model, u).t
+        closed = indicatrix_grad_t_norm(nm, t), indicatrix_laplacian_t(nm, t)
+        for got, ulps in ((fd_indicatrix_operators(nm, u), 16), (closed, 64)):
+            for a, b in zip(got, want):
+                assert abs(a - b) <= ulps * EPS * abs(b), (model.describe(), got, want)
+
+
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES[:4], ids=MODEL_IDS[:4])
 def test_fd_indicatrix_laplacian_near_the_focal_ends(model, profile):
-    # the closed G leaves only the outer difference's truncation error, so
-    # the ambient Laplacian holds at the 0.02 leaf margin that the commands
-    # draw from
+    # at the 0.02 leaf margin that the commands draw from, the exact
+    # Laplacian reads within 9.6e-15 relative (cartan3); the FD flux was
+    # held to 2e-9 absolute
     nm = _norm(model, profile)
     t = DEFAULT_FOCAL_GUARD + 0.02
     for t in (t, math.pi / model.d - t):
         us = random_leaf_points(model, t, 3, seed=5)
         _, laps = fd_indicatrix_operators(nm, us)
-        assert np.max(np.abs(laps - indicatrix_laplacian_t(nm, t))) < 2e-9
+        closed = indicatrix_laplacian_t(nm, t)
+        assert np.max(np.abs(laps - closed)) <= 1e-13 * abs(closed)
 
 
-def test_fd_indicatrix_operators_make_two_polar_passes(monkeypatch):
-    # one of the input rows (a point's on floats), then one of their stencil
-    # rows, whose frame gives both dt and the closed G
+def test_fd_indicatrix_operators_make_one_polar_pass(monkeypatch):
+    # of the input rows (a point's on floats), whose q-form pass gives G, T,
+    # dt and Hess t
     model, profile = MODEL_PROFILES[2]
     nm, n = _norm(model, profile), model.n
     us = random_leaf_points(model, 0.6, 2, seed=4)
@@ -529,10 +553,10 @@ def test_fd_indicatrix_operators_make_two_polar_passes(monkeypatch):
                             lambda m, x, *a, one=module._polar:
                             calls.append(np.shape(x)) or one(m, x, *a))
     fd_indicatrix_operators(nm, us)
-    assert calls == [(2, n), (2 * (4 * n + 1), n)]
+    assert calls == [(2, n)]
     calls.clear()
     fd_indicatrix_operators(nm, us[0])
-    assert calls == [(n,), (4 * n + 1, n)]
+    assert calls == [(n,)]
 
 
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
@@ -588,6 +612,11 @@ def test_frame_functions_raise_on_a_focal_cone(model, profile):
     for call in (frame_basis, closed_frame_matrix):
         with pytest.raises(FocalProximityError, match="degenerates on the focal set"):
             call(nm, x, [])
+    # the indicatrix operators raise it at a point and in rows, as their
+    # stencil's frame did
+    for pts in (x, np.stack([x, 1.1 * _operator_rows(model)[0]])):
+        with pytest.raises(FocalProximityError, match="degenerates on the focal set"):
+            fd_indicatrix_operators(nm, pts)
 
 
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES[:4], ids=MODEL_IDS[:4])
@@ -610,16 +639,6 @@ def test_closed_frame_matrix_reads_t_alone(monkeypatch, model, profile):
                               f"({model.n},), not (2, {model.n})")
 
 
-@pytest.mark.parametrize("model,profile", MODEL_PROFILES, ids=MODEL_IDS)
-def test_closed_tensor_of_a_frame_has_the_bits_of_its_rows(model, profile):
-    nm = _norm(model, profile)
-    X = 1.7 * random_leaf_points(model, 0.6, 4, seed=6)
-    G = closed_fundamental_tensor(nm, X)
-    assert G.tobytes() == hessian._closed_tensor(nm, foliation._frame(model, X)).tobytes()
-    assert [g.tobytes() for g in G] == [closed_fundamental_tensor(nm, x).tobytes()
-                                        for x in X]
-
-
 def test_dimension_arrays_are_built_once_read_only_and_per_dimension():
     # keyed on the int n alone; a writable shared array would let one
     # caller change every later frame of its dimension
@@ -632,7 +651,6 @@ def test_dimension_arrays_are_built_once_read_only_and_per_dimension():
                 with pytest.raises(ValueError, match="read-only"):
                     a[...] = 0
         assert arrays["eye"].tolist() == np.eye(n).tolist()
-        assert arrays["indicatrix"].shape == (4 * n + 1, n)
     # a model of another n gets its own arrays, and its frames their shape
     assert built[4]["eye"] is not built[8]["eye"]
     for model, profile in MODEL_PROFILES[1:3]:
@@ -648,13 +666,15 @@ def test_fd_indicatrix_operators_take_no_rows():
     assert grads.shape == laps.shape == (0,)
 
 
-def test_isoparametric_check_makes_one_chart_call(monkeypatch, tmp_path,
-                                                   capsys):
-    closed_rows, energy_calls = [], []
-    closed, one_energy = hessian._closed_tensor, hessian.energy
-    monkeypatch.setattr(hessian, "_closed_tensor",
-                        lambda nm, frame: closed_rows.append(len(frame[1]))
-                        or closed(nm, frame))
+def test_isoparametric_check_makes_one_qform_pass(monkeypatch, tmp_path,
+                                                  capsys):
+    qform_rows, energy_calls = [], []
+    qform, one_energy = hessian._qform_tensors, hessian.energy
+    monkeypatch.setattr(hessian, "_qform_tensors",
+                        lambda nm, u, p, t: qform_rows.append(len(u))
+                        or qform(nm, u, p, t))
+    monkeypatch.setattr(hessian, "_frame",
+                        lambda *a: pytest.fail("formed a frame"))
     monkeypatch.setattr(hessian, "energy",
                         lambda nm, x: energy_calls.append(len(x))
                         or one_energy(nm, x))
@@ -663,7 +683,7 @@ def test_isoparametric_check_makes_one_chart_call(monkeypatch, tmp_path,
                      "--model", "d2:8:3"])
     capsys.readouterr()
     assert code == 0
-    # 5 leaves x 3 points, each the base and 4n stencil rows, n = 8
-    assert closed_rows == [5 * 3 * 33]
+    # 5 leaves x 3 points, no stencil rows
+    assert qform_rows == [5 * 3]
     assert energy_calls == []
 

@@ -11,7 +11,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # sha256 of report_digest.py's 92 lines (its whole output)
-REPORT_DIGEST_SHA256 = "2a65aa5c97774a847e3cf6c02473a8ee91c4dc0a07f8b422febfd65602d2fcb9"
+REPORT_DIGEST_SHA256 = "59a57a75ad2f80866d6aaeb3ef6f3b5254f3b48751e1aa2b3b8dd9e9b7d43367"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -75,6 +75,8 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert bench["label"] == "smoke" and bench["repeat"] == 1
     assert {"git_sha", "python", "numpy"} <= set(bench)
+    assert bench["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                     "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     names = [row["name"] for row in bench["rows"]]
     assert len(names) == 53 and len(set(names)) == 53
     assert {"DualProfile(Profile(2, (1, 0.5))).evaluate at orders 0, 1 and 2, "
@@ -153,6 +155,9 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     # kept their sha256, e54413d2...  Re-pinned when `curvature` took T
     # exact instead of a central difference of G: its 8 lines moved (R and
     # the rounding floor), no exit code; the other 84 kept their bytes.
+    # Re-pinned when `isoparametric-check` took Delta t and |grad t|^2 exact
+    # from the q-form pass instead of a difference of the flux: its 9 lines
+    # moved, no exit code; the other 83 kept their bytes.
     assert len(runs[0]) == 92
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256
