@@ -5,10 +5,13 @@ Each row is the best of --repeat timed calls (the ~15 ms 96-term rows of
 `is_minkowski` and `DualProfile` take LONG_ROW_REPEAT times as many),
 rescaled to a fixed host speed with perfbench's probe kernel
 (perfbench/hostspeed.py), which runs right before and right after the row's
-calls.  The fresh-process rows are not rescaled: the probe times the
-interpreter's own compute, not process start and file reads, and has
-flipped the sign of a change there, so they record their best and median
-wall time as measured, and `scaled_ms` is null.  The rows:
+calls.  A row whose two probe readings differ by more than PROBE_SPREAD
+times is timed again, at most RETIMES times, as one slow probe would
+rescale the whole row; `tries` records how often it ran.  The
+fresh-process rows are not rescaled: the probe times the interpreter's own
+compute, not process start and file reads, and has flipped the sign of a
+change there, so they record their best and median wall time as measured,
+and `scaled_ms` is null.  The rows:
 
 - `is_minkowski` on Profile(2, (1, 0.5)) and on the 96-term cartan3 glue
   base of scripts/isometry_gallery.py, cold (a new, equal profile object per
@@ -86,9 +89,17 @@ wall time as measured, and `scaled_ms` is null.  The rows:
   profile of field-sweep's for the norm's rows (the frame functions take
   the point's shape spectrum, computed untimed);
 - one one-point `fd_indicatrix_operators` call on d2:8:3 with
-  Profile(2, (1, 0.4)) at the middle one of those leaves, t = pi/4: a
+  Profile(2, (1, 0.4)) at the middle one of those leaves, t = pi/4, on a
+  new model and norm per call (they keep their last point's passes): a
   point's polar pass on floats, then one q-form pass for G, T, dt and
   Hess t and two solves with G;
+- field-sweep's six calls at one point, `shape_spectrum`,
+  `fd_fundamental_tensor`, `frame_basis`, `closed_frame_matrix`,
+  `riemann_fd` and `fd_indicatrix_laplacian_t`, on d2:8:3 with
+  Profile(2, (1, 0.4)) and on cartan3 with Profile(3, (0.5, 0.05)), at a
+  point of the leaf t = pi/(2d): once on a new model and norm per call,
+  whose six calls share one polar pass, w and q-form pass, and once on one
+  model and norm whose last point it is, where they read all three kept;
 - a cold `InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005)))`: a new
   three-term profile per call, its kernel built and its validity checked,
   as each field-sweep op builds its norm;
@@ -197,6 +208,8 @@ CLASSIFY_GRID = np.linspace(0.0, math.pi / 3, 512)
 # of 60 they spread by ~50 % between runs of one commit, as the host has
 # slow stretches longer than a row, so compare them only across many runs
 LONG_ROW_REPEAT = 4
+PROBE_SPREAD = 1.5
+RETIMES = 3
 
 
 def _times(call, setup, repeat: int) -> list:
@@ -307,6 +320,15 @@ def _field_points():
         out += [(nm, u, shape_spectrum(m, u))
                 for u in random_leaf_points(m, leaves, 5, seed=0)]
     return out
+
+
+def _six_calls(a):
+    """field-sweep's six calls at the point u of model m and norm nm."""
+    m, nm, u = a
+    spec = shape_spectrum(m, u)
+    return (fd_fundamental_tensor(nm, u), frame_basis(nm, u, spec),
+            closed_frame_matrix(nm, u, spec), riemann_fd(nm, u),
+            fd_indicatrix_laplacian_t(nm, u))
 
 
 def rows(tmp: str):
@@ -423,7 +445,19 @@ def rows(tmp: str):
     nm, u, _ = field[12]  # d2:8:3, the middle leaf t = pi/4
     out.append(("one one-point fd_indicatrix_operators call, d2:8:3, "
                 "Profile(2, (1, 0.4)), t = pi/4",
-                lambda u: fd_indicatrix_operators(nm, u), lambda: u))
+                lambda a: fd_indicatrix_operators(*a),
+                lambda: (InducedNorm(parse_model("d2:8:3"), nm.profile), u)))
+    for spec in ("d2:8:3", "cartan3"):
+        m = parse_model(spec)
+        f = Profile(m.d, FIELD_MODELS[spec])
+        point = random_leaf_points(m, math.pi / (2 * m.d), 1, seed=0)[0]
+        kept = (m, InducedNorm(m, f), point)
+        out.append((f"field-sweep's six calls at one point, {spec}, a new "
+                    "model and norm per call", _six_calls,
+                    lambda spec=spec, f=f, point=point: (lambda m: (
+                        m, InducedNorm(m, f), point))(parse_model(spec))))
+        out.append((f"field-sweep's six calls at one point, {spec}, the "
+                    "same model and norm", _six_calls, lambda kept=kept: kept))
     out.append(("InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005))) cold, "
                 "a new profile per call",
                 lambda c: InducedNorm(cartan3(), Profile(3, c)),
@@ -501,13 +535,17 @@ def main(argv=None) -> int:
                               "scaled_ms": None})
                 print(f"{table[-1]['best_ms']:10.4f} ms  {name} (best, unscaled)")
                 continue
-            before = hostspeed.probe_s()
-            best = min(_times(call, setup, factor * args.repeat))
-            after = hostspeed.probe_s()
+            for tries in range(1, RETIMES + 2):
+                before = hostspeed.probe_s()
+                best = min(_times(call, setup, factor * args.repeat))
+                after = hostspeed.probe_s()
+                if max(before, after) <= PROBE_SPREAD * min(before, after):
+                    break
             table.append({"name": name, "repeat": factor * args.repeat,
                           "best_ms": 1e3 * best,
                           "scaled_ms": 1e3 * hostspeed.scaled(best, before, after),
-                          "probe_ms": [1e3 * before, 1e3 * after]})
+                          "probe_ms": [1e3 * before, 1e3 * after],
+                          "tries": tries})
             print(f"{table[-1]['scaled_ms']:10.4f} ms  {name}")
 
     status = _git("status", "--porcelain", "--", ".")
@@ -520,8 +558,11 @@ def main(argv=None) -> int:
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREADS},
         "repeat": args.repeat,
         "timing": "best of a row's repeat calls; scaled_ms = best_ms * "
-                  f"{hostspeed.REF_S * 1e3:g} ms / mean(probe_ms); fresh-process "
-                  "rows: best_ms and median_ms as measured, scaled_ms null",
+                  f"{hostspeed.REF_S * 1e3:g} ms / mean(probe_ms), from the "
+                  f"last of `tries` timings, which stop once the probes are "
+                  f"within {PROBE_SPREAD:g}x or after {RETIMES + 1}; "
+                  "fresh-process rows: best_ms and median_ms as measured, "
+                  "scaled_ms null",
         "rows": table,
     }
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"

@@ -13,8 +13,9 @@ has shape-operator eigenvalues cot(t + k pi/d), k = 0..d-1.
 The spherical coordinates of a point all come from p at u = x/|x| (Muenzner,
 Math. Ann. 251, 1980): t = arccos(p)/d, the unit normal
 w = -grad_S p / (d sin dt) and the shape operator from Hess p.  One polar
-pass per row set (`_polar`, behind t_coord) evaluates p; `_frame` adds w
-and the focal guard, and the shape operator takes that p from its caller.
+pass per row set (`_polar`, behind t_coord) evaluates p; `_frame` adds w and
+the focal guard, and the shape operator takes that p from its caller.  A
+model keeps its last point's pass and w, which its later calls there share.
 """
 
 from __future__ import annotations
@@ -38,8 +39,28 @@ class FocalProximityError(ValueError):
     """Raised when an operation needs t bounded away from the focal sets."""
 
 
+class _KeepsLastPoint:
+    """Last-call slots: `_kept(name, x, compute)` keeps compute() read-only
+    for the next call at x's bytes; rows pass by.  Not in ==, hash or pickle."""
+
+    def _kept(self, name: str, x: np.ndarray, compute):
+        if x.ndim != 1:
+            return compute()
+        slot, key = self.__dict__.get(name), x.tobytes()
+        if slot is None or slot[0] != key:
+            slot = key, compute()
+            for v in slot[1] if isinstance(slot[1], tuple) else (slot[1],):
+                if isinstance(v, np.ndarray):
+                    v.flags.writeable = False
+            object.__setattr__(self, name, slot)
+        return slot[1]
+
+    def __getstate__(self):  # pickle and copy leave the slots behind
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+
 @dataclass(frozen=True)
-class FoliationModel:
+class FoliationModel(_KeepsLastPoint):
     d: int
     n: int
     k: int | None = None  # block split, d=2 only
@@ -209,6 +230,10 @@ def _polar(m: FoliationModel, x, what=None):
     if what is not None and np.shape(x) != (m.n,):
         raise ValueError(f"{what} takes one point of shape ({m.n},), not {np.shape(x)}")
     x = np.asarray(x, dtype=float)
+    return m._kept("_point", x, lambda: _polar_pass(m, x))
+
+
+def _polar_pass(m: FoliationModel, x: np.ndarray):
     r = _radius(m, x)
     u = x / r[..., None]
     p = _poly(m, u)
@@ -287,7 +312,7 @@ def _frame(m: FoliationModel, x, delta=None, what=None):
     r, u, p, t = _polar(m, x, what)
     if delta is not None:
         _require_interior(m, t, delta)
-    return r, u, p, t, _unit_w(m, u, t, p)
+    return r, u, p, t, m._kept("_w", u, lambda: _unit_w(m, u, t, p))
 
 
 def normal_plane_basis(m: FoliationModel, x,

@@ -5,9 +5,9 @@ wherever g itself is needed, from one frame of the foliation per row set
 (`foliation._frame`: one polar pass and w), whose p(u) the shape operator
 shares.  The FD `fd_fundamental_tensor` differences E and stays the
 independent oracle of G; `energy` maps (m, n) rows to m values, so its
-stencil takes one call.  On the indicatrix S_F the Laplacian and the
-squared gradient norm of t are the ambient ones of g, formed at the point
-from one pass of the q-form (`_qform_tensors`), as curvature is.
+stencil takes one call.  On the indicatrix S_F the Laplacian of t and
+|grad t|^2 are the ambient ones of g, formed at the point from one q-form
+pass (`_qform_tensors`), as curvature is; a norm keeps its last point's.
 
 Curvature note: for a Hessian metric the Riemann tensor depends only on g
 and T = dg, the third derivatives of the potential (Shima, The Geometry of
@@ -28,10 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import _arrays, hessian_fd
-from .foliation import (FoliationModel, _check_shape, _fixed_derivative,
-                        _focal_sin, _frame, _grad_poly, _hess_poly, _polar,
-                        _radius, _require_interior, _shape_operator, _sqnorm,
-                        multiplicities, t_coord)
+from .foliation import (FoliationModel, _KeepsLastPoint, _check_shape,
+                        _fixed_derivative, _focal_sin, _frame, _grad_poly,
+                        _hess_poly, _polar, _radius, _require_interior,
+                        _shape_operator, _sqnorm, multiplicities, t_coord)
 from .profile import DEFAULT_FOCAL_GUARD, Profile, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
@@ -42,7 +42,7 @@ RIEMANN_FLOOR_SCALE = 1024.0
 
 
 @dataclass(frozen=True)
-class InducedNorm:
+class InducedNorm(_KeepsLastPoint):
     """F = r sqrt(2 f(t)) on a foliation.  Only a plain `Profile` is checked,
     by `require_minkowski`: one of at most 3 terms by its exact report on
     floats, ~25 us, a long one by its sampled gate, ~0.1 ms at 96 terms."""
@@ -181,6 +181,11 @@ def riemann_fd(nm: InducedNorm, x,
 
 
 def _qform_tensors(nm: InducedNorm, u, p, t):
+    """_qform_pass at the unit point or (k, n) rows u; a norm keeps a point's."""
+    return nm._kept("_qform", u, lambda: _qform_pass(nm, u, p, t))
+
+
+def _qform_pass(nm: InducedNorm, u, p, t):
     """(G, T, dT, dt, Hess t): G = Hess E, T = dG, T's rounding scale and
     the derivatives of t at the unit point or (k, n) rows u, with p = p(u)
     and t.  E = s phi(q), s = |x|^2, q = p(x) s^(-d/2); at s = 1, with

@@ -78,7 +78,7 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
                                      "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 53 and len(set(names)) == 53
+    assert len(names) == 57 and len(set(names)) == 57
     assert {"DualProfile(Profile(2, (1, 0.5))).evaluate at orders 0, 1 and 2, "
             "one 256-angle array",
             "check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
@@ -113,13 +113,21 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
             "20 one-point fd_fundamental_tensor calls, 5 leaves of each of "
             "d1:3, d2:4:2, d2:8:3, cartan3",
             "InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005))) cold, "
-            "a new profile per call"} <= set(names)
+            "a new profile per call",
+            "field-sweep's six calls at one point, d2:8:3, a new model and "
+            "norm per call",
+            "field-sweep's six calls at one point, cartan3, the same model "
+            "and norm"} <= set(names)
     # the fresh-process rows keep their wall times as measured, unscaled
     fresh = [row for row in bench["rows"] if row["name"].startswith("fresh")]
     assert len(fresh) == 3 and all(
         row["scaled_ms"] is None and 0 < row["best_ms"] <= row["median_ms"]
         for row in fresh)
+    # a row is timed again while its probes differ by more than 1.5x, at
+    # most 3 times more
     assert all(row["best_ms"] > 0 and row["scaled_ms"] > 0
+               and 1 <= row["tries"] <= 4 and (row["tries"] == 4 or max(
+                   row["probe_ms"]) <= 1.5 * min(row["probe_ms"]))
                for row in bench["rows"] if row not in fresh)
     repeats = {row["name"]: row["repeat"] for row in bench["rows"]}
     assert repeats["is_minkowski cold, 96-term glue base"] > repeats[names[0]] == 1
