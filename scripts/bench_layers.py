@@ -322,6 +322,12 @@ def _field_points():
     return out
 
 
+def _new_norm(spec):
+    """A new model of a field model and its norm of FIELD_MODELS' profile."""
+    m = parse_model(spec)
+    return m, InducedNorm(m, Profile(m.d, FIELD_MODELS[spec]))
+
+
 def _six_calls(a):
     """field-sweep's six calls at the point u of model m and norm nm."""
     m, nm, u = a
@@ -442,22 +448,20 @@ def rows(tmp: str):
                     "d2:4:2, d2:8:3, cartan3",
                     lambda pts, call=call: [call(*pt) for pt in pts],
                     lambda: field))
-    nm, u, _ = field[12]  # d2:8:3, the middle leaf t = pi/4
+    _, u, _ = field[12]  # d2:8:3, the middle leaf t = pi/4
     out.append(("one one-point fd_indicatrix_operators call, d2:8:3, "
                 "Profile(2, (1, 0.4)), t = pi/4",
-                lambda a: fd_indicatrix_operators(*a),
-                lambda: (InducedNorm(parse_model("d2:8:3"), nm.profile), u)))
+                lambda a: fd_indicatrix_operators(a[1], u),
+                lambda: _new_norm("d2:8:3")))
     for spec in ("d2:8:3", "cartan3"):
-        m = parse_model(spec)
-        f = Profile(m.d, FIELD_MODELS[spec])
+        m, nm = _new_norm(spec)
         point = random_leaf_points(m, math.pi / (2 * m.d), 1, seed=0)[0]
-        kept = (m, InducedNorm(m, f), point)
         out.append((f"field-sweep's six calls at one point, {spec}, a new "
                     "model and norm per call", _six_calls,
-                    lambda spec=spec, f=f, point=point: (lambda m: (
-                        m, InducedNorm(m, f), point))(parse_model(spec))))
+                    lambda spec=spec, point=point: (*_new_norm(spec), point)))
         out.append((f"field-sweep's six calls at one point, {spec}, the "
-                    "same model and norm", _six_calls, lambda kept=kept: kept))
+                    "same model and norm", _six_calls,
+                    lambda kept=(m, nm, point): kept))
     out.append(("InducedNorm(cartan3(), Profile(3, (0.5, 0.02, 0.005))) cold, "
                 "a new profile per call",
                 lambda c: InducedNorm(cartan3(), Profile(3, c)),
