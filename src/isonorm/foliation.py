@@ -15,7 +15,8 @@ Math. Ann. 251, 1980): t = arccos(p)/d, the unit normal
 w = -grad_S p / (d sin dt) and the shape operator from Hess p.  One polar
 pass per row set (`_polar`, behind t_coord) evaluates p; `_frame` adds w and
 the focal guard, and the shape operator takes that p from its caller.  A
-model keeps its last point's pass and w, which its later calls there share.
+model keeps its last point's pass and w (`profile._Keeps`, keyed by the
+point's bytes), which its later calls there share.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import _arrays
-from .profile import DEFAULT_FOCAL_GUARD, _pow
+from .profile import DEFAULT_FOCAL_GUARD, _Keeps, _pow
 
 SQ3 = math.sqrt(3.0)
 # random_leaf_points gives up after this many sphere draws per point wanted
@@ -39,28 +40,8 @@ class FocalProximityError(ValueError):
     """Raised when an operation needs t bounded away from the focal sets."""
 
 
-class _KeepsLastPoint:
-    """Last-call slots: `_kept(name, x, compute)` keeps compute() read-only
-    for the next call at x's bytes; rows pass by.  Not in ==, hash or pickle."""
-
-    def _kept(self, name: str, x: np.ndarray, compute):
-        if x.ndim != 1:
-            return compute()
-        slot, key = self.__dict__.get(name), x.tobytes()
-        if slot is None or slot[0] != key:
-            slot = key, compute()
-            for v in slot[1] if isinstance(slot[1], tuple) else (slot[1],):
-                if isinstance(v, np.ndarray):
-                    v.flags.writeable = False
-            object.__setattr__(self, name, slot)
-        return slot[1]
-
-    def __getstate__(self):  # pickle and copy leave the slots behind
-        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
-
-
 @dataclass(frozen=True)
-class FoliationModel(_KeepsLastPoint):
+class FoliationModel(_Keeps):
     d: int
     n: int
     k: int | None = None  # block split, d=2 only

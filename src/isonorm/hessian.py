@@ -7,7 +7,8 @@ shares.  The FD `fd_fundamental_tensor` differences E and stays the
 independent oracle of G; `energy` maps (m, n) rows to m values, so its
 stencil takes one call.  On the indicatrix S_F the Laplacian of t and
 |grad t|^2 are the ambient ones of g, formed at the point from one q-form
-pass (`_qform_tensors`), as curvature is; a norm keeps its last point's.
+pass (`_qform_tensors`), as curvature is; a norm keeps its last point's
+(`profile._Keeps`, keyed by the point's bytes).
 
 Curvature note: for a Hessian metric the Riemann tensor depends only on g
 and T = dg, the third derivatives of the potential (Shima, The Geometry of
@@ -28,11 +29,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import _arrays, hessian_fd
-from .foliation import (FoliationModel, _KeepsLastPoint, _check_shape,
-                        _fixed_derivative, _focal_sin, _frame, _grad_poly,
-                        _hess_poly, _polar, _radius, _require_interior,
-                        _shape_operator, _sqnorm, multiplicities, t_coord)
-from .profile import DEFAULT_FOCAL_GUARD, Profile, gap_from_jet, require_minkowski
+from .foliation import (FoliationModel, _check_shape, _fixed_derivative,
+                        _focal_sin, _frame, _grad_poly, _hess_poly, _polar,
+                        _radius, _require_interior, _shape_operator, _sqnorm,
+                        multiplicities, t_coord)
+from .profile import DEFAULT_FOCAL_GUARD, Profile, _Keeps, gap_from_jet, require_minkowski
 
 TENSOR_STEP_SCALE = 1e-4
 # riemann_fd's floor over its rounding bound, measured: flat profiles over
@@ -42,7 +43,7 @@ RIEMANN_FLOOR_SCALE = 1024.0
 
 
 @dataclass(frozen=True)
-class InducedNorm(_KeepsLastPoint):
+class InducedNorm(_Keeps):
     """F = r sqrt(2 f(t)) on a foliation.  Only a plain `Profile` is checked,
     by `require_minkowski`: one of at most 3 terms by its exact report on
     floats, ~25 us, a long one by its sampled gate, ~0.1 ms at 96 terms."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .profile import (FIT_MAX_TERMS, Profile, _candidates, _certified,
+from .profile import (FIT_MAX_TERMS, Profile, _candidates, _certified, _Keeps,
                       as_angle, dihedral_fold, gap_from_jet, is_minkowski,
                       lobatto_fit, require_minkowski)
 
@@ -215,7 +215,7 @@ def _dual_from_jet(jet, k: int, s: float) -> list:
 
 
 @dataclass(frozen=True)
-class DualProfile:
+class DualProfile(_Keeps):
     """Exact dual profile h with h(theta_legendre(t)) = f/(4f^2 + f'^2).
 
     Evaluation folds the angles into [0, pi/d] and inverts the Legendre
@@ -229,8 +229,8 @@ class DualProfile:
     ValueError rather than return a wrong number.  `jet(t, k)`, k <= 3, then
     reads `legendre_dual_jet` at that solve, so no spectral truncation
     enters (`dual_profile` fits this to a cosine series).  The last solve is
-    kept, read-only, with its folded angles, and a call whose folded angles
-    equal them reuses it; it is no state for `==`, `hash` or pickle.  A
+    kept (`_Keeps`), keyed by the bytes of its folded angles, and a call whose
+    folded angles have them reuses it.  A
     scalar angle is solved as a one-element array and returns floats.  A
     caller that holds t with theta = theta_legendre(t) reads the closed form
     at t, with no solve (`isometry._h_at_theta`).  The base must be a valid
@@ -301,19 +301,13 @@ class DualProfile:
             raise ValueError("dual profiles support derivative orders 0..3")
         t = as_angle(t)
         tau, sign = dihedral_fold(np.reshape(t, -1), self.d)  # a float: one row
-        last = self.__dict__.get("_solve", (None, None))
-        if not np.array_equal(last[0], tau):  # tau is the fold's own new array
-            last = (tau, self._invert_theta(tau))
-            tau.flags.writeable = last[1].flags.writeable = False
-            object.__setattr__(self, "_solve", last)
+        # tau is finite with no -0.0: equal bytes are equal angles
+        solve = self._kept("_solve", tau, lambda: self._invert_theta(tau))
         out = [v * sign ** m for m, v in enumerate(
-            legendre_dual_jet(self.base, last[1], k, self.scale))]
+            legendre_dual_jet(self.base, solve, k, self.scale))]
         if isinstance(t, float):
             return tuple(float(v[0]) for v in out)
         return tuple(v.reshape(t.shape) for v in out)
-
-    def __getstate__(self):  # pickle and copy leave the last solve behind
-        return {k: v for k, v in vars(self).items() if k != "_solve"}
 
     def scaled(self, factor: float) -> "DualProfile":
         return DualProfile(base=self.base, scale=self.scale * factor)

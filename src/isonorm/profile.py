@@ -23,7 +23,8 @@ and at each smooth piece's `stationary_angles()`, the only other places their mi
 can lie; a series solves for the roots of f only where f may vanish, and a short
 one (`_short_candidates`) does all of it on floats with the arrays' bits.  A pass/fail
 question (`require_minkowski`, `DualProfile`) asks a long series' sampled `_gate`
-first, which solves for nothing.  Reports, verdicts and root sets are kept.
+first, which solves for nothing.  Every kept result of a frozen object, here
+the reports, verdicts and root sets, goes through `_Keeps._kept`.
 """
 
 from __future__ import annotations
@@ -52,8 +53,32 @@ CLENSHAW_MAX_TERMS = 3
 _ORDERS = range(MAX_DERIV_ORDER + 1)
 
 
+class _Keeps:
+    """The one way a frozen object keeps a result: `_kept(name, key,
+    compute)` returns compute(), kept with its arrays read-only for the next
+    call with the same key, None (once per object) or a 1-D array compared
+    by its bytes; a key of rows is never kept.  Not in ==, hash, copy or pickle."""
+
+    def _kept(self, name: str, key, compute):
+        if key is not None:
+            if key.ndim != 1:
+                return compute()
+            key = key.tobytes()
+        slot = self.__dict__.get(name)
+        if slot is None or slot[0] != key:
+            slot = key, compute()
+            for v in slot[1] if isinstance(slot[1], tuple) else (slot[1],):
+                if isinstance(v, np.ndarray):
+                    v.setflags(write=False)
+            object.__setattr__(self, name, slot)
+        return slot[1]
+
+    def __getstate__(self):  # pickle and copy leave what is kept behind
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+
 @dataclass(frozen=True)
-class Profile:
+class Profile(_Keeps):
     """Truncated cosine series c0 + sum_j c_j cos(j*d*t); a fitted one
     carries the fit's max abs error as `fit_residual` (0 for an exact one).
 
@@ -102,34 +127,30 @@ class Profile:
         f' = -d sin(d t) phi'(q), and f''' + 4 f' is the f' of psi(q) with
         coefficients c_j ((j d)^2 - 4): `_root_angles`' sets for phi, phi'
         and psi', in that order.  Computed once per object; read-only."""
-        if "_angles" not in self.__dict__:
-            angles = np.concatenate([self._root_angles(i) for i in range(3)])
-            angles.flags.writeable = False
-            object.__setattr__(self, "_angles", angles)
-        return self._angles
+        return self._kept("_angles", None, lambda: np.concatenate(
+            [self._root_angles(i) for i in range(3)]))
 
     def _root_angles(self, i: int):
         """t = arccos(q)/d over the real parts q, clipped to [-1, 1], of the
         roots of phi, phi' or psi' (i = 0, 1, 2), once per object: for at
-        most CLENSHAW_MAX_TERMS terms a list of floats by numpy's steps
+        most CLENSHAW_MAX_TERMS terms a tuple of floats by numpy's steps
         written out and numpy's scalar arccos (math.acos differs in the last
         bit), else an array by numpy's functions, one companion solve each."""
-        roots = self.__dict__.setdefault("_roots", {})
-        if i not in roots:
-            c = self.cos_coeffs
-            if i == 2:
-                c = tuple(v * ((j * self.d) ** 2 - 4.0) for j, v in enumerate(c))
-            if len(c) <= CLENSHAW_MAX_TERMS:
-                roots[i] = [float(np.arccos(min(max(q, -1.0), 1.0))) / self.d
-                            for q in _short_roots(_short_chebder(c) if i else c)]
-            else:
-                from numpy.polynomial.chebyshev import chebder, chebroots
-                from numpy.polynomial.polyutils import trimcoef
-                s = chebder(c) if i else np.asarray(c)
-                # trailing c_j below eps * max|c| overflow the companion matrix
-                q = chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
-                roots[i] = np.arccos(np.clip(q, -1.0, 1.0)) / self.d
-        return roots[i]
+        return self._kept(f"_roots{i}", None, lambda: self._solve_roots(i))
+
+    def _solve_roots(self, i: int):
+        c = self.cos_coeffs
+        if i == 2:
+            c = tuple(v * ((j * self.d) ** 2 - 4.0) for j, v in enumerate(c))
+        if len(c) <= CLENSHAW_MAX_TERMS:
+            return tuple(float(np.arccos(min(max(q, -1.0), 1.0))) / self.d
+                         for q in _short_roots(_short_chebder(c) if i else c))
+        from numpy.polynomial.chebyshev import chebder, chebroots
+        from numpy.polynomial.polyutils import trimcoef
+        s = chebder(c) if i else np.asarray(c)
+        # trailing c_j below eps * max|c| overflow the companion matrix
+        q = chebroots(trimcoef(s, EPS * np.max(np.abs(s)))).real
+        return np.arccos(np.clip(q, -1.0, 1.0)) / self.d
 
     def scaled(self, factor: float) -> "Profile":
         """The profile factor*f (coefficient-wise, exact)."""
@@ -333,12 +354,12 @@ def _candidates(p, lo: float, hi: float) -> np.ndarray:
 
 def _short_candidates(p, lo: float, hi: float) -> np.ndarray:
     """`_candidates` of a series of at most CLENSHAW_MAX_TERMS terms by the
-    array path's steps on floats: the root angles' lists, a sorted set and
+    array path's steps on floats: the root angles' tuples, a sorted set and
     the float jet, which has its array row's bits."""
     angles = p._root_angles(1) + p._root_angles(2)
     for phi in (False, True):  # phi's roots only where f may vanish
         t = sorted({lo, hi, *(min(max(v, lo), hi)
-                              for v in angles + (p._root_angles(0) if phi else []))})
+                              for v in angles + (p._root_angles(0) if phi else ()))})
         f0, f1, f2 = zip(*(p.jet(v, 2) for v in t))
         if min(f0) > VALIDITY_MARGIN:
             break
@@ -357,8 +378,10 @@ def is_minkowski(p) -> ValidityReport:
     than guessed.  Profiles are frozen, so the report is computed once per
     profile object and kept on it; `replace` and `scaled` build objects
     checked afresh."""
-    if "_validity" in p.__dict__:
-        return p._validity
+    return p._kept("_validity", None, lambda: _report(p))
+
+
+def _report(p) -> ValidityReport:
     ts, fs, gaps = _candidates(p, 0.0, math.pi / p.d)
     i = int(gaps.argmin())
     min_f, min_gap, arg_gap = float(fs.min()), float(gaps[i]), ts[i]
@@ -369,10 +392,8 @@ def is_minkowski(p) -> ValidityReport:
         status = "invalid"
     else:
         status = "marginal"
-    report = ValidityReport(valid=(status == "valid"), status=status,
-                            min_f=min_f, min_gap=min_gap, argmin=float(arg_gap))
-    object.__setattr__(p, "_validity", report)
-    return report
+    return ValidityReport(valid=(status == "valid"), status=status,
+                          min_f=min_f, min_gap=min_gap, argmin=float(arg_gap))
 
 
 def _gate(p) -> bool:
@@ -397,11 +418,9 @@ def _gate(p) -> bool:
 
 
 def _certified(p) -> bool:
-    """`_gate`'s verdict on a long plain series with no report, kept on p."""
-    if (isinstance(p, Profile) and len(p.cos_coeffs) > CLENSHAW_MAX_TERMS
-            and not {"_validity", "_gate"} & p.__dict__.keys()):
-        object.__setattr__(p, "_gate", _gate(p))
-    return p.__dict__.get("_gate", False)
+    """`_gate`'s verdict on a long plain series, kept on p; False if p keeps a report."""
+    return (isinstance(p, Profile) and len(p.cos_coeffs) > CLENSHAW_MAX_TERMS
+            and p._kept("_gate", None, lambda: not hasattr(p, "_validity") and _gate(p)))
 
 
 def require_minkowski(p, what: str) -> None:
@@ -518,7 +537,7 @@ def _piece_jets(breaks, jets, t: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SectorProfile:
+class SectorProfile(_Keeps):
     """Profile assembled from per-sector pieces on the fundamental interval.
 
     `breaks` are the switch angles inside (0, pi/d); piece i is used on

@@ -1,6 +1,7 @@
 """The last point's frame, kept on its model, and q-form pass, kept on its
 norm: the calls at one point share them, and every call returns the bits of
-a call on new objects."""
+a call on new objects.  Every kept result, of every kind, is no state and
+read-only."""
 
 import copy
 import math
@@ -17,7 +18,8 @@ from isonorm.hessian import (InducedNorm, closed_frame_matrix, energy,
                              fd_fundamental_tensor, fd_indicatrix_laplacian_t,
                              fd_indicatrix_operators, frame_basis, riemann_fd)
 from isonorm.planar import DualProfile
-from isonorm.profile import Profile, SectorProfile, save_profile
+from isonorm.profile import (Profile, SectorProfile, _certified, is_minkowski,
+                             save_profile)
 
 # field-sweep's models, and a d2 pair of one n whose split differs
 MODELS = {"d1:3": d1(3), "d2:4:2": d2(4, 2), "d2:8:3": d2(8, 3),
@@ -209,19 +211,60 @@ def test_isonorm_tensor_forms_its_points_polar_data_once(monkeypatch, tmp_path,
     assert ("_unit_w", 1) in calls and calls.count(("_unit_w", 1)) == 1
 
 
-def test_kept_slots_are_no_state():
-    m, nm = _fresh("cartan3", "Profile")
+# a long valid series: the sampled gate and the roots' arrays
+LONG = (1.0, 0.1, 0.02, 0.005)
+TS = np.linspace(0.0, 1.5, 9)
+
+
+def _warm_model(m):
     x = _points(m)[0]
-    riemann_fd(nm, x)
+    t_coord(m, x)
     unit_w(m, x)
-    assert {"_point", "_w"} <= set(vars(m)) and "_qform" in vars(nm)
-    cold_m, cold_nm = _fresh("cartan3", "Profile")
-    for warm, cold in ((m, cold_m), (nm, cold_nm)):
-        assert warm == cold and hash(warm) == hash(cold)
-        assert pickle.dumps(warm) == pickle.dumps(cold)
-        for dup in (copy.copy(warm), copy.deepcopy(warm),
-                    pickle.loads(pickle.dumps(warm))):
-            assert dup == cold and set(vars(dup)) == set(vars(cold))
+
+
+def _warm_norm(nm):
+    riemann_fd(nm, _points(nm.foliation)[0])
+
+
+def _warm_profile(p):
+    _certified(p)  # before the report, which would leave the gate out
+    is_minkowski(p)
+    p.stationary_angles()
+
+
+def _warm_dual(p):
+    is_minkowski(p)
+    p.evaluate(TS, 2)
+
+
+# kind: (a new object, the calls that make it keep, the names it keeps)
+KINDS = {
+    "Profile": (lambda: Profile(2, BASES[2].cos_coeffs), _warm_profile,
+                ("_validity", "_angles", "_roots0", "_roots1", "_roots2")),
+    "long Profile": (lambda: Profile(2, LONG), _warm_profile,
+                     ("_gate", "_validity", "_angles", "_roots0", "_roots1", "_roots2")),
+    "SectorProfile": (lambda: _profiles(2)["SectorProfile"], is_minkowski, ("_validity",)),
+    "DualProfile": (lambda: DualProfile(Profile(2, LONG), 0.8), _warm_dual,
+                    ("_validity", "_solve")),
+    "FoliationModel": (lambda: _fresh("cartan3", "Profile")[0], _warm_model,
+                       ("_point", "_w")),
+    "InducedNorm": (lambda: _fresh("cartan3", "DualProfile")[1], _warm_norm,
+                    ("_qform",)),
+}
+
+
+@pytest.mark.parametrize("kind,name", [(kind, name) for kind, (_, _, names)
+                                       in KINDS.items() for name in names])
+def test_kept_slots_are_no_state(kind, name):
+    new, warm_up, _ = KINDS[kind]
+    warm, cold = new(), new()
+    warm_up(warm)
+    assert name in vars(warm)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    for dup in (copy.copy(warm), copy.deepcopy(warm),
+                pickle.loads(pickle.dumps(warm))):
+        assert dup == cold and vars(dup).keys() == vars(cold).keys()
 
 
 def test_kept_arrays_are_read_only():
@@ -231,7 +274,12 @@ def test_kept_arrays_are_read_only():
     kept = [u, unit_w(m, x), *(a for a in hessian._qform_tensors(nm, u, p, t)
                                if isinstance(a, np.ndarray))]
     assert len(kept) == 6
+    f, dual = Profile(2, LONG), DualProfile(Profile(2, LONG))
+    dual.evaluate(TS, 0)
+    kept += [f.stationary_angles(), *(f._root_angles(i) for i in range(3)),
+             vars(dual)["_solve"][1]]
     for a in kept:
+        assert isinstance(a, np.ndarray)
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
     # rows are computed anew, and stay writable

@@ -67,21 +67,23 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def _walk(node, where=None):
+    """(where, child) for every node below `node` of a parsed module, `where`
+    the dotted name of the classes and functions around it (None at module
+    level)."""
+    for child in ast.iter_child_nodes(node):
+        yield where, child
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _walk(child, f"{where}.{child.name}" if where else child.name)
+        else:
+            yield from _walk(child, where)
+
+
 def _calls(tree, name):
-    """The enclosing function (None at module level) of each call of `name`,
-    a bare name or an attribute, in a parsed module."""
-    found = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
-                found.append(where)
-            visit(child, child.name if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
-
-    visit(tree, None)
-    return found
+    """Where (as `_walk` names it) each call of `name`, a bare name or an
+    attribute, is in a parsed module."""
+    return [where for where, node in _walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
 def test_the_normal_w_is_formed_only_in_the_frame():
@@ -95,6 +97,35 @@ def test_the_normal_w_is_formed_only_in_the_frame():
         calls = [(path.name, where) for path in sorted(root.glob("*.py"))
                  for where in _calls(ast.parse(path.read_text()), helper)]
         assert calls == [home], helper
+
+
+def _keeps_or_freezes(node):
+    """Whether a node sets a `_` (or computed) attribute through
+    object.__setattr__, or an array's write flag."""
+    if isinstance(node, ast.Assign):
+        return any(ast.unparse(t).endswith(".flags.writeable") for t in node.targets)
+    if not isinstance(node, ast.Call):
+        return False
+    func = ast.unparse(node.func)
+    if func == "object.__setattr__":
+        name = node.args[1] if len(node.args) > 1 else None
+        return not (isinstance(name, ast.Constant) and isinstance(name.value, str)
+                    and not name.value.startswith("_"))
+    return func.endswith(".setflags") and bool(
+        node.args or any(k.arg == "write" for k in node.keywords))
+
+
+def test_kept_results_have_one_owner():
+    # a frozen object keeps a result only through profile._Keeps._kept, the
+    # one place that sets a `_` attribute on it or makes its arrays
+    # read-only; besides it only the process-wide constants, built once,
+    # are read-only
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "isonorm"
+    found = [(path.name, where) for path in sorted(root.glob("*.py"))
+             for where, node in _walk(ast.parse(path.read_text()))
+             if _keeps_or_freezes(node)]
+    assert found == [("fd.py", "_arrays"), ("foliation.py", "_fixed_derivative"),
+                     ("profile.py", "_Keeps._kept"), ("profile.py", "_Keeps._kept")]
 
 
 def _resolve(module: str, name: str):
