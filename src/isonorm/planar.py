@@ -229,13 +229,13 @@ class DualProfile(_Keeps):
     ValueError rather than return a wrong number.  `jet(t, k)`, k <= 3, then
     reads `legendre_dual_jet` at that solve, so no spectral truncation
     enters (`dual_profile` fits this to a cosine series).  The last solve is
-    kept (`_Keeps`), keyed by the bytes of its folded angles, and a call whose
-    folded angles have them reuses it.  A
-    scalar angle is solved as a one-element array and returns floats.  A
-    caller that holds t with theta = theta_legendre(t) reads the closed form
-    at t, with no solve (`isometry._h_at_theta`).  The base must be a valid
-    Minkowski profile (`is_minkowski`): a marginal one may pinch
-    theta_legendre' to zero, where h blows up.
+    kept (`_Keeps`), keyed by the bytes of its folded angles, and a call
+    whose folded angles have them reuses it.  A scalar angle is solved as a
+    one-element array and returns floats.  A caller that holds t with
+    theta = theta_legendre(t) reads the closed form at t, with no solve
+    (`isometry._h_at_theta`).  The base must be a valid Minkowski profile
+    (`is_minkowski`): a marginal one may pinch theta_legendre' to zero,
+    where h blows up.
     """
 
     base: Profile
