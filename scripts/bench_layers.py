@@ -44,6 +44,8 @@ and `scaled_ms` is null.  The rows:
   its report discarded, where path holds that solved Legendre triple;
 - `glue_construct` alone on the reused 96-term base (the glue row above
   without its lift check);
+- `classify_sectors` (grid 512) of that glued cartan3 triple, built once:
+  theta and the Legendre angle from one jet of the base on the grid;
 - planar `check_d_property` (20 samples, V' the x1 axis) of the exact-dual
   Legendre triple on Profile(2, (1, 0.2)): the norms of f and of its
   `DualProfile`, and `planar_lift_map` of the triple;
@@ -175,7 +177,8 @@ import isonorm  # noqa: E402
 from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      IsometryTriple, PlanarNorm, Profile, Sector, ThetaMap,
                      build_h_from_theta, bump_profile, cartan3,
-                     check_d_property, check_hessian_isometry, dual_profile,
+                     check_d_property, check_hessian_isometry,
+                     classify_sectors, dual_profile,
                      fd_fundamental_tensor, fd_indicatrix_laplacian_t,
                      glue_construct, identity_map,
                      integrate_branch, is_minkowski, legendre_map_tag,
@@ -380,6 +383,9 @@ def rows(tmp: str):
                 "Profile(2, (1, 0.2))", _cli,
                 lambda: ["isometry", "check", "--triple", triple_path]))
     out.append(("glue_construct, reused 96-term glue base", _glue, lambda: base))
+    glued = _glue(base).triple
+    out.append(("classify_sectors, glued cartan3 triple on the 96-term glue base",
+                classify_sectors, lambda: glued))
     out.append(("check_d_property, planar exact-dual Legendre triple on "
                 "Profile(2, (1, 0.2))", _planar_d_property,
                 lambda: Profile(2, (1.0, 0.2))))

@@ -15,8 +15,8 @@ Math. Ann. 251, 1980): t = arccos(p)/d, the unit normal
 w = -grad_S p / (d sin dt) and the shape operator from Hess p.  One polar
 pass per row set (`_polar`, behind t_coord) evaluates p; `_frame` adds w and
 the focal guard, and the shape operator takes that p from its caller.  A
-model keeps its last point's pass and w (`profile._Keeps`, keyed by the
-point's bytes), which its later calls there share.
+model keeps its last point's pass, w and shape operator, and in slots of their
+own its last rows' (`profile._Keeps`, keyed by the bytes), for later calls.
 """
 
 from __future__ import annotations
@@ -338,7 +338,11 @@ class ShapeEigen(NamedTuple):
 def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
     """S = -P (Hess p - d p I) P / (d sin dt), P = I - u u^T - w w^T, at the
     unit point or (k, n) rows u, with p = p(u): the leaf's shape operator
-    (the spherical Hessian of t on the leaf), eigenvalues cot(t + k pi/d)."""
+    (the spherical Hessian of t on the leaf), eigenvalues cot(t + k pi/d): kept on u."""
+    return m._kept("_shape", u, lambda: _shape_pass(m, u, t, w, p))
+
+
+def _shape_pass(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
     eye = _arrays(m.n)["eye"]
     P = eye - u[..., :, None] * u[..., None, :] - w[..., :, None] * w[..., None, :]
     H = _hess_poly(m, u) - (m.d * p)[..., None, None] * eye

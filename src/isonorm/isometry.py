@@ -19,10 +19,10 @@ the profiles' fold, `dihedral_fold`), project_out, planar `fundamental_tensor`
 and `ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
 lift_to_nd's map also carries its exact differential, `phi.jacobian`, which
 check_hessian_isometry takes where it differences any other map.
-`ode_residuals`, lift_to_nd and `build_h_from_theta` read theta, f and h at t
-from one jet of f and one sin/cos of t (`_h_at_theta`); the exact Legendre
-triple's h is closed-form at t, there and in planar_lift_map: no angle is
-solved.  `ode_residuals` of one angle is one pass on floats
+`ode_residuals`, the lifts, `classify_sectors` and `build_h_from_theta` read
+theta, f and h at t from one jet of f and one sin/cos of t, by t-piece
+(`_h_at_theta`); the exact and glued Legendre triples' h is closed-form at
+t: no angle is solved.  `ode_residuals` of one angle is one pass on floats
 (`_one_angle_residuals`) through the array path's entry functions.
 check_d_property splits R^n = V' + V'' by one orthonormal basis of V'
 (`Decomposition`): a unit vector, (cos a, sin a) in the plane, or k columns.
@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -41,7 +42,7 @@ import numpy as np
 
 from .planar import (DualProfile, PlanarNorm, _dual_from_jet, _plane_polar, _sin_cos,
                      _theta_from_jet, _unwrap_to, fundamental_tensor, legendre_num_den,
-                     legendre_ode_rhs, theta_legendre, theta_scaled)
+                     legendre_ode_rhs, theta_scaled)
 from .profile import (Profile, SectorProfile, _piece_jets, as_angle, dihedral_fold,
                       gap_from_jet, json_field, lobatto_fit, profile_from_json_dict,
                       require_minkowski)
@@ -259,21 +260,45 @@ def save_triple(tr: IsometryTriple, path) -> None:
 def _h_at_theta(f: Profile, theta: ThetaMap, t, k: int, h=None, hk: int = 0):
     """(theta's jet to order k, f's jet to k + 1, h's jet to hk at theta(t)
     or None for no h, (sin t, cos t)) at t, from one jet of f and one sin/cos
-    of t: the Legendre kinds' theta, the linear kind's and the exact Legendre
-    triple's h come from them in closed form (`planar._theta_from_jet`,
-    `_linear_theta`, `_dual_from_jet`), so no angle is solved back to t; any
-    other h reads its jet at theta(t)."""
-    fj, sc = f.jet(t, k + 1), _sin_cos(t)
-    if theta.kind in ("legendre", "scaled-legendre"):
-        th = _theta_from_jet(fj, *sc, t, *(theta.params or (1.0, 1.0)), k)
-    elif theta.kind == "linear":
-        th = _linear_theta(t, *sc, *theta.params)[:k + 1]
-    else:
-        th = theta_jet(theta, f, t, k)
-    if h is None:
-        return th, fj, None, sc
-    exact = _is_exact_dual(f, theta, h)
-    return th, fj, _dual_from_jet(fj, hk, h.scale) if exact else h.jet(th[0], hk), sc
+    of t, by t-piece (a break is its right piece's): theta in closed form for
+    the Legendre and linear kinds, and h for a legendre piece whose h (or the
+    same piece of a `SectorProfile` with theta's breaks) is a `DualProfile` of
+    f, so the exact and glued Legendre triples solve no angle; any other piece
+    reads h at theta(t).  A float takes its piece's steps, with its row's bits."""
+    fj, sc, p = f.jet(t, k + 1), _sin_cos(t), h
+    if theta.kind == "piecewise":
+        breaks = tuple(hi for _, hi, _ in theta.pieces[:-1])
+        same = isinstance(h, SectorProfile) and h.breaks == breaks
+        hs = h.pieces if same else [h] * len(theta.pieces)
+        if isinstance(t, float):
+            i = bisect_right(breaks, t)
+            theta, p = theta.pieces[i][2], hs[i]
+        else:
+            idx = np.searchsorted(breaks, t, side="right")
+            th, hj = np.empty((k + 1,) + t.shape), np.empty((hk + 1,) + t.shape)
+            closed = np.zeros(t.shape, dtype=bool)
+            for i, (_, _, sub) in enumerate(theta.pieces):
+                rows = idx == i
+                jet = [v[rows] for v in fj]
+                th[:, rows] = _piece_theta(sub, f, jet, [v[rows] for v in sc], t[rows], k)
+                if _is_exact_dual(f, sub, hs[i]):
+                    hj[:, rows], closed = _dual_from_jet(jet, hk, hs[i].scale), closed | rows
+            if h is not None and not closed.all():
+                hj[:, ~closed] = h.jet(th[0][~closed], hk)
+            return tuple(th), fj, None if h is None else tuple(hj), sc
+    th = _piece_theta(theta, f, fj, sc, t, k)
+    if h is None or not _is_exact_dual(f, theta, p):
+        return th, fj, None if h is None else h.jet(th[0], hk), sc
+    return th, fj, _dual_from_jet(fj, hk, p.scale), sc
+
+
+def _piece_theta(tm: ThetaMap, f: Profile, fj, sc, t, k: int):
+    """theta_jet of a non-piecewise map from f's jet to k + 1 and (sin t, cos t)."""
+    if tm.kind in ("legendre", "scaled-legendre"):
+        return _theta_from_jet(fj, *sc, t, *(tm.params or (1.0, 1.0)), k)
+    if tm.kind == "linear":
+        return _linear_theta(t, *sc, *tm.params)[:k + 1]
+    return theta_jet(tm, f, t, k)
 
 
 def _is_exact_dual(f: Profile, theta: ThetaMap, h) -> bool:  # field equality: JSON too
@@ -296,8 +321,8 @@ def _dihedral_entry(sf, cf, f0, f1, sh, ch, h0, h1):
 def ode_residuals(tr: IsometryTriple, t) -> np.ndarray:
     """Left-minus-right of the isometry ODE system at t: length d+1 for a
     scalar t (`_one_angle_residuals`), shape (d+1, m) for a 1-D array of m
-    angles.  theta, f and h at t are `_h_at_theta`'s, so the exact Legendre
-    triple solves no angle, and any other dual h one array of all m angles.
+    angles.  theta, f and h at t are `_h_at_theta`'s, by t-piece, so the exact
+    and glued Legendre triples solve no angle, any other dual h one array.
 
     Entry 0 is the second-order equation linking the curvature data of f
     and h through theta'; entries 1..d are the dihedral first-order
@@ -766,14 +791,14 @@ class SectorLabel(NamedTuple):
 
 def classify_sectors(tr: IsometryTriple, grid: int = 512,
                      tol: float = CLASSIFY_TOL) -> list[SectorLabel]:
-    """Label maximal runs of t where theta matches the identity, the
-    Legendre closed form, or neither (Transition)."""
+    """Label maximal runs of t where theta matches the identity, the Legendre
+    closed form, or neither (Transition), both from one jet of f on the grid."""
     if not (tol > 0 and math.isfinite(tol)):  # else no t, or every t, would match
         raise ValueError(f"classify tol must be positive and finite, got {tol}")
     d = tr.f.d
     ts = np.linspace(INTERIOR_GUARD, math.pi / d - INTERIOR_GUARD, grid)
-    th = theta_jet(tr.theta, tr.f, ts, 0)[0]
-    th_leg = theta_legendre(tr.f, ts)
+    (th,), fj, _, sc = _h_at_theta(tr.f, tr.theta, ts, 0)
+    th_leg = _theta_from_jet(fj, *sc, ts, 1.0, 1.0, 0)[0]
     is_id = np.abs(th - ts) < tol
     is_leg = np.abs(th - th_leg) < tol
 
@@ -841,19 +866,15 @@ def planar_lift_map(tr: IsometryTriple) -> Callable:
     on an (m, 2) array of points.  theta commutes with the dihedral group:
     with (tau, s) = dihedral_fold(t, d), theta(t) = t + s (theta(tau) - tau),
     and theta(t) = t at the sector ends (a sampled map's end cubic may not);
-    h(theta) in closed form at t for the exact Legendre triple."""
+    f and h(theta) are `_h_at_theta`'s at tau."""
 
     def phi(x):
         _, r, t = _plane_polar(np.asarray(x, dtype=float))
         tau, s = dihedral_fold(t, tr.f.d)
+        (th,), (f0, _), (h0,), _ = _h_at_theta(tr.f, tr.theta, tau, 0, tr.h, 0)
         inner = (tau >= 1e-12) & (math.pi / tr.f.d - tau >= 1e-12)
-        turn = np.zeros_like(tau)
-        turn[inner] = theta_jet(tr.theta, tr.f, tau[inner], 0)[0] - tau[inner]
-        th = t + s * turn
-        fj = tr.f.jet(t, 1)
-        h0 = (_dual_from_jet(fj, 0, tr.h.scale)[0] if _is_exact_dual(tr.f, tr.theta, tr.h)
-              else tr.h.evaluate(th, 0))
-        scale = r * np.sqrt(fj[0] / h0)
+        th = t + s * np.where(inner, th - tau, 0.0)
+        scale = r * np.sqrt(f0 / h0)
         return scale[:, None] * np.column_stack([np.cos(th), np.sin(th)])
 
     return phi

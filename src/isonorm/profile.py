@@ -56,13 +56,13 @@ _ORDERS = range(MAX_DERIV_ORDER + 1)
 class _Keeps:
     """The one way a frozen object keeps a result: `_kept(name, key,
     compute)` returns compute(), kept with its arrays read-only for the next
-    call with the same key, None (once per object) or a 1-D array compared
-    by its bytes; a key of rows is never kept.  Not in ==, hash, copy or pickle."""
+    call with the same key: None (once per object), a point's bytes, or rows'
+    shape and bytes, in a slot name + "_rows".  Not in ==, hash, copy or pickle."""
 
     def _kept(self, name: str, key, compute):
-        if key is not None:
-            if key.ndim != 1:
-                return compute()
+        if key is not None and key.ndim != 1:
+            name, key = name + "_rows", (key.shape, key.tobytes())
+        elif key is not None:
             key = key.tobytes()
         slot = self.__dict__.get(name)
         if slot is None or slot[0] != key:

@@ -1,7 +1,8 @@
 """The last point's frame, kept on its model, and q-form pass, kept on its
 norm: the calls at one point share them, and every call returns the bits of
-a call on new objects.  Every kept result, of every kind, is no state and
-read-only."""
+a call on new objects.  The last row set's are kept in slots of their own,
+so a lifted map and the check's tensor share one frame of the sample rows.
+Every kept result, of every kind, is no state and read-only."""
 
 import copy
 import math
@@ -10,13 +11,17 @@ import pickle
 import numpy as np
 import pytest
 
-from isonorm import cli, foliation, hessian
+from isonorm import cli, foliation, hessian, isometry
 from isonorm.foliation import (FocalProximityError, cartan3, d1, d2,
                                random_leaf_points, shape_spectrum, t_coord,
                                unit_w)
-from isonorm.hessian import (InducedNorm, closed_frame_matrix, energy,
+from isonorm.foliation import normal_plane_basis
+from isonorm.hessian import (InducedNorm, closed_frame_matrix,
+                             closed_fundamental_tensor, energy,
                              fd_fundamental_tensor, fd_indicatrix_laplacian_t,
                              fd_indicatrix_operators, frame_basis, riemann_fd)
+from isonorm.isometry import (IsometryTriple, check_hessian_isometry,
+                              legendre_map_tag, lift_to_nd)
 from isonorm.planar import DualProfile
 from isonorm.profile import (Profile, SectorProfile, _certified, is_minkowski,
                              save_profile)
@@ -176,6 +181,7 @@ def _computing_helpers(monkeypatch):
     calls = []
     _count(monkeypatch, foliation, "_poly", calls)     # the polar pass's p
     _count(monkeypatch, foliation, "_unit_w", calls)   # w
+    _count(monkeypatch, foliation, "_shape_pass", calls)  # the shape operator
     _count(monkeypatch, hessian, "_qform_pass", calls)  # G, T, dT, dt, Hess t
     return calls
 
@@ -186,13 +192,47 @@ def test_field_sweeps_six_calls_share_one_pass_of_each(monkeypatch, spec):
     u = _points(m)[0]
     calls = _computing_helpers(monkeypatch)
     spectrum = shape_spectrum(m, u)
-    fd_fundamental_tensor(nm, u)  # its stencil's rows: one pass, kept by none
+    fd_fundamental_tensor(nm, u)  # its stencil's rows: one pass, in the rows' slot
     frame_basis(nm, u, spectrum)
     closed_frame_matrix(nm, u, spectrum)
     riemann_fd(nm, u)
     fd_indicatrix_laplacian_t(nm, u)
     assert sorted(calls) == [("_poly", 1), ("_poly", 2), ("_qform_pass", 1),
+                             ("_shape_pass", 1), ("_unit_w", 1)]
+
+
+@pytest.mark.parametrize("spec", ["d1:3", "d2:4:2", "d2:8:3", "cartan3"])
+def test_a_row_call_leaves_the_points_slot(monkeypatch, spec):
+    # field-sweep's six calls, each after a leaf draw and the FD stencil on
+    # rows, whose passes the model keeps too: the point's stays
+    m, nm = _fresh(spec, "Profile")
+    u = _points(m)[0]
+    calls = _computing_helpers(monkeypatch)
+    for name in ("shape_spectrum", "fd_fundamental_tensor", "frame_basis",
+                 "closed_frame_matrix", "riemann_fd", "fd_indicatrix_laplacian_t"):
+        rows = random_leaf_points(m, 0.3, 3, seed=len(calls))
+        closed_fundamental_tensor(nm, rows)
+        fd_fundamental_tensor(nm, rows[0])
+        CALLS[name](m, nm, u)
+        assert vars(m)["_point"][0] == u.tobytes(), name
+    point = [c for c in calls if c[1] == 1]
+    assert sorted(point) == [("_poly", 1), ("_qform_pass", 1), ("_shape_pass", 1),
                              ("_unit_w", 1)]
+
+
+@pytest.mark.parametrize("spec", ["d1:3", "d2:4:2", "cartan3"])
+def test_a_legendre_lift_check_forms_the_sample_rows_frame_once(monkeypatch, spec):
+    # the lift's jacobian and G1 = closed_fundamental_tensor(norm1, X) share
+    # X's polar pass, w and shape operator: the leaf draw's two row passes
+    # and its w, X's and the images' Y, each with its w and S
+    m = foliation.parse_model(spec)
+    f = BASES[m.d]
+    tr = IsometryTriple(f=f, h=DualProfile(f), theta=legendre_map_tag())
+    calls = _computing_helpers(monkeypatch)
+    check_hessian_isometry(InducedNorm(m, tr.f), InducedNorm(m, tr.h),
+                           lift_to_nd(tr, m), samples=20, seed=7)
+    assert sorted(calls) == [("_poly", 2)] * 4 + [("_shape_pass", 2)] * 2 + [
+        ("_unit_w", 2)] * 3
 
 
 def test_isonorm_tensor_forms_its_points_polar_data_once(monkeypatch, tmp_path,
@@ -217,13 +257,14 @@ TS = np.linspace(0.0, 1.5, 9)
 
 
 def _warm_model(m):
-    x = _points(m)[0]
-    t_coord(m, x)
-    unit_w(m, x)
+    x, rows = _points(m)[0], _points(m, 3, seed=5)
+    shape_spectrum(m, x)  # the point's polar pass, w and shape operator
+    closed_fundamental_tensor(InducedNorm(m, BASES[m.d]), rows)  # the rows'
 
 
 def _warm_norm(nm):
     riemann_fd(nm, _points(nm.foliation)[0])
+    riemann_fd(nm, _points(nm.foliation, 3, seed=5))
 
 
 def _warm_profile(p):
@@ -247,9 +288,10 @@ KINDS = {
     "DualProfile": (lambda: DualProfile(Profile(2, LONG), 0.8), _warm_dual,
                     ("_validity", "_solve")),
     "FoliationModel": (lambda: _fresh("cartan3", "Profile")[0], _warm_model,
-                       ("_point", "_w")),
+                       ("_point", "_w", "_shape", "_point_rows", "_w_rows",
+                        "_shape_rows")),
     "InducedNorm": (lambda: _fresh("cartan3", "DualProfile")[1], _warm_norm,
-                    ("_qform",)),
+                    ("_qform", "_qform_rows")),
 }
 
 
@@ -274,15 +316,25 @@ def test_kept_arrays_are_read_only():
     kept = [u, unit_w(m, x), *(a for a in hessian._qform_tensors(nm, u, p, t)
                                if isinstance(a, np.ndarray))]
     assert len(kept) == 6
+    shape_spectrum(m, x)
+    kept.append(vars(m)["_shape"][1])
     f, dual = Profile(2, LONG), DualProfile(Profile(2, LONG))
     dual.evaluate(TS, 0)
     kept += [f.stationary_angles(), *(f._root_angles(i) for i in range(3)),
              vars(dual)["_solve"][1]]
+    # rows are kept too, in their own slots: t_coord's r and t, unit_w and
+    # normal_plane_basis' w of rows are read-only, as a point's are
+    rows = _points(m, 4, seed=6)
+    kept += [*t_coord(m, rows), unit_w(m, rows), normal_plane_basis(m, rows).w]
+    closed_fundamental_tensor(nm, rows)
+    kept += [vars(m)["_shape_rows"][1], *(a for a in hessian._qform_tensors(
+        nm, *foliation._polar(m, rows)[1:]) if isinstance(a, np.ndarray))]
     for a in kept:
         assert isinstance(a, np.ndarray)
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
-    # rows are computed anew, and stay writable
-    rows = _points(m)
-    w = unit_w(m, rows)
-    w[...] = 0.0
+    # what a call forms from kept arrays is its own, and writable
+    for a in (normal_plane_basis(m, rows).v1, closed_fundamental_tensor(nm, rows),
+              lift_to_nd(IsometryTriple(BASES[2], BASES[2], isometry.identity_map()),
+                         m)(1.2 * rows)):
+        a[...] = 0.0

@@ -89,10 +89,11 @@ def _calls(tree, name):
 def test_the_normal_w_is_formed_only_in_the_frame():
     # every frame takes w from foliation._frame, whose focal guard comes
     # first; and each pass is formed behind the one wrapper that keeps a
-    # point's result on its model or norm
+    # point's or rows' result on its model or norm
     root = pathlib.Path(__file__).resolve().parents[1] / "src" / "isonorm"
     for helper, home in (("_unit_w", ("foliation.py", "_frame")),
                          ("_polar_pass", ("foliation.py", "_polar")),
+                         ("_shape_pass", ("foliation.py", "_shape_operator")),
                          ("_qform_pass", ("hessian.py", "_qform_tensors"))):
         calls = [(path.name, where) for path in sorted(root.glob("*.py"))
                  for where in _calls(ast.parse(path.read_text()), helper)]
