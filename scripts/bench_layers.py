@@ -46,6 +46,9 @@ and `scaled_ms` is null.  The rows:
   without its lift check);
 - `classify_sectors` (grid 512) of that glued cartan3 triple, built once:
   theta and the Legendre angle from one jet of the base on the grid;
+- `theta_jet` (k = 0) of that triple's piecewise theta on `glue_construct`'s
+  1024-angle monotonicity grid: the base is jetted on the Legendre piece's
+  rows only;
 - planar `check_d_property` (20 samples, V' the x1 axis) of the exact-dual
   Legendre triple on Profile(2, (1, 0.2)): the norms of f and of its
   `DualProfile`, and `planar_lift_map` of the triple;
@@ -184,12 +187,13 @@ from isonorm import (Decomposition, DualProfile, InducedNorm,  # noqa: E402
                      integrate_branch, is_minkowski, legendre_map_tag,
                      lift_to_nd, ode_residuals, parse_model, planar_lift_map,
                      random_leaf_points, riemann_fd, save_profile, save_triple,
-                     shape_spectrum, t_coord, theta_legendre,
+                     shape_spectrum, t_coord, theta_jet, theta_legendre,
                      triple_from_json_dict, triple_to_json_dict)
 from isonorm.cli import main as cli_main  # noqa: E402
 from isonorm.hessian import (closed_frame_matrix,  # noqa: E402
                              closed_fundamental_tensor, fd_indicatrix_operators,
                              frame_basis)
+from isonorm.isometry import INTERIOR_GUARD  # noqa: E402
 from isonorm.planar import legendre_dual_jet  # noqa: E402
 from isonorm.profile import require_minkowski  # noqa: E402
 
@@ -207,6 +211,7 @@ DUAL_GRID = np.linspace(0.0, math.pi / 2, 256)
 JET_ANGLES = np.linspace(0.0, math.pi, 1000).tolist()
 JET_GRID = np.linspace(0.0, math.pi, 4096)
 CLASSIFY_GRID = np.linspace(0.0, math.pi / 3, 512)
+GLUE_GRID = np.linspace(INTERIOR_GUARD, math.pi / 3 - INTERIOR_GUARD, 1024)
 # the ~15 ms 96-term rows take this many times --repeat calls; even at best
 # of 60 they spread by ~50 % between runs of one commit, as the host has
 # slow stretches longer than a row, so compare them only across many runs
@@ -386,6 +391,9 @@ def rows(tmp: str):
     glued = _glue(base).triple
     out.append(("classify_sectors, glued cartan3 triple on the 96-term glue base",
                 classify_sectors, lambda: glued))
+    out.append(("theta_jet, glued cartan3 map on glue_construct's 1024 angles, "
+                "96-term glue base",
+                lambda tr: theta_jet(tr.theta, tr.f, GLUE_GRID, 0), lambda: glued))
     out.append(("check_d_property, planar exact-dual Legendre triple on "
                 "Profile(2, (1, 0.2))", _planar_d_property,
                 lambda: Profile(2, (1.0, 0.2))))

@@ -19,10 +19,13 @@ the profiles' fold, `dihedral_fold`), project_out, planar `fundamental_tensor`
 and `ode_residuals` on m angles (a (d+1, m) array) keep one-row bits per row.
 lift_to_nd's map also carries its exact differential, `phi.jacobian`, which
 check_hessian_isometry takes where it differences any other map.
-`ode_residuals`, the lifts, `classify_sectors` and `build_h_from_theta` read
-theta, f and h at t from one jet of f and one sin/cos of t, by t-piece
-(`_h_at_theta`); the exact and glued Legendre triples' h is closed-form at
-t: no angle is solved.  `ode_residuals` of one angle is one pass on floats
+A theta map has one reader, `_read_theta`: one dispatch on its kind and one
+loop over a piecewise map's pieces (`profile._piece_rows`).  `theta_jet` hands
+it nothing, so f is jetted only on a Legendre piece's rows; `ode_residuals`,
+the lifts, `classify_sectors` and `build_h_from_theta` hand it one jet of f
+and one sin/cos of t for all rows (`_h_at_theta`), and the exact and glued
+Legendre triples' h is closed-form at t: no angle is solved.
+`ode_residuals` of one angle is one pass on floats
 (`_one_angle_residuals`) through the array path's entry functions.
 check_d_property splits R^n = V' + V'' by one orthonormal basis of V'
 (`Decomposition`): a unit vector, (cos a, sin a) in the plane, or k columns.
@@ -33,17 +36,15 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .planar import (DualProfile, PlanarNorm, _dual_from_jet, _plane_polar, _sin_cos,
                      _theta_from_jet, _unwrap_to, fundamental_tensor, legendre_num_den,
-                     legendre_ode_rhs, theta_scaled)
-from .profile import (Profile, SectorProfile, _piece_jets, as_angle, dihedral_fold,
+                     legendre_ode_rhs)
+from .profile import (Profile, SectorProfile, _piece_rows, as_angle, dihedral_fold,
                       gap_from_jet, json_field, lobatto_fit, profile_from_json_dict,
                       require_minkowski)
 
@@ -125,31 +126,64 @@ def legendre_map_tag() -> ThetaMap:
 
 def theta_jet(tm: ThetaMap, f: Profile, t, k: int):
     """(theta,) for k = 0 or (theta, theta') for k = 1 at t, like
-    `Profile.jet`: floats for a scalar t, arrays of t's shape otherwise.  A
-    scalar runs on floats; the sampled and piecewise kinds take it as a
-    one-element array."""
+    `Profile.jet`: floats for a scalar t, arrays of t's shape otherwise; by
+    the one reader of theta maps (`_read_theta`), which jets f only on the
+    rows of a Legendre piece."""
     if k not in (0, 1):
         raise ValueError("theta maps support k = 0 and 1 only")
-    t = as_angle(t)
-    scalar = isinstance(t, float)
+    return _read_theta(tm, f, as_angle(t), k)[0]
+
+
+def _read_theta(tm: ThetaMap, f: Profile, t, k: int, fj=None, sc=None, h=None,
+                hk: int = 0):
+    """(theta's jet to order k, h's jet to order hk at theta(t), or None for
+    no h) at t: the one reader of a theta map, by its kind.  f's jet to order
+    k + 1 (fj) and (sin t, cos t) (sc) at t are taken where a kind reads them
+    and they are not handed in.  A piecewise map reads each piece on its rows
+    (`_piece_rows`: a break is its right piece's), with their slices of fj
+    and sc.  h is closed-form (`_dual_from_jet`) on a Legendre piece whose h,
+    or the same piece of a `SectorProfile` with theta's breaks, is a
+    `DualProfile` of f, so the exact and glued Legendre triples solve no
+    angle; the other rows read h at theta(t) in one call.  A float stays on
+    floats, but the sampled and piecewise kinds read it as a one-row array;
+    either way it has its row's bits."""
+    if isinstance(t, float) and tm.kind in ("sampled", "piecewise"):
+        row = lambda vs: vs and [np.array([v]) for v in vs]  # None stays None
+        return tuple(vs and tuple(float(v[0]) for v in vs) for vs in _read_theta(
+            tm, f, np.array([t]), k, row(fj), row(sc), h, hk))
+    if tm.kind == "piecewise":
+        breaks = tuple(hi for _, hi, _ in tm.pieces[:-1])
+        hs = (h.pieces if isinstance(h, SectorProfile) and h.breaks == breaks
+              else [h] * len(tm.pieces))
+        th, hj = np.empty((k + 1,) + t.shape), np.empty((hk + 1,) + t.shape)
+        rest = np.full(t.shape, h is not None)  # the rows that read h at theta
+        for i, rows in _piece_rows(breaks, t):
+            sub, cut = tm.pieces[i][2], lambda vs: vs and [v[rows] for v in vs]
+            exact = sub.kind == "legendre" and _dual_of(f, hs[i])
+            th[:, rows], closed = _read_theta(sub, f, t[rows], k, cut(fj), cut(sc),
+                                              hs[i] if exact else None, hk)
+            if closed is not None:
+                hj[:, rows], rest[rows] = closed, False
+        if rest.any():
+            hj[:, rest] = h.jet(th[0][rest], hk)
+        return tuple(th), None if h is None else tuple(hj)
     if tm.kind == "identity":
-        out = (t, 1.0) if scalar else (t.copy(), np.ones_like(t))
+        th = ((t, 1.0) if isinstance(t, float) else (t.copy(), np.ones_like(t)))[:k + 1]
     elif tm.kind == "linear":
-        out = _linear_theta(t, *_sin_cos(t), *tm.params)
-    elif tm.kind in ("legendre", "scaled-legendre"):
-        out = theta_scaled(f, t, *(tm.params or (1.0, 1.0)), k)
-    else:
-        t_arr = np.atleast_1d(t)
-        if tm.kind == "sampled":
-            out = [_pchip(np.asarray(tm.grid), np.asarray(tm.values), t_arr, order)
-                   for order in range(k + 1)]
-        else:  # piecewise: a piece's hi belongs to the next piece, as in SectorProfile
-            out = _piece_jets([hi for _, hi, _ in tm.pieces[:-1]],
-                              [partial(theta_jet, sub, f) for _, _, sub in tm.pieces],
-                              t_arr, k)
-        if scalar:
-            out = [float(v[0]) for v in out]
-    return tuple(out[:k + 1])
+        th = _linear_theta(t, *(sc or _sin_cos(t)), *tm.params)[:k + 1]
+    elif tm.kind == "sampled":
+        th = tuple(_pchip(np.asarray(tm.grid), np.asarray(tm.values), t, order)
+                   for order in range(k + 1))
+    else:  # legendre and scaled-legendre
+        fj = fj or f.jet(t, k + 1)
+        th = _theta_from_jet(fj, *(sc or _sin_cos(t)), t, *(tm.params or (1.0, 1.0)), k)
+        if tm.kind == "legendre" and _dual_of(f, h):
+            return th, _dual_from_jet(fj, hk, h.scale)
+    return th, None if h is None else h.jet(th[0], hk)
+
+
+def _dual_of(f: Profile, h) -> bool:  # field equality: JSON too
+    return isinstance(h, DualProfile) and (h.base is f or h.base == f)
 
 
 def _linear_theta(t, sin, cos, a: float, b: float):
@@ -260,50 +294,10 @@ def save_triple(tr: IsometryTriple, path) -> None:
 def _h_at_theta(f: Profile, theta: ThetaMap, t, k: int, h=None, hk: int = 0):
     """(theta's jet to order k, f's jet to k + 1, h's jet to hk at theta(t)
     or None for no h, (sin t, cos t)) at t, from one jet of f and one sin/cos
-    of t, by t-piece (a break is its right piece's): theta in closed form for
-    the Legendre and linear kinds, and h for a legendre piece whose h (or the
-    same piece of a `SectorProfile` with theta's breaks) is a `DualProfile` of
-    f, so the exact and glued Legendre triples solve no angle; any other piece
-    reads h at theta(t).  A float takes its piece's steps, with its row's bits."""
-    fj, sc, p = f.jet(t, k + 1), _sin_cos(t), h
-    if theta.kind == "piecewise":
-        breaks = tuple(hi for _, hi, _ in theta.pieces[:-1])
-        same = isinstance(h, SectorProfile) and h.breaks == breaks
-        hs = h.pieces if same else [h] * len(theta.pieces)
-        if isinstance(t, float):
-            i = bisect_right(breaks, t)
-            theta, p = theta.pieces[i][2], hs[i]
-        else:
-            idx = np.searchsorted(breaks, t, side="right")
-            th, hj = np.empty((k + 1,) + t.shape), np.empty((hk + 1,) + t.shape)
-            closed = np.zeros(t.shape, dtype=bool)
-            for i, (_, _, sub) in enumerate(theta.pieces):
-                rows = idx == i
-                jet = [v[rows] for v in fj]
-                th[:, rows] = _piece_theta(sub, f, jet, [v[rows] for v in sc], t[rows], k)
-                if _is_exact_dual(f, sub, hs[i]):
-                    hj[:, rows], closed = _dual_from_jet(jet, hk, hs[i].scale), closed | rows
-            if h is not None and not closed.all():
-                hj[:, ~closed] = h.jet(th[0][~closed], hk)
-            return tuple(th), fj, None if h is None else tuple(hj), sc
-    th = _piece_theta(theta, f, fj, sc, t, k)
-    if h is None or not _is_exact_dual(f, theta, p):
-        return th, fj, None if h is None else h.jet(th[0], hk), sc
-    return th, fj, _dual_from_jet(fj, hk, p.scale), sc
-
-
-def _piece_theta(tm: ThetaMap, f: Profile, fj, sc, t, k: int):
-    """theta_jet of a non-piecewise map from f's jet to k + 1 and (sin t, cos t)."""
-    if tm.kind in ("legendre", "scaled-legendre"):
-        return _theta_from_jet(fj, *sc, t, *(tm.params or (1.0, 1.0)), k)
-    if tm.kind == "linear":
-        return _linear_theta(t, *sc, *tm.params)[:k + 1]
-    return theta_jet(tm, f, t, k)
-
-
-def _is_exact_dual(f: Profile, theta: ThetaMap, h) -> bool:  # field equality: JSON too
-    return theta.kind == "legendre" and isinstance(h, DualProfile) and (
-        h.base is f or h.base == f)
+    of t, which `_read_theta` reads by t-piece."""
+    fj, sc = f.jet(t, k + 1), _sin_cos(t)
+    th, hj = _read_theta(theta, f, t, k, fj, sc, h, hk)
+    return th, fj, hj, sc
 
 
 def _second_entry(fj, hj, thp):

@@ -2,8 +2,10 @@
 
 Everything here is closed-form in (f, f', f''): the fundamental tensor in a
 rotating frame, the gradient (Legendre) map, the angle it induces on the
-indicatrix, and the exact dual profile `DualProfile`, which inverts that
-angle; `dual_profile` fits it to a cosine series.
+indicatrix (`theta_legendre`; with weighted axes, the scaled-Legendre theta
+map that `isometry.theta_jet` reads, by the same `_theta_from_jet`), and the
+exact dual profile `DualProfile`, which inverts that angle; `dual_profile`
+fits it to a cosine series.
 """
 
 from __future__ import annotations
@@ -116,22 +118,15 @@ def _sin_cos(t):
 
 def theta_legendre(p: Profile, t):
     """Polar angle of legendre_map at polar angle t (branch-corrected)."""
-    return theta_scaled(p, t, 1.0, 1.0, 0)[0]
-
-
-def theta_scaled(p: Profile, t, a: float, b: float, k: int):
-    """(theta,) for k = 0 or (theta, theta') for k = 1, theta the angle of
-    x -> (a * dE/dx1, b * dE/dx2), from one jet of p; a = b is theta_legendre."""
-    if a <= 0 or b <= 0:
-        raise ValueError("axis weights must be positive")
-    if k not in (0, 1):
-        raise ValueError("theta maps support k = 0 and 1 only")
     t = as_angle(t)
-    return _theta_from_jet(p.jet(t, k + 1), *_sin_cos(t), t, a, b, k)
+    return _theta_from_jet(p.jet(t, 1), *_sin_cos(t), t, 1.0, 1.0, 0)[0]
 
 
 def _theta_from_jet(jet, sin, cos, t, a: float, b: float, k: int):
-    """theta_scaled from f's jet to order k + 1 and (sin t, cos t) at t."""
+    """(theta,) for k = 0 or (theta, theta') for k = 1, theta the angle of
+    x -> (a * dE/dx1, b * dE/dx2) at t, from f's jet to order k + 1 and
+    (sin t, cos t) at t: the scaled-Legendre theta map (`isometry.theta_jet`),
+    and theta_legendre at a = b = 1."""
     num, den = legendre_num_den(jet[0], jet[1], sin, cos)
     theta = _unwrap_to(t, np.arctan2(b * num, a * den))
     if k == 0:

@@ -523,17 +523,13 @@ def dihedral_fold(t, d: int):
     return np.where(upper, period - tau, tau), np.where(upper, -sign, sign)
 
 
-def _piece_jets(breaks, jets, t: np.ndarray, k: int) -> np.ndarray:
-    """(k + 1, *t.shape) array of jets[i](t[piece i], k), piece i from
-    breaks[i - 1] to breaks[i]: the piece lookup of sector profiles and
-    piecewise theta maps, where a break belongs to the piece on its right."""
+def _piece_rows(breaks, t: np.ndarray) -> list:
+    """(i, rows) of each piece i that holds some of the angles t, rows the
+    mask of t in [breaks[i - 1], breaks[i]): the one piece lookup of sector
+    profiles and piecewise theta maps, where a break belongs to the piece on
+    its right."""
     idx = np.searchsorted(breaks, t, side="right")
-    out = np.empty((k + 1,) + t.shape)
-    for i, jet in enumerate(jets):
-        mask = idx == i
-        if mask.any():
-            out[:, mask] = jet(t[mask], k)
-    return out
+    return [(i, rows) for i in range(len(breaks) + 1) if (rows := idx == i).any()]
 
 
 @dataclass(frozen=True)
@@ -541,7 +537,7 @@ class SectorProfile(_Keeps):
     """Profile assembled from per-sector pieces on the fundamental interval.
 
     `breaks` are the switch angles inside (0, pi/d); piece i is used on
-    [breaks[i-1], breaks[i]) (`_piece_jets`).  Evaluation folds t into
+    [breaks[i-1], breaks[i]) (`_piece_rows`).  Evaluation folds t into
     [0, pi/d] by dihedral symmetry first, so the assembled function is
     automatically even and 2*pi/d periodic.  Pieces are full Profiles
     (globally defined); continuity across switch angles is the constructor's
@@ -571,7 +567,9 @@ class SectorProfile(_Keeps):
         _check_order(k)
         t = np.asarray(t, dtype=float)
         tau, sign = dihedral_fold(t.reshape(-1), self.d)
-        out = _piece_jets(self.breaks, [p.jet for p in self.pieces], tau, k)
+        out = np.empty((k + 1,) + tau.shape)
+        for i, rows in _piece_rows(self.breaks, tau):
+            out[:, rows] = self.pieces[i].jet(tau[rows], k)
         out *= sign ** np.arange(k + 1)[:, None]
         return tuple(float(v[0]) if t.ndim == 0 else v.reshape(t.shape)
                      for v in out)

@@ -696,6 +696,21 @@ def test_tensor_ok(capsys, profiles):
     assert rep["results"]["g_rr"] == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("radius", ["1", "2"])
+def test_tensor_makes_one_polar_pass_of_its_point(capsys, monkeypatch, profiles,
+                                                  radius):
+    # the spectrum, the FD tensor, the frame and r all read x = r u: its one
+    # point pass follows the leaf draw's two row passes and the FD lattice's
+    calls = []
+    one = foliation._polar_pass
+    monkeypatch.setattr(foliation, "_polar_pass",
+                        lambda m, x: calls.append(x.shape) or one(m, x))
+    code, _ = run_json(capsys, "tensor", "--profile", profiles["wobble3"],
+                       "--model", "cartan3", "--r", radius)
+    assert code == 0
+    assert calls == [(2, 5), (1, 5), (5,), (51, 5)]
+
+
 @pytest.mark.parametrize("seed", [str(seed) for seed in range(40)])
 def test_tensor_of_a_marginal_profile_is_not_positive_definite(capsys, tmp_path,
                                                               seed):

@@ -994,6 +994,23 @@ def test_a_glued_h_at_theta_is_its_closed_form_on_every_piece():
             assert np.allclose(hj[:, leg], newton, rtol=1e-12, atol=1e-14)
 
 
+def test_f_is_jetted_only_where_a_glued_theta_reads_it():
+    # theta_jet hands f's jet only the Legendre piece's rows, as the 1024-angle
+    # monotonicity check of glue_construct reads theta; a triple's reader
+    # takes one jet of f over all rows, and no solve of the dual jets it again
+    base = Profile(3, GLUE_BASE3.cos_coeffs)  # a copy whose jet can be wrapped
+    tr, brk = _glued(3, 0.52, base).triple, 0.52
+    rows, jet = [], base.jet
+    object.__setattr__(base, "jet", lambda t, k: rows.append(np.size(t)) or jet(t, k))
+    ts = np.linspace(isometry.INTERIOR_GUARD, math.pi / 3 - isometry.INTERIOR_GUARD, 1024)
+    for k in (0, 1):
+        theta_jet(tr.theta, base, ts, k)
+        assert rows == [np.sum(ts >= brk)] and 0 < rows[0] < ts.size
+        rows.clear()
+    isometry._h_at_theta(base, tr.theta, ts, 1, tr.h, 2)
+    assert rows == [ts.size]
+
+
 def _count_inversions(monkeypatch):
     calls = []
     invert = DualProfile._invert_theta

@@ -100,6 +100,34 @@ def test_the_normal_w_is_formed_only_in_the_frame():
         assert calls == [home], helper
 
 
+def _kind_tests(tree):
+    """Where (as `_walk` names it) each comparison of an object's `.kind` is
+    in a parsed module."""
+    return [where for where, node in _walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(v, ast.Attribute) and v.attr == "kind"
+                    for v in (node.left, *node.comparators))]
+
+
+def test_a_theta_map_has_one_reader_and_pieces_one_lookup():
+    # isometry._read_theta is the one place that reads a theta map by its
+    # kind, and it and SectorProfile.jet pick pieces by profile._piece_rows;
+    # besides them only ThetaMap's checks, its JSON writer and cli's choice
+    # of a solve's anchor h0 (the dual's value for the Legendre kinds) test
+    # a kind.  No module looks a piece up by bisect.
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "isonorm"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    assert [(name, where) for name, tree in trees.items()
+            for where in _calls(tree, "_piece_rows")] == [
+        ("isometry.py", "_read_theta"), ("profile.py", "SectorProfile.jet")]
+    assert {(name, where) for name, tree in trees.items()
+            for where in _kind_tests(tree)} == {
+        ("cli.py", "_default_anchor"), ("isometry.py", "ThetaMap.__post_init__"),
+        ("isometry.py", "_read_theta"), ("isometry.py", "theta_to_json_dict")}
+    assert not [name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and "bisect" in (
+                    getattr(node, "module", None), *(a.name for a in node.names))]
+
+
 def _keeps_or_freezes(node):
     """Whether a node sets a `_` (or computed) attribute through
     object.__setattr__, or an array's write flag."""

@@ -16,7 +16,7 @@ from isonorm.fd import hessian_fd
 from isonorm.planar import (DualProfile, PlanarNorm, dual_profile,
                             fundamental_tensor, indicatrix_point,
                             legendre_dual_jet, legendre_map, legendre_ode_rhs,
-                            theta_legendre, theta_scaled, value)
+                            theta_legendre, value)
 from isonorm.isometry import (IsometryTriple, ThetaMap, bump_profile, identity_map,
                               legendre_map_tag, ode_residuals, planar_lift_map,
                               theta_jet, triple_from_json_dict,
@@ -187,10 +187,27 @@ def test_linear_theta_of_a_nan_angle_is_nan_on_floats_and_rows():
     assert all(np.isnan(v).all() for v in rows)
 
 
-def test_theta_scaled_frozen():
+def test_scaled_legendre_theta_frozen():
     # round norm, (a,b) = (1,2): tan theta = 2 tan t
-    assert theta_scaled(ROUND.profile, math.pi / 4, 1.0, 2.0, 0)[0] == pytest.approx(
+    tm = ThetaMap("scaled-legendre", (1.0, 2.0))
+    assert theta_jet(tm, ROUND.profile, math.pi / 4, 0)[0] == pytest.approx(
         1.1071487177940904, abs=1e-12)
+
+
+def test_scaled_legendre_theta_is_its_closed_form_of_one_jet():
+    # theta_jet of a scaled-Legendre map is _theta_from_jet of f's jet to
+    # order k + 1 and numpy's sin/cos of t, bit for bit, in every form of t
+    tm, f = ThetaMap("scaled-legendre", (1.3, 0.8)), ELLIPSE.profile
+    ts = np.linspace(-2.0, 4.0, 13)
+    for t in (*ts.tolist(), ts, ts[:, None]):
+        for k in (0, 1):
+            want = planar._theta_from_jet(f.jet(t, k + 1), np.sin(t), np.cos(t),
+                                          t, 1.3, 0.8, k)
+            got = theta_jet(tm, f, t, k)
+            assert len(got) == len(want) == k + 1
+            for a, b in zip(got, want):
+                assert type(a) is (float if isinstance(t, float) else np.ndarray)
+                assert np.array_equal(a, b) and np.shape(a) == np.shape(t)
 
 
 def test_theta_deriv_matches_fd():
@@ -198,14 +215,14 @@ def test_theta_deriv_matches_fd():
     for t in (0.3, 0.8, 1.2):
         fd = (theta_legendre(ELLIPSE.profile, t + h)
               - theta_legendre(ELLIPSE.profile, t - h)) / (2 * h)
-        assert theta_scaled(ELLIPSE.profile, t, 1.0, 1.0, 1)[1] == pytest.approx(
+        assert theta_jet(legendre_map_tag(), ELLIPSE.profile, t, 1)[1] == pytest.approx(
             fd, rel=1e-7)
 
 
 def test_legendre_ode_rhs():
     # theta_legendre solves the first-order angle equation
     for t in np.linspace(0.1, math.pi / 2 - 0.1, 11):
-        lhs = theta_scaled(ELLIPSE.profile, float(t), 1.0, 1.0, 1)[1]
+        lhs = theta_jet(legendre_map_tag(), ELLIPSE.profile, float(t), 1)[1]
         rhs = legendre_ode_rhs(ELLIPSE.profile, float(t),
                                theta_legendre(ELLIPSE.profile, float(t)))
         assert lhs == pytest.approx(rhs, abs=1e-5)

@@ -11,7 +11,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # sha256 of report_digest.py's 92 lines (its whole output)
-REPORT_DIGEST_SHA256 = "6331ef2fa7f82b7dc92ed3b418a8427384754fe3cba0f655932655d7ef6a0173"
+REPORT_DIGEST_SHA256 = "6a6886571bfd1928dd29dde66753891a31cf57620d2e744a26691f6770a509fa"
 
 
 def test_isometry_gallery_separates_isometries_from_broken_rows(
@@ -78,7 +78,7 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
     assert bench["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
                                      "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     names = [row["name"] for row in bench["rows"]]
-    assert len(names) == 58 and len(set(names)) == 58
+    assert len(names) == 59 and len(set(names)) == 59
     assert {"DualProfile(Profile(2, (1, 0.5))).evaluate at orders 0, 1 and 2, "
             "one 256-angle array",
             "check_hessian_isometry, d1:3 identity lift of Profile(1, (1, 0.5))",
@@ -89,6 +89,8 @@ def test_bench_layers_writes_every_row(capsys, monkeypatch, tmp_path):
             "Profile(2, (1, 0.2))",
             "require_minkowski cold, 96-term glue base",
             "classify_sectors, glued cartan3 triple on the 96-term glue base",
+            "theta_jet, glued cartan3 map on glue_construct's 1024 angles, "
+            "96-term glue base",
             "is_minkowski cold, Profile(3, (0.5, 0.02, 0.005))",
             "one one-point fd_indicatrix_operators call, d2:8:3, "
             "Profile(2, (1, 0.4)), t = pi/4",
@@ -170,7 +172,11 @@ def test_report_digest_prints_the_same_line_per_argv_twice(capsys, monkeypatch):
     # glued triple's h came in closed form on its Legendre piece: the
     # `isometry glue` line moved (its band_residual read the gap between two
     # pieces at t = brk, 1.0e-7, now 4.4e-16), no exit code; the other 91
-    # kept their bytes.
+    # kept their bytes.  Re-pinned when `tensor` took its shape spectrum at
+    # x = r u, the point its frame and t_coord read, and not at u: the line
+    # of `tensor --r 0.37` moved at rounding (a tangential factor 2.4 ->
+    # 2.4000000000000004, frame_error 2.6131501851e-08 -> 2.6131502295e-08),
+    # no exit code; the other 91 kept their bytes.
     assert len(runs[0]) == 92
     assert hashlib.sha256("".join(line + "\n" for line in runs[0]).encode()
                           ).hexdigest() == REPORT_DIGEST_SHA256
