@@ -158,7 +158,7 @@ def cmd_tensor(args):
         args.t = float(rng.uniform(*_leaf_range(m, args.delta, 0.02)))
     u = random_leaf_points(m, args.t, 1, seed=args.seed, delta=args.delta)[0]
     x = args.r * u
-    spec = shape_spectrum(m, x, delta=args.delta)  # x's one polar pass serves all
+    spec = shape_spectrum(m, x, delta=args.delta)  # at x, like the rest: one polar pass
     fd = fd_fundamental_tensor(nm, x)
     basis = frame_basis(nm, x, spec)
     closed = closed_frame_matrix(nm, x, spec)
