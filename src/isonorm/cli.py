@@ -174,7 +174,7 @@ def cmd_tensor(args):
     if low <= VALIDITY_MARGIN and status != "failed":
         status = "marginal" if low >= -VALIDITY_MARGIN else "failed"
     results = {
-        "eigenvalues": [float(e) for e in fd.eigenvalues],
+        "eigenvalues": [float(e) for e in np.linalg.eigvalsh(fd.matrix)],
         "positive_definite": low > VALIDITY_MARGIN,
         "g_rr": float(closed[0, 0]),
         "g_rt": float(r * closed[0, 1]),

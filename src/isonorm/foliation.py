@@ -12,11 +12,11 @@ has shape-operator eigenvalues cot(t + k pi/d), k = 0..d-1.
 
 The spherical coordinates of a point all come from p at u = x/|x| (Muenzner,
 Math. Ann. 251, 1980): t = arccos(p)/d, the unit normal
-w = -grad_S p / (d sin dt) and the shape operator from Hess p.  One polar
-pass per row set (`_polar`, behind t_coord) evaluates p; `_frame` adds w and
-the focal guard, and the shape operator takes that p from its caller.  A
-model keeps its last point's pass, w and shape operator, and in slots of their
-own its last rows' (`profile._Keeps`, keyed by the bytes), for later calls.
+w = -grad_S p / (d sin dt) and the shape operator from Hess p.  `_frame` is
+the one entry to a leaf point's frame: one polar pass per row set (`_polar`
+evaluates p), the focal guard, then w with the one focal test, on sin(d t);
+other modules read a point otherwise only by t_coord and `_radius`.  A model
+keeps its last point's and rows' pass, w and S (`profile._Keeps`, by bytes).
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def t_coord(m: FoliationModel, x) -> RT:
     x is one point (r and t are floats) or an (m, n) array of rows (r and t
     are arrays); each row gets the bits of its one-point call.  ValueError
     for any other shape, at the origin and for a non-finite |x|.  One polar
-    pass (_polar) evaluates p; the callers that also need p take it from there.
+    pass (_polar) evaluates p; a frame (_frame) takes it from there.
     """
     r, _, _, t = _polar(m, x)
     return RT(r, t)
@@ -254,19 +254,14 @@ def unit_w(m: FoliationModel, x) -> np.ndarray:
 
 
 def _unit_w(m: FoliationModel, u: np.ndarray, t, p) -> np.ndarray:
-    """unit_w at the unit point or rows u, with their t and p = p(u)."""
-    s = _focal_sin(m, t)
-    # one column per point, so that a point's s and p stay numpy scalars
-    grad_sphere = _grad_poly(m, u) - (m.d * p) * u.T
-    return np.ascontiguousarray((-grad_sphere / (m.d * s)).T)
-
-
-def _focal_sin(m: FoliationModel, t):
-    """sin(d t); FocalProximityError where it is below 1e-12 (a focal cone)."""
+    """unit_w at the unit point or rows u, with their t and p = p(u), after
+    the one focal test: FocalProximityError where sin(d t) < 1e-12."""
     s = np.sin(m.d * t)
     if (s < 1e-12).any():
         raise FocalProximityError("t direction degenerates on the focal set")
-    return s
+    # one column per point, so that a point's s and p stay numpy scalars
+    grad_sphere = _grad_poly(m, u) - (m.d * p) * u.T
+    return np.ascontiguousarray((-grad_sphere / (m.d * s)).T)
 
 
 def _check_guard(m: FoliationModel, delta: float) -> None:
@@ -276,23 +271,19 @@ def _check_guard(m: FoliationModel, delta: float) -> None:
             f"delta={delta} must be in [0, pi/(2d)) = [0, {math.pi / (2 * m.d):.4f})")
 
 
-def _require_interior(m: FoliationModel, t, delta: float) -> None:
-    """FocalProximityError unless t (a float or an array) lies in (delta,
-    pi/d - delta), a NaN t outside too; first for a delta _check_guard rejects."""
-    _check_guard(m, delta)
-    hi = math.pi / m.d - delta
-    near = [v for v in np.atleast_1d(t).tolist() if not delta < v < hi]
-    if near:
-        raise FocalProximityError(f"t={near[0]:.4f} inside the focal guard band"
-                                  f" (delta={delta}, pi/d={math.pi / m.d:.4f})")
-
-
 def _frame(m: FoliationModel, x, delta=None, what=None):
     """(r, u, p, t, w = unit_w) of a point or rows from one polar pass
-    (_polar, which takes `what`), with the focal guard of a delta before w."""
+    (_polar, which takes `what`): the one entry to a leaf point's frame.  A
+    delta (_check_guard's) raises FocalProximityError unless each t is in
+    (delta, pi/d - delta), a NaN t outside too, before w's focal test."""
     r, u, p, t = _polar(m, x, what)
     if delta is not None:
-        _require_interior(m, t, delta)
+        _check_guard(m, delta)
+        hi = math.pi / m.d - delta
+        near = [v for v in np.atleast_1d(t).tolist() if not delta < v < hi]
+        if near:
+            raise FocalProximityError(f"t={near[0]:.4f} inside the focal guard band"
+                                      f" (delta={delta}, pi/d={math.pi / m.d:.4f})")
     return r, u, p, t, m._kept("_w", u, lambda: _unit_w(m, u, t, p))
 
 

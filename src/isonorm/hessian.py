@@ -1,14 +1,15 @@
 """Norms on R^n induced by an isoparametric foliation: F = r*sqrt(2 f(t)).
 
 The Hessian metric g = Hess(E), E = F^2/2, is evaluated in closed form
-wherever g itself is needed, from one frame of the foliation per row set
-(`foliation._frame`: one polar pass and w), whose p(u) the shape operator
-shares.  The FD `fd_fundamental_tensor` differences E and stays the
-independent oracle of G; `energy` maps (m, n) rows to m values, so its
-stencil takes one call.  On the indicatrix S_F the Laplacian of t and
-|grad t|^2 are the ambient ones of g, formed at the point from one q-form
-pass (`_qform_tensors`), as curvature is; a norm keeps its last point's
-(`profile._Keeps`, keyed by the point's bytes).
+wherever g itself is needed.  Every function here that reads a leaf point
+takes it from one frame of the foliation per row set (`foliation._frame`:
+one polar pass, the focal guard and w), whose p(u) the shape operator and
+the q-form pass share; only `energy` (t_coord) and the FD
+`fd_fundamental_tensor` (its radius) do not.  That FD tensor differences E
+and stays the independent oracle of G.  On the indicatrix S_F the Laplacian
+of t and |grad t|^2 are the ambient ones of g, formed at the point from one
+q-form pass (`_qform_tensors`), as curvature is; a norm keeps its last
+point's (`profile._Keeps`, keyed by the point's bytes).
 
 Curvature note: for a Hessian metric the Riemann tensor depends only on g
 and T = dg, the third derivatives of the potential (Shima, The Geometry of
@@ -29,9 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fd import _arrays, hessian_fd
-from .foliation import (FoliationModel, _check_shape, _fixed_derivative,
-                        _focal_sin, _frame, _grad_poly, _hess_poly, _polar,
-                        _radius, _require_interior, _shape_operator, _sqnorm,
+from .foliation import (FoliationModel, _check_shape, _fixed_derivative, _frame,
+                        _grad_poly, _hess_poly, _radius, _shape_operator, _sqnorm,
                         multiplicities, t_coord)
 from .profile import DEFAULT_FOCAL_GUARD, Profile, _Keeps, gap_from_jet, require_minkowski
 
@@ -86,25 +86,18 @@ def energy(nm: InducedNorm, x):
 
 class TensorResult(NamedTuple):
     matrix: np.ndarray
-    eigenvalues: np.ndarray
-    positive_definite: bool
 
 
 def fd_fundamental_tensor(nm: InducedNorm, x) -> TensorResult:
     """Hessian of E at x by central differences, step = TENSOR_STEP_SCALE * |x|.
 
     x is one point, or a (k, n) array of points whose k stencils take one
-    energy call (positive_definite is then an array of k flags).  Works on
-    focal cones too: the stencil only needs E values, and E is smooth
-    across the cones for admissible profiles.
+    energy call.  Works on focal cones too: the stencil only needs E values,
+    and E is smooth across the cones for admissible profiles.
     """
     x = np.asarray(x, dtype=float)
     r = _radius(nm.foliation, x)  # t_coord's errors, before the stencil can warn
-    G = hessian_fd(lambda p: energy(nm, p), x, step=TENSOR_STEP_SCALE * r)
-    evals = np.linalg.eigvalsh(G)
-    pd = evals[..., 0] > 0.0
-    return TensorResult(matrix=G, eigenvalues=evals,
-                        positive_definite=bool(pd) if x.ndim == 1 else pd)
+    return TensorResult(hessian_fd(lambda p: energy(nm, p), x, TENSOR_STEP_SCALE * r))
 
 
 def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
@@ -135,8 +128,7 @@ def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
     and 2f + kappa f' on each shape eigenspace of the spectrum, in its order.
     On the coordinate fields, g(d_r, d_t) = r f' and g(d_t, d_t) =
     r^2 (f'' + 2f); FocalProximityError on a focal cone, which has no frame."""
-    t = _polar(nm.foliation, x, "closed_frame_matrix")[3]
-    _focal_sin(nm.foliation, t)  # _frame's error, without forming w
+    t = _frame(nm.foliation, x, what="closed_frame_matrix")[3]
     f0, f1, f2 = nm.profile.jet(t, 2)
     M = np.diag([2.0 * f0, f2 + 2.0 * f0, *np.repeat(
         [2.0 * f0 + entry.kappa * f1 for entry in spectrum],
@@ -156,16 +148,16 @@ def riemann_fd(nm: InducedNorm, x,
     """Max |R^l_kij| of the Hessian metric at x/|x|, its rounding floor, and
     the verdict: flat iff max |R| <= floor.
 
-    G and T = dG are exact (_qform_tensors), so a flat norm (a quadratic E,
-    by the paper's Laugwitz theorem) reads R at rounding, ~1e-32, below the
-    floor RIEMANN_FLOOR_SCALE |G^-1|^2 dT (dT + 2|T|) (max-abs norms), and
-    no other bound decides.  x is one point (floats and a bool) or a (k, n)
-    array of rows (three (k,) arrays), each with its one-point call's bits.
-    The former FD name stays, as perfbench's field-sweep calls H.riemann_fd.
+    G and T = dG are exact (_qform_tensors, from the point's frame after its
+    focal guard of delta), so a flat norm (a quadratic E, by the paper's
+    Laugwitz theorem) reads R at rounding, ~1e-32, below the floor
+    RIEMANN_FLOOR_SCALE |G^-1|^2 dT (dT + 2|T|) (max-abs norms), and no other
+    bound decides.  x is one point (floats and a bool) or a (k, n) array of
+    rows (three (k,) arrays), each with its one-point call's bits.  The
+    former FD name stays, as perfbench's field-sweep calls H.riemann_fd.
     """
     x = np.asarray(x, dtype=float)
-    _, u, p, t = _polar(nm.foliation, x)  # u = x / |x|, p(u) and t, from one pass
-    _require_interior(nm.foliation, t, delta)
+    _, u, p, t, _ = _frame(nm.foliation, x, delta)  # u = x / |x|, p(u) and t
     G, T, dT = _qform_tensors(nm, u, p, t)[:3]
     Gi = np.linalg.inv(G)
     C = Gi[..., None, :, :] @ T  # C[..., i, :, :] = g^-1 T_i
@@ -285,15 +277,14 @@ def fd_indicatrix_operators(nm: InducedNorm, u0):
 
     v = G^-1 dt (a solve) gives |grad t|^2 = dt . v and Delta t =
     tr G^-1 (Hess t - (1/2) T v), with G, T, dt and Hess t exact at the unit
-    row u (_qform_tensors) after one polar pass.  G and t are 0-homogeneous,
+    row u (_qform_tensors) from one frame (_frame).  G and t are 0-homogeneous,
     so at x = u / sqrt(2 f(t)) on S_F both are those at u times 2f.  Each row
     has the bits of its one-point call; a (0, n) array gives two empty
     arrays.  The former FD name stays, as perfbench's field-sweep calls
     H.fd_indicatrix_laplacian_t and isoparametric-check this function.
     """
     u0 = np.asarray(u0, dtype=float)
-    _, u, p, t = _polar(nm.foliation, u0)  # a point's on floats
-    _focal_sin(nm.foliation, t)  # a focal cone's error, before any division
+    _, u, p, t, _ = _frame(nm.foliation, u0)  # a point's t on floats
     G, T, _, dt, Ht = _qform_tensors(nm, u, p, t)
     v = np.linalg.solve(G, dt[..., None])
     A = Ht - 0.5 * (T @ v[..., None, :, :])[..., 0]

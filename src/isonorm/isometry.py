@@ -91,6 +91,11 @@ class ThetaMap:
                                  f"parameters, got {self.params!r}")
         elif self.params:  # legendre would read them as scaled-legendre's
             raise ValueError(f"{self.kind} theta takes no parameters, got {self.params!r}")
+        if self.kind != "sampled" and (self.grid is not None or self.values is not None):
+            raise ValueError(f"{self.kind} theta takes no grid or values, "
+                             f"got {self.grid!r} and {self.values!r}")
+        if self.kind != "piecewise" and self.pieces:  # the JSON would drop them
+            raise ValueError(f"{self.kind} theta takes no pieces, got {self.pieces!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.kind == "sampled":
             g = np.asarray(self.grid, dtype=float)
@@ -263,6 +268,11 @@ class IsometryTriple:
     def __post_init__(self):
         if self.f.d != self.h.d:
             raise ValueError("f and h must share the dihedral order d")
+        pieces = self.theta.pieces  # _read_theta would extend the end ones
+        for i, at, want in ((0, 0, 0.0), (len(pieces) - 1, 1, math.pi / self.f.d)):
+            if pieces and abs(pieces[i][at] - want) > 1e-9:
+                raise ValueError(f"piecewise theta piece {i} is [{pieces[i][0]!r}, "
+                                 f"{pieces[i][1]!r}]: pieces must cover [0, pi/{self.f.d}]")
 
 
 def triple_to_json_dict(tr: IsometryTriple) -> dict:

@@ -507,20 +507,16 @@ def from_phi(phi, b: float = 1.0, mode: str = "alpha-beta") -> Profile:
 
 def dihedral_fold(t, d: int):
     """Map t (scalar or array) to (tau, sign) with tau in [0, pi/d] and, for
-    any profile of order d, f(t) = f(tau) and f'(t) = sign * f'(tau)."""
-    t = as_angle(t)
-    period = 2.0 * math.pi / d
-    if isinstance(t, float):
-        if not math.isfinite(t):
-            raise ValueError("non-finite angle")
-        tau, sign = abs(t) % period, 1.0 if t >= 0 else -1.0
-        return (period - tau, -sign) if tau > period / 2.0 else (tau, sign)
-    if not np.all(np.isfinite(t)):
+    any profile of order d, f(t) = f(tau) and f'(t) = sign * f'(tau); a
+    scalar gives floats, with the bits of its row in an array."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise ValueError("non-finite angle")
-    tau = np.abs(t) % period
-    sign = np.where(t >= 0, 1.0, -1.0)
+    period = 2.0 * math.pi / d
+    tau, sign = np.abs(t) % period, np.where(t >= 0, 1.0, -1.0)
     upper = tau > period / 2.0
-    return np.where(upper, period - tau, tau), np.where(upper, -sign, sign)
+    tau, sign = np.where(upper, period - tau, tau), np.where(upper, -sign, sign)
+    return (float(tau), float(sign)) if t.ndim == 0 else (tau, sign)
 
 
 def _piece_rows(breaks, t: np.ndarray) -> list:

@@ -424,12 +424,18 @@ SECTOR_RULE = "breaks must be finite, strictly increasing and inside (0, pi/2)"
          {"lo": math.nan, "hi": math.nan, "map": {"kind": "identity"}}]}},
      "piecewise theta piece 0 is [nan, nan]: pieces must be finite, "
      "contiguous and ordered"),
-], ids=["break-past-the-end", "break-nan", "theta-bounds-nan"])
+    (["isometry", "check", "--triple"],
+     {"f": PIECE, "h": PIECE, "theta": {"kind": "piecewise", "pieces": [
+         {"lo": 0.3, "hi": 0.8, "map": {"kind": "identity"}},
+         {"lo": 0.8, "hi": 1.2, "map": {"kind": "linear", "a": 1.3, "b": 0.8}}]}},
+     "piecewise theta piece 0 is [0.3, 0.8]: pieces must cover [0, pi/2]"),
+], ids=["break-past-the-end", "break-nan", "theta-bounds-nan", "theta-short-of-ends"])
 def test_sector_break_or_theta_bound_out_of_place_is_named(capfd, tmp_path, command,
                                                            data, named):
     # the first read "valid" without the invalid piece (exit 0), the second
-    # ended in "need at least one array to concatenate", and the third was
-    # checked as an isometry (exit 0); json writes and reads NaN as NaN
+    # ended in "need at least one array to concatenate", the third was
+    # checked as an isometry (exit 0) and the fourth with its end pieces
+    # extended to 0 and pi/2; json writes and reads NaN as NaN
     path = tmp_path / "input.json"
     path.write_text(json.dumps(data))
     code = main(command + [str(path)])

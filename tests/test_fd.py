@@ -248,8 +248,6 @@ def test_tensors_of_many_points_have_the_bits_of_one_point_calls(spec,
         for i, x in enumerate(X):
             one = fd_fundamental_tensor(nm, x)
             assert np.array_equal(got.matrix[i], one.matrix), name
-            assert np.array_equal(got.eigenvalues[i], one.eigenvalues), name
-            assert got.positive_definite[i] == one.positive_definite, name
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 5))

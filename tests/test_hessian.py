@@ -102,7 +102,7 @@ def test_frame_matches_fd_tensor(model, profile):
         projected = basis.T @ fd.matrix @ basis
         closed = closed_frame_matrix(nm, x, spec)
         assert np.max(np.abs(projected - closed)) < 1e-5
-        assert fd.positive_definite
+        assert np.linalg.eigvalsh(fd.matrix)[0] > 0.0
 
 
 def test_fd_tensor_round_is_identity():
@@ -547,11 +547,9 @@ def test_fd_indicatrix_operators_make_one_polar_pass(monkeypatch):
     model, profile = MODEL_PROFILES[2]
     nm, n = _norm(model, profile), model.n
     us = random_leaf_points(model, 0.6, 2, seed=4)
-    calls = []
-    for module in (hessian, foliation):
-        monkeypatch.setattr(module, "_polar",
-                            lambda m, x, *a, one=module._polar:
-                            calls.append(np.shape(x)) or one(m, x, *a))
+    calls, one = [], foliation._polar
+    monkeypatch.setattr(foliation, "_polar",
+                        lambda m, x, *a: calls.append(np.shape(x)) or one(m, x, *a))
     fd_indicatrix_operators(nm, us)
     assert calls == [(2, n)]
     calls.clear()
@@ -620,14 +618,16 @@ def test_frame_functions_raise_on_a_focal_cone(model, profile):
 
 
 @pytest.mark.parametrize("model,profile", MODEL_PROFILES[:4], ids=MODEL_IDS[:4])
-def test_closed_frame_matrix_reads_t_alone(monkeypatch, model, profile):
-    # it formed w only for the focal cone's error, which sin(d t) gives
-    # alone (one-point call on d2:8:3 11 -> 18.5 us with w)
+def test_closed_frame_matrix_takes_the_frame_its_spectrum_formed(monkeypatch,
+                                                                 model, profile):
+    # its focal test is the frame's: after shape_spectrum at the point, as
+    # in `isonorm tensor` and field-sweep, the model's kept w serves it
     nm = _norm(model, profile)
     x = 1.7 * random_leaf_points(model, 0.4, 2, seed=8)
     spec = shape_spectrum(model, x[0])
     monkeypatch.setattr(foliation, "_unit_w", lambda *a: pytest.fail("formed w"))
     M = closed_frame_matrix(nm, x[0], spec)
+    monkeypatch.undo()
     f0, f1, f2 = profile.jet(t_coord(model, x[0]).t, 2)
     assert (M[0, 0], M[0, 1], M[1, 0], M[1, 1]) == (2.0 * f0, f1, f1, f2 + 2.0 * f0)
     with pytest.raises(FocalProximityError) as err:
@@ -668,13 +668,13 @@ def test_fd_indicatrix_operators_take_no_rows():
 
 def test_isoparametric_check_makes_one_qform_pass(monkeypatch, tmp_path,
                                                   capsys):
-    qform_rows, energy_calls = [], []
-    qform, one_energy = hessian._qform_tensors, hessian.energy
+    qform_rows, energy_calls, w_rows = [], [], []
+    qform, one_energy, unit_w = hessian._qform_tensors, hessian.energy, foliation._unit_w
     monkeypatch.setattr(hessian, "_qform_tensors",
                         lambda nm, u, p, t: qform_rows.append(len(u))
                         or qform(nm, u, p, t))
-    monkeypatch.setattr(hessian, "_frame",
-                        lambda *a: pytest.fail("formed a frame"))
+    monkeypatch.setattr(foliation, "_unit_w",
+                        lambda m, u, *a: w_rows.append(len(u)) or unit_w(m, u, *a))
     monkeypatch.setattr(hessian, "energy",
                         lambda nm, x: energy_calls.append(len(x))
                         or one_energy(nm, x))
@@ -683,7 +683,9 @@ def test_isoparametric_check_makes_one_qform_pass(monkeypatch, tmp_path,
                      "--model", "d2:8:3"])
     capsys.readouterr()
     assert code == 0
-    # 5 leaves x 3 points, no stencil rows
+    # 5 leaves x 3 points, no stencil rows; w of the leaf draw's normal
+    # planes, then of the frame's focal test
     assert qform_rows == [5 * 3]
+    assert w_rows == [5 * 3, 5 * 3]
     assert energy_calls == []
 

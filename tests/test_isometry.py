@@ -216,6 +216,53 @@ def test_piecewise_theta_bound_that_is_not_finite_is_named(bounds, named):
         ThetaMap(kind="piecewise", pieces=pieces)
 
 
+@pytest.mark.parametrize("bounds,named", [
+    (((0.3, 0.8), (0.8, 1.2)), "piece 0 is [0.3, 0.8]"),
+    (((0.0, 0.8), (0.8, 1.2)), "piece 1 is [0.8, 1.2]"),
+    (((-0.1, math.pi / 2),), "piece 0 is [-0.1, "),
+    (((0.0, 2.0),), "piece 0 is [0.0, 2.0]"),
+], ids=["lo-inside", "hi-inside", "lo-outside", "hi-outside"])
+def test_a_triple_whose_piecewise_theta_misses_a_sector_end_is_named(bounds, named):
+    # the end pieces were extended: [0.3, 0.8] and [0.8, 1.2] on d = 2 gave
+    # theta(0.1) = 0.1 from the identity piece and read theta(1.5) off the
+    # linear one
+    tm = ThetaMap(kind="piecewise", pieces=tuple(
+        (lo, hi, sub) for (lo, hi), sub in zip(bounds, (
+            identity_map(), ThetaMap(kind="linear", params=(1.3, 0.8))))))
+    msg = re.escape(f"piecewise theta {named}") + r".*pieces must cover \[0, pi/2\]"
+    with pytest.raises(ValueError, match=msg):
+        IsometryTriple(f=ELLIPSE, h=ELLIPSE, theta=tm)
+
+
+def test_a_triple_takes_piecewise_theta_ends_within_tolerance():
+    # the 1e-9 that ThetaMap allows between pieces and glue_construct at
+    # the sector ends
+    for lo, hi in ((5e-10, math.pi / 2 - 5e-10), (-5e-10, math.pi / 2 + 5e-10)):
+        tm = ThetaMap(kind="piecewise", pieces=((lo, 0.7, identity_map()),
+                                                (0.7, hi, legendre_map_tag())))
+        assert IsometryTriple(f=ELLIPSE, h=ELLIPSE, theta=tm).theta is tm
+    with pytest.raises(ValueError, match="piece 1 is"):
+        IsometryTriple(f=ELLIPSE, h=ELLIPSE, theta=ThetaMap(kind="piecewise", pieces=(
+            (0.0, 0.7, identity_map()), (0.7, math.pi / 2 + 2e-9, identity_map()))))
+
+
+@pytest.mark.parametrize("kind,fields", [
+    ("identity", {"grid": (0.0, 1.0, 2.0, 3.0), "values": (5.0,)}),
+    ("legendre", {"grid": (0.0, 0.5, 1.0, 1.5)}),
+    ("linear", {"params": (1.3, 0.8), "values": (0.0, 0.5, 1.0, 1.5)}),
+    ("identity", {"pieces": ((0.0, math.pi / 2, identity_map()),)}),
+    ("sampled", {"grid": (0.0, 0.5, 1.0, 1.5), "values": (0.0, 0.5, 1.0, 1.5),
+                 "pieces": ((0.0, math.pi / 2, identity_map()),)}),
+], ids=["identity-grid", "legendre-grid", "linear-values", "identity-pieces",
+        "sampled-pieces"])
+def test_theta_fields_of_another_kind_are_rejected(kind, fields):
+    # such a map was built, and its JSON dropped the fields, so that a round
+    # trip changed ==
+    named = "pieces" if "pieces" in fields else "grid or values"
+    with pytest.raises(ValueError, match=f"{kind} theta takes no {named}, got "):
+        ThetaMap(kind=kind, **fields)
+
+
 BREAKS = (0.5, 1.1)
 SECTOR = SectorProfile(2, BREAKS, (Profile(2, (1.0, 0.2)), Profile(2, (1.1, 0.1)),
                                    Profile(2, (0.9, 0.3, 0.01))))

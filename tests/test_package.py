@@ -100,6 +100,46 @@ def test_the_normal_w_is_formed_only_in_the_frame():
         assert calls == [home], helper
 
 
+def _sin_tests(tree):
+    """Where (as `_walk` names it) each comparison that reads a sin call, or
+    a name its function assigns from one, is in a parsed module."""
+    def sin(node):
+        return isinstance(node, ast.Call) and "sin" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    nodes = list(_walk(tree))
+    names = {(where, n.id) for where, node in nodes if isinstance(node, ast.Assign)
+             and any(sin(v) for v in ast.walk(node.value))
+             for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return {where for where, node in nodes if isinstance(node, ast.Compare) and any(
+        sin(v) or isinstance(v, ast.Name) and (where, v.id) in names for v in ast.walk(node))}
+
+
+def test_a_leaf_point_is_read_through_one_frame_with_one_focal_test():
+    # foliation._frame is the one entry to a point's polar pass, w and focal
+    # guard, and _unit_w holds the one test of sin(d t): hessian and isometry
+    # read a leaf point through _frame alone, besides energy's t_coord and
+    # the FD tensor's radius, and no module but foliation calls _polar
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "isonorm"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    assert {(name, where) for name, tree in trees.items()
+            for where in _calls(tree, "_polar")} == {
+        ("foliation.py", "_frame"), ("foliation.py", "t_coord")}
+    assert {(name, where) for name, tree in trees.items()
+            for where in _sin_tests(tree)} == {("foliation.py", "_unit_w")}
+    readers = ("_polar", "_frame", "t_coord", "_radius", "unit_w", "_unit_w",
+               "normal_plane_basis", "_check_guard")
+    assert {(name, reader, where) for name in ("hessian.py", "isometry.py")
+            for reader in readers for where in _calls(trees[name], reader)} == {
+        ("hessian.py", "_frame", "closed_fundamental_tensor"),
+        ("hessian.py", "_frame", "frame_basis"),
+        ("hessian.py", "_frame", "closed_frame_matrix"),
+        ("hessian.py", "_frame", "riemann_fd"),
+        ("hessian.py", "_frame", "fd_indicatrix_operators"),
+        ("hessian.py", "t_coord", "energy"),
+        ("hessian.py", "_radius", "fd_fundamental_tensor"),
+        ("isometry.py", "_frame", "lift_to_nd.lift")}
+
+
 def _kind_tests(tree):
     """Where (as `_walk` names it) each comparison of an object's `.kind` is
     in a parsed module."""
