@@ -16,7 +16,7 @@ w = -grad_S p / (d sin dt) and the shape operator from Hess p.  `_frame` is
 the one entry to a leaf point's frame: one polar pass per row set (`_polar`
 evaluates p), the focal guard, then w with the one focal test, on sin(d t);
 other modules read a point otherwise only by t_coord and `_radius`.  A model
-keeps its last point's and rows' pass, w and S (`profile._Keeps`, by bytes).
+keeps its last point's and rows' pass and w, and rows' S (`profile._Keeps`).
 """
 
 from __future__ import annotations
@@ -328,8 +328,8 @@ class ShapeEigen(NamedTuple):
 
 def _shape_operator(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
     """S = -P (Hess p - d p I) P / (d sin dt), P = I - u u^T - w w^T, at the
-    unit point or (k, n) rows u, with p = p(u): the leaf's shape operator
-    (the spherical Hessian of t on the leaf), eigenvalues cot(t + k pi/d): kept on u."""
+    unit (k, n) rows u, with p = p(u): the leaf's shape operator (the
+    spherical Hessian of t on the leaf), eigenvalues cot(t + k pi/d): kept on u."""
     return m._kept("_shape", u, lambda: _shape_pass(m, u, t, w, p))
 
 
@@ -341,17 +341,16 @@ def _shape_pass(m: FoliationModel, u: np.ndarray, t, w: np.ndarray, p):
 
 
 def shape_spectrum(m: FoliationModel, x, delta: float = DEFAULT_FOCAL_GUARD):
-    """Shape-operator spectrum of the leaf through x: S (_shape_operator) on
-    a leaf basis, from one polar pass of x.  Its eigenvalues cot(t + k pi/d)
-    decrease in k, so sorted they fall to the k of multiplicities(m) in
-    turn; RuntimeError if one is not its cot(t + k pi/d)."""
+    """The leaf's shape spectrum from one frame of x: -leaf (Hess p - d p I)
+    leaf^T / (d sin dt), leaf S leaf^T as leaf spans P's range (_shape_operator).
+    Sorted, its eigenvalues cot(t + k pi/d) fall to the k of multiplicities(m)
+    in turn (they decrease in k); RuntimeError if one is not its cot."""
     _, u, p, t, w = _frame(m, x, delta, "shape_spectrum")
-    # the leaf basis: the eigenvalue-1 eigenvectors of the projector onto
-    # the leaf, which eigh puts after its two zero eigenvalues
-    leaf = np.linalg.eigh(_arrays(m.n)["eye"] - u[:, None] * u
-                          - w[:, None] * w)[1][:, 2:].T
-    S = _shape_operator(m, u, t, w, p)
-    evals, evecs = np.linalg.eigh(leaf @ S @ leaf.T)
+    eye = _arrays(m.n)["eye"]
+    # the eigenvalue-1 eigenvectors of P, after eigh's two zero eigenvalues
+    leaf = np.linalg.eigh(eye - u[:, None] * u - w[:, None] * w)[1][:, 2:].T
+    evals, evecs = np.linalg.eigh(-(leaf @ (_hess_poly(m, u) - m.d * p * eye) @ leaf.T)
+                                  / (m.d * math.sin(m.d * t)))
     out, i = [], len(evals)  # eigh sorts ascending: walk from the top
     for k, mk in multiplicities(m):
         kappa = evals[i - mk:i]

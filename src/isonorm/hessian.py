@@ -116,23 +116,30 @@ def closed_fundamental_tensor(nm: InducedNorm, x) -> np.ndarray:
     return G if x.ndim == 2 else G[0]
 
 
+def _pairs(m: FoliationModel, spectrum) -> tuple:
+    """A spectrum's (k, m_k); ValueError unless they are multiplicities(m)."""
+    if (pairs := tuple((e.k, e.multiplicity) for e in spectrum)) != multiplicities(m):
+        raise ValueError(f"spectrum pairs {pairs} are not {m.describe()}'s {multiplicities(m)}")
+    return pairs
+
+
 def frame_basis(nm: InducedNorm, x, spectrum) -> np.ndarray:
     """Columns: radial u, t-direction w, then shape eigenvectors."""
     _, u, _, _, w = _frame(nm.foliation, x, what="frame_basis")
+    _pairs(nm.foliation, spectrum)
     return np.array([u, w, *(vec for entry in spectrum for vec in entry.basis)]).T
 
 
 def closed_frame_matrix(nm: InducedNorm, x, spectrum) -> np.ndarray:
     """The closed Hessian metric in the frame_basis (unit vectors), the one
-    copy of the frame formulas: 2f on u, f'' + 2f on w, f' between them,
-    and 2f + kappa f' on each shape eigenspace of the spectrum, in its order.
-    On the coordinate fields, g(d_r, d_t) = r f' and g(d_t, d_t) =
-    r^2 (f'' + 2f); FocalProximityError on a focal cone, which has no frame."""
-    t = _frame(nm.foliation, x, what="closed_frame_matrix")[3]
+    copy of the frame formulas: 2f on u, f'' + 2f on w, f' between them and
+    2f + kappa f' on each shape eigenspace, kappa = cot(t + k pi/d) in closed
+    form (the spectrum gives k and m_k); FocalProximityError on a focal cone."""
+    m = nm.foliation
+    t = _frame(m, x, what="closed_frame_matrix")[3]
     f0, f1, f2 = nm.profile.jet(t, 2)
-    M = np.diag([2.0 * f0, f2 + 2.0 * f0, *np.repeat(
-        [2.0 * f0 + entry.kappa * f1 for entry in spectrum],
-        [entry.multiplicity for entry in spectrum])])
+    M = np.diag([2.0 * f0, f2 + 2.0 * f0, *(2.0 * f0 + f1 / math.tan(t + k * math.pi / m.d)
+                                            for k, mk in _pairs(m, spectrum) for _ in range(mk))])
     M[0, 1] = M[1, 0] = f1
     return M
 

@@ -207,27 +207,34 @@ def test_normal_plane_basis_orthonormal():
 
 # ---------------------------------------------------------- shape operator
 
-def test_shape_spectrum_eigenvalues():
-    for m in MODELS:
-        t = 0.5
-        x = random_leaf_points(m, t, 1, seed=4)[0]
-        spec = shape_spectrum(m, x)
-        assert sum(e.multiplicity for e in spec) == m.n - 2
-        for e in spec:
+@pytest.mark.parametrize("spec", ["d1:3", "d2:4:2", "d2:8:3", "cartan3"])
+def test_shape_spectrum_eigenvalues(spec):
+    # 40 leaf points over (0.06, pi/d - 0.06): each measured kappa within
+    # 128 ulps of max(1, |cot(t + k pi/d)|) (56 read at most, 200 points)
+    m = parse_model(spec)
+    ts = np.linspace(0.06, math.pi / m.d - 0.06, 40)
+    for x in random_leaf_points(m, ts, 40, seed=4):
+        t = t_coord(m, x).t
+        spectrum = shape_spectrum(m, x)
+        assert [(e.k, e.multiplicity) for e in spectrum] == list(multiplicities(m))
+        assert sum(e.multiplicity for e in spectrum) == m.n - 2
+        for e in spectrum:
             kappa = 1.0 / math.tan(t + e.k * math.pi / m.d)
-            assert e.kappa == pytest.approx(kappa, abs=1e-12)
+            assert abs(e.kappa - kappa) <= 128 * np.spacing(max(1.0, abs(kappa)))
 
 
 @pytest.mark.parametrize("scale,ok", [(1.0 + 5e-6, True), (1.0 - 5e-6, True),
                                       (1.0 + 2e-5, False), (1.0 - 2e-5, False)])
 def test_shape_spectrum_accepts_what_allclose_accepts(monkeypatch, scale, ok):
     # a relative error of 5e-6 in every eigenvalue is inside np.allclose's
-    # 1e-8 + 1e-5 |cot|, one of 2e-5 outside it
+    # 1e-8 + 1e-5 |cot|, one of 2e-5 outside it: Hess p - d p I, and so the
+    # leaf block -leaf (Hess p - d p I) leaf^T / (d sin dt) that
+    # shape_spectrum diagonalises, scaled by `scale`
     m = d2(8, 3)
     x = random_leaf_points(m, 0.6, 1, seed=3)[0]
-    one = foliation._shape_operator
-    monkeypatch.setattr(foliation, "_shape_operator",
-                        lambda *args: scale * one(*args))
+    one = foliation._hess_poly
+    monkeypatch.setattr(foliation, "_hess_poly", lambda m, u: scale * one(m, u)
+                        + (1.0 - scale) * m.d * _poly(m, u) * np.eye(m.n))
     if ok:
         shape_spectrum(m, x)
     else:

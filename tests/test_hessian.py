@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,8 +14,8 @@ from isonorm import cli, foliation, hessian
 from fd_oracles import indicatrix_operators_fd, third_tensor_fd
 from isonorm.fd import _arrays, hessian_fd
 from isonorm.foliation import (DEFAULT_FOCAL_GUARD, FocalProximityError,
-                               cartan3, d1, d2, parse_model, random_leaf_points,
-                               shape_spectrum, t_coord)
+                               cartan3, d1, d2, multiplicities, parse_model,
+                               random_leaf_points, shape_spectrum, t_coord)
 from isonorm.hessian import (InducedNorm, closed_frame_matrix,
                              closed_fundamental_tensor,
                              energy, fd_fundamental_tensor,
@@ -628,8 +629,15 @@ def test_closed_frame_matrix_takes_the_frame_its_spectrum_formed(monkeypatch,
     monkeypatch.setattr(foliation, "_unit_w", lambda *a: pytest.fail("formed w"))
     M = closed_frame_matrix(nm, x[0], spec)
     monkeypatch.undo()
-    f0, f1, f2 = profile.jet(t_coord(model, x[0]).t, 2)
+    t = t_coord(model, x[0]).t
+    f0, f1, f2 = profile.jet(t, 2)
     assert (M[0, 0], M[0, 1], M[1, 0], M[1, 1]) == (2.0 * f0, f1, f1, f2 + 2.0 * f0)
+    # each shape eigenspace takes the closed kappa, not the eigensolver's
+    d = model.d
+    assert M.shape == (model.n, model.n)
+    assert M[2:, 2:].tolist() == np.diag([
+        2.0 * f0 + f1 / math.tan(t + e.k * math.pi / d)
+        for e in spec for _ in range(e.multiplicity)]).tolist()
     with pytest.raises(FocalProximityError) as err:
         closed_frame_matrix(nm, 1.3 * np.eye(model.n)[0], [])
     assert str(err.value) == "t direction degenerates on the focal set"
@@ -637,6 +645,23 @@ def test_closed_frame_matrix_takes_the_frame_its_spectrum_formed(monkeypatch,
         closed_frame_matrix(nm, x, spec)
     assert str(err.value) == (f"closed_frame_matrix takes one point of shape "
                               f"({model.n},), not (2, {model.n})")
+
+
+@pytest.mark.parametrize("model,profile", MODEL_PROFILES[:4], ids=MODEL_IDS[:4])
+def test_frame_functions_take_only_the_models_spectrum(model, profile):
+    # an empty spectrum, or another model's, gave a frame of the wrong size
+    # (cartan3: a 2 x 2 matrix, a (5, 2) basis); they are checked after the
+    # frame, so the origin and focal-cone errors come first
+    nm = _norm(model, profile)
+    x = 1.7 * random_leaf_points(model, 0.4, 1, seed=8)[0]
+    other = d2(8, 3) if model != d2(8, 3) else cartan3()
+    foreign = shape_spectrum(other, random_leaf_points(other, 0.4, 1, seed=8)[0])
+    for call in (frame_basis, closed_frame_matrix):
+        for spectrum in ([], foreign, shape_spectrum(model, x)[:-1]):
+            with pytest.raises(ValueError, match=r"spectrum pairs .* are not "
+                               + re.escape(f"{model.describe()}'s {multiplicities(model)}")):
+                call(nm, x, spectrum)
+        assert call(nm, x, shape_spectrum(model, x)).shape[0] == model.n
 
 
 def test_dimension_arrays_are_built_once_read_only_and_per_dimension():

@@ -198,7 +198,39 @@ def test_field_sweeps_six_calls_share_one_pass_of_each(monkeypatch, spec):
     riemann_fd(nm, u)
     fd_indicatrix_laplacian_t(nm, u)
     assert sorted(calls) == [("_poly", 1), ("_poly", 2), ("_qform_pass", 1),
-                             ("_shape_pass", 1), ("_unit_w", 1)]
+                             ("_unit_w", 1)]
+    assert "_shape" not in vars(m)  # the spectrum takes its leaf block alone
+
+
+@pytest.mark.parametrize("spec", ["d1:3", "d2:4:2", "d2:8:3", "cartan3"])
+def test_a_point_spectrum_forms_no_shape_operator(monkeypatch, spec):
+    # shape_spectrum diagonalises its leaf block from the frame's u, p, t
+    # and w: no S of the point is formed, kept or read
+    m, _ = _fresh(spec, "Profile")
+    u = _points(m)[0]
+    calls = _computing_helpers(monkeypatch)
+    _count(monkeypatch, foliation, "_shape_operator", calls)
+    shape_spectrum(m, u)
+    assert sorted(calls) == [("_poly", 1), ("_unit_w", 1)]
+    assert "_shape" not in vars(m)
+
+
+@pytest.mark.parametrize("spec", ["d1:3", "d2:4:2", "cartan3"])
+def test_a_rows_closed_tensor_after_a_lift_reads_its_shape_rows(monkeypatch, spec):
+    # the rows' S stays kept: closed_fundamental_tensor at the rows a lift's
+    # jacobian took reads the one shape operator the jacobian formed
+    m = foliation.parse_model(spec)
+    f = BASES[m.d]
+    tr = IsometryTriple(f=f, h=DualProfile(f), theta=legendre_map_tag())
+    X = 1.3 * _points(m, 4, seed=5)
+    calls = _computing_helpers(monkeypatch)
+    lift_to_nd(tr, m).jacobian(X)
+    kept = vars(m)["_shape_rows"]
+    G = closed_fundamental_tensor(InducedNorm(m, f), X)
+    assert calls.count(("_shape_pass", 2)) == 1 and vars(m)["_shape_rows"] is kept
+    assert "_shape" not in vars(m)
+    assert _bits(G) == _bits(closed_fundamental_tensor(
+        InducedNorm(foliation.parse_model(spec), f), X))
 
 
 @pytest.mark.parametrize("spec", ["d1:3", "d2:4:2", "d2:8:3", "cartan3"])
@@ -216,8 +248,8 @@ def test_a_row_call_leaves_the_points_slot(monkeypatch, spec):
         CALLS[name](m, nm, u)
         assert vars(m)["_point"][0] == u.tobytes(), name
     point = [c for c in calls if c[1] == 1]
-    assert sorted(point) == [("_poly", 1), ("_qform_pass", 1), ("_shape_pass", 1),
-                             ("_unit_w", 1)]
+    assert sorted(point) == [("_poly", 1), ("_qform_pass", 1), ("_unit_w", 1)]
+    assert "_shape" not in vars(m)
 
 
 @pytest.mark.parametrize("spec", ["d1:3", "d2:4:2", "cartan3"])
@@ -249,6 +281,8 @@ def test_isonorm_tensor_forms_its_points_polar_data_once(monkeypatch, tmp_path,
     assert [c for c in calls if c[0] == "_poly"] == [
         ("_poly", 2), ("_poly", 2), ("_poly", 1), ("_poly", 2)]
     assert ("_unit_w", 1) in calls and calls.count(("_unit_w", 1)) == 1
+    # its spectrum takes the leaf block: no S of the point, so no _shape slot
+    assert ("_shape_pass", 1) not in calls
 
 
 # a long valid series: the sampled gate and the roots' arrays
@@ -258,7 +292,7 @@ TS = np.linspace(0.0, 1.5, 9)
 
 def _warm_model(m):
     x, rows = _points(m)[0], _points(m, 3, seed=5)
-    shape_spectrum(m, x)  # the point's polar pass, w and shape operator
+    shape_spectrum(m, x)  # the point's polar pass and w
     closed_fundamental_tensor(InducedNorm(m, BASES[m.d]), rows)  # the rows'
 
 
@@ -288,8 +322,7 @@ KINDS = {
     "DualProfile": (lambda: DualProfile(Profile(2, LONG), 0.8), _warm_dual,
                     ("_validity", "_solve")),
     "FoliationModel": (lambda: _fresh("cartan3", "Profile")[0], _warm_model,
-                       ("_point", "_w", "_shape", "_point_rows", "_w_rows",
-                        "_shape_rows")),
+                       ("_point", "_w", "_point_rows", "_w_rows", "_shape_rows")),
     "InducedNorm": (lambda: _fresh("cartan3", "DualProfile")[1], _warm_norm,
                     ("_qform", "_qform_rows")),
 }
@@ -317,7 +350,7 @@ def test_kept_arrays_are_read_only():
                                if isinstance(a, np.ndarray))]
     assert len(kept) == 6
     shape_spectrum(m, x)
-    kept.append(vars(m)["_shape"][1])
+    assert "_shape" not in vars(m)  # a point's S is never formed
     f, dual = Profile(2, LONG), DualProfile(Profile(2, LONG))
     dual.evaluate(TS, 0)
     kept += [f.stationary_angles(), *(f._root_angles(i) for i in range(3)),
