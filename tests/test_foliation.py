@@ -210,7 +210,7 @@ def test_normal_plane_basis_orthonormal():
 @pytest.mark.parametrize("spec", ["d1:3", "d2:4:2", "d2:8:3", "cartan3"])
 def test_shape_spectrum_eigenvalues(spec):
     # 40 leaf points over (0.06, pi/d - 0.06): each measured kappa within
-    # 128 ulps of max(1, |cot(t + k pi/d)|) (56 read at most, 200 points)
+    # 128 ulps of max(1, |cot(t + k pi/d)|) (42 read at most over 200 points)
     m = parse_model(spec)
     ts = np.linspace(0.06, math.pi / m.d - 0.06, 40)
     for x in random_leaf_points(m, ts, 40, seed=4):

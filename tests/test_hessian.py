@@ -633,10 +633,8 @@ def test_closed_frame_matrix_takes_the_frame_its_spectrum_formed(monkeypatch,
     f0, f1, f2 = profile.jet(t, 2)
     assert (M[0, 0], M[0, 1], M[1, 0], M[1, 1]) == (2.0 * f0, f1, f1, f2 + 2.0 * f0)
     # each shape eigenspace takes the closed kappa, not the eigensolver's
-    d = model.d
-    assert M.shape == (model.n, model.n)
     assert M[2:, 2:].tolist() == np.diag([
-        2.0 * f0 + f1 / math.tan(t + e.k * math.pi / d)
+        2.0 * f0 + f1 / math.tan(t + e.k * math.pi / model.d)
         for e in spec for _ in range(e.multiplicity)]).tolist()
     with pytest.raises(FocalProximityError) as err:
         closed_frame_matrix(nm, 1.3 * np.eye(model.n)[0], [])
